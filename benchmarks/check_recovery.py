@@ -13,8 +13,10 @@ Two modes, one set of assertions:
   (the CI ``lossy-recovery-smoke`` job runs the ``lossy-recovery`` and
   ``lossy-recovery-piggyback`` scenarios and hands their artifacts
   here).  The same fetch/heal assertions read the artifacts' always-on
-  counters; prefix consistency comes from the artifacts' checkpoint
-  chains.  With ``--trace-off``/``--trace-on`` (the runs' JSONL trace
+  counters, which must also show that fetch responses carried little
+  the requester already held (``fetch.vertices_received`` over
+  ``fetch.vertices_new`` at most 1.5); prefix consistency comes from
+  the artifacts' checkpoint chains.  With ``--trace-off``/``--trace-on`` (the runs' JSONL trace
   files) the stall comparison is mined from the traces too.
 
 Both modes print every check (pass and fail) and exit non-zero on any
@@ -41,6 +43,11 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.obs.consistency import checkpoint_chain, compare_prefixes
+
+
+# Fetch responses may carry at most this many vertices per vertex the
+# requester's DAG lacked (whole-history responses measured above 10).
+FETCH_WASTE_BOUND = 1.5
 
 
 class Check:
@@ -142,6 +149,23 @@ def _point_counters(point: Dict[str, Any]) -> Dict[str, float]:
     }
 
 
+def _check_fetch_waste(label: str, point: Dict[str, Any]) -> Check:
+    """Received-over-new for one run's fetch responses, from its counters."""
+    counters = (point.get("counters") or {}).get("always") or {}
+    name = f"artifacts: {label} fetch responses carry mostly new vertices"
+    if "fetch.vertices_received" not in counters or "fetch.vertices_new" not in counters:
+        return Check(name, False, "artifact lacks the fetch.vertices_* counters")
+    received = float(counters["fetch.vertices_received"])
+    new = float(counters["fetch.vertices_new"])
+    if received == 0.0:
+        return Check(name, True, "no fetch response arrived")
+    return Check(
+        name,
+        new > 0.0 and received / new <= FETCH_WASTE_BOUND,
+        f"{received:.0f} received / {new:.0f} new (bound {FETCH_WASTE_BOUND})",
+    )
+
+
 def _point_chain(point: Dict[str, Any]) -> List[Tuple[int, str]]:
     checkpoints = [
         (int(count), digest)
@@ -194,6 +218,8 @@ def check_artifacts(
         off.update(_mine_trace(trace_off))
         on.update(_mine_trace(trace_on))
     checks.extend(_check_recovery_numbers("artifacts", off, on))
+    checks.append(_check_fetch_waste("piggyback-off", off_point))
+    checks.append(_check_fetch_waste("piggyback-on", on_point))
     comparison = compare_prefixes(_point_chain(off_point), _point_chain(on_point))
     checks.append(
         Check(

@@ -25,10 +25,10 @@ The cache stays correct under the store's mutation pattern:
   never add paths *between* previously inserted vertices — cached entries
   stay valid.  The single exception is a straggler delivered *below* the
   horizon (its parents count as present), which can reconnect previously
-  blocked walks; such an insertion invalidates, per subtree, only the
-  entries of vertices that can reach the straggler, and only their target
-  rounds at or below it (rare: it only happens after state sync), keeping
-  warm entries elsewhere alive.
+  blocked walks; such an insertion invalidates only the entries of
+  vertices that can reach the straggler, and only their target rounds at
+  or below it.  It is rare: a broadcast delivered after its round was
+  pruned (fetch responses are filtered at the horizon by the node).
 * ``garbage_collect`` drops cache lines keyed by pruned vertices and all
   cached target rounds below the new horizon.  Entries for surviving
   vertices with targets at or above the horizon only ever traversed
@@ -99,6 +99,10 @@ class DagStore:
         # Total stake present per round, maintained on insert/GC so the
         # per-insertion quorum checks are O(1) instead of summing stakes.
         self._round_stake: Dict[Round, int] = {}
+        # Bitmask of the sources present per round (bit ``s`` = validator
+        # ``s``, the ``Vertex.edge_mask`` positions), maintained beside
+        # the stake: the frontier a fetch request advertises.
+        self._round_sources: Dict[Round, int] = {}
         self._by_id: Dict[VertexId, Vertex] = {}
         # Vertices waiting for missing parents, keyed by the missing parent.
         self._pending: Dict[VertexId, Vertex] = {}
@@ -241,8 +245,10 @@ class DagStore:
             slots = pool.pop() if pool else [None] * self._size
             self._round_slots[round_number] = slots
             order = self._round_order[round_number] = []
+            self._round_sources[round_number] = 1 << source
         else:
             order = self._round_order[round_number]
+            self._round_sources[round_number] |= 1 << source
         slots[source] = vertex
         order.append(vertex)
         self._round_stake[round_number] = (
@@ -341,6 +347,16 @@ class DagStore:
 
     def sources_at(self, round_number: Round) -> Set[ValidatorId]:
         return {vertex.source for vertex in self._round_order.get(round_number, ())}
+
+    def held_sources(self) -> Tuple[Tuple[Round, int], ...]:
+        """``(round, source bitmask)`` for every stored round, ascending.
+
+        Bit ``s`` of a mask says the round's vertex from validator ``s``
+        is part of the DAG; parked vertices are not.  Together with
+        :attr:`lowest_round` this is the frontier a fetch request
+        advertises (``FetchRequest.held``).
+        """
+        return tuple(sorted(self._round_sources.items()))
 
     def stake_at(self, round_number: Round) -> int:
         """Total stake of the sources with a vertex in ``round_number``."""
@@ -535,22 +551,14 @@ class DagStore:
         then source) so that every validator linearizes a committed
         sub-DAG identically (Algorithm 2, line 35).
 
-        Exclusion-free queries (the deep fetch responder's whole-history
-        requests) are answered from the round-indexed reachability cache
-        instead of a raw stack walk: the history at each stored round is
-        exactly the cached ``reachable_sources`` set, so repeated fetches
-        for nearby roots share memoized per-round sets with the commit
-        rule.  Queries with an ``exclude`` set keep the walk, because
-        pruning *during* traversal differs from filtering afterwards
-        whenever the excluded set is not causally closed downwards.
+        Excluded vertices stop the walk: nothing beneath them is visited
+        unless another path reaches it.
         """
         excluded = exclude if exclude is not None else set()
         by_id = self._by_id
         root_vertex = by_id.get(root)
         if root_vertex is None:
             raise DagError(f"vertex {root} is not in the DAG")
-        if self.cache_reachability and not excluded:
-            return self._causal_history_cached(root_vertex, include_root)
         if root in excluded:
             # The walk stops immediately at an excluded root.
             return []
@@ -585,28 +593,6 @@ class DagStore:
             frontier.difference_update(seen)
             frontier.difference_update(excluded)
         collected.sort(key=lambda vertex: (vertex.round, vertex.source))
-        return collected
-
-    def _causal_history_cached(self, root_vertex: Vertex, include_root: bool) -> List[Vertex]:
-        """Cache-backed :meth:`causal_history` for exclusion-free queries.
-
-        Ascending rounds with sorted sources reproduce the walk's
-        deterministic (round, source) order without a final sort.
-        """
-        collected: List[Vertex] = []
-        rounds = self._round_slots
-        # Iterate the rounds actually stored (not the horizon range): a
-        # state-sync straggler may sit below the GC horizon yet still be
-        # stored and reachable.
-        for round_number in sorted(r for r in rounds if r < root_vertex.round):
-            slots = rounds[round_number]
-            slot_count = len(slots)
-            for source in sorted(self._reachable_sources(root_vertex, round_number)):
-                vertex = slots[source] if 0 <= source < slot_count else None
-                if vertex is not None:
-                    collected.append(vertex)
-        if include_root:
-            collected.append(root_vertex)
         return collected
 
     # -- garbage collection ----------------------------------------------------------------
@@ -683,6 +669,7 @@ class DagStore:
                     slots[index] = None
                 self._slab_pool.append(slots)
             self._round_stake.pop(round_number, None)
+            self._round_sources.pop(round_number, None)
         if not self._round_slots:
             # GC swallowed every round (the horizon overtook the frontier);
             # match ``max(rounds) or 0`` semantics.

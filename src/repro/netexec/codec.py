@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dag.vertex import Vertex
 from repro.errors import ReproError
@@ -63,10 +63,17 @@ class FrameError(CodecError):
     """A frame header/body violates the framing contract."""
 
 
-# A single frame must fit the largest deep FetchResponse we ever expect
-# at supported committee sizes, with a wide margin; anything larger is a
-# protocol violation or an attack and is rejected before allocation.
+# A single frame must fit the largest FetchResponse we ever expect at
+# supported committee sizes, with a wide margin: a validator that holds
+# nothing is sent every round the responder still stores.  Anything
+# larger is a protocol violation or an attack and is rejected before
+# allocation.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+# Bounds on a FetchRequest frontier: how many stored rounds it may list
+# and how wide one round's source bitmask may be (1024 validators).
+MAX_FRONTIER_ROUNDS = 4096
+MAX_MASK_BYTES = 128
 
 _HEADER = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -101,6 +108,8 @@ class _TypeSpec:
     cls: type
     fields: Tuple[str, ...]
     build: Callable[[tuple], Any]
+    # Wire values of ``fields`` when they differ from the attributes.
+    pack: Optional[Callable[[Any], tuple]] = None
 
 
 def _build_vertex(fields: tuple) -> Vertex:
@@ -129,11 +138,69 @@ def _build_vertex(fields: tuple) -> Vertex:
     )
 
 
-def _spec(code: int, cls: type, fields: Tuple[str, ...], build: Callable[[tuple], Any] = None) -> _TypeSpec:
+def _pack_fetch_request(request: FetchRequest) -> tuple:
+    """Masks outgrow the 64-bit wire integer past committee 63, so they
+    travel as minimal big-endian byte strings."""
+    if len(request.held) > MAX_FRONTIER_ROUNDS:
+        raise CodecError(f"frontier lists more than {MAX_FRONTIER_ROUNDS} rounds")
+    held = []
+    for round_number, mask in request.held:
+        width = (mask.bit_length() + 7) // 8
+        if mask < 0 or width > MAX_MASK_BYTES:
+            raise CodecError(
+                f"frontier mask must be non-negative and at most {MAX_MASK_BYTES} bytes wide"
+            )
+        held.append((round_number, mask.to_bytes(width, "big")))
+    return (request.requester, request.missing, request.horizon, tuple(held))
+
+
+def _build_fetch_request(fields: tuple) -> FetchRequest:
+    requester, missing, horizon, held = fields
+    if not isinstance(missing, tuple):
+        raise CodecError("fetch request missing field must decode to a tuple")
+    for vertex_id in missing:
+        if (
+            not isinstance(vertex_id, VertexId)
+            or type(vertex_id.round) is not int
+            or type(vertex_id.source) is not int
+        ):
+            raise CodecError("fetch request may only name integer vertex ids")
+    if type(horizon) is not int or horizon < 0:
+        raise CodecError("fetch request horizon must be a non-negative integer")
+    if not isinstance(held, tuple) or len(held) > MAX_FRONTIER_ROUNDS:
+        raise CodecError(
+            f"fetch request frontier must be a tuple of at most {MAX_FRONTIER_ROUNDS} rounds"
+        )
+    masks = []
+    previous = -1
+    for entry in held:
+        if type(entry) is not tuple or len(entry) != 2:
+            raise CodecError("frontier entries must be (round, mask) pairs")
+        round_number, raw = entry
+        if type(round_number) is not int or round_number <= previous:
+            raise CodecError("frontier rounds must be non-negative and strictly ascending")
+        if type(raw) is not bytes or len(raw) > MAX_MASK_BYTES or raw[:1] == b"\x00":
+            raise CodecError(
+                f"frontier mask must be at most {MAX_MASK_BYTES} minimal big-endian bytes"
+            )
+        masks.append((round_number, int.from_bytes(raw, "big")))
+        previous = round_number
+    return FetchRequest(
+        requester=requester, missing=missing, horizon=horizon, held=tuple(masks)
+    )
+
+
+def _spec(
+    code: int,
+    cls: type,
+    fields: Tuple[str, ...],
+    build: Callable[[tuple], Any] = None,
+    pack: Optional[Callable[[Any], tuple]] = None,
+) -> _TypeSpec:
     if build is None:
         def build(values, _cls=cls, _fields=fields):
             return _cls(**dict(zip(_fields, values)))
-    return _TypeSpec(code=code, cls=cls, fields=fields, build=build)
+    return _TypeSpec(code=code, cls=cls, fields=fields, build=build, pack=pack)
 
 
 # Registered object types.  Codes are part of the wire format: append
@@ -162,7 +229,13 @@ _SPECS: Tuple[_TypeSpec, ...] = (
             "vote_accounting",
         ),
     ),
-    _spec(7, FetchRequest, ("requester", "missing", "deep")),
+    _spec(
+        7,
+        FetchRequest,
+        ("requester", "missing", "horizon", "held"),
+        build=_build_fetch_request,
+        pack=_pack_fetch_request,
+    ),
     _spec(8, FetchResponse, ("responder", "vertices", "responder_gc_round", "snapshot")),
     _spec(9, BroadcastMessage, ("origin", "round", "digest")),
     _spec(10, ProposeMessage, ("origin", "round", "digest", "payload")),
@@ -226,8 +299,12 @@ def _encode_into(value: Any, out: List[bytes]) -> None:
         if spec is None:
             raise CodecError(f"type {type(value).__name__} is not wire-encodable")
         out.append(_TAG_OBJECT + bytes([spec.code]))
-        for name in spec.fields:
-            _encode_into(getattr(value, name), out)
+        if spec.pack is not None:
+            for item in spec.pack(value):
+                _encode_into(item, out)
+        else:
+            for name in spec.fields:
+                _encode_into(getattr(value, name), out)
 
 
 def encode(value: Any) -> bytes:
@@ -250,98 +327,125 @@ def encode_frame(value: Any) -> bytes:
 # -- decoding ----------------------------------------------------------------
 
 
-class _Reader:
-    """Bounds-checked cursor over a decode buffer."""
+_TRUNCATED = "truncated value: length field exceeds the remaining body"
 
-    __slots__ = ("data", "offset")
+_unpack_i64 = _I64.unpack_from
+_unpack_f64 = _F64.unpack_from
+_unpack_count = _HEADER.unpack_from
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.offset = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.offset + count
-        if count < 0 or end > len(self.data):
-            raise CodecError("truncated value: length field exceeds the remaining body")
-        chunk = self.data[self.offset:end]
-        self.offset = end
-        return chunk
-
-    def length(self) -> int:
-        (value,) = _HEADER.unpack(self.take(4))
-        # Each encoded item is at least one tag byte, so a count larger
-        # than the remaining bytes is garbage; rejecting it here keeps a
-        # hostile 4-byte count from driving a multi-gigabyte loop.
-        if value > len(self.data) - self.offset:
-            raise CodecError("length field exceeds the remaining body")
-        return value
+# ``bytes`` indexing yields integers; compare against those.
+_INT, _FLOAT, _STR, _BYTES = _TAG_INT[0], _TAG_FLOAT[0], _TAG_STR[0], _TAG_BYTES[0]
+_TUPLE, _FROZENSET, _DICT, _OBJECT = (
+    _TAG_TUPLE[0], _TAG_FROZENSET[0], _TAG_DICT[0], _TAG_OBJECT[0],
+)
+_NONE, _TRUE, _FALSE = _TAG_NONE[0], _TAG_TRUE[0], _TAG_FALSE[0]
 
 
-def _decode_value(reader: _Reader) -> Any:
-    tag = reader.take(1)
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_FALSE:
-        return False
-    if tag == _TAG_INT:
-        (value,) = _I64.unpack(reader.take(8))
-        return value
-    if tag == _TAG_FLOAT:
-        (value,) = _F64.unpack(reader.take(8))
-        return value
-    if tag == _TAG_STR:
-        raw = reader.take(reader.length())
+def _count_at(data: bytes, offset: int) -> Tuple[int, int]:
+    """The ``>I`` count at ``offset``: ``(count, offset past it)``."""
+    try:
+        (count,) = _unpack_count(data, offset)
+    except struct.error:
+        raise CodecError(_TRUNCATED) from None
+    offset += 4
+    # Each encoded item is at least one tag byte, so a count larger than
+    # the remaining bytes is garbage; rejecting it here keeps a hostile
+    # 4-byte count from driving a multi-gigabyte loop or allocation.
+    if count > len(data) - offset:
+        raise CodecError("length field exceeds the remaining body")
+    return count, offset
+
+
+def _decode_at(data: bytes, offset: int) -> Tuple[Any, int]:
+    """Decode the value at ``data[offset]``: ``(value, offset past it)``.
+
+    One call per value and no intermediate slices: a socket run spends
+    most of its time here.  Every read is bounds-checked (``unpack_from``
+    and indexing raise, ``_count_at`` compares) before anything is
+    allocated from a length the peer chose.
+    """
+    try:
+        tag = data[offset]
+    except IndexError:
+        raise CodecError(_TRUNCATED) from None
+    offset += 1
+    if tag == _INT:
         try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise CodecError(f"invalid utf-8 in string value: {error}") from error
-    if tag == _TAG_BYTES:
-        return reader.take(reader.length())
-    if tag == _TAG_TUPLE:
-        count = reader.length()
-        return tuple(_decode_value(reader) for _ in range(count))
-    if tag == _TAG_FROZENSET:
-        count = reader.length()
-        items = tuple(_decode_value(reader) for _ in range(count))
-        decoded = frozenset(items)
-        if len(decoded) != count:
-            raise CodecError("duplicate items in encoded set")
-        return decoded
-    if tag == _TAG_DICT:
-        count = reader.length()
-        result = {}
-        for _ in range(count):
-            key = _decode_value(reader)
-            result[key] = _decode_value(reader)
-        if len(result) != count:
-            raise CodecError("duplicate keys in encoded dict")
-        return result
-    if tag == _TAG_OBJECT:
-        code = reader.take(1)[0]
+            return _unpack_i64(data, offset)[0], offset + 8
+        except struct.error:
+            raise CodecError(_TRUNCATED) from None
+    if tag == _OBJECT:
+        try:
+            code = data[offset]
+        except IndexError:
+            raise CodecError(_TRUNCATED) from None
+        offset += 1
         spec = _SPEC_BY_CODE.get(code)
         if spec is None:
             raise CodecError(f"unknown wire type code {code}")
-        values = tuple(_decode_value(reader) for _ in spec.fields)
+        values = []
+        for _ in spec.fields:
+            value, offset = _decode_at(data, offset)
+            values.append(value)
         try:
-            return spec.build(values)
+            return spec.build(tuple(values)), offset
         except CodecError:
             raise
         except Exception as error:
             raise CodecError(
                 f"cannot reconstruct {spec.cls.__name__} from wire fields: {error}"
             ) from error
-    raise CodecError(f"unknown value tag {tag!r}")
+    if tag == _TUPLE or tag == _FROZENSET:
+        count, offset = _count_at(data, offset)
+        items = []
+        for _ in range(count):
+            value, offset = _decode_at(data, offset)
+            items.append(value)
+        if tag == _TUPLE:
+            return tuple(items), offset
+        decoded = frozenset(items)
+        if len(decoded) != count:
+            raise CodecError("duplicate items in encoded set")
+        return decoded, offset
+    if tag == _FLOAT:
+        try:
+            return _unpack_f64(data, offset)[0], offset + 8
+        except struct.error:
+            raise CodecError(_TRUNCATED) from None
+    if tag == _STR or tag == _BYTES:
+        count, offset = _count_at(data, offset)
+        end = offset + count
+        raw = data[offset:end]
+        if tag == _BYTES:
+            return raw, end
+        try:
+            return raw.decode("utf-8"), end
+        except UnicodeDecodeError as error:
+            raise CodecError(f"invalid utf-8 in string value: {error}") from error
+    if tag == _NONE:
+        return None, offset
+    if tag == _TRUE:
+        return True, offset
+    if tag == _FALSE:
+        return False, offset
+    if tag == _DICT:
+        count, offset = _count_at(data, offset)
+        result = {}
+        for _ in range(count):
+            key, offset = _decode_at(data, offset)
+            result[key], offset = _decode_at(data, offset)
+        if len(result) != count:
+            raise CodecError("duplicate keys in encoded dict")
+        return result, offset
+    raise CodecError(f"unknown value tag {bytes((tag,))!r}")
 
 
 def decode(body: bytes) -> Any:
     """Decode one canonical value; the body must be consumed exactly."""
-    reader = _Reader(body)
-    value = _decode_value(reader)
-    if reader.offset != len(body):
+    value, offset = _decode_at(body, 0)
+    if offset != len(body):
         raise CodecError(
-            f"frame body has {len(body) - reader.offset} trailing bytes after the value"
+            f"frame body has {len(body) - offset} trailing bytes after the value"
         )
     return value
 

@@ -51,9 +51,14 @@ from repro.sim.presets import node_config_for
 DEFAULT_RUNTIME_LIMIT = 120.0
 
 # Consecutive idle polls (no new deliveries, all alive nodes at the
-# final round) before the run is declared quiescent.
+# final round) before the run is declared quiescent.  Every validator
+# shares this event loop, which serves readable sockets before due
+# timers, so a frame still in flight is delivered within a few loop
+# iterations whatever the interval: the count is the evidence, the
+# interval only the wall-clock wait a finished run sits through (a
+# wait that does not shrink on a faster host, so it is kept short).
 _QUIESCENT_POLLS = 5
-_POLL_INTERVAL = 0.05
+_POLL_INTERVAL = 0.01
 
 
 def run_net_experiment(
@@ -227,6 +232,15 @@ def _build_result(
             ),
             "node.fetch_requests": float(
                 sum(node.fetch_requests_sent for node in nodes.values())
+            ),
+            "fetch.vertices_served": float(
+                sum(node.fetch_vertices_served for node in nodes.values())
+            ),
+            "fetch.vertices_received": float(
+                sum(node.fetch_vertices_received for node in nodes.values())
+            ),
+            "fetch.vertices_new": float(
+                sum(node.fetch_vertices_new for node in nodes.values())
             ),
         }
     }

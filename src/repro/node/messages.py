@@ -3,9 +3,17 @@
 The synchronizer messages mirror Narwhal's certificate fetcher: a
 validator that receives a vertex referencing parents it has not seen asks
 the vertex's source (which, having produced the child, must hold the
-parents) for the missing vertices.  When the requested history has been
-garbage-collected everywhere, the response carries a consensus snapshot
-instead, which models the production system's checkpoint-based state sync.
+parents) for the missing vertices, and tells it what it already holds —
+its garbage-collection horizon plus one source bitmask per stored round.
+The responder walks down from the requested vertices and stops at every
+vertex the requester holds (causal completeness: the requester then has
+everything beneath it) and at the requester's horizon, so the response
+is exactly the part of the requested vertices' causal history the
+requester lacks: one vertex for one lost certificate, the whole history
+for a recovering validator that holds nothing.  When the requester's
+frontier lies below the responder's own horizon the missing history has
+been pruned, and the response also carries a consensus snapshot, which
+models the production system's checkpoint-based state sync.
 """
 
 from __future__ import annotations
@@ -42,17 +50,20 @@ class ConsensusSnapshot:
 
 @dataclasses.dataclass(frozen=True)
 class FetchRequest:
-    """Ask a peer for the vertices identified by ``missing``.
+    """Ask a peer for ``missing`` and whatever of their history we lack.
 
-    When ``deep`` is set the responder also includes the causal history of
-    the requested vertices (bounded by its garbage-collection horizon),
-    which lets a recovering validator catch up in one round trip instead of
-    walking the DAG one round per request.
+    ``horizon`` is the requester's garbage-collection horizon (nothing
+    below it is wanted) and ``held`` its DAG frontier: ascending
+    ``(round, mask)`` pairs where bit ``s`` of ``mask`` says the
+    requester's DAG — not its parked buffer — holds the round's vertex
+    from validator ``s`` (``DagStore.held_sources``).  The defaults
+    describe a requester that holds nothing.
     """
 
     requester: ValidatorId
     missing: Tuple[VertexId, ...]
-    deep: bool = True
+    horizon: Round = 0
+    held: Tuple[Tuple[Round, int], ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +73,9 @@ class FetchResponse:
     ``responder_gc_round`` is the responder's garbage-collection horizon:
     rounds below it have been pruned and can never be served.  A requester
     that needs older history falls back to state sync (see
-    ``BullsharkConsensus.fast_forward``).
+    ``BullsharkConsensus.fast_forward``) from ``snapshot``, which the
+    responder attaches only when the request's frontier ends below that
+    horizon.
     """
 
     responder: ValidatorId

@@ -130,6 +130,12 @@ class ValidatorNode:
         self.transactions_submitted = 0
         self.transactions_proposed = 0
         self.fetch_requests_sent = 0
+        # Fetch waste, counted where it happens: vertices this node put
+        # into responses, vertices it got back, and how many of those
+        # its DAG lacked.
+        self.fetch_vertices_served = 0
+        self.fetch_vertices_received = 0
+        self.fetch_vertices_new = 0
         self.recoveries = 0
 
         self.network.register(validator_id, committee.region_of(validator_id), self._on_network_message)
@@ -582,7 +588,12 @@ class ValidatorNode:
         if not to_request:
             return
         self.fetch_requests_sent += 1
-        request = FetchRequest(requester=self.id, missing=tuple(to_request))
+        request = FetchRequest(
+            requester=self.id,
+            missing=tuple(to_request),
+            horizon=self.dag.lowest_round,
+            held=self.dag.held_sources(),
+        )
         target = preferred_peer if preferred_peer != self.id else self._random_peer()
         self.network.send(self.id, target, request)
         self._schedule_fetch_retry()
@@ -614,28 +625,72 @@ class ValidatorNode:
         if not behavior.transparent and not behavior.should_serve_fetch(sender):
             # Behavior policy: starve this peer's synchronizer.
             return
+        found = self._unheld_history(request)
+        if not found:
+            return
+        self.fetch_vertices_served += len(found)
+        # The requester state-syncs only when our horizon is past its
+        # frontier (``_maybe_state_sync``), and its frontier only grows
+        # while the response is in flight, so the snapshot is built for
+        # the requests that can use it.
+        horizon = self.dag.lowest_round
+        requester_highest = max((round_number for round_number, _ in request.held), default=0)
+        response = FetchResponse(
+            responder=self.id,
+            vertices=tuple(found),
+            responder_gc_round=horizon,
+            snapshot=(
+                self._consensus_snapshot() if horizon > requester_highest + 1 else None
+            ),
+        )
+        self.network.send(self.id, sender, response)
+
+    def _unheld_history(self, request: FetchRequest) -> List[Vertex]:
+        """The causal history of ``request.missing`` the requester lacks.
+
+        A level-wise walk over the round slabs, one source bitmask per
+        level.  It stops at every vertex the requester's DAG holds —
+        causal completeness puts everything beneath it, down to the
+        requester's horizon, in that DAG too — and at the horizon
+        itself, so it costs the vertices shipped plus their edges, not
+        the size of the history.  Each requested vertex contributes, in
+        ascending (round, source) order, what the ones before it did
+        not; vertices this validator lacks block the walk.
+        """
+        round_map = self.dag.round_map
+        sources_of = self.committee.stake_vector.validators_of_mask
+        size = self.committee.size
+        in_committee = (1 << size) - 1
+        horizon = request.horizon
+        # Per round: sources the requester holds or an earlier root shipped.
+        covered: Dict[Round, int] = dict(request.held)
         found: List[Vertex] = []
-        seen: set = set()
-        for vertex_id in request.missing:
-            vertex = self.dag.get(vertex_id)
-            if vertex is None:
+        for root in request.missing:
+            if not 0 <= root.source < size:
                 continue
-            if request.deep:
-                for ancestor in self.dag.causal_history(vertex.id):
-                    if ancestor.id not in seen:
-                        seen.add(ancestor.id)
-                        found.append(ancestor)
-            elif vertex.id not in seen:
-                seen.add(vertex.id)
-                found.append(vertex)
-        if found:
-            response = FetchResponse(
-                responder=self.id,
-                vertices=tuple(found),
-                responder_gc_round=self.dag.lowest_round,
-                snapshot=self._consensus_snapshot() if request.deep else None,
-            )
-            self.network.send(self.id, sender, response)
+            round_number = root.round
+            wanted = 1 << root.source
+            levels: List[List[Vertex]] = []
+            while round_number >= horizon:
+                already = covered.get(round_number, 0)
+                wanted &= ~already
+                slots = round_map(round_number)
+                if not wanted or not slots:
+                    break
+                covered[round_number] = already | wanted
+                level: List[Vertex] = []
+                parents = 0
+                for source in sources_of(wanted):
+                    vertex = slots[source]
+                    if vertex is not None:
+                        level.append(vertex)
+                        parents |= vertex.edge_mask
+                levels.append(level)
+                wanted = parents & in_committee
+                round_number -= 1
+            for level in reversed(levels):
+                found.extend(level)
+        return found
 
     def _consensus_snapshot(self) -> ConsensusSnapshot:
         """Summarize committed state for a peer that may need state sync."""
@@ -663,9 +718,33 @@ class ValidatorNode:
 
     def _handle_fetch_response(self, response: FetchResponse) -> None:
         self._maybe_state_sync(response)
-        for vertex in sorted(response.vertices, key=lambda vertex: vertex.round):
-            self._ingest_vertex(vertex)
-        self.dag.reconsider_pending()
+        dag = self.dag
+        horizon = dag.lowest_round
+        vertices = response.vertices
+        # What the responder was asked for: history our DAG lacks.  A
+        # vertex parked here counts as new, because parked parents are
+        # requested by id like absent ones; the trace tells them apart.
+        new = sum(1 for vertex in vertices if vertex.round >= horizon and vertex.id not in dag)
+        self.fetch_vertices_received += len(vertices)
+        self.fetch_vertices_new += new
+        if self._tracing:
+            parked = {vertex.id for vertex in dag.pending_vertices()}
+            self._tracer.emit(
+                "fetch_ingested",
+                node=self.id,
+                responder=response.responder,
+                received=len(vertices),
+                new=new,
+                parked=sum(1 for vertex in vertices if vertex.id in parked),
+            )
+        for vertex in sorted(vertices, key=lambda vertex: vertex.round):
+            # Ingesting can commit and raise the horizon mid-response;
+            # whatever falls below it (or was sent below it by a stale
+            # or hostile responder) is ordered history, not a straggler
+            # to re-insert.
+            if vertex.round >= dag.lowest_round:
+                self._ingest_vertex(vertex)
+        dag.reconsider_pending()
         self._maybe_advance()
 
     def _maybe_state_sync(self, response: FetchResponse) -> None:

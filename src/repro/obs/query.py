@@ -118,6 +118,24 @@ def _partition_at(events: Sequence[Event], at: float) -> Optional[Event]:
     return active
 
 
+def _fetch_evidence(mine: Sequence[Event], node: int, at: float) -> List[str]:
+    """How much of what ``node`` fetched by time ``at`` it actually lacked."""
+    responses = [
+        event for event in mine if event["kind"] == "fetch_ingested" and event["t"] <= at
+    ]
+    if not responses:
+        return []
+    received = sum(event.get("received", 0) for event in responses)
+    new = sum(event.get("new", 0) for event in responses)
+    parked = sum(event.get("parked", 0) for event in responses)
+    ratio = f"{received / new:.2f}" if new else "n/a"
+    return [
+        f"  validator {node} had taken in {len(responses)} fetch response(s) by then: "
+        f"{received} vertices received, {new} new to its DAG (received/new {ratio}), "
+        f"{parked} already parked there"
+    ]
+
+
 def render_timeline(
     events: Sequence[Event],
     validator: Optional[int] = None,
@@ -235,6 +253,7 @@ def explain_anchor(
             lines.append(
                 f"  it was parked {parked}x on validator {node} waiting for missing parents"
             )
+            lines.extend(_fetch_evidence(mine, node, at))
     if _crashed_at(events, leader, at):
         lines.append(f"  validator {leader} was crashed at t={at:.3f}")
     for window in _behavior_windows_at(events, leader, at):

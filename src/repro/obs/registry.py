@@ -101,6 +101,7 @@ _SIGNER_BYTES = 8
 _EDGE_BYTES = 40  # (round, source, digest) reference
 _TRANSACTION_BYTES = 128
 _VERTEX_HEADER_BYTES = 48
+_FRONTIER_ROUND_BYTES = 16  # round number + source bitmask
 
 
 def _payload_bytes(payload: Any) -> int:
@@ -134,4 +135,7 @@ def estimate_wire_bytes(message: Any) -> int:
     missing = getattr(message, "missing", None)
     if missing is not None:
         size += _EDGE_BYTES * len(missing)
+    held = getattr(message, "held", None)
+    if held is not None:
+        size += _FRONTIER_ROUND_BYTES * len(held)
     return size

@@ -47,6 +47,7 @@ EVENT_KINDS: Tuple[Tuple[str, str], ...] = (
     ("behavior_window_open", "a BehaviorFault installed policies: validators, policy, coordinated"),
     ("behavior_window_close", "a BehaviorFault restored honest policies: validators"),
     ("message_dropped", "transport dropped a message: sender, destination, type, reason; loss drops add the window token, broadcast envelopes add origin/round"),
+    ("fetch_ingested", "fetch response arrived: responder, received (vertices in it), new (of those, absent from the DAG), parked (of those, already parked here)"),
     ("certificate_healed", "piggybacked certificate healed a missing vertex before a fetch: round, origin"),
     ("partition_set", "transport partition installed: groups"),
     ("partition_cleared", "transport partition removed"),

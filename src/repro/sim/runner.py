@@ -392,6 +392,11 @@ class SimulationRunner:
                 sum(node.leader_timeouts_suffered for node in nodes)
             ),
             "node.fetch_requests": float(sum(node.fetch_requests_sent for node in nodes)),
+            "fetch.vertices_served": float(sum(node.fetch_vertices_served for node in nodes)),
+            "fetch.vertices_received": float(
+                sum(node.fetch_vertices_received for node in nodes)
+            ),
+            "fetch.vertices_new": float(sum(node.fetch_vertices_new for node in nodes)),
             "node.recoveries": float(sum(node.recoveries for node in nodes)),
             "node.certificates_piggybacked": float(
                 sum(

@@ -119,6 +119,12 @@ def snapshots(draw):
     )
 
 
+# A fetch frontier: strictly ascending rounds, each with a source mask
+# that may be wider than the 64-bit wire integer (committee 200).
+frontiers = st.dictionaries(
+    rounds, st.integers(min_value=0, max_value=(1 << 200) - 1), max_size=6
+).map(lambda masks: tuple(sorted(masks.items())))
+
 certificates = st.builds(
     CertificateMessage,
     origin=validator_ids,
@@ -139,7 +145,8 @@ messages = st.one_of(
         FetchRequest,
         requester=validator_ids,
         missing=st.lists(vertex_ids, max_size=6).map(tuple),
-        deep=st.booleans(),
+        horizon=rounds,
+        held=frontiers,
     ),
     st.builds(
         FetchResponse,

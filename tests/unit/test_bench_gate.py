@@ -305,3 +305,27 @@ class TestMatrixStageComparison:
         findings = check_regression.compare_documents(self._base_doc(), base, 0.10)
         assert not any(finding.fatal for finding in findings)
         assert any("scenario_matrix" in finding.stage for finding in findings)
+
+
+class TestRecoveryFetchWaste:
+    """The lossy-recovery smoke gate's received-over-new assertion."""
+
+    @staticmethod
+    def _check(counters):
+        import check_recovery
+
+        return check_recovery._check_fetch_waste("off", {"counters": {"always": counters}})
+
+    def test_mostly_new_vertices_pass(self):
+        check = self._check({"fetch.vertices_received": 57.0, "fetch.vertices_new": 57.0})
+        assert check.ok and "57 received / 57 new" in check.detail
+        assert self._check({"fetch.vertices_received": 3.0, "fetch.vertices_new": 2.0}).ok
+
+    def test_whole_history_responses_fail(self):
+        assert not self._check({"fetch.vertices_received": 16.0, "fetch.vertices_new": 10.0}).ok
+        assert not self._check({"fetch.vertices_received": 5.0, "fetch.vertices_new": 0.0}).ok
+
+    def test_no_fetch_response_passes_and_missing_counters_fail(self):
+        assert self._check({"fetch.vertices_received": 0.0, "fetch.vertices_new": 0.0}).ok
+        check = self._check({"node.fetch_requests": 37.0})
+        assert not check.ok and "lacks" in check.detail

@@ -353,26 +353,23 @@ class TestStragglerCacheInvalidation:
                     ), f"path({vertex.id}, {target_id}) diverged from the oracle"
 
 
-class TestCachedCausalHistory:
-    def test_cached_history_matches_walk(self, committee4):
-        cached = DagStore(committee4, cache_reachability=True)
-        walk = DagStore(committee4, cache_reachability=False)
-        for store in (cached, walk):
-            for vertex in genesis_vertices(committee4):
-                store.add(vertex)
+class TestCausalHistoryWalk:
+    def test_history_matches_path_on_a_dag_with_holes(self, committee4):
+        dag = DagStore(committee4)
+        for vertex in genesis_vertices(committee4):
+            dag.add(vertex)
         for round_number in range(1, 8):
             # Vary participation so the DAG has holes.
             sources = [0, 1, 2] if round_number % 3 == 0 else None
-            build_round(cached, committee4, round_number, sources=sources)
-            build_round(walk, committee4, round_number, sources=sources)
-        for vertex in list(cached):
-            assert cached.causal_history(vertex.id) == walk.causal_history(vertex.id)
-            assert cached.causal_history(vertex.id, include_root=False) == walk.causal_history(
-                vertex.id, include_root=False
-            )
+            build_round(dag, committee4, round_number, sources=sources)
+        for vertex in list(dag):
+            reachable = [other for other in dag if dag.path(vertex.id, other.id)]
+            reachable.sort(key=lambda other: (other.round, other.source))
+            assert dag.causal_history(vertex.id) == reachable
+            assert dag.causal_history(vertex.id, include_root=False) == reachable[:-1]
 
-    def test_exclude_set_still_uses_the_walk(self, committee4):
-        dag = DagStore(committee4, cache_reachability=True)
+    def test_excluded_vertices_stop_the_walk(self, committee4):
+        dag = DagStore(committee4)
         for vertex in genesis_vertices(committee4):
             dag.add(vertex)
         for round_number in range(1, 4):
@@ -380,9 +377,9 @@ class TestCachedCausalHistory:
         root = dag.vertex_of(3, 0)
         excluded = {vertex.id for vertex in dag.vertices_at(1)}
         history = dag.causal_history(root.id, exclude=excluded)
-        assert all(vertex.id not in excluded for vertex in history)
+        assert {vertex.round for vertex in history} == {2, 3}
 
-    def test_cached_history_includes_below_horizon_stragglers(self, committee4):
+    def test_history_includes_below_horizon_stragglers(self, committee4):
         """Regression: a stored straggler below the GC horizon is history too."""
         dag = DagStore(committee4)
         for vertex in genesis_vertices(committee4):
@@ -393,13 +390,9 @@ class TestCachedCausalHistory:
         straggler = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
         assert dag.add(straggler) is True
         root = dag.vertex_of(6, 0)
-        cached_history = dag.causal_history(root.id)
-        # A non-empty exclude set forces the reference walk.
-        walk_history = dag.causal_history(root.id, exclude={vid(99, 0)})
-        assert straggler.id in {vertex.id for vertex in cached_history}
-        assert cached_history == walk_history
+        assert straggler.id in {vertex.id for vertex in dag.causal_history(root.id)}
 
-    def test_cached_history_ordering_is_round_then_source(self, committee4):
+    def test_history_ordering_is_round_then_source(self, committee4):
         dag = DagStore(committee4)
         for vertex in genesis_vertices(committee4):
             dag.add(vertex)
@@ -410,3 +403,17 @@ class TestCachedCausalHistory:
         keys = [(vertex.round, vertex.source) for vertex in history]
         assert keys == sorted(keys)
         assert history[-1].id == root.id
+
+
+class TestHeldSources:
+    def test_held_sources_follow_insert_and_gc(self, committee4):
+        dag = DagStore(committee4)
+        assert dag.held_sources() == ()
+        for vertex in genesis_vertices(committee4):
+            dag.add(vertex)
+        build_round(dag, committee4, 1, sources=[0, 2, 3])
+        parked = make_vertex(3, 1, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])
+        assert dag.add(parked) is False
+        assert dag.held_sources() == ((0, 0b1111), (1, 0b1101))
+        dag.garbage_collect(1)
+        assert dag.held_sources() == ((1, 0b1101),)

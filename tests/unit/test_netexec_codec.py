@@ -20,6 +20,8 @@ from repro.crypto.hashing import vertex_digest
 from repro.dag.vertex import Vertex, make_vertex
 from repro.netexec.codec import (
     MAX_FRAME_BYTES,
+    MAX_FRONTIER_ROUNDS,
+    MAX_MASK_BYTES,
     MESSAGE_TYPES,
     CodecError,
     FrameError,
@@ -78,7 +80,13 @@ def _sample_of_each_type():
         Transaction(11, 2, 1.25, 3, kind="counter_increment", payload_bytes=64),
         schedule,
         snapshot,
-        FetchRequest(requester=2, missing=(VertexId(3, 0), VertexId(3, 1)), deep=True),
+        FetchRequest(
+            requester=2,
+            missing=(VertexId(3, 0), VertexId(3, 1)),
+            horizon=1,
+            # Round 2's mask is wider than the 64-bit wire integer.
+            held=((1, 0b1111), (2, (1 << 99) | 0b0101)),
+        ),
         FetchResponse(responder=0, vertices=(vertex,), responder_gc_round=1, snapshot=snapshot),
         BroadcastMessage(origin=0, round=1, digest=b"\x01" * 32),
         ProposeMessage(origin=0, round=2, digest=vertex.digest, payload=vertex),
@@ -126,9 +134,13 @@ class TestRoundTrips:
 
 class TestDefensiveDecoding:
     def test_truncated_body_rejected(self):
-        wire = encode(_sample_vertex())
-        with pytest.raises(CodecError):
-            decode(wire[:-1])
+        # Every strict prefix, so each tag's bounds check is cut into:
+        # tags, type codes, counts, integers, floats and raw bytes.
+        for sample in _sample_of_each_type():
+            wire = encode(sample)
+            for cut in range(len(wire)):
+                with pytest.raises(CodecError):
+                    decode(wire[:cut])
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(CodecError, match="trailing"):
@@ -179,6 +191,62 @@ class TestDefensiveDecoding:
         )
         with pytest.raises(CodecError, match="digest mismatch"):
             decode(encode(forged))
+
+
+def _fetch_request_wire(requester=2, missing=(VertexId(3, 0),), horizon=1, held=((1, b"\x0f"),)):
+    """A code-7 body built field by field, so a test can forge any one."""
+    return b"O\x07" + b"".join(encode(field) for field in (requester, missing, horizon, held))
+
+
+class TestHostileFetchRequest:
+    def test_forged_body_helper_matches_the_encoder(self):
+        request = FetchRequest(2, (VertexId(3, 0),), horizon=1, held=((1, 0b1111),))
+        assert _fetch_request_wire() == encode(request)
+        assert decode(_fetch_request_wire()) == request
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"horizon": -1}, "horizon"),
+            ({"horizon": 1.5}, "horizon"),
+            ({"horizon": True}, "horizon"),
+            ({"missing": (3,)}, "vertex ids"),
+            ({"missing": (VertexId(3, 0.5),)}, "vertex ids"),
+            ({"missing": 7}, "must decode to a tuple"),
+            ({"held": 7}, "frontier must be a tuple"),
+            ({"held": ((1, b"\x01"),) * 2}, "strictly ascending"),
+            ({"held": ((2, b"\x01"), (1, b"\x01"))}, "strictly ascending"),
+            ({"held": ((-1, b"\x01"),)}, "non-negative"),
+            ({"held": ((1, 15),)}, "frontier mask"),
+            ({"held": ((1, b"\x00\x0f"),)}, "minimal"),
+            ({"held": ((1, b"\xff" * (MAX_MASK_BYTES + 1)),)}, "frontier mask"),
+            ({"held": ((1,),)}, "pairs"),
+            ({"held": (VertexId(1, 2),)}, "pairs"),
+        ],
+    )
+    def test_malformed_frontier_rejected(self, fields, reason):
+        with pytest.raises(CodecError, match=reason):
+            decode(_fetch_request_wire(**fields))
+
+    def test_frontier_round_count_is_bounded(self):
+        held = tuple((round_number, b"\x01") for round_number in range(MAX_FRONTIER_ROUNDS + 1))
+        with pytest.raises(CodecError, match=f"at most {MAX_FRONTIER_ROUNDS} rounds"):
+            decode(_fetch_request_wire(held=held))
+        assert len(decode(_fetch_request_wire(held=held[:-1])).held) == MAX_FRONTIER_ROUNDS
+
+    def test_widest_mask_and_empty_mask_round_trip(self):
+        widest = (1 << (8 * MAX_MASK_BYTES)) - 1
+        request = FetchRequest(0, (), horizon=0, held=((4, 0), (5, widest)))
+        assert decode(encode(request)) == request
+
+    @pytest.mark.parametrize(
+        "held",
+        [((1, -1),), ((1, 1 << (8 * MAX_MASK_BYTES)),), ((0, 1),) * (MAX_FRONTIER_ROUNDS + 1)],
+        ids=["negative", "too-wide", "too-many-rounds"],
+    )
+    def test_out_of_range_frontier_not_encodable(self, held):
+        with pytest.raises(CodecError, match="frontier"):
+            encode(FetchRequest(0, (), horizon=0, held=held))
 
 
 class TestFraming:

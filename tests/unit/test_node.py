@@ -4,16 +4,19 @@ import pytest
 
 from repro.committee import Committee
 from repro.core.manager import StaticScheduleManager
+from repro.dag.store import DagStore
+from repro.dag.vertex import genesis_vertices
 from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.node.config import NodeConfig
-from repro.node.messages import FetchRequest
+from repro.node.messages import FetchRequest, FetchResponse
 from repro.node.validator import ValidatorNode
 from repro.schedule.round_robin import initial_schedule
 from repro.storage.store import PersistentStore
 from repro.errors import ConfigurationError
 from repro.workload.transactions import counter_increment
+from tests.conftest import build_round, vid
 
 
 def build_cluster(size=4, seed=1, config=None, dynamic=False, commits_per_schedule=4):
@@ -215,43 +218,217 @@ class TestCrashRecovery:
         assert nodes[0].commit_count > 0
 
 
-class TestSynchronizer:
-    def test_fetch_request_answered_with_causal_history(self):
+class TestUnheldHistory:
+    """The fetch responder's walk: history a requester's frontier lacks."""
+
+    @staticmethod
+    def _responder(rounds=6, gc_before=0):
         committee, simulator, network, nodes = build_cluster()
-        for node in nodes.values():
-            node.start()
-        simulator.run(until=3.0)
+        node = nodes[0]
+        # A bare store: no consensus or GC running underneath the walk.
+        dag = node.dag = DagStore(committee)
+        for vertex in genesis_vertices(committee):
+            dag.add(vertex)
+        for round_number in range(1, rounds + 1):
+            build_round(dag, committee, round_number)
+        if gc_before:
+            dag.garbage_collect(gc_before)
+        return node, dag
+
+    @staticmethod
+    def _walk(node, roots, horizon=0, held=()):
+        return node._unheld_history(FetchRequest(9, tuple(roots), horizon=horizon, held=held))
+
+    def test_requester_holding_nothing_gets_the_whole_history(self):
+        node, dag = self._responder()
+        assert self._walk(node, [vid(6, 1)]) == dag.causal_history(vid(6, 1))
+
+    def test_one_missing_vertex_gets_one_vertex(self):
+        node, dag = self._responder()
+        held = tuple(
+            (round_number, mask & ~0b0010 if round_number == 6 else mask)
+            for round_number, mask in dag.held_sources()
+        )
+        assert self._walk(node, [vid(6, 1)], held=held) == [dag.get(vid(6, 1))]
+
+    def test_walk_stops_at_held_vertices_and_at_the_horizon(self):
+        node, dag = self._responder()
+        # The requester holds rounds up to 3 in full, plus validator 0's
+        # round-4 vertex; its horizon is round 2.
+        held = ((2, 0b1111), (3, 0b1111), (4, 0b0001))
+        shipped = self._walk(node, [vid(6, 2)], horizon=2, held=held)
+        assert [vertex.id for vertex in shipped] == [
+            vid(4, 1), vid(4, 2), vid(4, 3),
+            vid(5, 0), vid(5, 1), vid(5, 2), vid(5, 3),
+            vid(6, 2),
+        ]
+        # A requester that holds nothing still gets nothing below its horizon.
+        shipped = self._walk(node, [vid(6, 2)], horizon=5)
+        assert {vertex.round for vertex in shipped} == {5, 6}
+        assert self._walk(node, [vid(4, 0)], horizon=5) == []
+
+    def test_each_root_adds_what_the_roots_before_it_did_not(self):
+        node, dag = self._responder(rounds=3)
+        held = ((0, 0b1111), (1, 0b1111))
+        shipped = self._walk(node, [vid(3, 2), vid(3, 0), vid(3, 2)], held=held)
+        assert [vertex.id for vertex in shipped] == [
+            vid(2, 0), vid(2, 1), vid(2, 2), vid(2, 3), vid(3, 2), vid(3, 0),
+        ]
+
+    def test_unknown_and_out_of_committee_roots_are_skipped(self):
+        node, dag = self._responder(rounds=2)
+        assert self._walk(node, [vid(9, 0), vid(2, 4), vid(2, -1), vid(-3, 0)]) == []
+
+    def test_vertices_the_responder_lacks_block_the_walk(self):
+        node, dag = self._responder(rounds=4, gc_before=3)
+        assert [vertex.round for vertex in self._walk(node, [vid(4, 0)])] == [3, 3, 3, 3, 4]
+
+    def test_requested_vertex_the_requester_holds_is_not_served(self):
+        node, dag = self._responder(rounds=2)
+        assert self._walk(node, [vid(2, 1)], held=dag.held_sources()) == []
+
+
+def run_cluster(until=3.0, gc_depth=50):
+    config = NodeConfig(
+        max_batch_size=50,
+        min_round_interval=0.05,
+        leader_timeout=0.5,
+        record_sequence=True,
+        gc_depth=gc_depth,
+    )
+    committee, simulator, network, nodes = build_cluster(config=config)
+    for node in nodes.values():
+        node.start()
+    simulator.run(until=until)
+    return committee, simulator, network, nodes
+
+
+def fetch_from(committee, simulator, network, responder, request):
+    """Send ``request`` from a fresh outside id; return the responses."""
+    responses = []
+
+    def collect(sender, message):
+        # A registered id also receives the committee's broadcasts.
+        if isinstance(message, FetchResponse):
+            responses.append(message)
+
+    network.register(request.requester, committee.region_of(0), collect)
+    network.send(request.requester, responder, request)
+    simulator.run(until=simulator.now + 1.0)
+    return responses
+
+
+class TestSynchronizer:
+    def test_requester_holding_nothing_gets_the_causal_history(self):
+        committee, simulator, network, nodes = run_cluster()
         recent_round = nodes[0].consensus.last_ordered_anchor_round
         target_vertex = nodes[0].dag.vertex_of(recent_round, 0)
         assert target_vertex is not None
-        responses = []
-        network.register(
-            99,
-            committee.region_of(0),
-            lambda sender, message: responses.append(message),
+        expected = nodes[0].dag.causal_history(target_vertex.id)
+        responses = fetch_from(
+            committee, simulator, network, 0,
+            FetchRequest(requester=99, missing=(target_vertex.id,)),
         )
-        request = FetchRequest(requester=99, missing=(target_vertex.id,), deep=True)
-        network.send(99, 0, request)
-        simulator.run(until=4.0)
-        assert responses
-        fetched = responses[0].vertices
-        assert target_vertex.id in {vertex.id for vertex in fetched}
-        # Deep fetch includes ancestors.
-        assert any(vertex.round < recent_round for vertex in fetched)
+        assert len(responses) == 1
+        assert list(responses[0].vertices) == expected
+        assert len(expected) > 1
+        assert nodes[0].fetch_vertices_served == len(expected)
 
-    def test_shallow_fetch_returns_only_requested(self):
-        committee, simulator, network, nodes = build_cluster()
-        for node in nodes.values():
-            node.start()
-        simulator.run(until=3.0)
-        recent_round = nodes[0].consensus.last_ordered_anchor_round + 1
-        target_vertex = nodes[0].dag.vertex_of(recent_round, 1)
+    def test_requester_missing_one_vertex_gets_one_vertex(self):
+        committee, simulator, network, nodes = run_cluster()
+        dag = nodes[0].dag
+        target_vertex = dag.vertex_of(nodes[0].consensus.last_ordered_anchor_round + 1, 1)
         assert target_vertex is not None
-        responses = []
-        network.register(98, committee.region_of(0), lambda sender, message: responses.append(message))
-        network.send(98, 0, FetchRequest(requester=98, missing=(target_vertex.id,), deep=False))
+        # The requester's frontier is the responder's own, minus the target.
+        held = tuple(
+            (round_number, mask & ~(1 << 1) if round_number == target_vertex.round else mask)
+            for round_number, mask in dag.held_sources()
+        )
+        request = FetchRequest(
+            requester=98, missing=(target_vertex.id,), horizon=dag.lowest_round, held=held
+        )
+        responses = fetch_from(committee, simulator, network, 0, request)
+        assert responses[0].vertices == (target_vertex,)
+        assert responses[0].snapshot is None
+
+    def test_nothing_is_served_below_the_requesters_horizon(self):
+        committee, simulator, network, nodes = run_cluster()
+        dag = nodes[0].dag
+        target_vertex = dag.vertex_of(dag.highest_round() - 1, 2)
+        horizon = target_vertex.round - 3
+        responses = fetch_from(
+            committee, simulator, network, 0,
+            FetchRequest(requester=96, missing=(target_vertex.id,), horizon=horizon),
+        )
+        served_rounds = {vertex.round for vertex in responses[0].vertices}
+        assert served_rounds == set(range(horizon, target_vertex.round + 1))
+
+    def test_response_vertices_below_own_horizon_are_dropped(self):
+        """Regression: a fetch response re-inserted ordered, pruned history
+        as below-horizon stragglers (each one invalidating reachability
+        entries and forcing a GC sweep)."""
+        committee, simulator, network, nodes = run_cluster(until=4.0, gc_depth=4)
+        node = nodes[1]
+        horizon = node.dag.lowest_round
+        assert horizon > 2
+        pruned = [
+            vertex
+            for _, vertex in node.store.family(PersistentStore.CF_VERTICES).items()
+            if vertex.round < horizon
+        ]
+        assert pruned
+        inserted = []
+        node.dag.on_insert(inserted.append)
+        reclaimed_before = node.dag.gc_reclaimed_total
+        node._handle_fetch_response(
+            FetchResponse(responder=0, vertices=tuple(pruned), responder_gc_round=0)
+        )
+        assert inserted == []
+        assert node.dag.gc_reclaimed_total == reclaimed_before
+        assert node.fetch_vertices_received == len(pruned)
+        assert node.fetch_vertices_new == 0
+
+    def test_snapshot_is_attached_only_when_the_requester_can_use_it(self):
+        committee, simulator, network, nodes = run_cluster(until=4.0, gc_depth=4)
+        dag = nodes[0].dag
+        assert dag.lowest_round > 1
+        target_vertex = dag.vertex_of(dag.highest_round() - 1, 0)
+        # A requester whose frontier ends below our horizon must state-sync.
+        behind = fetch_from(
+            committee, simulator, network, 0,
+            FetchRequest(requester=95, missing=(target_vertex.id,)),
+        )
+        assert behind[0].snapshot is not None
+        assert behind[0].snapshot.gc_round == behind[0].responder_gc_round
+        # One whose frontier reaches our horizon never reads a snapshot.
+        target_vertex = dag.vertex_of(dag.highest_round() - 1, 0)
+        level = fetch_from(
+            committee, simulator, network, 0,
+            FetchRequest(
+                requester=94,
+                missing=(target_vertex.id,),
+                horizon=dag.lowest_round,
+                held=((dag.lowest_round - 1, 0b1),),
+            ),
+        )
+        assert level[0].snapshot is None
+
+    def test_new_vertices_are_counted_apart_from_received_ones(self):
+        committee, simulator, network, nodes = run_cluster()
+        donor, node = nodes[0], nodes[1]
+        node.crash()
         simulator.run(until=4.0)
-        assert len(responses[0].vertices) == 1
+        node.crashed = False  # ingest directly; the network still drops its traffic
+        tip = donor.dag.vertex_of(donor.dag.highest_round() - 1, 0)
+        history = donor.dag.causal_history(tip.id)
+        fresh = [vertex for vertex in history if vertex.id not in node.dag]
+        assert fresh and len(fresh) < len(history)
+        node._handle_fetch_response(
+            FetchResponse(responder=0, vertices=tuple(history), responder_gc_round=0)
+        )
+        assert node.fetch_vertices_received == len(history)
+        assert node.fetch_vertices_new == len(fresh)
+        assert tip.id in node.dag
 
     def test_unknown_vertices_yield_no_response(self):
         committee, simulator, network, nodes = build_cluster()

@@ -236,6 +236,26 @@ class TestQueries:
         assert "1 of them carried the leader's r=6 broadcast itself" in text
         assert "ProposeMessage" in text
 
+    def test_explain_skip_cites_fetch_waste_when_the_anchor_was_parked(self):
+        trace = synthetic_trace() + [
+            {"kind": "vertex_parked", "t": 2.2, "node": 0, "round": 6, "source": 2, "missing": 1},
+            {"kind": "fetch_ingested", "t": 2.3, "node": 0, "responder": 1,
+             "received": 6, "new": 4, "parked": 3},
+            {"kind": "fetch_ingested", "t": 2.4, "node": 0, "responder": 3,
+             "received": 2, "new": 0, "parked": 0},
+            # Another validator's fetches, and later ones, are not evidence.
+            {"kind": "fetch_ingested", "t": 2.4, "node": 1, "responder": 3,
+             "received": 50, "new": 1, "parked": 0},
+            {"kind": "fetch_ingested", "t": 99.0, "node": 0, "responder": 3,
+             "received": 50, "new": 1, "parked": 0},
+        ]
+        trace.sort(key=lambda event: event["t"])
+        text = "\n".join(query.explain_anchor(trace, 6))
+        assert "parked 1x on validator 0" in text
+        assert "2 fetch response(s)" in text
+        assert "8 vertices received, 4 new to its DAG (received/new 2.00), 3 already parked" in text
+        assert "fetch response" not in "\n".join(query.explain_anchor(synthetic_trace(), 6))
+
     def test_explain_committed_anchor(self):
         (line,) = query.explain_anchor(synthetic_trace(), 4)
         assert "not skipped" in line and "directly" in line
