@@ -29,13 +29,8 @@ from repro.analysis.engine import analyze, write_baseline
 from repro.analysis.purity import baseline_payload, build_purity_map
 from repro.analysis.rules import analysis_rule_names, make_analysis_rule
 from repro.analysis.source import load_package
-from repro.cliutil import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, run_guarded
+from repro.cliutil import EXIT_FINDINGS, EXIT_OK, run_guarded
 from repro.errors import ReproError
-
-# Historical aliases; the shared contract lives in repro.cliutil.
-CHECK_OK = EXIT_OK
-CHECK_FINDINGS = EXIT_FINDINGS
-CHECK_ERROR = EXIT_ERROR
 
 
 def _config_from_args(args: argparse.Namespace) -> AnalyzerConfig:
@@ -60,13 +55,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = analyze(config, rules=rules)
     for line in report.render_lines():
         print(line)
-    return CHECK_OK if report.ok else CHECK_FINDINGS
+    return EXIT_OK if report.ok else EXIT_FINDINGS
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     rule = make_analysis_rule(args.rule)
     print(rule.explain())
-    return CHECK_OK
+    return EXIT_OK
 
 
 def _cmd_purity_map(args: argparse.Namespace) -> int:
@@ -78,7 +73,7 @@ def _cmd_purity_map(args: argparse.Namespace) -> int:
             raise ReproError("no baseline path configured for this tree")
         write_baseline(purity, Path(config.baseline_path))
         print(f"wrote {config.baseline_path}")
-        return CHECK_OK
+        return EXIT_OK
     payload = baseline_payload(purity)
     print(f"purity roots ({len(purity.roots)}):")
     for root in purity.roots:
@@ -91,7 +86,7 @@ def _cmd_purity_map(args: argparse.Namespace) -> int:
         f"{len(purity.reachable)} reachable functions, "
         f"{purity.edge_count} call edges, digest {payload['digest']}"
     )
-    return CHECK_OK
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

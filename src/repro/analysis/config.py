@@ -34,7 +34,6 @@ DEFAULT_PURITY_ROOTS: Tuple[str, ...] = (
 DEFAULT_UNORDERED_EXTRAS: Tuple[str, ...] = (
     "repro.node.validator",
     "repro.rbc.base",
-    "repro.rbc.bracha",
     "repro.rbc.certified",
     "repro.rbc.messages",
     "repro.network.transport",

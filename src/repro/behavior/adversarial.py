@@ -50,9 +50,8 @@ def withhold_leader_parent(node: Any, round_number: Round, parents: List[VertexI
     """Drop the previous round's leader from ``parents`` (quorum permitting).
 
     The single definition of the withholding move, shared by
-    :class:`VoteWithholdingPolicy` and :class:`ReputationGamingPolicy`
-    (and byte-identical to the pre-policy ``parent_filter`` hook it
-    replaced).  The adversary never drops below the 2f+1 quorum the
+    :class:`VoteWithholdingPolicy` and :class:`ReputationGamingPolicy`.
+    The adversary never drops below the 2f+1 quorum the
     vertex structure requires: a structurally invalid vertex would be
     rejected by every honest recipient, which only hurts the adversary.
     """

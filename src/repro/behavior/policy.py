@@ -1,9 +1,7 @@
 """The behavior-policy interface: every validator decision an adversary can bend.
 
 A :class:`BehaviorPolicy` collects the validator's behavioral decision
-points behind one composable object, replacing the ad-hoc hooks
-(``ValidatorNode.parent_filter``) that previously had to be monkey-patched
-per attack:
+points behind one composable object:
 
 * **parent selection** — which previous-round vertices a proposal links to
   (:meth:`select_parents`; vote withholding lives here);
@@ -12,9 +10,8 @@ per attack:
 * **per-recipient fan-out** — whether each peer receives a broadcast, with
   what payload, and after what extra delay (:meth:`plan_fanout`;
   equivocation and selective silence live here);
-* **ack/certify participation** — whether to acknowledge (certified
-  broadcast) or echo (Bracha) another validator's proposal
-  (:meth:`should_ack`);
+* **ack/certify participation** — whether to acknowledge another
+  validator's proposal (:meth:`should_ack`);
 * **fetch service** — whether to answer a peer's synchronizer request
   (:meth:`should_serve_fetch`).
 
@@ -123,7 +120,7 @@ class BehaviorPolicy:
         return None
 
     def should_ack(self, origin: ValidatorId, round_number: Round) -> bool:
-        """Acknowledge/echo ``origin``'s proposal for ``round_number``?"""
+        """Acknowledge ``origin``'s proposal for ``round_number``?"""
         return True
 
     def should_serve_fetch(self, requester: ValidatorId) -> bool:

@@ -198,9 +198,6 @@ class Committee:
     def has_quorum(self, validators: Iterable[ValidatorId]) -> bool:
         return self.stake(validators) >= self.quorum_threshold
 
-    def has_validity(self, validators: Iterable[ValidatorId]) -> bool:
-        return self.stake(validators) >= self.validity_threshold
-
     def edge_quorum_verdict(
         self,
         digest: bytes,

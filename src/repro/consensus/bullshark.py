@@ -20,14 +20,15 @@ Differences from the pseudocode that matter for the reproduction:
   schedule application described in Section 3.1: rounds after the change
   must be interpreted under the new schedule, so anchors selected for
   those rounds under the old schedule are recomputed.
-* Commit attempts are incremental: instead of rescanning every candidate
-  anchor round between ``lastOrderedRound`` and the DAG frontier on every
-  insertion (quadratic over a run), the engine drains the set of anchor
-  rounds dirtied by insertions from the DAG store and re-evaluates only
-  those.  Schedule changes and state sync invalidate affected candidates
-  (see ``_invalidate_candidates_from`` / ``reset_candidates``).  The
-  original rescan survives behind ``incremental=False`` and the property
-  suite checks both produce byte-identical ordering digests.
+* A commit attempt re-evaluates only the anchor rounds dirtied since
+  the previous one: the DAG store records the anchor round of every
+  insertion, and schedule changes and state sync dirty the rounds whose
+  leader may have changed (``_invalidate_candidates_from`` /
+  ``reset_candidates``).  Rescanning every round between
+  ``lastOrderedRound`` and the frontier on every insertion is quadratic
+  over a run.  The independent check of this engine is the executable
+  reference model in ``tests/reference_model.py``, which recomputes
+  ordering and schedule changes from a recorded insert log.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class BullsharkConsensus:
         dag: DagStore,
         schedule_manager: ScheduleManager,
         record_sequence: bool = True,
-        incremental: bool = True,
     ) -> None:
         self.owner = owner
         self.committee = committee
@@ -94,13 +94,7 @@ class BullsharkConsensus:
         self.dag = dag
         self.schedule_manager = schedule_manager
         self.record_sequence = record_sequence
-        # When set (the default), commit attempts only re-evaluate anchor
-        # rounds dirtied by insertions since the previous attempt; when
-        # cleared, every attempt rescans all candidate rounds like the
-        # original implementation (kept as the differential-testing
-        # oracle).  Both paths order identically.
-        self.incremental = incremental
-        # Candidate tracking for the incremental scan: anchor rounds that
+        # Candidate tracking for the commit scan: anchor rounds that
         # currently satisfy the f+1 direct-vote rule, and anchor rounds
         # that need (re-)evaluation.  Entries at or below the last ordered
         # anchor round are purged lazily.
@@ -213,38 +207,7 @@ class BullsharkConsensus:
         return total
 
     def _find_directly_committable_anchor(self) -> Optional[Vertex]:
-        """The highest uncommitted anchor with an ``f+1`` stake of votes."""
-        if self.incremental:
-            return self._find_committable_incremental()
-        return self._find_committable_rescan()
-
-    def _find_committable_rescan(self) -> Optional[Vertex]:
-        """The seed implementation: rescan every candidate anchor round.
-
-        O(rounds) per call; kept as the reference oracle for the
-        incremental scan (the property suite checks both produce identical
-        orderings) and selectable via ``incremental=False``.
-        """
-        # Keep the store-side dirty set drained so it cannot grow without
-        # bound while the rescan oracle is selected.
-        self.dag.drain_dirty_anchor_rounds()
-        highest_round = self.dag.highest_round()
-        best: Optional[Vertex] = None
-        round_number = self.last_ordered_anchor_round + 2
-        if round_number % 2 != 0:
-            round_number += 1
-        if round_number < 2:
-            round_number = 2
-        while round_number + 1 <= highest_round:
-            anchor = self._get_anchor(round_number)
-            if anchor is not None:
-                if self._direct_vote_stake(anchor) >= self.committee.validity_threshold:
-                    best = anchor
-            round_number += 2
-        return best
-
-    def _find_committable_incremental(self) -> Optional[Vertex]:
-        """Dirty-set variant: amortized O(1) per insertion.
+        """The highest uncommitted anchor with an ``f+1`` stake of votes.
 
         An anchor round's direct-vote stake only changes when a vertex is
         inserted at that round (the anchor itself) or the round above (a
@@ -254,7 +217,8 @@ class BullsharkConsensus:
         :meth:`_invalidate_candidates_from` and :meth:`reset_candidates`).
         Once a round satisfies the f+1 rule it stays satisfied — votes are
         never removed above the GC horizon — so it parks in
-        ``_committable_rounds`` until ordered or invalidated.
+        ``_committable_rounds`` until ordered or invalidated.  Amortized
+        O(1) per insertion.
         """
         last_ordered = self.last_ordered_anchor_round
         drained = self.dag.drain_dirty_anchor_rounds()
@@ -270,8 +234,7 @@ class BullsharkConsensus:
                     # Not enough voting-round stake present yet for any
                     # anchor of this round to reach f+1 direct votes: skip
                     # the leader lookup and edge scan.  The next insertion
-                    # at the round (or its voting round) re-dirties it,
-                    # exactly like a failed evaluation used to be retried.
+                    # at the round (or its voting round) re-dirties it.
                     continue
                 anchor = self._get_anchor(round_number)
                 if anchor is not None and self._direct_vote_stake(anchor) >= threshold:
@@ -300,10 +263,6 @@ class BullsharkConsensus:
         new schedule may have a different leader, so both their committable
         status and their prior negative evaluations are void.
         """
-        if not self.incremental:
-            # The rescan oracle re-derives everything per call; tracking
-            # dirty rounds here would only accumulate without a consumer.
-            return
         self._committable_rounds = {
             r for r in self._committable_rounds if r < from_round
         }

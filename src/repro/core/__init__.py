@@ -21,7 +21,6 @@ from repro.core.scoring import (
     CarouselScoring,
     CompletenessScoring,
     HammerHeadScoring,
-    ScoringContext,
     ScoringRule,
     ScoringView,
     ShoalScoring,
@@ -46,7 +45,6 @@ from repro.core.manager import (
 __all__ = [
     "ReputationScores",
     "ScoringRule",
-    "ScoringContext",
     "ScoringView",
     "HammerHeadScoring",
     "ShoalScoring",

@@ -207,14 +207,11 @@ class HammerHeadScheduleManager(ScheduleManager):
         # original representation at the next schedule change.
         self._base_slots = initial.slots
         self.scores = ReputationScores(committee)
-        # The widened scoring view: committee + scores as before, plus
-        # schedule access, expected-voter sets, and committed-prefix round
-        # accounting.  ``_context`` survives as an alias for external code
-        # that reached for the old name.
+        # The scoring view: committee + scores, plus schedule access,
+        # expected-voter sets, and committed-prefix round accounting.
         self._view = ScoringView(committee, self.scores, manager=self)
         self._view.track_votes = bool(getattr(self.scoring, "needs_vote_accounting", False))
         self._track_votes = self._view.track_votes
-        self._context = self._view
         self.commits_in_epoch = 0
         self.change_records: List[ScheduleChangeRecord] = []
 

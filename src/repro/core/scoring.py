@@ -36,9 +36,8 @@ from repro.types import Round, ValidatorId
 class ScoringView:
     """Everything a scoring rule is allowed to observe.
 
-    The view is the widened successor of the old two-field
-    ``ScoringContext``: on top of the committee and the epoch's mutable
-    scores it exposes the active :class:`~repro.schedule.base.LeaderSchedule`,
+    On top of the committee and the epoch's mutable scores the view
+    exposes the active :class:`~repro.schedule.base.LeaderSchedule`,
     leader lookups against the full schedule history, per-round
     expected-voter sets, and committed-prefix round accounting.  All of
     it derives from the committed prefix, so every honest validator sees
@@ -224,11 +223,6 @@ class ScoringView:
             (anchor_round, tuple(sorted(voters)))
             for anchor_round, voters in sorted(self._pending_votes.items())
         )
-
-
-#: Backwards-compatible alias: the old two-field context grew into the
-#: view without changing its construction signature.
-ScoringContext = ScoringView
 
 
 class ScoringRule:

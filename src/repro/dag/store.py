@@ -12,11 +12,13 @@ Reachability cache
 ------------------
 
 ``path()`` queries are issued by the commit rule while walking anchor
-chains, and a naive BFS repeats the same downward walk for every probe.
-The store therefore memoizes, per vertex and per target round, the set of
-*sources* whose round-``r`` vertex is reachable (``reachable_sources``).
-Identity of a vertex is its ``(round, source)`` pair, so membership of the
-ancestor's source in that set is exactly path reachability.
+chains, and a search per probe would repeat the same downward walk.  The
+store memoizes, per vertex and per target round, the set of *sources*
+whose round-``r`` vertex is reachable (``reachable_sources``), and every
+``path()`` query is answered from it.  Identity of a vertex is its
+``(round, source)`` pair, so membership of the ancestor's source in that
+set is exactly path reachability.  The plain breadth-first search this
+must agree with lives in ``tests/reference_model.py``.
 
 The cache stays correct under the store's mutation pattern:
 
@@ -70,20 +72,11 @@ class DagStore:
     # Recycled round slabs kept after GC (see ``garbage_collect``).
     _SLAB_POOL_LIMIT = 64
 
-    def __init__(
-        self,
-        committee: Committee,
-        require_edge_quorum: bool = True,
-        cache_reachability: bool = True,
-    ) -> None:
+    def __init__(self, committee: Committee, require_edge_quorum: bool = True) -> None:
         self.committee = committee
         # Flat per-validator stake lookup for the insertion hot path.
         self._stakes = committee.stake_vector.stakes
         self.require_edge_quorum = require_edge_quorum
-        # ``False`` disables the reachability cache; every ``path()`` query
-        # then runs the reference BFS (used as the differential oracle by
-        # the property tests, and as an escape hatch).
-        self.cache_reachability = cache_reachability
         # Arena-style per-round storage: ``_round_slots[r][source]`` is the
         # round-``r`` vertex from ``source`` (``None`` when absent) in a
         # flat slab indexed by validator id, and ``_round_order[r]`` keeps
@@ -118,7 +111,7 @@ class DagStore:
         # consensus engine last drained this set: an insertion at an even
         # round r is a (potential) anchor for r, an insertion at an odd
         # round r is a (potential) vote for the anchor of r - 1.  Tracking
-        # this at the store keeps the incremental commit scan correct no
+        # this at the store keeps the commit scan correct no
         # matter how vertices enter the DAG (broadcast, promotion of parked
         # vertices, GC-triggered promotion, recovery replay).
         self._dirty_anchor_rounds: Set[Round] = set()
@@ -438,28 +431,7 @@ class DagStore:
         start = self._by_id.get(descendant)
         if start is None or ancestor.round >= start.round:
             return False
-        if self.cache_reachability:
-            return ancestor.source in self._reachable_sources(start, ancestor.round)
-        return self._path_bfs(descendant, start, ancestor)
-
-    def _path_bfs(self, descendant: VertexId, start: Vertex, target: VertexId) -> bool:
-        """Reference breadth-first search (the seed implementation)."""
-        frontier: Set[VertexId] = {descendant}
-        current_round = start.round
-        while frontier and current_round > target.round:
-            next_frontier: Set[VertexId] = set()
-            for vertex_id in frontier:
-                vertex = self._by_id.get(vertex_id)
-                if vertex is None:
-                    continue
-                for parent in vertex.edges:
-                    if parent == target:
-                        return True
-                    if parent.round > target.round:
-                        next_frontier.add(parent)
-            frontier = next_frontier
-            current_round -= 1
-        return False
+        return ancestor.source in self._reachable_sources(start, ancestor.round)
 
     def reachable_sources(self, vertex_id: VertexId, target_round: Round) -> FrozenSet[ValidatorId]:
         """Sources whose ``target_round`` vertex is reachable from ``vertex_id``.
@@ -472,14 +444,6 @@ class DagStore:
         vertex = self._by_id.get(vertex_id)
         if vertex is None or vertex.round <= target_round:
             return frozenset()
-        if not self.cache_reachability:
-            # Escape hatch / oracle mode: answer from the reference BFS
-            # without building memoized state.
-            return frozenset(
-                source
-                for source in self.committee.validators
-                if self._path_bfs(vertex_id, vertex, VertexId(target_round, source))
-            )
         return self._reachable_sources(vertex, target_round)
 
     def _reachable_sources(self, root: Vertex, target_round: Round) -> FrozenSet[ValidatorId]:
@@ -511,8 +475,7 @@ class DagStore:
                     continue
                 seen.add(edge)
                 parent = by_id.get(edge)
-                # Absent parents (pruned or never received) block the walk,
-                # exactly like the reference BFS skips unknown ids.
+                # Absent parents (pruned or never received) block the walk.
                 if parent is not None:
                     queue.append(parent)
         # Phase 2: rounds strictly decrease along edges, so computing in

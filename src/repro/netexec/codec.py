@@ -45,10 +45,8 @@ from repro.rbc.messages import (
     BroadcastMessage,
     CertificateBatch,
     CertificateMessage,
-    EchoMessage,
     PiggybackedPropose,
     ProposeMessage,
-    ReadyMessage,
 )
 from repro.schedule.base import LeaderSchedule
 from repro.types import VertexId
@@ -242,8 +240,8 @@ _SPECS: Tuple[_TypeSpec, ...] = (
     _spec(11, AckMessage, ("origin", "round", "digest", "voter")),
     _spec(12, CertificateMessage, ("origin", "round", "digest", "payload", "signers")),
     _spec(13, CertificateBatch, ("origin", "round", "digest", "certificates")),
-    _spec(14, EchoMessage, ("origin", "round", "digest", "payload")),
-    _spec(15, ReadyMessage, ("origin", "round", "digest")),
+    # Codes 14 and 15 are retired and must not be reassigned: a code
+    # identifies one message type for as long as the wire format lives.
     _spec(16, PiggybackedPropose, ("origin", "round", "digest", "payload", "certificates")),
 )
 

@@ -38,27 +38,21 @@ a separate mode, not a change to the free-running semantics.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
-from repro.core.manager import (
-    HammerHeadScheduleManager,
-    ScheduleManager,
-    StaticScheduleManager,
-)
-from repro.core.schedule_change import CommitCountPolicy, RoundBasedPolicy
-from repro.core.scoring import make_scoring_rule
+from repro.committee import Committee
 from repro.errors import ReproError
 from repro.faults.base import FaultInjector, tail_validators
 from repro.faults.crash import CrashFault
+from repro.node.config import NodeConfig
 from repro.node.validator import ValidatorNode
-from repro.schedule.round_robin import initial_schedule
-from repro.sim.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    PROTOCOL_HAMMERHEAD,
+from repro.sim.experiment import ExperimentConfig, ExperimentResult
+from repro.sim.runner import (
+    SimulationRunner,
+    build_committee,
+    build_node_config,
+    schedule_manager_factory,
 )
-from repro.sim.runner import SimulationRunner
 from repro.types import Round, ValidatorId, VertexId
 from repro.workload.transactions import Transaction
 
@@ -103,18 +97,6 @@ class LockstepPlan:
     def block_size(self, round_number: Round, source: ValidatorId) -> int:
         """Synthetic per-proposal block size (a pure function of the slot)."""
         return (round_number * 7 + source * 3) % 5
-
-
-def build_committee(config: ExperimentConfig) -> Committee:
-    """The committee for ``config`` (same construction as the sim runner)."""
-    size = config.committee_size
-    if config.stake == "equal":
-        stake = equal_stake(size)
-    elif config.stake == "geometric":
-        stake = geometric_stake(size)
-    else:
-        stake = zipfian_stake(size)
-    return Committee.build(size, stake=stake, seed=config.seed)
 
 
 def _crash_round_of_time(at_time: float) -> Round:
@@ -185,35 +167,11 @@ def plan_for_config(
     )
 
 
-def make_schedule_manager_factory(
-    config: ExperimentConfig,
-    committee: Committee,
-    scoring_rule: str,
-) -> Callable[[], ScheduleManager]:
-    """Per-validator schedule managers (same wiring as the sim runner).
-
-    Shared by the lockstep-on-sim oracle and the socket backend so the
-    two can never drift apart on reputation/scheduling construction.
-    """
-
-    def factory() -> ScheduleManager:
-        schedule = initial_schedule(committee, seed=config.seed)
-        if config.protocol != PROTOCOL_HAMMERHEAD:
-            return StaticScheduleManager(committee, schedule)
-        if config.schedule_change_policy == "commits":
-            policy = CommitCountPolicy(config.commits_per_schedule)
-        else:
-            policy = RoundBasedPolicy(config.rounds_per_schedule)
-        scoring = make_scoring_rule(scoring_rule)
-        return HammerHeadScheduleManager(
-            committee,
-            schedule,
-            policy=policy,
-            scoring=scoring,
-            exclude_fraction=config.exclude_fraction,
-        )
-
-    return factory
+def lockstep_node_config(config: ExperimentConfig, plan: LockstepPlan) -> NodeConfig:
+    """The shared node lowering, stopped at the plan's final round."""
+    base = build_node_config(config)
+    base.max_round = plan.max_round
+    return base.validate()
 
 
 class LockstepNode(ValidatorNode):
@@ -342,18 +300,13 @@ class LockstepSimulationRunner(SimulationRunner):
         self.plan = plan_for_config(config)
         super().__init__(config)
 
-    def _build_node_config(self):
-        base = super()._build_node_config()
-        base.max_round = self.plan.max_round
-        return base.validate()
-
-    def _schedule_manager_factory(self):
-        return make_schedule_manager_factory(
-            self.config, self.committee, self.node_config.scoring_rule
-        )
+    def _build_node_config(self) -> NodeConfig:
+        return lockstep_node_config(self.config, self.plan)
 
     def _build_nodes(self) -> None:
-        factory = self._schedule_manager_factory()
+        factory = schedule_manager_factory(
+            self.config, self.committee, self.node_config.scoring_rule
+        )
         for validator in self.committee.validators:
             self.nodes[validator] = LockstepNode(
                 validator_id=validator,

@@ -32,21 +32,20 @@ import asyncio
 import tempfile
 from typing import Any, Dict
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.metrics.leader_stats import LeaderUtilizationStats
 from repro.metrics.report import PerformanceReport
 from repro.metrics.reputation import reputation_metrics
 from repro.netexec.clock import MonotonicScheduler
 from repro.netexec.lockstep import (
     LockstepNode,
-    build_committee,
     check_lockstep_quiescence,
-    make_schedule_manager_factory,
+    lockstep_node_config,
     plan_for_config,
 )
 from repro.netexec.transport import AsyncioTransport
 from repro.sim.experiment import ExperimentConfig, ExperimentResult
-from repro.sim.presets import node_config_for
+from repro.sim.runner import build_committee, schedule_manager_factory
 
 DEFAULT_RUNTIME_LIMIT = 120.0
 
@@ -67,7 +66,14 @@ def run_net_experiment(
     runtime_limit: float = DEFAULT_RUNTIME_LIMIT,
 ) -> ExperimentResult:
     """Run ``config`` in lockstep mode over real sockets."""
-    return asyncio.run(_run_async(config.validate(), family, runtime_limit))
+    config = config.validate()
+    if config.certificate_piggyback:
+        # Piggybacked proposals ride Network.scatter, which the socket
+        # transport does not implement; refuse rather than run without.
+        raise ConfigurationError(
+            "certificate_piggyback is not supported by the net backend"
+        )
+    return asyncio.run(_run_async(config, family, runtime_limit))
 
 
 async def _run_async(
@@ -78,24 +84,11 @@ async def _run_async(
     loop = asyncio.get_running_loop()
     scheduler = MonotonicScheduler(loop, seed=config.seed)
 
-    node_config = node_config_for(
-        config.committee_size, leader_timeout=config.leader_timeout
-    )
-    if config.min_round_interval is not None:
-        node_config.min_round_interval = config.min_round_interval
-    if config.max_batch_size is not None:
-        node_config.max_batch_size = config.max_batch_size
-    node_config.record_sequence = config.record_sequences
-    node_config.certificate_batching = config.certificate_batching
-    node_config.scoring_rule = config.scoring
-    node_config.max_round = plan.max_round
-    node_config = node_config.validate()
+    node_config = lockstep_node_config(config, plan)
 
     with tempfile.TemporaryDirectory(prefix="repro-netexec-") as socket_dir:
         transport = AsyncioTransport(scheduler, socket_dir=socket_dir, family=family)
-        factory = make_schedule_manager_factory(
-            config, committee, node_config.scoring_rule
-        )
+        factory = schedule_manager_factory(config, committee, node_config.scoring_rule)
         nodes = {}
         for validator in committee.validators:
             nodes[validator] = LockstepNode(

@@ -43,17 +43,6 @@ class NodeConfig:
     # collection; 0 disables GC.
     gc_depth: int = 50
 
-    # Which broadcast implementation to use: "certified" (Narwhal-style,
-    # O(n) messages per vertex) or "bracha" (echo/ready, O(n^2)).
-    broadcast: str = "certified"
-
-    # Coalesce the certificates a validator emits for a round into one
-    # CertificateBatch per peer (the large-committee fast path).  The
-    # batched and unbatched wire formats consume identical RNG/event
-    # sequences, so runs are byte-identical either way; the flag exists
-    # for the differential property tests and as an escape hatch.
-    certificate_batching: bool = True
-
     # Relay recently collected certificates on the propose fan-out so a
     # certificate lost to a loss window heals passively instead of
     # waiting for a fetch timeout (see
@@ -61,7 +50,6 @@ class NodeConfig:
     # are only consulted at the synchronizer's fetch trigger, so
     # loss-free runs are byte-identical either way, but lossy-run
     # behavior (and thus their digests) changes with the flag on.
-    # Requires the certified broadcast.
     certificate_piggyback: bool = False
 
     # Scoring rule driving this node's reputation accounting, by registry
@@ -91,14 +79,6 @@ class NodeConfig:
             raise ConfigurationError("fetch_retry_interval must be positive")
         if self.gc_depth < 0:
             raise ConfigurationError("gc_depth must be non-negative")
-        if self.broadcast not in ("certified", "bracha"):
-            raise ConfigurationError(
-                f"unknown broadcast implementation {self.broadcast!r}"
-            )
-        if self.certificate_piggyback and self.broadcast != "certified":
-            raise ConfigurationError(
-                "certificate_piggyback requires the certified broadcast"
-            )
         # Imported here: the scoring registry sits above the node layer in
         # the package graph, and config validation is not a hot path.
         from repro.core.scoring import scoring_rule_names

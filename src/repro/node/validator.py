@@ -37,16 +37,9 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.node.config import NodeConfig
 from repro.node.messages import ConsensusSnapshot, FetchRequest, FetchResponse
 from repro.rbc.base import Delivery
-from repro.rbc.bracha import BrachaBroadcast
 from repro.rbc.certified import CertifiedBroadcast
 from repro.storage.store import PersistentStore
 from repro.types import Round, SimTime, ValidatorId, VertexId, is_anchor_round
-
-# Legacy hook type for tampering with proposal parent selection.  New code
-# expresses this (and the other behavioral decision points) through
-# :class:`repro.behavior.BehaviorPolicy`; the attribute survives so tests
-# and external tooling that patched ``node.parent_filter`` keep working.
-ParentFilter = Callable[[Round, List[VertexId]], List[VertexId]]
 
 
 class ValidatorNode:
@@ -116,9 +109,6 @@ class ValidatorNode:
         # Synchronizer state: missing parent -> last request time.
         self._fetch_requested: Dict[VertexId, SimTime] = {}
         self._fetch_timer: Optional[EventHandle] = None
-        # Legacy Byzantine hook; superseded by ``self.behavior`` but still
-        # applied (after the policy) when external code sets it.
-        self.parent_filter: Optional[ParentFilter] = None
         # Messages received before ``start()`` are buffered, not dropped:
         # with the tightest possible quorum (exactly 2f+1 alive validators)
         # a single lost acknowledgement would block certification forever.
@@ -253,19 +243,13 @@ class ValidatorNode:
         self.dag.replace_insert_callbacks([self._on_vertex_inserted])
 
     def _build_broadcast(self):
-        if self.config.broadcast == "certified":
-            protocol = CertifiedBroadcast(
-                self.id,
-                self.committee,
-                self.network,
-                self._on_broadcast_delivery,
-                batch_certificates=self.config.certificate_batching,
-                piggyback_certificates=self.config.certificate_piggyback,
-            )
-        else:
-            protocol = BrachaBroadcast(
-                self.id, self.committee, self.network, self._on_broadcast_delivery
-            )
+        protocol = CertifiedBroadcast(
+            self.id,
+            self.committee,
+            self.network,
+            self._on_broadcast_delivery,
+            piggyback_certificates=self.config.certificate_piggyback,
+        )
         protocol.policy = self.behavior
         return protocol
 
@@ -355,8 +339,6 @@ class ValidatorNode:
                     honest=len(honest_parents),
                     chosen=len(parents),
                 )
-        if self.parent_filter is not None:
-            parents = self.parent_filter(round_number, parents)
         batch = self._next_batch()
         vertex = make_vertex(
             round_number,
@@ -529,7 +511,7 @@ class ValidatorNode:
     def _build_message_handlers(self) -> Dict[type, Callable]:
         """Flat message-class dispatch map for the delivery hot path.
 
-        Protocols without a dispatch map (Bracha) keep their
+        A substituted protocol without a dispatch map keeps its
         ``handle_message`` entry point via the dispatch fallback.
         """
         handlers: Dict[type, Callable] = {}
@@ -771,7 +753,7 @@ class ValidatorNode:
             vote_accounting=getattr(snapshot, "vote_accounting", None),
         )
         # The adopted schedule history can change any round's leader, so
-        # the incremental commit scan must re-derive its candidates.
+        # the commit scan must re-derive its candidates.
         self.consensus.reset_candidates()
         self.dag.garbage_collect(snapshot.gc_round)
         self.dag.reconsider_pending()

@@ -1,41 +1,31 @@
 """Reliable broadcast (Definition 1 of the paper).
 
-Two interchangeable implementations are provided behind the same
-interface:
-
-* :class:`BrachaBroadcast` — the classic echo/ready protocol.  It uses
-  O(n^2) messages per broadcast and is used by correctness tests that
-  exercise Definition 1 directly.
-* :class:`CertifiedBroadcast` — the Narwhal-style dissemination used by
-  the production system: the proposer sends the payload to everyone,
-  collects a 2f+1 quorum of signed acknowledgements, and distributes the
-  resulting certificate.  It uses O(n) messages per broadcast, which keeps
-  large-committee simulations tractable, and provides the same interface
-  guarantees when combined with the node-level synchronizer (vertices
-  referenced by later vertices are fetched on demand).
+:class:`CertifiedBroadcast` is the Narwhal-style dissemination used by the
+production system: the proposer sends the payload to everyone, collects a
+2f+1 quorum of signed acknowledgements, and distributes the resulting
+certificate.  It uses O(n) messages per broadcast, which keeps
+large-committee simulations tractable, and provides the guarantees of
+Definition 1 when combined with the node-level synchronizer (vertices
+referenced by later vertices are fetched on demand).
+:class:`BroadcastProtocol` is the interface the validator node programs
+against.
 """
 
 from repro.rbc.messages import (
     AckMessage,
     BroadcastMessage,
     CertificateMessage,
-    EchoMessage,
     ProposeMessage,
-    ReadyMessage,
 )
 from repro.rbc.base import BroadcastProtocol, Delivery
-from repro.rbc.bracha import BrachaBroadcast
 from repro.rbc.certified import CertifiedBroadcast
 
 __all__ = [
     "BroadcastProtocol",
     "Delivery",
-    "BrachaBroadcast",
     "CertifiedBroadcast",
     "BroadcastMessage",
     "ProposeMessage",
     "AckMessage",
     "CertificateMessage",
-    "EchoMessage",
-    "ReadyMessage",
 ]

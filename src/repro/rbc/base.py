@@ -61,7 +61,7 @@ DeliveryCallback = Callable[[Delivery], None]
 
 
 class BroadcastProtocol:
-    """Base class shared by the Bracha and certified implementations."""
+    """The broadcast interface the validator node programs against."""
 
     # Observability (repro.obs): the registry is only non-None when a
     # run asks for detailed instrumentation (batch-fill histograms).
@@ -162,7 +162,7 @@ class BroadcastProtocol:
                 network.send(self.node_id, directive.recipient, wire)
 
     def _participates(self, origin: ValidatorId, round_number: Round) -> bool:
-        """Ack/echo participation decision for ``origin``'s proposal."""
+        """Ack participation decision for ``origin``'s proposal."""
         policy = self.policy
         if policy is None or policy.transparent:
             return True

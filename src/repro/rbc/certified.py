@@ -8,13 +8,13 @@ Protocol (for one broadcast by validator ``p`` at round ``r``):
    round ``r`` with an :class:`AckMessage` (this is what prevents an
    equivocating broadcaster from certifying two different payloads).
 3. When ``p`` has collected acknowledgements covering a 2f+1 stake quorum,
-   it assembles a :class:`CertificateMessage` and sends it to everyone —
-   coalesced, in the default configuration, into one
-   :class:`CertificateBatch` per round so large committees pay one
-   transport send per peer for all certificates the validator emits for
-   that round.
-4. A validator delivers the payload when it receives a valid certificate
-   (directly, or by splitting a batch).
+   it assembles a :class:`CertificateMessage` and sends it to everyone
+   inside a :class:`CertificateBatch`, the one envelope certificates
+   travel in: one transport send per peer carries all certificates the
+   validator emits for that round.
+4. A validator delivers the payload of every valid certificate it splits
+   out of a batch (a bare :class:`CertificateMessage` from a peer is
+   verified and delivered the same way).
 
 The quorum intersection argument gives non-equivocation: two conflicting
 certificates would require two quorums of acknowledgements whose
@@ -47,9 +47,7 @@ are engineered away here:
   certificates a validator emits; receivers split, deduplicate against
   already-delivered ``(origin, round)`` pairs, and hand the payloads to
   the DAG in batch order (parking/promotion of out-of-order vertices is
-  exercised by the property suite).  Batching only changes the envelope,
-  never the number of sends or the RNG draw sequence, so batched and
-  unbatched runs are byte-identical.
+  exercised by the property suite).
 
 Loss recovery: certificate piggybacking
 ---------------------------------------
@@ -112,15 +110,9 @@ class CertifiedBroadcast(BroadcastProtocol):
         committee: Committee,
         network: Network,
         on_deliver: DeliveryCallback,
-        batch_certificates: bool = True,
         piggyback_certificates: bool = False,
     ) -> None:
         super().__init__(node_id, committee, network, on_deliver)
-        # Emit certificates as one CertificateBatch per round (the fast
-        # path) or as bare CertificateMessage broadcasts (the legacy
-        # wire format, kept for the batched-vs-unbatched differential
-        # tests).  Both consume identical RNG/event sequences.
-        self.batch_certificates = batch_certificates
         # Relay recently collected certificates on the propose fan-out
         # (loss recovery; see the module docstring).  Off by default: the
         # bookkeeping below stays empty and every path is unchanged.
@@ -219,27 +211,18 @@ class CertifiedBroadcast(BroadcastProtocol):
     def _emit_certificates(
         self, round_number: Round, certificates: Tuple[CertificateMessage, ...]
     ) -> None:
-        """Fan out the certificates we emit for ``round_number``.
-
-        The batched path coalesces them into one transport send per peer;
-        the legacy path broadcasts each certificate individually.  Both
-        paths issue sends in the same order, so the simulation's RNG and
-        event sequences are identical — only the envelope differs.
-        """
+        """Fan out the certificates we emit for ``round_number`` as one
+        :class:`CertificateBatch`: one transport send per peer."""
         if self._registry is not None:
             # Batch fill: certificates coalesced per emitted envelope.
             self._registry.observe("rbc.batch_fill", len(certificates))
-        if self.batch_certificates:
-            envelope = CertificateBatch(
-                origin=self.node_id,
-                round=round_number,
-                digest=certificates[0].digest,
-                certificates=certificates,
-            )
-            self._fanout(envelope, round_number)
-        else:
-            for certificate in certificates:
-                self._fanout(certificate, round_number)
+        envelope = CertificateBatch(
+            origin=self.node_id,
+            round=round_number,
+            digest=certificates[0].digest,
+            certificates=certificates,
+        )
+        self._fanout(envelope, round_number)
 
     # -- certificate piggybacking (loss recovery) ---------------------------------
 
@@ -512,11 +495,10 @@ class CertifiedBroadcast(BroadcastProtocol):
     def _handle_certificate_batch(self, sender: ValidatorId, message: CertificateBatch) -> None:
         """Split a batch: dedup, verify, and deliver in batch order.
 
-        Delivery order within the batch is the emitter's order, so a
-        receiver observes exactly the sequence an unbatched sender would
-        have produced; vertices whose parents are still missing are
-        parked by the DAG store and promoted when the parent arrives
-        (possibly later in the same batch).
+        Delivery order within the batch is the emitter's order; vertices
+        whose parents are still missing are parked by the DAG store and
+        promoted when the parent arrives (possibly later in the same
+        batch).
         """
         delivered = self._delivered
         piggyback = self.piggyback_certificates

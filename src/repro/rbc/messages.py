@@ -92,16 +92,3 @@ class PiggybackedPropose(ProposeMessage):
     """
 
     certificates: Tuple["CertificateMessage", ...] = ()
-
-
-@dataclasses.dataclass(unsafe_hash=True)
-class EchoMessage(BroadcastMessage):
-    """Bracha echo: relays the payload to every party."""
-
-    # det: waive[DET005] payload-generic (see ProposeMessage.payload).
-    payload: Any = None
-
-
-@dataclasses.dataclass(unsafe_hash=True)
-class ReadyMessage(BroadcastMessage):
-    """Bracha ready: vouches that delivery of the digest is imminent."""

@@ -68,8 +68,6 @@ class ExperimentConfig:
     gst: SimTime = 0.0
     delta: SimTime = 2.0
     execution_capacity_tps: Optional[float] = None
-    # Certificate fan-out wire format (see NodeConfig.certificate_batching).
-    certificate_batching: bool = True
     # Relay recently collected certificates on the propose fan-out so a
     # lost certificate heals without a fetch round-trip (see
     # NodeConfig.certificate_piggyback).  Off by default: loss-free runs

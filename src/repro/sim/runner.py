@@ -48,12 +48,71 @@ from repro.workload.generator import LoadGenerator, spawn_load
 from repro.workload.phases import LoadPhase, spawn_phased_load
 
 
+def build_committee(config: ExperimentConfig) -> Committee:
+    """The committee ``config`` describes."""
+    size = config.committee_size
+    if config.stake == "equal":
+        stake = equal_stake(size)
+    elif config.stake == "geometric":
+        stake = geometric_stake(size)
+    else:
+        stake = zipfian_stake(size)
+    return Committee.build(size, stake=stake, seed=config.seed)
+
+
+def build_node_config(config: ExperimentConfig) -> NodeConfig:
+    """Lower ``config`` to the per-validator :class:`NodeConfig`.
+
+    The one place an ``ExperimentConfig`` field becomes a node knob; the
+    sim, lockstep and socket runners all build their nodes from it.
+    """
+    base = node_config_for(config.committee_size, leader_timeout=config.leader_timeout)
+    if config.min_round_interval is not None:
+        base.min_round_interval = config.min_round_interval
+    if config.max_batch_size is not None:
+        base.max_batch_size = config.max_batch_size
+    base.record_sequence = config.record_sequences
+    base.certificate_piggyback = config.certificate_piggyback
+    base.scoring_rule = config.scoring
+    return base.validate()
+
+
+def schedule_manager_factory(
+    config: ExperimentConfig, committee: Committee, scoring_rule: str
+) -> Callable[[], ScheduleManager]:
+    """Per-validator schedule managers for ``config``.
+
+    ``scoring_rule`` is the node config's rule name: the node config is
+    the authoritative per-node knob (``build_node_config`` copies
+    ``ExperimentConfig.scoring`` into it; standalone deployments set it
+    directly).
+    """
+
+    def factory() -> ScheduleManager:
+        schedule = initial_schedule(committee, seed=config.seed)
+        if config.protocol != PROTOCOL_HAMMERHEAD:
+            return StaticScheduleManager(committee, schedule)
+        if config.schedule_change_policy == "commits":
+            policy = CommitCountPolicy(config.commits_per_schedule)
+        else:
+            policy = RoundBasedPolicy(config.rounds_per_schedule)
+        return HammerHeadScheduleManager(
+            committee,
+            schedule,
+            policy=policy,
+            scoring=make_scoring_rule(scoring_rule),
+            exclude_fraction=config.exclude_fraction,
+        )
+
+    return factory
+
+
 class SimulationRunner:
     """Builds and runs one experiment."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config.validate()
-        self.committee = self._build_committee()
+        self.committee = build_committee(config)
         self.simulator = Simulator(seed=config.seed)
         self.network = Network(
             simulator=self.simulator,
@@ -84,16 +143,6 @@ class SimulationRunner:
 
     # -- construction ---------------------------------------------------------------
 
-    def _build_committee(self) -> Committee:
-        size = self.config.committee_size
-        if self.config.stake == "equal":
-            stake = equal_stake(size)
-        elif self.config.stake == "geometric":
-            stake = geometric_stake(size)
-        else:
-            stake = zipfian_stake(size)
-        return Committee.build(size, stake=stake, seed=self.config.seed)
-
     def _build_latency_model(self):
         if self.config.latency_model == "geo":
             return GeoLatencyModel()
@@ -105,53 +154,17 @@ class SimulationRunner:
         return AlwaysSynchronous(delta=self.config.delta)
 
     def _build_node_config(self) -> NodeConfig:
-        base = node_config_for(
-            self.config.committee_size, leader_timeout=self.config.leader_timeout
-        )
-        if self.config.min_round_interval is not None:
-            base.min_round_interval = self.config.min_round_interval
-        if self.config.max_batch_size is not None:
-            base.max_batch_size = self.config.max_batch_size
-        base.record_sequence = self.config.record_sequences
-        base.certificate_batching = self.config.certificate_batching
-        base.certificate_piggyback = self.config.certificate_piggyback
-        base.scoring_rule = self.config.scoring
-        return base.validate()
+        return build_node_config(self.config)
 
     def _execution_capacity(self) -> float:
         if self.config.execution_capacity_tps is not None:
             return self.config.execution_capacity_tps
         return execution_capacity_for(self.config.committee_size)
 
-    def _schedule_manager_factory(self) -> Callable[[], ScheduleManager]:
-        config = self.config
-        committee = self.committee
-        # The node config is the authoritative per-node knob (the runner
-        # keeps it in sync with ExperimentConfig.scoring in
-        # _build_node_config; standalone deployments set it directly).
-        scoring_rule = self.node_config.scoring_rule
-
-        def factory() -> ScheduleManager:
-            schedule = initial_schedule(committee, seed=config.seed)
-            if config.protocol != PROTOCOL_HAMMERHEAD:
-                return StaticScheduleManager(committee, schedule)
-            if config.schedule_change_policy == "commits":
-                policy = CommitCountPolicy(config.commits_per_schedule)
-            else:
-                policy = RoundBasedPolicy(config.rounds_per_schedule)
-            scoring = make_scoring_rule(scoring_rule)
-            return HammerHeadScheduleManager(
-                committee,
-                schedule,
-                policy=policy,
-                scoring=scoring,
-                exclude_fraction=config.exclude_fraction,
-            )
-
-        return factory
-
     def _build_nodes(self) -> None:
-        factory = self._schedule_manager_factory()
+        factory = schedule_manager_factory(
+            self.config, self.committee, self.node_config.scoring_rule
+        )
         for validator in self.committee.validators:
             self.nodes[validator] = ValidatorNode(
                 validator_id=validator,

@@ -36,9 +36,6 @@ _next_tx_id = itertools.count()
 class LoadGenerator:
     """One benchmark client submitting at a fixed rate."""
 
-    # Back-compat alias; new code uses the module-level counter.
-    _id_counter = _next_tx_id
-
     def __init__(
         self,
         client_id: int,

@@ -16,6 +16,7 @@ from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.schedule.round_robin import initial_schedule
 from repro.types import Round, ValidatorId, VertexId
+from tests.reference_model import ReferenceModel
 
 
 @pytest.fixture
@@ -134,3 +135,76 @@ def drive_rounds(
 def vid(round_number: Round, source: ValidatorId) -> VertexId:
     """Shorthand vertex-id constructor for tests."""
     return VertexId(round=round_number, source=source)
+
+
+# -- reference-model comparison -------------------------------------------------------
+
+
+def reference_model_for(manager) -> ReferenceModel:
+    """A reference model starting from ``manager``'s initial schedule.
+
+    The protocol parameters (commit-count epoch length, exclude fraction)
+    are read off the production manager; everything the model computes from
+    them is its own.
+    """
+    initial = manager.history[0]
+    if isinstance(manager, HammerHeadScheduleManager):
+        return ReferenceModel(
+            manager.committee,
+            initial.initial_round,
+            initial.slots,
+            commits_per_schedule=manager.policy.commits,
+            exclude_fraction=manager.exclude_fraction,
+        )
+    return ReferenceModel(manager.committee, initial.initial_round, initial.slots)
+
+
+def record_insert_log(node) -> List[Vertex]:
+    """The arrival-ordered insert log of ``node``'s DAG, filled as it runs.
+
+    The log is put ahead of the node's own insertion callback: that
+    callback can commit, prune and thereby promote parked vertices before
+    it returns, and a callback registered behind it would see those nested
+    insertions first.  Attach before the run starts.
+    """
+    log: List[Vertex] = []
+    node.dag.replace_insert_callbacks([log.append, node._on_vertex_inserted])
+    return log
+
+
+def model_mismatches(consensus: BullsharkConsensus, model: ReferenceModel) -> List[str]:
+    """Where ``consensus`` (and its schedule manager) disagree with ``model``."""
+    manager = consensus.schedule_manager
+    produced = {
+        "ordering_digest": consensus.ordering_digest,
+        "ordered_count": consensus.ordered_count,
+        "last_ordered_anchor_round": consensus.last_ordered_anchor_round,
+        "commit_count": consensus.commit_count,
+        "schedules": [(s.epoch, s.initial_round, s.slots) for s in manager.history],
+        "schedule_changes": [
+            {
+                "epoch": record.epoch,
+                "triggered_by_round": record.triggered_by_round,
+                "new_initial_round": record.new_initial_round,
+                "scores": record.scores,
+                "demoted_slots": record.demoted_slots,
+            }
+            for record in getattr(manager, "change_records", ())
+        ],
+    }
+    expected = {
+        "ordering_digest": model.ordering_digest,
+        "ordered_count": model.ordered_count,
+        "last_ordered_anchor_round": model.last_ordered_anchor_round,
+        "commit_count": model.commit_count,
+        "schedules": [
+            (epoch, initial_round, slots)
+            for epoch, (initial_round, slots) in enumerate(model.schedules)
+        ],
+        "schedule_changes": model.schedule_changes,
+    }
+    return [
+        f"{key}: production {produced[key]!r} != model {expected[key]!r}"
+        for key in produced
+        if produced[key] != expected[key]
+    ]

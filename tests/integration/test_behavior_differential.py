@@ -15,8 +15,7 @@ Two families are pinned:
 * every scenario of the PR 3 registry at smoke scale — including
   ``targeted-leader-attack``, whose vote-withholding fault is now a shim
   over :class:`~repro.behavior.adversarial.VoteWithholdingPolicy`, so
-  this additionally pins the policy port against the old
-  ``parent_filter`` implementation.
+  this additionally pins the policy port against the hook it replaced.
 """
 
 import pytest

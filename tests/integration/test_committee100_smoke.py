@@ -1,13 +1,12 @@
-"""Committee-100 smoke differential: arena/bitset tree vs the rescan oracle.
+"""Committee-100 smoke differential: arena/bitset tree vs the reference model.
 
 The committee-100/200 scaling work (quorum bitsets, digest interning,
 arena vertex storage) is pure optimization — at any committee size the
-optimized tree must order exactly what the seed implementation ordered.
-The property suite pins that on small random committees; this smoke
-suite pins it at the scale the sprint actually targets: a deterministic
-committee-100 DAG driven through both the arena-backed incremental
-engine and the dict-rescan oracle (``incremental=False`` +
-``cache_reachability=False``), plus a full-pipeline determinism check
+optimized tree must order exactly what the protocol says.  The property
+suite pins that on small random committees; this smoke suite pins it at
+the scale the sprint actually targets: a deterministic committee-100 DAG
+driven through the production engine and through
+``tests/reference_model.py``, plus a full-pipeline determinism check
 through ``run_experiment``.
 
 CI runs this file as its own ``committee-100-smoke`` step in the bench
@@ -25,6 +24,7 @@ from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
 from repro.sim.experiment import ExperimentConfig, run_experiment
+from tests.conftest import model_mismatches, reference_model_for
 
 COMMITTEE_SIZE = 100
 ROUNDS = 10
@@ -55,46 +55,38 @@ def build_committee100_dag(seed: int = 7):
     return committee, rounds
 
 
-def make_engine(committee, incremental):
-    dag = DagStore(committee, cache_reachability=incremental)
+def make_engine(committee):
     schedule = initial_schedule(committee, seed=0, permute=False)
     manager = HammerHeadScheduleManager(
-        committee, schedule, policy=CommitCountPolicy(5)
+        committee, schedule, policy=CommitCountPolicy(2)
     )
     return BullsharkConsensus(
         owner=0,
         committee=committee,
-        dag=dag,
+        dag=DagStore(committee),
         schedule_manager=manager,
         record_sequence=True,
-        incremental=incremental,
     )
 
 
-def test_committee100_arena_matches_rescan_oracle():
+def test_committee100_arena_matches_reference_model():
     committee, rounds = build_committee100_dag()
-    genesis, *later = rounds
-    arena = make_engine(committee, incremental=True)
-    oracle = make_engine(committee, incremental=False)
-    for vertex in genesis:
-        arena.dag.add(vertex)
-        oracle.dag.add(vertex)
-    for index, round_vertices in enumerate(later):
+    engine = make_engine(committee)
+    model = reference_model_for(engine.schedule_manager)
+    engine.dag.on_insert(model.insert)
+    for index, round_vertices in enumerate(rounds):
         for vertex in round_vertices:
-            arena.dag.add(vertex)
-            oracle.dag.add(vertex)
-        for engine in (arena, oracle):
-            engine.try_commit()
-            if index % 4 == 3:
-                # Exercise arena slab recycling mid-stream.
-                engine.garbage_collect(keep_rounds=4)
-        assert arena.ordering_digest == oracle.ordering_digest, (
-            f"divergence after round {index + 1}"
-        )
-        assert arena.ordered_count == oracle.ordered_count
-    assert arena.ordered_count > 0, "smoke DAG must actually order vertices"
-    assert arena.ordered_ids() == oracle.ordered_ids()
-    assert arena.commit_count == oracle.commit_count
+            engine.dag.add(vertex)
+        engine.try_commit()
+        model.try_commit()
+        if index % 4 == 0:
+            # Exercise arena slab recycling mid-stream.
+            engine.garbage_collect(keep_rounds=4)
+            model.garbage_collect(4)
+        assert model_mismatches(engine, model) == [], f"divergence after round {index}"
+    assert engine.ordered_count > 0, "smoke DAG must actually order vertices"
+    assert engine.schedule_manager.change_records, "smoke DAG must change schedules"
+    assert engine.ordered_ids() == model.sequence
 
 
 def smoke_config(**overrides) -> ExperimentConfig:

@@ -1,0 +1,198 @@
+"""Whole runs checked against the reference model, on all three engines.
+
+Each test records the observer's insert log while a scenario runs — on the
+discrete-event simulator, in lockstep mode on the simulator, or over real
+asyncio sockets — and replays it through ``tests/reference_model.py``.
+The model must arrive at the observer's ordering digest, ordered count and
+schedule-change records; it shares no code with the store, the commit rule
+or the schedule manager that produced them.
+"""
+
+import pytest
+
+import repro.netexec.runner as net_runner
+from repro.faults.partition import NetworkDisturbanceFault
+from repro.netexec.lockstep import LockstepNode, LockstepSimulationRunner
+from repro.netexec.runner import run_net_experiment
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.spec import compile_spec
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.runner import SimulationRunner
+from tests.conftest import model_mismatches, record_insert_log, reference_model_for
+
+
+def run_on_simulator(runner_class, config):
+    runner = runner_class(config)
+    observer = runner.nodes[config.observer]
+    return observer, record_insert_log(observer), runner.run()
+
+
+def run_over_sockets(config, monkeypatch):
+    captured = {}
+
+    class RecordedNode(LockstepNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.id == config.observer:
+                captured["observer"] = self
+                captured["log"] = record_insert_log(self)
+
+    monkeypatch.setattr(net_runner, "LockstepNode", RecordedNode)
+    result = run_net_experiment(config)
+    return captured["observer"], captured["log"], result
+
+
+def assert_model_reproduces(observer, insert_log, result):
+    model = reference_model_for(observer.schedule_manager)
+    model.replay(insert_log, keep_rounds=observer.config.gc_depth)
+    assert model_mismatches(observer.consensus, model) == []
+    # The run's published evidence is what the model reproduced.
+    assert result.ordering_digests[observer.id] == (
+        model.ordered_count,
+        model.ordering_digest,
+    )
+    assert model.ordered_count > 0
+
+
+def smoke_points(name):
+    return [point.config for point in compile_spec(get_scenario(name).smoke())]
+
+
+@pytest.mark.parametrize("backend", ["sim", "lockstep", "net"])
+@pytest.mark.parametrize("scenario", ["faultless", "figure2-faults"])
+def test_model_reproduces_smoke_scenario(scenario, backend, monkeypatch):
+    protocols = set()
+    for config in smoke_points(scenario):
+        if backend == "sim":
+            run = run_on_simulator(SimulationRunner, config)
+        elif backend == "lockstep":
+            run = run_on_simulator(LockstepSimulationRunner, config)
+        else:
+            run = run_over_sockets(config, monkeypatch)
+        assert_model_reproduces(*run)
+        protocols.add(config.protocol)
+    # Both the static-schedule baseline and HammerHead were replayed.
+    assert protocols == {"bullshark", "hammerhead"}
+
+
+def test_model_reproduces_lossy_recovery():
+    """Full scale: fetched and promoted vertices feed the insert log."""
+    (config,) = [point.config for point in compile_spec(get_scenario("lossy-recovery"))]
+    observer, insert_log, result = run_on_simulator(SimulationRunner, config)
+    assert result.counters["always"]["node.fetch_requests"] > 0
+    assert_model_reproduces(observer, insert_log, result)
+
+
+LARGER_RUNS = [
+    # (committee_size, faults, with_loss_window, protocol, duration)
+    pytest.param(10, 0, False, "bullshark", 6.0, id="b10"),
+    pytest.param(25, 0, False, "hammerhead", 6.0, id="h25"),
+    pytest.param(10, 3, False, "hammerhead", 8.0, id="h10-faults"),
+    pytest.param(25, 0, True, "hammerhead", 5.0, id="h25-loss-window"),
+    pytest.param(50, 16, False, "bullshark", 4.0, id="b50-faults"),
+]
+
+
+@pytest.mark.parametrize("size,faults,with_loss,protocol,duration", LARGER_RUNS)
+def test_model_reproduces_larger_committees(size, faults, with_loss, protocol, duration):
+    loss_window = NetworkDisturbanceFault(
+        jitter=0.02, loss_rate=0.12, start=duration / 4, end=duration / 2
+    )
+    config = ExperimentConfig(
+        protocol=protocol,
+        committee_size=size,
+        faults=faults,
+        fault_time=duration / 3 if faults else 0.0,
+        input_load_tps=500.0,
+        duration=duration,
+        warmup=1.0,
+        seed=11,
+        commits_per_schedule=4,
+        extra_faults=(loss_window,) if with_loss else (),
+        latency_model="geo",
+    )
+    assert_model_reproduces(*run_on_simulator(SimulationRunner, config))
+
+
+def test_model_reproduces_a_run_that_garbage_collects():
+    """Long enough for the GC horizon to move, with a crashed leader and a
+    loss window: pruning, parking and promotion all reach the model."""
+    config = ExperimentConfig(
+        committee_size=10,
+        faults=1,
+        input_load_tps=200.0,
+        duration=60.0,
+        warmup=1.0,
+        seed=3,
+        commits_per_schedule=4,
+        extra_faults=(
+            NetworkDisturbanceFault(jitter=0.02, loss_rate=0.05, start=30.0, end=36.0),
+        ),
+    )
+    observer, insert_log, result = run_on_simulator(SimulationRunner, config)
+    assert observer.dag.lowest_round > 0
+    assert observer.dag.pending_peak > 0
+    assert_model_reproduces(observer, insert_log, result)
+
+
+def test_model_follows_a_validator_through_recovery_and_state_sync():
+    """A validator of ``rolling-crash-churn`` crashes, rebuilds itself from
+    its store, finds its peers' history pruned and state-syncs.  The model
+    is seeded with the snapshot the validator adopted and must still
+    arrive at its digest and its schedules."""
+    (config,) = [
+        point.config
+        for point in compile_spec(get_scenario("rolling-crash-churn"))
+        if point.protocol == "hammerhead"
+    ]
+    runner = SimulationRunner(config)
+    node = runner.nodes[9]
+    # ("insert", vertex) | ("recover", rebuilt DAG in insertion order) |
+    # ("sync", adopted snapshot), in the order they happened.
+    events = []
+    adopting = []
+
+    def attach():
+        node.dag.replace_insert_callbacks(
+            [lambda vertex: events.append(("insert", vertex)), node._on_vertex_inserted]
+        )
+        fast_forward = node.consensus.fast_forward
+
+        def recorded_fast_forward(horizon_round):
+            # The first step of an adoption; vertices the adoption's GC
+            # promotes are inserted after it.
+            events.append(("sync", adopting[-1]))
+            return fast_forward(horizon_round)
+
+        node.consensus.fast_forward = recorded_fast_forward
+
+    recover, maybe_state_sync = node.recover, node._maybe_state_sync
+
+    def recorded_recover():
+        recover()
+        events.append(("recover", list(node.dag)))
+        attach()
+
+    def recorded_state_sync(response):
+        adopting.append(response.snapshot)
+        maybe_state_sync(response)
+
+    node.recover, node._maybe_state_sync = recorded_recover, recorded_state_sync
+    attach()
+    runner.run()
+
+    keep_rounds = node.config.gc_depth
+    model = reference_model_for(node.schedule_manager)
+    for kind, payload in events:
+        if kind == "insert":
+            model.replay([payload], keep_rounds)
+        elif kind == "recover":
+            # The rebuild starts from nothing and never prunes.
+            model = reference_model_for(node.schedule_manager)
+            model.replay(payload, keep_rounds=0)
+        else:
+            model.adopt_snapshot(payload)
+    assert node.recoveries == 1
+    assert node.consensus.state_sync_gaps
+    assert model_mismatches(node.consensus, model) == []
+    assert model.schedule_changes

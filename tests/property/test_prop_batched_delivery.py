@@ -1,140 +1,30 @@
-"""Differential properties of the batched certificate fan-out.
+"""Properties of the batched certificate fan-out.
 
-The ``CertificateBatch`` wire format (``NodeConfig.certificate_batching``)
-is a pure envelope change: batched and unbatched runs must issue the same
-number of transport sends in the same order, consume the identical RNG
-stream, and therefore produce byte-identical DAGs and ordering digests —
-across committee sizes, fault plans, and loss windows.  These tests run
-both wire formats side by side and demand full equality, and additionally
-replay the batched run's persisted DAG through the *seed* commit path
-(``BullsharkConsensus(incremental=False)`` — the rescan oracle kept from
-the original implementation) to pin the ordering digest to the seed
-semantics.
+Certificates travel in ``CertificateBatch`` envelopes.  Splitting a batch
+must deliver exactly what the same certificates deliver one by one (same
+set, same order, duplicates and invalid certificates skipped), and batch
+ingest must park and promote out-of-order vertices like sequential
+delivery does.  That whole runs order what the protocol says is checked
+against the reference model in
+``tests/integration/test_reference_model_runs.py``.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.committee import Committee
-from repro.consensus.bullshark import BullsharkConsensus
 from repro.dag.store import DagStore
-from repro.faults.partition import NetworkDisturbanceFault
 from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.rbc.certified import CertifiedBroadcast
 from repro.rbc.messages import CertificateBatch, CertificateMessage
-from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import SimulationRunner
-from repro.storage.store import PersistentStore
-
-
-def run_runner(config: ExperimentConfig) -> SimulationRunner:
-    runner = SimulationRunner(config)
-    runner.run()
-    return runner
-
-
-def dag_state(runner: SimulationRunner):
-    """Full per-validator DAG fingerprint: stored ids, digests, pending."""
-    state = {}
-    for validator, node in runner.nodes.items():
-        state[validator] = (
-            sorted((vertex.id, vertex.digest) for vertex in node.dag),
-            sorted(vertex.id for vertex in node.dag.pending_vertices()),
-            node.dag.lowest_round,
-            node.consensus.ordering_digest,
-            node.consensus.ordered_count,
-        )
-    return state
-
-
-def loss_window(duration):
-    """A mid-run loss+jitter window covering a third of the run."""
-    return (
-        NetworkDisturbanceFault(
-            jitter=0.02, loss_rate=0.12, start=duration / 4, end=duration / 2
-        ),
-    )
-
-
-BATCH_CASES = [
-    # (committee_size, faults, with_loss_window, protocol, duration)
-    pytest.param(10, 3, False, "hammerhead", 8.0, id="committee10-faults"),
-    pytest.param(10, 0, True, "bullshark", 8.0, id="committee10-loss-window"),
-    pytest.param(25, 8, False, "hammerhead", 5.0, id="committee25-faults"),
-    pytest.param(25, 0, True, "hammerhead", 5.0, id="committee25-loss-window"),
-    pytest.param(50, 16, False, "bullshark", 4.0, id="committee50-faults"),
-]
-
-
-@pytest.mark.parametrize("size,faults,with_loss,protocol,duration", BATCH_CASES)
-def test_batched_equals_unbatched(size, faults, with_loss, protocol, duration):
-    """Same DAG state and ordering digest with batching on and off."""
-    base = ExperimentConfig(
-        protocol=protocol,
-        committee_size=size,
-        faults=faults,
-        fault_time=duration / 3 if faults else 0.0,
-        input_load_tps=600.0,
-        duration=duration,
-        warmup=1.0,
-        seed=7,
-        commits_per_schedule=4,
-        extra_faults=loss_window(duration) if with_loss else (),
-        latency_model="geo",
-    )
-    batched = run_runner(base.with_overrides(certificate_batching=True))
-    unbatched = run_runner(base.with_overrides(certificate_batching=False))
-    # The envelope never changes how many sends happen or when.
-    assert batched.network.stats.as_dict() == unbatched.network.stats.as_dict()
-    assert dag_state(batched) == dag_state(unbatched)
-
-
-@pytest.mark.parametrize(
-    "size,protocol", [(10, "bullshark"), (25, "hammerhead")], ids=["b10", "h25"]
-)
-def test_batched_run_matches_seed_commit_oracle(size, protocol):
-    """Replaying the batched run's persisted DAG through the seed rescan
-    path (``incremental=False``) reproduces the live ordering digest."""
-    config = ExperimentConfig(
-        protocol=protocol,
-        committee_size=size,
-        faults=0,
-        input_load_tps=500.0,
-        duration=6.0,
-        warmup=1.0,
-        seed=11,
-        commits_per_schedule=5,
-        latency_model="geo",
-    )
-    runner = run_runner(config)
-    observer = runner.nodes[config.observer]
-    vertices = sorted(
-        (value for _, value in observer.store.family(PersistentStore.CF_VERTICES).items()),
-        key=lambda vertex: (vertex.round, vertex.source),
-    )
-    oracle_dag = DagStore(runner.committee)
-    oracle = BullsharkConsensus(
-        owner=config.observer,
-        committee=runner.committee,
-        dag=oracle_dag,
-        schedule_manager=runner._schedule_manager_factory()(),
-        record_sequence=False,
-        incremental=False,
-    )
-    oracle_dag.on_insert(oracle.process_vertex)
-    for vertex in vertices:
-        oracle_dag.add(vertex)
-    assert oracle.ordering_digest == observer.consensus.ordering_digest
-    assert oracle.ordered_count == observer.consensus.ordered_count
 
 
 # -- protocol-level batch semantics ------------------------------------------
 
 
-def certified_cluster(size=4, seed=3, batch=True):
+def certified_cluster(size=4, seed=3):
     committee = Committee.build(size)
     simulator = Simulator(seed=seed)
     network = Network(
@@ -148,7 +38,6 @@ def certified_cluster(size=4, seed=3, batch=True):
             committee,
             network,
             lambda delivery, index=index: deliveries[index].append(delivery),
-            batch_certificates=batch,
         )
         protocols[index] = protocol
         network.register(

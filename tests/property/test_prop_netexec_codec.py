@@ -38,10 +38,8 @@ from repro.rbc.messages import (
     BroadcastMessage,
     CertificateBatch,
     CertificateMessage,
-    EchoMessage,
     PiggybackedPropose,
     ProposeMessage,
-    ReadyMessage,
 )
 from repro.schedule.base import LeaderSchedule
 from repro.types import VertexId
@@ -186,14 +184,6 @@ messages = st.one_of(
         digest=digests,
         certificates=st.lists(certificates, max_size=3).map(tuple),
     ),
-    st.builds(
-        EchoMessage,
-        origin=validator_ids,
-        round=rounds,
-        digest=digests,
-        payload=st.none() | vertices(),
-    ),
-    st.builds(ReadyMessage, origin=validator_ids, round=rounds, digest=digests),
 )
 
 

@@ -1,13 +1,15 @@
-"""Differential properties: incremental commit scan vs the seed rescan.
+"""Differential properties: the production engine vs the reference model.
 
-The incremental commit path (dirty anchor-round tracking, see
-``BullsharkConsensus._find_committable_incremental``) and the round-indexed
-reachability cache (``DagStore.reachable_sources``) are pure optimizations:
-for any insertion sequence, any fault pattern, any GC horizon movement, and
-any schedule-manager dynamics they must order exactly the vertices the
-original implementation ordered, in the same order.  These tests run both
-implementations side by side over randomized scenarios and demand
-byte-identical ordering digests after every single step.
+The production commit path — dirty anchor-round tracking in
+``BullsharkConsensus``, the round-indexed reachability cache, parking and
+promotion, slab recycling and GC in ``DagStore``, ``_commit_anchor``, and
+the whole ``HammerHeadScheduleManager`` — is checked against
+``tests/reference_model.py``, which shares none of that code: for any
+insertion sequence, fault pattern, GC horizon movement and schedule
+dynamics both must order exactly the same vertices in the same order and
+switch to the same schedules.  The model sees only what the public
+``DagStore.on_insert`` hook reports, in arrival order, and the comparison
+runs after every single step.
 """
 
 import random
@@ -22,6 +24,8 @@ from repro.core.schedule_change import CommitCountPolicy
 from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
+from repro.types import VertexId
+from tests.conftest import model_mismatches, reference_model_for
 
 
 @st.composite
@@ -86,8 +90,8 @@ def build_vertices(committee, participation, rng):
     return vertices
 
 
-def make_engine(committee, dynamic, commits_per_schedule, incremental):
-    dag = DagStore(committee, cache_reachability=incremental)
+def make_engine(committee, dynamic, commits_per_schedule):
+    dag = DagStore(committee)
     schedule = initial_schedule(committee, seed=0, permute=False)
     if dynamic:
         manager = HammerHeadScheduleManager(
@@ -101,13 +105,20 @@ def make_engine(committee, dynamic, commits_per_schedule, incremental):
         dag=dag,
         schedule_manager=manager,
         record_sequence=True,
-        incremental=incremental,
     )
+
+
+def withhold_some(stream, rng):
+    """Ids of a few vertices that never arrive: their descendants stay
+    parked until GC purges or promotes them."""
+    if len(stream) > 8 and rng.random() < 0.5:
+        return {vertex.id for vertex in rng.sample(stream, rng.randint(1, 3))}
+    return set()
 
 
 @given(equivalence_scenario())
 @settings(max_examples=40, deadline=None)
-def test_incremental_path_orders_identically(scenario):
+def test_engine_orders_and_schedules_like_the_model(scenario):
     (
         committee,
         participation,
@@ -121,61 +132,50 @@ def test_incremental_path_orders_identically(scenario):
     vertices = build_vertices(committee, participation, rng)
     stream = list(vertices)
     rng.shuffle(stream)
-    # Drop a small suffix of the stream entirely: those vertices stay
-    # parked on missing parents until GC purges or promotes them.
-    withheld = set()
-    if len(stream) > 8 and rng.random() < 0.5:
-        for vertex in rng.sample(stream, rng.randint(1, 3)):
-            withheld.add(vertex.id)
-    new_engine = make_engine(committee, dynamic, commits_per_schedule, incremental=True)
-    old_engine = make_engine(committee, dynamic, commits_per_schedule, incremental=False)
+    withheld = withhold_some(stream, rng)
+    engine = make_engine(committee, dynamic, commits_per_schedule)
+    model = reference_model_for(engine.schedule_manager)
+    # Parked vertices reach the model only when the store promotes them.
+    engine.dag.on_insert(model.insert)
     fast_forward_at = rng.randint(0, len(stream) - 1) if fast_forward_round else -1
     for position, vertex in enumerate(stream):
         if vertex.id in withheld:
             continue
-        # Draw every random decision once per step so both engines see the
-        # exact same schedule of insertions, GCs, and state syncs.
-        do_gc = gc_probability > 0.0 and rng.random() < gc_probability
-        for engine in (new_engine, old_engine):
-            engine.dag.add(vertex)
-            engine.try_commit()
-            if do_gc:
-                engine.garbage_collect(keep_rounds=keep_rounds)
+        engine.dag.add(vertex)
+        engine.try_commit()
+        model.try_commit()
+        if gc_probability > 0.0 and rng.random() < gc_probability:
+            engine.garbage_collect(keep_rounds=keep_rounds)
+            model.garbage_collect(keep_rounds)
         if position == fast_forward_at:
-            for engine in (new_engine, old_engine):
-                engine.fast_forward(fast_forward_round)
-                engine.try_commit()
-        assert new_engine.ordering_digest == old_engine.ordering_digest, (
-            f"divergence at step {position}"
-        )
-        assert new_engine.ordered_count == old_engine.ordered_count
-        assert new_engine.last_ordered_anchor_round == old_engine.last_ordered_anchor_round
-    new_engine.try_commit()
-    old_engine.try_commit()
-    assert new_engine.ordering_digest == old_engine.ordering_digest
-    assert new_engine.ordered_ids() == old_engine.ordered_ids()
-    assert new_engine.commit_count == old_engine.commit_count
-    assert [s.epoch for s in new_engine.schedule_manager.history] == [
-        s.epoch for s in old_engine.schedule_manager.history
-    ]
+            engine.fast_forward(fast_forward_round)
+            model.fast_forward(fast_forward_round)
+            engine.try_commit()
+            model.try_commit()
+        assert model_mismatches(engine, model) == [], f"divergence at step {position}"
+    engine.try_commit()
+    model.try_commit()
+    assert model_mismatches(engine, model) == []
+    assert engine.ordered_ids() == model.sequence
 
 
 @given(equivalence_scenario())
 @settings(max_examples=25, deadline=None)
-def test_reachability_cache_matches_bfs(scenario):
-    """Cached ``path()`` answers equal the reference BFS on random DAGs."""
+def test_cached_reachability_matches_model_search(scenario):
+    """``DagStore.path`` / ``reachable_sources`` equal the model's
+    breadth-first search on random DAGs, across insertions and GC."""
     committee, participation, rng, _, _, _, keep_rounds, _ = scenario
     vertices = build_vertices(committee, participation, rng)
     stream = list(vertices)
     rng.shuffle(stream)
-    cached = DagStore(committee, cache_reachability=True)
-    reference = DagStore(committee, cache_reachability=False)
-    inserted = []
+    store = DagStore(committee)
+    model = reference_model_for(
+        StaticScheduleManager(committee, initial_schedule(committee, seed=0, permute=False))
+    )
+    store.on_insert(model.insert)
     for position, vertex in enumerate(stream):
-        cached.add(vertex)
-        reference.add(vertex)
-        if vertex.id in cached:
-            inserted.append(vertex)
+        store.add(vertex)
+        inserted = list(store)
         # Interleave queries with insertions so the cache is exercised
         # against a growing DAG, not just the final one.
         if inserted and position % 3 == 0:
@@ -184,26 +184,27 @@ def test_reachability_cache_matches_bfs(scenario):
                 ancestor = rng.choice(inserted)
                 if ancestor.round > descendant.round:
                     descendant, ancestor = ancestor, descendant
-                assert cached.path(descendant.id, ancestor.id) == reference.path(
+                assert store.path(descendant.id, ancestor.id) == model.path(
                     descendant.id, ancestor.id
                 ), f"path({descendant.id}, {ancestor.id}) diverged"
-        if position % 7 == 0 and cached.highest_round() > keep_rounds:
-            horizon = cached.highest_round() - keep_rounds
-            cached.garbage_collect(horizon)
-            reference.garbage_collect(horizon)
-            inserted = [v for v in inserted if v.id in cached]
+        if position % 7 == 0 and store.highest_round() > keep_rounds:
+            horizon = store.highest_round() - keep_rounds
+            store.garbage_collect(horizon)
+            model.prune_below(horizon)
+    inserted = list(store)
+    assert {vertex.id for vertex in inserted} == set(model.dag)
     # Exhaustive sweep at the end.
     for descendant in inserted:
         for ancestor in inserted:
             if ancestor.round >= descendant.round:
                 continue
-            assert cached.path(descendant.id, ancestor.id) == reference.path(
+            assert store.path(descendant.id, ancestor.id) == model.path(
                 descendant.id, ancestor.id
             )
-    # The public reachable_sources() entry point must agree between the
-    # memoized and BFS-backed (cache_reachability=False) implementations.
     for descendant in inserted[:8]:
         for target_round in range(max(0, descendant.round - 4), descendant.round):
-            assert cached.reachable_sources(
-                descendant.id, target_round
-            ) == reference.reachable_sources(descendant.id, target_round)
+            assert store.reachable_sources(descendant.id, target_round) == {
+                source
+                for source in committee.validators
+                if model.path(descendant.id, VertexId(target_round, source))
+            }

@@ -8,7 +8,8 @@ self-check: ``check`` must exit 0 on this tree.
 
 import functools
 
-from repro.analysis.cli import CHECK_FINDINGS, CHECK_OK, main as cli_main
+from repro.analysis.cli import main as cli_main
+from repro.cliutil import EXIT_FINDINGS, EXIT_OK
 
 from tests.cli_contract import assert_error_contract
 from tests.cli_contract import run_cli as _run_cli
@@ -19,18 +20,18 @@ run_cli = functools.partial(_run_cli, cli_main)
 class TestRepoSelfCheck:
     def test_check_passes_on_this_repository(self, capsys):
         code, out, err = run_cli(capsys, "check")
-        assert code == CHECK_OK
+        assert code == EXIT_OK
         assert err == ""
         assert "OK: 0 finding(s)" in out
 
     def test_check_subset_of_rules(self, capsys):
         code, out, err = run_cli(capsys, "check", "--rules", "DET001", "--no-baseline")
-        assert code == CHECK_OK
+        assert code == EXIT_OK
         assert err == ""
 
     def test_purity_map_prints_closure_and_digest(self, capsys):
         code, out, err = run_cli(capsys, "purity-map")
-        assert code == CHECK_OK
+        assert code == EXIT_OK
         assert err == ""
         assert "purity roots" in out
         assert "repro.consensus.bullshark" in out
@@ -40,7 +41,7 @@ class TestRepoSelfCheck:
 class TestExplain:
     def test_explain_prints_rationale(self, capsys):
         code, out, err = run_cli(capsys, "explain", "DET003")
-        assert code == CHECK_OK
+        assert code == EXIT_OK
         assert err == ""
         assert out.strip()
 
@@ -64,7 +65,7 @@ class TestErrorAndFindingExits:
             "import uuid\n\n\ndef tag() -> str:\n    return str(uuid.uuid4())\n"
         )
         code, out, err = run_cli(capsys, "--repo-root", str(tmp_path), "check")
-        assert code == CHECK_FINDINGS
+        assert code == EXIT_FINDINGS
         assert err == ""
         assert "repro/tags.py:1: DET001" in out
         assert "FAIL: 1 finding(s)" in out
@@ -77,6 +78,6 @@ class TestErrorAndFindingExits:
             "# det: waive[DET001] fixture justification\nimport uuid\n"
         )
         code, out, err = run_cli(capsys, "--repo-root", str(tmp_path), "check")
-        assert code == CHECK_OK
+        assert code == EXIT_OK
         assert err == ""
         assert "1 waived" in out

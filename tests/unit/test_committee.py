@@ -124,10 +124,6 @@ class TestCommitteeStakeArithmetic:
         assert committee10.has_quorum(range(7))
         assert not committee10.has_quorum(range(6))
 
-    def test_has_validity(self, committee10):
-        assert committee10.has_validity(range(4))
-        assert not committee10.has_validity(range(3))
-
     def test_weighted_stake_quorum(self):
         committee = Committee.build(4, stake=geometric_stake(4, ratio=0.5, scale=8))
         # Stakes are 8, 4, 2, 1 -> total 15, quorum 11, validity 6.

@@ -6,7 +6,7 @@ from repro.core.scores import ReputationScores
 from repro.core.scoring import (
     CarouselScoring,
     HammerHeadScoring,
-    ScoringContext,
+    ScoringView,
     ShoalScoring,
 )
 from repro.errors import ScheduleError
@@ -87,7 +87,7 @@ class TestReputationScores:
 
 class TestScoringRules:
     def _context(self, committee):
-        return ScoringContext(committee=committee, scores=ReputationScores(committee))
+        return ScoringView(committee=committee, scores=ReputationScores(committee))
 
     def test_hammerhead_scores_votes(self, committee4):
         context = self._context(committee4)

@@ -6,6 +6,7 @@ from repro.dag.store import DagStore
 from repro.dag.vertex import check_edge_quorum, genesis_vertices, make_vertex
 from repro.errors import DagError, EquivocationError
 from tests.conftest import build_round, populate_dag, vid
+from tests.reference_model import ReferenceModel
 
 
 class TestVertexConstruction:
@@ -326,8 +327,8 @@ class TestStragglerCacheInvalidation:
         assert set(entry_after) >= {3, 4, 5}
         assert all(target > 2 for target in entry_after)
 
-    def test_straggler_results_match_oracle_after_invalidation(self, committee4):
-        """Differential check: cached path() equals the reference BFS."""
+    def test_straggler_results_match_model_after_invalidation(self, committee4):
+        """Differential check: cached path() equals the model's search."""
         cached = self._grown_dag(committee4)
         cached.garbage_collect(3)
         # Warm every entry.
@@ -337,20 +338,17 @@ class TestStragglerCacheInvalidation:
         # Deliver a straggler below the horizon (state-sync replay).
         straggler = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
         cached.add(straggler)
-        # The oracle replays the same content (same GC horizon, same
-        # straggler) without any caching.
-        oracle = DagStore(committee4, cache_reachability=False)
-        oracle.garbage_collect(3)
-        for vertex in sorted(cached, key=lambda v: (v.round, v.source)):
-            oracle.add(vertex)
-        assert len(oracle) == len(cached)
+        # The model holds the same content and searches it afresh.
+        model = ReferenceModel(committee4, initial_round=2, slots=committee4.validators)
+        for vertex in cached:
+            model.insert(vertex)
         for vertex in list(cached):
             for target in range(vertex.round):
                 for source in committee4.validators:
                     target_id = vid(target, source)
-                    assert cached.path(vertex.id, target_id) == oracle.path(
+                    assert cached.path(vertex.id, target_id) == model.path(
                         vertex.id, target_id
-                    ), f"path({vertex.id}, {target_id}) diverged from the oracle"
+                    ), f"path({vertex.id}, {target_id}) diverged from the model"
 
 
 class TestCausalHistoryWalk:

@@ -91,8 +91,6 @@ class TestNodeConfig:
         with pytest.raises(ConfigurationError):
             NodeConfig(leader_timeout=-1.0).validate()
         with pytest.raises(ConfigurationError):
-            NodeConfig(broadcast="gossip").validate()
-        with pytest.raises(ConfigurationError):
             NodeConfig(max_round=0).validate()
         with pytest.raises(ConfigurationError):
             NodeConfig(fetch_retry_interval=0.0).validate()

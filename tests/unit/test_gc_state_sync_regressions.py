@@ -8,7 +8,7 @@ Covers three defects found alongside the commit-path overhaul:
 * ``BullsharkConsensus.fast_forward`` jumped ``last_ordered_anchor_round``
   without reporting the skipped anchor rounds to the schedule manager,
   silently skewing Shoal-style scoring after state sync.
-* A schedule change must invalidate the incremental commit scan's
+* A schedule change must invalidate the commit scan's
   candidate evaluations for rounds the new schedule covers (their leader
   may have changed after the rounds were already fully inserted).
 """
@@ -184,7 +184,7 @@ class TestFastForwardSkipReporting:
         assert before != after, "skipped anchors left no trace in the reputation scores"
 
 
-# -- schedule changes invalidate incremental candidates ------------------------------
+# -- schedule changes invalidate commit-scan candidates ------------------------------
 
 
 class SwitchOnceManager(ScheduleManager):
@@ -206,7 +206,7 @@ class SwitchOnceManager(ScheduleManager):
         return "test manager switching the round-4 leader after the round-2 commit"
 
 
-def drive_switch_scenario(incremental: bool) -> BullsharkConsensus:
+def drive_switch_scenario() -> BullsharkConsensus:
     """Round 4's leader changes *after* rounds 4-5 are fully inserted.
 
     Under the initial schedule (slots 0,1,2,3 from round 2) the round-4
@@ -217,7 +217,7 @@ def drive_switch_scenario(incremental: bool) -> BullsharkConsensus:
     quorum of votes — but no further insertion will ever dirty round 4.
     """
     committee = Committee.build(4)
-    dag = DagStore(committee, cache_reachability=incremental)
+    dag = DagStore(committee)
     for vertex in genesis_vertices(committee):
         dag.add(vertex)
     manager = SwitchOnceManager(
@@ -229,7 +229,6 @@ def drive_switch_scenario(incremental: bool) -> BullsharkConsensus:
         dag=dag,
         schedule_manager=manager,
         record_sequence=True,
-        incremental=incremental,
     )
     build_round(dag, committee, 1)
     build_round(dag, committee, 2)
@@ -262,9 +261,11 @@ def drive_switch_scenario(incremental: bool) -> BullsharkConsensus:
 
 class TestScheduleChangeInvalidation:
     def test_new_leader_anchor_commits_without_new_insertions(self):
-        incremental = drive_switch_scenario(incremental=True)
-        rescan = drive_switch_scenario(incremental=False)
-        assert rescan.last_ordered_anchor_round == 4
-        assert incremental.last_ordered_anchor_round == 4
-        assert incremental.ordering_digest == rescan.ordering_digest
-        assert incremental.ordered_ids() == rescan.ordered_ids()
+        consensus = drive_switch_scenario()
+        assert consensus.last_ordered_anchor_round == 4
+        assert consensus.commit_count == 2
+        # Round 2 under the initial schedule, then round 4 under the new
+        # one: validator 2's anchor closes the sequence.
+        ordered = consensus.ordered_ids()
+        assert ordered.index(vid(2, 0)) < ordered.index(vid(4, 2))
+        assert ordered[-1] == vid(4, 2)

@@ -37,10 +37,8 @@ from repro.rbc.messages import (
     BroadcastMessage,
     CertificateBatch,
     CertificateMessage,
-    EchoMessage,
     PiggybackedPropose,
     ProposeMessage,
-    ReadyMessage,
 )
 from repro.schedule.base import LeaderSchedule
 from repro.types import VertexId
@@ -97,8 +95,6 @@ def _sample_of_each_type():
         AckMessage(origin=0, round=2, digest=vertex.digest, voter=3),
         certificate,
         CertificateBatch(origin=1, round=2, digest=vertex.digest, certificates=(certificate,)),
-        EchoMessage(origin=2, round=2, digest=vertex.digest, payload=vertex),
-        ReadyMessage(origin=2, round=2, digest=vertex.digest),
     ]
 
 
@@ -150,9 +146,10 @@ class TestDefensiveDecoding:
         with pytest.raises(CodecError, match="unknown value tag"):
             decode(b"Z")
 
-    def test_unknown_object_code_rejected(self):
+    @pytest.mark.parametrize("code", [0xFE, 14, 15], ids=["unassigned", "retired-14", "retired-15"])
+    def test_unknown_object_code_rejected(self, code):
         with pytest.raises(CodecError, match="unknown wire type code"):
-            decode(b"O\xfe")
+            decode(b"O" + bytes([code]))
 
     def test_unregistered_type_not_encodable(self):
         with pytest.raises(CodecError, match="not wire-encodable"):

@@ -178,3 +178,34 @@ class TestQuiescence:
 
         plan = LockstepPlan(validators=(0,), max_round=6, crash_rounds=((0, 1),))
         check_lockstep_quiescence(plan, {0: CrashedNode()})
+
+
+class TestSharedLowering:
+    def test_every_runner_lowers_the_same_node_config(self):
+        """One lowering: the lockstep and socket runners differ from the
+        sim runner's node config only by the plan's final round."""
+        import dataclasses
+
+        from repro.netexec.lockstep import lockstep_node_config
+        from repro.sim.runner import build_node_config
+
+        experiment = config(
+            certificate_piggyback=True, scoring="completeness", max_batch_size=7
+        )
+        lowered = build_node_config(experiment)
+        assert lowered.certificate_piggyback is True
+        assert lowered.scoring_rule == "completeness"
+        assert lowered.max_batch_size == 7
+        plan = plan_for_config(experiment)
+        assert lockstep_node_config(experiment, plan) == dataclasses.replace(
+            lowered, max_round=plan.max_round
+        )
+
+    def test_net_backend_refuses_certificate_piggyback(self):
+        """The socket transport has no ``scatter``: the flag is refused up
+        front, by name, instead of being dropped on the way to the nodes."""
+        from repro.errors import ConfigurationError
+        from repro.netexec.runner import run_net_experiment
+
+        with pytest.raises(ConfigurationError, match="certificate_piggyback"):
+            run_net_experiment(config(certificate_piggyback=True))

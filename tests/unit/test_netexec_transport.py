@@ -26,7 +26,7 @@ from repro.errors import NetworkError
 from repro.netexec.clock import MonotonicScheduler
 from repro.netexec.codec import Hello, encode_frame
 from repro.netexec.transport import AsyncioTransport, PeerLink
-from repro.rbc.messages import ReadyMessage
+from repro.rbc.messages import BroadcastMessage
 
 
 def run(coroutine):
@@ -69,7 +69,7 @@ class _Harness:
 
 
 def _ready(origin, round_number=1):
-    return ReadyMessage(origin=origin, round=round_number, digest=b"\x07" * 32)
+    return BroadcastMessage(origin=origin, round=round_number, digest=b"\x07" * 32)
 
 
 class TestDelivery:

@@ -1,4 +1,4 @@
-"""Unit tests for the reliable broadcast implementations (Definition 1)."""
+"""Unit tests for the certified reliable broadcast (Definition 1)."""
 
 import pytest
 
@@ -6,13 +6,12 @@ from repro.committee import Committee
 from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
-from repro.rbc.bracha import BrachaBroadcast
 from repro.rbc.certified import CertifiedBroadcast
 from repro.rbc.messages import CertificateMessage, ProposeMessage
 from repro.errors import BroadcastError
 
 
-def build_cluster(protocol_class, size=4, seed=0):
+def build_cluster(size=4, seed=0):
     """A committee of broadcast endpoints wired over a simulated network."""
     committee = Committee.build(size)
     simulator = Simulator(seed=seed)
@@ -20,7 +19,7 @@ def build_cluster(protocol_class, size=4, seed=0):
     deliveries = {index: [] for index in range(size)}
     protocols = {}
     for index in range(size):
-        protocol = protocol_class(
+        protocol = CertifiedBroadcast(
             index,
             committee,
             network,
@@ -35,10 +34,9 @@ def build_cluster(protocol_class, size=4, seed=0):
     return committee, simulator, network, protocols, deliveries
 
 
-@pytest.mark.parametrize("protocol_class", [CertifiedBroadcast, BrachaBroadcast])
 class TestReliableBroadcastProperties:
-    def test_validity_all_honest_deliver(self, protocol_class):
-        committee, simulator, network, protocols, deliveries = build_cluster(protocol_class)
+    def test_validity_all_honest_deliver(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
         protocols[0].broadcast("payload", round_number=1)
         simulator.run()
         for index in deliveries:
@@ -48,8 +46,8 @@ class TestReliableBroadcastProperties:
             assert delivery.origin == 0
             assert delivery.round == 1
 
-    def test_integrity_single_delivery_per_origin_round(self, protocol_class):
-        committee, simulator, network, protocols, deliveries = build_cluster(protocol_class)
+    def test_integrity_single_delivery_per_origin_round(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
         protocols[0].broadcast("payload", round_number=1)
         simulator.run()
         # Re-inject the final protocol messages by broadcasting again from a
@@ -60,8 +58,8 @@ class TestReliableBroadcastProperties:
             rounds = [(delivery.origin, delivery.round) for delivery in deliveries[index]]
             assert len(rounds) == len(set(rounds))
 
-    def test_multiple_broadcasters_are_independent(self, protocol_class):
-        committee, simulator, network, protocols, deliveries = build_cluster(protocol_class)
+    def test_multiple_broadcasters_are_independent(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
         for index in range(4):
             protocols[index].broadcast(f"payload-{index}", round_number=2)
         simulator.run()
@@ -69,8 +67,8 @@ class TestReliableBroadcastProperties:
             payloads = {delivery.payload for delivery in deliveries[index]}
             assert payloads == {"payload-0", "payload-1", "payload-2", "payload-3"}
 
-    def test_agreement_with_crashed_minority(self, protocol_class):
-        committee, simulator, network, protocols, deliveries = build_cluster(protocol_class, size=4)
+    def test_agreement_with_crashed_minority(self):
+        committee, simulator, network, protocols, deliveries = build_cluster(size=4)
         network.set_crashed(3)
         protocols[0].broadcast("payload", round_number=1)
         simulator.run()
@@ -81,13 +79,13 @@ class TestReliableBroadcastProperties:
 
 class TestCertifiedBroadcastSpecifics:
     def test_double_broadcast_same_round_rejected(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(CertifiedBroadcast)
+        committee, simulator, network, protocols, deliveries = build_cluster()
         protocols[0].broadcast("a", round_number=1)
         with pytest.raises(BroadcastError):
             protocols[0].broadcast("b", round_number=1)
 
     def test_certificate_requires_quorum_of_signers(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(CertifiedBroadcast)
+        committee, simulator, network, protocols, deliveries = build_cluster()
         bogus = CertificateMessage(
             origin=2, round=4, digest=b"\x00" * 32, payload="forged", signers=(0,)
         )
@@ -95,7 +93,7 @@ class TestCertifiedBroadcastSpecifics:
         assert deliveries[1] == []
 
     def test_certificate_with_wrong_digest_rejected(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(CertifiedBroadcast)
+        committee, simulator, network, protocols, deliveries = build_cluster()
         bogus = CertificateMessage(
             origin=2, round=4, digest=b"\x00" * 32, payload="forged", signers=(0, 1, 2)
         )
@@ -103,7 +101,7 @@ class TestCertifiedBroadcastSpecifics:
         assert deliveries[1] == []
 
     def test_equivocating_proposals_cannot_both_certify(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(CertifiedBroadcast)
+        committee, simulator, network, protocols, deliveries = build_cluster()
         # A Byzantine origin (node 3) sends conflicting proposals directly.
         from repro.crypto.hashing import digest_of
 
@@ -124,7 +122,7 @@ class TestCertifiedBroadcastSpecifics:
             assert deliveries[index] == []
 
     def test_ack_only_sent_for_first_proposal(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(CertifiedBroadcast)
+        committee, simulator, network, protocols, deliveries = build_cluster()
         protocols[0].broadcast("first", round_number=1)
         simulator.run()
         assert protocols[0].is_certified(1)
@@ -133,7 +131,7 @@ class TestCertifiedBroadcastSpecifics:
         assert protocols[0].ack_count(1) == committee.quorum_threshold
 
     def test_propose_from_wrong_sender_ignored(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(CertifiedBroadcast)
+        committee, simulator, network, protocols, deliveries = build_cluster()
         from repro.crypto.hashing import digest_of
 
         digest = digest_of("certified-broadcast", 2, 1, digest_of("spoofed"))
@@ -142,41 +140,3 @@ class TestCertifiedBroadcastSpecifics:
         protocols[0].handle_message(1, spoofed)
         simulator.run()
         assert deliveries[0] == []
-
-
-class TestBrachaSpecifics:
-    def test_delivery_requires_ready_quorum(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(BrachaBroadcast)
-        # Inject only a single ready message: no delivery may happen.
-        from repro.rbc.messages import ReadyMessage
-
-        protocols[0].handle_message(1, ReadyMessage(origin=2, round=1, digest=b"d"))
-        assert deliveries[0] == []
-
-    def test_ready_amplification_from_validity_threshold(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(BrachaBroadcast)
-        from repro.rbc.messages import EchoMessage, ReadyMessage
-
-        digest = b"digest"
-        # f+1 = 2 readies make node 0 send its own ready even without a
-        # quorum of echoes.
-        protocols[0].handle_message(1, ReadyMessage(origin=3, round=1, digest=digest))
-        protocols[0].handle_message(2, ReadyMessage(origin=3, round=1, digest=digest))
-        simulator.run()
-        assert (3, 1) in protocols[0]._readied
-
-    def test_delivery_waits_for_payload(self):
-        committee, simulator, network, protocols, deliveries = build_cluster(BrachaBroadcast)
-        from repro.rbc.messages import EchoMessage, ReadyMessage
-
-        digest = BrachaBroadcast._digest(3, 1, "late payload")
-        for sender in (1, 2, 3):
-            protocols[0].handle_message(sender, ReadyMessage(origin=3, round=1, digest=digest))
-        # Ready quorum reached, but node 0 never saw the payload: no delivery.
-        assert deliveries[0] == []
-        # The payload arrives via an echo: delivery completes.
-        protocols[0].handle_message(
-            1, EchoMessage(origin=3, round=1, digest=digest, payload="late payload")
-        )
-        assert len(deliveries[0]) == 1
-        assert deliveries[0][0].payload == "late payload"

@@ -10,7 +10,6 @@ from repro.core.scoring import (
     CarouselScoring,
     CompletenessScoring,
     HammerHeadScoring,
-    ScoringContext,
     ScoringRule,
     ScoringView,
     ShoalScoring,
@@ -89,11 +88,8 @@ class TestScoringRuleRegistry:
 
 
 class TestScoringView:
-    def test_scoring_context_alias_and_signature(self, committee4):
-        # The old two-field construction still works (ScoringContext is
-        # the view now).
-        context = ScoringContext(committee=committee4, scores=ReputationScores(committee4))
-        assert isinstance(context, ScoringView)
+    def test_view_without_a_manager_is_unbound(self, committee4):
+        context = ScoringView(committee=committee4, scores=ReputationScores(committee4))
         assert context.active_schedule is None
         with pytest.raises(ConfigurationError):
             context.leader_for_round(2)
