@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Bench regression gate: diff a fresh bench JSON against the baseline.
 
-Compares the ``events_per_sec`` of every stage a freshly generated bench
-document shares with the committed baseline (``BENCH_PR10.json`` at the
+Compares the ``wall_s`` of every stage a freshly generated bench
+document shares with the committed baseline (``BENCH_PR17.json`` at the
 repository root, i.e. the trajectory recorded when the current
-optimization PR landed) and exits non-zero when any stage regressed by
-more than the threshold (default 10%).
+optimization PR landed) and exits non-zero when any stage got slower by
+more than the threshold (default 10%).  A stage is one fixed config, so
+its speed is ``1 / wall_s``; ``events_per_sec`` is printed as an info
+column and gates nothing, because it is not a speed once a change can
+remove events (PR 17 took 86% of the figure-1 peak stage's events away
+and the stage got faster, which read as -70% events/sec).
 
 Stages that carry ``memory_per_validator`` (the committee-scaling
 stages, from PR9 onward) are additionally gated on memory: growth beyond
@@ -16,7 +20,7 @@ the host's clock speed.  A baseline recorded before the metric existed
 simply skips the comparison with an info line.
 
 When both documents carry a CPU-calibration stage (``calibration`` —
-see ``run_bench.run_cpu_calibration``), every events/sec ratio is
+see ``run_bench.run_cpu_calibration``), every speed ratio is
 divided by the hosts' calibration ratio first: a hosted runner that is
 uniformly 2x slower than the reference container then compares clean
 against a reference-recorded baseline, so the gate can run at its tight
@@ -26,10 +30,11 @@ to compare raw numbers.
 
 Stages are matched by identity, never by position:
 
-* figure-1 points match on ``(committee_size, input_load_tps)`` —
-  documents from before PR9 lack ``committee_size`` on fig-1 points, so
-  a missing value is backfilled with the historical preset (committee
-  10) instead of parsing stage names;
+* figure-1 points match on ``(committee_size, input_load_tps)`` and
+  the documents' ``duration_s`` — documents from before PR9 lack
+  ``committee_size`` on fig-1 points, so a missing value is backfilled
+  with the historical preset (committee 10) instead of parsing stage
+  names;
 * committee-scaling points match on
   ``(committee_size, input_load_tps, duration_s)``.
 
@@ -43,8 +48,8 @@ perf win.
 Usage::
 
     python benchmarks/run_bench.py --smoke --output /tmp/bench.json
-    python benchmarks/check_regression.py /tmp/bench.json              # vs BENCH_PR10.json
-    python benchmarks/check_regression.py /tmp/bench.json --baseline BENCH_PR10.json
+    python benchmarks/check_regression.py /tmp/bench.json              # vs BENCH_PR17.json
+    python benchmarks/check_regression.py /tmp/bench.json --baseline BENCH_PR17.json
     python benchmarks/check_regression.py fresh.json --threshold 0.25  # override knob
     python benchmarks/check_regression.py fresh.json --no-calibration  # raw ratios
 
@@ -65,7 +70,7 @@ import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_PR10.json")
+DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_PR17.json")
 DEFAULT_THRESHOLD = 0.10
 # Tolerated fractional growth of memory_per_validator per stage.  The
 # tracemalloc peak is far less noisy than wall-clock (the simulation is
@@ -77,6 +82,11 @@ DEFAULT_MEMORY_THRESHOLD = 0.25
 # preset was always committee 10, so identity matching backfills that
 # instead of parsing stage names.
 FIG1_DEFAULT_COMMITTEE = 10
+
+# Stage identity.  Duration participates: a stage whose virtual duration
+# changed is a different measurement (and a different ordering digest),
+# not a regression.  On fig-1 points it is the document's ``duration_s``.
+STAGE_KEYS = ("committee_size", "input_load_tps", "duration_s")
 
 # Calibration ratios outside this band mean the hosts differ by more
 # than single-core speed (different memory pressure, thermal state, or a
@@ -113,12 +123,16 @@ def _fig1_points(document: dict) -> List[dict]:
     """The document's fig-1 points, ``committee_size`` backfilled.
 
     Keeps pre-PR9 baselines (no ``committee_size`` on fig-1 records)
-    matchable against fresh documents purely by field identity.
+    matchable against fresh documents purely by field identity.  The
+    virtual duration of the fig-1 points is a document-level field; it
+    rides on every point because a point run for a different duration
+    is a different measurement of ``wall_s``.
     """
     points: List[dict] = []
     for point in document.get("points", ()) or ():
+        point = dict(point, duration_s=document.get("duration_s"))
         if point.get("committee_size") is None:
-            point = dict(point, committee_size=FIG1_DEFAULT_COMMITTEE)
+            point["committee_size"] = FIG1_DEFAULT_COMMITTEE
         points.append(point)
     return points
 
@@ -128,7 +142,7 @@ def calibration_ratio(fresh: dict, baseline: dict) -> Optional[float]:
 
     ``None`` (no calibration in either document, non-positive scores, or
     a ratio outside :data:`CALIBRATION_RATIO_BOUNDS`) means the caller
-    must compare raw events/sec.
+    must compare raw wall-clock.
     """
     fresh_score = float((fresh.get("calibration") or {}).get("cpu_score") or 0.0)
     base_score = float((baseline.get("calibration") or {}).get("cpu_score") or 0.0)
@@ -139,6 +153,23 @@ def calibration_ratio(fresh: dict, baseline: dict) -> Optional[float]:
     if not low <= ratio <= high:
         return None
     return ratio
+
+
+def speed_ratio(
+    fresh: dict, baseline: dict, cpu_ratio: Optional[float] = None
+) -> Optional[float]:
+    """fresh speed / baseline speed of one matched stage; below 1 is slower.
+
+    A stage is a fixed config, so its speed is ``1 / wall_s``; dividing
+    by ``cpu_ratio`` takes the hosts' single-core speed difference out.
+    ``None`` when either document lacks a positive ``wall_s``.
+    """
+    base_wall = float(baseline.get("wall_s") or 0.0)
+    fresh_wall = float(fresh.get("wall_s") or 0.0)
+    if base_wall <= 0.0 or fresh_wall <= 0.0:
+        return None
+    ratio = base_wall / fresh_wall
+    return ratio / cpu_ratio if cpu_ratio is not None else ratio
 
 
 def compare_stage(
@@ -157,27 +188,21 @@ def compare_stage(
     if fresh is None:
         findings.append(Mismatch(stage, "not in fresh document, skipped", fatal=False))
         return findings
-    base_eps = float(baseline.get("events_per_sec") or 0.0)
-    fresh_eps = float(fresh.get("events_per_sec") or 0.0)
-    if base_eps <= 0.0:
-        findings.append(Mismatch(stage, "baseline has no events/sec, skipped", fatal=False))
-    else:
-        ratio = fresh_eps / base_eps
-        note = ""
-        if cpu_ratio is not None:
-            # Normalize out the hosts' single-core speed difference.
-            ratio = ratio / cpu_ratio
-            note = f", cpu-normalized by {cpu_ratio:.3f}"
-        if ratio < 1.0 - threshold:
-            findings.append(
-                Mismatch(
-                    stage,
-                    f"events/sec regressed {100 * (1 - ratio):.1f}%: "
-                    f"{fresh_eps:,.0f} vs baseline {base_eps:,.0f} "
-                    f"(threshold {100 * threshold:.0f}%{note})",
-                    fatal=True,
-                )
+    ratio = speed_ratio(fresh, baseline, cpu_ratio)
+    if ratio is None:
+        findings.append(Mismatch(stage, "no wall_s in both documents, skipped", fatal=False))
+    elif ratio < 1.0 - threshold:
+        note = f", cpu-normalized by {cpu_ratio:.3f}" if cpu_ratio is not None else ""
+        findings.append(
+            Mismatch(
+                stage,
+                f"{100 * (1 - ratio):.1f}% slower on the stage's fixed config: "
+                f"wall_s {float(fresh['wall_s']):.4f} vs baseline "
+                f"{float(baseline['wall_s']):.4f} "
+                f"(threshold {100 * threshold:.0f}%{note})",
+                fatal=True,
             )
+        )
     fresh_memory = float(fresh.get("memory_per_validator") or 0.0)
     base_memory = float(baseline.get("memory_per_validator") or 0.0)
     if fresh_memory > 0.0:
@@ -217,7 +242,7 @@ def compare_stage(
 def compare_scenario_stage(stage: str, fresh: dict, baseline: dict) -> List[Mismatch]:
     """Digest-compare one scenario stage (``scenario_smoke``/``scenario_adversary``).
 
-    Scenario stages carry no events/sec, so the gate checks their
+    Scenario stages are not timed against a baseline, so the gate checks their
     *outputs*: when both documents ran the same scenario (equal
     ``scenario_digest``), every shared point must reproduce the
     baseline's ordering digest — this is what pins the adversary
@@ -318,7 +343,7 @@ def compare_lossy_stage(
 ) -> List[Mismatch]:
     """Gate the ``lossy_recovery`` stage (bench_hotpaths, PR10 onward).
 
-    Each piggyback variant gets the standard events/sec + ordering-digest
+    Each piggyback variant gets the standard wall_s + ordering-digest
     comparison against its baseline counterpart (the variants are
     deterministic runs, so their digests are pins like any committee
     stage's).  On top of that, the *fresh* document must itself satisfy
@@ -326,7 +351,7 @@ def compare_lossy_stage(
     one stash heal, no-worse average park-to-promote stall, consistent
     committed prefixes (see ``benchmarks/check_recovery.py``, which owns
     the assertions) — so a change that silently breaks the recovery win
-    fails the gate even when raw events/sec stay healthy.
+    fails the gate even when the wall-clock stays healthy.
     """
     findings: List[Mismatch] = []
     fresh_stage = fresh.get("lossy_recovery") or {}
@@ -361,40 +386,45 @@ def compare_lossy_stage(
     return findings
 
 
+# One row of the per-stage table: stage, baseline and fresh wall_s, the
+# (cpu-normalized) speed ratio, and both events/sec as information.
+DeltaRow = Tuple[str, float, float, Optional[float], float, float]
+
+
 def stage_deltas(
     fresh: dict,
     baseline: dict,
     cpu_ratio: Optional[float] = None,
-) -> List[Tuple[str, float, float, Optional[float]]]:
-    """Per-stage events/sec delta rows for every matched perf stage.
+) -> List[DeltaRow]:
+    """Per-stage wall-clock delta rows for every matched perf stage.
 
-    Returns ``(stage, baseline_eps, fresh_eps, normalized_ratio)`` rows —
-    ratio ``None`` when the baseline carries no events/sec.  Printed on
-    every gate run (pass or fail), so CI logs always show the perf
-    trajectory instead of only surfacing it once a threshold trips.
+    The ratio is ``None`` when a document carries no ``wall_s`` for the
+    stage.  Printed on every gate run (pass or fail), so CI logs always
+    show the perf trajectory instead of only surfacing it once a
+    threshold trips.
     """
-    rows: List[Tuple[str, float, float, Optional[float]]] = []
+    rows: List[DeltaRow] = []
 
     def add(stage: str, fresh_point: Optional[dict], base_point: Optional[dict]) -> None:
         if fresh_point is None or base_point is None:
             return
-        base_eps = float(base_point.get("events_per_sec") or 0.0)
-        fresh_eps = float(fresh_point.get("events_per_sec") or 0.0)
-        ratio: Optional[float] = None
-        if base_eps > 0.0:
-            ratio = fresh_eps / base_eps
-            if cpu_ratio is not None:
-                ratio /= cpu_ratio
-        rows.append((stage, base_eps, fresh_eps, ratio))
+        rows.append(
+            (
+                stage,
+                float(base_point.get("wall_s") or 0.0),
+                float(fresh_point.get("wall_s") or 0.0),
+                speed_ratio(fresh_point, base_point, cpu_ratio),
+                float(base_point.get("events_per_sec") or 0.0),
+                float(fresh_point.get("events_per_sec") or 0.0),
+            )
+        )
 
-    fig1_keys = ("committee_size", "input_load_tps")
-    fresh_fig1 = _index_points(_fig1_points(fresh), fig1_keys)
-    base_fig1 = _index_points(_fig1_points(baseline), fig1_keys)
+    fresh_fig1 = _index_points(_fig1_points(fresh), STAGE_KEYS)
+    base_fig1 = _index_points(_fig1_points(baseline), STAGE_KEYS)
     for key in sorted(set(fresh_fig1) & set(base_fig1), key=str):
         add(f"fig1@{key[1]:.0f}tps", fresh_fig1.get(key), base_fig1.get(key))
-    committee_keys = ("committee_size", "input_load_tps", "duration_s")
-    fresh_committee = _index_points(fresh.get("committee_scaling", ()), committee_keys)
-    base_committee = _index_points(baseline.get("committee_scaling", ()), committee_keys)
+    fresh_committee = _index_points(fresh.get("committee_scaling", ()), STAGE_KEYS)
+    base_committee = _index_points(baseline.get("committee_scaling", ()), STAGE_KEYS)
     for key in sorted(set(fresh_committee) & set(base_committee), key=str):
         add(
             f"committee{key[0]}@{key[1]:.0f}tps",
@@ -412,16 +442,20 @@ def stage_deltas(
     return rows
 
 
-def render_delta_table(rows: List[Tuple[str, float, float, Optional[float]]]) -> List[str]:
+def render_delta_table(rows: List[DeltaRow]) -> List[str]:
     """Aligned text table for :func:`stage_deltas` rows."""
     if not rows:
         return ["no matched perf stages between the two documents"]
     width = max(len(row[0]) for row in rows)
-    lines = [f"{'stage'.ljust(width)}  {'baseline':>12}  {'fresh':>12}  {'delta':>8}"]
-    for stage, base_eps, fresh_eps, ratio in rows:
+    lines = [
+        f"{'stage'.ljust(width)}  {'base wall_s':>11}  {'fresh wall_s':>12}  {'speed':>8}"
+        f"  {'base ev/s':>10}  {'fresh ev/s':>10}"
+    ]
+    for stage, base_wall, fresh_wall, ratio, base_eps, fresh_eps in rows:
         delta = "n/a" if ratio is None else f"{100.0 * (ratio - 1.0):+.1f}%"
         lines.append(
-            f"{stage.ljust(width)}  {base_eps:>12,.0f}  {fresh_eps:>12,.0f}  {delta:>8}"
+            f"{stage.ljust(width)}  {base_wall:>11.4f}  {fresh_wall:>12.4f}  {delta:>8}"
+            f"  {base_eps:>10,.0f}  {fresh_eps:>10,.0f}"
         )
     return lines
 
@@ -440,7 +474,7 @@ def compare_documents(
         findings.append(
             Mismatch(
                 "calibration",
-                "no usable CPU calibration in both documents; comparing raw events/sec",
+                "no usable CPU calibration in both documents; comparing raw wall_s",
                 fatal=False,
             )
         )
@@ -449,13 +483,12 @@ def compare_documents(
             Mismatch(
                 "calibration",
                 f"hosts differ by {cpu_ratio:.3f}x single-core speed; "
-                "events/sec ratios are cpu-normalized",
+                "speed ratios are cpu-normalized",
                 fatal=False,
             )
         )
-    fig1_keys = ("committee_size", "input_load_tps")
-    fresh_fig1 = _index_points(_fig1_points(fresh), fig1_keys)
-    base_fig1 = _index_points(_fig1_points(baseline), fig1_keys)
+    fresh_fig1 = _index_points(_fig1_points(fresh), STAGE_KEYS)
+    base_fig1 = _index_points(_fig1_points(baseline), STAGE_KEYS)
     for key in sorted(set(fresh_fig1) | set(base_fig1), key=str):
         stage = f"fig1@{key[1]:.0f}tps"
         findings.extend(
@@ -468,12 +501,8 @@ def compare_documents(
                 memory_threshold,
             )
         )
-    # Duration participates in the identity: a stage whose virtual
-    # duration changed is a different measurement (and a different
-    # ordering digest), not a regression.
-    committee_keys = ("committee_size", "input_load_tps", "duration_s")
-    fresh_committee = _index_points(fresh.get("committee_scaling", ()), committee_keys)
-    base_committee = _index_points(baseline.get("committee_scaling", ()), committee_keys)
+    fresh_committee = _index_points(fresh.get("committee_scaling", ()), STAGE_KEYS)
+    base_committee = _index_points(baseline.get("committee_scaling", ()), STAGE_KEYS)
     for key in sorted(set(fresh_committee) | set(base_committee), key=str):
         stage = f"committee{key[0]}@{key[1]:.0f}tps"
         findings.extend(
@@ -503,14 +532,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--baseline",
         default=DEFAULT_BASELINE,
-        help="committed baseline document (default: BENCH_PR10.json)",
+        help="committed baseline document (default: BENCH_PR17.json)",
     )
     parser.add_argument(
         "--no-calibration",
         action="store_true",
         default=os.environ.get("REPRO_BENCH_NO_CALIBRATION", "").strip().lower()
         not in ("", "0", "false", "no"),
-        help="compare raw events/sec without CPU-calibration normalization",
+        help="compare raw wall_s without CPU-calibration normalization",
     )
     parser.add_argument(
         "--threshold",
@@ -518,7 +547,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=float(
             os.environ.get("REPRO_BENCH_REGRESSION_THRESHOLD", DEFAULT_THRESHOLD)
         ),
-        help="fractional events/sec regression tolerated per stage (default 0.10)",
+        help="fractional slowdown tolerated per stage (default 0.10)",
     )
     parser.add_argument(
         "--memory-threshold",
@@ -543,7 +572,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     cpu_ratio = calibration_ratio(fresh, baseline) if not args.no_calibration else None
     label = " (cpu-normalized)" if cpu_ratio is not None else ""
-    print(f"per-stage events/sec{label}:")
+    print(f"per-stage wall_s, speed = baseline / fresh{label}; events/sec for information:")
     for line in render_delta_table(stage_deltas(fresh, baseline, cpu_ratio)):
         print(f"  {line}")
     findings = compare_documents(

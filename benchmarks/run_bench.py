@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Run the benchmark suite under a time budget and emit ``BENCH_PR9.json``.
+"""Run the benchmark suite under a time budget and emit ``BENCH_PR17.json``.
 
 Stages, all optional and all budgeted:
 
 0. A **fixed CPU-calibration microbenchmark** (pure-Python hash/dict/
    sort work, no simulation) whose ops/sec fingerprint the host.  The
-   regression gate divides fresh/baseline events-per-sec ratios by the
+   regression gate divides fresh/baseline speed ratios by the
    calibration ratio, so a slower hosted runner no longer needs a
    0.35-wide tolerance to pass a gate recorded on the reference
    container.
 1. The hot-path microbenchmark (``benchmarks/bench_hotpaths.py``):
-   events/sec and wall-clock per figure-1 point, the committee-25/50
+   wall-clock (and events/sec, for information) per figure-1 point, the committee-25/50
    scaling stages plus the committee-100 and smoke-scale committee-200
    stages (best-of-N wall-clock minimum, ``memory_per_validator`` from
    one untimed tracemalloc run per stage), plus the parallel-sweep
@@ -28,11 +28,12 @@ Stages, all optional and all budgeted:
    pytest), run at ``REPRO_BENCH_SCALE=quick`` so it fits the budget;
    only the pass/fail outcome and wall-clock are recorded.
 
-The merged document is written to ``BENCH_PR9.json`` at the repository
+The merged document is written to ``BENCH_PR17.json`` at the repository
 root so future PRs can diff the performance trajectory;
-``benchmarks/check_regression.py`` gates CI against it (>10% events/sec
-regression at any stage fails, after CPU-calibration normalization;
-``memory_per_validator`` growth beyond its own tolerance fails too).
+``benchmarks/check_regression.py`` gates CI against it (a stage whose
+``wall_s`` says it got >10% slower fails, after CPU-calibration
+normalization; ``memory_per_validator`` growth beyond its own tolerance
+fails too).
 
 Run with::
 

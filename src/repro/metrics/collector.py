@@ -15,7 +15,7 @@ bias results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.consensus.committed import OrderedVertex
 from repro.metrics.execution import ExecutionModel
@@ -39,10 +39,9 @@ class MetricsCollector:
         self.execution = execution
         self._submit_times: Dict[int, SimTime] = {}
         self._commit_times: Dict[int, SimTime] = {}
-        # (submit_time, finality_time) pairs for transactions submitted
-        # after the warm-up period; throughput and latency are derived from
-        # these at reporting time.
-        self._finality_samples: List[Tuple[SimTime, SimTime]] = []
+        # Finality times of the transactions submitted after the warm-up
+        # period; throughput is derived from these at reporting time.
+        self._finality_times: List[SimTime] = []
         self.latency = LatencyStats()
         self.submitted = 0
         self.committed = 0
@@ -62,17 +61,24 @@ class MetricsCollector:
         self._submit_times[transaction.tx_id] = transaction.submitted_at
 
     def on_vertex_ordered(self, record: OrderedVertex) -> None:
-        """Record commit times for the transactions of an ordered vertex."""
+        """Record commit times for the transactions of an ordered vertex.
+
+        Only a transaction's first commit counts, and it releases the
+        transaction's ``_submit_times`` entry: a later ordering of the
+        same transaction is recognised by ``_commit_times`` alone.
+        """
         # Local bindings: this loop runs once per committed transaction.
         commit_times = self._commit_times
-        submit_times = self._submit_times
+        release = self._submit_times.pop
         execution = self.execution
         confirmation_delay = self.confirmation_delay
         warmup = self.warmup
         ordered_at = record.ordered_at
-        samples_append = self._finality_samples.append
-        record_latency = self.latency.record
         service_time = execution.service_time if execution is not None else 0.0
+        busy_until = execution._busy_until if execution is not None else 0.0
+        record_finality = self._finality_times.append
+        latencies: List[SimTime] = []
+        executed = 0
         for transaction in record.vertex.block:
             if not isinstance(transaction, Transaction):
                 continue
@@ -80,25 +86,29 @@ class MetricsCollector:
             if tx_id in commit_times:
                 self.duplicate_commits += 1
                 continue
-            submit_time = submit_times.get(tx_id)
+            submit_time = release(tx_id, None)
             if submit_time is None:
                 continue
             commit_time = ordered_at
             if execution is not None:
                 # Inlined ExecutionModel.execute (one call per committed
                 # transaction): FIFO service at a bounded rate.
-                busy_until = execution._busy_until
-                start = commit_time if commit_time > busy_until else busy_until
-                commit_time = start + service_time
-                execution._busy_until = commit_time
-                execution.executed += 1
+                if busy_until > commit_time:
+                    commit_time = busy_until
+                commit_time += service_time
+                busy_until = commit_time
+                executed += 1
             finality_time = commit_time + confirmation_delay
             commit_times[tx_id] = finality_time
             if submit_time < warmup:
                 continue
-            self.committed += 1
-            samples_append((submit_time, finality_time))
-            record_latency(finality_time - submit_time)
+            record_finality(finality_time)
+            latencies.append(finality_time - submit_time)
+        if execution is not None:
+            execution._busy_until = busy_until
+            execution.executed += executed
+        self.committed += len(latencies)
+        self.latency.extend(latencies)
 
     # -- results ------------------------------------------------------------------
 
@@ -112,7 +122,7 @@ class MetricsCollector:
         window = duration - self.warmup
         if window <= 0:
             return 0.0
-        finalized = sum(1 for _, finality in self._finality_samples if finality <= duration)
+        finalized = sum(1 for finality in self._finality_times if finality <= duration)
         return finalized / window
 
     def commit_ratio(self) -> float:

@@ -28,8 +28,12 @@ class LatencyStats:
         self._sorted = None
 
     def extend(self, latencies: Sequence[float]) -> None:
-        for latency in latencies:
-            self.record(latency)
+        if not latencies:
+            return
+        if min(latencies) < 0:
+            raise ValueError("latency samples must be non-negative")
+        self._samples.extend(latencies)
+        self._sorted = None
 
     @property
     def count(self) -> int:

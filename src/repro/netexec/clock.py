@@ -63,3 +63,6 @@ class MonotonicScheduler:
 
     def cancel(self, handle) -> None:
         handle.cancel()
+
+    def settle(self) -> None:
+        """No lazy sources over sockets: blocks are plan-synthesized."""

@@ -68,17 +68,18 @@ class EventHandle:
 # * ``(time, sequence, handle)`` — a cancellable event carrying an
 #   :class:`EventHandle`.
 # * ``(time, sequence, None, callback, args)`` — a raw fire-and-forget
-#   event (message deliveries, workload submissions).  These are never
-#   cancelled, so the handle allocation is skipped entirely; ``args`` is
-#   ``None`` or a tuple passed to ``callback``.
+#   event (message deliveries).  These are never cancelled, so the
+#   handle allocation is skipped entirely; ``args`` is ``None`` or a
+#   tuple passed to ``callback``.
 #
 # The raw-entry protocol is deliberately inlined at every site (a shared
 # push helper would reintroduce the per-event call the shape exists to
 # avoid).  If the entry shape or the ``_live``/``_cancelled`` accounting
 # changes, update ALL of: producers ``EventQueue.push``,
-# ``Network._schedule_delivery`` (transport.py), and
-# ``LoadGenerator._deliver_next`` (workload/generator.py); consumers
-# ``EventQueue.pop``/``peek_time`` and ``Simulator.run``/``step``.
+# ``Simulator._push`` and ``Network._schedule_delivery`` (transport.py);
+# consumers ``EventQueue.pop``/``peek_time`` and ``Simulator.run``/``step``.
+# Client load is not a producer: arrivals are a lazy source
+# (``Simulator.settle``), never heap entries.
 _Entry = Tuple[SimTime, int, Optional[EventHandle]]
 
 

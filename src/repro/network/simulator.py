@@ -10,11 +10,28 @@ from __future__ import annotations
 
 import random
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Protocol
 
 from repro.errors import SimulationError
 from repro.network.events import EventHandle, EventQueue
 from repro.types import SimTime
+
+
+class LazySource(Protocol):
+    """Effects that are a closed-form function of virtual time.
+
+    A lazy source owns no heap events.  Whoever is about to read state
+    the source writes calls :meth:`Simulator.settle` first, and the
+    source then applies, in time order, every effect due at or before
+    the instant it is given.
+    """
+
+    def settle(self, horizon: SimTime) -> SimTime:
+        """Apply every effect due at or before ``horizon`` (inclusive).
+
+        Returns the instant of the last effect applied, ``-inf`` when
+        none was due.
+        """
 
 
 class Simulator:
@@ -27,6 +44,7 @@ class Simulator:
         self.rng = random.Random(seed)
         self.seed = seed
         self._events_fired = 0
+        self.lazy_sources: List[LazySource] = []
 
     # -- clock --------------------------------------------------------------
 
@@ -75,6 +93,18 @@ class Simulator:
             handle.cancel()
             self._queue.note_cancelled()
 
+    # -- lazy sources -------------------------------------------------------
+
+    def settle(self) -> None:
+        """Bring every lazy source up to the current instant (inclusive).
+
+        Called by readers of state a lazy source writes (a validator
+        about to read its transaction pool) and by :meth:`run` on exit.
+        """
+        now = self._now
+        for source in self.lazy_sources:
+            source.settle(now)
+
     # -- execution ------------------------------------------------------------
 
     def step(self) -> bool:
@@ -100,7 +130,10 @@ class Simulator:
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fired earlier, which gives experiments a
-        well-defined duration.
+        well-defined duration.  Lazy sources are settled on the way out:
+        up to the exit instant, or — when the run drained the queue with
+        no ``until`` — to the end of their schedules, the clock following
+        the last effect exactly as if each had been an event.
         """
         if self._running:
             raise SimulationError("the simulator is already running")
@@ -147,7 +180,7 @@ class Simulator:
                 popped += 1
                 handle = entry[2]
                 if handle is None:
-                    # Raw fire-and-forget entry (deliveries, workload).
+                    # Raw fire-and-forget entry (message deliveries).
                     self._now = entry[0]
                     args = entry[4]
                     if args is None:
@@ -175,6 +208,12 @@ class Simulator:
             queue._live -= popped
         if until is not None and self._now < until:
             self._now = until
+        if until is None and not heap:
+            # Ran to idle: lazy schedules finish, the clock on the last effect.
+            for source in self.lazy_sources:
+                self._now = max(self._now, source.settle(float("inf")))
+        else:
+            self.settle()
         return self._now
 
     def run_until_idle(self, max_time: SimTime = 1e9, max_events: int = 50_000_000) -> SimTime:

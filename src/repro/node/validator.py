@@ -171,6 +171,8 @@ class ValidatorNode:
         """Crash the node: it stops proposing and drops all traffic."""
         if self.crashed:
             return
+        # Client arrivals up to this instant were accepted before the crash.
+        self.simulator.settle()
         self.crashed = True
         self.network.set_crashed(self.id, True)
         self._cancel_timers()
@@ -194,6 +196,8 @@ class ValidatorNode:
         """
         if not self.crashed:
             return
+        # Client arrivals during the downtime are dropped, not pooled.
+        self.simulator.settle()
         self.recoveries += 1
         self.crashed = False
         self.network.set_crashed(self.id, False)
@@ -308,6 +312,7 @@ class ValidatorNode:
 
     @property
     def pool_size(self) -> int:
+        self.simulator.settle()
         return len(self.transaction_pool)
 
     # -- round progression --------------------------------------------------------------
@@ -393,6 +398,9 @@ class ValidatorNode:
         self.simulator.schedule(delay, fire)
 
     def _next_batch(self) -> Sequence:
+        # Client load is a lazy source: what arrived by now enters the
+        # pool here, when the pool is read, not one heap event at a time.
+        self.simulator.settle()
         pool = self.transaction_pool
         size = len(pool)
         if size == 0:

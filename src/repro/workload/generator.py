@@ -7,13 +7,17 @@ transaction enters the validator's pool.  Mirroring the paper, a single
 client never submits more than ``MAX_RATE_PER_CLIENT`` transactions per
 second; :func:`spawn_load` creates as many clients as needed for a target
 system load.
+
+No client costs the simulator an event: all clients of a simulator are
+merged in one :class:`ClientArrivals`, which creates and delivers the
+transactions that have arrived whenever a pool is about to be read.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heappush as _heappush
-from typing import Callable, List, Optional, Sequence
+from heapq import heappop as _heappop, heappush as _heappush, heapreplace as _heapreplace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.network.simulator import Simulator
@@ -31,6 +35,104 @@ SubmitCallback = Callable[[Transaction], None]
 # Process-wide transaction id source (module-level: the class-attribute
 # lookup per transaction was measurable at peak load).
 _next_tx_id = itertools.count()
+
+_NEVER: SimTime = float("-inf")
+
+# ``Transaction(...)`` goes through the NamedTuple's Python-level
+# ``__new__`` to fill in the two defaulted fields, which costs as much as
+# the rest of one delivery; ``tuple.__new__`` with every field spelled
+# out builds the same object.
+_tuple_new = tuple.__new__
+_KIND = Transaction._field_defaults["kind"]
+_PAYLOAD_BYTES = Transaction._field_defaults["payload_bytes"]
+
+
+class ClientArrivals:
+    """Every client of one simulator, merged: the simulator's lazy source.
+
+    A client's arrivals are a closed-form, RNG-free schedule —
+    ``first_time + index * interval + submission_delay``, targets taken
+    round-robin — and a transaction pool is observable only where a
+    validator reads it, so arrivals are not heap events.  They are
+    materialised in bulk by :meth:`settle`, which the simulator calls
+    before every such read and when a run ends.
+
+    ``_heap`` holds the next arrival of every unfinished client as
+    ``(arrival, sequence, generator)``.  It is merged under the event
+    queue's own discipline — earliest first, ties by a sequence number
+    that a client's first arrival takes at ``start()`` and every later
+    one when its predecessor is delivered — so transactions reach pools
+    and ``on_submit`` in the order one event per transaction would have
+    produced.  A client that has delivered its last arrival leaves the
+    heap.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[SimTime, int, "LoadGenerator"]] = []
+        self._sequences = itertools.count()
+
+    @classmethod
+    def of(cls, simulator: Simulator) -> "ClientArrivals":
+        """The arrivals merged into ``simulator``, registered on first use."""
+        for source in simulator.lazy_sources:
+            if isinstance(source, cls):
+                return source
+        arrivals = cls()
+        simulator.lazy_sources.append(arrivals)
+        return arrivals
+
+    def add(self, generator: "LoadGenerator", first_arrival: SimTime) -> None:
+        _heappush(self._heap, (first_arrival, next(self._sequences), generator))
+
+    def settle(self, horizon: SimTime) -> SimTime:
+        """Deliver every transaction with ``arrival <= horizon``.
+
+        The bound is inclusive: a read at ``t`` sees exactly the
+        transactions with ``submitted_at + submission_delay <= t``.
+        Returns the last arrival delivered, ``-inf`` when none was due.
+        """
+        heap = self._heap
+        last = _NEVER
+        sequences = self._sequences
+        while heap:
+            entry = heap[0]
+            if entry[0] > horizon:
+                break
+            last = entry[0]
+            generator = entry[2]
+            index = generator.submitted
+            following = index + 1
+            generator.submitted = following
+            first_time = generator._first_time
+            interval = generator._interval
+            if following < generator._count:
+                _heapreplace(
+                    heap,
+                    (
+                        first_time + following * interval + generator.submission_delay,
+                        next(sequences),
+                        generator,
+                    ),
+                )
+            else:
+                _heappop(heap)
+            target = next(generator._target_cycle)
+            transaction = _tuple_new(
+                Transaction,
+                (
+                    next(_next_tx_id),
+                    generator.client_id,
+                    first_time + index * interval,
+                    target.id,
+                    _KIND,
+                    _PAYLOAD_BYTES,
+                ),
+            )
+            on_submit = generator.on_submit
+            if on_submit is not None:
+                on_submit(transaction)
+            target.submit_transaction(transaction)
+        return last
 
 
 class LoadGenerator:
@@ -66,50 +168,22 @@ class LoadGenerator:
         self.start_time = start_time
         self.submission_delay = submission_delay
         self.on_submit = on_submit
+        # Transactions delivered so far, which is also the index of the
+        # next one in the schedule.
         self.submitted = 0
         self._target_cycle = itertools.cycle(self.targets)
-        # Submission-chain state, initialized by start().
+        # Schedule parameters, set by start().
         self._interval: SimTime = 0.0
         self._first_time: SimTime = start_time
         self._count = 0
-        self._next_index = 0
-        # Prebound callback and queue handle: ``self._deliver_next``
-        # creates a fresh bound method object per access, once per
-        # transaction at peak load.
-        self._deliver_bound = self._deliver_next
-        self._queue = simulator._queue
 
     def start(self) -> None:
-        """Schedule the submission chain for the configured duration.
+        """Put the client's schedule into the simulator's merged arrivals.
 
-        Submissions are scheduled just-in-time (each one schedules its
-        successor) instead of being pushed into the event queue up front: a
-        peak-load sweep point would otherwise start with tens of thousands
-        of pre-scheduled events, making every heap operation of the whole
-        run pay the log of that bulk.  Submission instants are still
-        computed by index rather than by accumulation so that
-        floating-point drift never adds or drops a transaction.
-
-        Each transaction costs a single simulator event: the event fires at
-        the *arrival* instant (submit time plus the client-to-validator
-        delay) and carries the precomputed submission timestamp, instead of
-        a submit event that schedules a separate arrival event.  This
-        halves the workload's share of the event queue.  Two observable
-        consequences, both deliberate:
-
-        * **Tie-break renumbering.** Event-queue ties are broken by
-          scheduling sequence number.  With the pair merged, workload
-          events obtain different sequence numbers than in the two-event
-          scheme, so same-instant ties against protocol events may resolve
-          differently than in older revisions.  Runs remain fully
-          deterministic for a given configuration (gated by
-          ``tests/unit/test_workload.py`` and the simulator determinism
-          tests); only cross-revision bit-compatibility was given up.
-        * **End-of-run accounting.** A transaction submitted within the
-          final ``submission_delay`` of the run used to count as submitted
-          even though it could never arrive; now neither half happens.
-          Metrics treat such transactions as never-submitted instead of
-          submitted-but-lost, which is the more honest reading.
+        Submission instants are computed by index rather than by
+        accumulation so that floating-point drift never adds or drops a
+        transaction.  A transaction whose arrival falls after the end of
+        the run is never created: it counts as never submitted.
         """
         interval = 1.0 / self.rate
         # Stagger clients slightly so submissions do not all land on the
@@ -118,67 +192,26 @@ class LoadGenerator:
         self._interval = interval
         self._first_time = self.start_time + offset
         self._count = int(round(self.rate * self.duration))
-        self._next_index = 0
         if self._count > 0:
-            self.simulator.schedule_at(
-                self._first_time + self.submission_delay, self._deliver_next
+            # What is due by now is delivered first, so the new client
+            # takes its sequence number after them, as an event would.
+            self.simulator.settle()
+            ClientArrivals.of(self.simulator).add(
+                self, self._first_time + self.submission_delay
             )
 
     def set_targets(self, targets: Sequence[ValidatorNode]) -> None:
         """Fail the client over to a new target set (partition failover).
 
-        The round-robin cycle restarts at the head of the new set; no RNG
-        is involved, so retargeting keeps runs deterministic.
+        Arrivals up to the current instant (inclusive) still go to the
+        old set.  The round-robin cycle restarts at the head of the new
+        set; no RNG is involved, so retargeting keeps runs deterministic.
         """
         if not targets:
             raise WorkloadError("a load generator needs at least one target validator")
+        self.simulator.settle()
         self.targets = list(targets)
         self._target_cycle = itertools.cycle(self.targets)
-
-    def _deliver_next(self) -> None:
-        """Deliver one transaction and schedule the next delivery.
-
-        A bound method rather than per-transaction closures: this runs once
-        per transaction at peak load, where the cost of materializing
-        function objects per submission is measurable.  The transaction's
-        ``submitted_at`` is the precomputed submission instant, not the
-        (later) arrival instant at which this event fires.
-        """
-        index = self._next_index
-        next_index = index + 1
-        self._next_index = next_index
-        first_time = self._first_time
-        interval = self._interval
-        if next_index < self._count:
-            # Inlined ``schedule_at`` with a raw fire-and-forget entry:
-            # one push per transaction at peak load, always in the future
-            # by construction and never cancelled.
-            queue = self._queue
-            sequence = queue._next_sequence
-            queue._next_sequence = sequence + 1
-            _heappush(
-                queue._heap,
-                (
-                    first_time + next_index * interval + self.submission_delay,
-                    sequence,
-                    None,
-                    self._deliver_bound,
-                    None,
-                ),
-            )
-            queue._live += 1
-        target = next(self._target_cycle)
-        transaction = Transaction(
-            next(_next_tx_id),
-            self.client_id,
-            first_time + index * interval,
-            target.id,
-        )
-        self.submitted += 1
-        on_submit = self.on_submit
-        if on_submit is not None:
-            on_submit(transaction)
-        target.submit_transaction(transaction)
 
 
 def spawn_load(

@@ -12,8 +12,9 @@ common profiles from a handful of parameters:
 
 :func:`spawn_phased_load` materializes the segments with the same client
 machinery as constant load (:func:`repro.workload.generator.spawn_load`),
-so the per-client 350 tx/s cap and the single-event submission path apply
-unchanged.
+so the per-client 350 tx/s cap and the lazy bulk delivery apply unchanged;
+a client whose phase is over leaves the merged arrivals, so a long profile
+costs a settle no more than the phases currently running.
 """
 
 from __future__ import annotations

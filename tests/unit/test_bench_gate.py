@@ -14,16 +14,29 @@ if BENCHMARKS_DIR not in sys.path:
 import check_regression  # noqa: E402
 
 
-def fig1_point(load, eps):
-    return {"input_load_tps": load, "events_per_sec": eps}
+# The gate compares wall_s; a point built from an events/sec figure fires
+# this many events, so its events/sec and its speed move together unless
+# a test says otherwise.
+EVENTS = 1_000_000.0
 
 
-def committee_point(size, load, eps, duration=20.0, digest=None):
+def fig1_point(load, eps, events=EVENTS):
+    return {
+        "input_load_tps": load,
+        "events": events,
+        "events_per_sec": eps,
+        "wall_s": events / eps,
+    }
+
+
+def committee_point(size, load, eps, duration=20.0, digest=None, events=EVENTS):
     point = {
         "committee_size": size,
         "input_load_tps": load,
         "duration_s": duration,
+        "events": events,
         "events_per_sec": eps,
+        "wall_s": events / eps,
     }
     if digest is not None:
         point["ordering_digest"] = digest
@@ -77,6 +90,58 @@ class TestThresholdLogic:
             finding.fatal
             for finding in check_regression.compare_documents(fresh, base, 0.35)
         )
+
+
+class TestWallClockIsTheGate:
+    """events/sec is information: a change may remove events."""
+
+    def test_same_events_more_wall_fails(self):
+        base = document([fig1_point(4000.0, 100000.0)])
+        fresh = document([fig1_point(4000.0, 100000.0)])
+        fresh["points"][0]["wall_s"] *= 1.30
+        fresh["points"][0]["events_per_sec"] /= 1.30
+        findings = check_regression.compare_documents(fresh, base, 0.10)
+        fatal = [finding for finding in findings if finding.fatal]
+        assert fatal and "slower" in fatal[0].message
+
+    def test_fewer_events_less_wall_passes(self):
+        # 70% of the events gone and the stage 20% faster: events/sec
+        # reads -62%, and the gate passes.
+        base = document(
+            [fig1_point(4000.0, 100000.0)], [committee_point(25, 4000.0, 200000.0)]
+        )
+        fresh = document(
+            [fig1_point(4000.0, 37500.0, events=0.3 * EVENTS)],
+            [committee_point(25, 4000.0, 75000.0, events=0.3 * EVENTS)],
+        )
+        assert fresh["points"][0]["wall_s"] < base["points"][0]["wall_s"]
+        findings = check_regression.compare_documents(fresh, base, 0.10)
+        assert not any(finding.fatal for finding in findings)
+        rows = check_regression.stage_deltas(fresh, base)
+        assert [row[0] for row in rows] == ["fig1@4000tps", "committee25@4000tps"]
+        assert all(row[3] > 1.0 and row[5] < row[4] for row in rows)
+        assert "fresh ev/s" in check_regression.render_delta_table(rows)[0]
+
+    def test_a_stage_without_wall_s_is_reported_not_gated(self):
+        base = document([{"input_load_tps": 4000.0, "events_per_sec": 100000.0}])
+        fresh = document([{"input_load_tps": 4000.0, "events_per_sec": 10000.0}])
+        findings = check_regression.compare_documents(fresh, base, 0.10)
+        assert not any(finding.fatal for finding in findings)
+        assert any("no wall_s" in finding.message for finding in findings)
+
+    def test_fig1_points_of_another_duration_are_another_stage(self):
+        base = dict(document([fig1_point(4000.0, 100000.0)]), duration_s=20.0)
+        fresh = dict(document([fig1_point(4000.0, 25000.0)]), duration_s=5.0)
+        findings = check_regression.compare_documents(fresh, base, 0.10)
+        assert not any(finding.fatal for finding in findings)
+
+    def test_default_baseline_is_committed(self):
+        assert os.path.basename(check_regression.DEFAULT_BASELINE) == "BENCH_PR17.json"
+        with open(check_regression.DEFAULT_BASELINE, encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        assert baseline["calibration"]["cpu_score"] > 0
+        assert all(point["wall_s"] > 0 for point in baseline["points"])
+        assert all(point["wall_s"] > 0 for point in baseline["committee_scaling"])
 
 
 class TestStageMatching:

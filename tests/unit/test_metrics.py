@@ -64,6 +64,10 @@ class TestLatencyStats:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             LatencyStats().record(-1.0)
+        stats = LatencyStats()
+        with pytest.raises(ValueError):
+            stats.extend([1.0, -1.0])
+        assert stats.count == 0
 
     def test_invalid_percentile_rejected(self):
         stats = LatencyStats()
@@ -214,6 +218,52 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         collector.on_vertex_ordered(ordered_record(("opaque",), ordered_at=2.0))
         assert collector.committed == 0
+
+    def test_first_commit_releases_the_submit_time(self):
+        collector = MetricsCollector(warmup=10.0)
+        early = counter_increment(1, 0, submitted_at=5.0, target_validator=0)
+        late = counter_increment(2, 0, submitted_at=15.0, target_validator=0)
+        pending = counter_increment(3, 0, submitted_at=15.5, target_validator=0)
+        unknown = counter_increment(4, 0, submitted_at=15.5, target_validator=0)
+        for transaction in (early, late, pending):
+            collector.on_transaction_submitted(transaction)
+        collector.on_vertex_ordered(ordered_record((early, late, unknown), ordered_at=16.0))
+        # Committed transactions (warm-up ones included) no longer hold an
+        # entry; one still in flight does; an unregistered one never did.
+        assert set(collector._submit_times) == {3}
+        assert collector.committed == 1
+        assert collector.submitted == 3
+
+    def test_duplicates_are_recognised_after_the_release(self):
+        collector = MetricsCollector()
+        transaction = counter_increment(1, 0, submitted_at=1.0, target_validator=0)
+        unknown = counter_increment(2, 0, submitted_at=1.0, target_validator=0)
+        collector.on_transaction_submitted(transaction)
+        # Twice in one block, again in a later vertex, next to a
+        # transaction that was never registered.
+        collector.on_vertex_ordered(ordered_record((transaction, transaction), ordered_at=2.0))
+        collector.on_vertex_ordered(
+            ordered_record((unknown, transaction), ordered_at=3.0, source=2)
+        )
+        assert collector.committed == 1
+        assert collector.duplicate_commits == 2
+        assert collector.latency.samples == [pytest.approx(2.0 + 0.040 - 1.0)]
+        assert collector.commit_ratio() == 1.0
+
+    def test_execution_queue_carries_over_between_vertices(self):
+        batched = MetricsCollector(confirmation_delay=0.0, execution=ExecutionModel(10.0))
+        model = ExecutionModel(10.0)
+        transactions = [
+            counter_increment(index, 0, submitted_at=0.0, target_validator=0) for index in range(6)
+        ]
+        for transaction in transactions:
+            batched.on_transaction_submitted(transaction)
+        batched.on_vertex_ordered(ordered_record(tuple(transactions[:4]), ordered_at=1.0))
+        batched.on_vertex_ordered(ordered_record(tuple(transactions[4:]), ordered_at=1.2, source=2))
+        expected = [model.execute(1.0) for _ in range(4)] + [model.execute(1.2) for _ in range(2)]
+        assert batched.latency.samples == expected
+        assert batched.execution.executed == 6
+        assert batched.execution.backlog_delay(1.2) == model.backlog_delay(1.2)
 
 
 class TestLeaderUtilizationStats:

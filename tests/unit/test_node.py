@@ -15,6 +15,8 @@ from repro.node.validator import ValidatorNode
 from repro.schedule.round_robin import initial_schedule
 from repro.storage.store import PersistentStore
 from repro.errors import ConfigurationError
+from repro.workload.generator import ClientArrivals, LoadGenerator
+from repro.workload.phases import diurnal_phases, spawn_phased_load
 from repro.workload.transactions import counter_increment
 from tests.conftest import build_round, vid
 
@@ -440,3 +442,118 @@ class TestSynchronizer:
         network.send(97, 0, FetchRequest(requester=97, missing=(VertexId(500, 2),)))
         simulator.run(until=1.0)
         assert responses == []
+
+
+class TestLazyClientLoad:
+    """The four places a pool meets lazily materialised client arrivals."""
+
+    @staticmethod
+    def proposed_by(node):
+        """transaction -> creation time of the own proposal that carried it."""
+        return {
+            transaction: vertex.created_at
+            for _round, vertex in node.store.family("own_proposals").items()
+            for transaction in vertex.block
+        }
+
+    def crash_window_run(self):
+        committee, simulator, network, nodes = build_cluster()
+        for node in nodes.values():
+            node.start()
+        reported = []
+        generator = LoadGenerator(
+            client_id=0,
+            simulator=simulator,
+            targets=[nodes[3]],
+            rate=350.0,
+            duration=3.0,
+            start_time=1.0,
+            on_submit=reported.append,
+        )
+        generator.start()
+        pooled_at_crash = []
+
+        def crash():
+            nodes[3].crash()
+            pooled_at_crash.extend(nodes[3].transaction_pool)
+
+        simulator.schedule_at(2.0, crash)
+        simulator.schedule_at(3.0, nodes[3].recover)
+        simulator.run(until=8.0)
+        return nodes[3], reported, pooled_at_crash
+
+    def test_arrivals_before_a_crash_are_proposed_after_recovery(self):
+        node, reported, pooled_at_crash = self.crash_window_run()
+        # What arrived since the last proposal went into the pool at the
+        # crash instant, not later and not never.
+        assert pooled_at_crash
+        assert all(transaction.submitted_at + 0.040 <= 2.0 for transaction in pooled_at_crash)
+        proposed = self.proposed_by(node)
+        assert all(proposed[transaction] >= 3.0 for transaction in pooled_at_crash)
+
+    def test_arrivals_during_downtime_are_dropped_but_reported(self):
+        node, reported, _ = self.crash_window_run()
+        assert len(reported) == 1050
+        down = [t for t in reported if 2.0 < t.submitted_at + 0.040 <= 3.0]
+        assert len(down) == 350
+        proposed = self.proposed_by(node)
+        assert not any(transaction in proposed for transaction in down)
+        assert set(proposed) == set(reported) - set(down)
+        assert node.transactions_submitted == 1050 - 350
+
+    def test_retargeting_redirects_only_later_arrivals(self):
+        committee, simulator, network, nodes = build_cluster()
+        for node in nodes.values():
+            node.start()
+        reported = []
+        generator = LoadGenerator(
+            client_id=0,
+            simulator=simulator,
+            targets=[nodes[0]],
+            rate=100.0,
+            duration=2.0,
+            start_time=1.0,
+            on_submit=reported.append,
+        )
+        generator.start()
+        # Retarget on the very instant transaction 70 arrives: it still
+        # goes to the old target.
+        switch = generator._first_time + 70 * generator._interval + generator.submission_delay
+        simulator.schedule_at(switch, lambda: generator.set_targets([nodes[1]]))
+        simulator.run(until=6.0)
+        assert [t.target_validator for t in reported] == [0] * 71 + [1] * 129
+        assert set(self.proposed_by(nodes[0])) == set(reported[:71])
+        assert set(self.proposed_by(nodes[1])) == set(reported[71:])
+
+    def test_finished_clients_leave_the_merge(self):
+        committee, simulator, network, nodes = build_cluster()
+        for node in nodes.values():
+            node.start()
+        phases = diurnal_phases(
+            base_tps=100.0, amplitude=300.0, period=4.0, steps=40, start=0.0, end=8.0
+        )
+        quiet = {phase.start for phase in phases if phase.tps == 0.0}
+        assert quiet
+        reported = []
+        generators = spawn_phased_load(
+            simulator, list(nodes.values()), phases, on_submit=reported.append
+        )
+        assert len(generators) > 20
+        arrivals = ClientArrivals.of(simulator)
+        waiting = []
+
+        def look():
+            nodes[0].pool_size
+            unfinished = sum(1 for g in generators if g.submitted < g._count)
+            waiting.append((len(arrivals._heap), unfinished))
+
+        for instant in (1.0, 3.0, 5.0, 7.0):
+            simulator.schedule_at(instant, look)
+        simulator.run(until=9.0)
+        # A settle looks at the head of a heap of unfinished clients, never
+        # at the clients of the phases already over.
+        assert [held for held, _ in waiting] == [unfinished for _, unfinished in waiting]
+        assert waiting[0][0] > waiting[-1][0] > 0
+        assert len(arrivals._heap) == 0
+        assert len(reported) == sum(g._count for g in generators)
+        assert quiet.isdisjoint(g.start_time for g in generators)

@@ -156,3 +156,51 @@ class TestSimulator:
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
+
+
+class RecordingSource:
+    """A lazy source with effects due at fixed instants."""
+
+    def __init__(self, due):
+        self.due = sorted(due)
+        self.horizons = []
+
+    def settle(self, horizon):
+        self.horizons.append(horizon)
+        applied = [instant for instant in self.due if instant <= horizon]
+        self.due = self.due[len(applied):]
+        return applied[-1] if applied else float("-inf")
+
+
+class TestLazySources:
+    def test_settle_brings_sources_up_to_now(self):
+        simulator = Simulator()
+        source = RecordingSource([1.0, 2.0, 3.0])
+        simulator.lazy_sources.append(source)
+        simulator.schedule(2.0, simulator.settle)
+        simulator.run(until=2.5)
+        # Once from inside the event, once on the way out of run().
+        assert source.horizons == [2.0, 2.5]
+        assert source.due == [3.0]
+        assert simulator.now == 2.5
+
+    def test_run_to_idle_finishes_every_schedule(self):
+        simulator = Simulator()
+        source = RecordingSource([1.0, 7.0])
+        simulator.lazy_sources.append(source)
+        simulator.schedule(2.0, lambda: None)
+        assert simulator.run() == 7.0
+        assert source.due == []
+        # The clock follows the last effect, and never runs backwards.
+        simulator.lazy_sources.append(RecordingSource([3.0]))
+        assert simulator.run() == 7.0
+
+    def test_an_event_budget_is_not_idleness(self):
+        simulator = Simulator()
+        source = RecordingSource([0.5, 9.0])
+        simulator.lazy_sources.append(source)
+        for delay in (1.0, 2.0, 3.0):
+            simulator.schedule(delay, lambda: None)
+        simulator.run(max_events=2)
+        assert simulator.now == 2.0
+        assert source.due == [9.0]

@@ -155,9 +155,9 @@ class TestSpawnLoad:
 
 
 class TestMergedSubmissionEvents:
-    """The submit+arrive pair is one event with a precomputed timestamp."""
+    """Arrivals are merged across clients and delivered when a pool is read."""
 
-    def test_one_event_per_transaction(self, simulator):
+    def test_no_heap_event_per_transaction(self, simulator):
         target = FakeValidator(0)
         generator = LoadGenerator(
             client_id=0,
@@ -169,35 +169,42 @@ class TestMergedSubmissionEvents:
         )
         generator.start()
         simulator.run()
-        # 100 transactions, one delivery event each (no separate submits).
-        assert simulator.events_fired == 100
+        # 100 transactions and not one simulator event: run-to-idle
+        # delivers the whole schedule on the way out.
+        assert simulator.events_fired == 0
         assert len(target.received) == 100
+        assert simulator.now == pytest.approx(0.99 + 0.040)
 
-    def test_submitted_at_precedes_arrival_by_delay(self, simulator):
-        seen = []
+    def test_a_read_sees_exactly_the_arrivals_due(self, simulator):
         target = FakeValidator(0)
-        arrivals = []
-
-        class Recorder:
-            id = 0
-
-            def submit_transaction(self, transaction):
-                arrivals.append((transaction, simulator.now))
-
         generator = LoadGenerator(
             client_id=0,
             simulator=simulator,
-            targets=[Recorder()],
+            targets=[target],
             rate=50.0,
             duration=1.0,
             submission_delay=0.25,
-            on_submit=seen.append,
         )
         generator.start()
+        # Transaction i is submitted at i/50 and arrives 0.25 later; a read
+        # at t sees those with submitted_at + delay <= t, the bound included.
+        seen = []
+        for instant in (0.1, 0.25, 0.2500001, 0.5, 0.77, 1.5):
+            simulator.schedule_at(
+                instant,
+                lambda: (simulator.settle(), seen.append((simulator.now, len(target.received)))),
+            )
         simulator.run()
-        assert len(arrivals) == 50
-        for transaction, arrived_at in arrivals:
-            assert arrived_at == pytest.approx(transaction.submitted_at + 0.25)
+        assert seen == [(0.1, 0), (0.25, 1), (0.2500001, 1), (0.5, 13), (0.77, 27), (1.5, 50)]
+        for transaction in target.received:
+            assert transaction.submitted_at + 0.25 <= 1.5
+        # Nothing is created ahead of its arrival instant.
+        late = LoadGenerator(1, simulator, [target], rate=10.0, duration=1.0, start_time=2.0)
+        late.start()
+        simulator.run(until=2.040)
+        assert late.submitted == 0
+        simulator.run(until=2.050)
+        assert late.submitted == 1
 
     def test_submission_timestamps_follow_the_rate(self, simulator):
         seen = []
