@@ -24,7 +24,25 @@ logged reason; see ``repro/netexec/transport.py``).
 Decoded vertices are integrity-checked: the carried digest must equal
 the digest recomputed from the decoded fields, so a corrupted or forged
 vertex body is rejected at the codec boundary, before any protocol code
-sees it.
+sees it.  The check is about half of what decoding a proposal costs and
+is not optional on any path: the DAG, the commit rule and the reputation
+scores all identify a vertex by that digest, and the codec is the only
+place a peer's bytes are compared with it.
+
+There are two decoders and one verdict.  ``_decode_at`` walks any body
+one tagged value at a time and is the authority: it accepts or refuses
+every frame and words every refusal.  The propose, ack and certificate
+frames — nearly all of a run's traffic — also have a *compiled layout*
+(see "wire layouts of the hot frames"): a fixed prefix, or a whole run
+of edges, transactions or signers, is one ``struct`` call with the tag
+bytes included and compared in one go.  A layout decoder returns only
+what ``_decode_at`` would have returned for the same bytes; at the
+first byte off the exact layout it gives up and ``decode`` starts over
+from byte 0 with ``_decode_at``.  Wire bytes, the accept/reject set,
+decoded values and error text therefore do not depend on which decoder
+ran — ``tests/property/test_prop_codec_differential.py`` holds both
+against the reference decoder in ``tests/reference_codec.py`` — and
+every decoded vertex went through ``_build_vertex`` either way.
 
 This module is pure (no clock, no randomness, no sockets) and is safe
 to import from tests and from the lockstep oracle.
@@ -33,6 +51,7 @@ to import from tests and from the lockstep oracle.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -253,6 +272,117 @@ _SPEC_BY_CODE: Dict[int, _TypeSpec] = {spec.code: spec for spec in _SPECS}
 MESSAGE_TYPES: Tuple[type, ...] = tuple(spec.cls for spec in _SPECS)
 
 
+# -- wire layouts of the hot frames ---------------------------------------------
+#
+# A socket run is propose, ack and certificate frames almost entirely, and
+# each is a fixed sequence of tagged fields around three runs of identical
+# items: a vertex's edges, its block, a certificate's signers.  A layout
+# spells such a sequence out in wire order as literal bytes (tags, type
+# codes, fixed lengths) and struct codes; ``_layout`` compiles it to one
+# ``struct.Struct`` whose even items are the literals and whose odd items
+# are the values, so one unpack reads a whole prefix or a whole run and
+# one tuple comparison checks every tag in it.  The decoders over these
+# layouts are an accelerator, never an authority: see ``decode``.
+#
+#   AckMessage          _message voter
+#   ProposeMessage      _message <vertex>
+#   CertificateMessage  _message <vertex> L count, count x signer
+#   CertificateBatch    _message L count, count x CertificateMessage
+#   <vertex>            _VERTEX_HEAD, count x _VERTEX_ID, L count,
+#                       count x _transaction(kind length), _VERTEX_TAIL
+
+
+class _LayoutMismatch(Exception):
+    """The bytes are not the exact layout: the generic decoder decides."""
+
+
+def _object(cls: type) -> bytes:
+    return _TAG_OBJECT + bytes([_SPEC_BY_CLASS[cls].code])
+
+
+def _layout(*tokens) -> Tuple[struct.Struct, Tuple[bytes, ...]]:
+    """Compile literals and struct codes to ``(struct, the literals it must unpack)``."""
+    codes, literals, pending = [], [], b""
+    for token in tokens:
+        if isinstance(token, bytes):
+            pending += token
+        else:
+            codes.append(f"{len(pending)}s{token}")
+            literals.append(pending)
+            pending = b""
+    return struct.Struct(">" + "".join(codes)), tuple(literals)
+
+
+_INT64 = (_TAG_INT, "q")
+_FLOAT64 = (_TAG_FLOAT, "d")
+_DIGEST32 = (_TAG_BYTES + _HEADER.pack(32), "32s")
+_VERTEX_ID = (_object(VertexId), *_INT64, *_INT64)  # round, source
+_VERTEX_HEAD = (_object(Vertex), *_VERTEX_ID, _TAG_FROZENSET, "I")  # id, edge count
+_VERTEX_TAIL = (*_DIGEST32, *_FLOAT64)  # digest, created_at
+# tx_id, client_id, submitted_at, target_validator, then the kind string
+_TRANSACTION_HEAD = (_object(Transaction), *_INT64, *_INT64, *_FLOAT64, *_INT64, _TAG_STR)
+
+
+def _transaction(kind_length: int) -> tuple:
+    kind = (_HEADER.pack(kind_length), f"{kind_length}s")
+    return (*_TRANSACTION_HEAD, *kind, *_INT64)  # ..., kind, payload_bytes
+
+
+def _message(cls: type) -> tuple:
+    return (_object(cls), *_INT64, *_INT64, *_DIGEST32)  # origin, round, digest
+
+
+_ACK = _layout(*_message(AckMessage), *_INT64)
+_PROPOSE = _layout(*_message(ProposeMessage), *_VERTEX_HEAD)
+_CERTIFICATE = _layout(*_message(CertificateMessage), *_VERTEX_HEAD)
+_BATCH = _layout(*_message(CertificateBatch), _TAG_TUPLE, "I")
+_SIGNER_COUNT = _layout(_TAG_TUPLE, "I")
+
+def _wire_size(*tokens) -> int:
+    return sum(
+        len(token) if isinstance(token, bytes) else struct.calcsize(">" + token)
+        for token in tokens
+    )
+
+
+# Where a block's first transaction keeps the length of its kind.
+_KIND_LENGTH_AT = _wire_size(*_TRANSACTION_HEAD)
+_VERTEX_ID_BYTES = _wire_size(*_VERTEX_ID)
+_TRANSACTION_BYTES = _wire_size(*_transaction(0))  # plus the kind's length
+_SIGNER_BYTES = _wire_size(*_INT64)
+_MAX_RUN = 1024
+
+
+def _require_run(count: int, item_bytes: int, data: bytes, offset: int) -> None:
+    """Leave a run to the generic decoder unless it is short and can fit.
+
+    A run is a committee's or a block's worth of items at most, and its
+    items must fit in what is left of the frame: what a peer can make
+    this module compile is then proportional to the bytes it sent, and
+    each of the three caches below holds at most 64 structs of ~12k
+    fields.
+    """
+    if count > _MAX_RUN or count * item_bytes > len(data) - offset:
+        raise _LayoutMismatch
+
+
+@functools.lru_cache(maxsize=64)
+def _edges(count: int):
+    """``count`` edges, then the count of the block behind them."""
+    return _layout(*_VERTEX_ID * count, _TAG_TUPLE, "I")
+
+
+@functools.lru_cache(maxsize=64)
+def _block(count: int, kind_length: int):
+    """``count`` transactions of one kind length, then the vertex's tail."""
+    return _layout(*_transaction(kind_length) * count, *_VERTEX_TAIL)
+
+
+@functools.lru_cache(maxsize=64)
+def _signers(count: int):
+    return _layout(*_INT64 * count)
+
+
 # -- encoding ----------------------------------------------------------------
 
 
@@ -438,14 +568,137 @@ def _decode_at(data: bytes, offset: int) -> Tuple[Any, int]:
     raise CodecError(f"unknown value tag {bytes((tag,))!r}")
 
 
+def _fields_at(layout, data: bytes, offset: int) -> Tuple[tuple, int]:
+    """Unpack ``layout`` at ``offset``: ``(literals and values, offset past them)``."""
+    packed, literals = layout
+    fields = packed.unpack_from(data, offset)
+    if fields[0::2] != literals:
+        raise _LayoutMismatch
+    return fields, offset + packed.size
+
+
+# A named tuple's generated ``__new__`` only counts its arguments, and a
+# layout fixes the count: build the two a vertex is full of in C.
+_vertex_id_of = functools.partial(tuple.__new__, VertexId)
+_transaction_of = functools.partial(tuple.__new__, Transaction)
+
+
+def _vertex_at(
+    data: bytes, offset: int, round_number: int, source: int, edge_count: int
+) -> Tuple[Vertex, int]:
+    """The vertex whose ``_VERTEX_HEAD`` the caller unpacked with its own prefix."""
+    _require_run(edge_count, _VERTEX_ID_BYTES, data, offset)
+    fields, offset = _fields_at(_edges(edge_count), data, offset)
+    edges = frozenset(map(_vertex_id_of, zip(fields[1:-1:4], fields[3:-1:4])))
+    if len(edges) != edge_count:
+        raise _LayoutMismatch
+    block_count = fields[-1]
+    kind_length = _unpack_count(data, offset + _KIND_LENGTH_AT)[0] if block_count else 0
+    _require_run(block_count, _TRANSACTION_BYTES + kind_length, data, offset)
+    fields, offset = _fields_at(_block(block_count, kind_length), data, offset)
+    # Twelve items a transaction (six literals, six values), four for the tail.
+    transactions = zip(
+        fields[1:-4:12],
+        fields[3:-4:12],
+        fields[5:-4:12],
+        fields[7:-4:12],
+        map(bytes.decode, fields[9:-4:12]),
+        fields[11:-4:12],
+    )
+    vertex_id = _vertex_id_of((round_number, source))
+    block = tuple(map(_transaction_of, transactions))
+    try:
+        # Not optional on this path either: a vertex whose carried digest
+        # is not the digest of its fields must never reach protocol code.
+        return _build_vertex((vertex_id, edges, block, fields[-3], fields[-1])), offset
+    except Exception as error:  # noqa: BLE001 - the generic decoder words the refusal
+        raise _LayoutMismatch from error
+
+
+def _ack_at(data: bytes, offset: int) -> Tuple[AckMessage, int]:
+    fields, offset = _fields_at(_ACK, data, offset)
+    return AckMessage(*fields[1::2]), offset
+
+
+def _propose_at(data: bytes, offset: int) -> Tuple[ProposeMessage, int]:
+    head, offset = _fields_at(_PROPOSE, data, offset)
+    vertex, offset = _vertex_at(data, offset, head[7], head[9], head[11])
+    return ProposeMessage(head[1], head[3], head[5], vertex), offset
+
+
+def _certificate_at(data: bytes, offset: int) -> Tuple[CertificateMessage, int]:
+    head, offset = _fields_at(_CERTIFICATE, data, offset)
+    vertex, offset = _vertex_at(data, offset, head[7], head[9], head[11])
+    (_, count), offset = _fields_at(_SIGNER_COUNT, data, offset)
+    _require_run(count, _SIGNER_BYTES, data, offset)
+    fields, offset = _fields_at(_signers(count), data, offset)
+    return CertificateMessage(head[1], head[3], head[5], vertex, fields[1::2]), offset
+
+
+def _batch_at(data: bytes, offset: int) -> Tuple[CertificateBatch, int]:
+    head, offset = _fields_at(_BATCH, data, offset)
+    certificates = []
+    for _ in range(head[7]):
+        certificate, offset = _certificate_at(data, offset)
+        certificates.append(certificate)
+    return CertificateBatch(head[1], head[3], head[5], tuple(certificates)), offset
+
+
+_LAYOUT_DECODERS: Dict[bytes, Callable[[bytes, int], Tuple[Any, int]]] = {
+    _object(AckMessage): _ack_at,
+    _object(ProposeMessage): _propose_at,
+    _object(CertificateMessage): _certificate_at,
+    _object(CertificateBatch): _batch_at,
+}
+
+
 def decode(body: bytes) -> Any:
-    """Decode one canonical value; the body must be consumed exactly."""
+    """Decode one canonical value; the body must be consumed exactly.
+
+    A frame of a type with a compiled layout is tried against it first.
+    Any byte off the layout (a ``None`` payload, a digest that is not 32
+    bytes, a hostile tag, a repeated edge, a vertex ``_build_vertex``
+    refuses, a trailing byte) hands the whole body to ``_decode_at``,
+    so every refusal, and its text, is the generic decoder's.
+    """
+    by_layout = _LAYOUT_DECODERS.get(body[:2])
+    if by_layout is not None:
+        try:
+            value, offset = by_layout(body, 0)
+            if offset == len(body):
+                return value
+        except (_LayoutMismatch, struct.error, UnicodeDecodeError):
+            pass
     value, offset = _decode_at(body, 0)
     if offset != len(body):
         raise CodecError(
             f"frame body has {len(body) - offset} trailing bytes after the value"
         )
     return value
+
+
+def split_frames(buffer, deliver: Callable[[Any], None]) -> int:
+    """Decode every complete frame at the front of ``buffer``, in order.
+
+    Each value goes to ``deliver`` before the next frame is looked at, so
+    whatever precedes a bad frame has been delivered when it raises.  A
+    header is checked as soon as its four bytes are there: a length of
+    zero or above :data:`MAX_FRAME_BYTES` raises :class:`FrameError`
+    without waiting for a body.  Returns the bytes consumed; the rest is
+    a partial frame to keep.  ``buffer`` is ``bytes`` or a ``bytearray``.
+    """
+    offset = 0
+    available = len(buffer)
+    while available - offset >= 4:
+        (length,) = _unpack_count(buffer, offset)
+        if length == 0 or length > MAX_FRAME_BYTES:
+            raise FrameError(f"frame length {length} outside (0, {MAX_FRAME_BYTES}]")
+        end = offset + 4 + length
+        if end > available:
+            break
+        deliver(decode(bytes(buffer[offset + 4:end])))
+        offset = end
+    return offset
 
 
 def decode_frames(buffer: bytes) -> Tuple[Tuple[Any, ...], bytes]:
@@ -457,13 +710,5 @@ def decode_frames(buffer: bytes) -> Tuple[Tuple[Any, ...], bytes]:
     garbage headers must kill the connection, not stall it.
     """
     values: List[Any] = []
-    offset = 0
-    while len(buffer) - offset >= 4:
-        (length,) = _HEADER.unpack(buffer[offset:offset + 4])
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise FrameError(f"frame length {length} outside (0, {MAX_FRAME_BYTES}]")
-        if len(buffer) - offset - 4 < length:
-            break
-        values.append(decode(buffer[offset + 4:offset + 4 + length]))
-        offset += 4 + length
-    return tuple(values), buffer[offset:]
+    consumed = split_frames(buffer, values.append)
+    return tuple(values), buffer[consumed:]

@@ -10,26 +10,40 @@ from :class:`~repro.network.transport.Network` — ``register``/``send``/
 ``.simulator`` timing facade — so the full validator stack runs over
 sockets unmodified.
 
+Both ends of a connection are ``asyncio.Protocol`` callbacks: a frame
+costs one socket write, one read callback and one pass over its bytes,
+and nothing is awaited per frame.
+
 Mechanics:
 
 * **Framing** — every message crosses the wire as a length-prefixed
   canonical frame (``repro/netexec/codec.py``).  The first frame on a
   connection is a :class:`~repro.netexec.codec.Hello` naming the
-  sender.  A truncated, oversized, or garbage frame raises at the codec
-  boundary and the reader closes the connection with a logged reason
-  (``transport.events``) — no hang, no crash.
-* **Backpressure** — each outbound link holds a bounded frame queue
-  drained by a writer task (``write`` + ``drain``).  A full queue sheds
-  the frame and counts it (``stats.messages_dropped``); the protocol's
-  synchronizer repairs the loss.  The default capacity is far above
-  anything smoke-scale traffic reaches, so the bound is an overload
-  valve, not a steady-state drop source.
+  sender.  The receiving end appends each read to one growing buffer
+  and the codec's frame splitter decodes and dispatches every complete
+  frame inline, checking a header's bounds the moment its four bytes
+  are there.  A truncated, oversized, or garbage frame raises at the
+  codec boundary and the connection is closed with a logged reason
+  (``transport.events``), after everything ahead of it in the same
+  read has been dispatched — no hang, no crash.
+* **Backpressure** — a link writes each frame straight to its socket
+  transport.  Only while that transport has paused writing (its buffer
+  is above the high-water mark: the peer is not reading fast enough),
+  or before the connection is up, do frames wait in the link's backlog,
+  at most ``link_capacity`` of them, flushed in order before direct
+  writes resume — a link is FIFO throughout.  A full backlog sheds the
+  frame and counts it (``stats.messages_dropped``); the protocol's
+  synchronizer repairs the loss.  Every frame a link accepted is
+  written or counted: a backlog that outlives its connection counts as
+  dropped.  The default capacity is far above anything smoke-scale
+  traffic reaches, so the bound is an overload valve, not a
+  steady-state drop source.
 * **Connection retry with deadline** — outbound connects retry with
   exponential backoff until ``connect_deadline``; the terminal failure
   is an :class:`OSError` carrying the peer's errno and address, which
   ``repro.cliutil.run_guarded`` surfaces verbatim.
 * **Crash semantics** — ``set_crashed`` mirrors the simulator: frames
-  already queued are in flight and still drain to their destinations
+  already accepted are in flight and still drain to their destinations
   (drain-then-close), new sends from the crashed validator are refused
   at the source, and inbound traffic to it is counted as dropped.  The
   listening socket closes so no new connections reach a dead validator.
@@ -45,7 +59,9 @@ digest purity closure.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import collections
+import functools
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.netexec.clock import MonotonicScheduler
@@ -53,141 +69,190 @@ from repro.netexec.codec import (
     CodecError,
     FrameError,
     Hello,
-    MAX_FRAME_BYTES,
-    _HEADER,
     decode,
     encode_frame,
+    split_frames,
 )
 from repro.network.transport import NetworkStats
 from repro.types import Region, ValidatorId
 
-# Frames per outbound link before the transport starts shedding.  Sized
-# as an overload valve: smoke-scale runs peak at a few hundred queued
-# frames per link, two orders of magnitude below the bound.
+# Frames a link may hold while its socket is not taking them, before the
+# transport starts shedding.  Sized as an overload valve: a link whose
+# peer keeps reading holds none.
 DEFAULT_LINK_CAPACITY = 10_000
 
 DEFAULT_CONNECT_DEADLINE = 5.0
 
-_EOF = object()
-_CLOSE = object()
+# How long shutdown waits for inbound connections to see their peer's
+# close (and so read whatever was still in flight) before aborting them.
+_INBOUND_CLOSE_GRACE = 1.0
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Any:
-    """Read one length-prefixed frame; ``_EOF`` on clean end-of-stream.
-
-    Raises :class:`FrameError` for truncated headers/bodies and
-    out-of-bounds lengths, :class:`CodecError` for garbage bodies — the
-    caller closes the connection with the reason.
-    """
-    try:
-        header = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return _EOF
-        raise FrameError(
-            f"connection closed mid-header ({len(error.partial)}/4 bytes)"
-        ) from error
-    (length,) = _HEADER.unpack(header)
-    if length == 0 or length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} outside (0, {MAX_FRAME_BYTES}]")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise FrameError(
-            f"connection closed mid-frame ({len(error.partial)}/{length} bytes)"
-        ) from error
-    return decode(body)
-
-
-class PeerLink:
-    """One outbound connection: bounded frame queue + writer task."""
+class PeerLink(asyncio.Protocol):
+    """One outbound connection: direct writes, a bounded backlog while paused."""
 
     def __init__(
         self,
         owner: ValidatorId,
         peer: ValidatorId,
-        connect: Callable[[], "asyncio.Future"],
         capacity: int,
+        stats: NetworkStats,
         on_event: Callable[[str], None],
     ) -> None:
         self.owner = owner
         self.peer = peer
-        self._connect = connect
+        self.capacity = capacity
+        self._stats = stats
         self._on_event = on_event
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
+        self.backlog: Deque[bytes] = collections.deque()
         self.frames_sent = 0
         self.frames_dropped = 0
         self.closing = False
-        self.task: Optional[asyncio.Task] = None
-        self.connected: Optional[asyncio.Future] = None
-
-    def start(self, loop: asyncio.AbstractEventLoop) -> None:
-        self.connected = loop.create_future()
-        self.task = loop.create_task(
-            self._run(), name=f"netexec-link-{self.owner}-{self.peer}"
-        )
+        # Resolves once the connection is gone (or was never made).
+        self.closed: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._transport: Optional[asyncio.Transport] = None
+        self._paused = False
+        # The socket transport's ``write`` while a frame may go straight
+        # to it: connection up, not paused, backlog empty, not closing.
+        self._write: Optional[Callable[[bytes], None]] = None
 
     def send_frame(self, frame: bytes) -> bool:
-        """Enqueue without blocking; ``False`` means the frame was shed."""
+        """Write or hold ``frame`` without blocking; ``False`` means it was shed."""
+        write = self._write
+        if write is not None:
+            write(frame)
+            self.frames_sent += 1
+            return True
         if self.closing:
-            self.frames_dropped += 1
+            self._shed(1)
             return False
-        try:
-            self.queue.put_nowait(frame)
-        except asyncio.QueueFull:
-            self.frames_dropped += 1
+        if len(self.backlog) >= self.capacity:
+            self._shed(1)
             self._on_event(
                 f"link {self.owner}->{self.peer}: send queue full "
-                f"({self.queue.maxsize} frames), shedding"
+                f"({self.capacity} frames), shedding"
             )
             return False
+        self.backlog.append(frame)
         return True
 
-    async def _run(self) -> None:
-        try:
-            reader, writer = await self._connect()
-        except OSError as error:
-            self.closing = True
-            if not self.connected.done():
-                self.connected.set_exception(error)
-            return
-        try:
-            writer.write(encode_frame(Hello(self.owner)))
-            await writer.drain()
-            if not self.connected.done():
-                self.connected.set_result(True)
-            while True:
-                frame = await self.queue.get()
-                if frame is _CLOSE:
-                    break
-                writer.write(frame)
-                await writer.drain()
-                self.frames_sent += 1
-        except (ConnectionError, OSError) as error:
-            self.closing = True
-            self._on_event(f"link {self.owner}->{self.peer} failed: {error}")
-        finally:
-            self.closing = True
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def _shed(self, frames: int) -> None:
+        self.frames_dropped += frames
+        self._stats.messages_dropped += frames
 
-    async def close(self) -> None:
-        """Drain-then-close: frames already queued still go out first."""
-        if self.task is None:
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        if self.closing:
+            transport.close()
             return
+        transport.write(encode_frame(Hello(self.owner)))
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._write = None
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        backlog = self.backlog
+        write = self._transport.write
+        # A write that refills the socket buffer calls pause_writing.
+        while backlog and not self._paused:
+            write(backlog.popleft())
+            self.frames_sent += 1
+        if self._paused:
+            return
+        if self.closing:
+            self._transport.close()
+        else:
+            self._write = write
+
+    def connection_lost(self, error: Optional[Exception]) -> None:
+        if error is not None:
+            self._on_event(f"link {self.owner}->{self.peer} failed: {error}")
+        elif not self.closing:
+            self._on_event(f"link {self.owner}->{self.peer} failed: closed by the peer")
+        self._gone()
+
+    def close(self) -> asyncio.Future:
+        """Drain-then-close: refuse new frames, write out the backlog, close.
+
+        Returns the future that resolves once the connection is gone.
+        """
         if not self.closing:
             self.closing = True
-            try:
-                self.queue.put_nowait(_CLOSE)
-            except asyncio.QueueFull:
-                self.task.cancel()
+            self._write = None
+            if self._transport is None:
+                self._gone()
+            elif not self._paused:
+                self._transport.close()
+        return self.closed
+
+    def _gone(self) -> None:
+        self.closing = True
+        self._write = None
+        self._shed(len(self.backlog))
+        self.backlog.clear()
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+
+class _InboundConnection(asyncio.Protocol):
+    """One accepted connection: buffer, split, decode, dispatch — inline."""
+
+    def __init__(self, owner: "AsyncioTransport", endpoint: "_Endpoint") -> None:
+        self._owner = owner
+        self._endpoint = endpoint
+        self._peer: Optional[ValidatorId] = None
+        self._buffer = bytearray()
+        self.transport: Optional[asyncio.Transport] = None
+        self.closed: asyncio.Future = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self._owner._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
         try:
-            await self.task
-        except (asyncio.CancelledError, OSError):
-            pass
+            consumed = split_frames(buffer, self._deliver)
+        except CodecError as error:
+            self._reject(error)
+            return
+        del buffer[:consumed]
+
+    def _deliver(self, message: Any) -> None:
+        if self._peer is not None:
+            self._owner._dispatch(self._peer, self._endpoint, message)
+        elif isinstance(message, Hello):
+            self._peer = message.node_id
+        else:
+            raise FrameError(f"expected a hello frame, got {type(message).__name__}")
+
+    def eof_received(self) -> None:
+        have = len(self._buffer)
+        if have >= 4:
+            need = int.from_bytes(self._buffer[:4], "big")
+            self._reject(FrameError(f"connection closed mid-frame ({have - 4}/{need} bytes)"))
+        elif have:
+            self._reject(FrameError(f"connection closed mid-header ({have}/4 bytes)"))
+
+    def _reject(self, error: CodecError) -> None:
+        origin = "unidentified peer" if self._peer is None else f"validator {self._peer}"
+        self._owner._note(
+            f"validator {self._endpoint.node_id}: closing connection from {origin}: {error}"
+        )
+        self._buffer.clear()
+        self.transport.close()
+
+    def connection_lost(self, error: Optional[Exception]) -> None:
+        if error is not None:
+            self._owner._note(
+                f"validator {self._endpoint.node_id}: connection error: {error}"
+            )
+        self._owner._inbound.discard(self)
+        self.closed.set_result(None)
 
 
 class _Endpoint:
@@ -230,9 +295,11 @@ class AsyncioTransport:
         self.handler_errors: List[BaseException] = []
         self.tracer = None
         self._endpoints: Dict[ValidatorId, _Endpoint] = {}
-        self._links: Dict[Tuple[ValidatorId, ValidatorId], PeerLink] = {}
+        self._node_ids: Tuple[ValidatorId, ...] = ()
+        # sender -> recipient -> link
+        self._links: Dict[ValidatorId, Dict[ValidatorId, PeerLink]] = {}
+        self._inbound: Set[_InboundConnection] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._crash_closers: List[asyncio.Task] = []
 
     # -- registration (mirrors Network.register) ---------------------------------
 
@@ -240,10 +307,11 @@ class AsyncioTransport:
         if node_id in self._endpoints:
             raise NetworkError(f"node {node_id} is already registered")
         self._endpoints[node_id] = _Endpoint(node_id, region, handler)
+        self._node_ids = tuple(sorted(self._endpoints))
 
     @property
     def node_ids(self) -> Tuple[ValidatorId, ...]:
-        return tuple(sorted(self._endpoints))
+        return self._node_ids
 
     def region_of(self, node_id: ValidatorId) -> Region:
         return self._endpoints[node_id].region
@@ -255,49 +323,52 @@ class AsyncioTransport:
 
     async def start(self) -> None:
         """Bind every listener, then connect every ordered pair."""
-        self._loop = asyncio.get_running_loop()
-        for node_id, endpoint in sorted(self._endpoints.items()):
+        loop = self._loop = asyncio.get_running_loop()
+        for node_id in self._node_ids:
+            endpoint = self._endpoints[node_id]
+            accept = functools.partial(_InboundConnection, self, endpoint)
             if self.family == "uds":
                 endpoint.address = f"{self.socket_dir}/validator-{node_id}.sock"
-                endpoint.server = await asyncio.start_unix_server(
-                    self._make_connection_handler(endpoint), path=endpoint.address
-                )
+                endpoint.server = await loop.create_unix_server(accept, path=endpoint.address)
             else:
-                endpoint.server = await asyncio.start_server(
-                    self._make_connection_handler(endpoint), host="127.0.0.1", port=0
-                )
+                endpoint.server = await loop.create_server(accept, host="127.0.0.1", port=0)
                 endpoint.address = endpoint.server.sockets[0].getsockname()[:2]
-        for sender in self.node_ids:
-            for recipient in self.node_ids:
+        connects = []
+        for sender in self._node_ids:
+            links = self._links[sender] = {}
+            for recipient in self._node_ids:
                 if sender == recipient:
                     continue
-                link = PeerLink(
+                link = links[recipient] = PeerLink(
                     owner=sender,
                     peer=recipient,
-                    connect=self._make_connector(recipient),
                     capacity=self.link_capacity,
+                    stats=self.stats,
                     on_event=self._note,
                 )
-                link.start(self._loop)
-                self._links[(sender, recipient)] = link
-        await asyncio.gather(*(link.connected for link in self._links.values()))
+                connects.append(self._connect_with_deadline(recipient, lambda link=link: link))
+        await asyncio.gather(*connects)
 
-    def _make_connector(self, recipient: ValidatorId):
-        async def connect():
-            return await self._connect_with_deadline(recipient)
+    async def _connect_with_deadline(
+        self,
+        recipient: ValidatorId,
+        protocol_factory: Callable[[], asyncio.BaseProtocol] = asyncio.Protocol,
+    ):
+        """Connect ``protocol_factory()`` to ``recipient``'s listener.
 
-        return connect
-
-    async def _connect_with_deadline(self, recipient: ValidatorId):
+        ``connection_made`` has run by the time this returns, so a
+        :class:`PeerLink` has written its Hello.
+        """
+        loop = asyncio.get_running_loop()
         deadline = self.simulator.now + self.connect_deadline
         delay = 0.02
         endpoint = self._endpoints[recipient]
         while True:
             try:
                 if self.family == "uds":
-                    return await asyncio.open_unix_connection(endpoint.address)
+                    return await loop.create_unix_connection(protocol_factory, endpoint.address)
                 host, port = endpoint.address
-                return await asyncio.open_connection(host, port)
+                return await loop.create_connection(protocol_factory, host, port)
             except OSError as error:
                 if self.simulator.now >= deadline:
                     # Re-raise with errno and address intact so the CLI
@@ -311,47 +382,12 @@ class AsyncioTransport:
                 await asyncio.sleep(delay)
                 delay = min(delay * 2, 0.25)
 
-    def _make_connection_handler(self, endpoint: _Endpoint):
-        async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            peer: Optional[ValidatorId] = None
-            try:
-                hello = await read_frame(reader)
-                if hello is _EOF:
-                    return
-                if not isinstance(hello, Hello):
-                    raise FrameError(
-                        f"expected a hello frame, got {type(hello).__name__}"
-                    )
-                peer = hello.node_id
-                while True:
-                    message = await read_frame(reader)
-                    if message is _EOF:
-                        return
-                    self._dispatch(peer, endpoint, message)
-            except (FrameError, CodecError) as error:
-                origin = "unidentified peer" if peer is None else f"validator {peer}"
-                self._note(
-                    f"validator {endpoint.node_id}: closing connection from "
-                    f"{origin}: {error}"
-                )
-            except (ConnectionError, OSError) as error:
-                self._note(
-                    f"validator {endpoint.node_id}: connection error: {error}"
-                )
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-        return handle
-
     async def shutdown(self) -> None:
-        """Graceful stop: drain links, close writers, close listeners."""
-        await asyncio.gather(*(link.close() for link in self._links.values()))
-        if self._crash_closers:
-            await asyncio.gather(*self._crash_closers, return_exceptions=True)
+        """Graceful stop: drain and close links, close listeners, then
+        let every accepted connection read up to its peer's close."""
+        closing = [link.close() for links in self._links.values() for link in links.values()]
+        if closing:
+            await asyncio.gather(*closing)
         for endpoint in self._endpoints.values():
             if endpoint.server is not None:
                 endpoint.server.close()
@@ -359,46 +395,55 @@ class AsyncioTransport:
                     await asyncio.wait_for(endpoint.server.wait_closed(), timeout=5.0)
                 except (asyncio.TimeoutError, OSError):
                     pass
+        if self._inbound:
+            await asyncio.wait(
+                [connection.closed for connection in self._inbound],
+                timeout=_INBOUND_CLOSE_GRACE,
+            )
+        for connection in tuple(self._inbound):
+            connection.transport.abort()
 
     # -- message flow -------------------------------------------------------------
 
     def send(self, sender: ValidatorId, recipient: ValidatorId, message: Any) -> None:
-        frame = encode_frame(message)
-        self._send_encoded(sender, recipient, frame)
+        self._send_encoded(sender, (recipient,), encode_frame(message))
 
     def broadcast(self, sender: ValidatorId, message: Any, include_self: bool = True) -> None:
         self.stats.broadcasts += 1
-        frame = encode_frame(message)
-        for recipient in self.node_ids:
-            if recipient == sender and not include_self:
-                continue
-            self._send_encoded(sender, recipient, frame)
+        recipients = self._node_ids
+        if not include_self:
+            recipients = [recipient for recipient in recipients if recipient != sender]
+        self._send_encoded(sender, recipients, encode_frame(message))
 
     def multicast(self, sender: ValidatorId, recipients, message: Any) -> None:
-        frame = encode_frame(message)
-        for recipient in recipients:
-            self._send_encoded(sender, recipient, frame)
+        self._send_encoded(sender, recipients, encode_frame(message))
 
-    def _send_encoded(self, sender: ValidatorId, recipient: ValidatorId, frame: bytes) -> None:
-        self.stats.messages_sent += 1
-        if self._endpoints[sender].crashed:
-            self.stats.messages_dropped += 1
+    def _send_encoded(
+        self, sender: ValidatorId, recipients: Iterable[ValidatorId], frame: bytes
+    ) -> None:
+        """One encoded frame to each recipient, straight onto its link."""
+        stats = self.stats
+        endpoint = self._endpoints[sender]
+        if endpoint.crashed:
+            for _recipient in recipients:
+                stats.messages_sent += 1
+                stats.messages_dropped += 1
             return
-        if self.drop_filter is not None and self.drop_filter(sender, recipient, frame):
-            self.stats.messages_dropped += 1
-            self.stats.loss_drops += 1
-            return
-        if recipient == sender:
-            # Self-delivery skips the socket but not the codec: the
-            # local copy is decoded from the same frame a remote peer
-            # would receive, so encodability bugs cannot hide locally.
-            message = decode(frame[4:])
-            endpoint = self._endpoints[sender]
-            self._loop.call_soon(self._dispatch, sender, endpoint, message)
-            return
-        link = self._links[(sender, recipient)]
-        if not link.send_frame(frame):
-            self.stats.messages_dropped += 1
+        drop_filter = self.drop_filter
+        links = self._links[sender]
+        for recipient in recipients:
+            stats.messages_sent += 1
+            if drop_filter is not None and drop_filter(sender, recipient, frame):
+                stats.messages_dropped += 1
+                stats.loss_drops += 1
+            elif recipient == sender:
+                # Self-delivery skips the socket but not the codec: the
+                # local copy is decoded from the same frame a remote peer
+                # would receive, so encodability bugs cannot hide locally.
+                self._loop.call_soon(self._dispatch, sender, endpoint, decode(frame[4:]))
+            else:
+                # A shed frame is counted by the link.
+                links[recipient].send_frame(frame)
 
     def _dispatch(self, sender: ValidatorId, endpoint: _Endpoint, message: Any) -> None:
         if endpoint.crashed:
@@ -421,14 +466,13 @@ class AsyncioTransport:
         endpoint.crashed = crashed
         if not crashed or self._loop is None:
             return
-        # Drain-then-close every outbound link: frames queued before the
+        # Drain-then-close every outbound link: frames accepted before the
         # crash are in flight (the simulator delivers those too); the
         # listener closes so no new connection reaches a dead validator.
         if endpoint.server is not None:
             endpoint.server.close()
-        for (sender, _recipient), link in self._links.items():
-            if sender == node_id and not link.closing:
-                self._crash_closers.append(self._loop.create_task(link.close()))
+        for link in self._links.get(node_id, {}).values():
+            link.close()
 
     def is_crashed(self, node_id: ValidatorId) -> bool:
         return self._endpoints[node_id].crashed

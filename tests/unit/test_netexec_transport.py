@@ -8,7 +8,11 @@ net runner drives it), and asserts the wire-level contract:
 * frames delivered end to end after the Hello handshake,
 * garbage on the wire closes that connection with a logged reason —
   the transport neither hangs nor crashes,
-* a full bounded send queue sheds frames and counts them,
+* a link whose peer does not read stops writing, holds at most
+  ``link_capacity`` frames, sheds and counts the rest, and stays FIFO;
+  every frame it accepted is written or counted,
+* frames survive any segmentation; hostile bytes, early EOF and
+  out-of-bounds headers close the connection with the reason logged,
 * a connect that cannot succeed fails *by the deadline* with an
   ``OSError`` carrying errno and the peer's address,
 * crash semantics: a crashed sender's frames are refused at the
@@ -18,14 +22,16 @@ net runner drives it), and asserts the wire-level contract:
 from __future__ import annotations
 
 import asyncio
+import struct
 import tempfile
 
 import pytest
 
 from repro.errors import NetworkError
 from repro.netexec.clock import MonotonicScheduler
-from repro.netexec.codec import Hello, encode_frame
+from repro.netexec.codec import MAX_FRAME_BYTES, Hello, encode_frame
 from repro.netexec.transport import AsyncioTransport, PeerLink
+from repro.network.transport import NetworkStats
 from repro.rbc.messages import BroadcastMessage
 
 
@@ -187,52 +193,131 @@ class TestHostilePeers:
         assert harness.received[0] == []
 
 
+def _bulky(origin, index):
+    """A ~4 KiB frame numbered ``index``: a few dozen fill any socket buffer."""
+    return BroadcastMessage(origin=origin, round=index, digest=bytes(4096))
+
+
 class TestBackpressure:
     def test_full_send_queue_sheds_and_counts(self):
         async def scenario():
-            loop = asyncio.get_running_loop()
-            never = loop.create_future()
             events = []
-
-            async def connect():
-                await never  # the link never comes up, so nothing drains
-
+            stats = NetworkStats()
+            # The link never comes up, so nothing leaves its backlog.
             link = PeerLink(
-                owner=0, peer=1, connect=connect, capacity=2, on_event=events.append
+                owner=0, peer=1, capacity=2, stats=stats, on_event=events.append
             )
-            link.start(loop)
             frame = encode_frame(_ready(0))
             accepted = [link.send_frame(frame) for _ in range(3)]
-            never.cancel()
-            link.task.cancel()
-            try:
-                await link.task
-            except asyncio.CancelledError:
-                pass
-            return accepted, link, events
+            held = len(link.backlog)
+            await link.close()
+            return accepted, held, link, stats, events
 
-        accepted, link, events = run(scenario())
+        accepted, held, link, stats, events = run(scenario())
         assert accepted == [True, True, False]
-        assert link.frames_dropped == 1
-        assert any("send queue full" in event for event in events)
+        assert held == 2
+        assert any("send queue full (2 frames), shedding" in event for event in events)
+        # One shed at the full queue; closing a link that never connected
+        # counts the two it still held: accepted frames are written or counted.
+        assert link.frames_sent == 0
+        assert link.frames_dropped == 3 == stats.messages_dropped
 
     def test_transport_counts_shed_frames_as_dropped(self):
+        """A peer that does not read: writes stop at the high-water mark,
+        the link holds ``link_capacity`` frames and sheds the rest; once
+        the peer reads, what was accepted arrives in send order."""
+        capacity, total = 20, 400
+
         async def scenario():
             with tempfile.TemporaryDirectory() as socket_dir:
-                harness = await _Harness.start(socket_dir, size=2, link_capacity=1)
+                harness = await _Harness.start(socket_dir, size=2, link_capacity=capacity)
                 transport = harness.transport
-                # Stall the writer by swapping in an unconnected queue
-                # consumer: easiest deterministic stall is to pause the
-                # link task and overfill the queue directly.
-                link = transport._links[(0, 1)]
-                link.queue.put_nowait(encode_frame(_ready(0)))  # fill capacity 1
-                before = transport.stats.messages_dropped
-                transport.send(0, 1, _ready(0))
-                dropped_grew = transport.stats.messages_dropped >= before
+                link = transport._links[0][1]
+                # Not yielding to the loop is the peer not reading.
+                for index in range(total):
+                    transport.send(0, 1, _bulky(0, index))
+                stalled = (link.frames_sent, len(link.backlog), link.frames_dropped)
+                assert harness.received[1] == []
+                dropped = transport.stats.messages_dropped
+                await _wait_until(
+                    lambda: len(harness.received[1]) >= total - dropped, timeout=20.0
+                )
                 await transport.shutdown()
-                return dropped_grew
+                return harness, link, stalled, dropped
 
-        assert run(scenario())
+        harness, link, (written, held, shed), dropped = run(scenario())
+        # Direct writes stopped short of everything, the backlog filled to
+        # its bound and no further, the remainder was shed and counted.
+        assert 0 < written < total - capacity
+        assert held == capacity
+        assert shed == dropped == total - written - capacity > 0
+        assert sum("send queue full" in event for event in harness.transport.events) == shed
+        # FIFO across the direct-write / backlog boundary: exactly the
+        # accepted frames, in send order, nothing from behind the shed.
+        assert _rounds(harness.received[1]) == list(range(written + capacity))
+        assert link.frames_sent == written + capacity
+        assert harness.transport.stats.messages_delivered == written + capacity
+
+    def test_close_drains_a_non_empty_backlog_first(self):
+        total = 200
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2)
+                transport = harness.transport
+                link = transport._links[0][1]
+                for index in range(total):
+                    transport.send(0, 1, _bulky(0, index))
+                held = len(link.backlog)
+                closed = link.close()
+                refused = link.send_frame(encode_frame(_ready(0)))
+                await asyncio.wait_for(closed, timeout=20.0)
+                await _wait_until(lambda: len(harness.received[1]) >= total, timeout=20.0)
+                await transport.shutdown()
+                return harness, link, held, refused
+
+        harness, link, held, refused = run(scenario())
+        assert held > 0
+        assert refused is False
+        assert _rounds(harness.received[1]) == list(range(total))
+        assert link.frames_sent == total
+        assert link.frames_dropped == 1 == harness.transport.stats.messages_dropped
+
+    def test_backlog_that_outlives_its_connection_is_counted(self):
+        """The peer goes away while frames wait: written or counted, never neither."""
+        total = 200
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                accepted = []
+                server = await asyncio.start_unix_server(
+                    lambda reader, writer: accepted.append(writer),
+                    path=f"{socket_dir}/peer.sock",
+                )
+                events = []
+                stats = NetworkStats()
+                link = PeerLink(
+                    owner=0, peer=1, capacity=total, stats=stats, on_event=events.append
+                )
+                loop = asyncio.get_running_loop()
+                await loop.create_unix_connection(lambda: link, f"{socket_dir}/peer.sock")
+                results = [
+                    link.send_frame(encode_frame(_bulky(0, index))) for index in range(total)
+                ]
+                await _wait_until(lambda: accepted)
+                held = len(link.backlog)
+                accepted[0].transport.abort()
+                await asyncio.wait_for(link.closed, timeout=5.0)
+                server.close()
+                await server.wait_closed()
+                return link, stats, events, results, held
+
+        link, stats, events, results, held = run(scenario())
+        assert all(results) and held > 0
+        assert link.frames_sent + link.frames_dropped == total
+        assert link.frames_dropped == held == stats.messages_dropped
+        assert len(events) == 1 and "link 0->1 failed" in events[0]
+        assert link.send_frame(b"late") is False
 
 
 class TestConnectDeadline:
@@ -288,3 +373,204 @@ class TestCrashSemantics:
         harness = run(scenario())
         assert harness.received[0] == []
         assert harness.received[2] == []
+
+
+# -- the frame path's contract: segmentation, hostile bytes, EOF, size bounds -----
+
+FAMILIES = pytest.mark.parametrize("family", ["uds", "tcp"])
+
+
+async def _raw_client(transport, node_id):
+    """A plain stream connection to ``node_id``'s listener, as a peer would open."""
+    address = transport._endpoints[node_id].address
+    if transport.family == "uds":
+        return await asyncio.open_unix_connection(address)
+    host, port = address
+    return await asyncio.open_connection(host, port)
+
+
+async def _hang_up(reader, writer, timeout=5.0):
+    """Half-close, then wait for the server's own close; returns what it sent."""
+    if writer.can_write_eof():
+        writer.write_eof()
+    leftovers = await asyncio.wait_for(reader.read(), timeout=timeout)
+    writer.close()
+    await writer.wait_closed()
+    return leftovers
+
+
+def _rounds(inbox):
+    return [message.round for _sender, message in inbox]
+
+
+class TestFramePath:
+    @FAMILIES
+    def test_frame_written_one_byte_at_a_time_is_delivered_once(self, family):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2, family=family)
+                reader, writer = await _raw_client(harness.transport, 0)
+                for byte in encode_frame(Hello(1)) + encode_frame(_ready(1, 7)):
+                    writer.write(bytes((byte,)))
+                    await asyncio.sleep(0)
+                await _wait_until(lambda: harness.received[0])
+                await _hang_up(reader, writer)
+                await harness.transport.shutdown()
+                return harness
+
+        harness = run(scenario())
+        assert harness.received[0] == [(1, _ready(1, 7))]
+        assert harness.transport.stats.messages_delivered == 1
+        assert harness.transport.events == []
+
+    @FAMILIES
+    def test_many_frames_in_one_segment_are_delivered_in_order(self, family):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2, family=family)
+                reader, writer = await _raw_client(harness.transport, 0)
+                writer.write(
+                    encode_frame(Hello(1))
+                    + b"".join(encode_frame(_ready(1, index)) for index in range(500))
+                )
+                await _wait_until(lambda: len(harness.received[0]) >= 500)
+                await _hang_up(reader, writer)
+                await harness.transport.shutdown()
+                return harness
+
+        harness = run(scenario())
+        assert _rounds(harness.received[0]) == list(range(500))
+        assert harness.transport.events == []
+
+    @FAMILIES
+    def test_valid_frames_before_garbage_in_one_segment_are_dispatched(self, family):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2, family=family)
+                reader, writer = await _raw_client(harness.transport, 0)
+                writer.write(
+                    encode_frame(Hello(1))
+                    + b"".join(encode_frame(_ready(1, index)) for index in range(3))
+                    + b"\x00\x00\x00\x05GARBA"
+                    + encode_frame(_ready(1, 99))
+                )
+                leftovers = await asyncio.wait_for(reader.read(), timeout=5.0)
+                writer.close()
+                await writer.wait_closed()
+                await harness.transport.shutdown()
+                return harness, leftovers
+
+        harness, leftovers = run(scenario())
+        assert leftovers == b""
+        # Everything ahead of the garbage was delivered, nothing behind it.
+        assert _rounds(harness.received[0]) == [0, 1, 2]
+        assert len(harness.transport.events) == 1
+        assert (
+            "validator 0: closing connection from validator 1: unknown value tag"
+            in harness.transport.events[0]
+        )
+
+    @FAMILIES
+    @pytest.mark.parametrize(
+        "tail, reason",
+        [
+            (b"\x00\x00", "connection closed mid-header (2/4 bytes)"),
+            (b"\x00\x00\x00\x42" + b"O" * 10, "connection closed mid-frame (10/66 bytes)"),
+        ],
+    )
+    def test_eof_inside_a_frame_is_logged_with_have_and_need(self, family, tail, reason):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2, family=family)
+                reader, writer = await _raw_client(harness.transport, 0)
+                writer.write(encode_frame(Hello(1)) + encode_frame(_ready(1, 5)) + tail)
+                leftovers = await _hang_up(reader, writer)
+                await harness.transport.shutdown()
+                return harness, leftovers
+
+        harness, leftovers = run(scenario())
+        assert leftovers == b""
+        assert _rounds(harness.received[0]) == [5]
+        assert harness.transport.events == [
+            f"validator 0: closing connection from validator 1: {reason}"
+        ]
+
+    @FAMILIES
+    def test_clean_eof_between_frames_is_not_an_event(self, family):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2, family=family)
+                reader, writer = await _raw_client(harness.transport, 0)
+                writer.write(encode_frame(Hello(1)) + encode_frame(_ready(1, 5)))
+                await _hang_up(reader, writer)
+                await harness.transport.shutdown()
+                return harness
+
+        harness = run(scenario())
+        assert _rounds(harness.received[0]) == [5]
+        assert harness.transport.events == []
+
+    @FAMILIES
+    def test_oversized_header_closes_without_waiting_for_a_body(self, family):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2, family=family)
+                reader, writer = await _raw_client(harness.transport, 0)
+                writer.write(
+                    encode_frame(Hello(1)) + struct.pack(">I", MAX_FRAME_BYTES + 1)
+                )
+                # No body follows and the client does not hang up: the
+                # header alone must get the connection closed.
+                leftovers = await asyncio.wait_for(reader.read(), timeout=5.0)
+                writer.close()
+                await writer.wait_closed()
+                await harness.transport.shutdown()
+                return harness, leftovers
+
+        harness, leftovers = run(scenario())
+        assert leftovers == b""
+        assert harness.transport.events == [
+            "validator 0: closing connection from validator 1: "
+            f"frame length {MAX_FRAME_BYTES + 1} outside (0, {MAX_FRAME_BYTES}]"
+        ]
+
+    @FAMILIES
+    def test_large_frame_in_many_reads_is_intact_and_linear(self, family):
+        """A legal multi-megabyte frame trickling in 256 bytes per read.
+
+        Delivered intact, and four times the bytes may not cost anywhere
+        near sixteen times the seconds: a receiver that re-copies what
+        it has buffered on every read (``bytes + bytes``) is quadratic.
+        """
+        chunk = 256
+
+        async def deliver(harness, writer, size):
+            message = BroadcastMessage(origin=1, round=size, digest=bytes(size))
+            frame = encode_frame(message)
+            before = len(harness.received[0])
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            for offset in range(0, len(frame), chunk):
+                writer.write(frame[offset:offset + chunk])
+                await asyncio.sleep(0)
+            await _wait_until(
+                lambda: len(harness.received[0]) > before, timeout=30.0, interval=0.001
+            )
+            assert harness.received[0][-1] == (1, message)
+            return loop.time() - started
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2, family=family)
+                reader, writer = await _raw_client(harness.transport, 0)
+                writer.write(encode_frame(Hello(1)))
+                small = min([await deliver(harness, writer, 512 * 1024) for _ in range(2)])
+                large = min([await deliver(harness, writer, 2048 * 1024) for _ in range(2)])
+                await _hang_up(reader, writer)
+                await harness.transport.shutdown()
+                return harness, small, large
+
+        harness, small, large = run(scenario())
+        assert len(harness.received[0]) == 4
+        assert harness.transport.events == []
+        assert large < 8 * small, (small, large)
