@@ -71,6 +71,7 @@ class StakeVector:
         "_mask_quorum_cache",
         "mask_cache_hits",
         "mask_cache_misses",
+        "verified_certificates",
     )
 
     # Signer tuples seen per run are bounded by committee size x live
@@ -99,6 +100,9 @@ class StakeVector:
         self.uniform_stake: Stake = first if all(s == first for s in self.stakes) else 0
         self._signer_quorum_cache: Dict[Tuple[int, ...], bool] = {}
         self._mask_quorum_cache: Dict[int, bool] = {}
+        # ``id(certificate) -> certificate`` for objects the broadcast
+        # layer verified under this vector (``_verify_certificate``).
+        self.verified_certificates: Dict[int, object] = {}
         # Observability-only tallies (the vector is shared per committee,
         # so per-run numbers depend on committee reuse; keep them out of
         # digests).

@@ -192,6 +192,12 @@ class DagStore:
         Parents below the garbage-collection horizon are treated as
         present: their sub-DAG has already been ordered and pruned.
         """
+        if vertex.edges_adjacent:
+            # Every edge names ``round - 1``, so the edge mask against the
+            # round's source mask answers for all parents at once; a bit
+            # the round lacks (or a pruned round) takes the loop below.
+            if not vertex.edge_mask & ~self._round_sources.get(vertex.round - 1, 0):
+                return self._NO_MISSING
         by_id = self._by_id
         lowest = self._lowest_round
         missing: Optional[Set[VertexId]] = None

@@ -71,19 +71,27 @@ class Vertex:
     round: Round = dataclasses.field(init=False, compare=False, repr=False)
     source: ValidatorId = dataclasses.field(init=False, compare=False, repr=False)
     # Bitmask of the parent sources: bit ``s`` is set iff this vertex has
-    # an edge to round ``round - 1``'s vertex from validator ``s``.  All
-    # edges of a vertex point to the previous round, so the mask loses no
-    # information relative to ``edges`` and lets the vote-stake scan test
-    # anchor support with one AND instead of a frozenset lookup.
+    # an edge to a vertex from validator ``s``.  ``make_vertex`` only
+    # builds vertices whose edges all point to the previous round; a
+    # decoded vertex can name any round, so the mask stands for ``edges``
+    # (one AND instead of a frozenset lookup in the vote-stake scan, one
+    # AND-NOT instead of a lookup per parent in ``missing_parents``) only
+    # where ``edges_adjacent`` says every edge names ``round - 1``.
     edge_mask: int = dataclasses.field(init=False, compare=False, repr=False)
+    edges_adjacent: bool = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        previous = self.id.round - 1
         object.__setattr__(self, "round", self.id.round)
         object.__setattr__(self, "source", self.id.source)
         mask = 0
+        adjacent = True
         for edge in self.edges:
             mask |= 1 << edge.source
+            if edge.round != previous:
+                adjacent = False
         object.__setattr__(self, "edge_mask", mask)
+        object.__setattr__(self, "edges_adjacent", adjacent)
 
     def canonical_fields(self) -> Tuple[Any, ...]:
         """Fields participating in the content digest."""

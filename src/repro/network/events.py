@@ -76,7 +76,7 @@ class EventHandle:
 # push helper would reintroduce the per-event call the shape exists to
 # avoid).  If the entry shape or the ``_live``/``_cancelled`` accounting
 # changes, update ALL of: producers ``EventQueue.push``,
-# ``Simulator._push`` and ``Network._schedule_delivery`` (transport.py);
+# ``Simulator._push`` and ``Network._fan_out`` (transport.py);
 # consumers ``EventQueue.pop``/``peek_time`` and ``Simulator.run``/``step``.
 # Client load is not a producer: arrivals are a lazy source
 # (``Simulator.settle``), never heap entries.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from heapq import heappush as _heappush
+from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import NetworkError
@@ -39,6 +40,8 @@ from repro.types import Region, SimTime
 
 # A delivery handler receives (sender_id, message).
 DeliveryHandler = Callable[[int, Any], None]
+# One sender's view of the fabric: ``(endpoint, base delay)`` per node.
+_Row = Tuple[Tuple["_Endpoint", SimTime], ...]
 
 
 @dataclasses.dataclass
@@ -63,6 +66,7 @@ class _Endpoint:
     node_id: int
     region: Region
     handler: DeliveryHandler
+    index: int  # registration position: where the node sits in every row
     crashed: bool = False
     processing_delay: SimTime = 0.0
     inbound_extra_delay: SimTime = 0.0
@@ -72,7 +76,7 @@ class _Endpoint:
 def _deliver_message(
     destination: _Endpoint, stats: NetworkStats, sender: int, message: Any
 ) -> None:
-    """Fire one delivery (shared event callback, see ``_schedule_delivery``).
+    """Fire one delivery (shared event callback, see ``Network._fan_out``).
 
     Crash state is re-read at delivery time: a node that crashed while
     the message was in flight must not process it, and a node that
@@ -119,12 +123,11 @@ class Network:
         self._next_disturbance_token = 0
         self._jitter: SimTime = 0.0
         self._loss_rate: float = 0.0
-        # Per-(sender, recipient) base delay memo for the geo fast path,
-        # keyed by packed node-id pair.  Regions are fixed at
-        # registration; the memo is dropped if the latency model object
-        # is swapped out (tests do this).
-        self._pair_base: Dict[int, SimTime] = {}
-        self._pair_base_model: Optional[LatencyModel] = None
+        # Per-sender rows (see ``_row``).  Regions are fixed at registration,
+        # so rows are dropped only when a node registers or the latency
+        # model object is swapped out (tests do this).
+        self._rows: Dict[int, _Row] = {}
+        self._rows_model: Optional[LatencyModel] = None
 
     def install_observability(self, tracer: Tracer, registry: Optional[Any] = None) -> None:
         """Attach a tracer (and optionally a counter registry).
@@ -142,7 +145,8 @@ class Network:
         """Register a node so it can send and receive messages."""
         if node_id in self._endpoints:
             raise NetworkError(f"node {node_id} is already registered")
-        self._endpoints[node_id] = _Endpoint(node_id=node_id, region=region, handler=handler)
+        self._endpoints[node_id] = _Endpoint(node_id, region, handler, len(self._endpoints))
+        self._rows.clear()
 
     def is_registered(self, node_id: int) -> bool:
         return node_id in self._endpoints
@@ -276,13 +280,6 @@ class Network:
         self._jitter = jitter
         self._loss_rate = 1.0 - keep
 
-    def _crosses_partition(self, sender: int, recipient: int) -> bool:
-        groups = self._partition_groups
-        if groups is None or sender == recipient:
-            return False
-        # Unlisted nodes share the implicit group -1.
-        return groups.get(sender, -1) != groups.get(recipient, -1)
-
     # -- sending ---------------------------------------------------------------
 
     def send(self, sender: int, recipient: int, message: Any) -> None:
@@ -308,24 +305,7 @@ class Network:
             if self._tracing:
                 self._trace_drop(sender, recipient, message, "sender_crashed")
             return
-        if self._partition_groups is not None and self._crosses_partition(sender, recipient):
-            stats.messages_dropped += 1
-            stats.partition_drops += 1
-            if self._tracing:
-                self._trace_drop(sender, recipient, message, "partition")
-            return
-        if (
-            self._loss_rate > 0.0
-            and sender != recipient
-            and self.simulator.rng.random() < self._loss_rate
-        ):
-            stats.messages_dropped += 1
-            stats.loss_drops += 1
-            if self._tracing:
-                self._trace_drop(sender, recipient, message, "loss")
-            return
-        delay = self._delivery_delay(source, destination)
-        self._schedule_delivery(source.node_id, destination, message, delay)
+        self._fan_out(source, ((self._row(source)[destination.index], message),))
 
     def _trace_drop(self, sender: int, recipient: int, message: Any, reason: str) -> None:
         fields: Dict[str, Any] = {
@@ -349,82 +329,122 @@ class Network:
             fields["round"] = message.round
         self.tracer.emit("message_dropped", **fields)
 
-    def _schedule_delivery(
-        self, sender: int, destination: _Endpoint, message: Any, delay: SimTime
-    ) -> None:
-        # Scheduling bypasses ``schedule_at``'s past-time guard (the delay
-        # is clamped non-negative), inlines the queue push, and carries
-        # the delivery arguments on the event instead of materializing a
-        # closure; this path runs once per message and both the call
-        # layers and the per-message closure were measurable.
+    def _row(self, source: _Endpoint) -> _Row:
+        """``source``'s row: every node in registration order, each with
+        the geo model's base delay from ``source`` (unused by other models)."""
+        model = self.latency_model
+        if model is not self._rows_model:
+            self._rows.clear()
+            self._rows_model = model
+        row = self._rows.get(source.node_id)
+        if row is None:
+            geo = type(model) is GeoLatencyModel
+            row = self._rows[source.node_id] = tuple(
+                (destination, model.base_delay(source.region, destination.region) if geo else 0.0)
+                for destination in sorted(self._endpoints.values(), key=lambda endpoint: endpoint.index)
+            )
+        return row
+
+    def _fan_out(self, source: _Endpoint, sends: Iterable[Tuple[Tuple[_Endpoint, SimTime], Any]]) -> None:
+        """Schedule one delivery per ``(row entry, message)``, in order.
+
+        The one fan-out loop: partition check, loss draw, delay, heap
+        push, with everything the sender fixes read once.  For the default
+        models the delay is ``GeoLatencyModel.one_way_delay`` (its uniform
+        jitter as the bit-identical ``2j * random() - j``), link extras,
+        processing delay and window jitter, capped at delta, in exactly
+        ``_delivery_delay``'s float-operation and RNG-draw order;
+        self-delivery and other models call it.  The push skips
+        ``schedule_at``'s past-time guard (no delay is negative) and
+        carries the delivery arguments on a raw event, not a closure.
+        """
+        stats = self.stats
+        sender = source.node_id
         simulator = self.simulator
+        rng = simulator.rng
+        random = rng.random
+        now = simulator._now
         queue = simulator._queue
-        sequence = queue._next_sequence
-        queue._next_sequence = sequence + 1
-        _heappush(
-            queue._heap,
-            (
-                simulator._now + delay,
-                sequence,
-                None,
-                _deliver_message,
-                (destination, self.stats, sender, message),
-            ),
-        )
-        queue._live += 1
+        heap = queue._heap
+        groups = self._partition_groups
+        # Unlisted nodes share the implicit group -1.
+        sender_group = groups.get(sender, -1) if groups is not None else -1
+        loss_rate = self._loss_rate
+        model = self.latency_model
+        synchrony = self.synchrony
+        inline = type(model) is GeoLatencyModel and type(synchrony) is AlwaysSynchronous
+        if inline:
+            fraction = model.jitter_fraction
+            extra = model.extra_latency
+            source_region = source.region.name
+            outbound = source.outbound_extra_delay
+            window = self._jitter
+            delta = synchrony.delta
+        for (destination, delay), message in sends:
+            if destination is source:
+                delay = self._delivery_delay(source, destination)
+            else:
+                if groups is not None and sender_group != groups.get(destination.node_id, -1):
+                    stats.messages_dropped += 1
+                    stats.partition_drops += 1
+                    if self._tracing:
+                        self._trace_drop(sender, destination.node_id, message, "partition")
+                    continue
+                if loss_rate > 0.0 and random() < loss_rate:
+                    stats.messages_dropped += 1
+                    stats.loss_drops += 1
+                    if self._tracing:
+                        self._trace_drop(sender, destination.node_id, message, "loss")
+                    continue
+                if inline:
+                    if extra:
+                        delay += extra.get(source_region, 0.0)
+                        delay += extra.get(destination.region.name, 0.0)
+                    jitter = delay * fraction
+                    delay += jitter * 2.0 * random() - jitter
+                    if delay < 0.0002:
+                        delay = 0.0002
+                    delay += outbound + destination.inbound_extra_delay
+                    delay += destination.processing_delay
+                    if window > 0.0:
+                        delay += rng.uniform(0.0, window)
+                    if delay > delta:
+                        delay = delta
+                else:
+                    delay = self._delivery_delay(source, destination)
+            sequence = queue._next_sequence
+            queue._next_sequence = sequence + 1
+            _heappush(
+                heap,
+                (now + delay, sequence, None, _deliver_message, (destination, stats, sender, message)),
+            )
+            queue._live += 1
 
     def broadcast(self, sender: int, message: Any, include_self: bool = True) -> None:
         """Send ``message`` from ``sender`` to every registered node.
 
         This is the certificate/proposal fan-out path: one call issues
-        ``n`` sends, so the per-recipient work is inlined (the sender-side
-        checks are hoisted out of the loop).  Recipient order, RNG draw
-        order, and all statistics counters are identical to looping over
+        ``n`` sends through one pass of :meth:`_fan_out` over the sender's
+        row.  Recipient order (registration order), RNG draw order, and
+        all statistics counters are identical to looping over
         :meth:`send` — batched envelopes change what a send carries, never
         how many sends happen or when.
         """
         stats = self.stats
         stats.broadcasts += 1
-        endpoints = self._endpoints
-        source = endpoints.get(sender)
-        if source is None:
-            raise NetworkError(f"node {sender} is not registered")
-        recipients = len(endpoints) - (0 if include_self else 1)
-        stats.messages_sent += recipients
+        source = self._endpoint(sender)
+        row = self._row(source)
+        if not include_self:
+            row = row[: source.index] + row[source.index + 1 :]
+        stats.messages_sent += len(row)
         if self._counters is not None:
-            self._counters.count_message(message, recipients)
+            self._counters.count_message(message, len(row))
         if source.crashed:
-            stats.messages_dropped += recipients
+            stats.messages_dropped += len(row)
             if self._tracing:
                 self._trace_drop(sender, -1, message, "sender_crashed")
             return
-        groups = self._partition_groups
-        loss_rate = self._loss_rate
-        rng = self.simulator.rng
-        delivery_delay = self._delivery_delay
-        schedule_delivery = self._schedule_delivery
-        tracing = self._tracing
-        for destination in endpoints.values():
-            node_id = destination.node_id
-            if node_id == sender and not include_self:
-                continue
-            if (
-                groups is not None
-                and node_id != sender
-                and groups.get(sender, -1) != groups.get(node_id, -1)
-            ):
-                stats.messages_dropped += 1
-                stats.partition_drops += 1
-                if tracing:
-                    self._trace_drop(sender, node_id, message, "partition")
-                continue
-            if loss_rate > 0.0 and node_id != sender and rng.random() < loss_rate:
-                stats.messages_dropped += 1
-                stats.loss_drops += 1
-                if tracing:
-                    self._trace_drop(sender, node_id, message, "loss")
-                continue
-            schedule_delivery(sender, destination, message, delivery_delay(source, destination))
+        self._fan_out(source, zip(row, repeat(message)))
 
     def scatter(self, sender: int, envelopes: Iterable[Tuple[int, Any]]) -> None:
         """Fan per-recipient envelopes out in one broadcast-shaped call.
@@ -433,104 +453,46 @@ class Network:
         envelope (the proposal plus the certificate delta selected for
         that peer), but the call is accounted and scheduled exactly like
         :meth:`broadcast` — one ``broadcasts`` tick, ``len(envelopes)``
-        sends, and the same per-recipient partition/loss/delay logic in
-        the same order.  Callers must list every registered node exactly
-        once, in registration order (ascending ids, the committee order);
-        then the RNG draw sequence, the event sequence, and every
-        :class:`NetworkStats` counter are byte-identical to broadcasting
-        one message to the full committee — only the envelope contents
-        differ per recipient.
+        sends, and the same :meth:`_fan_out` pass.  Callers must list
+        every registered node exactly once, in registration order
+        (ascending ids, the committee order); then the RNG draw sequence,
+        the event sequence, and every :class:`NetworkStats` counter are
+        byte-identical to broadcasting one message to the full committee
+        — only the envelope contents differ per recipient.
         """
         stats = self.stats
         stats.broadcasts += 1
-        endpoints = self._endpoints
-        source = endpoints.get(sender)
-        if source is None:
-            raise NetworkError(f"node {sender} is not registered")
-        envelopes = tuple(envelopes)
-        stats.messages_sent += len(envelopes)
+        source = self._endpoint(sender)
+        row = self._row(source)
+        sends = [(row[self._endpoint(recipient).index], message) for recipient, message in envelopes]
+        stats.messages_sent += len(sends)
         if self._counters is not None:
-            for _recipient, message in envelopes:
+            for _entry, message in sends:
                 self._counters.count_message(message)
         if source.crashed:
-            stats.messages_dropped += len(envelopes)
-            if self._tracing and envelopes:
-                self._trace_drop(sender, -1, envelopes[0][1], "sender_crashed")
+            stats.messages_dropped += len(sends)
+            if self._tracing and sends:
+                self._trace_drop(sender, -1, sends[0][1], "sender_crashed")
             return
-        groups = self._partition_groups
-        loss_rate = self._loss_rate
-        rng = self.simulator.rng
-        delivery_delay = self._delivery_delay
-        schedule_delivery = self._schedule_delivery
-        tracing = self._tracing
-        for recipient, message in envelopes:
-            destination = endpoints.get(recipient)
-            if destination is None:
-                raise NetworkError(f"recipient {recipient} is not registered")
-            if (
-                groups is not None
-                and recipient != sender
-                and groups.get(sender, -1) != groups.get(recipient, -1)
-            ):
-                stats.messages_dropped += 1
-                stats.partition_drops += 1
-                if tracing:
-                    self._trace_drop(sender, recipient, message, "partition")
-                continue
-            if loss_rate > 0.0 and recipient != sender and rng.random() < loss_rate:
-                stats.messages_dropped += 1
-                stats.loss_drops += 1
-                if tracing:
-                    self._trace_drop(sender, recipient, message, "loss")
-                continue
-            schedule_delivery(sender, destination, message, delivery_delay(source, destination))
+        self._fan_out(source, sends)
 
     def multicast(self, sender: int, recipients: Iterable[int], message: Any) -> None:
         """Send ``message`` from ``sender`` to each node in ``recipients``."""
         for recipient in recipients:
             self.send(sender, recipient, message)
 
-    # -- delay computation -------------------------------------------------------
-
     def _delivery_delay(self, source: _Endpoint, destination: _Endpoint) -> SimTime:
+        """The delay by the models' own methods (what ``_fan_out`` does not inline)."""
         rng = self.simulator.rng
-        model = self.latency_model
-        if source.node_id == destination.node_id:
-            base = model.local_delay(rng)
-        elif type(model) is GeoLatencyModel:
-            # Inlined GeoLatencyModel.one_way_delay (the default model;
-            # one call per message sent): base memoized per node pair,
-            # optional extras, and the uniform jitter expanded to its
-            # bit-identical ``-j + 2j * random()`` form.
-            if model is not self._pair_base_model:
-                self._pair_base.clear()
-                self._pair_base_model = model
-            key = (source.node_id << 20) | destination.node_id
-            base = self._pair_base.get(key)
-            if base is None:
-                base = model.base_delay(source.region, destination.region)
-                self._pair_base[key] = base
-            extra = model.extra_latency
-            if extra:
-                base += extra.get(source.region.name, 0.0)
-                base += extra.get(destination.region.name, 0.0)
-            jitter = base * model.jitter_fraction
-            base += jitter * 2.0 * rng.random() - jitter
-            if base < 0.0002:
-                base = 0.0002
+        if source is destination:
+            base = self.latency_model.local_delay(rng)
         else:
-            base = model.one_way_delay(source.region, destination.region, rng)
+            base = self.latency_model.one_way_delay(source.region, destination.region, rng)
         base += source.outbound_extra_delay + destination.inbound_extra_delay
         base += destination.processing_delay
-        if self._jitter > 0.0 and source.node_id != destination.node_id:
+        if self._jitter > 0.0 and source is not destination:
             base += rng.uniform(0.0, self._jitter)
-        synchrony = self.synchrony
-        if type(synchrony) is AlwaysSynchronous:
-            # Inlined AlwaysSynchronous.adjust_delay: this runs once per
-            # message and the default model is a pure min() with no RNG.
-            adjusted = base if base < synchrony.delta else synchrony.delta
-        else:
-            adjusted = synchrony.adjust_delay(self.simulator.now, base, rng)
+        adjusted = self.synchrony.adjust_delay(self.simulator.now, base, rng)
         return adjusted if adjusted > 0.0 else 0.0
 
     # -- introspection --------------------------------------------------------------

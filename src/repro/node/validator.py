@@ -127,6 +127,8 @@ class ValidatorNode:
         self.fetch_vertices_received = 0
         self.fetch_vertices_new = 0
         self.recoveries = 0
+        # Certified deliveries dropped because the vertex named another slot.
+        self.slot_mismatches_dropped = 0
 
         self.network.register(validator_id, committee.region_of(validator_id), self._on_network_message)
         self.dag.on_insert(self._on_vertex_inserted)
@@ -537,6 +539,20 @@ class ValidatorNode:
     def _on_broadcast_delivery(self, delivery: Delivery) -> None:
         vertex = delivery.payload
         if not isinstance(vertex, Vertex):
+            return
+        if vertex.round != delivery.round or vertex.source != delivery.origin:
+            # Acks bind a payload to the broadcaster's own slot, so it can
+            # certify there a vertex whose id names an honest validator.
+            self.slot_mismatches_dropped += 1
+            if self._tracing:
+                self._tracer.emit(
+                    "slot_mismatch_dropped",
+                    node=self.id,
+                    round=delivery.round,
+                    origin=delivery.origin,
+                    vertex_round=vertex.round,
+                    vertex_source=vertex.source,
+                )
             return
         self._ingest_vertex(vertex)
 

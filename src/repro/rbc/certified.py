@@ -41,7 +41,13 @@ are engineered away here:
   process-wide (:data:`~repro.crypto.hashing.BROADCAST_DIGEST_MEMO`) and
   computed once per broadcast; batches verify their certificates in one
   pass over the shared memo.  The 2f+1 signer check is likewise memoized
-  per signer tuple (one certificate object fans out to all peers).
+  per signer tuple.  In a simulated committee one certificate *object*
+  fans out to all peers, so the first recipient's success is remembered
+  for that object under the committee's stake vector and later
+  recipients are answered by identity; a decoded, copied or
+  differently-committee'd certificate is another object or another
+  vector and takes both memoized checks, and a failure is never
+  remembered.
 * **Batched delivery** (:class:`CertificateBatch`) keeps the transport
   send count at one per peer per round regardless of how many
   certificates a validator emits; receivers split, deduplicate against
@@ -99,6 +105,8 @@ PIGGYBACK_MAX_PER_ENVELOPE = 12
 PIGGYBACK_RECENT_LIMIT = 256
 PIGGYBACK_SEEN_LIMIT = 512
 PIGGYBACK_PENDING_LIMIT = 256
+# Verified certificate objects kept per stake vector (a fan-out spans a few rounds).
+VERIFIED_CERTIFICATES_LIMIT = 1024
 
 
 class CertifiedBroadcast(BroadcastProtocol):
@@ -465,19 +473,32 @@ class CertifiedBroadcast(BroadcastProtocol):
     def _verify_certificate(self, message: CertificateMessage) -> bool:
         """One certificate's aggregate check: signer quorum + digest.
 
-        Both halves are memoized process-wide (the signer tuple and the
-        digest preimage are shared by all recipients of one fan-out), so
-        a batch is verified in a single pass over cached verdicts.  The
-        tuple memo's miss path converts to a bitmask once and decides via
+        An object that already passed under this stake vector is answered
+        by identity.  Otherwise both halves are memoized process-wide (the
+        signer tuple and the digest preimage are shared by all recipients
+        of one fan-out), so a batch is verified in a single pass over
+        cached verdicts.  The tuple memo's miss path converts to a
+        bitmask once and decides via
         :meth:`~repro.committee.stake.StakeVector.mask_has_quorum`;
         calling the converter per verification instead costs O(signers)
         per certificate and measurably regressed committee-100 runs.
         """
-        if not self._stake_vector.signer_tuple_has_quorum(message.signers):
+        vector = self._stake_vector
+        verified = vector.verified_certificates
+        if verified.get(id(message)) is message:
+            return True
+        if not vector.signer_tuple_has_quorum(message.signers):
             # An invalid certificate cannot trigger delivery.
             return False
-        expected = self._broadcast_digest(message.origin, message.round, message.payload)
-        return expected == message.digest
+        if self._broadcast_digest(message.origin, message.round, message.payload) != message.digest:
+            return False
+        # Only a success is remembered, and the memo holds the object, so
+        # its ``id`` cannot be reused while the entry lives.  Sound only
+        # because a message is never edited in place once built (the
+        # dataclasses in ``rbc/messages.py`` are not frozen; see there).
+        evict_oldest_half(verified, VERIFIED_CERTIFICATES_LIMIT)
+        verified[id(message)] = message
+        return True
 
     def _handle_certificate(self, sender: ValidatorId, message: CertificateMessage) -> None:
         if self.piggyback_certificates:

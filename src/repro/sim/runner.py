@@ -411,6 +411,7 @@ class SimulationRunner:
             ),
             "fetch.vertices_new": float(sum(node.fetch_vertices_new for node in nodes)),
             "node.recoveries": float(sum(node.recoveries for node in nodes)),
+            "node.slot_mismatches_dropped": float(sum(node.slot_mismatches_dropped for node in nodes)),
             "node.certificates_piggybacked": float(
                 sum(
                     getattr(node.broadcast_protocol, "certificates_piggybacked", 0)
@@ -433,6 +434,7 @@ class SimulationRunner:
             "memo.mask_quorum.misses": float(vector.mask_cache_misses),
             "memo.mask_quorum.size": float(len(vector._mask_quorum_cache)),
             "memo.edge_quorum.size": float(self.committee.edge_quorum_cache_size()),
+            "memo.verified_certificates.size": float(len(vector.verified_certificates)),
             "memo.ordering_tokens.size": float(len(_ORDERING_TOKENS)),
         }
         intern_sizes = intern_table_sizes()

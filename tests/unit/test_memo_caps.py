@@ -15,6 +15,7 @@ import repro.dag.vertex as vertex_module
 from repro.committee.stake import StakeVector, equal_stake
 from repro.crypto.hashing import evict_oldest_half
 from repro.dag.vertex import intern_table_sizes, interned_vertex_id, make_vertex
+from repro.rbc.certified import VERIFIED_CERTIFICATES_LIMIT
 from repro.sim.experiment import ExperimentConfig, run_experiment
 
 
@@ -85,6 +86,34 @@ class TestQuorumCacheCaps:
         assert len(vector._signer_quorum_cache) <= 32
 
 
+class TestVerifiedCertificateCap:
+    def test_verified_certificate_memo_stays_bounded(self, monkeypatch):
+        import repro.rbc.certified as certified
+        from repro.committee import Committee
+        from repro.rbc.messages import CertificateMessage
+
+        monkeypatch.setattr(certified, "VERIFIED_CERTIFICATES_LIMIT", 8)
+        committee = Committee.build(4)
+        protocol = certified.CertifiedBroadcast(0, committee, network=None, on_deliver=None)
+        certificates = [
+            CertificateMessage(
+                origin=1,
+                round=round_number,
+                digest=protocol._broadcast_digest(1, round_number, "payload"),
+                payload="payload",
+                signers=(0, 1, 2),
+            )
+            for round_number in range(40)
+        ]
+        memo = committee.stake_vector.verified_certificates
+        for certificate in certificates:
+            assert protocol._verify_certificate(certificate)
+            assert len(memo) <= 8
+        # An evicted object is verified in full again, never refused.
+        assert id(certificates[0]) not in memo
+        assert protocol._verify_certificate(certificates[0])
+
+
 class TestCountersExposeMemoSizes:
     def test_run_counters_carry_sizes_under_caps(self):
         result = run_experiment(
@@ -97,6 +126,7 @@ class TestCountersExposeMemoSizes:
             ("memo.intern.vertex_id.size", vertex_module._INTERN_LIMIT),
             ("memo.intern.digest.size", vertex_module._INTERN_LIMIT),
             ("memo.edge_quorum.size", 65536),
+            ("memo.verified_certificates.size", VERIFIED_CERTIFICATES_LIMIT),
         ):
             assert key in always
             assert 0 <= always[key] <= cap

@@ -557,3 +557,55 @@ class TestLazyClientLoad:
         assert len(arrivals._heap) == 0
         assert len(reported) == sum(g._count for g in generators)
         assert quiet.isdisjoint(g.start_time for g in generators)
+
+
+class TestForgedSlot:
+    """A certified payload is bound to the broadcast slot that certified it."""
+
+    @staticmethod
+    def forged_slot_run():
+        from repro.dag.vertex import make_vertex
+        from repro.obs.trace import MemoryTracer
+
+        committee, simulator, network, nodes = build_cluster()
+        tracer = MemoryTracer(clock=lambda: simulator.now)
+        for node in nodes.values():
+            node.install_observability(tracer)
+            node.start()
+        forged = []
+
+        def forge():
+            # Validator 3 certifies, in a slot of its own, a vertex whose
+            # id names validator 0.  Acks bind (origin, round, digest), so
+            # every honest validator acknowledges it.  The slot is far
+            # ahead so validator 3's own later rounds do not collide.
+            byzantine = nodes[3]
+            round_number = byzantine.current_round
+            parents = [vertex.id for vertex in byzantine.dag.vertices_at(round_number - 1)]
+            vertex = make_vertex(round_number, 0, parents, block=("forged",))
+            forged.append(vertex)
+            byzantine.broadcast_protocol.broadcast(vertex, round_number + 1000)
+
+        simulator.schedule_at(1.0, forge)
+        simulator.run(until=3.0)
+        return nodes, tracer, forged[0]
+
+    def test_forged_vertex_is_dropped_and_the_run_completes(self):
+        nodes, tracer, forged = self.forged_slot_run()
+        # Certified and delivered everywhere, ingested nowhere.
+        assert [node.slot_mismatches_dropped for node in nodes.values()] == [1, 1, 1, 1]
+        for node in nodes.values():
+            held = node.dag.get(forged.id)
+            assert held is None or held.digest != forged.digest
+            assert forged.id not in {vertex.id for vertex in node.dag.pending_vertices()}
+            assert node.current_round > forged.round + 10
+        dropped = [event for event in tracer.events if event["kind"] == "slot_mismatch_dropped"]
+        assert len(dropped) == 4
+        assert {(event["origin"], event["vertex_source"]) for event in dropped} == {(3, 0)}
+
+    def test_honest_prefixes_stay_consistent(self):
+        nodes, _tracer, forged = self.forged_slot_run()
+        sequences = [nodes[validator].consensus.ordered_ids() for validator in (0, 1, 2)]
+        shortest = min(len(sequence) for sequence in sequences)
+        assert shortest > 0 and any(vertex_id.round > forged.round for vertex_id in sequences[0])
+        assert all(sequence[:shortest] == sequences[0][:shortest] for sequence in sequences)

@@ -140,3 +140,77 @@ class TestCertifiedBroadcastSpecifics:
         protocols[0].handle_message(1, spoofed)
         simulator.run()
         assert deliveries[0] == []
+
+
+class TestCertificateVerdictByIdentity:
+    """One certificate object fans out to every recipient: the first success
+    is remembered for *that object* under *that stake vector*, nothing else."""
+
+    @staticmethod
+    def genuine(origin=2, round_number=4, payload="payload", signers=(0, 1, 2)):
+        digest = CertifiedBroadcast._broadcast_digest(origin, round_number, payload)
+        return CertificateMessage(
+            origin=origin, round=round_number, digest=digest, payload=payload, signers=signers
+        )
+
+    @staticmethod
+    def full_checks(committee):
+        vector = committee.stake_vector
+        return vector.signer_cache_hits + vector.signer_cache_misses
+
+    def test_later_recipients_are_answered_by_identity(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        certificate = self.genuine()
+        assert protocols[0]._verify_certificate(certificate)
+        checked = self.full_checks(committee)
+        for index in (1, 2, 3, 0):
+            assert protocols[index]._verify_certificate(certificate)
+        assert self.full_checks(committee) == checked
+        for index in range(4):
+            protocols[index].handle_message(2, certificate)
+            assert [delivery.payload for delivery in deliveries[index]] == ["payload"]
+
+    def test_a_copy_is_verified_in_full_and_a_forged_copy_refused(self):
+        import copy
+        import dataclasses
+
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        certificate = self.genuine()
+        assert protocols[0]._verify_certificate(certificate)
+        checked = self.full_checks(committee)
+        equal_copy = copy.copy(certificate)
+        assert equal_copy == certificate and equal_copy is not certificate
+        assert protocols[1]._verify_certificate(equal_copy)
+        assert self.full_checks(committee) == checked + 1
+        forged_digest = copy.copy(certificate)
+        forged_digest.digest = b"\x00" * 32
+        sub_quorum = dataclasses.replace(certificate, signers=(0, 1))
+        for forged in (forged_digest, sub_quorum):
+            for index in range(4):
+                assert not protocols[index]._verify_certificate(forged)
+                protocols[index].handle_message(2, forged)
+        assert all(deliveries[index] == [] for index in range(4))
+
+    def test_the_same_object_is_verified_again_under_a_second_committee(self):
+        committee, _simulator, _network, protocols, _deliveries = build_cluster(size=4)
+        larger, _simulator, _network, larger_protocols, larger_deliveries = build_cluster(size=7)
+        certificate = self.genuine()
+        assert protocols[0]._verify_certificate(certificate)
+        checked = self.full_checks(larger)
+        # Three signers are a quorum of four validators, not of seven.
+        assert not larger_protocols[0]._verify_certificate(certificate)
+        assert self.full_checks(larger) == checked + 1
+        larger_protocols[0].handle_message(2, certificate)
+        assert larger_deliveries[0] == []
+        # ... and the refusal there does not disturb the verdict here.
+        assert protocols[1]._verify_certificate(certificate)
+
+    def test_a_failed_object_is_checked_again_by_every_recipient(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        bogus = self.genuine()
+        bogus.digest = b"\x00" * 32
+        checked = self.full_checks(committee)
+        for index in (0, 1, 2, 3, 0, 1):
+            assert not protocols[index]._verify_certificate(bogus)
+        assert self.full_checks(committee) == checked + 6
+        assert committee.stake_vector.verified_certificates == {}
