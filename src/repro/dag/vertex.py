@@ -17,10 +17,10 @@ from repro.crypto.hashing import Digest, evict_oldest_half, vertex_digest
 from repro.errors import DagError
 from repro.types import Round, SimTime, ValidatorId, VertexId
 
-# A block is an immutable sequence of opaque transactions.  The workload
-# layer fills it with Transaction objects; the DAG and consensus layers
-# never look inside.
-Block = Tuple[Any, ...]
+# A block is an immutable sequence of opaque transactions: a tuple, or a
+# sequence that declares itself ``sealed``.  The workload layer fills it
+# with Transaction objects; the DAG and consensus layers never look inside.
+Block = Sequence[Any]
 
 # Per-process intern tables.  Every recipient of a broadcast rebuilds the
 # same vertex, so an ``n``-validator run otherwise holds ``n`` equal
@@ -145,7 +145,7 @@ def make_vertex(
     return Vertex(
         id=vertex_id,
         edges=edge_set,
-        block=tuple(block),
+        block=block if getattr(block, "sealed", False) else tuple(block),
         digest=digest,
         created_at=created_at,
     )

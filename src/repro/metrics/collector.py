@@ -2,10 +2,10 @@
 
 Latency is measured the way the paper defines it: "the time elapsed from
 when the client submits the transaction to when it receives confirmation
-of the transaction's finality".  The collector records the submission time
-of every transaction and the first time an observer validator orders it;
-the reported latency adds the client confirmation delay (one network
-one-way trip back to the client).
+of the transaction's finality".  A transaction carries its submission
+time; the collector passes once over the columns of every block an
+observer validator orders, counts a transaction the first time only, and
+adds the client confirmation delay (one network one-way trip back).
 
 Throughput is "the number of distinct transactions over the entire
 duration of the run", counted over a measurement window that excludes a
@@ -15,18 +15,21 @@ bias results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from bisect import bisect_right
+from itertools import compress, repeat
+from operator import add, sub
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.consensus.committed import OrderedVertex
 from repro.metrics.execution import ExecutionModel
 from repro.metrics.latency import LatencyStats
 from repro.node.validator import ValidatorNode
 from repro.types import SimTime
-from repro.workload.transactions import Transaction
+from repro.workload.transactions import Transaction, transaction_columns
 
 
 class MetricsCollector:
-    """Tracks per-transaction submission and commit times."""
+    """Tracks commit times, one pass over a block's columns at a time."""
 
     def __init__(
         self,
@@ -37,13 +40,18 @@ class MetricsCollector:
         self.confirmation_delay = confirmation_delay
         self.warmup = warmup
         self.execution = execution
-        self._submit_times: Dict[int, SimTime] = {}
-        self._commit_times: Dict[int, SimTime] = {}
+        # The committed transaction ids as disjoint ranges ``[start,
+        # stop)`` in ascending order: a client's ids are contiguous per
+        # target, so a block is one range, not an entry per transaction.
+        self._committed_starts: List[int] = []
+        self._committed_stops: List[int] = []
         # Finality times of the transactions submitted after the warm-up
         # period; throughput is derived from these at reporting time.
         self._finality_times: List[SimTime] = []
         self.latency = LatencyStats()
-        self.submitted = 0
+        # Submissions announced one by one; attached clients count their own.
+        self._announced = 0
+        self._clients: Sequence[Any] = ()
         self.committed = 0
         self.duplicate_commits = 0
         self._observer: Optional[ValidatorNode] = None
@@ -55,60 +63,63 @@ class MetricsCollector:
         self._observer = node
         node.on_ordered(self.on_vertex_ordered)
 
+    def attach_clients(self, clients: Sequence[Any]) -> None:
+        """Count what ``clients`` deliver (each has a ``submitted`` count) as submitted."""
+        self._clients = clients
+
     def on_transaction_submitted(self, transaction: Transaction) -> None:
-        """Record a submission (wired as the load generator callback)."""
-        self.submitted += 1
-        self._submit_times[transaction.tx_id] = transaction.submitted_at
+        """Count one submission of a client that is not attached."""
+        self._announced += 1
+
+    @property
+    def submitted(self) -> int:
+        return self._announced + sum(client.submitted for client in self._clients)
+
+    def _claim(self, start: int, stop: int) -> bool:
+        """Commit the ids ``[start, stop)``; ``False``, and no change, when one already is."""
+        starts = self._committed_starts
+        stops = self._committed_stops
+        at = bisect_right(starts, start)
+        if (at and stops[at - 1] > start) or (at < len(starts) and starts[at] < stop):
+            return False
+        starts.insert(at, start)
+        stops.insert(at, stop)
+        return True
 
     def on_vertex_ordered(self, record: OrderedVertex) -> None:
         """Record commit times for the transactions of an ordered vertex.
 
-        Only a transaction's first commit counts, and it releases the
-        transaction's ``_submit_times`` entry: a later ordering of the
-        same transaction is recognised by ``_commit_times`` alone.
+        Only a transaction's first commit counts.  Any block is first
+        reduced to an id column and a submission-time column; execution,
+        finality, the warm-up filter and the latencies are then column
+        passes.
         """
-        # Local bindings: this loop runs once per committed transaction.
-        commit_times = self._commit_times
-        release = self._submit_times.pop
-        execution = self.execution
-        confirmation_delay = self.confirmation_delay
+        ids, submitted_at = transaction_columns(record.vertex.block)
+        count = len(ids)
+        if not count:
+            return
+        first = ids[0]
+        if ids != list(range(first, first + count)) or not self._claim(first, first + count):
+            # Not one run of fresh ids: settle it id by id.
+            fresh = [self._claim(tx_id, tx_id + 1) for tx_id in ids]
+            submitted_at = list(compress(submitted_at, fresh))
+            self.duplicate_commits += count - len(submitted_at)
+            count = len(submitted_at)
+            if not count:
+                return
+        if self.execution is None:
+            finality_times = [record.ordered_at + self.confirmation_delay] * count
+        else:
+            finish_times = self.execution.execute_many(count, record.ordered_at)
+            finality_times = list(map(add, finish_times, repeat(self.confirmation_delay)))
         warmup = self.warmup
-        ordered_at = record.ordered_at
-        service_time = execution.service_time if execution is not None else 0.0
-        busy_until = execution._busy_until if execution is not None else 0.0
-        record_finality = self._finality_times.append
-        latencies: List[SimTime] = []
-        executed = 0
-        for transaction in record.vertex.block:
-            if not isinstance(transaction, Transaction):
-                continue
-            tx_id = transaction.tx_id
-            if tx_id in commit_times:
-                self.duplicate_commits += 1
-                continue
-            submit_time = release(tx_id, None)
-            if submit_time is None:
-                continue
-            commit_time = ordered_at
-            if execution is not None:
-                # Inlined ExecutionModel.execute (one call per committed
-                # transaction): FIFO service at a bounded rate.
-                if busy_until > commit_time:
-                    commit_time = busy_until
-                commit_time += service_time
-                busy_until = commit_time
-                executed += 1
-            finality_time = commit_time + confirmation_delay
-            commit_times[tx_id] = finality_time
-            if submit_time < warmup:
-                continue
-            record_finality(finality_time)
-            latencies.append(finality_time - submit_time)
-        if execution is not None:
-            execution._busy_until = busy_until
-            execution.executed += executed
-        self.committed += len(latencies)
-        self.latency.extend(latencies)
+        if min(submitted_at) < warmup:
+            measured = [submit_time >= warmup for submit_time in submitted_at]
+            finality_times = list(compress(finality_times, measured))
+            submitted_at = list(compress(submitted_at, measured))
+        self._finality_times += finality_times
+        self.committed += len(finality_times)
+        self.latency.extend(list(map(sub, finality_times, submitted_at)))
 
     # -- results ------------------------------------------------------------------
 
@@ -122,14 +133,15 @@ class MetricsCollector:
         window = duration - self.warmup
         if window <= 0:
             return 0.0
-        finalized = sum(1 for finality in self._finality_times if finality <= duration)
+        finalized = sum([finality <= duration for finality in self._finality_times])
         return finalized / window
 
     def commit_ratio(self) -> float:
         """Fraction of submitted transactions that committed."""
-        if self.submitted == 0:
+        submitted = self.submitted
+        if submitted == 0:
             return 0.0
-        return len(self._commit_times) / self.submitted
+        return sum(map(sub, self._committed_stops, self._committed_starts)) / submitted
 
     def average_latency(self) -> float:
         return self.latency.average()

@@ -20,6 +20,9 @@ curves.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from typing import List
+
 from repro.errors import ConfigurationError
 from repro.types import SimTime
 
@@ -36,16 +39,21 @@ class ExecutionModel:
         self.executed = 0
 
     def execute(self, ordered_at: SimTime) -> SimTime:
-        """Execute one transaction ordered at ``ordered_at``.
+        """Execute one transaction ordered at ``ordered_at``; returns its completion (finality) time."""
+        return self.execute_many(1, ordered_at)[0]
 
-        Returns the completion (finality) time.
+    def execute_many(self, count: int, ordered_at: SimTime) -> List[SimTime]:
+        """Execute ``count`` (at least one) transactions ordered at ``ordered_at``.
+
+        Each starts when the one before it finishes, the first no earlier
+        than the ordering.  Returns the completion times.
         """
-        busy_until = self._busy_until
-        start = ordered_at if ordered_at > busy_until else busy_until
-        finish = start + self.service_time
-        self._busy_until = finish
-        self.executed += 1
-        return finish
+        start = max(self._busy_until, ordered_at)
+        finish_times = list(accumulate(repeat(self.service_time, count), initial=start))
+        del finish_times[0]
+        self._busy_until = finish_times[-1]
+        self.executed += count
+        return finish_times
 
     def backlog_delay(self, at_time: SimTime) -> SimTime:
         """Current queueing delay an arriving transaction would experience."""

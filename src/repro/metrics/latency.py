@@ -59,7 +59,8 @@ class LatencyStats:
         return self._stdev_given_mean(self.average())
 
     def _stdev_given_mean(self, mean: float) -> float:
-        variance = sum((sample - mean) ** 2 for sample in self._samples) / (len(self._samples) - 1)
+        squares = [(sample - mean) ** 2 for sample in self._samples]
+        variance = sum(squares) / (len(squares) - 1)
         return math.sqrt(variance)
 
     def percentile(self, fraction: float) -> float:

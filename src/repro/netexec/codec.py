@@ -225,7 +225,11 @@ def _spec(
 _SPECS: Tuple[_TypeSpec, ...] = (
     _spec(1, Hello, ("node_id",)),
     _spec(2, VertexId, ("round", "source"), build=lambda v: VertexId(*v)),
-    _spec(3, Vertex, ("id", "edges", "block", "digest", "created_at"), build=_build_vertex),
+    _spec(
+        3, Vertex, ("id", "edges", "block", "digest", "created_at"), build=_build_vertex,
+        # A block travels as the tuple of its items, whatever sequence holds them.
+        pack=lambda v: (v.id, v.edges, tuple(v.block), v.digest, v.created_at),
+    ),
     _spec(
         4,
         Transaction,

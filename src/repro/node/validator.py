@@ -19,8 +19,7 @@ implementation does:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.behavior import HONEST, BehaviorPolicy
 from repro.committee import Committee
@@ -40,6 +39,7 @@ from repro.rbc.base import Delivery
 from repro.rbc.certified import CertifiedBroadcast
 from repro.storage.store import PersistentStore
 from repro.types import Round, SimTime, ValidatorId, VertexId, is_anchor_round
+from repro.workload.transactions import Transaction, TransactionBatch
 
 
 class ValidatorNode:
@@ -96,7 +96,7 @@ class ValidatorNode:
         self._message_handlers = self._build_message_handlers()
 
         # Transaction pool (FIFO).
-        self.transaction_pool: Deque = deque()
+        self.transaction_pool = TransactionBatch(validator_id)
         # Round progression state.
         self.current_round: Round = 0
         self.started = False
@@ -305,12 +305,20 @@ class ValidatorNode:
 
     # -- transactions ---------------------------------------------------------------
 
-    def submit_transaction(self, transaction) -> None:
-        """Accept a client transaction into the local pool."""
+    def submit_transaction(self, transaction: Transaction) -> None:
+        """Accept a client transaction (a counter increment submitted to
+        this validator: the pool refuses any other) into the local pool."""
         if self.crashed:
             return
-        self.transactions_submitted += 1
         self.transaction_pool.append(transaction)
+        self.transactions_submitted += 1
+
+    def submit_transactions(self, batch: TransactionBatch) -> None:
+        """Accept a batch of client transactions into the local pool."""
+        if self.crashed:
+            return
+        self.transaction_pool.extend(batch)
+        self.transactions_submitted += len(batch)
 
     @property
     def pool_size(self) -> int:
@@ -404,18 +412,7 @@ class ValidatorNode:
         # pool here, when the pool is read, not one heap event at a time.
         self.simulator.settle()
         pool = self.transaction_pool
-        size = len(pool)
-        if size == 0:
-            return ()
-        limit = self.config.max_batch_size
-        if size <= limit:
-            # Drain wholesale: list(deque) runs in C, and the pool fits
-            # one batch in the common (non-saturated) case.
-            batch = list(pool)
-            pool.clear()
-            return batch
-        popleft = pool.popleft
-        return [popleft() for _ in range(limit)]
+        return pool.take(self.config.max_batch_size) if pool else ()
 
     def _start_anchor_timer(self, round_number: Round) -> None:
         leader = self.schedule_manager.leader_for_round(round_number)

@@ -247,6 +247,8 @@ class SimulationRunner:
             self.fault_injector.schedule_all(self.simulator, self.network, self.nodes)
             self._start_nodes()
             self._start_load()
+            # Submissions are counted by the clients, commits by the collector.
+            self.metrics.attach_clients(self._load_generators)
             if config.partition_failover:
                 self._schedule_partition_failover()
             if self.profiler is not None:
@@ -291,7 +293,6 @@ class SimulationRunner:
                 simulator=self.simulator,
                 targets=self._load_targets(),
                 phases=phases,
-                on_submit=self.metrics.on_transaction_submitted,
             )
             return
         if self.config.input_load_tps <= 0:
@@ -303,7 +304,6 @@ class SimulationRunner:
             total_rate=self.config.input_load_tps,
             duration=self.config.duration,
             start_time=0.5,
-            on_submit=self.metrics.on_transaction_submitted,
         )
 
     def _load_targets(self) -> List[ValidatorNode]:

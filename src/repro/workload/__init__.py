@@ -3,7 +3,7 @@
 The paper's benchmark clients each submit at most 350 tx/s of simple
 shared-counter increments for ten minutes; the number of clients depends
 on the target load.  :class:`LoadGenerator` reproduces that behaviour in
-virtual time and records submission timestamps with the metrics collector.
+virtual time; every transaction carries its submission timestamp.
 """
 
 from repro.workload.transactions import Transaction, counter_increment

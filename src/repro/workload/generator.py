@@ -8,43 +8,45 @@ client never submits more than ``MAX_RATE_PER_CLIENT`` transactions per
 second; :func:`spawn_load` creates as many clients as needed for a target
 system load.
 
-No client costs the simulator an event: all clients of a simulator are
-merged in one :class:`ClientArrivals`, which creates and delivers the
-transactions that have arrived whenever a pool is about to be read.
+No client costs the simulator an event and no transaction an object: all
+clients of a simulator are merged in one :class:`ClientArrivals`, a
+per-target schedule built once per client set, which hands a target what
+has arrived as one ``TransactionBatch`` whenever a pool is about to be read.
 """
 
 from __future__ import annotations
 
-import itertools
-from heapq import heappop as _heappop, heappush as _heappush, heapreplace as _heapreplace
-from typing import Callable, List, Optional, Sequence, Tuple
+import dataclasses
+from bisect import bisect_right
+from functools import cmp_to_key
+from itertools import groupby, repeat
+from operator import eq
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.network.simulator import Simulator
-from repro.node.validator import ValidatorNode
 from repro.types import SimTime
-from repro.workload.transactions import Transaction
+from repro.workload.transactions import TransactionBatch
+
+if TYPE_CHECKING:
+    from repro.node.validator import ValidatorNode
 
 # The paper: "each benchmark client submits at most 350 tx/s".
 MAX_RATE_PER_CLIENT = 350.0
 
-# Callback used to tell the metrics collector about a submission.
-SubmitCallback = Callable[[Transaction], None]
-
-
-# Process-wide transaction id source (module-level: the class-attribute
-# lookup per transaction was measurable at peak load).
-_next_tx_id = itertools.count()
-
 _NEVER: SimTime = float("-inf")
 
-# ``Transaction(...)`` goes through the NamedTuple's Python-level
-# ``__new__`` to fill in the two defaulted fields, which costs as much as
-# the rest of one delivery; ``tuple.__new__`` with every field spelled
-# out builds the same object.
-_tuple_new = tuple.__new__
-_KIND = Transaction._field_defaults["kind"]
-_PAYLOAD_BYTES = Transaction._field_defaults["payload_bytes"]
+
+@dataclasses.dataclass(slots=True)
+class _Column:
+    """The arrivals at one target, earliest first."""
+
+    target: Any
+    arrivals: List[SimTime]
+    submitted_at: List[SimTime]
+    clients: List[int]
+    first_id: int  # row ``i`` carries transaction id ``first_id + i``
+    position: int = 0  # the rows before it have been delivered
 
 
 class ClientArrivals:
@@ -53,26 +55,33 @@ class ClientArrivals:
     A client's arrivals are a closed-form, RNG-free schedule —
     ``first_time + index * interval + submission_delay``, targets taken
     round-robin — and a transaction pool is observable only where a
-    validator reads it, so arrivals are not heap events.  They are
-    materialised in bulk by :meth:`settle`, which the simulator calls
-    before every such read and when a run ends.
+    validator reads it, so arrivals are not heap events.  One client's
+    arrivals at one target are an arithmetic progression of its indices;
+    a target's column is the progressions of all its clients, sorted
+    once, and :meth:`settle`, which the simulator calls before every
+    pool read and when a run ends, delivers the slice one ``bisect``
+    finds.  The columns are rebuilt, from the arrivals still
+    undelivered, only when a client starts or is retargeted.
 
-    ``_heap`` holds the next arrival of every unfinished client as
-    ``(arrival, sequence, generator)``.  It is merged under the event
-    queue's own discipline — earliest first, ties by a sequence number
-    that a client's first arrival takes at ``start()`` and every later
-    one when its predecessor is delivered — so transactions reach pools
-    and ``on_submit`` in the order one event per transaction would have
-    produced.  A client that has delivered its last arrival leaves the
-    heap.
+    Rows are in the order the event queue would have fired one event per
+    transaction: earliest first, simultaneous ones as :func:`_compare`
+    says.  Transaction ids are allocated here, from 0 and contiguous
+    along a column: a function of the run, not of the process.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[SimTime, int, "LoadGenerator"]] = []
-        self._sequences = itertools.count()
+        # Every client, in start() order.
+        self._generators: List[LoadGenerator] = []
+        # ``None``: to be built by the first settle with something due,
+        # which is none before ``_next_due``.
+        self._columns: Optional[List[_Column]] = None
+        self._next_due: SimTime = float("inf")
+        # Every arrival up to here of a client in the columns is delivered.
+        self.horizon: SimTime = _NEVER
+        self._next_id = 0
 
     @classmethod
-    def of(cls, simulator: Simulator) -> "ClientArrivals":
+    def of(cls, simulator: Simulator) -> ClientArrivals:
         """The arrivals merged into ``simulator``, registered on first use."""
         for source in simulator.lazy_sources:
             if isinstance(source, cls):
@@ -81,8 +90,17 @@ class ClientArrivals:
         simulator.lazy_sources.append(arrivals)
         return arrivals
 
-    def add(self, generator: "LoadGenerator", first_arrival: SimTime) -> None:
-        _heappush(self._heap, (first_arrival, next(self._sequences), generator))
+    def add(self, generator: LoadGenerator, first_arrival: SimTime) -> None:
+        self.invalidate()
+        self._generators.append(generator)
+        self._next_due = min(self._next_due, first_arrival)
+
+    def invalidate(self) -> None:
+        """Have the next settle with something due rebuild the columns."""
+        if self._columns is not None:
+            heads = (c.arrivals[c.position] for c in self._columns if c.position < len(c.arrivals))
+            self._next_due = min(heads, default=float("inf"))
+            self._columns = None
 
     def settle(self, horizon: SimTime) -> SimTime:
         """Deliver every transaction with ``arrival <= horizon``.
@@ -91,48 +109,110 @@ class ClientArrivals:
         transactions with ``submitted_at + submission_delay <= t``.
         Returns the last arrival delivered, ``-inf`` when none was due.
         """
-        heap = self._heap
+        columns = self._columns
+        if columns is None:
+            if horizon < self._next_due:
+                return _NEVER
+            columns = self._columns = self._build()
         last = _NEVER
-        sequences = self._sequences
-        while heap:
-            entry = heap[0]
-            if entry[0] > horizon:
-                break
-            last = entry[0]
-            generator = entry[2]
-            index = generator.submitted
-            following = index + 1
-            generator.submitted = following
-            first_time = generator._first_time
-            interval = generator._interval
-            if following < generator._count:
-                _heapreplace(
-                    heap,
-                    (
-                        first_time + following * interval + generator.submission_delay,
-                        next(sequences),
-                        generator,
-                    ),
-                )
-            else:
-                _heappop(heap)
-            target = next(generator._target_cycle)
-            transaction = _tuple_new(
-                Transaction,
-                (
-                    next(_next_tx_id),
-                    generator.client_id,
-                    first_time + index * interval,
-                    target.id,
-                    _KIND,
-                    _PAYLOAD_BYTES,
-                ),
+        for column in columns:
+            arrivals = column.arrivals
+            start = column.position
+            end = bisect_right(arrivals, horizon, start)
+            if end == start:
+                continue
+            column.position = end
+            if arrivals[end - 1] > last:
+                last = arrivals[end - 1]
+            target = column.target
+            batch = TransactionBatch(
+                target.id,
+                list(range(column.first_id + start, column.first_id + end)),
+                column.clients[start:end],
+                column.submitted_at[start:end],
             )
-            on_submit = generator.on_submit
-            if on_submit is not None:
-                on_submit(transaction)
-            target.submit_transaction(transaction)
+            if hasattr(target, "submit_transactions"):
+                target.submit_transactions(batch)
+            else:
+                for transaction in batch:
+                    target.submit_transaction(transaction)
+        # A run to idle asks for everything and reaches the last arrival.
+        self.horizon = max(self.horizon, horizon if horizon < float("inf") else last)
         return last
+
+    def _build(self) -> List[_Column]:
+        """One column per target, from every client's undelivered arrivals."""
+        parts: List[Tuple[Any, LoadGenerator, range]] = []
+        for generator in self._generators:
+            following = generator.submitted
+            generator._arrivals = self
+            cycle = generator.targets
+            for offset, target in enumerate(cycle):
+                # The indices from ``following`` on that round-robin here.
+                behind = (generator._cycle_start + offset - following) % len(cycle)
+                indices = range(following + behind, generator._count, len(cycle))
+                if indices:
+                    parts.append((target, generator, indices))
+        # Columns are kept in the order their targets are first met.
+        targets: List[Any] = []
+        for target, _, _ in parts:
+            if not any(known is target for known in targets):
+                targets.append(target)
+        return [self._merge(target, [part[1:] for part in parts if part[0] is target]) for target in targets]
+
+    def _merge(self, target: Any, parts: List[Tuple[LoadGenerator, range]]) -> _Column:
+        submitted_at, arrivals, clients = [], [], []
+        for generator, indices in parts:
+            first_time, interval, delay = generator._parameters()
+            times = [first_time + index * interval for index in indices]
+            submitted_at += times
+            arrivals += [time + delay for time in times]
+            clients += repeat(generator.client_id, len(times))
+        order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
+        merged = sorted(arrivals)
+        if any(map(eq, merged, merged[1:])):
+            _order_ties(order, merged, parts)
+        submitted_at = list(map(submitted_at.__getitem__, order))
+        clients = list(map(clients.__getitem__, order))
+        self._next_id += len(merged)
+        return _Column(target, merged, submitted_at, clients, self._next_id - len(merged))
+
+
+def _order_ties(order: List[int], merged: List[SimTime], parts: List[Tuple[LoadGenerator, range]]) -> None:
+    """Put the rows of ``order`` (indices into the concatenation of
+    ``parts``) whose arrivals in ``merged`` are equal in delivery order."""
+    rows = [(generator, index) for generator, indices in parts for index in indices]
+    # Stable: rows that compare equal stay in start() order.
+    delivery = cmp_to_key(lambda left, right: _compare(*rows[left], *rows[right]))
+    low = 0
+    for _, run in groupby(merged):
+        high = low + len(list(run))
+        if high - low > 1:
+            order[low:high] = sorted(order[low:high], key=delivery)
+        low = high
+
+
+def _compare(first: LoadGenerator, i: int, second: LoadGenerator, j: int) -> int:
+    """Negative when arrival ``i`` of ``first`` is delivered before arrival
+    ``j`` of ``second`` on the same instant, zero when start() order decides.
+
+    The event queue fires simultaneous events in the order they were
+    scheduled.  An arrival is scheduled when its predecessor is
+    delivered, so the earlier predecessor decides, and simultaneous
+    predecessors defer to theirs; a client's first arrival is scheduled
+    by ``start()``, after every delivery due by that instant.
+    """
+    if i == j and first._parameters() == second._parameters():
+        # Every pair of predecessors is simultaneous too.
+        i = j = 0
+    while True:
+        earlier, later = first._scheduled_at(i), second._scheduled_at(j)
+        if earlier != later:
+            return -1 if earlier < later else 1
+        if not (i and j):
+            return (not i) - (not j)
+        i -= 1
+        j -= 1
 
 
 class LoadGenerator:
@@ -147,7 +227,6 @@ class LoadGenerator:
         duration: SimTime,
         start_time: SimTime = 0.0,
         submission_delay: SimTime = 0.040,
-        on_submit: Optional[SubmitCallback] = None,
     ) -> None:
         if rate <= 0:
             raise WorkloadError("the submission rate must be positive")
@@ -167,15 +246,32 @@ class LoadGenerator:
         self.duration = duration
         self.start_time = start_time
         self.submission_delay = submission_delay
-        self.on_submit = on_submit
-        # Transactions delivered so far, which is also the index of the
-        # next one in the schedule.
-        self.submitted = 0
-        self._target_cycle = itertools.cycle(self.targets)
-        # Schedule parameters, set by start().
+        # Index of the arrival that went (or goes) to ``targets[0]``.
+        self._cycle_start = 0
+        # Schedule parameters and the instant of the call, set by start().
         self._interval: SimTime = 0.0
         self._first_time: SimTime = start_time
         self._count = 0
+        self._started_at: SimTime = 0.0
+        # The merged arrivals, once their columns were built with this client in.
+        self._arrivals: Optional[ClientArrivals] = None
+
+    def _arrival(self, index: int) -> SimTime:
+        return self._first_time + index * self._interval + self.submission_delay
+
+    def _scheduled_at(self, index: int) -> SimTime:
+        """When the event of arrival ``index`` would have been scheduled."""
+        return self._arrival(index - 1) if index else self._started_at
+
+    def _parameters(self) -> Tuple[SimTime, SimTime, SimTime]:
+        return (self._first_time, self._interval, self.submission_delay)
+
+    @property
+    def submitted(self) -> int:
+        """Transactions delivered so far: the index of the next one in the schedule."""
+        if self._arrivals is None:
+            return 0
+        return bisect_right(range(self._count), self._arrivals.horizon, key=self._arrival)
 
     def start(self) -> None:
         """Put the client's schedule into the simulator's merged arrivals.
@@ -194,11 +290,10 @@ class LoadGenerator:
         self._count = int(round(self.rate * self.duration))
         if self._count > 0:
             # What is due by now is delivered first, so the new client
-            # takes its sequence number after them, as an event would.
+            # takes its place after them, as an event would.
             self.simulator.settle()
-            ClientArrivals.of(self.simulator).add(
-                self, self._first_time + self.submission_delay
-            )
+            self._started_at = self.simulator.now
+            ClientArrivals.of(self.simulator).add(self, self._arrival(0))
 
     def set_targets(self, targets: Sequence[ValidatorNode]) -> None:
         """Fail the client over to a new target set (partition failover).
@@ -211,7 +306,8 @@ class LoadGenerator:
             raise WorkloadError("a load generator needs at least one target validator")
         self.simulator.settle()
         self.targets = list(targets)
-        self._target_cycle = itertools.cycle(self.targets)
+        self._cycle_start = self.submitted
+        ClientArrivals.of(self.simulator).invalidate()
 
 
 def spawn_load(
@@ -221,7 +317,6 @@ def spawn_load(
     duration: SimTime,
     start_time: SimTime = 0.0,
     submission_delay: SimTime = 0.040,
-    on_submit: Optional[SubmitCallback] = None,
     first_client_id: int = 0,
 ) -> List[LoadGenerator]:
     """Create and start enough clients to reach ``total_rate`` tx/s.
@@ -247,7 +342,6 @@ def spawn_load(
             duration=duration,
             start_time=start_time,
             submission_delay=submission_delay,
-            on_submit=on_submit,
         )
         generator.start()
         generators.append(generator)

@@ -13,21 +13,23 @@ common profiles from a handful of parameters:
 :func:`spawn_phased_load` materializes the segments with the same client
 machinery as constant load (:func:`repro.workload.generator.spawn_load`),
 so the per-client 350 tx/s cap and the lazy bulk delivery apply unchanged;
-a client whose phase is over leaves the merged arrivals, so a long profile
-costs a settle no more than the phases currently running.
+every phase's arrivals sit in the same per-target columns, so a settle
+costs one ``bisect`` per target however many phases the profile has.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.errors import WorkloadError
 from repro.network.simulator import Simulator
-from repro.node.validator import ValidatorNode
 from repro.types import SimTime
-from repro.workload.generator import LoadGenerator, SubmitCallback, spawn_load
+from repro.workload.generator import LoadGenerator, spawn_load
+
+if TYPE_CHECKING:
+    from repro.node.validator import ValidatorNode
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,7 +147,6 @@ def spawn_phased_load(
     targets: Sequence[ValidatorNode],
     phases: Sequence[LoadPhase],
     submission_delay: SimTime = 0.040,
-    on_submit: Optional[SubmitCallback] = None,
 ) -> List[LoadGenerator]:
     """Create and start clients for every phase of a phased workload.
 
@@ -164,7 +165,6 @@ def spawn_phased_load(
                 duration=phase.duration,
                 start_time=phase.start,
                 submission_delay=submission_delay,
-                on_submit=on_submit,
                 first_client_id=len(generators),
             )
         )

@@ -169,11 +169,35 @@ class TestMetricsCollector:
         assert collector.committed == 1
         assert collector.duplicate_commits == 1
 
-    def test_unknown_transactions_are_ignored(self):
+    def test_an_ordered_transaction_counts_without_being_announced(self):
         collector = MetricsCollector()
         transaction = counter_increment(5, 0, submitted_at=1.0, target_validator=0)
         collector.on_vertex_ordered(ordered_record((transaction,), ordered_at=2.0))
-        assert collector.committed == 0
+        assert collector.committed == 1
+        assert collector.latency.samples == [pytest.approx(2.0 + 0.040 - 1.0)]
+        # Nothing was announced and no client is attached.
+        assert collector.submitted == 0
+        assert collector.commit_ratio() == 0.0
+
+    def test_submissions_are_read_from_attached_clients_on_demand(self):
+        class Client:
+            submitted = 0
+
+        collector = MetricsCollector()
+        clients = [Client(), Client()]
+        collector.attach_clients(clients)
+        first = counter_increment(0, 0, submitted_at=1.0, target_validator=0)
+        second = counter_increment(1, 0, submitted_at=1.0, target_validator=0)
+        collector.on_vertex_ordered(ordered_record((first, second), ordered_at=2.0))
+        clients[0].submitted = 3
+        clients[1].submitted = 1
+        # One source for the number, right whenever it is read.
+        assert collector.submitted == 4
+        assert collector.commit_ratio() == pytest.approx(0.5)
+        assert collector.summary(duration=10.0)["submitted"] == 4.0
+        # A client that is not attached announces its own.
+        collector.on_transaction_submitted(first)
+        assert collector.submitted == 5
 
     def test_warmup_excludes_early_transactions(self):
         collector = MetricsCollector(warmup=10.0)
@@ -219,35 +243,48 @@ class TestMetricsCollector:
         collector.on_vertex_ordered(ordered_record(("opaque",), ordered_at=2.0))
         assert collector.committed == 0
 
-    def test_first_commit_releases_the_submit_time(self):
+    def test_committed_ids_are_kept_as_ranges(self):
         collector = MetricsCollector(warmup=10.0)
         early = counter_increment(1, 0, submitted_at=5.0, target_validator=0)
         late = counter_increment(2, 0, submitted_at=15.0, target_validator=0)
         pending = counter_increment(3, 0, submitted_at=15.5, target_validator=0)
-        unknown = counter_increment(4, 0, submitted_at=15.5, target_validator=0)
-        for transaction in (early, late, pending):
+        apart = counter_increment(7, 0, submitted_at=15.5, target_validator=0)
+        for transaction in (early, late, pending, apart):
             collector.on_transaction_submitted(transaction)
-        collector.on_vertex_ordered(ordered_record((early, late, unknown), ordered_at=16.0))
-        # Committed transactions (warm-up ones included) no longer hold an
-        # entry; one still in flight does; an unregistered one never did.
-        assert set(collector._submit_times) == {3}
-        assert collector.committed == 1
-        assert collector.submitted == 3
+        collector.on_vertex_ordered(ordered_record((early, late), ordered_at=16.0))
+        collector.on_vertex_ordered(ordered_record((apart,), ordered_at=16.0, source=2))
+        # Committed transactions (warm-up ones included) hold no entry of
+        # their own: a block of adjacent ids is one range; a transaction
+        # still in flight is in none.
+        assert collector._committed_starts == [1, 7]
+        assert collector._committed_stops == [3, 8]
+        assert collector.committed == 2
+        assert collector.submitted == 4
+        assert collector.commit_ratio() == pytest.approx(0.75)
+        collector.on_vertex_ordered(ordered_record((pending, late), ordered_at=17.0, source=3))
+        assert collector._committed_starts == [1, 3, 7]
+        assert collector._committed_stops == [3, 4, 8]
+        assert collector.committed == 3
+        assert collector.duplicate_commits == 1
 
-    def test_duplicates_are_recognised_after_the_release(self):
+    def test_duplicates_are_recognised_after_the_first_commit(self):
         collector = MetricsCollector()
         transaction = counter_increment(1, 0, submitted_at=1.0, target_validator=0)
-        unknown = counter_increment(2, 0, submitted_at=1.0, target_validator=0)
-        collector.on_transaction_submitted(transaction)
+        other = counter_increment(2, 0, submitted_at=1.0, target_validator=0)
+        for submitted in (transaction, other):
+            collector.on_transaction_submitted(submitted)
         # Twice in one block, again in a later vertex, next to a
-        # transaction that was never registered.
+        # transaction committing for the first time.
         collector.on_vertex_ordered(ordered_record((transaction, transaction), ordered_at=2.0))
         collector.on_vertex_ordered(
-            ordered_record((unknown, transaction), ordered_at=3.0, source=2)
+            ordered_record((other, transaction), ordered_at=3.0, source=2)
         )
-        assert collector.committed == 1
+        assert collector.committed == 2
         assert collector.duplicate_commits == 2
-        assert collector.latency.samples == [pytest.approx(2.0 + 0.040 - 1.0)]
+        assert collector.latency.samples == [
+            pytest.approx(2.0 + 0.040 - 1.0),
+            pytest.approx(3.0 + 0.040 - 1.0),
+        ]
         assert collector.commit_ratio() == 1.0
 
     def test_execution_queue_carries_over_between_vertices(self):

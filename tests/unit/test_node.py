@@ -122,6 +122,25 @@ class TestNodeLifecycle:
         nodes[0].submit_transaction(counter_increment(1, 0, 0.0, 0))
         assert nodes[0].transactions_submitted == 0
 
+    def test_the_pool_refuses_what_it_cannot_hold(self):
+        from repro.errors import WorkloadError
+        from repro.workload.transactions import Transaction
+
+        committee, simulator, network, nodes = build_cluster()
+        nodes[0].start()
+        # The pool's columns leave out target, kind and size: a row that
+        # differs in one would be proposed as a different transaction.
+        for refused in (
+            counter_increment(1, 0, 0.0, target_validator=2),
+            Transaction(1, 0, 0.0, 0, kind="transfer"),
+            Transaction(1, 0, 0.0, 0, payload_bytes=512),
+            "opaque",
+        ):
+            with pytest.raises(WorkloadError):
+                nodes[0].submit_transaction(refused)
+        assert nodes[0].transactions_submitted == 0
+        assert nodes[0].pool_size == 0
+
     def test_describe(self):
         committee, simulator, network, nodes = build_cluster()
         nodes[0].start()
@@ -460,7 +479,6 @@ class TestLazyClientLoad:
         committee, simulator, network, nodes = build_cluster()
         for node in nodes.values():
             node.start()
-        reported = []
         generator = LoadGenerator(
             client_id=0,
             simulator=simulator,
@@ -468,7 +486,6 @@ class TestLazyClientLoad:
             rate=350.0,
             duration=3.0,
             start_time=1.0,
-            on_submit=reported.append,
         )
         generator.start()
         pooled_at_crash = []
@@ -480,10 +497,17 @@ class TestLazyClientLoad:
         simulator.schedule_at(2.0, crash)
         simulator.schedule_at(3.0, nodes[3].recover)
         simulator.run(until=8.0)
-        return nodes[3], reported, pooled_at_crash
+        return nodes[3], generator, pooled_at_crash
+
+    @staticmethod
+    def submission_times(generator):
+        return [
+            generator._first_time + index * generator._interval
+            for index in range(generator._count)
+        ]
 
     def test_arrivals_before_a_crash_are_proposed_after_recovery(self):
-        node, reported, pooled_at_crash = self.crash_window_run()
+        node, _generator, pooled_at_crash = self.crash_window_run()
         # What arrived since the last proposal went into the pool at the
         # crash instant, not later and not never.
         assert pooled_at_crash
@@ -491,21 +515,20 @@ class TestLazyClientLoad:
         proposed = self.proposed_by(node)
         assert all(proposed[transaction] >= 3.0 for transaction in pooled_at_crash)
 
-    def test_arrivals_during_downtime_are_dropped_but_reported(self):
-        node, reported, _ = self.crash_window_run()
-        assert len(reported) == 1050
-        down = [t for t in reported if 2.0 < t.submitted_at + 0.040 <= 3.0]
+    def test_arrivals_during_downtime_are_dropped_but_counted(self):
+        node, generator, _ = self.crash_window_run()
+        assert generator.submitted == 1050
+        submitted = self.submission_times(generator)
+        down = [t for t in submitted if 2.0 < t + 0.040 <= 3.0]
         assert len(down) == 350
-        proposed = self.proposed_by(node)
-        assert not any(transaction in proposed for transaction in down)
-        assert set(proposed) == set(reported) - set(down)
+        proposed = [transaction.submitted_at for transaction in self.proposed_by(node)]
+        assert sorted(proposed) == sorted(set(submitted) - set(down))
         assert node.transactions_submitted == 1050 - 350
 
     def test_retargeting_redirects_only_later_arrivals(self):
         committee, simulator, network, nodes = build_cluster()
         for node in nodes.values():
             node.start()
-        reported = []
         generator = LoadGenerator(
             client_id=0,
             simulator=simulator,
@@ -513,7 +536,6 @@ class TestLazyClientLoad:
             rate=100.0,
             duration=2.0,
             start_time=1.0,
-            on_submit=reported.append,
         )
         generator.start()
         # Retarget on the very instant transaction 70 arrives: it still
@@ -521,11 +543,16 @@ class TestLazyClientLoad:
         switch = generator._first_time + 70 * generator._interval + generator.submission_delay
         simulator.schedule_at(switch, lambda: generator.set_targets([nodes[1]]))
         simulator.run(until=6.0)
-        assert [t.target_validator for t in reported] == [0] * 71 + [1] * 129
-        assert set(self.proposed_by(nodes[0])) == set(reported[:71])
-        assert set(self.proposed_by(nodes[1])) == set(reported[71:])
+        submitted = self.submission_times(generator)
+        before, after = sorted(self.proposed_by(nodes[0])), sorted(self.proposed_by(nodes[1]))
+        assert [t.submitted_at for t in before] == submitted[:71]
+        assert [t.submitted_at for t in after] == submitted[71:]
+        assert {t.target_validator for t in before} == {0}
+        assert {t.target_validator for t in after} == {1}
+        ids = [t.tx_id for t in before + after]
+        assert len(set(ids)) == 200
 
-    def test_finished_clients_leave_the_merge(self):
+    def test_the_columns_hold_only_what_is_still_to_arrive(self):
         committee, simulator, network, nodes = build_cluster()
         for node in nodes.values():
             node.start()
@@ -534,28 +561,28 @@ class TestLazyClientLoad:
         )
         quiet = {phase.start for phase in phases if phase.tps == 0.0}
         assert quiet
-        reported = []
-        generators = spawn_phased_load(
-            simulator, list(nodes.values()), phases, on_submit=reported.append
-        )
+        generators = spawn_phased_load(simulator, list(nodes.values()), phases)
         assert len(generators) > 20
         arrivals = ClientArrivals.of(simulator)
         waiting = []
 
         def look():
             nodes[0].pool_size
-            unfinished = sum(1 for g in generators if g.submitted < g._count)
-            waiting.append((len(arrivals._heap), unfinished))
+            held = sum(len(column.arrivals) - column.position for column in arrivals._columns)
+            waiting.append((held, sum(g._count - g.submitted for g in generators)))
 
         for instant in (1.0, 3.0, 5.0, 7.0):
             simulator.schedule_at(instant, look)
         simulator.run(until=9.0)
-        # A settle looks at the head of a heap of unfinished clients, never
-        # at the clients of the phases already over.
+        # One column per validator however many phases there are, and in
+        # them exactly the arrivals no client has delivered yet.
+        assert len(arrivals._columns) == len(nodes)
         assert [held for held, _ in waiting] == [unfinished for _, unfinished in waiting]
         assert waiting[0][0] > waiting[-1][0] > 0
-        assert len(arrivals._heap) == 0
-        assert len(reported) == sum(g._count for g in generators)
+        assert all(column.position == len(column.arrivals) for column in arrivals._columns)
+        assert sum(node.transactions_submitted for node in nodes.values()) == sum(
+            g._count for g in generators
+        )
         assert quiet.isdisjoint(g.start_time for g in generators)
 
 

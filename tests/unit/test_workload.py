@@ -1,10 +1,18 @@
 """Unit tests for transactions and load generators."""
 
-import pytest
+from collections import deque
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.dag.vertex import make_vertex
 from repro.errors import WorkloadError
+from repro.netexec import codec
+from repro.network.simulator import Simulator
 from repro.workload.generator import MAX_RATE_PER_CLIENT, LoadGenerator, spawn_load
-from repro.workload.transactions import counter_increment
+from repro.workload.transactions import Transaction, TransactionBatch, counter_increment
+from tests.conftest import vid
 
 
 class FakeValidator:
@@ -37,6 +45,132 @@ class TestTransactions:
         first = counter_increment(1, 0, 0.0, 0)
         second = counter_increment(1, 0, 5.0, 0)
         assert first.canonical_fields() == second.canonical_fields()
+
+
+class TestTransactionBatch:
+    @staticmethod
+    def rows(first, count):
+        return [Transaction(first + index, index % 3, 0.25 * (first + index), 5) for index in range(count)]
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("extend"), st.integers(min_value=0, max_value=6)),
+                st.tuples(st.just("append"), st.just(1)),
+                st.tuples(st.just("take"), st.integers(min_value=0, max_value=5)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_the_pool_is_a_fifo(self, steps):
+        pool = TransactionBatch(5)
+        fifo = deque()
+        taken = []
+        following = 0
+        for kind, size in steps:
+            if kind == "take":
+                batch = pool.take(size)
+                expected = [fifo.popleft() for _ in range(min(size, len(fifo)))]
+                assert list(batch) == expected
+                for column in ("ids", "clients", "submitted_at"):
+                    assert getattr(batch, column) is not getattr(pool, column)
+                taken.append((batch, expected))
+                continue
+            rows = self.rows(following, size)
+            following += size
+            fifo.extend(rows)
+            if kind == "append":
+                pool.append(rows[0])
+            else:
+                ids, clients, submitted_at = ([row[field] for row in rows] for field in range(3))
+                pool.extend(TransactionBatch(5, ids, clients, submitted_at))
+            assert len(pool) == len(fifo)
+            assert list(pool) == list(fifo)
+        # What was taken is the taker's: the pool's later life does not show in it.
+        for batch, expected in taken:
+            assert list(batch) == expected
+
+    def test_rows_read_as_transactions(self):
+        rows = self.rows(10, 4)
+        batch = TransactionBatch(5)
+        for row in rows:
+            batch.append(row)
+        assert len(batch) == 4 and bool(batch)
+        assert not TransactionBatch(5)
+        assert list(batch) == rows
+        assert [batch[index] for index in range(4)] == rows
+        assert batch[-1] == rows[-1]
+        assert batch[2].kind == "counter_increment" and batch[2].payload_bytes == 64
+
+    def test_a_vertex_keeps_a_taken_batch_and_encodes_it_as_its_transactions(self):
+        rows = self.rows(0, 5)
+        pool = TransactionBatch(5)
+        for row in rows:
+            pool.append(row)
+        edges = [vid(2, index) for index in range(3)]
+        # A pool can still change, so a vertex copies it; what take()
+        # hands over cannot, and is kept as it is.
+        copied = make_vertex(3, 1, edges, block=pool, created_at=1.5)
+        assert type(copied.block) is tuple and not pool.sealed
+        batch = pool.take(5)
+        assert batch.sealed
+        carried = make_vertex(3, 1, edges, block=batch, created_at=1.5)
+        spelled = make_vertex(3, 1, edges, block=rows, created_at=1.5)
+        assert carried.block is batch
+        assert spelled.block == tuple(rows)
+        assert carried.digest == spelled.digest
+        assert codec.encode(carried) == codec.encode(spelled)
+        assert codec.decode(codec.encode(carried)) == spelled
+
+    def test_a_batch_equals_the_tuple_of_its_rows(self):
+        rows = self.rows(3, 4)
+        ids, clients, submitted_at = ([row[field] for row in rows] for field in range(3))
+        batch = TransactionBatch(5, ids, clients, submitted_at)
+        assert batch == tuple(rows) and tuple(rows) == batch
+        assert batch == TransactionBatch(5, list(ids), list(clients), list(submitted_at))
+        assert hash(batch) == hash(tuple(rows))
+        assert batch != tuple(rows[:-1]) and batch != tuple(reversed(rows))
+        assert batch != TransactionBatch(6, list(ids), list(clients), list(submitted_at))
+        assert batch != rows  # as a tuple: never equal to a list
+        # A vertex holding a batch is the vertex holding the same rows: in
+        # memory, after a codec round trip, and as a set member.
+        edges = [vid(2, index) for index in range(3)]
+        carried = make_vertex(3, 1, edges, block=batch.take(4))
+        spelled = make_vertex(3, 1, edges, block=rows)
+        assert carried == spelled and spelled == carried
+        assert codec.decode(codec.encode(carried)) == carried
+        assert len({carried, spelled}) == 1
+        assert carried != make_vertex(3, 1, edges, block=self.rows(4, 4))
+
+    def test_a_sealed_batch_does_not_change(self):
+        pool = TransactionBatch(5)
+        pool.append(Transaction(0, 0, 0.0, 5))
+        taken = pool.take(1)
+        with pytest.raises(WorkloadError):
+            taken.append(Transaction(1, 0, 0.25, 5))
+        with pytest.raises(WorkloadError):
+            taken.extend(TransactionBatch(5, [1], [0], [0.25]))
+        assert list(taken) == [Transaction(0, 0, 0.0, 5)]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            Transaction(1, 0, 0.25, 6),
+            Transaction(1, 0, 0.25, 5, kind="transfer"),
+            Transaction(1, 0, 0.25, 5, payload_bytes=512),
+            "opaque",
+        ],
+    )
+    def test_a_row_the_columns_cannot_hold_is_refused(self, row):
+        # The columns say nothing of kind, size or target: a row that
+        # differs there would be proposed and encoded as another one.
+        pool = TransactionBatch(5)
+        with pytest.raises(WorkloadError):
+            pool.append(row)
+        assert len(pool) == 0
+        with pytest.raises(WorkloadError):
+            pool.extend(TransactionBatch(6, [1], [0], [0.25]))
+        assert len(pool) == 0
 
 
 class TestLoadGenerator:
@@ -85,21 +219,20 @@ class TestLoadGenerator:
         simulator.run()
         assert simulator.now >= 0.2
 
-    def test_on_submit_callback(self, simulator):
-        seen = []
-        target = FakeValidator(0)
+    def test_deliveries_carry_the_client_and_the_target(self, simulator):
+        target = FakeValidator(4)
         generator = LoadGenerator(
-            client_id=0,
+            client_id=3,
             simulator=simulator,
             targets=[target],
             rate=10.0,
             duration=1.0,
-            on_submit=seen.append,
         )
         generator.start()
         simulator.run()
-        assert len(seen) == 10
-        assert all(transaction.client_id == 0 for transaction in seen)
+        assert len(target.received) == 10
+        assert all(transaction.client_id == 3 for transaction in target.received)
+        assert all(transaction.target_validator == 4 for transaction in target.received)
 
     def test_rate_above_per_client_cap_rejected(self, simulator):
         with pytest.raises(WorkloadError):
@@ -114,8 +247,7 @@ class TestLoadGenerator:
             LoadGenerator(0, simulator, [], rate=10.0, duration=1.0)
 
     def test_transaction_ids_are_unique(self, simulator):
-        seen = []
-        targets = [FakeValidator(0)]
+        targets = [FakeValidator(0), FakeValidator(1)]
         for client in range(2):
             LoadGenerator(
                 client_id=client,
@@ -123,11 +255,16 @@ class TestLoadGenerator:
                 targets=targets,
                 rate=50.0,
                 duration=1.0,
-                on_submit=seen.append,
             ).start()
         simulator.run()
-        ids = [transaction.tx_id for transaction in seen]
+        ids = [transaction.tx_id for target in targets for transaction in target.received]
         assert len(ids) == len(set(ids)) == 100
+        # ... per simulator: a second one numbers its transactions the same.
+        again = Simulator(seed=7)
+        target = FakeValidator(0)
+        LoadGenerator(0, again, [target], rate=50.0, duration=1.0).start()
+        again.run()
+        assert [transaction.tx_id for transaction in target.received] == list(range(50))
 
 
 class TestSpawnLoad:
@@ -207,19 +344,62 @@ class TestMergedSubmissionEvents:
         assert late.submitted == 1
 
     def test_submission_timestamps_follow_the_rate(self, simulator):
-        seen = []
+        target = FakeValidator(0)
         generator = LoadGenerator(
             client_id=0,
             simulator=simulator,
-            targets=[FakeValidator(0)],
+            targets=[target],
             rate=10.0,
             duration=1.0,
-            on_submit=seen.append,
         )
         generator.start()
         simulator.run()
+        seen = target.received
         gaps = [b.submitted_at - a.submitted_at for a, b in zip(seen, seen[1:])]
+        assert len(gaps) == 9
         assert all(gap == pytest.approx(0.1) for gap in gaps)
+
+    def test_a_batch_target_receives_what_a_per_transaction_target_does(self, simulator):
+        class BatchValidator(FakeValidator):
+            def submit_transactions(self, batch):
+                self.received.extend(batch)
+
+        plain = [FakeValidator(index) for index in range(3)]
+        batched = [BatchValidator(index) for index in range(3)]
+        spawn_load(simulator, plain, total_rate=900.0, duration=1.0)
+        other = Simulator(seed=7)
+        spawn_load(other, batched, total_rate=900.0, duration=1.0)
+        for instant in (0.3, 0.7):
+            simulator.run(until=instant)
+            other.run(until=instant)
+            assert [target.received for target in batched] == [target.received for target in plain]
+        simulator.run()
+        other.run()
+        assert [target.received for target in batched] == [target.received for target in plain]
+        assert sum(len(target.received) for target in plain) == 900
+
+    def test_transaction_ids_are_a_function_of_the_run(self):
+        """Regression: ids came from a process-wide counter, so the second
+        of two identical runs in one interpreter carried different ones."""
+        from repro.sim.experiment import ExperimentConfig
+        from repro.sim.runner import SimulationRunner
+
+        config = ExperimentConfig(
+            committee_size=4, input_load_tps=300.0, duration=6.0, warmup=1.0, seed=6
+        )
+
+        def observed():
+            runner = SimulationRunner(config)
+            stream = []
+            runner.nodes[config.observer].on_ordered(
+                lambda record: stream.extend(tuple(t[:4]) for t in record.vertex.block)
+            )
+            runner.run()
+            return stream
+
+        first = observed()
+        assert len(first) > 500
+        assert observed() == first
 
     def test_runs_are_deterministic_end_to_end(self):
         """Gate for the tie-break renumbering: same config, same bytes."""
