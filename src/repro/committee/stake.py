@@ -147,6 +147,9 @@ class StakeVector:
         verdict = cache.get(signers)
         if verdict is None:
             self.signer_cache_misses += 1
+            if not all(0 <= signer < self.size for signer in signers):
+                # Refused before an id becomes a shift, and not cached.
+                return False
             evict_oldest_half(cache, self._SIGNER_CACHE_LIMIT)
             # Miss path: convert once and let the bitmask engine decide.
             # Duplicate signers collapse into one bit, so a malformed or

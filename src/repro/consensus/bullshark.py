@@ -34,7 +34,7 @@ Differences from the pseudocode that matter for the reproduction:
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.committee import Committee
 from repro.consensus.committed import CommittedSubDag, OrderedVertex
@@ -103,8 +103,9 @@ class BullsharkConsensus:
 
         # ``lastOrderedRound`` from Algorithm 2 (tracks anchor rounds).
         self.last_ordered_anchor_round: Round = 0
-        # Vertices already output in the total order.
-        self.ordered_vertices: Set[VertexId] = set()
+        # Vertices already output in the total order: per round, the
+        # bitmask of their sources (what ``DagStore.causal_history`` excludes).
+        self.ordered_sources: Dict[Round, int] = {}
         # Ordered output, kept when ``record_sequence`` is set (tests use it
         # to check Total Order; large simulations disable it to save memory).
         self.ordered_sequence: List[OrderedVertex] = []
@@ -330,13 +331,11 @@ class BullsharkConsensus:
 
     def _commit_anchor(self, anchor: Vertex, direct: bool) -> CommittedSubDag:
         now = self.clock()
-        vertices = self.dag.causal_history(anchor.id, exclude=self.ordered_vertices)
-        ordered: List[Vertex] = []
-        for vertex in vertices:
-            if vertex.id in self.ordered_vertices:
-                continue
-            self.ordered_vertices.add(vertex.id)
-            ordered.append(vertex)
+        ordered_sources = self.ordered_sources
+        ordered = self.dag.causal_history(anchor.id, exclude=ordered_sources)
+        for vertex in ordered:
+            round_number = vertex.round
+            ordered_sources[round_number] = ordered_sources.get(round_number, 0) | 1 << vertex.source
             self._emit_ordered(vertex, anchor.round, now)
         # Skipped anchors between the previously ordered anchor round and
         # this one are reported to the schedule manager (used by the
@@ -487,6 +486,29 @@ class BullsharkConsensus:
     def ordering_digest(self) -> str:
         """Hex digest summarizing the ordered prefix (for safety checks)."""
         return self._ordering_digest.hexdigest()
+
+    def is_ordered(self, vertex_id: VertexId) -> bool:
+        """``True`` once ``vertex_id`` was output in the total order (or adopted as such)."""
+        round_number, source = vertex_id
+        return source >= 0 and bool(self.ordered_sources.get(round_number, 0) >> source & 1)
+
+    def ordered_from(self, horizon: Round) -> FrozenSet[VertexId]:
+        """The ordered vertices at or above ``horizon`` as ids: a state-sync snapshot's form."""
+        sources_of = self.committee.stake_vector.validators_of_mask
+        return frozenset(
+            VertexId(round_number, source)
+            for round_number, mask in self.ordered_sources.items()
+            if round_number >= horizon
+            for source in sources_of(mask)
+        )
+
+    def adopt_ordered(self, vertex_ids: Iterable[VertexId]) -> None:
+        """Mark a peer's ordered vertices as ordered here (state sync); the
+        ids are its claim, so each is bounded before it becomes a shift."""
+        ordered_sources = self.ordered_sources
+        for round_number, source in vertex_ids:
+            if 0 <= source < self.committee.size:
+                ordered_sources[round_number] = ordered_sources.get(round_number, 0) | 1 << source
 
     def ordered_ids(self) -> List[VertexId]:
         """The ordered sequence as vertex ids (requires ``record_sequence``)."""

@@ -509,60 +509,57 @@ class DagStore:
         return cache[root.id][target_round]
 
     def causal_history(
-        self,
-        root: VertexId,
-        exclude: Optional[Set[VertexId]] = None,
-        include_root: bool = True,
+        self, root: VertexId, exclude: Optional[Dict[Round, int]] = None
     ) -> List[Vertex]:
-        """All vertices reachable from ``root`` that are not in ``exclude``.
+        """All vertices reachable from ``root`` that ``exclude`` does not name.
 
-        The result is returned in a deterministic order (ascending round,
-        then source) so that every validator linearizes a committed
-        sub-DAG identically (Algorithm 2, line 35).
-
-        Excluded vertices stop the walk: nothing beneath them is visited
-        unless another path reaches it.
+        ``exclude`` maps a round to a source bitmask (bit ``s`` names the
+        round's vertex from validator ``s``): the form the consensus
+        engine keeps its ordered vertices in.  The result is in ascending
+        (round, source) order, so every validator linearizes a committed
+        sub-DAG identically (Algorithm 2, line 35).  Excluded and absent
+        vertices (pruned or never received) stop the walk: nothing beneath
+        them is visited unless another path reaches it.
         """
-        excluded = exclude if exclude is not None else set()
-        by_id = self._by_id
-        root_vertex = by_id.get(root)
-        if root_vertex is None:
+        if self.get(root) is None:
             raise DagError(f"vertex {root} is not in the DAG")
-        if root in excluded:
-            # The walk stops immediately at an excluded root.
-            return []
-        # Level-wise walk using C-speed set operations: the commit rule
-        # calls this once per committed anchor with the already-ordered
-        # set excluded, and the per-edge Python loop of the previous
-        # stack walk was measurable at committee 25+.  Edges always point
-        # to the previous round, so the frontier can be advanced as a
-        # set-union of edge sets minus everything seen or excluded.
-        collected: List[Vertex] = []
-        if include_root:
-            collected.append(root_vertex)
-        seen: Set[VertexId] = {root}
-        frontier: Set[VertexId] = set()
-        frontier.update(root_vertex.edges)
-        frontier.difference_update(excluded)
-        while frontier:
-            seen.update(frontier)
-            next_edges: List[FrozenSet[VertexId]] = []
-            # det: ordered -- append order is erased by the final sort;
-            # next_edges feed an order-insensitive set union.
-            for vertex_id in frontier:
-                vertex = by_id.get(vertex_id)
+        excluded = exclude if exclude is not None else {}
+        round_slots = self._round_slots
+        sources_of = self.committee.stake_vector.validators_of_mask
+        in_committee = (1 << self._size) - 1
+        # A level-by-level descent over the round slabs, one source mask
+        # per level.  ``make_vertex`` edges all name the previous round,
+        # so ``wanted`` holds one round at a time; a decoded vertex can
+        # name any round, which is why it is a dict and why ``reached``
+        # (ids already visited, stored or not) also guards termination.
+        reached: Dict[Round, int] = {}
+        wanted: Dict[Round, int] = {root.round: 1 << root.source}
+        while wanted:
+            round_number = max(wanted)
+            visited = reached.get(round_number, 0)
+            fresh = wanted.pop(round_number) & in_committee & ~visited & ~excluded.get(round_number, 0)
+            slots = round_slots.get(round_number)
+            if not fresh or slots is None:
+                continue
+            reached[round_number] = visited | fresh
+            below = 0
+            for source in sources_of(fresh):
+                vertex = slots[source]
                 if vertex is None:
-                    # Below the GC horizon: already ordered and pruned.
                     continue
-                collected.append(vertex)
-                next_edges.append(vertex.edges)
-            if not next_edges:
-                break
-            frontier = set().union(*next_edges)
-            frontier.difference_update(seen)
-            frontier.difference_update(excluded)
-        collected.sort(key=lambda vertex: (vertex.round, vertex.source))
-        return collected
+                if vertex.edges_adjacent:
+                    below |= vertex.edge_mask
+                else:
+                    for edge in vertex.edges:
+                        wanted[edge.round] = wanted.get(edge.round, 0) | 1 << edge.source
+            if below:
+                wanted[round_number - 1] = wanted.get(round_number - 1, 0) | below
+        return [
+            vertex
+            for round_number in sorted(reached)
+            for vertex in map(round_slots[round_number].__getitem__, sources_of(reached[round_number]))
+            if vertex is not None
+        ]
 
     # -- garbage collection ----------------------------------------------------------------
 

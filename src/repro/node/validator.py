@@ -704,18 +704,13 @@ class ValidatorNode:
             scores = {}
             commits_in_epoch = 0
         horizon = self.dag.lowest_round
-        ordered_above_horizon = frozenset(
-            vertex_id
-            for vertex_id in self.consensus.ordered_vertices
-            if vertex_id.round >= horizon
-        )
         return ConsensusSnapshot(
             last_ordered_anchor_round=self.consensus.last_ordered_anchor_round,
             gc_round=horizon,
             schedules=tuple(self.schedule_manager.history),
             scores=scores,
             commits_in_epoch=commits_in_epoch,
-            ordered_vertices=ordered_above_horizon,
+            ordered_vertices=self.consensus.ordered_from(horizon),
             vote_accounting=self.schedule_manager.vote_accounting_snapshot(),
         )
 
@@ -766,7 +761,7 @@ class ValidatorNode:
         if snapshot is None:
             return
         self.consensus.fast_forward(snapshot.last_ordered_anchor_round)
-        self.consensus.ordered_vertices.update(snapshot.ordered_vertices)
+        self.consensus.adopt_ordered(snapshot.ordered_vertices)
         self.schedule_manager.adopt_state(
             list(snapshot.schedules),
             dict(snapshot.scores),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.committee import Committee
 from repro.network.transport import Network
@@ -87,9 +87,10 @@ class BroadcastProtocol:
         # sequence.  The owning node keeps this in sync via
         # ``ValidatorNode.set_behavior``.
         self.policy: Optional[Any] = None
-        # Delivered (origin, round) pairs: enforces the Integrity property
-        # (at most one delivery per origin and round).
-        self._delivered: set = set()
+        # Delivered origins per round (bit ``origin``): enforces the
+        # Integrity property (at most one delivery per origin and round).
+        self._delivered: Dict[Round, int] = {}
+        self._size = committee.size
 
     def install_observability(self, tracer: Tracer, registry: Optional[Any]) -> None:
         """Attach a tracer (and optionally a counter registry)."""
@@ -169,10 +170,12 @@ class BroadcastProtocol:
         return policy.should_ack(origin, round_number)
 
     def _deliver(self, payload: Any, round_number: Round, origin: ValidatorId) -> None:
-        key = (origin, round_number)
-        if key in self._delivered:
+        if not 0 <= origin < self._size:  # bounded before it becomes a shift
             return
-        self._delivered.add(key)
+        delivered = self._delivered.get(round_number, 0)
+        if delivered >> origin & 1:
+            return
+        self._delivered[round_number] = delivered | 1 << origin
         if self._tracing:
             self._tracer.emit(
                 "payload_delivered",
@@ -190,7 +193,7 @@ class BroadcastProtocol:
         )
 
     def has_delivered(self, origin: ValidatorId, round_number: Round) -> bool:
-        return (origin, round_number) in self._delivered
+        return 0 <= origin < self._size and bool(self._delivered.get(round_number, 0) >> origin & 1)
 
     def _now(self) -> SimTime:
         return self.network.simulator.now

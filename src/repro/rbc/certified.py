@@ -51,7 +51,7 @@ are engineered away here:
 * **Batched delivery** (:class:`CertificateBatch`) keeps the transport
   send count at one per peer per round regardless of how many
   certificates a validator emits; receivers split, deduplicate against
-  already-delivered ``(origin, round)`` pairs, and hand the payloads to
+  the round's delivered-origins mask, and hand the payloads to
   the DAG in batch order (parking/promotion of out-of-order vertices is
   exercised by the property suite).
 
@@ -78,7 +78,7 @@ RNG draw order and statistics of a plain broadcast exactly.
 from __future__ import annotations
 
 from hashlib import sha256
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.committee import Committee
 from repro.crypto.hashing import BROADCAST_DIGEST_MEMO, digest_of, evict_oldest_half
@@ -150,8 +150,9 @@ class CertifiedBroadcast(BroadcastProtocol):
         self._own_payloads: Dict[Round, Tuple[Any, bytes]] = {}
         # Rounds we already certified (to send the certificate only once).
         self._certified: Set[Round] = set()
-        # First proposal digest acknowledged per (origin, round).
-        self._acked: Dict[Tuple[ValidatorId, Round], bytes] = {}
+        # First proposal digest acknowledged per round, in a slab indexed
+        # by the proposal's (authenticated) sender.
+        self._acked: Dict[Round, List[Optional[bytes]]] = {}
         self._stake_vector = committee.stake_vector
         # Class-keyed dispatch: cheaper than an isinstance chain on the
         # per-delivery path, and exact classes are the wire contract.
@@ -348,12 +349,15 @@ class CertifiedBroadcast(BroadcastProtocol):
         them.
         """
         if sender == message.origin and self.piggyback_certificates:
-            delivered = self._delivered
+            size = self._size
             pending = self._pending_certificates
             for certificate in message.certificates:
-                key = (certificate.origin, certificate.round)
+                origin = certificate.origin
+                if not 0 <= origin < size:
+                    continue
+                key = (origin, certificate.round)
                 self._note_peer_has(sender, key)
-                if key not in delivered and key not in pending:
+                if not self.has_delivered(origin, certificate.round) and key not in pending:
                     evict_oldest_half(pending, PIGGYBACK_PENDING_LIMIT)
                     pending[key] = certificate
         self._handle_propose(sender, message)
@@ -368,11 +372,10 @@ class CertifiedBroadcast(BroadcastProtocol):
         delivered on the spot), or the payload was already delivered.  An
         invalid stashed certificate is discarded and the fetch proceeds.
         """
-        key = (origin, round_number)
-        certificate = self._pending_certificates.pop(key, None)
+        certificate = self._pending_certificates.pop((origin, round_number), None)
         if certificate is None:
             return False
-        if key in self._delivered:
+        if self.has_delivered(origin, round_number):
             return True
         if not self._verify_certificate(certificate):
             return False
@@ -398,8 +401,8 @@ class CertifiedBroadcast(BroadcastProtocol):
         return True
 
     def _handle_propose(self, sender: ValidatorId, message: ProposeMessage) -> None:
-        if sender != message.origin:
-            # Proposals are only valid coming directly from their origin.
+        if sender != message.origin or not 0 <= sender < self._size:
+            # Proposals are only valid coming directly from their origin (a member).
             return
         if self.piggyback_certificates:
             self._note_peer_edges(sender, message.payload)
@@ -414,12 +417,14 @@ class CertifiedBroadcast(BroadcastProtocol):
                     origin=message.origin,
                 )
             return
-        key = (message.origin, message.round)
-        previously_acked = self._acked.get(key)
+        acked = self._acked.get(message.round)
+        if acked is None:
+            acked = self._acked[message.round] = [None] * self._size
+        previously_acked = acked[sender]
         if previously_acked is not None and previously_acked != message.digest:
             # Equivocation attempt: never acknowledge a second payload.
             return
-        self._acked[key] = message.digest
+        acked[sender] = message.digest
         ack = AckMessage(
             origin=message.origin,
             round=message.round,
@@ -435,7 +440,7 @@ class CertifiedBroadcast(BroadcastProtocol):
         if own is None:
             return
         payload, digest = own
-        if message.digest != digest or message.voter != sender:
+        if message.digest != digest or message.voter != sender or not 0 <= sender < self._size:
             return
         if message.round in self._certified:
             return
@@ -501,11 +506,13 @@ class CertifiedBroadcast(BroadcastProtocol):
         return True
 
     def _handle_certificate(self, sender: ValidatorId, message: CertificateMessage) -> None:
+        if not 0 <= message.origin < self._size:
+            return
         if self.piggyback_certificates:
             # The sender provably has this certificate; remember both the
             # evidence and the certificate itself as a relay candidate.
             self._note_peer_has(sender, (message.origin, message.round))
-        if (message.origin, message.round) in self._delivered:
+        if self.has_delivered(message.origin, message.round):
             # Duplicate delivery is a no-op either way; skip verification.
             return
         if self._verify_certificate(message):
@@ -522,12 +529,15 @@ class CertifiedBroadcast(BroadcastProtocol):
         batch).
         """
         delivered = self._delivered
+        size = self._size
         piggyback = self.piggyback_certificates
         for certificate in message.certificates:
-            key = (certificate.origin, certificate.round)
+            origin = certificate.origin
+            if not 0 <= origin < size:
+                continue
             if piggyback:
-                self._note_peer_has(sender, key)
-            if key in delivered:
+                self._note_peer_has(sender, (origin, certificate.round))
+            if delivered.get(certificate.round, 0) >> origin & 1:
                 continue
             if self._verify_certificate(certificate):
                 if piggyback:

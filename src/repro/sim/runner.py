@@ -424,6 +424,12 @@ class SimulationRunner:
                     for node in nodes
                 )
             ),
+            # Per-slot protocol state is keyed by round: the largest table of any validator.
+            "rbc.delivered_rounds": float(max(len(node.broadcast_protocol._delivered) for node in nodes)),
+            "rbc.acked_rounds": float(
+                max(len(getattr(node.broadcast_protocol, "_acked", ())) for node in nodes)
+            ),
+            "consensus.ordered_rounds": float(max(len(node.consensus.ordered_sources) for node in nodes)),
             "memo.broadcast_digest.hits": float(BROADCAST_DIGEST_MEMO.hits),
             "memo.broadcast_digest.misses": float(BROADCAST_DIGEST_MEMO.misses),
             "memo.broadcast_digest.size": float(len(BROADCAST_DIGEST_MEMO)),

@@ -66,6 +66,12 @@ def build_cluster(size=4, seed=1, dynamic=False, commits_per_schedule=4):
     return committee, simulator, network, nodes
 
 
+def acked_digest(node, origin, round_number):
+    """The digest ``node`` acknowledged for ``origin``'s proposal at ``round_number``."""
+    acked = node.broadcast_protocol._acked.get(round_number)
+    return None if acked is None else acked[origin]
+
+
 def start_all(nodes):
     for node in nodes.values():
         node.start()
@@ -142,11 +148,11 @@ class TestFanoutEnactment:
         start_all(nodes)
         simulator.run(until=0.3)
         # Node 1 never heard node 0's proposal directly: it has not acked it.
-        assert (0, 1) not in nodes[1].broadcast_protocol._acked
+        assert acked_digest(nodes[1], origin=0, round_number=1) is None
         # Node 2's copy was held back by 0.5s and cannot have arrived yet.
-        assert (0, 1) not in nodes[2].broadcast_protocol._acked
+        assert acked_digest(nodes[2], origin=0, round_number=1) is None
         simulator.run(until=1.5)
-        assert (0, 1) in nodes[2].broadcast_protocol._acked
+        assert acked_digest(nodes[2], origin=0, round_number=1) is not None
 
 
 class TestVoteWithholding:
@@ -188,12 +194,11 @@ class TestEquivocation:
         nodes[adversary].set_behavior(EquivocationPolicy(victims=(victim,)))
         start_all(nodes)
         simulator.run(until=4.0)
-        victim_acks = nodes[victim].broadcast_protocol._acked
-        honest_acks = nodes[0].broadcast_protocol._acked
         diverged = [
             round_number
-            for (origin, round_number), digest in victim_acks.items()
-            if origin == adversary and honest_acks.get((adversary, round_number)) not in (None, digest)
+            for round_number, acked in nodes[victim].broadcast_protocol._acked.items()
+            if acked[adversary] is not None
+            and acked_digest(nodes[0], adversary, round_number) not in (None, acked[adversary])
         ]
         assert diverged, "the victim never saw a conflicting proposal"
         # The conflicting vertex must not have entered any DAG: every node
@@ -234,7 +239,7 @@ class TestSilentFanout:
         assert all(not mask >> adversary & 1 for mask in target_acks.values())
         # ...nor did the target ever hear a proposal from the adversary.
         assert all(
-            origin != adversary for origin, _ in nodes[target].broadcast_protocol._acked
+            acked[adversary] is None for acked in nodes[target].broadcast_protocol._acked.values()
         )
         # Liveness survives: the target keeps up through third parties.
         assert nodes[target].current_round > 10

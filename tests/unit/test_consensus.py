@@ -135,7 +135,8 @@ class TestSkippedAnchors:
         assert 4 in committed_rounds
         assert 2 not in committed_rounds
         # The skipped anchor's vertex itself is never ordered.
-        assert vid(2, 0) not in consensus.ordered_vertices
+        assert not consensus.is_ordered(vid(2, 0))
+        assert consensus.is_ordered(vid(4, 1))
 
 
 class TestIndirectCommit:

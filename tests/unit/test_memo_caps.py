@@ -17,6 +17,7 @@ from repro.crypto.hashing import evict_oldest_half
 from repro.dag.vertex import intern_table_sizes, interned_vertex_id, make_vertex
 from repro.rbc.certified import VERIFIED_CERTIFICATES_LIMIT
 from repro.sim.experiment import ExperimentConfig, run_experiment
+from repro.sim.runner import SimulationRunner
 
 
 class TestEvictionPolicy:
@@ -132,3 +133,30 @@ class TestCountersExposeMemoSizes:
             assert 0 <= always[key] <= cap
         assert always["memo.mask_quorum.hits"] >= 0
         assert always["memo.mask_quorum.misses"] >= 0
+
+
+class TestPerSlotStateGrowsWithRoundsNotSlots:
+    """Delivered, acknowledged and ordered slots are kept by round (a mask or
+    a slab per round); keyed by ``(origin, round)`` they were rounds x
+    committee entries per validator, for the whole run."""
+
+    def test_tables_hold_one_entry_per_round_at_committee_ten(self):
+        runner = SimulationRunner(ExperimentConfig(committee_size=10, duration=6.0, warmup=0.5, seed=3))
+        result = runner.run()
+        rounds = max(node.current_round for node in runner.nodes.values())
+        assert rounds > 12
+        sizes = {"rbc.delivered_rounds": 0, "rbc.acked_rounds": 0, "consensus.ordered_rounds": 0}
+        for node in runner.nodes.values():
+            tables = {
+                "rbc.delivered_rounds": node.broadcast_protocol._delivered,
+                "rbc.acked_rounds": node.broadcast_protocol._acked,
+                "consensus.ordered_rounds": node.consensus.ordered_sources,
+            }
+            for name, table in tables.items():
+                assert len(table) <= rounds + 1, name
+                sizes[name] = max(sizes[name], len(table))
+            # ... while the slots they record are rounds x committee.
+            delivered_slots = sum(mask.bit_count() for mask in node.broadcast_protocol._delivered.values())
+            assert delivered_slots > 5 * rounds
+        always = result.counters["always"]
+        assert {name: always[name] for name in sizes} == sizes

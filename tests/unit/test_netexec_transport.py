@@ -24,15 +24,18 @@ from __future__ import annotations
 import asyncio
 import struct
 import tempfile
+import tracemalloc
 
 import pytest
 
+from repro.committee import Committee
 from repro.errors import NetworkError
 from repro.netexec.clock import MonotonicScheduler
 from repro.netexec.codec import MAX_FRAME_BYTES, Hello, encode_frame
 from repro.netexec.transport import AsyncioTransport, PeerLink
 from repro.network.transport import NetworkStats
-from repro.rbc.messages import BroadcastMessage
+from repro.rbc.certified import CertifiedBroadcast
+from repro.rbc.messages import BroadcastMessage, CertificateMessage, ProposeMessage
 
 
 def run(coroutine):
@@ -191,6 +194,61 @@ class TestHostilePeers:
         ), harness.transport.events
         # The impostor frame was never dispatched to a handler.
         assert harness.received[0] == []
+
+    def test_ids_outside_the_committee_are_refused_without_allocating(self):
+        """Well-formed frames whose ids would be gigabyte shifts (``1 << 2**33``):
+        a certificate origin, a signer, and a proposal from a peer whose
+        hello names such an id.  Each refusal is measured where it happens."""
+        huge = 2**33
+        committee = Committee.build(4)
+        delivered, peaks = [], []
+
+        def digest(origin, round_number, payload):
+            return CertifiedBroadcast._broadcast_digest(origin, round_number, payload)
+
+        frames = [
+            (3, CertificateMessage(
+                origin=huge, round=4, digest=digest(huge, 4, "forged"), payload="forged", signers=(0, 1, 2)
+            )),
+            (3, CertificateMessage(
+                origin=2, round=4, digest=digest(2, 4, "forged"), payload="forged", signers=(0, 1, huge)
+            )),
+            (huge, ProposeMessage(origin=huge, round=1, digest=digest(huge, 1, "outsider"), payload="outsider")),
+        ]
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                transport = AsyncioTransport(
+                    MonotonicScheduler(asyncio.get_running_loop(), seed=1), socket_dir=socket_dir
+                )
+                protocol = CertifiedBroadcast(1, committee, transport, delivered.append)
+
+                def handler(sender, message):
+                    tracemalloc.start()
+                    try:
+                        protocol.handle_message(sender, message)
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+
+                transport.register(0, region="r0", handler=lambda sender, message: None)
+                transport.register(1, region="r0", handler=handler)
+                await transport.start()
+                for peer, message in frames:
+                    _, writer = await asyncio.open_unix_connection(transport._endpoints[1].address)
+                    writer.write(encode_frame(Hello(peer)) + encode_frame(message))
+                    await writer.drain()
+                    writer.close()
+                    await writer.wait_closed()
+                await _wait_until(lambda: len(peaks) == len(frames))
+                await transport.shutdown()
+                return transport, protocol
+
+        transport, protocol = run(scenario())
+        assert transport.handler_errors == []
+        assert max(peaks) < 1 << 20
+        assert delivered == [] and protocol._delivered == {} and protocol._acked == {}
+        assert transport.stats.messages_sent == 0
 
 
 def _bulky(origin, index):

@@ -1,5 +1,7 @@
 """Unit tests for the certified reliable broadcast (Definition 1)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.committee import Committee
@@ -7,7 +9,13 @@ from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.rbc.certified import CertifiedBroadcast
-from repro.rbc.messages import CertificateMessage, ProposeMessage
+from repro.rbc.messages import (
+    AckMessage,
+    CertificateBatch,
+    CertificateMessage,
+    PiggybackedPropose,
+    ProposeMessage,
+)
 from repro.errors import BroadcastError
 
 
@@ -214,3 +222,93 @@ class TestCertificateVerdictByIdentity:
             assert not protocols[index]._verify_certificate(bogus)
         assert self.full_checks(committee) == checked + 6
         assert committee.stake_vector.verified_certificates == {}
+
+
+class TestIdsOutsideTheCommittee:
+    """A decoded id is bounded before it becomes a shift: ``1 << 2**33`` is
+    a gigabyte, so each refusal is asserted by what it allocated."""
+
+    HUGE = 2**33
+
+    @staticmethod
+    def peak_bytes(action):
+        tracemalloc.start()
+        try:
+            action()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def forged(self, origin, signers=(0, 1, 2), round_number=4):
+        return CertificateMessage(
+            origin=origin,
+            round=round_number,
+            digest=CertifiedBroadcast._broadcast_digest(origin, round_number, "forged"),
+            payload="forged",
+            signers=signers,
+        )
+
+    @pytest.mark.parametrize("origin", [HUGE, 4, -1])
+    def test_a_certificate_from_outside_is_refused_on_every_path(self, origin):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        protocol = protocols[1]
+        protocol.piggyback_certificates = True
+        certificate = self.forged(origin)
+        # Quorum of signers, matching digest: only the origin is wrong.
+        assert protocol._verify_certificate(certificate)
+        proposal = protocols[2].make_propose("honest", 5)
+
+        def every_path():
+            protocol.handle_message(2, certificate)
+            protocol.handle_message(
+                2, CertificateBatch(origin=2, round=4, digest=certificate.digest, certificates=(certificate,))
+            )
+            protocol.handle_message(
+                2,
+                PiggybackedPropose(
+                    origin=2, round=5, digest=proposal.digest, payload="honest", certificates=(certificate,)
+                ),
+            )
+            assert not protocol.recover_certificate(origin, 4)
+            assert not protocol.has_delivered(origin, 4)
+            protocol._deliver("forged", 4, origin)
+
+        assert self.peak_bytes(every_path) < 1 << 20
+        assert deliveries[1] == []
+        assert protocol._delivered == {} and protocol._pending_certificates == {}
+        assert not protocol._peer_seen.get(2)
+
+    @pytest.mark.parametrize("sender", [HUGE, 4, -1])
+    def test_a_proposal_from_outside_is_not_acknowledged(self, sender):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        protocol = protocols[1]
+        proposal = ProposeMessage(
+            origin=sender,
+            round=1,
+            digest=CertifiedBroadcast._broadcast_digest(sender, 1, "outsider"),
+            payload="outsider",
+        )
+        assert self.peak_bytes(lambda: protocol.handle_message(sender, proposal)) < 1 << 20
+        assert protocol._acked == {}
+        assert network.stats.messages_sent == 0
+
+    @pytest.mark.parametrize("sender", [HUGE, 4, -1])
+    def test_an_ack_from_outside_is_not_counted(self, sender):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        protocol = protocols[1]
+        protocol.broadcast("payload", round_number=1)
+        ack = AckMessage(origin=1, round=1, digest=protocol._own_payloads[1][1], voter=sender)
+        assert self.peak_bytes(lambda: protocol.handle_message(sender, ack)) < 1 << 20
+        assert protocol.ack_count(1) == 0
+
+    @pytest.mark.parametrize("signers", [(0, 1, HUGE), (0, 1, 2, 4), (-1, 0, 1, 2)])
+    def test_a_signer_from_outside_fails_the_certificate_and_is_not_cached(self, signers):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        vector = committee.stake_vector
+        certificate = self.forged(2, signers=signers)
+        assert self.peak_bytes(lambda: protocols[1].handle_message(2, certificate)) < 1 << 20
+        assert deliveries[1] == []
+        assert not vector.signer_tuple_has_quorum(signers)
+        assert signers not in vector._signer_quorum_cache
+        # The same ids inside the committee are a quorum.
+        assert vector.signer_tuple_has_quorum((0, 1, 2))

@@ -147,25 +147,38 @@ def drive_against_model(committee_size=7, rounds=16, seed=3):
 
 
 def reverse_source_order(monkeypatch):
-    """Linearize a committed sub-DAG by descending source within a round."""
-    original = DagStore.causal_history
+    """Linearize a committed sub-DAG by descending source within a round.
 
-    def mutated(self, *args, **kwargs):
-        history = original(self, *args, **kwargs)
-        return sorted(history, key=lambda vertex: (vertex.round, -vertex.source))
+    Returns the list the mutation appends to each time it changes an
+    order the engine goes on to commit."""
+    original = DagStore.causal_history
+    applied = []
+
+    def mutated(self, root, exclude=None):
+        history = original(self, root, exclude)
+        reordered = sorted(history, key=lambda vertex: (vertex.round, -vertex.source))
+        if reordered != history:
+            applied.append(root)
+        return reordered
 
     monkeypatch.setattr(DagStore, "causal_history", mutated)
+    return applied
 
 
 def promote_in_reverse(monkeypatch):
     """Hand demoted slots to the promoted validators in reverse order."""
     original = schedule_change.select_swap_sets
 
+    applied = []
+
     def mutated(*args, **kwargs):
         demoted, promoted = original(*args, **kwargs)
+        if promoted != promoted[::-1]:
+            applied.append(promoted)
         return demoted, promoted[::-1]
 
     monkeypatch.setattr(schedule_change, "select_swap_sets", mutated)
+    return applied
 
 
 def test_unmutated_engine_agrees_with_the_model():
@@ -176,5 +189,7 @@ def test_unmutated_engine_agrees_with_the_model():
 def test_model_catches_a_defect_in_shared_code(mutate, monkeypatch):
     """Both mutations sit in code that every production configuration
     runs, so no production-vs-production comparison could see them."""
-    mutate(monkeypatch)
-    assert drive_against_model() != []
+    applied = mutate(monkeypatch)
+    mismatches = drive_against_model()
+    assert applied, "the mutation no longer sits on the path the engine commits through"
+    assert mismatches != []

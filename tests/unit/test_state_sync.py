@@ -1,11 +1,17 @@
 """Unit tests for the state-sync building blocks (fast forward, pending
 reconsideration, sweep helpers)."""
 
+import hashlib
+
 import pytest
 
 from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices, make_vertex
+from repro.netexec.codec import encode
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.spec import compile_spec
 from repro.sim.experiment import ExperimentConfig
+from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import (
     compare_systems,
     curve_points,
@@ -58,6 +64,67 @@ class TestConsensusFastForward:
                 consensus.process_vertex(vertex)
         assert consensus.commit_count > 0
         assert consensus.last_ordered_anchor_round >= 6
+
+
+class TestOrderedVerticesInASnapshot:
+    """The engine keeps ordered vertices as per-round source masks; a
+    ``ConsensusSnapshot`` carries them as a set of ids."""
+
+    def test_masks_to_ids_to_masks_is_the_identity_above_the_horizon(self, committee4):
+        donor = make_consensus(committee4)
+        drive_rounds(donor, committee4, rounds=11, sources=[0, 1, 3])
+        assert len(donor.ordered_sources) > 6
+        for horizon in (0, 4, 7):
+            ids = donor.ordered_from(horizon)
+            assert ids == {
+                record.vertex.id for record in donor.ordered_sequence if record.vertex.round >= horizon
+            }
+            adopter = make_consensus(committee4)
+            adopter.adopt_ordered(ids)
+            assert adopter.ordered_sources == {
+                round_number: mask
+                for round_number, mask in donor.ordered_sources.items()
+                if round_number >= horizon
+            }
+            assert adopter.ordered_from(0) == ids
+            assert all(adopter.is_ordered(vertex_id) for vertex_id in ids)
+
+    def test_adopted_ids_outside_the_committee_are_not_marked(self, committee4):
+        adopter = make_consensus(committee4)
+        adopter.adopt_ordered([vid(3, 1), vid(3, 4), vid(3, 2**33), vid(5, -1), vid(-2, 0)])
+        assert adopter.ordered_sources == {3: 0b10, -2: 0b1}
+        assert adopter.is_ordered(vid(3, 1))
+        assert not adopter.is_ordered(vid(3, 2**33)) and not adopter.is_ordered(vid(5, -1))
+
+    def test_the_pinned_state_sync_run_adopts_a_byte_identical_snapshot(self):
+        """``rolling-crash-churn``: validator 9 recovers, finds history pruned
+        and adopts one snapshot.  Length and digest of its encoding were
+        recorded at the parent of the change that introduced the masks."""
+        (config,) = [
+            point.config
+            for point in compile_spec(get_scenario("rolling-crash-churn"))
+            if point.protocol == "hammerhead"
+        ]
+        runner = SimulationRunner(config)
+        node = runner.nodes[9]
+        adopted = []
+        maybe_state_sync = node._maybe_state_sync
+
+        def recorded(response):
+            gaps = len(node.consensus.state_sync_gaps)
+            maybe_state_sync(response)
+            if len(node.consensus.state_sync_gaps) > gaps:
+                adopted.append(response.snapshot)
+
+        node._maybe_state_sync = recorded
+        runner.run()
+        (snapshot,) = adopted
+        encoded = encode(snapshot)
+        assert (len(snapshot.ordered_vertices), snapshot.gc_round, len(encoded)) == (330, 50, 7400)
+        assert hashlib.sha256(encoded).hexdigest() == (
+            "9231d5c4999c80b595d4027c4913bfb7727df708cf829776bc41d9740dd7042c"
+        )
+        assert all(node.consensus.is_ordered(vertex_id) for vertex_id in snapshot.ordered_vertices)
 
 
 class TestReconsiderPending:
