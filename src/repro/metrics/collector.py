@@ -15,9 +15,10 @@ bias results.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from itertools import compress, repeat
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.consensus.committed import OrderedVertex
@@ -25,7 +26,7 @@ from repro.metrics.execution import ExecutionModel
 from repro.metrics.latency import LatencyStats
 from repro.node.validator import ValidatorNode
 from repro.types import SimTime
-from repro.workload.transactions import Transaction, transaction_columns
+from repro.workload.transactions import Transaction, as_column, transaction_columns
 
 
 class MetricsCollector:
@@ -47,7 +48,7 @@ class MetricsCollector:
         self._committed_stops: List[int] = []
         # Finality times of the transactions submitted after the warm-up
         # period; throughput is derived from these at reporting time.
-        self._finality_times: List[SimTime] = []
+        self._finality_times = array("d")
         self.latency = LatencyStats()
         # Submissions announced one by one; attached clients count their own.
         self._announced = 0
@@ -98,8 +99,9 @@ class MetricsCollector:
         count = len(ids)
         if not count:
             return
-        first = ids[0]
-        if ids != list(range(first, first + count)) or not self._claim(first, first + count):
+        first, stop = ids[0], ids[-1] + 1
+        # The ends first: a run between them holds no id that 64 bits cannot.
+        if stop - first != count or ids != as_column("q", range(first, stop)) or not self._claim(first, stop):
             # Not one run of fresh ids: settle it id by id.
             fresh = [self._claim(tx_id, tx_id + 1) for tx_id in ids]
             submitted_at = list(compress(submitted_at, fresh))
@@ -117,7 +119,7 @@ class MetricsCollector:
             measured = [submit_time >= warmup for submit_time in submitted_at]
             finality_times = list(compress(finality_times, measured))
             submitted_at = list(compress(submitted_at, measured))
-        self._finality_times += finality_times
+        self._finality_times += array("d", finality_times)
         self.committed += len(finality_times)
         self.latency.extend(list(map(sub, finality_times, submitted_at)))
 
@@ -133,7 +135,7 @@ class MetricsCollector:
         window = duration - self.warmup
         if window <= 0:
             return 0.0
-        finalized = sum([finality <= duration for finality in self._finality_times])
+        finalized = sum(map(ge, repeat(duration), self._finality_times))
         return finalized / window
 
     def commit_ratio(self) -> float:

@@ -10,6 +10,9 @@ pass over that single sorted view.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import repeat
+from operator import sub
 from typing import Dict, List, Optional, Sequence
 
 
@@ -17,9 +20,9 @@ class LatencyStats:
     """Streaming collection of latency samples with summary statistics."""
 
     def __init__(self) -> None:
-        self._samples: List[float] = []
+        self._samples = array("d")
         # Cached ascending view of ``_samples``; ``None`` when stale.
-        self._sorted: Optional[List[float]] = None
+        self._sorted: Optional[array] = None
 
     def record(self, latency: float) -> None:
         if latency < 0:
@@ -32,7 +35,7 @@ class LatencyStats:
             return
         if min(latencies) < 0:
             raise ValueError("latency samples must be non-negative")
-        self._samples.extend(latencies)
+        self._samples += array("d", latencies)
         self._sorted = None
 
     @property
@@ -43,9 +46,9 @@ class LatencyStats:
     def samples(self) -> List[float]:
         return list(self._samples)
 
-    def _sorted_samples(self) -> List[float]:
+    def _sorted_samples(self) -> array:
         if self._sorted is None:
-            self._sorted = sorted(self._samples)
+            self._sorted = array("d", sorted(self._samples))
         return self._sorted
 
     def average(self) -> float:
@@ -59,9 +62,9 @@ class LatencyStats:
         return self._stdev_given_mean(self.average())
 
     def _stdev_given_mean(self, mean: float) -> float:
-        squares = [(sample - mean) ** 2 for sample in self._samples]
-        variance = sum(squares) / (len(squares) - 1)
-        return math.sqrt(variance)
+        # Squared and summed in sample order, one at a time: no column of squares.
+        squares = map(pow, map(sub, self._samples, repeat(mean)), repeat(2))
+        return math.sqrt(sum(squares) / (len(self._samples) - 1))
 
     def percentile(self, fraction: float) -> float:
         """Linear-interpolated percentile, ``fraction`` in [0, 1]."""
@@ -72,7 +75,7 @@ class LatencyStats:
         return self._percentile_of(self._sorted_samples(), fraction)
 
     @staticmethod
-    def _percentile_of(ordered: List[float], fraction: float) -> float:
+    def _percentile_of(ordered: Sequence[float], fraction: float) -> float:
         if len(ordered) == 1:
             return ordered[0]
         position = fraction * (len(ordered) - 1)

@@ -17,6 +17,7 @@ has arrived as one ``TransactionBatch`` whenever a pool is about to be read.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from bisect import bisect_right
 from functools import cmp_to_key
 from itertools import groupby, repeat
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 from repro.errors import WorkloadError
 from repro.network.simulator import Simulator
 from repro.types import SimTime
-from repro.workload.transactions import TransactionBatch
+from repro.workload.transactions import TransactionBatch, as_column
 
 if TYPE_CHECKING:
     from repro.node.validator import ValidatorNode
@@ -42,9 +43,9 @@ class _Column:
     """The arrivals at one target, earliest first."""
 
     target: Any
-    arrivals: List[SimTime]
-    submitted_at: List[SimTime]
-    clients: List[int]
+    arrivals: array  # 'd'; the other two as in a ``TransactionBatch``
+    submitted_at: array
+    clients: array
     first_id: int  # row ``i`` carries transaction id ``first_id + i``
     position: int = 0  # the rows before it have been delivered
 
@@ -127,7 +128,7 @@ class ClientArrivals:
             target = column.target
             batch = TransactionBatch(
                 target.id,
-                list(range(column.first_id + start, column.first_id + end)),
+                range(column.first_id + start, column.first_id + end),
                 column.clients[start:end],
                 column.submitted_at[start:end],
             )
@@ -172,10 +173,10 @@ class ClientArrivals:
         merged = sorted(arrivals)
         if any(map(eq, merged, merged[1:])):
             _order_ties(order, merged, parts)
-        submitted_at = list(map(submitted_at.__getitem__, order))
-        clients = list(map(clients.__getitem__, order))
+        submitted_at = as_column("d", map(submitted_at.__getitem__, order))
+        clients = as_column("q", map(clients.__getitem__, order))
         self._next_id += len(merged)
-        return _Column(target, merged, submitted_at, clients, self._next_id - len(merged))
+        return _Column(target, as_column("d", merged), submitted_at, clients, self._next_id - len(merged))
 
 
 def _order_ties(order: List[int], merged: List[SimTime], parts: List[Tuple[LoadGenerator, range]]) -> None:

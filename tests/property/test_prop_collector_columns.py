@@ -45,7 +45,7 @@ def test_the_oracle_shares_no_code_with_the_collector():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert imported == {"__future__", "repro.workload.transactions"}
+    assert imported == {"__future__", "math", "repro.workload.transactions"}
 
 
 # -- scripts -----------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def play(script, collector_class=MetricsCollector, execution_class=ExecutionMode
     return (
         {
             "latencies": production.latency.samples,
-            "finality": production._finality_times,
+            "finality": list(production._finality_times),
             "committed": production.committed,
             "duplicates": production.duplicate_commits,
             "ratio": production.commit_ratio(),

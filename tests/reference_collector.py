@@ -9,10 +9,12 @@ transaction, one comparison against the warm-up, one subtraction.
 
 A block is any iterable; only its ``Transaction`` items count, and only
 the first time their id is seen.  Imports: the standard library and
-``repro.workload.transactions`` only.
+``repro.workload.transactions`` only.  Every column there is a ``list``.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.workload.transactions import Transaction
 
@@ -62,3 +64,31 @@ class ReferenceCollector:
         if submitted == 0:
             return 0.0
         return len(self.committed_ids) / submitted
+
+    def summary(self):
+        """Latency statistics the way ``LatencyStats`` used to compute them:
+        a sorted list, a list of squared deviations, one interpolation."""
+        ordered = sorted(self.latencies)
+        if not ordered:
+            return dict.fromkeys(("count", "avg", "stdev", "p50", "p95", "p99", "max"), 0.0)
+        mean = sum(ordered) / len(ordered)
+        squares = [(sample - mean) ** 2 for sample in self.latencies]
+        return {
+            "count": float(len(ordered)),
+            "avg": mean,
+            "stdev": math.sqrt(sum(squares) / (len(squares) - 1)) if len(ordered) > 1 else 0.0,
+            "p50": _percentile(ordered, 0.50),
+            "p95": _percentile(ordered, 0.95),
+            "p99": _percentile(ordered, 0.99),
+            "max": ordered[-1],
+        }
+
+
+def _percentile(ordered, fraction):
+    """Linear interpolation between the two bracketing samples, clamped to them."""
+    position = fraction * (len(ordered) - 1)
+    lower = int(position)
+    if lower == position:
+        return ordered[lower]
+    low, high = ordered[lower], ordered[lower + 1]
+    return min(max(low + (position - lower) * (high - low), low), high)

@@ -172,6 +172,73 @@ class TestTransactionBatch:
             pool.extend(TransactionBatch(6, [1], [0], [0.25]))
         assert len(pool) == 0
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            Transaction(2**63, 0, 0.25, 5),
+            Transaction(-(2**63) - 1, 0, 0.25, 5),
+            Transaction(1, 2**63, 0.25, 5),
+            Transaction(1.5, 0, 0.25, 5),
+            Transaction(1, 0, "soon", 5),
+            Transaction(1, 0, None, 5),
+            (1, 0),
+        ],
+    )
+    def test_a_value_a_typed_column_cannot_hold_is_refused_whole(self, row):
+        # A list took anything; ``array`` raises on the second or third
+        # column, after the first has grown.  Nothing may have grown.
+        pool = TransactionBatch(5)
+        pool.append(Transaction(0, 0, 0.0, 5))
+        with pytest.raises(WorkloadError, match="is no row of a batch for validator 5"):
+            pool.append(row)
+        assert len(pool.ids) == len(pool.clients) == len(pool.submitted_at) == 1
+        assert list(pool) == [Transaction(0, 0, 0.0, 5)]
+        sealed = pool.take(1)
+        with pytest.raises(WorkloadError):
+            sealed.append(Transaction(1, 0, 0.25, 5))
+        assert len(sealed.ids) == len(sealed.clients) == len(sealed.submitted_at) == 1
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([1, 2**63], [0, 0], [0.25, 0.5]),
+            ([1, 2], [0, -(2**63) - 1], [0.25, 0.5]),
+            ([1, 2], [0, 0], [0.25, "soon"]),
+            ([1, 2.5], [0, 0], [0.25, 0.5]),
+            ([1, 2], [0], [0.25, 0.5]),
+            ([1, 2], [0, 0], [0.25]),
+            (7, [0], [0.25]),
+        ],
+    )
+    def test_columns_are_coerced_or_refused_at_construction(self, columns):
+        with pytest.raises(WorkloadError):
+            TransactionBatch(5, *columns)
+        # ... so nothing half-typed ever reaches a pool.
+        pool = TransactionBatch(5, [0], [0], [0.0])
+        with pytest.raises(WorkloadError):
+            pool.extend(TransactionBatch(5, *columns))
+        assert len(pool.ids) == len(pool.clients) == len(pool.submitted_at) == 1
+
+    def test_every_column_is_typed_whatever_it_was_built_from(self):
+        from array import array
+
+        from repro.workload.transactions import transaction_columns
+
+        kept = array("q", [4, 5])
+        batch = TransactionBatch(5, kept, (0, 1), iter([0.25, 1]))
+        assert batch.ids is kept  # a column of the right type is owned, not copied
+        assert [column.typecode for column in (batch.ids, batch.clients, batch.submitted_at)] == ["q", "q", "d"]
+        assert list(batch) == [Transaction(4, 0, 0.25, 5), Transaction(5, 1, 1.0, 5)]
+        taken = batch.take(1)
+        assert [column.typecode for column in (taken.ids, taken.clients, taken.submitted_at)] == ["q", "q", "d"]
+        # A foreign block (the socket engine's tuple of transactions)
+        # reduces to the same two types as a batch's own columns.
+        for block in (taken, tuple(taken), ["opaque", *batch]):
+            ids, submitted_at = transaction_columns(block)
+            assert (type(ids), ids.typecode, type(submitted_at), submitted_at.typecode) == (array, "q", array, "d")
+        with pytest.raises(WorkloadError):
+            transaction_columns([Transaction(2**63, 0, 0.25, 5)])
+
 
 class TestLoadGenerator:
     def test_submits_at_requested_rate(self, simulator):
