@@ -42,7 +42,12 @@ from byte 0 with ``_decode_at``.  Wire bytes, the accept/reject set,
 decoded values and error text therefore do not depend on which decoder
 ran — ``tests/property/test_prop_codec_differential.py`` holds both
 against the reference decoder in ``tests/reference_codec.py`` — and
-every decoded vertex went through ``_build_vertex`` either way.
+every decoded vertex went through ``_build_vertex`` either way.  A link
+end may pass a :class:`VertexSlot`: a layout decoder whose vertex starts
+with the slot's bytes returns what those same bytes already decoded to
+on that link, and an encoder given the very vertex object it remembers
+appends the bytes it already made.  The wire does not change
+(``tests/property/test_prop_codec_slots.py``).
 
 This module is pure (no clock, no randomness, no sockets) and is safe
 to import from tests and from the lockstep oracle.
@@ -91,6 +96,11 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 # and how wide one round's source bitmask may be (1024 validators).
 MAX_FRONTIER_ROUNDS = 4096
 MAX_MASK_BYTES = 128
+# A vertex and its edges may name only the validator ids such a mask can
+# hold: ``Vertex`` shifts by every edge source.
+_MAX_SOURCES = 8 * MAX_MASK_BYTES
+# The largest encoded vertex a VertexSlot remembers.
+_SLOT_BYTES = 64 * 1024
 
 _HEADER = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -119,6 +129,30 @@ class Hello:
     node_id: int
 
 
+class VertexSlot:
+    """One link end's memory of one vertex and its encoded bytes.
+
+    On a link the certificate re-ships the vertex its proposal sent one
+    frame earlier.  A sender's slot holds the vertex object it encoded
+    last; a receiver's holds what its bytes decoded to last, filled only
+    once ``_build_vertex`` accepted it.  The vertex encoding is
+    prefix-free, so bytes that begin with a complete valid encoding
+    decode to that vertex under either decoder.  A slot serves one
+    direction and remembers no encoding above 64 KiB.
+    """
+
+    __slots__ = ("vertex", "encoded")
+
+    def __init__(self) -> None:
+        self.vertex: Optional[Vertex] = None
+        self.encoded = b""
+
+    def remember(self, vertex: Vertex, encoded: bytes) -> bytes:
+        if len(encoded) <= _SLOT_BYTES:
+            self.vertex, self.encoded = vertex, encoded
+        return encoded
+
+
 @dataclasses.dataclass(frozen=True)
 class _TypeSpec:
     code: int
@@ -135,6 +169,10 @@ def _build_vertex(fields: tuple) -> Vertex:
         raise CodecError("vertex id field must decode to a VertexId")
     if not isinstance(edges, frozenset):
         raise CodecError("vertex edges field must decode to a frozenset")
+    for named in (vertex_id, *edges):
+        source = getattr(named, "source", None)
+        if type(source) is not int or not 0 <= source < _MAX_SOURCES:
+            raise CodecError(f"vertex names a source outside the validator ids [0, {_MAX_SOURCES})")
     expected = vertex_digest(
         vertex_id.round,
         vertex_id.source,
@@ -351,6 +389,7 @@ def _wire_size(*tokens) -> int:
 
 # Where a block's first transaction keeps the length of its kind.
 _KIND_LENGTH_AT = _wire_size(*_TRANSACTION_HEAD)
+_VERTEX_HEAD_BYTES = _wire_size(*_VERTEX_HEAD)
 _VERTEX_ID_BYTES = _wire_size(*_VERTEX_ID)
 _TRANSACTION_BYTES = _wire_size(*_transaction(0))  # plus the kind's length
 _SIGNER_BYTES = _wire_size(*_INT64)
@@ -390,7 +429,7 @@ def _signers(count: int):
 # -- encoding ----------------------------------------------------------------
 
 
-def _encode_into(value: Any, out: List[bytes]) -> None:
+def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None) -> None:
     if value is None:
         out.append(_TAG_NONE)
     elif value is True:
@@ -412,7 +451,7 @@ def _encode_into(value: Any, out: List[bytes]) -> None:
     elif type(value) in (tuple, list):
         out.append(_TAG_TUPLE + _HEADER.pack(len(value)))
         for item in value:
-            _encode_into(item, out)
+            _encode_into(item, out, slot)
     elif type(value) is frozenset or type(value) is set:
         # Canonical order: sort by encoded bytes, so equal sets encode
         # identically whatever their in-memory iteration order.
@@ -426,6 +465,8 @@ def _encode_into(value: Any, out: List[bytes]) -> None:
         for encoded_key, encoded_value in pairs:
             out.append(encoded_key)
             out.append(encoded_value)
+    elif slot is not None and type(value) is Vertex:
+        out.append(slot.encoded if slot.vertex is value else slot.remember(value, encode(value)))
     else:
         spec = _SPEC_BY_CLASS.get(type(value))
         if spec is None:
@@ -433,22 +474,22 @@ def _encode_into(value: Any, out: List[bytes]) -> None:
         out.append(_TAG_OBJECT + bytes([spec.code]))
         if spec.pack is not None:
             for item in spec.pack(value):
-                _encode_into(item, out)
+                _encode_into(item, out, slot)
         else:
             for name in spec.fields:
-                _encode_into(getattr(value, name), out)
+                _encode_into(getattr(value, name), out, slot)
 
 
-def encode(value: Any) -> bytes:
+def encode(value: Any, slot: Optional[VertexSlot] = None) -> bytes:
     """Encode ``value`` to its canonical byte string (no frame header)."""
     out: List[bytes] = []
-    _encode_into(value, out)
+    _encode_into(value, out, slot)
     return b"".join(out)
 
 
-def encode_frame(value: Any) -> bytes:
+def encode_frame(value: Any, slot: Optional[VertexSlot] = None) -> bytes:
     """Encode ``value`` and prepend the ``>I`` length header."""
-    body = encode(value)
+    body = encode(value, slot)
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             f"encoded frame is {len(body)} bytes, above the {MAX_FRAME_BYTES}-byte cap"
@@ -587,10 +628,12 @@ _vertex_id_of = functools.partial(tuple.__new__, VertexId)
 _transaction_of = functools.partial(tuple.__new__, Transaction)
 
 
-def _vertex_at(
-    data: bytes, offset: int, round_number: int, source: int, edge_count: int
-) -> Tuple[Vertex, int]:
+def _vertex_at(data: bytes, offset: int, head: tuple, slot: Optional[VertexSlot]) -> Tuple[Vertex, int]:
     """The vertex whose ``_VERTEX_HEAD`` the caller unpacked with its own prefix."""
+    start = offset - _VERTEX_HEAD_BYTES
+    if slot is not None and slot.encoded and data.startswith(slot.encoded, start):
+        return slot.vertex, start + len(slot.encoded)
+    round_number, source, edge_count = head[7], head[9], head[11]
     _require_run(edge_count, _VERTEX_ID_BYTES, data, offset)
     fields, offset = _fields_at(_edges(edge_count), data, offset)
     edges = frozenset(map(_vertex_id_of, zip(fields[1:-1:4], fields[3:-1:4])))
@@ -614,41 +657,44 @@ def _vertex_at(
     try:
         # Not optional on this path either: a vertex whose carried digest
         # is not the digest of its fields must never reach protocol code.
-        return _build_vertex((vertex_id, edges, block, fields[-3], fields[-1])), offset
+        vertex = _build_vertex((vertex_id, edges, block, fields[-3], fields[-1]))
     except Exception as error:  # noqa: BLE001 - the generic decoder words the refusal
         raise _LayoutMismatch from error
+    if slot is not None:
+        slot.remember(vertex, data[start:offset])
+    return vertex, offset
 
 
-def _ack_at(data: bytes, offset: int) -> Tuple[AckMessage, int]:
+def _ack_at(data: bytes, offset: int, slot: Optional[VertexSlot]) -> Tuple[AckMessage, int]:
     fields, offset = _fields_at(_ACK, data, offset)
     return AckMessage(*fields[1::2]), offset
 
 
-def _propose_at(data: bytes, offset: int) -> Tuple[ProposeMessage, int]:
+def _propose_at(data: bytes, offset: int, slot: Optional[VertexSlot]) -> Tuple[ProposeMessage, int]:
     head, offset = _fields_at(_PROPOSE, data, offset)
-    vertex, offset = _vertex_at(data, offset, head[7], head[9], head[11])
+    vertex, offset = _vertex_at(data, offset, head, slot)
     return ProposeMessage(head[1], head[3], head[5], vertex), offset
 
 
-def _certificate_at(data: bytes, offset: int) -> Tuple[CertificateMessage, int]:
+def _certificate_at(data: bytes, offset: int, slot: Optional[VertexSlot]) -> Tuple[CertificateMessage, int]:
     head, offset = _fields_at(_CERTIFICATE, data, offset)
-    vertex, offset = _vertex_at(data, offset, head[7], head[9], head[11])
+    vertex, offset = _vertex_at(data, offset, head, slot)
     (_, count), offset = _fields_at(_SIGNER_COUNT, data, offset)
     _require_run(count, _SIGNER_BYTES, data, offset)
     fields, offset = _fields_at(_signers(count), data, offset)
     return CertificateMessage(head[1], head[3], head[5], vertex, fields[1::2]), offset
 
 
-def _batch_at(data: bytes, offset: int) -> Tuple[CertificateBatch, int]:
+def _batch_at(data: bytes, offset: int, slot: Optional[VertexSlot]) -> Tuple[CertificateBatch, int]:
     head, offset = _fields_at(_BATCH, data, offset)
     certificates = []
     for _ in range(head[7]):
-        certificate, offset = _certificate_at(data, offset)
+        certificate, offset = _certificate_at(data, offset, slot)
         certificates.append(certificate)
     return CertificateBatch(head[1], head[3], head[5], tuple(certificates)), offset
 
 
-_LAYOUT_DECODERS: Dict[bytes, Callable[[bytes, int], Tuple[Any, int]]] = {
+_LAYOUT_DECODERS: Dict[bytes, Callable[[bytes, int, Optional[VertexSlot]], Tuple[Any, int]]] = {
     _object(AckMessage): _ack_at,
     _object(ProposeMessage): _propose_at,
     _object(CertificateMessage): _certificate_at,
@@ -656,10 +702,11 @@ _LAYOUT_DECODERS: Dict[bytes, Callable[[bytes, int], Tuple[Any, int]]] = {
 }
 
 
-def decode(body: bytes) -> Any:
+def decode(body: bytes, slot: Optional[VertexSlot] = None) -> Any:
     """Decode one canonical value; the body must be consumed exactly.
 
-    A frame of a type with a compiled layout is tried against it first.
+    A frame of a type with a compiled layout is tried against it first,
+    with ``slot`` the memory of the link it arrived on.
     Any byte off the layout (a ``None`` payload, a digest that is not 32
     bytes, a hostile tag, a repeated edge, a vertex ``_build_vertex``
     refuses, a trailing byte) hands the whole body to ``_decode_at``,
@@ -668,7 +715,7 @@ def decode(body: bytes) -> Any:
     by_layout = _LAYOUT_DECODERS.get(body[:2])
     if by_layout is not None:
         try:
-            value, offset = by_layout(body, 0)
+            value, offset = by_layout(body, 0, slot)
             if offset == len(body):
                 return value
         except (_LayoutMismatch, struct.error, UnicodeDecodeError):
@@ -681,7 +728,7 @@ def decode(body: bytes) -> Any:
     return value
 
 
-def split_frames(buffer, deliver: Callable[[Any], None]) -> int:
+def split_frames(buffer, deliver: Callable[[Any], None], slot: Optional[VertexSlot] = None) -> int:
     """Decode every complete frame at the front of ``buffer``, in order.
 
     Each value goes to ``deliver`` before the next frame is looked at, so
@@ -700,7 +747,7 @@ def split_frames(buffer, deliver: Callable[[Any], None]) -> int:
         end = offset + 4 + length
         if end > available:
             break
-        deliver(decode(bytes(buffer[offset + 4:end])))
+        deliver(decode(bytes(buffer[offset + 4:end]), slot))
         offset = end
     return offset
 

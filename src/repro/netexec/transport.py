@@ -25,7 +25,11 @@ Mechanics:
   are there.  A truncated, oversized, or garbage frame raises at the
   codec boundary and the connection is closed with a logged reason
   (``transport.events``), after everything ahead of it in the same
-  read has been dispatched — no hang, no crash.
+  read has been dispatched — no hang, no crash.  Each link end keeps a
+  one-vertex :class:`~repro.netexec.codec.VertexSlot`, so the vertex a
+  certificate re-ships right behind its proposal is encoded once by the
+  sender and decoded once per receiving link end; the bytes on the wire
+  are the same.
 * **Backpressure** — a link writes each frame straight to its socket
   transport.  Only while that transport has paused writing (its buffer
   is above the high-water mark: the peer is not reading fast enough),
@@ -69,6 +73,7 @@ from repro.netexec.codec import (
     CodecError,
     FrameError,
     Hello,
+    VertexSlot,
     decode,
     encode_frame,
     split_frames,
@@ -205,6 +210,7 @@ class _InboundConnection(asyncio.Protocol):
         self._endpoint = endpoint
         self._peer: Optional[ValidatorId] = None
         self._buffer = bytearray()
+        self._slot = VertexSlot()
         self.transport: Optional[asyncio.Transport] = None
         self.closed: asyncio.Future = asyncio.get_running_loop().create_future()
 
@@ -216,7 +222,7 @@ class _InboundConnection(asyncio.Protocol):
         buffer = self._buffer
         buffer += data
         try:
-            consumed = split_frames(buffer, self._deliver)
+            consumed = split_frames(buffer, self._deliver, self._slot)
         except CodecError as error:
             self._reject(error)
             return
@@ -256,7 +262,7 @@ class _InboundConnection(asyncio.Protocol):
 
 
 class _Endpoint:
-    __slots__ = ("node_id", "region", "handler", "crashed", "server", "address")
+    __slots__ = ("node_id", "region", "handler", "crashed", "server", "address", "encode_slot", "self_slot")
 
     def __init__(self, node_id: ValidatorId, region: Region, handler) -> None:
         self.node_id = node_id
@@ -265,6 +271,10 @@ class _Endpoint:
         self.crashed = False
         self.server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Any] = None
+        # The vertex this validator encoded last, and the one its own
+        # frames decoded to last (self-delivery skips the socket).
+        self.encode_slot = VertexSlot()
+        self.self_slot = VertexSlot()
 
 
 class AsyncioTransport:
@@ -406,24 +416,23 @@ class AsyncioTransport:
     # -- message flow -------------------------------------------------------------
 
     def send(self, sender: ValidatorId, recipient: ValidatorId, message: Any) -> None:
-        self._send_encoded(sender, (recipient,), encode_frame(message))
+        self._send(sender, (recipient,), message)
 
     def broadcast(self, sender: ValidatorId, message: Any, include_self: bool = True) -> None:
         self.stats.broadcasts += 1
         recipients = self._node_ids
         if not include_self:
             recipients = [recipient for recipient in recipients if recipient != sender]
-        self._send_encoded(sender, recipients, encode_frame(message))
+        self._send(sender, recipients, message)
 
     def multicast(self, sender: ValidatorId, recipients, message: Any) -> None:
-        self._send_encoded(sender, recipients, encode_frame(message))
+        self._send(sender, recipients, message)
 
-    def _send_encoded(
-        self, sender: ValidatorId, recipients: Iterable[ValidatorId], frame: bytes
-    ) -> None:
-        """One encoded frame to each recipient, straight onto its link."""
+    def _send(self, sender: ValidatorId, recipients: Iterable[ValidatorId], message: Any) -> None:
+        """Encode ``message`` once; the frame goes straight onto each recipient's link."""
         stats = self.stats
         endpoint = self._endpoints[sender]
+        frame = encode_frame(message, endpoint.encode_slot)
         if endpoint.crashed:
             for _recipient in recipients:
                 stats.messages_sent += 1
@@ -440,7 +449,7 @@ class AsyncioTransport:
                 # Self-delivery skips the socket but not the codec: the
                 # local copy is decoded from the same frame a remote peer
                 # would receive, so encodability bugs cannot hide locally.
-                self._loop.call_soon(self._dispatch, sender, endpoint, decode(frame[4:]))
+                self._loop.call_soon(self._dispatch, sender, endpoint, decode(frame[4:], endpoint.self_slot))
             else:
                 # A shed frame is counted by the link.
                 links[recipient].send_frame(frame)

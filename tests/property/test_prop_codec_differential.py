@@ -23,6 +23,7 @@ import collections
 import random
 import struct
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -261,7 +262,8 @@ def test_runs_past_the_layout_cap_decode_through_the_generic_decoder():
     block = tuple(Transaction(index, 1, 0.5, 1) for index in range(over))
     digest = b"\x07" * 32
     for message in (
-        ProposeMessage(1, 2, digest, _vertex(range(over), ())),
+        # Sources stop at 1,024 validators: a longer edge run spans two rounds.
+        ProposeMessage(1, 2, digest, _vertex(range(over // 2), (), edge_rounds=(0, 1))),
         ProposeMessage(1, 2, digest, _vertex((0, 1, 2), block)),
         CertificateMessage(1, 2, digest, _vertex(), tuple(range(over))),
     ):
@@ -273,8 +275,10 @@ def test_runs_past_the_layout_cap_decode_through_the_generic_decoder():
 # -- hostile frames written out by hand --------------------------------------------------------
 
 
-def _vertex(edge_sources=(0, 1, 2), block=(Transaction(7, 1, 0.5, 1),)):
-    edges = frozenset(VertexId(1, source) for source in edge_sources)
+def _vertex(edge_sources=(0, 1, 2), block=(Transaction(7, 1, 0.5, 1),), edge_rounds=(1,)):
+    edges = frozenset(
+        VertexId(edge_round, source) for edge_round in edge_rounds for source in edge_sources
+    )
     return Vertex(
         id=VertexId(2, 1),
         edges=edges,
@@ -371,9 +375,29 @@ def _swapped_tag_frames():
     return swapped
 
 
+def _source_vertex_wire(source, edge_sources):
+    """A vertex naming any source and edge sources, with the true digest."""
+    edges = frozenset(VertexId(1, edge_source) for edge_source in edge_sources)
+    block = (Transaction(7, 1, 0.5, 1),)
+    digest = vertex_digest(2, source, sorted(edges), len(block))
+    return b"O\x03" + b"".join(
+        encode(field) for field in (VertexId(2, source), edges, block, digest, 3.5)
+    )
+
+
+def _out_of_range_source_frames():
+    """A vertex, or one of its edges, naming an id no validator has."""
+    return [
+        frame
+        for source, edge_sources in ((1, (0, 1024)), (1, (-1, 0)), (1024, (0, 1)), (-1, (0, 1)))
+        for frame in _frames_around(_source_vertex_wire(source, edge_sources)).values()
+    ]
+
+
 HOSTILE_FAMILIES = {
     "duplicated-edge": _duplicated_edge_frames,
     "forged-digest": _forged_digest_frames,
+    "out-of-range-source": _out_of_range_source_frames,
     "unsorted-edges": _unsorted_edge_frames,
     "trailing-byte": _trailing_byte_frames,
     "swapped-tag": _swapped_tag_frames,
@@ -395,6 +419,26 @@ def test_forged_digest_is_refused_in_a_proposal_and_in_a_certificate_batch():
     for frame in (propose, batch):
         with pytest.raises(CodecError, match="vertex 2/1 digest mismatch: carried digest"):
             decode(frame)
+
+
+def test_an_edge_source_of_two_to_the_28_is_refused_before_anything_shifts_by_it():
+    """``Vertex`` builds ``1 << source`` for every edge: a 244-byte proposal
+    naming edge source 2**28 would allocate ~72 MB (2**33: ~1 GiB an edge).
+    Both decoders refuse it while the peak stays under a megabyte."""
+    digest = b"\x07" * 32
+    wire = b"O\x0a" + encode(3) + encode(2) + encode(digest) + _source_vertex_wire(1, (0, 2**28))
+    assert len(wire) == 244
+    for decoder in (decode, reference_codec.decode):
+        tracemalloc.start()
+        try:
+            outcome = verdict(decoder, wire)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{decoder.__module__}: {peak} bytes at peak"
+        assert outcome == (
+            "raised", CodecError, "vertex names a source outside the validator ids [0, 1024)"
+        )
 
 
 def test_duplicated_edge_is_refused_with_the_set_error():
@@ -437,9 +481,14 @@ SOURCE_MUTANTS = {
         "duplicated-edge",
     ),
     "skipped-digest-recomputation": (
-        "return _build_vertex((vertex_id, edges, block, fields[-3], fields[-1])), offset",
-        "return Vertex(vertex_id, edges, block, fields[-3], fields[-1]), offset",
+        "vertex = _build_vertex((vertex_id, edges, block, fields[-3], fields[-1]))",
+        "vertex = Vertex(vertex_id, edges, block, fields[-3], fields[-1])",
         "forged-digest",
+    ),
+    "skipped-source-bound": (
+        "if type(source) is not int or not 0 <= source < _MAX_SOURCES:",
+        "if False:",
+        "out-of-range-source",
     ),
     "unchecked-trailing-byte": (
         "if offset == len(body):\n                return value",
@@ -449,7 +498,8 @@ SOURCE_MUTANTS = {
 }
 
 
-def _mutant_decode(original, replacement):
+def _mutant_codec(original, replacement):
+    """``codec.py`` loaded as a module with ``original`` replaced once."""
     source = Path(codec.__file__).read_text()
     assert source.count(original) == 1, f"{original!r} is not unique in codec.py"
     mutant = types.ModuleType("tests.codec_mutant")
@@ -459,7 +509,11 @@ def _mutant_decode(original, replacement):
         exec(compile(source.replace(original, replacement), codec.__file__, "exec"), mutant.__dict__)
     finally:
         del sys.modules[mutant.__name__]
-    return mutant.decode
+    return mutant
+
+
+def _mutant_decode(original, replacement):
+    return _mutant_codec(original, replacement).decode
 
 
 @pytest.mark.parametrize("mutant", sorted(SOURCE_MUTANTS))

@@ -13,6 +13,9 @@ It shares no decoding code with production.  What it imports from
 how bytes are walked: the error type, the ``Hello`` frame, and the two
 field validators (``_build_vertex`` recomputes a decoded vertex's
 digest; the differential suite checks that production still calls it).
+The bound on the validator ids a vertex names is written out again, in
+the same words, ahead of ``_build_vertex``: a production decoder that
+drops it disagrees with this one.
 The type-code table below is written out again on purpose: a code
 retired, renumbered or re-fielded in ``_SPECS`` shows up as a mismatch.
 ``tests/property/test_prop_codec_differential.py`` asserts the import
@@ -54,6 +57,23 @@ _INT, _FLOAT, _STR, _BYTES = b"IRSY"
 _TUPLE, _FROZENSET, _DICT, _OBJECT = b"LEDO"
 _NONE, _TRUE, _FALSE = b"NTF"
 
+# Validator ids a vertex may name: the 1,024 a 128-byte fetch mask holds.
+_MAX_SOURCES = 1024
+
+
+def _bounded_vertex(values: tuple) -> Vertex:
+    """Refuse a vertex naming a source outside the validator ids, before
+    anything can shift by it; every other verdict is ``_build_vertex``'s."""
+    vertex_id, edges = values[0], values[1]
+    if isinstance(vertex_id, VertexId) and isinstance(edges, frozenset):
+        for named in (vertex_id, *edges):
+            source = getattr(named, "source", None)
+            if type(source) is not int or not 0 <= source < _MAX_SOURCES:
+                raise CodecError(
+                    f"vertex names a source outside the validator ids [0, {_MAX_SOURCES})"
+                )
+    return _build_vertex(values)
+
 
 def _keywords(cls: type, fields: Tuple[str, ...]) -> Callable[[tuple], Any]:
     return lambda values: cls(**dict(zip(fields, values)))
@@ -65,7 +85,7 @@ _BROADCAST = ("origin", "round", "digest")
 _TYPES: Dict[int, Tuple[type, int, Callable[[tuple], Any]]] = {
     1: (Hello, 1, _keywords(Hello, ("node_id",))),
     2: (VertexId, 2, lambda values: VertexId(*values)),
-    3: (Vertex, 5, _build_vertex),
+    3: (Vertex, 5, _bounded_vertex),
     4: (Transaction, 6, lambda values: Transaction(*values)),
     5: (LeaderSchedule, 3, _keywords(LeaderSchedule, ("epoch", "initial_round", "slots"))),
     6: (

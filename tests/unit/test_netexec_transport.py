@@ -16,26 +16,41 @@ net runner drives it), and asserts the wire-level contract:
 * a connect that cannot succeed fails *by the deadline* with an
   ``OSError`` carrying errno and the peer's address,
 * crash semantics: a crashed sender's frames are refused at the
-  source, inbound frames to a crashed endpoint count as dropped.
+  source, inbound frames to a crashed endpoint count as dropped,
+* each link end remembers one vertex: a certificate whose proposal was
+  dropped (``drop_filter``) is decoded in full, one that follows its
+  proposal returns the proposal's vertex object, and a stream of large
+  vertices leaves one encoding per link end.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import struct
 import tempfile
 import tracemalloc
 
 import pytest
 
+import repro.netexec.codec as codec
 from repro.committee import Committee
+from repro.crypto.hashing import vertex_digest
+from repro.dag.vertex import Vertex
 from repro.errors import NetworkError
 from repro.netexec.clock import MonotonicScheduler
 from repro.netexec.codec import MAX_FRAME_BYTES, Hello, encode_frame
 from repro.netexec.transport import AsyncioTransport, PeerLink
 from repro.network.transport import NetworkStats
 from repro.rbc.certified import CertifiedBroadcast
-from repro.rbc.messages import BroadcastMessage, CertificateMessage, ProposeMessage
+from repro.rbc.messages import (
+    BroadcastMessage,
+    CertificateBatch,
+    CertificateMessage,
+    ProposeMessage,
+)
+from repro.types import VertexId
+from repro.workload.transactions import Transaction
 
 
 def run(coroutine):
@@ -632,3 +647,95 @@ class TestFramePath:
         assert len(harness.received[0]) == 4
         assert harness.transport.events == []
         assert large < 8 * small, (small, large)
+
+
+def _vertex_of(round_number, kind_bytes=8):
+    """A vertex of validator 0 whose one transaction's kind is ``kind_bytes`` long."""
+    edges = frozenset(VertexId(round_number - 1, source) for source in (0, 1, 2))
+    block = (Transaction(round_number, 1, 0.5, 1, kind="k" * kind_bytes),)
+    return Vertex(
+        id=VertexId(round_number, 0),
+        edges=edges,
+        block=block,
+        digest=vertex_digest(round_number, 0, sorted(edges), len(block)),
+        created_at=0.5,
+    )
+
+
+class TestVertexSlots:
+    def test_a_certificate_whose_proposal_was_dropped_is_decoded_in_full(self, monkeypatch):
+        """Validator 0's proposal is dropped on its way to 1 only, then its
+        certificate reaches everyone: 1 builds the vertex from the
+        certificate's bytes, 2 and 0 itself answer it from their slots."""
+        built = []
+        build_vertex = codec._build_vertex
+        monkeypatch.setattr(codec, "_build_vertex", lambda fields: built.append(fields[0]) or build_vertex(fields))
+        vertex = _vertex_of(4)
+        proposal = ProposeMessage(0, 4, vertex.digest, vertex)
+        batch = CertificateBatch(
+            0, 4, vertex.digest, (CertificateMessage(0, 4, vertex.digest, vertex, (0, 1, 2)),)
+        )
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=3)
+                transport = harness.transport
+                transport.drop_filter = lambda sender, recipient, frame: recipient == 1
+                transport.broadcast(0, proposal)
+                transport.drop_filter = None
+                transport.broadcast(0, batch)
+                await _wait_until(lambda: transport.stats.messages_delivered >= 5)
+                await transport.shutdown()
+                return harness
+
+        harness = run(scenario())
+        stats = harness.transport.stats
+        assert (stats.messages_sent, stats.messages_dropped, stats.loss_drops) == (6, 1, 1)
+        assert harness.received[1] == [(0, batch)]
+        for node_id in (0, 2):
+            assert harness.received[node_id] == [(0, proposal), (0, batch)]
+            (_, proposed), (_, certified) = harness.received[node_id]
+            assert certified.certificates[0].payload is proposed.payload
+        # Two proposals (0's own copy and 2's) and 1's certificate: three builds.
+        assert built == [vertex.id] * 3
+        from_certificate = harness.received[1][0][1].certificates[0].payload
+        assert from_certificate == harness.received[2][0][1].payload
+        assert from_certificate is not harness.received[2][0][1].payload
+
+    def test_a_stream_of_large_vertices_leaves_one_encoding_per_link_end(self):
+        """1,000 distinct ~60 KiB vertices from 0 to 1, 2 and itself: four
+        link ends remember one vertex each, not one per vertex (~60 MB)."""
+        count, kind_bytes = 1000, 60 * 1024
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                transport = AsyncioTransport(
+                    MonotonicScheduler(asyncio.get_running_loop(), seed=1), socket_dir=socket_dir
+                )
+                delivered = collections.Counter()
+                for node_id in range(3):
+                    transport.register(
+                        node_id, region="r0", handler=lambda sender, message: delivered.update(("frames",))
+                    )
+                await transport.start()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    for index in range(1, count + 1):
+                        vertex = _vertex_of(index, kind_bytes)
+                        transport.broadcast(0, ProposeMessage(0, index, vertex.digest, vertex))
+                        while delivered["frames"] < 3 * index:
+                            await asyncio.sleep(0)
+                    del vertex
+                    held = tracemalloc.get_traced_memory()[0] - before
+                finally:
+                    tracemalloc.stop()
+                slots = [transport._endpoints[0].encode_slot, transport._endpoints[0].self_slot]
+                slots += [connection._slot for connection in transport._inbound]
+                await transport.shutdown()
+                return held, slots
+
+        held, slots = run(scenario())
+        remembered = [slot.vertex.round for slot in slots if slot.vertex is not None]
+        assert remembered == [count] * 4, remembered
+        assert held < 1 << 20, f"{held} bytes still held after {count} vertices"
