@@ -21,18 +21,6 @@ Measures the three things this repo's performance work optimizes:
 * **Sweep speed** — wall-clock for a 4-point latency/throughput curve run
   serially versus through the parallel :class:`SweepEngine`.
 
-* **Lossy recovery** — a committee-25 run through a mid-run loss window,
-  measured twice: certificate piggybacking off (lost certificates wait
-  out the fetch timeout + round-trip) and on (they heal from the propose
-  fan-out's piggyback stash).  Each variant is a best-of-N timing run
-  plus one *untimed* traced run mined with :mod:`repro.obs.recovery`
-  for the park-to-promote recovery latency; the stage records fetch
-  round-trips, healed certificates, the stall percentiles, and the
-  committed-prefix consistency of the two variants
-  (:mod:`repro.obs.consistency`).  ``benchmarks/check_recovery.py``
-  asserts the recovery win; the regression gate pins both variants'
-  ordering digests.
-
 Results are written to ``BENCH_PR17.json`` at the repository root so
 that future PRs can diff the perf trajectory (``benchmarks/run_bench.py``
 wraps this together with a scenario smoke run and the tier-2 qualitative
@@ -92,26 +80,6 @@ COMMITTEE_STAGES = (
     {"committee": 100, "load": 4000.0, "duration": 5.0, "warmup": 1.0, "best_of": 3},
     {"committee": 200, "load": 4000.0, "duration": 2.0, "warmup": 0.5, "best_of": 2},
 )
-
-# The lossy-recovery stage: one committee-25 point run through a
-# mid-run loss window, once with certificate piggybacking off and once
-# with it on.  The window opens after warmup so the drops hit steady
-# state, and closes well before the horizon so post-window recovery is
-# fully observable.  Timing runs are untraced (best-of); the recovery
-# mining comes from one separate traced run per variant, the same
-# timed-vs-instrumented split the memory measurement uses.
-LOSSY_RECOVERY_STAGE = {
-    "committee": 25,
-    "load": 2000.0,
-    "duration": 20.0,
-    "warmup": 5.0,
-    "seed": 11,
-    "jitter": 0.02,
-    "loss_rate": 0.12,
-    "loss_start": 8.0,
-    "loss_end": 14.0,
-    "best_of": 3,
-}
 
 # Repetitions per committee-stage point; the best run is recorded (the
 # container's scheduler noise is 10-20%, so the minimum over several
@@ -263,105 +231,6 @@ def measure_committee_stage(stage: Dict[str, float], best_of: Optional[int] = No
     return point
 
 
-def lossy_recovery_config(piggyback: bool, trace: bool = False) -> ExperimentConfig:
-    from repro.faults.partition import NetworkDisturbanceFault
-
-    stage = LOSSY_RECOVERY_STAGE
-    return ExperimentConfig(
-        committee_size=int(stage["committee"]),
-        faults=0,
-        input_load_tps=stage["load"],
-        duration=stage["duration"],
-        warmup=stage["warmup"],
-        seed=int(stage["seed"]),
-        commits_per_schedule=10,
-        latency_model="geo",
-        certificate_piggyback=piggyback,
-        trace=trace,
-        extra_faults=(
-            NetworkDisturbanceFault(
-                jitter=stage["jitter"],
-                loss_rate=stage["loss_rate"],
-                start=stage["loss_start"],
-                end=stage["loss_end"],
-            ),
-        ),
-    )
-
-
-def measure_lossy_recovery() -> Dict[str, object]:
-    """Measure loss recovery with certificate piggybacking off and on.
-
-    Both variants run the same committee-25 point through the same loss
-    window.  Per variant: a best-of-N untraced timing run (wall-clock,
-    events/sec, ordering digest, fetch/heal counters) plus one untimed
-    traced run mined for the park-to-promote recovery latency.  The
-    stage also records the committed-prefix comparison of the two
-    variants — their final digests legitimately differ (healing changes
-    post-window DAG timing), but their committed prefixes must never
-    contradict each other.
-    """
-    from repro.obs.consistency import checkpoint_chain, compare_prefixes
-    from repro.obs.recovery import recovery_summary
-
-    stage = LOSSY_RECOVERY_STAGE
-    variants: Dict[str, Dict[str, object]] = {}
-    chains: Dict[str, object] = {}
-    for key, piggyback in (("piggyback_off", False), ("piggyback_on", True)):
-        config = lossy_recovery_config(piggyback)
-        walls, result = _timed_runs(config, int(stage["best_of"]))
-        wall = min(walls)
-        events = result.report.extra.get("events_fired", 0.0)
-        counters = result.counters.get("always", {})
-        ordered_count, ordering_digest = result.ordering_digests[config.observer]
-        chains[key] = checkpoint_chain(
-            [tuple(checkpoint) for checkpoint in result.ordering_checkpoints[config.observer]],
-            (ordered_count, ordering_digest),
-        )
-        # The traced run is untimed: tracing allocates per event, so the
-        # wall-clock above never carries instrumentation overhead.
-        traced = run_experiment(lossy_recovery_config(piggyback, trace=True))
-        variants[key] = {
-            "committee_size": config.committee_size,
-            "input_load_tps": config.input_load_tps,
-            "duration_s": config.duration,
-            "certificate_piggyback": piggyback,
-            "best_of": len(walls),
-            "wall_s": round(wall, 4),
-            "wall_all_s": [round(w, 4) for w in walls],
-            "events": events,
-            "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-            "throughput_tps": round(result.throughput, 2),
-            "avg_latency_s": round(result.avg_latency, 4),
-            "ordering_digest": ordering_digest,
-            "ordered_count": ordered_count,
-            "messages_dropped": counters.get("net.messages_dropped", 0.0),
-            "fetch_requests": counters.get("node.fetch_requests", 0.0),
-            "certificates_piggybacked": counters.get("node.certificates_piggybacked", 0.0),
-            "certificates_healed": counters.get("node.certificates_healed", 0.0),
-            "recovery": recovery_summary(traced.trace),
-        }
-    comparison = compare_prefixes(chains["piggyback_off"], chains["piggyback_on"])
-    off = variants["piggyback_off"]
-    on = variants["piggyback_on"]
-    off_recovery: Dict[str, float] = off["recovery"]  # type: ignore[assignment]
-    on_recovery: Dict[str, float] = on["recovery"]  # type: ignore[assignment]
-    return {
-        "stage": dict(stage),
-        "piggyback_off": off,
-        "piggyback_on": on,
-        "prefix_consistent": comparison.consistent,
-        "common_prefix": comparison.common_prefix,
-        "fetch_requests_saved": float(off["fetch_requests"]) - float(on["fetch_requests"]),
-        "stall_avg_improvement_s": round(
-            off_recovery.get("avg", 0.0) - on_recovery.get("avg", 0.0), 4
-        ),
-        "stall_p95_improvement_s": round(
-            off_recovery.get("p95", 0.0) - on_recovery.get("p95", 0.0), 4
-        ),
-    }
-
-
 def measure_sweep(duration: float, warmup: float, parallelism: int) -> Dict[str, float]:
     """Wall-clock of a 4-point curve, serial vs parallel engine."""
     configs = [fig1_config(load, duration, warmup) for load in FIG1_LOADS]
@@ -417,18 +286,6 @@ def run_benchmarks(
             f"{point['events_per_sec']:11.0f} events/s, "
             f"{point['memory_per_validator'] / 1024:8.1f} KiB/validator peak"
         )
-    print("  lossy-recovery stage (committee 25, loss window, piggyback off/on) ...")
-    lossy_recovery = measure_lossy_recovery()
-    for key in ("piggyback_off", "piggyback_on"):
-        variant = lossy_recovery[key]
-        recovery = variant["recovery"]
-        print(
-            f"    {key:14s}: {variant['wall_s']:7.3f}s wall, "
-            f"{variant['fetch_requests']:4.0f} fetches, "
-            f"{variant['certificates_healed']:3.0f} healed, "
-            f"stall avg {recovery['avg']:.3f}s (p95 {recovery['p95']:.3f}s, "
-            f"{recovery['count']:.0f} parked)"
-        )
     document: Dict[str, object] = {
         "benchmark": "bench_hotpaths",
         "preset": f"figure-1 faultless, committee {FIG1_COMMITTEE}",
@@ -445,7 +302,6 @@ def run_benchmarks(
         "warmup_s": warmup,
         "points": points,
         "committee_scaling": committee_points,
-        "lossy_recovery": lossy_recovery,
         "environment": {
             "cpu_count": os.cpu_count() or 1,
             "python": platform.python_version(),

@@ -335,57 +335,6 @@ def compare_matrix_stage(fresh: dict, baseline: dict) -> List[Mismatch]:
     return findings
 
 
-def compare_lossy_stage(
-    fresh: dict,
-    baseline: dict,
-    threshold: float,
-    cpu_ratio: Optional[float] = None,
-) -> List[Mismatch]:
-    """Gate the ``lossy_recovery`` stage (bench_hotpaths, PR10 onward).
-
-    Each piggyback variant gets the standard wall_s + ordering-digest
-    comparison against its baseline counterpart (the variants are
-    deterministic runs, so their digests are pins like any committee
-    stage's).  On top of that, the *fresh* document must itself satisfy
-    the recovery invariants — strictly fewer fetch round-trips, at least
-    one stash heal, no-worse average park-to-promote stall, consistent
-    committed prefixes (see ``benchmarks/check_recovery.py``, which owns
-    the assertions) — so a change that silently breaks the recovery win
-    fails the gate even when the wall-clock stays healthy.
-    """
-    findings: List[Mismatch] = []
-    fresh_stage = fresh.get("lossy_recovery") or {}
-    base_stage = baseline.get("lossy_recovery") or {}
-    if not fresh_stage:
-        findings.append(
-            Mismatch("lossy_recovery", "not run in fresh document, skipped", fatal=False)
-        )
-        return findings
-    if base_stage:
-        for variant in ("piggyback_off", "piggyback_on"):
-            findings.extend(
-                compare_stage(
-                    f"lossy_recovery:{variant}",
-                    fresh_stage.get(variant),
-                    base_stage.get(variant),
-                    threshold,
-                    cpu_ratio,
-                )
-            )
-    else:
-        findings.append(
-            Mismatch("lossy_recovery", "not in baseline, digest comparison skipped", fatal=False)
-        )
-    from check_recovery import check_bench_stage
-
-    for check in check_bench_stage(fresh_stage):
-        if not check.ok:
-            findings.append(
-                Mismatch(f"lossy_recovery:{check.name}", check.detail, fatal=True)
-            )
-    return findings
-
-
 # One row of the per-stage table: stage, baseline and fresh wall_s, the
 # (cpu-normalized) speed ratio, and both events/sec as information.
 DeltaRow = Tuple[str, float, float, Optional[float], float, float]
@@ -430,14 +379,6 @@ def stage_deltas(
             f"committee{key[0]}@{key[1]:.0f}tps",
             fresh_committee.get(key),
             base_committee.get(key),
-        )
-    fresh_lossy = fresh.get("lossy_recovery") or {}
-    base_lossy = baseline.get("lossy_recovery") or {}
-    for variant in ("piggyback_off", "piggyback_on"):
-        add(
-            f"lossy_recovery:{variant}",
-            fresh_lossy.get(variant),
-            base_lossy.get(variant),
         )
     return rows
 
@@ -515,7 +456,6 @@ def compare_documents(
                 memory_threshold,
             )
         )
-    findings.extend(compare_lossy_stage(fresh, baseline, threshold, cpu_ratio))
     for stage in ("scenario_smoke", "scenario_adversary"):
         findings.extend(compare_scenario_stage(stage, fresh, baseline))
     findings.extend(compare_matrix_stage(fresh, baseline))

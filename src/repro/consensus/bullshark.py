@@ -59,7 +59,7 @@ _ORDERING_TOKENS: dict = {}
 
 # Every this many ordered vertices, the engine snapshots its rolling
 # ordering digest into ``ordering_checkpoints``.  The snapshots let two
-# runs whose final digests differ (e.g. lossy piggyback-on vs -off) be
+# runs whose final digests differ (e.g. under two scoring rules) be
 # compared by their longest common committed prefix, and let validators
 # with different ordered counts be checked for prefix consistency.  A
 # power of two so the hot-path test is one AND; hexdigest on the rolling

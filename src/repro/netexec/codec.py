@@ -69,7 +69,6 @@ from repro.rbc.messages import (
     BroadcastMessage,
     CertificateBatch,
     CertificateMessage,
-    PiggybackedPropose,
     ProposeMessage,
 )
 from repro.schedule.base import LeaderSchedule
@@ -301,9 +300,8 @@ _SPECS: Tuple[_TypeSpec, ...] = (
     _spec(11, AckMessage, ("origin", "round", "digest", "voter")),
     _spec(12, CertificateMessage, ("origin", "round", "digest", "payload", "signers")),
     _spec(13, CertificateBatch, ("origin", "round", "digest", "certificates")),
-    # Codes 14 and 15 are retired and must not be reassigned: a code
+    # Codes 14, 15 and 16 are retired and must not be reassigned: a code
     # identifies one message type for as long as the wire format lives.
-    _spec(16, PiggybackedPropose, ("origin", "round", "digest", "payload", "certificates")),
 )
 
 # Dispatch must be by exact class, not isinstance: the rbc messages form

@@ -32,7 +32,7 @@ import asyncio
 import tempfile
 from typing import Any, Dict
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.metrics.leader_stats import LeaderUtilizationStats
 from repro.metrics.report import PerformanceReport
 from repro.metrics.reputation import reputation_metrics
@@ -67,12 +67,6 @@ def run_net_experiment(
 ) -> ExperimentResult:
     """Run ``config`` in lockstep mode over real sockets."""
     config = config.validate()
-    if config.certificate_piggyback:
-        # Piggybacked proposals ride Network.scatter, which the socket
-        # transport does not implement; refuse rather than run without.
-        raise ConfigurationError(
-            "certificate_piggyback is not supported by the net backend"
-        )
     return asyncio.run(_run_async(config, family, runtime_limit))
 
 

@@ -19,9 +19,10 @@ Mechanics:
 * **Framing** — every message crosses the wire as a length-prefixed
   canonical frame (``repro/netexec/codec.py``).  The first frame on a
   connection is a :class:`~repro.netexec.codec.Hello` naming the
-  sender.  The receiving end appends each read to one growing buffer
-  and the codec's frame splitter decodes and dispatches every complete
-  frame inline, checking a header's bounds the moment its four bytes
+  sender, which must be a registered validator other than the
+  receiver (self-delivery never crosses a socket).  The receiving end
+  appends each read to one growing buffer and the codec's frame
+  splitter decodes and dispatches every complete frame inline, checking a header's bounds the moment its four bytes
   are there.  A truncated, oversized, or garbage frame raises at the
   codec boundary and the connection is closed with a logged reason
   (``transport.events``), after everything ahead of it in the same
@@ -232,7 +233,11 @@ class _InboundConnection(asyncio.Protocol):
         if self._peer is not None:
             self._owner._dispatch(self._peer, self._endpoint, message)
         elif isinstance(message, Hello):
-            self._peer = message.node_id
+            peer = message.node_id
+            registered = type(peer) is int and peer in self._owner._endpoints
+            if not registered or peer == self._endpoint.node_id:
+                raise FrameError(f"hello names {peer!r}, not another registered validator")
+            self._peer = peer
         else:
             raise FrameError(f"expected a hello frame, got {type(message).__name__}")
 

@@ -446,36 +446,6 @@ class Network:
             return
         self._fan_out(source, zip(row, repeat(message)))
 
-    def scatter(self, sender: int, envelopes: Iterable[Tuple[int, Any]]) -> None:
-        """Fan per-recipient envelopes out in one broadcast-shaped call.
-
-        The certificate-piggyback path: each recipient gets its own
-        envelope (the proposal plus the certificate delta selected for
-        that peer), but the call is accounted and scheduled exactly like
-        :meth:`broadcast` — one ``broadcasts`` tick, ``len(envelopes)``
-        sends, and the same :meth:`_fan_out` pass.  Callers must list
-        every registered node exactly once, in registration order
-        (ascending ids, the committee order); then the RNG draw sequence,
-        the event sequence, and every :class:`NetworkStats` counter are
-        byte-identical to broadcasting one message to the full committee
-        — only the envelope contents differ per recipient.
-        """
-        stats = self.stats
-        stats.broadcasts += 1
-        source = self._endpoint(sender)
-        row = self._row(source)
-        sends = [(row[self._endpoint(recipient).index], message) for recipient, message in envelopes]
-        stats.messages_sent += len(sends)
-        if self._counters is not None:
-            for _entry, message in sends:
-                self._counters.count_message(message)
-        if source.crashed:
-            stats.messages_dropped += len(sends)
-            if self._tracing and sends:
-                self._trace_drop(sender, -1, sends[0][1], "sender_crashed")
-            return
-        self._fan_out(source, sends)
-
     def multicast(self, sender: int, recipients: Iterable[int], message: Any) -> None:
         """Send ``message`` from ``sender`` to each node in ``recipients``."""
         for recipient in recipients:

@@ -43,15 +43,6 @@ class NodeConfig:
     # collection; 0 disables GC.
     gc_depth: int = 50
 
-    # Relay recently collected certificates on the propose fan-out so a
-    # certificate lost to a loss window heals passively instead of
-    # waiting for a fetch timeout (see
-    # :mod:`repro.rbc.certified`).  Off by default: relayed certificates
-    # are only consulted at the synchronizer's fetch trigger, so
-    # loss-free runs are byte-identical either way, but lossy-run
-    # behavior (and thus their digests) changes with the flag on.
-    certificate_piggyback: bool = False
-
     # Scoring rule driving this node's reputation accounting, by registry
     # name (see :mod:`repro.core.scoring`).  The simulation runner's
     # schedule-manager factory reads this field (after copying

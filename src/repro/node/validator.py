@@ -254,7 +254,6 @@ class ValidatorNode:
             self.committee,
             self.network,
             self._on_broadcast_delivery,
-            piggyback_certificates=self.config.certificate_piggyback,
         )
         protocol.policy = self.behavior
         return protocol
@@ -563,23 +562,6 @@ class ValidatorNode:
     # -- synchronizer (missing parent fetcher) ------------------------------------------------
 
     def _request_missing(self, missing, preferred_peer: ValidatorId) -> None:
-        if self.config.certificate_piggyback:
-            # Heal from the piggyback stash before spending a fetch
-            # round-trip: a vertex id maps directly to the (origin,
-            # round) of its certificate.  Healing a parent can promote
-            # parked descendants (and recursively request *their*
-            # missing parents), so the remaining set is re-filtered
-            # against the DAG afterwards.
-            recover = self.broadcast_protocol.recover_certificate
-            dag = self.dag
-            missing = [
-                vertex_id
-                for vertex_id in missing
-                if not recover(vertex_id.source, vertex_id.round)
-                and vertex_id not in dag
-            ]
-            if not missing:
-                return
         now = self.simulator.now
         to_request = []
         for vertex_id in missing:

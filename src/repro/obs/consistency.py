@@ -12,7 +12,7 @@ checkpoint-list walks:
   must agree at every aligned checkpoint (a mismatch is an ordering
   safety violation, whatever their final counts are).
 * **Cross-run comparison** — two runs whose final digests legitimately
-  differ (a lossy run with certificate piggybacking on vs off) are
+  differ (one lossy scenario under two scoring rules) are
   compared by their *longest common committed prefix* instead of
   erroring out: they must agree on every aligned checkpoint up to the
   point where their histories genuinely diverge, and the divergence

@@ -54,25 +54,6 @@ are engineered away here:
   the round's delivered-origins mask, and hand the payloads to
   the DAG in batch order (parking/promotion of out-of-order vertices is
   exercised by the property suite).
-
-Loss recovery: certificate piggybacking
----------------------------------------
-
-With ``piggyback_certificates`` on, each propose fan-out additionally
-relays the certificates this validator collected recently that the
-recipient has not *provably* seen (the peer originated it, the peer sent
-it to us, or we already piggybacked it to that peer — bookkeeping is
-per-peer and bounded by the shared capped-table idiom).  Receivers stash
-the relayed certificates in a bounded side table without acting on them;
-the table is only consulted at the exact point the node-level
-synchronizer would otherwise issue a ``FetchRequest`` round-trip
-(:meth:`recover_certificate`).  Loss-free runs never reach that point
-(no fetches are issued at all), so piggyback-on runs are byte-identical
-to piggyback-off runs by construction; under a loss window the heal
-replaces the fetch timeout + round-trip, which is the recovery-latency
-win the lossy-recovery bench stage quantifies.  The fan-out itself uses
-:meth:`~repro.network.transport.Network.scatter`, which preserves the
-RNG draw order and statistics of a plain broadcast exactly.
 """
 
 from __future__ import annotations
@@ -89,22 +70,10 @@ from repro.rbc.messages import (
     AckMessage,
     CertificateBatch,
     CertificateMessage,
-    PiggybackedPropose,
     ProposeMessage,
 )
 from repro.types import Round, Stake, ValidatorId
 
-# Piggyback bounds.  Only certificates from the last PIGGYBACK_DEPTH
-# rounds ride a propose fan-out (older ones are the synchronizer's
-# business), at most PIGGYBACK_MAX_PER_ENVELOPE per envelope; the
-# relay/seen/pending tables are all capped with the shared
-# oldest-half-eviction idiom so per-peer state stays bounded however
-# long the run is.
-PIGGYBACK_DEPTH = 2
-PIGGYBACK_MAX_PER_ENVELOPE = 12
-PIGGYBACK_RECENT_LIMIT = 256
-PIGGYBACK_SEEN_LIMIT = 512
-PIGGYBACK_PENDING_LIMIT = 256
 # Verified certificate objects kept per stake vector (a fan-out spans a few rounds).
 VERIFIED_CERTIFICATES_LIMIT = 1024
 
@@ -118,26 +87,8 @@ class CertifiedBroadcast(BroadcastProtocol):
         committee: Committee,
         network: Network,
         on_deliver: DeliveryCallback,
-        piggyback_certificates: bool = False,
     ) -> None:
         super().__init__(node_id, committee, network, on_deliver)
-        # Relay recently collected certificates on the propose fan-out
-        # (loss recovery; see the module docstring).  Off by default: the
-        # bookkeeping below stays empty and every path is unchanged.
-        self.piggyback_certificates = piggyback_certificates
-        # Certificates eligible for relaying, keyed by (origin, round) in
-        # collection order (own emissions + verified deliveries).
-        self._recent_certificates: Dict[Tuple[ValidatorId, Round], CertificateMessage] = {}
-        # Per-peer evidence table: keys this peer has provably seen (it
-        # sent us the certificate) or we already piggybacked to it.  A
-        # dict-as-ordered-set so the capped-table eviction applies.
-        self._peer_seen: Dict[ValidatorId, Dict[Tuple[ValidatorId, Round], None]] = {}
-        # Receiver-side stash of relayed certificates, consulted only by
-        # :meth:`recover_certificate` (the synchronizer's fetch trigger).
-        self._pending_certificates: Dict[Tuple[ValidatorId, Round], CertificateMessage] = {}
-        # Recovery statistics (surfaced by the runner's counter snapshot).
-        self.certificates_piggybacked = 0
-        self.certificates_healed = 0
         # Acks received for broadcasts we originated: round -> voter
         # bitmask (bit ``v`` set iff validator ``v`` acked), with the
         # voter set's stake accumulated incrementally so each ack costs
@@ -158,7 +109,6 @@ class CertifiedBroadcast(BroadcastProtocol):
         # per-delivery path, and exact classes are the wire contract.
         self._handlers = {
             ProposeMessage: self._handle_propose,
-            PiggybackedPropose: self._handle_piggybacked_propose,
             AckMessage: self._handle_ack,
             CertificateMessage: self._handle_certificate,
             CertificateBatch: self._handle_certificate_batch,
@@ -204,10 +154,7 @@ class CertifiedBroadcast(BroadcastProtocol):
             digest=digest,
             payload=payload,
         )
-        if self.piggyback_certificates:
-            self._fanout_piggybacked(message, round_number)
-        else:
-            self._fanout(message, round_number)
+        self._fanout(message, round_number)
 
     def make_propose(self, payload: Any, round_number: Round) -> ProposeMessage:
         return ProposeMessage(
@@ -233,164 +180,6 @@ class CertifiedBroadcast(BroadcastProtocol):
         )
         self._fanout(envelope, round_number)
 
-    # -- certificate piggybacking (loss recovery) ---------------------------------
-
-    def _fanout_piggybacked(self, message: ProposeMessage, round_number: Round) -> None:
-        """Propose fan-out with per-peer certificate deltas attached.
-
-        Peers with an empty delta receive the plain proposal; behavior
-        policies bypass piggybacking entirely (their fan-out plans are
-        defined over the plain propose path).  The scatter call preserves
-        the RNG/event/statistics sequence of a plain broadcast exactly.
-        """
-        policy = self.policy
-        if policy is not None and not policy.transparent:
-            self._fanout(message, round_number)
-            return
-        envelopes = []
-        for peer in self.committee.validators:
-            delta = self._select_piggyback(peer, round_number)
-            if delta:
-                self.certificates_piggybacked += len(delta)
-                envelopes.append(
-                    (
-                        peer,
-                        PiggybackedPropose(
-                            origin=message.origin,
-                            round=message.round,
-                            digest=message.digest,
-                            payload=message.payload,
-                            certificates=delta,
-                        ),
-                    )
-                )
-            else:
-                envelopes.append((peer, message))
-        self.network.scatter(self.node_id, envelopes)
-
-    def _select_piggyback(
-        self, peer: ValidatorId, round_number: Round
-    ) -> Tuple[CertificateMessage, ...]:
-        """The certificate delta to relay to ``peer`` with this proposal.
-
-        A certificate is excluded when the peer provably has it (it is
-        the origin, or it sent the certificate to us) or when we already
-        piggybacked it to that peer; everything selected is marked as
-        sent so no certificate rides to the same peer twice.  Only the
-        last :data:`PIGGYBACK_DEPTH` rounds are eligible, at most
-        :data:`PIGGYBACK_MAX_PER_ENVELOPE` per envelope.
-        """
-        if peer == self.node_id:
-            return ()
-        horizon = round_number - PIGGYBACK_DEPTH
-        seen = self._peer_seen.get(peer)
-        selected = []
-        for key, certificate in self._recent_certificates.items():
-            if certificate.round < horizon or key[0] == peer:
-                continue
-            if seen is not None and key in seen:
-                continue
-            selected.append(certificate)
-            if len(selected) >= PIGGYBACK_MAX_PER_ENVELOPE:
-                break
-        if selected:
-            if seen is None:
-                seen = self._peer_seen[peer] = {}
-            for certificate in selected:
-                evict_oldest_half(seen, PIGGYBACK_SEEN_LIMIT)
-                seen[(certificate.origin, certificate.round)] = None
-        return tuple(selected)
-
-    def _record_recent(self, certificate: CertificateMessage) -> None:
-        """Remember a collected certificate as a piggyback candidate."""
-        key = (certificate.origin, certificate.round)
-        recent = self._recent_certificates
-        if key not in recent:
-            evict_oldest_half(recent, PIGGYBACK_RECENT_LIMIT)
-            recent[key] = certificate
-
-    def _note_peer_has(self, peer: ValidatorId, key: Tuple[ValidatorId, Round]) -> None:
-        """Record evidence that ``peer`` possesses certificate ``key``."""
-        seen = self._peer_seen.get(peer)
-        if seen is None:
-            seen = self._peer_seen[peer] = {}
-        else:
-            evict_oldest_half(seen, PIGGYBACK_SEEN_LIMIT)
-        seen[key] = None
-
-    def _note_peer_edges(self, peer: ValidatorId, payload: Any) -> None:
-        """A proposal's parent edges are certificates its sender holds.
-
-        DAG vertices only reference certified parents, so a proposal from
-        ``peer`` at round ``r`` proves the peer possesses the certificate
-        of every edge it cites — the strongest (and cheapest) pruning
-        evidence available: it retires most of a round's certificates
-        from the peer's piggyback delta one round after they circulate.
-        Edges are visited in sorted order so the seen-table's insertion
-        (and hence eviction) order never depends on set iteration order.
-        """
-        edges = getattr(payload, "edges", None)
-        if not edges:
-            return
-        for edge in sorted(edges):
-            self._note_peer_has(peer, (edge.source, edge.round))
-
-    def _handle_piggybacked_propose(
-        self, sender: ValidatorId, message: PiggybackedPropose
-    ) -> None:
-        """Stash relayed certificates, then process the proposal itself.
-
-        The stash is deliberately passive: nothing is verified or
-        delivered here, so receiving a piggybacked envelope is
-        indistinguishable from receiving the plain proposal until the
-        synchronizer actually misses a certificate.  Duplicates (already
-        delivered, already stashed) are ignored idempotently; hostile
-        contents sit inert until :meth:`recover_certificate` verifies
-        them.
-        """
-        if sender == message.origin and self.piggyback_certificates:
-            size = self._size
-            pending = self._pending_certificates
-            for certificate in message.certificates:
-                origin = certificate.origin
-                if not 0 <= origin < size:
-                    continue
-                key = (origin, certificate.round)
-                self._note_peer_has(sender, key)
-                if not self.has_delivered(origin, certificate.round) and key not in pending:
-                    evict_oldest_half(pending, PIGGYBACK_PENDING_LIMIT)
-                    pending[key] = certificate
-        self._handle_propose(sender, message)
-
-    def recover_certificate(self, origin: ValidatorId, round_number: Round) -> bool:
-        """Heal a missing ``(origin, round)`` certificate from the stash.
-
-        Called by the node-level synchronizer immediately before it would
-        issue a :class:`~repro.node.messages.FetchRequest` for the vertex.
-        Returns ``True`` when the fetch is unnecessary: the certificate
-        was stashed by an earlier piggybacked fan-out and verifies (it is
-        delivered on the spot), or the payload was already delivered.  An
-        invalid stashed certificate is discarded and the fetch proceeds.
-        """
-        certificate = self._pending_certificates.pop((origin, round_number), None)
-        if certificate is None:
-            return False
-        if self.has_delivered(origin, round_number):
-            return True
-        if not self._verify_certificate(certificate):
-            return False
-        self.certificates_healed += 1
-        if self._tracing:
-            self._tracer.emit(
-                "certificate_healed",
-                node=self.node_id,
-                round=round_number,
-                origin=origin,
-            )
-        self._record_recent(certificate)
-        self._deliver(certificate.payload, certificate.round, certificate.origin)
-        return True
-
     # -- message handling ----------------------------------------------------------
 
     def handle_message(self, sender: ValidatorId, message: Any) -> bool:
@@ -404,8 +193,6 @@ class CertifiedBroadcast(BroadcastProtocol):
         if sender != message.origin or not 0 <= sender < self._size:
             # Proposals are only valid coming directly from their origin (a member).
             return
-        if self.piggyback_certificates:
-            self._note_peer_edges(sender, message.payload)
         if not self._participates(message.origin, message.round):
             # Behavior policy: withhold the acknowledgement entirely (and
             # record nothing, so an honest relapse could still ack).
@@ -471,8 +258,6 @@ class CertifiedBroadcast(BroadcastProtocol):
                 # tuple is identical to the pre-bitmask encoding.
                 signers=self._stake_vector.validators_of_mask(voters),
             )
-            if self.piggyback_certificates:
-                self._record_recent(certificate)
             self._emit_certificates(message.round, (certificate,))
 
     def _verify_certificate(self, message: CertificateMessage) -> bool:
@@ -508,16 +293,10 @@ class CertifiedBroadcast(BroadcastProtocol):
     def _handle_certificate(self, sender: ValidatorId, message: CertificateMessage) -> None:
         if not 0 <= message.origin < self._size:
             return
-        if self.piggyback_certificates:
-            # The sender provably has this certificate; remember both the
-            # evidence and the certificate itself as a relay candidate.
-            self._note_peer_has(sender, (message.origin, message.round))
         if self.has_delivered(message.origin, message.round):
             # Duplicate delivery is a no-op either way; skip verification.
             return
         if self._verify_certificate(message):
-            if self.piggyback_certificates:
-                self._record_recent(message)
             self._deliver(message.payload, message.round, message.origin)
 
     def _handle_certificate_batch(self, sender: ValidatorId, message: CertificateBatch) -> None:
@@ -530,18 +309,13 @@ class CertifiedBroadcast(BroadcastProtocol):
         """
         delivered = self._delivered
         size = self._size
-        piggyback = self.piggyback_certificates
         for certificate in message.certificates:
             origin = certificate.origin
             if not 0 <= origin < size:
                 continue
-            if piggyback:
-                self._note_peer_has(sender, (origin, certificate.round))
             if delivered.get(certificate.round, 0) >> origin & 1:
                 continue
             if self._verify_certificate(certificate):
-                if piggyback:
-                    self._record_recent(certificate)
                 self._deliver(certificate.payload, certificate.round, certificate.origin)
 
     # -- introspection -----------------------------------------------------------------

@@ -68,32 +68,10 @@ class CertificateBatch(BroadcastMessage):
     :meth:`~repro.rbc.certified.CertifiedBroadcast._handle_certificate_batch`).
 
     ``origin``/``round``/``digest`` describe the *emitter* and the round
-    the batch belongs to; the certificates inside carry their own origins
-    (a batch may relay certificates the emitter collected, e.g. on the
-    recovery path), rounds, and quorum signer tuples, so splitting a
-    batch loses no verification information.
+    the batch belongs to; the certificates inside carry their own origins,
+    rounds, and quorum signer tuples, so splitting a batch loses no
+    verification information.
     """
 
     certificates: Tuple["CertificateMessage", ...] = ()
 
-
-@dataclasses.dataclass(unsafe_hash=True)
-class PiggybackedPropose(ProposeMessage):
-    """A proposal envelope that relays recently collected certificates.
-
-    The loss-recovery piggyback (``NodeConfig.certificate_piggyback``)
-    rides the propose fan-out: alongside its own payload, a validator
-    attaches the certificates it collected recently that the recipient
-    has not provably seen.  A recipient stashes the relayed certificates
-    in a side table and only consults them when its synchronizer would
-    otherwise issue a fetch round-trip, so loss-free runs remain
-    byte-identical to plain-propose runs while a certificate lost to a
-    loss window heals passively on the next fan-out.
-
-    ``origin``/``round``/``digest``/``payload`` describe the proposal
-    exactly as in :class:`ProposeMessage`; the relayed certificates carry
-    their own origins, rounds, and quorum signer tuples and are verified
-    independently before use (a hostile relay cannot forge one).
-    """
-
-    certificates: Tuple["CertificateMessage", ...] = ()

@@ -17,8 +17,8 @@ Subcommands::
                                exit on any mismatch (CI-friendly).
                                --prefix compares by longest common
                                committed prefix instead (for pairs that
-                               legitimately diverge, e.g. the
-                               lossy-recovery pair)
+                               legitimately diverge, e.g. one
+                               scenario under two scoring rules)
 
 ``run`` and ``sweep`` accept ``--spec FILE`` instead of a registered
 name, so ad-hoc scenarios can be described in JSON and executed without
@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare by longest common committed prefix (checkpoint "
         "chains) instead of requiring byte-identical ordering digests — "
-        "for artifact pairs that legitimately diverge, e.g. the "
-        "lossy-recovery pair",
+        "for artifact pairs that legitimately diverge, e.g. one "
+        "scenario under two scoring rules",
     )
     diff.add_argument(
         "--min-prefix",

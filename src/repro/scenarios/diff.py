@@ -17,9 +17,9 @@ The comparison returns a non-zero exit code on any mismatch so CI can
 chain it after a reproduction run.
 
 **Prefix mode** (``--prefix``) relaxes the strict contract for artifact
-pairs that legitimately diverge — e.g. the lossy-recovery scenario pair,
-where certificate piggybacking changes post-loss-window DAG timing and
-therefore the final ordering digests.  Instead of erroring on unequal
+pairs that legitimately diverge — e.g. one loss window run under two
+scoring rules, where the rule changes the leader schedules and therefore
+the final ordering digests.  Instead of erroring on unequal
 scenario digests, matched points are compared by their committed-prefix
 checkpoint chains (:mod:`repro.obs.consistency`): the runs must agree on
 every aligned checkpoint up to their genuine divergence, and the length

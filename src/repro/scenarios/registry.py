@@ -419,37 +419,22 @@ _spike_phase = ScenarioSpec(
 )
 register_scenario(_churn_phase.then(_spike_phase, gap=5.0))
 
-# The lossy-recovery pair: the same mid-run loss window with certificate
-# piggybacking off (fetch round-trips recover lost certificates) and on
-# (the propose fan-out heals them passively).  CI's lossy-recovery-smoke
-# job runs both and asserts prefix consistency plus the recovery-latency
-# improvement; the specs differ in exactly the one flag.
-_lossy_recovery = ScenarioSpec(
-    name="lossy-recovery",
-    description=(
-        "A mid-run loss window on an otherwise healthy committee: lost "
-        "certificates are recovered by explicit fetch round-trips "
-        "(piggybacking off — the baseline half of the recovery pair)"
-    ),
-    protocols=("bullshark",),
-    committee_sizes=(10,),
-    loads=(1000.0,),
-    duration=60.0,
-    warmup=10.0,
-    seed=13,
-    disturbances=(DisturbanceSpec(jitter=0.02, loss_rate=0.12, start=15.0, end=30.0),),
-)
-register_scenario(_lossy_recovery)
-
+# A mid-run loss window on a healthy committee: every certificate lost on
+# the wire is recovered by the synchronizer's fetch round-trip.
 register_scenario(
-    _lossy_recovery.with_overrides(
-        name="lossy-recovery-piggyback",
+    ScenarioSpec(
+        name="lossy-recovery",
         description=(
-            "The same loss window with certificate piggybacking on: the "
-            "propose fan-out heals lost certificates before the fetch "
-            "timer fires (the treatment half of the recovery pair)"
+            "A mid-run loss window on an otherwise healthy committee: lost "
+            "certificates are recovered by explicit fetch round-trips"
         ),
-        certificate_piggyback=True,
+        protocols=("bullshark",),
+        committee_sizes=(10,),
+        loads=(1000.0,),
+        duration=60.0,
+        warmup=10.0,
+        seed=13,
+        disturbances=(DisturbanceSpec(jitter=0.02, loss_rate=0.12, start=15.0, end=30.0),),
     )
 )
 

@@ -122,7 +122,7 @@ def build_artifact(
                 # Periodic (count, digest) snapshots of the observer's
                 # rolling ordering digest: the committed-prefix chain
                 # `scenarios diff --prefix` compares when two artifacts
-                # legitimately diverge (e.g. lossy piggyback on vs off).
+                # legitimately diverge (e.g. two scoring rules).
                 "ordering_checkpoints": [
                     list(checkpoint)
                     for checkpoint in result.ordering_checkpoints.get(observer, ())

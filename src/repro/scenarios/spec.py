@@ -422,11 +422,6 @@ class ScenarioSpec:
     # failover changes submission patterns, so the historical partition
     # scenario digests only hold with the flag off.
     partition_failover: bool = False
-    # Relay recently collected certificates on every propose fan-out so
-    # a certificate lost to a loss window heals passively instead of
-    # waiting for a fetch round-trip (see repro.rbc.certified).  Off by
-    # default; loss-free runs are byte-identical either way.
-    certificate_piggyback: bool = False
 
     # -- validation -----------------------------------------------------------
 
@@ -565,8 +560,6 @@ class ScenarioSpec:
         data["version"] = SPEC_VERSION
         if not data["partition_failover"]:
             del data["partition_failover"]
-        if not data["certificate_piggyback"]:
-            del data["certificate_piggyback"]
         if not data["scoring_rules"]:
             del data["scoring_rules"]
         for fault in data["faults"]:
@@ -621,9 +614,6 @@ class ScenarioSpec:
             disturbances=_parse_nested_tuple(payload, "disturbances", DisturbanceSpec),
             partition_failover=_parse_scalar(
                 payload, "partition_failover", bool, default=False
-            ),
-            certificate_piggyback=_parse_scalar(
-                payload, "certificate_piggyback", bool, default=False
             ),
         )
         _require(not payload, f"unknown scenario spec keys: {sorted(payload)}")
@@ -688,7 +678,6 @@ class ScenarioSpec:
             "gst",
             "delta",
             "partition_failover",
-            "certificate_piggyback",
         ):
             _require(
                 getattr(self, field) == getattr(other, field),
@@ -1227,7 +1216,6 @@ def compile_spec(spec: ScenarioSpec, seed: Optional[int] = None) -> List[Compile
                         delta=spec.delta,
                         seed=run_seed,
                         partition_failover=spec.partition_failover,
-                        certificate_piggyback=spec.certificate_piggyback,
                     ).validate()
                     points.append(
                         CompiledPoint(

@@ -68,13 +68,6 @@ class ExperimentConfig:
     gst: SimTime = 0.0
     delta: SimTime = 2.0
     execution_capacity_tps: Optional[float] = None
-    # Relay recently collected certificates on the propose fan-out so a
-    # lost certificate heals without a fetch round-trip (see
-    # NodeConfig.certificate_piggyback).  Off by default: loss-free runs
-    # are byte-identical either way, but lossy-run digests change with
-    # the flag on, so lossy comparisons use committed-prefix invariants
-    # (:mod:`repro.obs.consistency`) instead of digest equality.
-    certificate_piggyback: bool = False
     # Client failover during partition windows: when on, load generators
     # retarget to the majority side while a PartitionPlan window is open
     # (the way real benchmark clients abandon unreachable endpoints) and

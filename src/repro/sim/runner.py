@@ -72,7 +72,6 @@ def build_node_config(config: ExperimentConfig) -> NodeConfig:
     if config.max_batch_size is not None:
         base.max_batch_size = config.max_batch_size
     base.record_sequence = config.record_sequences
-    base.certificate_piggyback = config.certificate_piggyback
     base.scoring_rule = config.scoring
     return base.validate()
 
@@ -412,18 +411,6 @@ class SimulationRunner:
             "fetch.vertices_new": float(sum(node.fetch_vertices_new for node in nodes)),
             "node.recoveries": float(sum(node.recoveries for node in nodes)),
             "node.slot_mismatches_dropped": float(sum(node.slot_mismatches_dropped for node in nodes)),
-            "node.certificates_piggybacked": float(
-                sum(
-                    getattr(node.broadcast_protocol, "certificates_piggybacked", 0)
-                    for node in nodes
-                )
-            ),
-            "node.certificates_healed": float(
-                sum(
-                    getattr(node.broadcast_protocol, "certificates_healed", 0)
-                    for node in nodes
-                )
-            ),
             # Per-slot protocol state is keyed by round: the largest table of any validator.
             "rbc.delivered_rounds": float(max(len(node.broadcast_protocol._delivered) for node in nodes)),
             "rbc.acked_rounds": float(

@@ -1,14 +1,13 @@
-"""Storage substrate: an in-memory persistent store with a write-ahead log.
+"""Storage substrate: an in-memory persistent store.
 
 The production implementation persists DAG vertices and consensus state in
 RocksDB so a validator can crash and recover without losing safety.  The
 simulator replaces RocksDB with an in-memory key-value store whose
 contents survive a simulated crash (the store object outlives the crashed
-validator object) plus a write-ahead log that records every mutation, so
-recovery code can replay state deterministically.
+validator object), so recovery code rebuilds state from it
+deterministically.
 """
 
 from repro.storage.store import ColumnFamily, PersistentStore
-from repro.storage.wal import WalEntry, WriteAheadLog
 
-__all__ = ["PersistentStore", "ColumnFamily", "WriteAheadLog", "WalEntry"]
+__all__ = ["PersistentStore", "ColumnFamily"]

@@ -14,6 +14,7 @@ import repro.netexec.runner as net_runner
 from repro.faults.partition import NetworkDisturbanceFault
 from repro.netexec.lockstep import LockstepNode, LockstepSimulationRunner
 from repro.netexec.runner import run_net_experiment
+from repro.obs.consistency import check_run_consistency
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import compile_spec
 from repro.sim.experiment import ExperimentConfig
@@ -76,10 +77,54 @@ def test_model_reproduces_smoke_scenario(scenario, backend, monkeypatch):
 
 
 def test_model_reproduces_lossy_recovery():
-    """Full scale: fetched and promoted vertices feed the insert log."""
+    """Full scale: fetched and promoted vertices feed the insert log.
+
+    Fetch responses carry mostly vertices the requester lacked (at most
+    1.5 received per new one), and every validator's committed prefix
+    agrees with every other's.
+    """
     (config,) = [point.config for point in compile_spec(get_scenario("lossy-recovery"))]
     observer, insert_log, result = run_on_simulator(SimulationRunner, config)
-    assert result.counters["always"]["node.fetch_requests"] > 0
+    counters = result.counters["always"]
+    assert counters["node.fetch_requests"] > 0
+    assert 0 < counters["fetch.vertices_received"] <= 1.5 * counters["fetch.vertices_new"]
+    assert check_run_consistency(result.ordering_digests, result.ordering_checkpoints) == []
+    assert_model_reproduces(observer, insert_log, result)
+
+
+# The observer's (ordered count, ordering digest) of ``lossy-recovery`` per
+# seed.  Every lost certificate is recovered by a fetch, so a change to the
+# synchronizer, the broadcast layer or the loss model that moves one of
+# these changes which history a lossy run commits.
+LOSSY_RECOVERY_DIGESTS = {
+    1: (341, "5c96fe9eba756c485cfebb4dd14242bd15d4e22a873f39c0e51d4c1b8d10d4dc"),
+    2: (321, "d325e8f6bff8460fdcfd7a301477554f0655f3967a8897c846420443b35e9826"),
+    3: (341, "dbb35a3f92bbe9e3101e1aa8e5ab3aaa614cc5d24c33f36dffcf7cdc26868a29"),
+    4: (341, "dd4dd3f990f862746187748bc40c5f9a8d54260606a2758774ca7fb0e43179b9"),
+    5: (356, "6342e4370eb63177f872af0a4fa7051e7abb748ddcf182cc8c2f5541cc1f3346"),
+    6: (341, "2212377b94355edd57c8eb7a9384eb32c2017867df5f22f6985fdeefe76b4186"),
+    7: (391, "d5e4898e745d409639fcf15b5e7ffc2aeed0a2e796dcaed732eadd0569ce67d7"),
+    8: (341, "d6b2bacb5815846b27743240d820a1a168efd72ede5a1642d7b5ac20feb2e234"),
+    9: (341, "bbef79e46506da1e226eada729dc9c1e51e95d62d293fdb78cda275a77b637bf"),
+    10: (321, "8bdb302de228a93c8f3ac8f4083ff0fe00d2a55b5350968ff161d29dd569005a"),
+}
+
+
+@pytest.mark.parametrize(
+    "seed", sorted(LOSSY_RECOVERY_DIGESTS), ids=[f"seed{seed}" for seed in sorted(LOSSY_RECOVERY_DIGESTS)]
+)
+def test_lossy_recovery_seed_commits_its_pinned_history(seed):
+    """On every seed the fetch recovers what the loss window took, wastes
+    at most half a vertex per new one, and every validator's committed
+    prefix agrees; the observer's history is the pinned one and the model
+    reproduces it."""
+    (point,) = compile_spec(get_scenario("lossy-recovery"), seed=seed)
+    observer, insert_log, result = run_on_simulator(SimulationRunner, point.config)
+    counters = result.counters["always"]
+    assert counters["node.fetch_requests"] > 0
+    assert 0 < counters["fetch.vertices_received"] <= 1.5 * counters["fetch.vertices_new"]
+    assert check_run_consistency(result.ordering_digests, result.ordering_checkpoints) == []
+    assert result.ordering_digests[observer.id] == LOSSY_RECOVERY_DIGESTS[seed]
     assert_model_reproduces(observer, insert_log, result)
 
 

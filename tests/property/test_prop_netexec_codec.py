@@ -38,7 +38,6 @@ from repro.rbc.messages import (
     BroadcastMessage,
     CertificateBatch,
     CertificateMessage,
-    PiggybackedPropose,
     ProposeMessage,
 )
 from repro.schedule.base import LeaderSchedule
@@ -169,14 +168,6 @@ messages = st.one_of(
         voter=validator_ids,
     ),
     certificates,
-    st.builds(
-        PiggybackedPropose,
-        origin=validator_ids,
-        round=rounds,
-        digest=digests,
-        payload=st.none() | vertices(),
-        certificates=st.lists(certificates, max_size=3).map(tuple),
-    ),
     st.builds(
         CertificateBatch,
         origin=validator_ids,

@@ -5,8 +5,8 @@ the latency and synchrony models' public methods, and defines a fan-out
 as n sends in registration order.  For generated endpoints, models,
 partitions, stacked disturbance windows, link degradation, crashes and
 scripts that register nodes and swap the latency model *between*
-fan-outs, ``Network.broadcast``, ``Network.scatter`` and a loop of
-``Network.send`` must each leave what the oracle leaves: the same heap
+fan-outs, ``Network.broadcast`` and a loop of ``Network.send`` must
+each leave what the oracle leaves: the same heap
 entries (time bit for bit, sequence, recipient, sender, message), the
 same deliveries, the same RNG state and the same ``NetworkStats``.
 """
@@ -30,7 +30,7 @@ from repro.network.synchrony import AlwaysSynchronous, PartialSynchrony
 from repro.types import Region
 from tests.reference_transport import ReferenceNetwork
 
-MODES = ("broadcast", "scatter", "send")
+MODES = ("broadcast", "send")
 REGIONS = ("us-east-1", "eu-west-1", "eu-west-2", "ap-southeast-2", "ap-northeast-1", "moon-base-1")
 
 
@@ -130,15 +130,13 @@ class Production:
         )
 
     def fanout(self, sender, message, include_self):
-        recipients = [node_id for node_id in self.ids if include_self or node_id != sender]
         if self.mode == "broadcast":
             self.network.broadcast(sender, message, include_self=include_self)
-        elif self.mode == "scatter":
-            self.network.scatter(sender, [(node_id, message) for node_id in recipients])
         else:
             self.network.stats.broadcasts += 1
-            for node_id in recipients:
-                self.network.send(sender, node_id, message)
+            for node_id in self.ids:
+                if include_self or node_id != sender:
+                    self.network.send(sender, node_id, message)
 
     def capture(self):
         """Collect the raw heap entries pushed since the last call."""

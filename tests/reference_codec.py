@@ -40,7 +40,6 @@ from repro.rbc.messages import (
     BroadcastMessage,
     CertificateBatch,
     CertificateMessage,
-    PiggybackedPropose,
     ProposeMessage,
 )
 from repro.schedule.base import LeaderSchedule
@@ -121,11 +120,6 @@ _TYPES: Dict[int, Tuple[type, int, Callable[[tuple], Any]]] = {
         _keywords(CertificateMessage, _BROADCAST + ("payload", "signers")),
     ),
     13: (CertificateBatch, 4, _keywords(CertificateBatch, _BROADCAST + ("certificates",))),
-    16: (
-        PiggybackedPropose,
-        5,
-        _keywords(PiggybackedPropose, _BROADCAST + ("payload", "certificates")),
-    ),
 }
 
 

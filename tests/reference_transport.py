@@ -6,8 +6,8 @@ module is what that loop must reproduce, written the slow and obvious
 way: one message is one :meth:`ReferenceNetwork.send`, its delay is the
 latency model's ``one_way_delay`` / ``local_delay`` plus link extras,
 processing delay and window jitter, passed through the synchrony model's
-``adjust_delay``; ``broadcast`` and ``scatter`` are loops of ``send`` over
-the registered nodes in registration order.
+``adjust_delay``; ``broadcast`` is a loop of ``send`` over the registered
+nodes in registration order.
 
 Nothing is pushed on a simulator: a scheduled delivery is the plain tuple
 ``(time, sequence, recipient, sender, message)`` in ``scheduled``, and
@@ -122,15 +122,10 @@ class ReferenceNetwork:
         self.pending.append(entry)
 
     def broadcast(self, sender, message, include_self=True):
-        self.scatter(
-            sender,
-            [(node_id, message) for node_id in self.nodes if include_self or node_id != sender],
-        )
-
-    def scatter(self, sender, envelopes):
         self.stats["broadcasts"] += 1
-        for recipient, message in envelopes:
-            self.send(sender, recipient, message)
+        for recipient in self.nodes:
+            if include_self or recipient != sender:
+                self.send(sender, recipient, message)
 
     # -- delivery ------------------------------------------------------------------
 

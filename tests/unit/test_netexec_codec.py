@@ -37,7 +37,6 @@ from repro.rbc.messages import (
     BroadcastMessage,
     CertificateBatch,
     CertificateMessage,
-    PiggybackedPropose,
     ProposeMessage,
 )
 from repro.schedule.base import LeaderSchedule
@@ -88,10 +87,6 @@ def _sample_of_each_type():
         FetchResponse(responder=0, vertices=(vertex,), responder_gc_round=1, snapshot=snapshot),
         BroadcastMessage(origin=0, round=1, digest=b"\x01" * 32),
         ProposeMessage(origin=0, round=2, digest=vertex.digest, payload=vertex),
-        PiggybackedPropose(
-            origin=0, round=2, digest=vertex.digest, payload=vertex,
-            certificates=(certificate,),
-        ),
         AckMessage(origin=0, round=2, digest=vertex.digest, voter=3),
         certificate,
         CertificateBatch(origin=1, round=2, digest=vertex.digest, certificates=(certificate,)),
@@ -146,7 +141,9 @@ class TestDefensiveDecoding:
         with pytest.raises(CodecError, match="unknown value tag"):
             decode(b"Z")
 
-    @pytest.mark.parametrize("code", [0xFE, 14, 15], ids=["unassigned", "retired-14", "retired-15"])
+    @pytest.mark.parametrize(
+        "code", [0xFE, 14, 15, 16], ids=["unassigned", "retired-14", "retired-15", "retired-16"]
+    )
     def test_unknown_object_code_rejected(self, code):
         with pytest.raises(CodecError, match="unknown wire type code"):
             decode(b"O" + bytes([code]))

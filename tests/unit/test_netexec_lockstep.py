@@ -190,22 +190,13 @@ class TestSharedLowering:
         from repro.sim.runner import build_node_config
 
         experiment = config(
-            certificate_piggyback=True, scoring="completeness", max_batch_size=7
+            min_round_interval=0.25, scoring="completeness", max_batch_size=7
         )
         lowered = build_node_config(experiment)
-        assert lowered.certificate_piggyback is True
+        assert lowered.min_round_interval == 0.25
         assert lowered.scoring_rule == "completeness"
         assert lowered.max_batch_size == 7
         plan = plan_for_config(experiment)
         assert lockstep_node_config(experiment, plan) == dataclasses.replace(
             lowered, max_round=plan.max_round
         )
-
-    def test_net_backend_refuses_certificate_piggyback(self):
-        """The socket transport has no ``scatter``: the flag is refused up
-        front, by name, instead of being dropped on the way to the nodes."""
-        from repro.errors import ConfigurationError
-        from repro.netexec.runner import run_net_experiment
-
-        with pytest.raises(ConfigurationError, match="certificate_piggyback"):
-            run_net_experiment(config(certificate_piggyback=True))

@@ -210,10 +210,37 @@ class TestHostilePeers:
         # The impostor frame was never dispatched to a handler.
         assert harness.received[0] == []
 
+    @pytest.mark.parametrize("claimed", [99, 0, -1], ids=["unregistered", "own-id", "negative"])
+    def test_hello_naming_no_other_registered_validator_closes_connection(self, claimed):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=2)
+                transport = harness.transport
+                address = transport._endpoints[0].address
+                reader, writer = await asyncio.open_unix_connection(address)
+                writer.write(encode_frame(Hello(claimed)) + encode_frame(_ready(1)))
+                await writer.drain()
+                leftovers = await asyncio.wait_for(reader.read(), timeout=5.0)
+                writer.close()
+                await writer.wait_closed()
+                await transport.shutdown()
+                return harness, leftovers
+
+        harness, leftovers = run(scenario())
+        assert leftovers == b""
+        assert any(
+            "validator 0: closing connection from unidentified peer: "
+            f"hello names {claimed}, not another registered validator" in event
+            for event in harness.transport.events
+        ), harness.transport.events
+        # The frame behind the refused hello was never dispatched.
+        assert harness.received[0] == []
+
     def test_ids_outside_the_committee_are_refused_without_allocating(self):
         """Well-formed frames whose ids would be gigabyte shifts (``1 << 2**33``):
         a certificate origin, a signer, and a proposal from a peer whose
-        hello names such an id.  Each refusal is measured where it happens."""
+        hello names such an id.  Each refusal is measured where it happens:
+        the first two in the protocol, the third at the hello."""
         huge = 2**33
         committee = Committee.build(4)
         delivered, peaks = [], []
@@ -246,8 +273,10 @@ class TestHostilePeers:
                     finally:
                         tracemalloc.stop()
 
-                transport.register(0, region="r0", handler=lambda sender, message: None)
-                transport.register(1, region="r0", handler=handler)
+                for node_id in range(4):
+                    transport.register(
+                        node_id, region="r0", handler=handler if node_id == 1 else lambda sender, message: None
+                    )
                 await transport.start()
                 for peer, message in frames:
                     _, writer = await asyncio.open_unix_connection(transport._endpoints[1].address)
@@ -255,7 +284,9 @@ class TestHostilePeers:
                     await writer.drain()
                     writer.close()
                     await writer.wait_closed()
-                await _wait_until(lambda: len(peaks) == len(frames))
+                await _wait_until(
+                    lambda: len(peaks) == 2 and any("hello names" in event for event in transport.events)
+                )
                 await transport.shutdown()
                 return transport, protocol
 

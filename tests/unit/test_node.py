@@ -463,6 +463,119 @@ class TestSynchronizer:
         assert responses == []
 
 
+class TestFetchRequester:
+    """The requester side of the synchronizer: the one way a validator
+    recovers a vertex whose certificate never reached it."""
+
+    @staticmethod
+    def _requester(monkeypatch):
+        """Validator 0 holding only genesis, every message it sends
+        captured, and rounds 1-2 of a full history to feed it."""
+        committee, simulator, network, nodes = build_cluster()
+        node = nodes[0]
+        for vertex in genesis_vertices(committee):
+            node.dag.add(vertex)
+        donor = DagStore(committee)
+        for vertex in genesis_vertices(committee):
+            donor.add(vertex)
+        history = {round_number: build_round(donor, committee, round_number) for round_number in (1, 2)}
+        sent = []
+        monkeypatch.setattr(
+            network, "send", lambda sender, target, message: sent.append((sender, target, message))
+        )
+        return simulator, node, history, sent
+
+    @staticmethod
+    def _requests(sent):
+        return [(target, message) for _, target, message in sent if isinstance(message, FetchRequest)]
+
+    def test_a_parked_vertex_asks_its_source_for_the_missing_parents(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        vertex = history[2][2]
+        node._ingest_vertex(vertex)
+        assert [parked.id for parked in node.dag.pending_vertices()] == [vertex.id]
+        ((target, request),) = self._requests(sent)
+        assert target == vertex.source
+        assert request.requester == 0
+        assert set(request.missing) == {parent.id for parent in history[1]}
+        assert request.horizon == node.dag.lowest_round
+        assert request.held == node.dag.held_sources()
+        assert node.fetch_requests_sent == 1
+
+    def test_an_id_asked_within_the_retry_interval_is_not_asked_again(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        for vertex in history[2]:
+            node._ingest_vertex(vertex)
+        # Every round-2 vertex waits on the same four parents: one request.
+        assert len(node.dag.pending_vertices()) == 4
+        assert len(self._requests(sent)) == 1
+        assert node.fetch_requests_sent == 1
+
+    def test_a_request_preferring_itself_goes_to_another_peer(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        node._request_missing({vid(1, 3)}, preferred_peer=0)
+        ((target, request),) = self._requests(sent)
+        assert target != 0
+        assert request.missing == (vid(1, 3),)
+
+    def test_the_retry_asks_a_random_peer_for_what_is_still_missing(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        node._ingest_vertex(history[2][2])
+        # One parent arrives on its own; the retry asks only for the rest.
+        node._ingest_vertex(history[1][1])
+        simulator.run(until=node.config.fetch_retry_interval * 1.5)
+        first, retry = self._requests(sent)
+        assert retry[0] != 0
+        assert set(retry[1].missing) == {vid(1, 0), vid(1, 2), vid(1, 3)}
+        assert node.fetch_requests_sent == 2
+
+    def test_the_retry_stops_once_nothing_is_missing(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        node._ingest_vertex(history[2][2])
+        for parent in history[1]:
+            node._ingest_vertex(parent)
+        assert node.dag.pending_vertices() == ()
+        simulator.run(until=node.config.fetch_retry_interval * 3)
+        assert len(self._requests(sent)) == 1
+        assert node._fetch_requested == {}
+        assert node._fetch_timer is None
+
+    def test_a_crashed_requester_does_not_retry(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        node._ingest_vertex(history[2][2])
+        node.crash()
+        simulator.run(until=node.config.fetch_retry_interval * 3)
+        assert len(self._requests(sent)) == 1
+        assert node.fetch_requests_sent == 1
+
+    def test_a_fetch_response_promotes_the_parked_vertex(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        vertex = history[2][2]
+        node._ingest_vertex(vertex)
+        node._handle_fetch_response(
+            FetchResponse(responder=2, vertices=tuple(reversed(history[1])), responder_gc_round=0)
+        )
+        assert vertex.id in node.dag
+        assert all(parent.id in node.dag for parent in history[1])
+        assert node.dag.pending_vertices() == ()
+        assert node.fetch_vertices_received == node.fetch_vertices_new == 4
+
+    def test_a_late_copy_of_a_fetched_vertex_is_neither_reinserted_nor_fetched(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        vertex = history[2][2]
+        node._ingest_vertex(vertex)
+        node._handle_fetch_response(
+            FetchResponse(responder=2, vertices=tuple(history[1]), responder_gc_round=0)
+        )
+        inserted = []
+        node.dag.on_insert(inserted.append)
+        # The certificates lost earlier arrive after all.
+        for late in (*history[1], vertex):
+            node._ingest_vertex(late)
+        assert inserted == []
+        assert len(self._requests(sent)) == 1
+
+
 class TestLazyClientLoad:
     """The four places a pool meets lazily materialised client arrivals."""
 

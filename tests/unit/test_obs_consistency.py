@@ -1,14 +1,11 @@
-"""Unit tests for committed-prefix consistency and recovery mining.
+"""Unit tests for committed-prefix consistency.
 
 ``repro.obs.consistency`` compares ordering-checkpoint chains within a
 run (safety: all validators agree) and across runs (two variants commit
 consistent prefixes even when their post-divergence histories differ).
-``repro.obs.recovery`` mines park-to-promote stalls and
-drop-to-rearrival gaps out of a trace.  Both are pure post-processing,
-so every behaviour is pinned against small synthetic inputs.
+It is pure post-processing, so every behaviour is pinned against small
+synthetic inputs.
 """
-
-import pytest
 
 from repro.obs.consistency import (
     PrefixComparison,
@@ -16,7 +13,6 @@ from repro.obs.consistency import (
     checkpoint_chain,
     compare_prefixes,
 )
-from repro.obs.recovery import mine_recovery, recovery_summary
 
 
 class TestCheckpointChain:
@@ -87,135 +83,3 @@ class TestRunConsistency:
         checkpoints = {0: [(64, "aa")], 1: []}
         assert check_run_consistency(digests, checkpoints) == []
 
-
-def parked(node, source, round_number, t):
-    return {
-        "kind": "vertex_parked",
-        "t": t,
-        "node": node,
-        "source": source,
-        "round": round_number,
-    }
-
-
-def promoted(node, source, round_number, t):
-    return {
-        "kind": "vertex_promoted",
-        "t": t,
-        "node": node,
-        "source": source,
-        "round": round_number,
-    }
-
-
-def dropped(destination, origin, round_number, t, type="CertificateMessage", reason="loss"):
-    return {
-        "kind": "message_dropped",
-        "t": t,
-        "sender": origin,
-        "destination": destination,
-        "type": type,
-        "reason": reason,
-        "origin": origin,
-        "round": round_number,
-    }
-
-
-def delivered(node, origin, round_number, t):
-    return {
-        "kind": "payload_delivered",
-        "t": t,
-        "node": node,
-        "origin": origin,
-        "round": round_number,
-    }
-
-
-def inserted(node, source, round_number, t):
-    return {
-        "kind": "vertex_inserted",
-        "t": t,
-        "node": node,
-        "source": source,
-        "round": round_number,
-    }
-
-
-class TestMineRecovery:
-    def test_park_to_promote_stall(self):
-        report = mine_recovery(
-            [parked(0, 1, 5, t=2.0), promoted(0, 1, 5, t=2.75)]
-        )
-        assert report.stalls == (0.75,)
-        assert report.unpromoted == 0
-
-    def test_park_without_promotion_counts_unpromoted(self):
-        report = mine_recovery([parked(0, 1, 5, t=2.0)])
-        assert report.stalls == ()
-        assert report.unpromoted == 1
-
-    def test_promotion_before_park_does_not_join(self):
-        """Only promotions at or after the park time resolve it."""
-        report = mine_recovery([promoted(0, 1, 5, t=1.0), parked(0, 1, 5, t=2.0)])
-        assert report.stalls == ()
-        assert report.unpromoted == 1
-
-    def test_drop_joined_to_certificate_delivery(self):
-        report = mine_recovery(
-            [dropped(3, 1, 5, t=1.0), delivered(3, 1, 5, t=1.4)]
-        )
-        assert report.drop_samples == pytest.approx((0.4,))
-        assert report.redundant_drops == 0
-        assert report.unrecovered == 0
-
-    def test_drop_joined_to_dag_insertion(self):
-        """Fetch responses bypass the certificate layer: a DAG-level
-        insertion counts as the re-arrival too."""
-        report = mine_recovery([dropped(3, 1, 5, t=1.0), inserted(3, 1, 5, t=2.0)])
-        assert report.drop_samples == (1.0,)
-
-    def test_drop_after_arrival_is_redundant(self):
-        report = mine_recovery([delivered(3, 1, 5, t=0.5), dropped(3, 1, 5, t=1.0)])
-        assert report.drop_samples == ()
-        assert report.redundant_drops == 1
-
-    def test_drop_never_rearriving_is_unrecovered(self):
-        report = mine_recovery([dropped(3, 1, 5, t=1.0)])
-        assert report.unrecovered == 1
-        assert report.certificate_drops == 1
-
-    def test_arrival_at_other_node_does_not_heal(self):
-        """The join is per-destination: node 2 receiving the vertex does
-        not heal node 3's drop."""
-        report = mine_recovery([dropped(3, 1, 5, t=1.0), delivered(2, 1, 5, t=1.4)])
-        assert report.drop_samples == ()
-        assert report.unrecovered == 1
-
-    def test_non_loss_and_non_certificate_drops_are_ignored(self):
-        events = [
-            dropped(3, 1, 5, t=1.0, reason="sender_crashed"),
-            dropped(3, 1, 5, t=1.0, type="ProposeMessage"),
-            {"kind": "message_dropped", "t": 1.0, "reason": "loss",
-             "type": "CertificateMessage"},  # no destination/origin/round
-        ]
-        report = mine_recovery(events)
-        assert report.certificate_drops == 0
-
-    def test_summary_keys(self):
-        summary = recovery_summary(
-            [
-                parked(0, 1, 5, t=2.0),
-                promoted(0, 1, 5, t=2.5),
-                dropped(3, 1, 5, t=1.0),
-                delivered(3, 1, 5, t=1.4),
-            ]
-        )
-        assert summary["count"] == 1
-        assert abs(summary["avg"] - 0.5) < 1e-9
-        assert summary["unpromoted"] == 0.0
-        assert summary["drop_count"] == 1.0
-        assert summary["certificate_drops"] == 1.0
-        assert summary["redundant_drops"] == 0.0
-        assert summary["unrecovered"] == 0.0
-        for key in ("p50", "p95", "p99", "max", "drop_p50", "drop_max"):
-            assert key in summary

@@ -13,7 +13,6 @@ from repro.rbc.messages import (
     AckMessage,
     CertificateBatch,
     CertificateMessage,
-    PiggybackedPropose,
     ProposeMessage,
 )
 from repro.errors import BroadcastError
@@ -252,31 +251,21 @@ class TestIdsOutsideTheCommittee:
     def test_a_certificate_from_outside_is_refused_on_every_path(self, origin):
         committee, simulator, network, protocols, deliveries = build_cluster()
         protocol = protocols[1]
-        protocol.piggyback_certificates = True
         certificate = self.forged(origin)
         # Quorum of signers, matching digest: only the origin is wrong.
         assert protocol._verify_certificate(certificate)
-        proposal = protocols[2].make_propose("honest", 5)
 
         def every_path():
             protocol.handle_message(2, certificate)
             protocol.handle_message(
                 2, CertificateBatch(origin=2, round=4, digest=certificate.digest, certificates=(certificate,))
             )
-            protocol.handle_message(
-                2,
-                PiggybackedPropose(
-                    origin=2, round=5, digest=proposal.digest, payload="honest", certificates=(certificate,)
-                ),
-            )
-            assert not protocol.recover_certificate(origin, 4)
             assert not protocol.has_delivered(origin, 4)
             protocol._deliver("forged", 4, origin)
 
         assert self.peak_bytes(every_path) < 1 << 20
         assert deliveries[1] == []
-        assert protocol._delivered == {} and protocol._pending_certificates == {}
-        assert not protocol._peer_seen.get(2)
+        assert protocol._delivered == {}
 
     @pytest.mark.parametrize("sender", [HUGE, 4, -1])
     def test_a_proposal_from_outside_is_not_acknowledged(self, sender):

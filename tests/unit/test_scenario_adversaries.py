@@ -454,6 +454,33 @@ class TestScenarioDigestStability:
         for name, digest in self.PR3_SCENARIO_DIGESTS.items():
             assert get_scenario(name).scenario_digest() == digest, name
 
+    # Every registered scenario's scenario_digest(): a spec field added,
+    # removed or serialised differently must leave the specs that do not
+    # use it hashing as they did.  A scenario whose own definition is
+    # edited updates its entry here.
+    REGISTERED_SCENARIO_DIGESTS = {
+        **PR3_SCENARIO_DIGESTS,
+        "equivocation-split": "025d5943e6ef266c06bb0894c56db15de11f5450fbb6a51049d94321df40e49a",
+        "silent-saboteur": "dbc68b21c690e79b98173fb8d2e44f70a64cdec887e7560db6315cd7505244a2",
+        "lazy-leader": "a7f3cbe8b719d17f8f19b39887ba3e79f38fb654c8d66ef8a25a9af803af99f0",
+        "reputation-gamer": "d459ba5493815d5cc503d69a2a7fbbcd5f5cee5ad42ff59d2a2be532ad0c4d8e",
+        "partition-failover": "4b45b91cb8dd9c59dd5e71e239dfd8aa2d687bcecdd76325f09125675597099a",
+        "reputation-gamer-strict": "a523eca4cdc2a76e14a2662e8a3275e0fae18f18410c89c621817e7952fb581f",
+        "colluding-silence": "223c84095172035eb840a2d3f40f958ef0497e12464cdf9d61a45875809514db",
+        "adaptive-dos": "9813ffc99056774aee652dd54f11c0c8b8764380794d5d10587981d11caa3c84",
+        "coalition-gaming": "8cd55c6b81a7bdb6696e1883523ac30373226d1627cbeef6565828f99ecdeed5",
+        "adaptive-equivocation": "ce204f9de89751fa099fd31648c537f714c4d52202df60edb056e743cc2f7288",
+        "maintenance-churn+recovery-spike": "59017a97a187cc3ad8a149299a87ac8cb7ae8cb9e0aad1402e535c1b02139558",
+        "lossy-recovery": "96e2900070bccb96b05212fb01ec2810d886dd2fd52261df4033fe357196da13",
+    }
+
+    @pytest.mark.parametrize("name", sorted(REGISTERED_SCENARIO_DIGESTS))
+    def test_registered_scenario_digest_is_pinned(self, name):
+        assert get_scenario(name).scenario_digest() == self.REGISTERED_SCENARIO_DIGESTS[name]
+
+    def test_every_registered_scenario_has_a_pinned_digest(self):
+        assert set(all_scenarios()) == set(self.REGISTERED_SCENARIO_DIGESTS)
+
     def test_new_fields_participate_when_set(self):
         base = ScenarioSpec(name="digest-probe", committee_sizes=(4,), duration=20.0)
         assert (

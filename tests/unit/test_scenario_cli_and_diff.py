@@ -149,19 +149,20 @@ class TestDiffArtifacts:
         assert any("[DIVERGED]" in line for line in lines)
 
     def test_prefix_mode_tolerates_spec_differences(self):
-        """Prefix mode exists to compare *different* scenarios (piggyback
-        on vs off): scenario digests may differ without failing."""
+        """Prefix mode exists to compare *different* scenarios (one loss
+        window under two scoring rules): scenario digests may differ
+        without failing."""
         shared = dict(point(digest="a" * 64))
-        left = artifact(spec={"name": "x", "certificate_piggyback": False},
+        left = artifact(spec={"name": "x", "scoring": "hammerhead"},
                         points=[shared])
         right = artifact(scenario_digest="e" * 64,
-                         spec={"name": "x", "certificate_piggyback": True},
+                         spec={"name": "x", "scoring": "completeness"},
                          points=[json.loads(json.dumps(shared))])
         code, lines = diff_artifacts(left, right, prefix=True)
         assert code == DIFF_MATCH
         text = "\n".join(lines)
         assert "allowed in prefix mode" in text
-        assert "certificate_piggyback" in text
+        assert "scoring: 'hammerhead' -> 'completeness'" in text
 
     def test_load_artifact_rejects_junk(self, tmp_path):
         path = tmp_path / "junk.json"

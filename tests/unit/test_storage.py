@@ -1,10 +1,9 @@
-"""Unit tests for the storage substrate (store + write-ahead log)."""
+"""Unit tests for the storage substrate."""
 
 import pytest
 
 from repro.errors import StorageError
 from repro.storage.store import PersistentStore
-from repro.storage.wal import WriteAheadLog
 
 
 class TestPersistentStore:
@@ -77,45 +76,3 @@ class TestPersistentStore:
         assert family.get("k") == 2
         assert len(family) == 1
 
-
-class TestWriteAheadLog:
-    def test_append_assigns_increasing_sequence_numbers(self):
-        log = WriteAheadLog()
-        first = log.append("insert", {"round": 1})
-        second = log.append("insert", {"round": 2})
-        assert first.sequence == 0
-        assert second.sequence == 1
-
-    def test_replay_preserves_order(self):
-        log = WriteAheadLog()
-        for index in range(5):
-            log.append("op", index)
-        assert [entry.payload for entry in log.replay()] == [0, 1, 2, 3, 4]
-
-    def test_len_and_iteration(self):
-        log = WriteAheadLog()
-        log.append("a", None)
-        log.append("b", None)
-        assert len(log) == 2
-        assert [entry.tag for entry in log] == ["a", "b"]
-
-    def test_truncate_before(self):
-        log = WriteAheadLog()
-        for index in range(6):
-            log.append("op", index)
-        dropped = log.truncate_before(3)
-        assert dropped == 3
-        assert [entry.sequence for entry in log.replay()] == [3, 4, 5]
-
-    def test_sequence_numbers_not_reused_after_truncate(self):
-        log = WriteAheadLog()
-        log.append("a", None)
-        log.truncate_before(10)
-        entry = log.append("b", None)
-        assert entry.sequence == 1
-
-    def test_last_sequence(self):
-        log = WriteAheadLog()
-        assert log.last_sequence == -1
-        log.append("a", None)
-        assert log.last_sequence == 0
