@@ -22,9 +22,8 @@ import os
 from typing import Dict, List, Sequence
 
 from repro.metrics.report import PerformanceReport, format_table
-from repro.sim.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.sim.experiment import ExperimentConfig
 from repro.sim.presets import bench_scale
-from repro.sim.sweep import run_sweep
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -83,21 +82,6 @@ _SCALES = {
 
 def current_scale() -> BenchScale:
     return _SCALES[bench_scale()]
-
-
-def run_point(config: ExperimentConfig) -> ExperimentResult:
-    """Run a single experiment point."""
-    return run_experiment(config)
-
-
-def run_points(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
-    """Run a batch of experiment points through the parallel sweep engine.
-
-    Results come back in input order and are identical to running each
-    point serially (every experiment is deterministic in its config);
-    ``REPRO_SWEEP_PARALLELISM`` caps the worker count.
-    """
-    return run_sweep(configs)
 
 
 def save_and_print(name: str, title: str, reports: List[PerformanceReport]) -> str:

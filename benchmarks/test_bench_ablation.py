@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_common import base_config, current_scale, run_point, save_and_print
+from benchmarks.bench_common import base_config, current_scale, save_and_print
+from repro.sim.experiment import run_experiment
 
 
 def _fault_setup():
@@ -36,7 +37,7 @@ def _run_schedule_frequency_ablation():
         config = base_config(scale, committee_size, faults=faults).with_overrides(
             protocol="hammerhead", input_load_tps=load, commits_per_schedule=commits
         )
-        results[commits] = run_point(config)
+        results[commits] = run_experiment(config)
     return results
 
 
@@ -71,7 +72,7 @@ def _run_exclusion_fraction_ablation():
         config = base_config(scale, committee_size, faults=faults).with_overrides(
             protocol="hammerhead", input_load_tps=load, exclude_fraction=fraction
         )
-        results[fraction] = run_point(config)
+        results[fraction] = run_experiment(config)
     return results
 
 
@@ -106,7 +107,7 @@ def _run_scoring_rule_ablation():
         config = base_config(scale, committee_size, faults=faults).with_overrides(
             protocol="hammerhead", input_load_tps=load, scoring=scoring
         )
-        results[scoring] = run_point(config)
+        results[scoring] = run_experiment(config)
     return results
 
 

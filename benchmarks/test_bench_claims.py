@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_common import base_config, current_scale, run_point, save_and_print
+from benchmarks.bench_common import base_config, current_scale, save_and_print
+from repro.sim.experiment import run_experiment
 
 
 def _committee_and_faults():
@@ -31,7 +32,7 @@ def _run_claim_c1():
         config = base_config(scale, committee_size).with_overrides(
             protocol=protocol, input_load_tps=load
         )
-        results[protocol] = run_point(config)
+        results[protocol] = run_experiment(config)
     return results
 
 
@@ -58,7 +59,7 @@ def _run_claim_c2():
             config = base_config(scale, committee_size, faults=faults).with_overrides(
                 protocol=protocol, input_load_tps=load
             )
-            results[(protocol, faults)] = run_point(config)
+            results[(protocol, faults)] = run_experiment(config)
     return fault_levels, results
 
 
@@ -95,7 +96,7 @@ def _run_claim_c3():
             duration=scale.faulty_duration,
             warmup=scale.faulty_warmup,
         )
-        results[faults] = run_point(config)
+        results[faults] = run_experiment(config)
     return results
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_common import base_config, current_scale, run_points, save_and_print
+from benchmarks.bench_common import base_config, current_scale, save_and_print
+from repro.sim.sweep import run_sweep
 
 
 def _run_figure1():
@@ -30,7 +31,7 @@ def _run_figure1():
         for protocol, committee_size in keys
         for load in scale.faultless_loads
     ]
-    results = run_points(configs)
+    results = run_sweep(configs)
     reports = [result.report for result in results]
     loads_per_curve = len(scale.faultless_loads)
     curves = {

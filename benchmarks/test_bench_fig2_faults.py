@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_common import base_config, current_scale, run_points, save_and_print
+from benchmarks.bench_common import base_config, current_scale, save_and_print
+from repro.sim.sweep import run_sweep
 
 
 def _run_figure2():
@@ -29,7 +30,7 @@ def _run_figure2():
         for protocol, committee_size in keys
         for load in scale.faulty_loads
     ]
-    results = run_points(configs)
+    results = run_sweep(configs)
     reports = [result.report for result in results]
     loads_per_curve = len(scale.faulty_loads)
     curves = {

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_common import base_config, current_scale, run_point, save_and_print
+from benchmarks.bench_common import base_config, current_scale, save_and_print
 from repro.committee import Committee
 from repro.faults.slow import degrade_fraction
+from repro.sim.experiment import run_experiment
 
 INCIDENT_LOAD_TPS = 130.0
 DEGRADED_FRACTION = 0.10
@@ -44,7 +45,7 @@ def _run_incident():
                 warmup=warmup,
                 extra_faults=extra_faults,
             )
-            results[(protocol, degraded)] = run_point(config)
+            results[(protocol, degraded)] = run_experiment(config)
     return results
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_common import base_config, current_scale, run_point, save_and_print
+from benchmarks.bench_common import base_config, current_scale, save_and_print
+from repro.sim.experiment import run_experiment
 
 
 def _run_utilization():
@@ -26,7 +27,7 @@ def _run_utilization():
         config = base_config(scale, committee_size, faults=faults).with_overrides(
             protocol=protocol, input_load_tps=load
         )
-        results[protocol] = run_point(config)
+        results[protocol] = run_experiment(config)
     return results
 
 

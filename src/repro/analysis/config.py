@@ -62,18 +62,13 @@ DEFAULT_MESSAGE_MODULES: Tuple[str, ...] = (
     "repro.node.messages",
 )
 
-# Modules allowed to read the wall clock (DET002).  The observability
-# profiler measures real elapsed time by design; it is opt-in, lives
-# outside the purity closure (never imported by repro.obs.__init__ or
-# any traced component), and its numbers are kept out of digests,
-# traces, and artifact comparisons.  The netexec trio is the
-# real-network backend: monotonic clocks and sockets are its job, its
+# Modules allowed to read the wall clock (DET002).  The netexec trio is
+# the real-network backend: monotonic clocks and sockets are its job, its
 # digests are protected by lockstep content-determinism instead of
 # virtual time (see repro/netexec/lockstep.py — itself pure and
 # deliberately *not* allowlisted), and none of these modules is ever
 # imported by the purity closure.
 DEFAULT_WALLCLOCK_ALLOWLIST: Tuple[str, ...] = (
-    "repro.obs.profiler",
     "repro.netexec.clock",
     "repro.netexec.transport",
     "repro.netexec.runner",

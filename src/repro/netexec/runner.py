@@ -259,5 +259,4 @@ def _build_result(
         reputation=reputation_metrics(observer.schedule_manager, faulty=[]),
         counters=counters,
         trace=tracer.export_events() if tracer is not None else [],
-        profile={},
     )

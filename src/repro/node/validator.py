@@ -109,6 +109,9 @@ class ValidatorNode:
         # Synchronizer state: missing parent -> last request time.
         self._fetch_requested: Dict[VertexId, SimTime] = {}
         self._fetch_timer: Optional[EventHandle] = None
+        # One bit per peer a fetch request was ever sent to: only those
+        # may hand this validator a snapshot to adopt.
+        self._asked_peers = 0
         # Messages received before ``start()`` are buffered, not dropped:
         # with the tightest possible quorum (exactly 2f+1 alive validators)
         # a single lost acknowledgement would block certification forever.
@@ -525,12 +528,9 @@ class ValidatorNode:
         if protocol_handlers is not None:
             handlers.update(protocol_handlers)
         handlers[FetchRequest] = self._handle_fetch_request
-        handlers[FetchResponse] = self._handle_fetch_response_message
+        handlers[FetchResponse] = self._handle_fetch_response
         self._handlers_protocol = self.broadcast_protocol
         return handlers
-
-    def _handle_fetch_response_message(self, sender: ValidatorId, message) -> None:
-        self._handle_fetch_response(message)
 
     def _on_broadcast_delivery(self, delivery: Delivery) -> None:
         vertex = delivery.payload
@@ -580,6 +580,7 @@ class ValidatorNode:
             held=self.dag.held_sources(),
         )
         target = preferred_peer if preferred_peer != self.id else self._random_peer()
+        self._asked_peers |= 1 << target
         self.network.send(self.id, target, request)
         self._schedule_fetch_retry()
 
@@ -696,8 +697,8 @@ class ValidatorNode:
             vote_accounting=self.schedule_manager.vote_accounting_snapshot(),
         )
 
-    def _handle_fetch_response(self, response: FetchResponse) -> None:
-        self._maybe_state_sync(response)
+    def _handle_fetch_response(self, sender: ValidatorId, response: FetchResponse) -> None:
+        self._maybe_state_sync(sender, response)
         dag = self.dag
         horizon = dag.lowest_round
         vertices = response.vertices
@@ -727,7 +728,7 @@ class ValidatorNode:
         dag.reconsider_pending()
         self._maybe_advance()
 
-    def _maybe_state_sync(self, response: FetchResponse) -> None:
+    def _maybe_state_sync(self, sender: ValidatorId, response: FetchResponse) -> None:
         """Fall back to state sync when the missing history was pruned.
 
         If the responder has already garbage-collected the rounds this
@@ -735,9 +736,13 @@ class ValidatorNode:
         The production system downloads a certified checkpoint instead; the
         simulation models that by adopting the responder's committed
         position, ordered-vertex set, and schedule state, then resuming
-        normal operation from the responder's GC horizon.
+        normal operation from the responder's GC horizon.  Only a peer
+        this validator sent a fetch request to is trusted with that; an
+        unsolicited snapshot is ignored (its vertices are still ingested).
         """
         if response.responder_gc_round <= self.dag.highest_round() + 1:
+            return
+        if not self._asked_peers >> sender & 1:
             return
         snapshot = response.snapshot
         if snapshot is None:

@@ -1,10 +1,9 @@
 """Digest-neutral observability: deterministic tracing + instrumentation.
 
 Import surface is deliberately lean: only the trace core and the counter
-registry live here.  The wall-clock profiler (``repro.obs.profiler``) and
-the CLI are *never* imported from this package root so that the hot
-modules which import :mod:`repro.obs.trace` can never drag wall-clock
-code into the digest purity closure.
+registry live here.  The CLI is *never* imported from this package root
+so that the hot modules which import :mod:`repro.obs.trace` never drag
+it into the digest purity closure.
 """
 
 from repro.obs.registry import InstrumentationRegistry

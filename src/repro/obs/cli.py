@@ -10,9 +10,10 @@ Subcommands::
                                anchor skipped), --first-skip (explain
                                the first skipped anchor), --demotion V
                                (what evidence demoted validator V)
-    profile NAME|--spec F      run with the wall-clock profiler and
-                               print per-phase self-time (event loop,
-                               RBC, commit path, scoring)
+
+Where the host's time goes is the benchmark's question, not this CLI's:
+``python3 benchmarks/suite/run.py --workload W --traced`` prints the
+per-layer table.
 
 Follows the scenarios/analysis exit contract (``repro.cliutil``):
 0 success, 1 findings, 2 operational errors with a stderr ``error:``
@@ -30,14 +31,9 @@ from repro.cliutil import run_guarded
 from repro.obs import query
 
 
-def _load_spec(args: argparse.Namespace):
-    # Same name-or---spec/--smoke resolution the scenarios CLI uses.
-    from repro.scenarios.cli import _load_spec as load
-
-    return load(args)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
+    # Same name-or---spec/--smoke resolution the scenarios CLI uses.
+    from repro.scenarios.cli import _load_spec
     from repro.scenarios.runner import run_scenario, write_artifact
 
     spec = _load_spec(args)
@@ -90,28 +86,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.sim.experiment import run_experiment
-    from repro.scenarios.spec import compile_spec
-
-    spec = _load_spec(args)
-    points = compile_spec(spec, seed=args.seed)
-    for point in points:
-        config = point.config.with_overrides(profile=True)
-        print(f"profiling {config.label()} (seed {config.seed}) ...")
-        result = run_experiment(config)
-        profile = result.profile
-        phases = profile.get("phases", {})
-        width = max((len(name) for name in phases), default=10)
-        print(f"  {'phase'.ljust(width)}  {'self_s':>9}  {'calls':>9}")
-        for name, stats in phases.items():
-            print(
-                f"  {name.ljust(width)}  {stats['self_seconds']:9.4f}  {stats['calls']:9d}"
-            )
-        print(f"  {'total'.ljust(width)}  {profile.get('total_seconds', 0.0):9.4f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -121,7 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     trace = commands.add_parser("trace", help="run a scenario with tracing and write JSONL")
-    _add_spec_arguments(trace)
+    trace.add_argument("name", nargs="?", help="a registered scenario name")
+    trace.add_argument("--spec", help="path to a scenario spec JSON file")
+    trace.add_argument(
+        "--smoke",
+        action="store_true",
+        help="shrink to a tiny committee and short horizon (CI smoke run)",
+    )
     trace.add_argument("--seeds", type=int, nargs="+", default=None, help="seeds to fan out over")
     trace.add_argument(
         "--parallelism",
@@ -152,33 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--demotion", type=int, help="explain what demoted validator V")
     explain.add_argument("--validator", type=int, default=None, help="perspective validator id")
     explain.add_argument("--point", default=None, help="scenario point label (default: first)")
-
-    profile = commands.add_parser("profile", help="wall-clock per-phase profile of a scenario")
-    _add_spec_arguments(profile)
-    profile.add_argument("--seed", type=int, default=None, help="seed override")
     return parser
-
-
-def _add_spec_arguments(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument("name", nargs="?", help="a registered scenario name")
-    subparser.add_argument("--spec", help="path to a scenario spec JSON file")
-    subparser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shrink to a tiny committee and short horizon (CI smoke run)",
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("trace", "profile") and not (args.name or args.spec):
+    if args.command == "trace" and not (args.name or args.spec):
         parser.error("give a scenario name or --spec FILE")
     handlers = {
         "trace": _cmd_trace,
         "timeline": _cmd_timeline,
         "explain": _cmd_explain,
-        "profile": _cmd_profile,
     }
     return run_guarded(lambda: handlers[args.command](args))
 

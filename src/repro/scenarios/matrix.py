@@ -13,9 +13,9 @@ attack spec is re-validated with ``scoring_rules=<rules>`` and
 reputation to ablate), compiled once per rule, and all cells of all
 attacks run as one sweep batch.
 
-``python -m repro.scenarios matrix`` is the CLI entry point; the
-``scenario_matrix`` stage of ``benchmarks/run_bench.py`` runs a smoke
-subset and the regression gate compares its cell digests.
+``python -m repro.scenarios matrix`` is the CLI entry point; the smoke
+cells of two attacks by two rules have their ordering digests pinned in
+``tests/integration/test_behavior_differential.py``.
 """
 
 from __future__ import annotations

@@ -83,12 +83,8 @@ class ExperimentConfig:
 
     # Observability (see :mod:`repro.obs`).  ``trace`` records the
     # deterministic protocol event stream into ``ExperimentResult.trace``;
-    # ``profile`` attaches the wall-clock phase profiler (wall-clock
-    # numbers are non-deterministic by nature, which is why the profiler
-    # module lives on the analyzer's wall-clock allowlist).  Both are off
-    # by default and, when off, leave the hot paths untouched.
+    # it is off by default and, when off, leaves the hot paths untouched.
     trace: bool = False
-    profile: bool = False
     # Ring-buffer bound for the tracer: keep at most this many events in
     # memory (oldest evicted first; the export carries one
     # ``trace_truncated`` marker).  ``None`` keeps the full stream —
@@ -203,8 +199,6 @@ class ExperimentResult:
     counters: Dict[str, Any] = dataclasses.field(default_factory=dict)
     # Deterministic trace events (populated when ``config.trace``).
     trace: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
-    # Wall-clock phase profile (populated when ``config.profile``).
-    profile: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
     @property
     def throughput(self) -> float:

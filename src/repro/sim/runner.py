@@ -133,11 +133,8 @@ class SimulationRunner:
         self._load_generators: List[LoadGenerator] = []
         self.tracer = None
         self.registry = None
-        self.profiler = None
         if config.trace:
             self._install_observability()
-        if config.profile:
-            self._install_profiler()
         self._wire_observers()
 
     # -- construction ---------------------------------------------------------------
@@ -214,16 +211,6 @@ class SimulationRunner:
         for _validator, node in sorted(self.nodes.items()):
             node.install_observability(self.tracer, self.registry)
 
-    def _install_profiler(self) -> None:
-        # Imported lazily: the profiler reads the wall clock, and keeping
-        # it out of module scope here keeps repro.sim outside the
-        # analyzer's wall-clock allowlist.
-        from repro.obs.profiler import WallclockProfiler
-
-        self.profiler = WallclockProfiler()
-        for _validator, node in sorted(self.nodes.items()):
-            self.profiler.instrument_node(node)
-
     # -- running ------------------------------------------------------------------------
 
     def run(self) -> ExperimentResult:
@@ -250,11 +237,7 @@ class SimulationRunner:
             self.metrics.attach_clients(self._load_generators)
             if config.partition_failover:
                 self._schedule_partition_failover()
-            if self.profiler is not None:
-                with self.profiler.phase("event_loop"):
-                    self.simulator.run(until=config.duration)
-            else:
-                self.simulator.run(until=config.duration)
+            self.simulator.run(until=config.duration)
             return self._build_result()
         finally:
             if gc_was_enabled:
@@ -515,5 +498,4 @@ class SimulationRunner:
             ),
             counters=counters,
             trace=self.tracer.export_events() if self.tracer is not None else [],
-            profile=self.profiler.snapshot() if self.profiler is not None else {},
         )

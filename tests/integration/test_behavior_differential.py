@@ -23,6 +23,7 @@ import pytest
 from repro.faults.crash import CrashFault
 from repro.faults.partition import NetworkDisturbanceFault
 from repro.scenarios import get_scenario
+from repro.scenarios.matrix import matrix_spec
 from repro.scenarios.spec import compile_spec
 from repro.sim.experiment import ExperimentConfig, run_experiment
 
@@ -102,6 +103,20 @@ PR4_SCENARIO_DIGESTS = {
     ],
 }
 
+# Smoke-scale attack x scoring-rule matrix cells: per attack, [rule,
+# count, digest] per compiled point, in compile order.  Both rules order
+# the same history at this scale.
+MATRIX_SMOKE_DIGESTS = {
+    "reputation-gamer": [
+        ["hammerhead", 129, "bbbd10b0de25438cb2107e430fdbd9fbbaee108243ae8f5aee0756182bbf3a6e"],
+        ["completeness", 129, "bbbd10b0de25438cb2107e430fdbd9fbbaee108243ae8f5aee0756182bbf3a6e"],
+    ],
+    "adaptive-dos": [
+        ["hammerhead", 128, "c7a6753795dff1b175403f85bf655692a046091b05b0ff935666ca068526e23e"],
+        ["completeness", 128, "c7a6753795dff1b175403f85bf655692a046091b05b0ff935666ca068526e23e"],
+    ],
+}
+
 
 def differential_config(committee_size: int) -> ExperimentConfig:
     """The exact configuration the pre-refactor digests were recorded with."""
@@ -174,3 +189,15 @@ class TestHonestPolicyDifferential:
         config = differential_config(committee_size).with_overrides(scoring=scoring)
         result = run_experiment(config)
         assert tuple(result.ordering_digests[0]) == PR3_CONFIG_DIGESTS[committee_size]
+
+    @pytest.mark.parametrize("attack", sorted(MATRIX_SMOKE_DIGESTS))
+    def test_matrix_smoke_cell_matches_pinned_digest(self, attack):
+        expected = MATRIX_SMOKE_DIGESTS[attack]
+        rules = [rule for rule, _, _ in expected]
+        points = compile_spec(matrix_spec(attack, rules, smoke=True))
+        assert len(points) == len(expected)
+        for point, (rule, count, digest) in zip(points, expected):
+            assert point.scoring == rule
+            result = run_experiment(point.config)
+            observed = tuple(result.ordering_digests[point.config.observer])
+            assert observed == (count, digest), f"{attack}/{rule} diverged"

@@ -6,15 +6,13 @@ optimized tree must order exactly what the protocol says.  The property
 suite pins that on small random committees; this smoke suite pins it at
 the scale the sprint actually targets: a deterministic committee-100 DAG
 driven through the production engine and through
-``tests/reference_model.py``, plus a full-pipeline determinism check
-through ``run_experiment``.
-
-CI runs this file as its own ``committee-100-smoke`` step in the bench
-job, so a divergence is reported as its own failure before the perf gate
-muddies the water.
+``tests/reference_model.py``, plus the observer's ordering pinned for the
+full pipeline at committees 25, 50, 100 and 200.
 """
 
 import random
+
+import pytest
 
 from repro.committee import Committee
 from repro.consensus.bullshark import BullsharkConsensus
@@ -104,13 +102,28 @@ def smoke_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-def test_committee100_full_pipeline_is_deterministic():
-    """Two identical committee-100 runs produce one ordering digest."""
-    first = run_experiment(smoke_config())
-    second = run_experiment(smoke_config())
-    assert first.ordering_digests == second.ordering_digests
-    count, _ = first.ordering_digests[0]
-    assert count > 0
+# Faultless, 4000 tx/s, seed 2, geo latency, a schedule change every 10
+# commits; the duration shrinks as the committee grows.  Per committee:
+# (duration, warmup, ordered_count, ordering_digest of the observer).
+COMMITTEE_STAGES = {
+    25: (20.0, 5.0, 1051, "f31a77b95be1c6923e83d43754cca94d45a56911101d7dcb045d4992e5947721"),
+    50: (10.0, 2.5, 1001, "ed561b22acdea10864ba7f665dc3e8d0746e886ccfe2f02b727cf198f2a7097b"),
+    100: (5.0, 1.0, 801, "6e239ae9c737b21dac2c8eb3c424a044bf169cf62dc95bd0f3bb80427d9f26b2"),
+    200: (2.0, 0.5, 401, "ba56ece34976be943c47aaf839ecc1e06caf97916ac7f716ea1a6ff5b4be2f87"),
+}
+
+
+@pytest.mark.parametrize("committee_size", sorted(COMMITTEE_STAGES))
+def test_committee_stage_orders_its_pinned_history(committee_size):
+    duration, warmup, count, digest = COMMITTEE_STAGES[committee_size]
+    config = smoke_config(
+        committee_size=committee_size,
+        input_load_tps=4000.0,
+        duration=duration,
+        warmup=warmup,
+    )
+    result = run_experiment(config)
+    assert tuple(result.ordering_digests[config.observer]) == (count, digest)
 
 
 def test_committee100_bounded_tracing_is_digest_neutral():

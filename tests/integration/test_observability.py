@@ -1,11 +1,11 @@
 """Differential digest-neutrality suite for the observability layer.
 
-The tentpole guarantee: turning tracing (or profiling) on changes
-*nothing* the protocol computes — byte-identical ordering digests and
-identical full DAG state — while producing a faithful, deterministic
-event stream.  Also pins the auditor-facing contract: the trace module
-lives inside the digest purity closure and passes the determinism rules;
-the wall-clock profiler stays outside it on the allowlist.
+The tentpole guarantee: turning tracing on changes *nothing* the
+protocol computes — byte-identical ordering digests and identical full
+DAG state — while producing a faithful, deterministic event stream.
+Also pins the auditor-facing contract: the trace module lives inside the
+digest purity closure and passes the determinism rules, and the only
+modules allowed to read the wall clock stay outside it.
 """
 
 import pytest
@@ -93,18 +93,6 @@ class TestDigestNeutrality:
         for event in first.trace:
             assert event["kind"] in KNOWN_KINDS
             assert isinstance(event["t"], float)
-
-    def test_profiler_is_digest_neutral_and_reports_phases(self):
-        config = ExperimentConfig(
-            committee_size=4, duration=6.0, warmup=1.0, input_load_tps=200.0, seed=2,
-        )
-        plain = run_experiment(config)
-        profiled = run_experiment(config.with_overrides(profile=True))
-        assert profiled.ordering_digests == plain.ordering_digests
-        phases = profiled.profile["phases"]
-        assert {"event_loop", "rbc", "commit_path", "scoring"} <= set(phases)
-        assert all(stats["self_seconds"] >= 0.0 for stats in phases.values())
-        assert plain.profile == {}
 
     def test_recovery_reinstalls_tracing(self):
         """Crash recovery rebuilds dag/consensus/broadcast; the recovered
@@ -198,12 +186,7 @@ class TestCliEndToEnd:
 
 
 class TestAuditorContract:
-    def test_profiler_is_allowlisted_for_wallclock(self):
-        from repro.analysis.config import repo_config
-
-        assert "repro.obs.profiler" in repo_config().wallclock_allowlist
-
-    def test_trace_module_in_purity_closure_profiler_outside(self):
+    def test_trace_module_in_purity_closure(self):
         from repro.analysis.config import repo_config
         from repro.analysis.purity import build_purity_map
         from repro.analysis.source import load_package
@@ -212,7 +195,24 @@ class TestAuditorContract:
         modules = load_package(config.root, config.package)
         purity = build_purity_map(modules, config)
         assert "repro.obs.trace" in purity.closure
-        assert "repro.obs.profiler" not in purity.closure
+
+    SOCKET_BACKEND = ("repro.netexec.clock", "repro.netexec.transport", "repro.netexec.runner")
+
+    def test_only_the_socket_backend_may_read_the_wall_clock(self):
+        from repro.analysis.config import repo_config
+
+        assert repo_config().wallclock_allowlist == self.SOCKET_BACKEND
+
+    @pytest.mark.parametrize("module", SOCKET_BACKEND)
+    def test_a_wall_clock_module_stays_outside_the_purity_closure(self, module):
+        from repro.analysis.config import repo_config
+        from repro.analysis.purity import build_purity_map
+        from repro.analysis.source import load_package
+
+        config = repo_config()
+        modules = load_package(config.root, config.package)
+        assert module in modules
+        assert module not in build_purity_map(modules, config).closure
 
     def test_repo_check_is_clean(self, capsys):
         from repro.analysis.cli import main as analysis_main

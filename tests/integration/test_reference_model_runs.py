@@ -218,9 +218,9 @@ def test_model_follows_a_validator_through_recovery_and_state_sync():
         events.append(("recover", list(node.dag)))
         attach()
 
-    def recorded_state_sync(response):
+    def recorded_state_sync(sender, response):
         adopting.append(response.snapshot)
-        maybe_state_sync(response)
+        maybe_state_sync(sender, response)
 
     node.recover, node._maybe_state_sync = recorded_recover, recorded_state_sync
     attach()

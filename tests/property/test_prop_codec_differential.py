@@ -22,9 +22,7 @@ import ast
 import collections
 import random
 import struct
-import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import pytest
@@ -44,6 +42,7 @@ from repro.rbc.messages import (
 )
 from repro.types import VertexId
 from repro.workload.transactions import Transaction
+from tests.mutants import load_mutant
 from tests.property.test_prop_netexec_codec import (
     digests,
     messages,
@@ -498,28 +497,10 @@ SOURCE_MUTANTS = {
 }
 
 
-def _mutant_codec(original, replacement):
-    """``codec.py`` loaded as a module with ``original`` replaced once."""
-    source = Path(codec.__file__).read_text()
-    assert source.count(original) == 1, f"{original!r} is not unique in codec.py"
-    mutant = types.ModuleType("tests.codec_mutant")
-    # dataclasses looks the defining module up while the class body runs.
-    sys.modules[mutant.__name__] = mutant
-    try:
-        exec(compile(source.replace(original, replacement), codec.__file__, "exec"), mutant.__dict__)
-    finally:
-        del sys.modules[mutant.__name__]
-    return mutant
-
-
-def _mutant_decode(original, replacement):
-    return _mutant_codec(original, replacement).decode
-
-
 @pytest.mark.parametrize("mutant", sorted(SOURCE_MUTANTS))
 def test_differential_kills_the_source_mutant(mutant):
     original, replacement, family = SOURCE_MUTANTS[mutant]
-    mutant_decode = _mutant_decode(original, replacement)
+    mutant_decode = load_mutant(codec, [(original, replacement)]).decode
 
     def by_name(error):
         """The mutant module defines its own CodecError: compare classes by name."""
@@ -533,7 +514,7 @@ def test_differential_kills_the_source_mutant(mutant):
     ]
     assert killed, f"{mutant} survives the {family} frames"
     # ... and the unmutated source, loaded the same way, survives them all.
-    intact = _mutant_decode(original, original)
+    intact = load_mutant(codec, []).decode
     for frame in frames:
         assert verdict(intact, frame, by_name) == verdict(reference_codec.decode, frame, by_name)
 

@@ -45,7 +45,6 @@ from tests.property.test_prop_codec_differential import (
     HOSTILE_FAMILIES,
     _forged_digest_frames,
     _frames_around,
-    _mutant_codec,
     _out_of_range_source_frames,
     _swapped_tag_frames,
     _vertex,
@@ -56,6 +55,7 @@ from tests.property.test_prop_codec_differential import (
     tag_positions,
     verdict,
 )
+from tests.mutants import load_mutant
 from tests.property.test_prop_netexec_codec import messages
 
 DIGEST = b"\x07" * 32
@@ -325,6 +325,6 @@ def _survives(module):
 @pytest.mark.parametrize("mutant", sorted(SLOT_MUTANTS))
 def test_the_slot_scripts_kill_the_source_mutant(mutant):
     original, replacement = SLOT_MUTANTS[mutant]
-    assert not _survives(_mutant_codec(original, replacement)), f"{mutant} survives"
+    assert not _survives(load_mutant(codec, [(original, replacement)])), f"{mutant} survives"
     # ... and the unmutated source, loaded the same way, survives them all.
-    assert _survives(_mutant_codec(original, original))
+    assert _survives(load_mutant(codec, []))

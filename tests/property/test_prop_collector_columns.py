@@ -12,8 +12,6 @@ same finality times, counts, ratio, throughput and execution state.
 """
 
 import ast
-import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -29,6 +27,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.execution import ExecutionModel
 from repro.workload.transactions import Transaction, TransactionBatch
 from tests.conftest import vid
+from tests.mutants import load_mutant
 from tests.reference_collector import ReferenceCollector
 
 WARMUP = 2.0
@@ -189,17 +188,10 @@ def test_fixed_scripts_agree(name):
 
 # -- source mutants --------------------------------------------------------------------------------
 
-def mutant_classes(module, original, replacement):
+def mutant_classes(module, replacements):
     """``{"collector_class" or "execution_class": the class of ``module``
-    with ``original`` replaced}``, to be passed to :func:`play`."""
-    source = Path(module.__file__).read_text()
-    assert source.count(original) == 1, f"{original!r} is not unique in {module.__name__}"
-    mutant = types.ModuleType("tests.collector_mutant")
-    sys.modules[mutant.__name__] = mutant
-    try:
-        exec(compile(source.replace(original, replacement), module.__file__, "exec"), mutant.__dict__)
-    finally:
-        del sys.modules[mutant.__name__]
+    with ``replacements`` applied}``, to be passed to :func:`play`."""
+    mutant = load_mutant(module, replacements)
     if module is collector_module:
         return {"collector_class": mutant.MetricsCollector}
     return {"execution_class": mutant.ExecutionModel}
@@ -227,7 +219,7 @@ SOURCE_MUTANTS = {
 @pytest.mark.parametrize("mutant", sorted(SOURCE_MUTANTS))
 def test_fixed_scripts_kill_the_source_mutant(mutant):
     module, original, replacement = SOURCE_MUTANTS[mutant]
-    classes = mutant_classes(module, original, replacement)
+    classes = mutant_classes(module, [(original, replacement)])
     killed = [
         name
         for name, script in sorted(FIXED_SCRIPTS.items())
@@ -235,7 +227,7 @@ def test_fixed_scripts_kill_the_source_mutant(mutant):
     ]
     assert killed, f"{mutant} survives every fixed script"
     # ... and the unmutated source, loaded the same way, survives them all.
-    intact = mutant_classes(module, original, original)
+    intact = mutant_classes(module, [])
     for script in FIXED_SCRIPTS.values():
         assert _agree(script, intact)
 

@@ -234,6 +234,7 @@ class TestFrontierResponse:
         for name, cluster in (("frontier", frontier_side), ("reference", reference_side)):
             node = cluster.node
             node._handle_fetch_response(
+                RESPONDER,
                 FetchResponse(
                     responder=RESPONDER,
                     vertices=responses[name],

@@ -14,13 +14,9 @@ vertices whose edges name any round (two levels down, sideways, upwards,
 beyond the committee), on heterogeneous committees up to size 100.
 
 Three source mutants, loaded by text replacement, must each be caught by a
-fixed case; renaming a local in the walk can break a mutant's "is not
-unique" assertion.
+fixed case; renaming a local in the walk can break a mutant's
+occurrence-count assertion.
 """
-
-import sys
-import types
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +31,7 @@ from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId
+from tests.mutants import load_mutant
 from tests.reference_model import ReferenceModel
 
 SIZES = (4, 5, 10, 33, 64, 100)
@@ -227,20 +224,6 @@ def test_the_straggler_case_walks_through_the_straggler_only():
 
 # -- source mutants ---------------------------------------------------------------------------------
 
-def mutant_class(module, class_name, replacements):
-    source = Path(module.__file__).read_text()
-    for original, replacement in replacements:
-        assert source.count(original) == 1, f"{original!r} is not unique in {module.__name__}"
-        source = source.replace(original, replacement)
-    mutant = types.ModuleType(f"tests.{class_name}_mutant")
-    sys.modules[mutant.__name__] = mutant
-    try:
-        exec(compile(source, module.__file__, "exec"), mutant.__dict__)
-    finally:
-        del sys.modules[mutant.__name__]
-    return getattr(mutant, class_name)
-
-
 SOURCE_MUTANTS = {
     "ordered-not-excluded-two-levels-down": ("store_class", store, "DagStore", [
         (
@@ -266,13 +249,10 @@ SOURCE_MUTANTS = {
 @pytest.mark.parametrize("mutant", sorted(SOURCE_MUTANTS))
 def test_fixed_cases_kill_the_source_mutant(mutant):
     argument, module, class_name, replacements = SOURCE_MUTANTS[mutant]
-    killed = [
-        name
-        for name, case in sorted(FIXED_CASES.items())
-        if play(*case, **{argument: mutant_class(module, class_name, replacements)})
-    ]
+    mutated = {argument: getattr(load_mutant(module, replacements), class_name)}
+    killed = [name for name, case in sorted(FIXED_CASES.items()) if play(*case, **mutated)]
     assert killed, f"{mutant} survives every fixed case"
     # ... and the unmutated source, loaded the same way, survives them all.
-    intact = {argument: mutant_class(module, class_name, [])}
+    intact = {argument: getattr(load_mutant(module, []), class_name)}
     for case in FIXED_CASES.values():
         assert play(*case, **intact) == []

@@ -14,8 +14,6 @@ same deliveries, the same RNG state and the same ``NetworkStats``.
 import ast
 import dataclasses
 import random
-import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -28,6 +26,7 @@ from repro.network.latency import GeoLatencyModel, UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.synchrony import AlwaysSynchronous, PartialSynchrony
 from repro.types import Region
+from tests.mutants import load_mutant
 from tests.reference_transport import ReferenceNetwork
 
 MODES = ("broadcast", "send")
@@ -292,21 +291,6 @@ def test_fixed_scripts(name, mode):
 
 # -- source mutants --------------------------------------------------------------------------------
 
-def mutant_network(replacements):
-    source = Path(transport.__file__).read_text()
-    for original, replacement in replacements:
-        assert source.count(original) == 1, f"{original!r} is not unique in transport.py"
-        source = source.replace(original, replacement)
-    mutant = types.ModuleType("tests.transport_mutant")
-    # dataclasses looks the defining module up while the class body runs.
-    sys.modules[mutant.__name__] = mutant
-    try:
-        exec(compile(source, transport.__file__, "exec"), mutant.__dict__)
-    finally:
-        del sys.modules[mutant.__name__]
-    return mutant.Network
-
-
 LOSS_DROP = (
     "            if destination is not source and loss_rate > 0.0 and random() < loss_rate:\n"
     "                stats.messages_dropped += 1\n"
@@ -333,7 +317,7 @@ SOURCE_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", sorted(SOURCE_MUTANTS))
 def test_fixed_scripts_kill_the_source_mutant(mutant):
-    network_class = mutant_network(SOURCE_MUTANTS[mutant])
+    network_class = load_mutant(transport, SOURCE_MUTANTS[mutant]).Network
     killed = [
         (name, mode)
         for name, script in sorted(FIXED_SCRIPTS.items())
@@ -342,7 +326,7 @@ def test_fixed_scripts_kill_the_source_mutant(mutant):
     ]
     assert killed, f"{mutant} survives every fixed script"
     # ... and the unmutated source, loaded the same way, survives them all.
-    intact = mutant_network([])
+    intact = load_mutant(transport, []).Network
     for script in FIXED_SCRIPTS.values():
         for mode in MODES:
             assert differences(*play(script, mode, intact)) == []

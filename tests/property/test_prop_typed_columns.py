@@ -23,11 +23,8 @@ single precision, ids in 32 bits, and a ``take`` that hands out the
 pool's own columns and deletes nothing.
 """
 
-import sys
-import types
 from array import array
 from collections import deque
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +40,7 @@ from repro.workload import transactions as transactions_module
 from repro.workload.generator import spawn_load
 from repro.workload.transactions import Transaction
 from tests.conftest import vid
+from tests.mutants import load_mutant
 from tests.reference_collector import ReferenceCollector
 from tests.reference_load import reference_spawn_load
 
@@ -299,8 +297,8 @@ def test_fixed_scripts_agree(name):
 # -- source mutants --------------------------------------------------------------------------------
 
 SOURCE_MUTANTS = {
-    "instants-in-single-precision": [('"d"', '"f"')],
-    "ids-in-32-bits": [('"q"', '"i"')],
+    "instants-in-single-precision": [('"d"', '"f"', 3)],
+    "ids-in-32-bits": [('"q"', '"i"', 5)],
     "take-hands-out-the-pools-own-columns": [
         (
             "self.target, self.ids[:limit], self.clients[:limit], self.submitted_at[:limit], sealed=True",
@@ -309,21 +307,6 @@ SOURCE_MUTANTS = {
         ("        del self.ids[:limit], self.clients[:limit], self.submitted_at[:limit]\n", ""),
     ],
 }
-
-
-def mutant_module(replacements):
-    """``workload/transactions.py`` with every ``(original, replacement)`` applied."""
-    source = Path(transactions_module.__file__).read_text()
-    for original, replacement in replacements:
-        assert original in source, f"{original!r} is not in {transactions_module.__name__}"
-        source = source.replace(original, replacement)
-    mutant = types.ModuleType("tests.transactions_mutant")
-    sys.modules[mutant.__name__] = mutant
-    try:
-        exec(compile(source, transactions_module.__file__, "exec"), mutant.__dict__)
-    finally:
-        del sys.modules[mutant.__name__]
-    return mutant
 
 
 def _agree(script, module):
@@ -337,11 +320,10 @@ def _agree(script, module):
 
 @pytest.mark.parametrize("mutant", sorted(SOURCE_MUTANTS))
 def test_fixed_scripts_kill_the_source_mutant(mutant):
-    replacements = SOURCE_MUTANTS[mutant]
-    module = mutant_module(replacements)
+    module = load_mutant(transactions_module, SOURCE_MUTANTS[mutant])
     killed = [name for name, script in sorted(FIXED_SCRIPTS.items()) if not _agree(script, module)]
     assert killed, f"{mutant} survives every fixed script"
     # ... and the unmutated source, loaded the same way, survives them all.
-    intact = mutant_module([(original, original) for original, _ in replacements])
+    intact = load_mutant(transactions_module, [])
     for script in FIXED_SCRIPTS.values():
         assert _agree(script, intact)

@@ -171,6 +171,24 @@ class TestExperimentConfig:
         assert changed.input_load_tps == 2000.0
         assert base.protocol == "hammerhead"
 
+    def test_profile_is_not_a_config_field(self):
+        # Where the host's time goes is the benchmark's --traced table.
+        with pytest.raises(TypeError):
+            ExperimentConfig(profile=True)
+
+    def test_with_overrides_refuses_profile(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig().with_overrides(profile=True)
+
+    def test_a_result_carries_no_profile(self):
+        import dataclasses
+
+        from repro.sim.experiment import ExperimentResult
+
+        names = {field.name for field in dataclasses.fields(ExperimentResult)}
+        assert "trace" in names
+        assert "profile" not in names
+
     def test_label_mentions_faults_and_load(self):
         label = ExperimentConfig(committee_size=10, faults=3, input_load_tps=500).label()
         assert "3 faulty" in label

@@ -1,5 +1,7 @@
 """Unit tests for the validator node over a small simulated network."""
 
+import dataclasses
+
 import pytest
 
 from repro.committee import Committee
@@ -402,7 +404,7 @@ class TestSynchronizer:
         node.dag.on_insert(inserted.append)
         reclaimed_before = node.dag.gc_reclaimed_total
         node._handle_fetch_response(
-            FetchResponse(responder=0, vertices=tuple(pruned), responder_gc_round=0)
+            0, FetchResponse(responder=0, vertices=tuple(pruned), responder_gc_round=0)
         )
         assert inserted == []
         assert node.dag.gc_reclaimed_total == reclaimed_before
@@ -434,6 +436,87 @@ class TestSynchronizer:
         )
         assert level[0].snapshot is None
 
+    @staticmethod
+    def _lagging():
+        """Validator 3, crashed from the start while the others ran with
+        GC depth 4, and validator 0's answer past 3's frontier."""
+        config = NodeConfig(
+            max_batch_size=50, min_round_interval=0.05, leader_timeout=0.5, gc_depth=4
+        )
+        committee, simulator, network, nodes = build_cluster(config=config, dynamic=True)
+        for node in nodes.values():
+            node.start()
+        lagging = nodes[3]
+        lagging.crash()
+        simulator.run(until=4.0)
+        lagging.crashed = False  # handle directly; the network still drops its traffic
+        donor = nodes[0]
+        snapshot = donor._consensus_snapshot()
+        assert len(snapshot.schedules) > len(lagging.schedule_manager.history)
+        response = FetchResponse(
+            responder=0, vertices=(), responder_gc_round=donor.dag.lowest_round, snapshot=snapshot
+        )
+        assert response.responder_gc_round > lagging.dag.highest_round() + 1
+        return donor, lagging, response
+
+    @staticmethod
+    def _ask(node, peer):
+        """Send ``peer`` a fetch request for a vertex no other request names."""
+        node._request_missing({vid(node.dag.highest_round() + 1, peer)}, preferred_peer=peer)
+
+    @staticmethod
+    def _synced_state(node):
+        return node.consensus.last_ordered_anchor_round, list(node.schedule_manager.history)
+
+    def test_a_snapshot_is_adopted_only_from_a_peer_that_was_asked(self):
+        donor, lagging, response = self._lagging()
+        before = self._synced_state(lagging)
+        lagging._handle_fetch_response(0, response)
+        assert self._synced_state(lagging) == before
+
+        self._ask(lagging, 0)
+        lagging._handle_fetch_response(0, response)
+        snapshot = response.snapshot
+        assert self._synced_state(lagging) == (
+            snapshot.last_ordered_anchor_round, list(snapshot.schedules)
+        )
+
+    @pytest.mark.parametrize("sender", [0, 1, 2])
+    def test_a_snapshot_from_the_one_peer_never_asked_is_ignored(self, sender):
+        donor, lagging, response = self._lagging()
+        for peer in {0, 1, 2} - {sender}:
+            self._ask(lagging, peer)
+        before = self._synced_state(lagging)
+        lagging._handle_fetch_response(sender, dataclasses.replace(response, responder=sender))
+        assert self._synced_state(lagging) == before
+
+    @pytest.mark.parametrize("flaw", ["no-snapshot", "short-of-the-frontier"])
+    def test_an_asked_peers_response_that_cannot_sync_changes_nothing(self, flaw):
+        donor, lagging, response = self._lagging()
+        self._ask(lagging, 0)
+        if flaw == "no-snapshot":
+            response = dataclasses.replace(response, snapshot=None)
+        else:
+            response = dataclasses.replace(
+                response, responder_gc_round=lagging.dag.highest_round() + 1
+            )
+        before = self._synced_state(lagging)
+        lagging._handle_fetch_response(0, response)
+        assert self._synced_state(lagging) == before
+
+    def test_an_unsolicited_response_still_delivers_its_vertices(self):
+        donor, lagging, response = self._lagging()
+        tip = donor.dag.vertex_of(donor.dag.highest_round() - 1, 0)
+        vertices = tuple(donor.dag.causal_history(tip.id))
+        assert all(vertex.round >= lagging.dag.lowest_round for vertex in vertices)
+        before = self._synced_state(lagging)
+        lagging._handle_fetch_response(0, dataclasses.replace(response, vertices=vertices))
+        assert self._synced_state(lagging) == before
+        assert lagging.fetch_vertices_received == lagging.fetch_vertices_new == len(vertices)
+        # Their parents were pruned by the responder: parked, not lost.
+        parked = {vertex.id for vertex in lagging.dag.pending_vertices()}
+        assert {vertex.id for vertex in vertices} <= parked
+
     def test_new_vertices_are_counted_apart_from_received_ones(self):
         committee, simulator, network, nodes = run_cluster()
         donor, node = nodes[0], nodes[1]
@@ -445,7 +528,7 @@ class TestSynchronizer:
         fresh = [vertex for vertex in history if vertex.id not in node.dag]
         assert fresh and len(fresh) < len(history)
         node._handle_fetch_response(
-            FetchResponse(responder=0, vertices=tuple(history), responder_gc_round=0)
+            0, FetchResponse(responder=0, vertices=tuple(history), responder_gc_round=0)
         )
         assert node.fetch_vertices_received == len(history)
         assert node.fetch_vertices_new == len(fresh)
@@ -518,6 +601,49 @@ class TestFetchRequester:
         assert target != 0
         assert request.missing == (vid(1, 3),)
 
+    @pytest.mark.parametrize("preferred", [2, 0], ids=["another-peer", "itself"])
+    def test_a_request_records_the_peer_it_went_to(self, monkeypatch, preferred):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        assert node._asked_peers == 0
+        node._request_missing({vid(1, 3)}, preferred_peer=preferred)
+        ((target, _request),) = self._requests(sent)
+        assert target != node.id and node._asked_peers == 1 << target
+
+    def test_a_request_with_nothing_left_to_ask_records_no_peer(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        node._request_missing({vid(1, 3)}, preferred_peer=2)
+        # Asked within the retry interval: nothing is sent, nobody is asked.
+        node._request_missing({vid(1, 3)}, preferred_peer=1)
+        assert [target for target, _ in self._requests(sent)] == [2]
+        assert node._asked_peers == 1 << 2
+
+    def test_the_retry_records_its_random_peer(self, monkeypatch):
+        simulator, node, history, sent = self._requester(monkeypatch)
+        node._ingest_vertex(history[2][2])
+        simulator.run(until=node.config.fetch_retry_interval * 1.5)
+        targets = [target for target, _ in self._requests(sent)]
+        assert len(targets) == 2
+        assert node._asked_peers == (1 << targets[0]) | (1 << targets[1])
+
+    def test_a_lockstep_repair_records_the_peer_it_asks(self):
+        from repro.netexec.lockstep import LockstepSimulationRunner
+        from repro.sim.experiment import ExperimentConfig
+
+        runner = LockstepSimulationRunner(
+            ExperimentConfig(committee_size=7, input_load_tps=0.0, duration=5.0, warmup=0.0, seed=3)
+        )
+        sent = []
+        runner.network.send = lambda sender, target, message: sent.append((target, message))
+        runner.network.broadcast = lambda *args, **kwargs: None
+        node = runner.nodes[1]
+        node.start()
+        # No vertex of its round arrives: the repair asks a random peer.
+        node._schedule_lockstep_repair(node.current_round)
+        runner.simulator.run(until=node.config.fetch_retry_interval * 1.5)
+        ((target, request),) = self._requests([(1, target, message) for target, message in sent])
+        assert set(request.missing) == {vid(node.current_round, source) for source in range(7)}
+        assert node._asked_peers == 1 << target
+
     def test_the_retry_asks_a_random_peer_for_what_is_still_missing(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         node._ingest_vertex(history[2][2])
@@ -553,7 +679,7 @@ class TestFetchRequester:
         vertex = history[2][2]
         node._ingest_vertex(vertex)
         node._handle_fetch_response(
-            FetchResponse(responder=2, vertices=tuple(reversed(history[1])), responder_gc_round=0)
+            2, FetchResponse(responder=2, vertices=tuple(reversed(history[1])), responder_gc_round=0)
         )
         assert vertex.id in node.dag
         assert all(parent.id in node.dag for parent in history[1])
@@ -565,7 +691,7 @@ class TestFetchRequester:
         vertex = history[2][2]
         node._ingest_vertex(vertex)
         node._handle_fetch_response(
-            FetchResponse(responder=2, vertices=tuple(history[1]), responder_gc_round=0)
+            2, FetchResponse(responder=2, vertices=tuple(history[1]), responder_gc_round=0)
         )
         inserted = []
         node.dag.on_insert(inserted.append)

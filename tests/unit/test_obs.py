@@ -1,8 +1,7 @@
 """Unit tests for the observability layer (repro.obs).
 
 Covers the tracer protocol and its zero-overhead elision contract, the
-instrumentation registry, the wall-clock profiler's self-time
-attribution, the causal trace queries, and the ``python -m repro.obs``
+instrumentation registry, the causal trace queries, and the ``python -m repro.obs``
 CLI surface over synthetic traces (the full pipeline is exercised by
 tests/integration/test_observability.py).
 """
@@ -22,7 +21,6 @@ from repro.obs import (
 )
 from repro.obs import query
 from repro.obs.cli import main as obs_main
-from repro.obs.profiler import WallclockProfiler
 from repro.obs.registry import Histogram, estimate_wire_bytes
 from repro.obs.trace import KNOWN_KINDS, event_lines, write_events
 
@@ -122,37 +120,6 @@ class TestRegistry:
             vertices = (object(), object())
 
         assert estimate_wire_bytes(WithVertices()) > estimate_wire_bytes(Bare())
-
-
-class TestProfiler:
-    def test_nested_phases_attribute_self_time(self):
-        profiler = WallclockProfiler()
-        with profiler.phase("outer"):
-            with profiler.phase("inner"):
-                pass
-        snap = profiler.snapshot()
-        assert set(snap["phases"]) == {"outer", "inner"}
-        assert snap["phases"]["outer"]["calls"] == 1
-        assert snap["phases"]["inner"]["calls"] == 1
-        assert snap["total_seconds"] >= 0.0
-
-    def test_wrap_counts_calls_and_returns_value(self):
-        profiler = WallclockProfiler()
-        wrapped = profiler.wrap("rbc", lambda x: x * 2)
-        assert wrapped(21) == 42
-        assert wrapped(1) == 2
-        assert profiler.snapshot()["phases"]["rbc"]["calls"] == 2
-
-    def test_wrap_propagates_exceptions_and_pops(self):
-        profiler = WallclockProfiler()
-
-        def boom():
-            raise RuntimeError("x")
-
-        wrapped = profiler.wrap("rbc", boom)
-        with pytest.raises(RuntimeError):
-            wrapped()
-        assert profiler._stack == []
 
 
 def synthetic_trace():
@@ -309,6 +276,29 @@ class TestObsCli:
         )
         assert code == 0 and err == ""
         assert "demoted at epoch 1" in out
+
+    def test_the_subcommands_are_trace_timeline_and_explain(self):
+        from repro.obs.cli import build_parser
+
+        (commands,) = [
+            action for action in build_parser()._actions if action.dest == "command"
+        ]
+        assert sorted(commands.choices) == ["explain", "timeline", "trace"]
+
+    def test_the_profile_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(["profile", "figure1-faultless"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+    def test_no_wall_clock_profiler_ships(self):
+        import pkgutil
+
+        import repro.obs
+
+        submodules = {info.name for info in pkgutil.iter_modules(repro.obs.__path__)}
+        assert {"cli", "trace"} <= submodules
+        assert "profiler" not in submodules
 
     def test_missing_trace_file_exits_2(self, capsys, tmp_path):
         assert_error_contract(

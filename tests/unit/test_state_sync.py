@@ -110,9 +110,9 @@ class TestOrderedVerticesInASnapshot:
         adopted = []
         maybe_state_sync = node._maybe_state_sync
 
-        def recorded(response):
+        def recorded(sender, response):
             gaps = len(node.consensus.state_sync_gaps)
-            maybe_state_sync(response)
+            maybe_state_sync(sender, response)
             if len(node.consensus.state_sync_gaps) > gaps:
                 adopted.append(response.snapshot)
 

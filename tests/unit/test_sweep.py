@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import process
+from concurrent.futures.process import BrokenProcessPool
+from pickle import PicklingError
 
 import pytest
 
@@ -39,13 +42,25 @@ class TestSweepEngine:
         assert [result.config.input_load_tps for result in results] == loads
 
     def test_parallel_equals_serial(self):
-        configs = [tiny_config(input_load_tps=load) for load in (80.0, 160.0)]
+        configs = [
+            tiny_config(protocol=protocol, input_load_tps=load, faults=1, fault_time=2.0)
+            for protocol in ("hammerhead", "bullshark")
+            for load in (80.0, 160.0)
+        ]
         serial = SweepEngine(parallelism=1).run(configs)
-        parallel = SweepEngine(parallelism=2).run(configs)
+        # A serial fallback would compare the serial path with itself:
+        # the batch must really cross worker processes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            parallel = SweepEngine(parallelism=2).run(configs)
         for serial_result, parallel_result in zip(serial, parallel):
             assert serial_result.ordering_digests == parallel_result.ordering_digests
             assert serial_result.report.throughput_tps == parallel_result.report.throughput_tps
             assert serial_result.report.avg_latency_s == parallel_result.report.avg_latency_s
+            assert serial_result.report.schedule_changes == parallel_result.report.schedule_changes
+            assert serial_result.crashed_validators == parallel_result.crashed_validators
+        assert all(result.crashed_validators for result in serial)
+        assert any(result.report.schedule_changes for result in serial)
 
     def test_empty_batch(self):
         assert SweepEngine(parallelism=4).run([]) == []
@@ -67,6 +82,21 @@ class TestSweepEngine:
             results = SweepEngine(parallelism=2).run(configs)
         assert len(results) == 2
         assert any("fell back to serial" in str(warning.message) for warning in caught)
+
+    @pytest.mark.parametrize("error", [PicklingError, BrokenProcessPool, OSError], ids=lambda error: error.__name__)
+    def test_a_pool_that_cannot_run_falls_back_to_serial_with_a_warning(self, monkeypatch, error):
+        """The warning ``test_parallel_equals_serial`` turns into an error
+        is the one every pool failure raises."""
+
+        def failing_pool(max_workers):
+            raise error("no worker processes here")
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", failing_pool)
+        configs = [tiny_config(input_load_tps=load) for load in (80.0, 160.0)]
+        with pytest.warns(RuntimeWarning, match="fell back to serial"):
+            results = SweepEngine(parallelism=2).run(configs)
+        serial = SweepEngine(parallelism=1).run(configs)
+        assert [one.ordering_digests for one in results] == [one.ordering_digests for one in serial]
 
     def test_experiment_errors_propagate_without_serial_rerun(self):
         """A failure inside run_experiment is not misread as a pool failure."""
