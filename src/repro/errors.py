@@ -27,10 +27,6 @@ class NetworkError(ReproError):
     """The simulated network was asked to do something impossible."""
 
 
-class StorageError(ReproError):
-    """The persistent store rejected an operation."""
-
-
 class DagError(ReproError):
     """A DAG invariant (causal completeness, uniqueness) was violated."""
 

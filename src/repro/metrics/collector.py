@@ -15,15 +15,14 @@ bias results.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from itertools import compress, repeat
 from operator import add, ge, sub
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.consensus.committed import OrderedVertex
 from repro.metrics.execution import ExecutionModel
-from repro.metrics.latency import LatencyStats
+from repro.metrics.latency import Column, LatencyStats
 from repro.node.validator import ValidatorNode
 from repro.types import SimTime
 from repro.workload.transactions import Transaction, as_column, transaction_columns
@@ -48,20 +47,18 @@ class MetricsCollector:
         self._committed_stops: List[int] = []
         # Finality times of the transactions submitted after the warm-up
         # period; throughput is derived from these at reporting time.
-        self._finality_times = array("d")
+        self._finality_times = Column()
         self.latency = LatencyStats()
         # Submissions announced one by one; attached clients count their own.
         self._announced = 0
         self._clients: Sequence[Any] = ()
         self.committed = 0
         self.duplicate_commits = 0
-        self._observer: Optional[ValidatorNode] = None
 
     # -- wiring -----------------------------------------------------------------
 
     def attach_observer(self, node: ValidatorNode) -> None:
-        """Measure commit times at ``node`` (must stay honest and alive)."""
-        self._observer = node
+        """Measure commit times at ``node`` (must stay honest)."""
         node.on_ordered(self.on_vertex_ordered)
 
     def attach_clients(self, clients: Sequence[Any]) -> None:
@@ -119,7 +116,7 @@ class MetricsCollector:
             measured = [submit_time >= warmup for submit_time in submitted_at]
             finality_times = list(compress(finality_times, measured))
             submitted_at = list(compress(submitted_at, measured))
-        self._finality_times += array("d", finality_times)
+        self._finality_times.extend(finality_times)
         self.committed += len(finality_times)
         self.latency.extend(list(map(sub, finality_times, submitted_at)))
 
@@ -144,24 +141,3 @@ class MetricsCollector:
         if submitted == 0:
             return 0.0
         return sum(map(sub, self._committed_stops, self._committed_starts)) / submitted
-
-    def average_latency(self) -> float:
-        return self.latency.average()
-
-    def p50_latency(self) -> float:
-        return self.latency.p50()
-
-    def p95_latency(self) -> float:
-        return self.latency.p95()
-
-    def summary(self, duration: SimTime) -> Dict[str, float]:
-        summary = self.latency.summary()
-        summary.update(
-            {
-                "submitted": float(self.submitted),
-                "committed": float(self.committed),
-                "throughput_tps": self.throughput(duration),
-                "commit_ratio": self.commit_ratio(),
-            }
-        )
-        return summary

@@ -314,7 +314,6 @@ class LockstepSimulationRunner(SimulationRunner):
                 network=self.network,
                 schedule_manager=factory(),
                 config=self.node_config,
-                schedule_manager_factory=factory,
                 plan=self.plan,
             )
 

@@ -91,7 +91,6 @@ async def _run_async(
                 network=transport,
                 schedule_manager=factory(),
                 config=node_config,
-                schedule_manager_factory=factory,
                 plan=plan,
             )
 

@@ -13,8 +13,10 @@ implementation does:
 * it runs the Bullshark commit rule on every insertion and feeds the
   ordered prefix to its schedule manager (static for the baseline,
   HammerHead for the paper's protocol);
-* it persists vertices and consensus progress so a crashed validator can
-  recover from its store.
+* it persists the vertices above its GC horizon and its latest proposal,
+  and keeps its commit record (consensus engine and schedule manager)
+  across a crash, so a crashed validator recovers in time and memory
+  bounded by the GC window, not by the length of the run.
 """
 
 from __future__ import annotations
@@ -59,20 +61,13 @@ class ValidatorNode:
         network: Network,
         schedule_manager: ScheduleManager,
         config: Optional[NodeConfig] = None,
-        store: Optional[PersistentStore] = None,
-        schedule_manager_factory: Optional[Callable[[], ScheduleManager]] = None,
     ) -> None:
         self.id = validator_id
         self.committee = committee
         self.network = network
         self.config = (config if config is not None else NodeConfig()).validate()
         self.schedule_manager = schedule_manager
-        # Used on crash-recovery to rebuild a clean manager whose state is
-        # then reconstructed deterministically by replaying the stored DAG.
-        self.schedule_manager_factory = schedule_manager_factory
-        self.store = store if store is not None else PersistentStore(owner=validator_id)
-        # Hot-path handle: one vertex is persisted per insertion.
-        self._vertices_family = self.store.family(PersistentStore.CF_VERTICES)
+        self.store = PersistentStore()
 
         self.simulator = network.simulator
         # Behavior policy governing this validator's decision points
@@ -130,6 +125,8 @@ class ValidatorNode:
         self.fetch_vertices_received = 0
         self.fetch_vertices_new = 0
         self.recoveries = 0
+        # Vertices recovery replayed from the store, over all recoveries.
+        self.recovery_replayed = 0
         # Certified deliveries dropped because the vertex named another slot.
         self.slot_mismatches_dropped = 0
 
@@ -165,7 +162,6 @@ class ValidatorNode:
             raise ConfigurationError(f"validator {self.id} was already started")
         for vertex in genesis_vertices(self.committee):
             self.dag.add(vertex)
-            self._persist_vertex(vertex)
         self.started = True
         self._enter_round(1)
         buffered, self._pre_start_buffer = self._pre_start_buffer, []
@@ -183,14 +179,18 @@ class ValidatorNode:
         self._cancel_timers()
 
     def recover(self) -> None:
-        """Recover from a crash by replaying the persistent store.
+        """Recover from a crash: keep the commit record, rebuild the DAG from the store.
 
-        The in-memory protocol state (DAG, consensus, schedule manager,
-        broadcast layer) is rebuilt from the persisted vertices; because
-        the commit rule and the schedule changes are deterministic
-        functions of the DAG, the recovered node reconstructs an ordering
-        consistent with its pre-crash one before resuming.  The validator
-        then re-broadcasts its highest pre-crash proposal (same digest, so
+        The consensus engine and the schedule manager change state only
+        inside a commit, so they stand for the record the production
+        consensus store writes at every commit: they are kept, with every
+        subscriber registered through :meth:`on_ordered` /
+        :meth:`on_commit`.  Everything else in memory is discarded.  The
+        DAG is rebuilt from the store's horizon by replaying its vertex
+        log, at most the GC window whatever the run's length, and the
+        commit scan re-derives its candidates over it; the broadcast
+        layer, parked vertices, fetch state and timers start afresh.  The
+        validator then re-broadcasts its latest proposal (same digest, so
         this is not equivocation) and relies on the synchronizer to catch
         up with rounds it missed while down.
 
@@ -206,16 +206,13 @@ class ValidatorNode:
         self.recoveries += 1
         self.crashed = False
         self.network.set_crashed(self.id, False)
-        if self.schedule_manager_factory is not None:
-            self.schedule_manager = self.schedule_manager_factory()
-        self._rebuild_from_store()
+        self._rebuild_dag()
         self._rebuild_broadcast()
         if self._tracing or self._registry is not None:
-            # The rebuild created fresh dag/consensus/broadcast objects
-            # (and possibly a fresh schedule manager); re-thread the
-            # observability hooks or the recovered node goes dark.
+            # Fresh dag and broadcast objects: re-thread the observability
+            # hooks or the recovered node goes dark.
             self._propagate_observability()
-        last_proposal = self._highest_persisted_proposal()
+        last_proposal = self.store.own_proposal
         self.last_proposal_time = self.simulator.now
         self._anchor_timeout_expired = False
         self._advance_handle = None
@@ -231,25 +228,20 @@ class ValidatorNode:
             self._start_anchor_timer(self.current_round)
         self._maybe_advance()
 
-    def _rebuild_from_store(self) -> None:
-        vertices = sorted(
-            (value for _, value in self.store.family(PersistentStore.CF_VERTICES).items()),
-            key=lambda vertex: (vertex.round, vertex.source),
-        )
-        self.dag = DagStore(self.committee)
-        self.consensus = BullsharkConsensus(
-            owner=self.id,
-            committee=self.committee,
-            dag=self.dag,
-            schedule_manager=self.schedule_manager,
-            record_sequence=self.config.record_sequence,
-        )
-        self.consensus.clock = lambda: self.simulator.now
-        self.dag.on_insert(self._on_vertex_inserted_recovery)
+    def _rebuild_dag(self) -> None:
+        """A DAG holding the store's vertex log above its horizon, under the kept consensus."""
+        dag = DagStore(self.committee)
+        # Parents below the horizon count as present: ordered history.
+        dag.garbage_collect(self.store.horizon)
+        vertices = self.store.replay_order()
         for vertex in vertices:
-            self.dag.add(vertex)
-        # Switch back to the live insertion callback for new traffic.
-        self.dag.replace_insert_callbacks([self._on_vertex_inserted])
+            dag.add(vertex)
+        self.recovery_replayed += len(vertices)
+        # The old DAG's insertion subscribers, the node's own included,
+        # follow it; the replay itself is neither persisted nor committed.
+        dag.replace_insert_callbacks(self.dag._on_insert)
+        self.dag = self.consensus.dag = dag
+        self.consensus.reset_candidates()
 
     def _build_broadcast(self):
         protocol = CertifiedBroadcast(
@@ -280,17 +272,6 @@ class ValidatorNode:
     def _rebuild_broadcast(self) -> None:
         self.broadcast_protocol = self._build_broadcast()
         self._message_handlers = self._build_message_handlers()
-
-    def _highest_persisted_proposal(self) -> Optional[Vertex]:
-        proposals = self.store.family("own_proposals")
-        rounds = proposals.keys()
-        if not rounds:
-            return None
-        return proposals.get(max(rounds))
-
-    def _on_vertex_inserted_recovery(self, vertex: Vertex) -> None:
-        """Replay path: run consensus but skip round-advancement side effects."""
-        self.consensus.process_vertex(vertex)
 
     def _highest_quorum_round(self) -> Round:
         round_number = self.dag.highest_round()
@@ -377,7 +358,7 @@ class ValidatorNode:
             )
         # Persist the proposal before broadcasting so that a recovering
         # validator re-broadcasts the same vertex instead of equivocating.
-        self.store.family("own_proposals").put(round_number, vertex)
+        self.store.own_proposal = vertex
         if not behavior.transparent:
             delay = behavior.proposal_delay(round_number)
             if delay > 0.0:
@@ -759,27 +740,23 @@ class ValidatorNode:
         # the commit scan must re-derive its candidates.
         self.consensus.reset_candidates()
         self.dag.garbage_collect(snapshot.gc_round)
+        self.store.prune(self.dag.lowest_round)
         self.dag.reconsider_pending()
         self._fetch_requested.clear()
 
     # -- DAG insertion reaction ---------------------------------------------------------------
 
     def _on_vertex_inserted(self, vertex: Vertex) -> None:
-        self._persist_vertex(vertex)
+        self.store.persist(vertex)
         committed = self.consensus.process_vertex(vertex)
         if self.config.gc_depth and (committed or self.dag._stale_below_horizon):
             # The GC horizon only moves when a commit advanced the last
             # ordered round (or a state-sync straggler needs sweeping),
             # so the probe is skipped on the other ~95% of insertions.
             self.consensus.garbage_collect(keep_rounds=self.config.gc_depth)
+            self.store.prune(self.dag.lowest_round)
         if vertex.round >= self.current_round - 1:
             self._maybe_advance()
-
-    def _persist_vertex(self, vertex: Vertex) -> None:
-        # Inlined ColumnFamily.put: one write per insertion.
-        family = self._vertices_family
-        family.writes += 1
-        family._data[vertex.id] = vertex
 
     # -- convenience accessors -------------------------------------------------------------------
 

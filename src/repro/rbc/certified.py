@@ -74,8 +74,10 @@ from repro.rbc.messages import (
 )
 from repro.types import Round, Stake, ValidatorId
 
-# Verified certificate objects kept per stake vector (a fan-out spans a few rounds).
-VERIFIED_CERTIFICATES_LIMIT = 1024
+# Verified certificate objects kept per stake vector, in rounds' worth of
+# the committee's certificates: a fan-out spans a round or two, and an
+# entry keeps its vertex and block alive past the DAG's GC window.
+VERIFIED_CERTIFICATE_ROUNDS = 8
 
 
 class CertifiedBroadcast(BroadcastProtocol):
@@ -97,7 +99,8 @@ class CertifiedBroadcast(BroadcastProtocol):
         # it — byte-identical to the old ``tuple(sorted(voter_set))``.
         self._ack_masks: Dict[Round, int] = {}
         self._ack_stake: Dict[Round, Stake] = {}
-        # Payloads of our own in-flight broadcasts, keyed by round.
+        # (payload, digest) of our own broadcasts, keyed by round; the
+        # payload is ``None`` once the round certified.
         self._own_payloads: Dict[Round, Tuple[Any, bytes]] = {}
         # Rounds we already certified (to send the certificate only once).
         self._certified: Set[Round] = set()
@@ -242,6 +245,9 @@ class CertifiedBroadcast(BroadcastProtocol):
             stake = self._ack_stake[message.round]
         if stake >= self._stake_vector.quorum:
             self._certified.add(message.round)
+            # From here on the certificate carries the payload; the round
+            # keeps its digest for the double-broadcast guard and late acks.
+            self._own_payloads[message.round] = (None, digest)
             if self._tracing:
                 self._tracer.emit(
                     "vertex_certified",
@@ -286,7 +292,7 @@ class CertifiedBroadcast(BroadcastProtocol):
         # its ``id`` cannot be reused while the entry lives.  Sound only
         # because a message is never edited in place once built (the
         # dataclasses in ``rbc/messages.py`` are not frozen; see there).
-        evict_oldest_half(verified, VERIFIED_CERTIFICATES_LIMIT)
+        evict_oldest_half(verified, VERIFIED_CERTIFICATE_ROUNDS * self._size)
         verified[id(message)] = message
         return True
 

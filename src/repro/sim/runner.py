@@ -168,7 +168,6 @@ class SimulationRunner:
                 network=self.network,
                 schedule_manager=factory(),
                 config=self.node_config,
-                schedule_manager_factory=factory,
             )
 
     def _build_faults(self) -> FaultInjector:
@@ -393,6 +392,7 @@ class SimulationRunner:
             ),
             "fetch.vertices_new": float(sum(node.fetch_vertices_new for node in nodes)),
             "node.recoveries": float(sum(node.recoveries for node in nodes)),
+            "node.recovery_replayed": float(sum(node.recovery_replayed for node in nodes)),
             "node.slot_mismatches_dropped": float(sum(node.slot_mismatches_dropped for node in nodes)),
             # Per-slot protocol state is keyed by round: the largest table of any validator.
             "rbc.delivered_rounds": float(max(len(node.broadcast_protocol._delivered) for node in nodes)),
@@ -434,6 +434,8 @@ class SimulationRunner:
             if self.network.is_crashed(validator)
         ]
         alive_nodes = [node for node in self.nodes.values() if not node.crashed]
+        latency = self.metrics.latency
+        p50, p95 = latency.percentiles(0.50, 0.95)
         report = PerformanceReport(
             system=config.protocol,
             committee_size=config.committee_size,
@@ -441,10 +443,10 @@ class SimulationRunner:
             input_load_tps=config.input_load_tps,
             duration=config.duration,
             throughput_tps=self.metrics.throughput(config.duration),
-            avg_latency_s=self.metrics.average_latency(),
-            p50_latency_s=self.metrics.p50_latency(),
-            p95_latency_s=self.metrics.p95_latency(),
-            stdev_latency_s=self.metrics.latency.stdev(),
+            avg_latency_s=latency.average(),
+            p50_latency_s=p50,
+            p95_latency_s=p95,
+            stdev_latency_s=latency.stdev(),
             committed_transactions=self.metrics.committed,
             submitted_transactions=self.metrics.submitted,
             commits=observer.commit_count,

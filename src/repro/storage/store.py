@@ -1,95 +1,55 @@
-"""An in-memory persistent key-value store (RocksDB substitute).
+"""An in-memory persistent store (RocksDB substitute).
 
-The store is organised in column families like RocksDB.  It lives outside
-the validator object so that crashing a validator (dropping its in-memory
-protocol state) does not lose the persisted data; recovery re-opens the
-same store instance and replays from it.
+The store outlives a crash of its validator's in-memory protocol state
+and holds exactly what :meth:`~repro.node.validator.ValidatorNode.recover`
+reads: the vertex log, one list per round, pruned to the DAG's GC
+horizon, and the latest own proposal, which a recovering validator
+re-broadcasts rather than proposing anything else for that round.  The
+commit record is not copied here: the consensus engine and the schedule
+manager change state only inside a commit, so the validator keeps those
+objects across a crash as that record.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import StorageError
-
-
-class ColumnFamily:
-    """A named keyspace inside a :class:`PersistentStore`."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._data: Dict[Any, Any] = {}
-        self.writes = 0
-        self.reads = 0
-
-    def put(self, key: Any, value: Any) -> None:
-        self.writes += 1
-        self._data[key] = value
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        self.reads += 1
-        return self._data.get(key, default)
-
-    def contains(self, key: Any) -> bool:
-        return key in self._data
-
-    def delete(self, key: Any) -> None:
-        self._data.pop(key, None)
-
-    def keys(self) -> List[Any]:
-        return list(self._data.keys())
-
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        return iter(list(self._data.items()))
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
+from repro.dag.vertex import Vertex
+from repro.types import Round
 
 
 class PersistentStore:
-    """A collection of column families, one store per validator."""
+    """One validator's persisted vertex log and latest own proposal."""
 
-    # Column families used by the validator node.
-    CF_VERTICES = "vertices"
-    CF_CONSENSUS = "consensus"
-    CF_SCHEDULE = "schedule"
-    CF_TRANSACTIONS = "transactions"
+    def __init__(self) -> None:
+        # Every round below this one is ordered history the DAG dropped.
+        self.horizon: Round = 0
+        self.rounds: Dict[Round, List[Vertex]] = {}
+        self.own_proposal: Optional[Vertex] = None
 
-    DEFAULT_FAMILIES = (CF_VERTICES, CF_CONSENSUS, CF_SCHEDULE, CF_TRANSACTIONS)
+    def persist(self, vertex: Vertex) -> None:
+        """Log an inserted vertex (once per insertion, so keep it cheap).
 
-    def __init__(self, owner: Optional[int] = None) -> None:
-        self.owner = owner
-        self._families: Dict[str, ColumnFamily] = {}
-        for name in self.DEFAULT_FAMILIES:
-            self._families[name] = ColumnFamily(name)
+        A straggler below the horizon is ordered history: not logged.
+        """
+        if vertex.round < self.horizon:
+            return
+        logged = self.rounds.get(vertex.round)
+        if logged is None:
+            self.rounds[vertex.round] = [vertex]
+        else:
+            logged.append(vertex)
 
-    def family(self, name: str) -> ColumnFamily:
-        """Return (creating if needed) the column family called ``name``."""
-        if name not in self._families:
-            self._families[name] = ColumnFamily(name)
-        return self._families[name]
+    def prune(self, horizon: Round) -> None:
+        """Drop the rounds below ``horizon``."""
+        for round_number in range(self.horizon, horizon):
+            self.rounds.pop(round_number, None)
+        self.horizon = max(self.horizon, horizon)
 
-    def open_family(self, name: str) -> ColumnFamily:
-        """Return an existing column family or raise :class:`StorageError`."""
-        family = self._families.get(name)
-        if family is None:
-            raise StorageError(f"column family {name!r} does not exist")
-        return family
-
-    @property
-    def families(self) -> Tuple[str, ...]:
-        return tuple(self._families)
-
-    def total_writes(self) -> int:
-        return sum(family.writes for family in self._families.values())
-
-    def total_keys(self) -> int:
-        return sum(len(family) for family in self._families.values())
-
-    def wipe(self) -> None:
-        """Erase all persisted data (models losing the disk)."""
-        for family in self._families.values():
-            family.clear()
+    def replay_order(self) -> List[Vertex]:
+        """The logged vertices in ``(round, source)`` order: parents first."""
+        return [
+            vertex
+            for round_number in sorted(self.rounds)
+            for vertex in sorted(self.rounds[round_number], key=lambda vertex: vertex.source)
+        ]

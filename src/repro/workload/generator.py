@@ -58,10 +58,11 @@ class ClientArrivals:
     round-robin — and a transaction pool is observable only where a
     validator reads it, so arrivals are not heap events.  One client's
     arrivals at one target are an arithmetic progression of its indices;
-    a target's column is the progressions of all its clients, sorted
+    a target's column is the progressions of all its clients, merged
     once, and :meth:`settle`, which the simulator calls before every
     pool read and when a run ends, delivers the slice one ``bisect``
-    finds.  The columns are rebuilt, from the arrivals still
+    finds and drops a column's delivered prefix once it is more than
+    half the column.  The columns are rebuilt, from the arrivals still
     undelivered, only when a client starts or is retargeted.
 
     Rows are in the order the event queue would have fired one event per
@@ -137,6 +138,13 @@ class ClientArrivals:
             else:
                 for transaction in batch:
                     target.submit_transaction(transaction)
+            if 2 * end > len(arrivals):
+                # The delivered prefix is most of the column: drop it.
+                # A drop moves fewer rows than were delivered since the
+                # last one, so the cost stays proportional to deliveries.
+                del arrivals[:end], column.submitted_at[:end], column.clients[:end]
+                column.first_id += end
+                column.position = 0
         # A run to idle asks for everything and reaches the last arrival.
         self.horizon = max(self.horizon, horizon if horizon < float("inf") else last)
         return last
@@ -162,21 +170,54 @@ class ClientArrivals:
         return [self._merge(target, [part[1:] for part in parts if part[0] is target]) for target in targets]
 
     def _merge(self, target: Any, parts: List[Tuple[LoadGenerator, range]]) -> _Column:
-        submitted_at, arrivals, clients = [], [], []
-        for generator, indices in parts:
-            first_time, interval, delay = generator._parameters()
-            times = [first_time + index * interval for index in indices]
-            submitted_at += times
-            arrivals += [time + delay for time in times]
-            clients += repeat(generator.client_id, len(times))
-        order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
-        merged = sorted(arrivals)
-        if any(map(eq, merged, merged[1:])):
-            _order_ties(order, merged, parts)
-        submitted_at = as_column("d", map(submitted_at.__getitem__, order))
-        clients = as_column("q", map(clients.__getitem__, order))
-        self._next_id += len(merged)
-        return _Column(target, as_column("d", merged), submitted_at, clients, self._next_id - len(merged))
+        """The column of ``parts``' arrivals, sorted one slice at a time.
+
+        Each part is in arrival order already.  A slice takes from every
+        part the rows arriving no later than the earliest of the parts'
+        next ``_SLICE_ROWS``-th arrivals, so equal arrivals never straddle
+        two slices and the slices, each sorted, are the column one sort
+        would give; only a slice's rows are ever boxed.
+        """
+        column = _Column(target, array("d"), array("d"), array("q"), self._next_id)
+        self._next_id += sum(len(indices) for _, indices in parts)
+        starts = [0] * len(parts)
+        while True:
+            ends = [
+                generator._arrival(indices[min(start + _SLICE_ROWS, len(indices)) - 1])
+                for (generator, indices), start in zip(parts, starts)
+                if start < len(indices)
+            ]
+            if not ends:
+                return column
+            bound = min(ends)
+            rows = []
+            for position, (generator, indices) in enumerate(parts):
+                stop = bisect_right(indices, bound, starts[position], key=generator._arrival)
+                rows.append((generator, indices[starts[position]:stop]))
+                starts[position] = stop
+            _append_sorted(column, rows)
+
+
+# Rows a slice of a column takes from each of its parts, at most.
+_SLICE_ROWS = 512
+
+
+def _append_sorted(column: _Column, parts: List[Tuple[LoadGenerator, range]]) -> None:
+    """Append the rows of ``parts`` to ``column`` in delivery order."""
+    submitted_at, arrivals, clients = [], [], []
+    for generator, indices in parts:
+        first_time, interval, delay = generator._parameters()
+        times = [first_time + index * interval for index in indices]
+        submitted_at += times
+        arrivals += [time + delay for time in times]
+        clients += repeat(generator.client_id, len(times))
+    order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
+    merged = sorted(arrivals)
+    if any(map(eq, merged, merged[1:])):
+        _order_ties(order, merged, parts)
+    column.arrivals.extend(as_column("d", merged))
+    column.submitted_at.extend(as_column("d", map(submitted_at.__getitem__, order)))
+    column.clients.extend(as_column("q", map(clients.__getitem__, order)))
 
 
 def _order_ties(order: List[int], merged: List[SimTime], parts: List[Tuple[LoadGenerator, range]]) -> None:

@@ -181,10 +181,12 @@ def test_model_reproduces_a_run_that_garbage_collects():
 
 
 def test_model_follows_a_validator_through_recovery_and_state_sync():
-    """A validator of ``rolling-crash-churn`` crashes, rebuilds itself from
-    its store, finds its peers' history pruned and state-syncs.  The model
-    is seeded with the snapshot the validator adopted and must still
-    arrive at its digest and its schedules."""
+    """A validator of ``rolling-crash-churn`` crashes, rebuilds its DAG from
+    its store, finds its peers' history pruned and state-syncs.  Recovery
+    keeps the commit record, so the model follows one insert log across
+    the crash; the DAG the validator rebuilt must be the model's window,
+    and seeded with the snapshot the validator adopted the model must
+    still arrive at its digest and its schedules."""
     (config,) = [
         point.config
         for point in compile_spec(get_scenario("rolling-crash-churn"))
@@ -192,39 +194,35 @@ def test_model_follows_a_validator_through_recovery_and_state_sync():
     ]
     runner = SimulationRunner(config)
     node = runner.nodes[9]
-    # ("insert", vertex) | ("recover", rebuilt DAG in insertion order) |
-    # ("sync", adopted snapshot), in the order they happened.
+    # ("insert", vertex) | ("recover", ids of the rebuilt DAG) |
+    # ("sync", adopted snapshot), in the order they happened.  The
+    # insertion subscribers move to the rebuilt DAG with the node's own.
     events = []
     adopting = []
+    node.dag.replace_insert_callbacks(
+        [lambda vertex: events.append(("insert", vertex)), node._on_vertex_inserted]
+    )
+    fast_forward = node.consensus.fast_forward
 
-    def attach():
-        node.dag.replace_insert_callbacks(
-            [lambda vertex: events.append(("insert", vertex)), node._on_vertex_inserted]
-        )
-        fast_forward = node.consensus.fast_forward
-
-        def recorded_fast_forward(horizon_round):
-            # The first step of an adoption; vertices the adoption's GC
-            # promotes are inserted after it.
-            events.append(("sync", adopting[-1]))
-            return fast_forward(horizon_round)
-
-        node.consensus.fast_forward = recorded_fast_forward
+    def recorded_fast_forward(horizon_round):
+        # The first step of an adoption; vertices the adoption's GC
+        # promotes are inserted after it.
+        events.append(("sync", adopting[-1]))
+        return fast_forward(horizon_round)
 
     recover, maybe_state_sync = node.recover, node._maybe_state_sync
 
     def recorded_recover():
         recover()
-        events.append(("recover", list(node.dag)))
-        attach()
+        events.append(("recover", {vertex.id for vertex in node.dag}))
 
     def recorded_state_sync(sender, response):
         adopting.append(response.snapshot)
         maybe_state_sync(sender, response)
 
+    node.consensus.fast_forward = recorded_fast_forward
     node.recover, node._maybe_state_sync = recorded_recover, recorded_state_sync
-    attach()
-    runner.run()
+    result = runner.run()
 
     keep_rounds = node.config.gc_depth
     model = reference_model_for(node.schedule_manager)
@@ -232,12 +230,15 @@ def test_model_follows_a_validator_through_recovery_and_state_sync():
         if kind == "insert":
             model.replay([payload], keep_rounds)
         elif kind == "recover":
-            # The rebuild starts from nothing and never prunes.
-            model = reference_model_for(node.schedule_manager)
-            model.replay(payload, keep_rounds=0)
+            assert set(model.dag) == payload
         else:
             model.adopt_snapshot(payload)
     assert node.recoveries == 1
+    # Validators 9, 8 and 7 each replayed at most the GC window.
+    replayed = [peer.recovery_replayed for peer in runner.nodes.values() if peer.recoveries]
+    assert len(replayed) == 3
+    assert all(0 < count <= (keep_rounds + 4) * config.committee_size for count in replayed)
+    assert result.counters["always"]["node.recovery_replayed"] == sum(replayed)
     assert node.consensus.state_sync_gaps
     assert model_mismatches(node.consensus, model) == []
     assert model.schedule_changes

@@ -93,7 +93,7 @@ def play(script, collector_class=MetricsCollector, execution_class=ExecutionMode
     execution = production.execution
     return (
         {
-            "latencies": production.latency.samples,
+            "latencies": list(production.latency._samples),
             "finality": list(production._finality_times),
             "committed": production.committed,
             "duplicates": production.duplicate_commits,

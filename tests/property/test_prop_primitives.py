@@ -80,7 +80,8 @@ class TestLatencyStatsProperties:
     def test_percentiles_are_monotone_and_bounded(self, samples):
         stats = LatencyStats()
         stats.extend(samples)
-        assert min(samples) <= stats.p50() <= stats.p95() <= stats.p99() <= max(samples)
+        p50, p95, p99 = stats.percentiles(0.50, 0.95, 0.99)
+        assert min(samples) <= p50 <= p95 <= p99 <= max(samples)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
     @settings(max_examples=150)

@@ -14,8 +14,9 @@ clients use, columns given as lists, tuples, iterators or arrays) and
 single rows, it is read with limits that cut across the batches it was
 extended by, and what it hands over is ordered — next to foreign blocks
 and repeats — on both sides of a warm-up that the submissions straddle.
-Every row taken, every latency, finality time and summary statistic
-must be the same float to the last bit (compared as ``float.hex``).
+Every row taken, every latency and finality time, and p50, p95, the
+average and the standard deviation must be the same float to the last
+bit (compared as ``float.hex``).
 
 Three source mutants of ``workload/transactions.py``, loaded by text
 replacement, must each be caught by a fixed script: instants kept in
@@ -174,19 +175,20 @@ def play(script, module=transactions_module):
     expected_taken.append(list(fifo.rows))
     order(tuple(Transaction(*row) for row in taken[-1]), expected_taken[-1])
     execution = collector.execution
+    latency = collector.latency
+    summary = oracle.summary()
     return exact(
         (
             {
                 "taken": taken,
                 "left": len(pool),
-                "latencies": collector.latency.samples,
+                "latencies": list(latency._samples),
                 "finality": list(collector._finality_times),
                 "committed": collector.committed,
                 "duplicates": collector.duplicate_commits,
                 "throughput": collector.throughput(DURATION),
                 "busy_until": None if execution is None else execution._busy_until,
-                "summary": collector.latency.summary(),
-                "p95": collector.p95_latency(),
+                "statistics": [*latency.percentiles(0.50, 0.95), latency.average(), latency.stdev()],
             },
             {
                 "taken": expected_taken,
@@ -197,8 +199,7 @@ def play(script, module=transactions_module):
                 "duplicates": oracle.duplicate_commits,
                 "throughput": oracle.throughput(DURATION),
                 "busy_until": None if capacity is None else oracle.busy_until,
-                "summary": oracle.summary(),
-                "p95": oracle.summary()["p95"],
+                "statistics": [summary["p50"], summary["p95"], summary["avg"], summary["stdev"]],
             },
         )
     )

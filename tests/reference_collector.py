@@ -66,25 +66,23 @@ class ReferenceCollector:
         return len(self.committed_ids) / submitted
 
     def summary(self):
-        """Latency statistics the way ``LatencyStats`` used to compute them:
-        a sorted list, a list of squared deviations, one interpolation."""
+        """Latency statistics the slow and obvious way: the mean and a list
+        of squared deviations in sample order, percentiles interpolated on
+        a sorted list of every sample."""
+        if not self.latencies:
+            return dict.fromkeys(("avg", "stdev", "p50", "p95"), 0.0)
         ordered = sorted(self.latencies)
-        if not ordered:
-            return dict.fromkeys(("count", "avg", "stdev", "p50", "p95", "p99", "max"), 0.0)
-        mean = sum(ordered) / len(ordered)
+        mean = sum(self.latencies) / len(self.latencies)
         squares = [(sample - mean) ** 2 for sample in self.latencies]
         return {
-            "count": float(len(ordered)),
             "avg": mean,
             "stdev": math.sqrt(sum(squares) / (len(squares) - 1)) if len(ordered) > 1 else 0.0,
-            "p50": _percentile(ordered, 0.50),
-            "p95": _percentile(ordered, 0.95),
-            "p99": _percentile(ordered, 0.99),
-            "max": ordered[-1],
+            "p50": percentile(ordered, 0.50),
+            "p95": percentile(ordered, 0.95),
         }
 
 
-def _percentile(ordered, fraction):
+def percentile(ordered, fraction):
     """Linear interpolation between the two bracketing samples, clamped to them."""
     position = fraction * (len(ordered) - 1)
     lower = int(position)

@@ -61,7 +61,6 @@ def build_cluster(size=4, seed=1, dynamic=False, commits_per_schedule=4):
             network=network,
             schedule_manager=manager_factory(),
             config=node_config,
-            schedule_manager_factory=manager_factory,
         )
     return committee, simulator, network, nodes
 

@@ -15,7 +15,7 @@ import repro.dag.vertex as vertex_module
 from repro.committee.stake import StakeVector, equal_stake
 from repro.crypto.hashing import evict_oldest_half
 from repro.dag.vertex import intern_table_sizes, interned_vertex_id, make_vertex
-from repro.rbc.certified import VERIFIED_CERTIFICATES_LIMIT
+from repro.rbc.certified import VERIFIED_CERTIFICATE_ROUNDS
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.sim.runner import SimulationRunner
 
@@ -93,7 +93,8 @@ class TestVerifiedCertificateCap:
         from repro.committee import Committee
         from repro.rbc.messages import CertificateMessage
 
-        monkeypatch.setattr(certified, "VERIFIED_CERTIFICATES_LIMIT", 8)
+        # Two rounds of a committee of four: eight certificates.
+        monkeypatch.setattr(certified, "VERIFIED_CERTIFICATE_ROUNDS", 2)
         committee = Committee.build(4)
         protocol = certified.CertifiedBroadcast(0, committee, network=None, on_deliver=None)
         certificates = [
@@ -127,7 +128,7 @@ class TestCountersExposeMemoSizes:
             ("memo.intern.vertex_id.size", vertex_module._INTERN_LIMIT),
             ("memo.intern.digest.size", vertex_module._INTERN_LIMIT),
             ("memo.edge_quorum.size", 65536),
-            ("memo.verified_certificates.size", VERIFIED_CERTIFICATES_LIMIT),
+            ("memo.verified_certificates.size", VERIFIED_CERTIFICATE_ROUNDS * 4),
         ):
             assert key in always
             assert 0 <= always[key] <= cap

@@ -1,12 +1,14 @@
 """Unit tests for metrics: latency stats, execution model, collector, reports."""
 
+from array import array
+
 import pytest
 
 from repro.consensus.committed import OrderedVertex
 from repro.dag.vertex import make_vertex
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.execution import ExecutionModel
-from repro.metrics.latency import LatencyStats
+from repro.metrics.latency import Column, LatencyStats
 from repro.metrics.leader_stats import LeaderUtilizationStats
 from repro.metrics.report import PerformanceReport, format_table
 from repro.consensus.committed import CommittedSubDag
@@ -22,27 +24,27 @@ class TestLatencyStats:
         assert stats.average() == 0.0
         assert stats.p50() == 0.0
         assert stats.stdev() == 0.0
-        assert stats.maximum() == 0.0
+        assert stats.percentiles(0.5, 0.95) == (0.0, 0.0)
 
-    def test_average_and_max(self):
+    def test_average(self):
         stats = LatencyStats()
         stats.extend([1.0, 2.0, 3.0])
         assert stats.average() == pytest.approx(2.0)
-        assert stats.maximum() == 3.0
 
     def test_percentiles_interpolate(self):
         stats = LatencyStats()
         stats.extend([1.0, 2.0, 3.0, 4.0])
         assert stats.p50() == pytest.approx(2.5)
-        assert stats.percentile(0.0) == 1.0
-        assert stats.percentile(1.0) == 4.0
+        assert stats.percentiles(0.0) == (1.0,)
+        assert stats.percentiles(1.0) == (4.0,)
 
     def test_percentiles_monotone_under_rounding(self):
         # Regression (hypothesis-found): with values near 1e6 the old
         # two-product interpolation rounded p99 below p95.
         stats = LatencyStats()
         stats.extend([0.0, 1000000.0, 999999.9999999999])
-        assert stats.p50() <= stats.p95() <= stats.p99() <= 1000000.0
+        p50, p95, p99 = stats.percentiles(0.50, 0.95, 0.99)
+        assert p50 <= p95 <= p99 <= 1000000.0
 
     def test_p95_close_to_max_for_uniform_samples(self):
         stats = LatencyStats()
@@ -51,7 +53,7 @@ class TestLatencyStats:
 
     def test_single_sample(self):
         stats = LatencyStats()
-        stats.record(5.0)
+        stats.extend([5.0])
         assert stats.p50() == 5.0
         assert stats.p95() == 5.0
         assert stats.stdev() == 0.0
@@ -63,7 +65,7 @@ class TestLatencyStats:
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
-            LatencyStats().record(-1.0)
+            LatencyStats().extend([-1.0])
         stats = LatencyStats()
         with pytest.raises(ValueError):
             stats.extend([1.0, -1.0])
@@ -71,45 +73,53 @@ class TestLatencyStats:
 
     def test_invalid_percentile_rejected(self):
         stats = LatencyStats()
-        stats.record(1.0)
+        stats.extend([1.0])
         with pytest.raises(ValueError):
-            stats.percentile(1.5)
+            stats.percentiles(1.5)
 
-    def test_summary_contains_all_fields(self):
-        stats = LatencyStats()
-        stats.extend([1.0, 2.0])
-        summary = stats.summary()
-        assert set(summary) == {"count", "avg", "stdev", "p50", "p95", "p99", "max"}
-
-    def test_sorted_cache_invalidated_by_record(self):
+    def test_samples_recorded_after_a_query_count(self):
         stats = LatencyStats()
         stats.extend([3.0, 1.0])
-        # Populate the sorted cache, then record out-of-order samples; a
-        # stale cache would return the old percentiles.
         assert stats.p50() == 2.0
-        assert stats.maximum() == 3.0
-        stats.record(0.5)
+        stats.extend([0.5])
         assert stats.p50() == 1.0
-        assert stats.maximum() == 3.0
-        stats.record(9.0)
-        assert stats.maximum() == 9.0
-        assert stats.percentile(0.0) == 0.5
+        stats.extend([9.0])
+        assert stats.percentiles(0.0, 1.0) == (0.5, 9.0)
 
-    def test_summary_matches_individual_statistics(self):
+    def test_percentiles_match_one_at_a_time(self):
         stats = LatencyStats()
         stats.extend([0.4, 2.5, 1.1, 0.9, 3.3, 0.2])
-        summary = stats.summary()
-        assert summary["count"] == float(stats.count)
-        assert summary["avg"] == pytest.approx(stats.average())
-        assert summary["stdev"] == pytest.approx(stats.stdev())
-        assert summary["p50"] == pytest.approx(stats.p50())
-        assert summary["p95"] == pytest.approx(stats.p95())
-        assert summary["p99"] == pytest.approx(stats.p99())
-        assert summary["max"] == stats.maximum()
+        assert stats.percentiles(0.95, 0.5, 0.99) == (stats.p95(), stats.p50(), stats.percentiles(0.99)[0])
+        with pytest.raises(ValueError):
+            stats.percentiles(0.5, -0.1)
 
-    def test_empty_summary_is_zero(self):
-        summary = LatencyStats().summary()
-        assert all(value == 0.0 for value in summary.values())
+
+class TestColumn:
+    def test_blocks_fill_to_their_size_and_keep_the_order(self, monkeypatch):
+        import repro.metrics.latency as latency_module
+
+        monkeypatch.setattr(latency_module, "BLOCK_SIZE", 4)
+        column = Column()
+        column.extend([0.0, 1.0, 2.0])
+        column.extend(array("d", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]))
+        column.extend([])
+        column.extend((10.0,))
+        assert [list(block) for block in column.blocks] == [
+            [0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [8.0, 9.0, 10.0]
+        ]
+        assert len(column) == 11
+        assert list(column) == [float(value) for value in range(11)]
+
+    def test_latency_percentiles_span_blocks(self, monkeypatch):
+        import repro.metrics.latency as latency_module
+
+        monkeypatch.setattr(latency_module, "BLOCK_SIZE", 3)
+        stats = LatencyStats()
+        stats.extend([5.0, 1.0, 4.0, 2.0])
+        stats.extend([3.0])
+        assert len(stats._samples.blocks) == 2
+        assert stats.percentiles(0.0, 0.5, 1.0) == (1.0, 3.0, 5.0)
+        assert stats.average() == 3.0
 
 
 class TestExecutionModel:
@@ -158,7 +168,7 @@ class TestMetricsCollector:
         collector.on_transaction_submitted(transaction)
         collector.on_vertex_ordered(ordered_record((transaction,), ordered_at=2.0))
         assert collector.committed == 1
-        assert collector.average_latency() == pytest.approx(1.1)
+        assert collector.latency.average() == pytest.approx(1.1)
 
     def test_duplicate_orderings_count_once(self):
         collector = MetricsCollector()
@@ -174,7 +184,7 @@ class TestMetricsCollector:
         transaction = counter_increment(5, 0, submitted_at=1.0, target_validator=0)
         collector.on_vertex_ordered(ordered_record((transaction,), ordered_at=2.0))
         assert collector.committed == 1
-        assert collector.latency.samples == [pytest.approx(2.0 + 0.040 - 1.0)]
+        assert list(collector.latency._samples) == [pytest.approx(2.0 + 0.040 - 1.0)]
         # Nothing was announced and no client is attached.
         assert collector.submitted == 0
         assert collector.commit_ratio() == 0.0
@@ -194,7 +204,6 @@ class TestMetricsCollector:
         # One source for the number, right whenever it is read.
         assert collector.submitted == 4
         assert collector.commit_ratio() == pytest.approx(0.5)
-        assert collector.summary(duration=10.0)["submitted"] == 4.0
         # A client that is not attached announces its own.
         collector.on_transaction_submitted(first)
         assert collector.submitted == 5
@@ -231,12 +240,6 @@ class TestMetricsCollector:
             collector.on_transaction_submitted(transaction)
         collector.on_vertex_ordered(ordered_record(tuple(transactions[:2]), ordered_at=2.0))
         assert collector.commit_ratio() == pytest.approx(0.5)
-
-    def test_summary_fields(self):
-        collector = MetricsCollector()
-        summary = collector.summary(duration=10.0)
-        assert "throughput_tps" in summary
-        assert "commit_ratio" in summary
 
     def test_non_transaction_payloads_are_skipped(self):
         collector = MetricsCollector()
@@ -281,7 +284,7 @@ class TestMetricsCollector:
         )
         assert collector.committed == 2
         assert collector.duplicate_commits == 2
-        assert collector.latency.samples == [
+        assert list(collector.latency._samples) == [
             pytest.approx(2.0 + 0.040 - 1.0),
             pytest.approx(3.0 + 0.040 - 1.0),
         ]
@@ -298,7 +301,7 @@ class TestMetricsCollector:
         batched.on_vertex_ordered(ordered_record(tuple(transactions[:4]), ordered_at=1.0))
         batched.on_vertex_ordered(ordered_record(tuple(transactions[4:]), ordered_at=1.2, source=2))
         expected = [model.execute(1.0) for _ in range(4)] + [model.execute(1.2) for _ in range(2)]
-        assert batched.latency.samples == expected
+        assert list(batched.latency._samples) == expected
         assert batched.execution.executed == 6
         assert batched.execution.backlog_delay(1.2) == model.backlog_delay(1.2)
 

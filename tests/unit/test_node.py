@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 from repro.committee import Committee
-from repro.core.manager import StaticScheduleManager
+from repro.consensus.bullshark import BullsharkConsensus
+from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
+from repro.core.schedule_change import CommitCountPolicy
 from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices
 from repro.network.latency import UniformLatencyModel
@@ -14,8 +16,8 @@ from repro.network.transport import Network
 from repro.node.config import NodeConfig
 from repro.node.messages import FetchRequest, FetchResponse
 from repro.node.validator import ValidatorNode
+from repro.obs.consistency import check_run_consistency
 from repro.schedule.round_robin import initial_schedule
-from repro.storage.store import PersistentStore
 from repro.errors import ConfigurationError
 from repro.workload.generator import ClientArrivals, LoadGenerator
 from repro.workload.phases import diurnal_phases, spawn_phased_load
@@ -37,9 +39,6 @@ def build_cluster(size=4, seed=1, config=None, dynamic=False, commits_per_schedu
     def manager_factory():
         schedule = initial_schedule(committee, seed=seed, permute=False)
         if dynamic:
-            from repro.core.manager import HammerHeadScheduleManager
-            from repro.core.schedule_change import CommitCountPolicy
-
             return HammerHeadScheduleManager(
                 committee, schedule, policy=CommitCountPolicy(commits_per_schedule)
             )
@@ -53,9 +52,26 @@ def build_cluster(size=4, seed=1, config=None, dynamic=False, commits_per_schedu
             network=network,
             schedule_manager=manager_factory(),
             config=node_config,
-            schedule_manager_factory=manager_factory,
         )
     return committee, simulator, network, nodes
+
+
+def gc_config(gc_depth):
+    return NodeConfig(
+        max_batch_size=50,
+        min_round_interval=0.05,
+        leader_timeout=0.5,
+        record_sequence=True,
+        gc_depth=gc_depth,
+    )
+
+
+def logged_ids(node):
+    return {vertex.id for vertices in node.store.rounds.values() for vertex in vertices}
+
+
+def dag_ids(node):
+    return {vertex.id for vertex in node.dag}
 
 
 class TestNodeLifecycle:
@@ -217,17 +233,105 @@ class TestCrashRecovery:
         nodes[0].recover()
         assert nodes[0].recoveries == 0
 
-    def test_store_retains_vertices_across_crash(self):
-        committee, simulator, network, nodes = build_cluster()
-        for node in nodes.values():
-            node.start()
+    def test_the_store_holds_the_dag_window_across_a_crash(self):
+        committee, simulator, network, nodes = build_cluster(config=gc_config(gc_depth=4))
+        node = nodes[1]
+        for peer in nodes.values():
+            peer.start()
         simulator.run(until=2.0)
-        persisted_before = len(nodes[1].store.family(PersistentStore.CF_VERTICES))
-        nodes[1].crash()
-        assert len(nodes[1].store.family(PersistentStore.CF_VERTICES)) == persisted_before
-        nodes[1].recover()
+        assert node.dag.lowest_round > 4
+        # The log is what the DAG holds: every inserted vertex above the horizon.
+        assert logged_ids(node) == dag_ids(node)
+        assert node.store.horizon == node.dag.lowest_round
+        # Of its own proposals it keeps the latest, the one it re-broadcasts.
+        assert (node.store.own_proposal.source, node.store.own_proposal.round) == (node.id, node.current_round)
+        logged = logged_ids(node)
+        node.crash()
+        assert logged_ids(node) == logged
+        node.recover()
+        assert dag_ids(node) == logged
+        assert node.recovery_replayed == len(logged)
         simulator.run(until=4.0)
-        assert len(nodes[1].store.family(PersistentStore.CF_VERTICES)) >= persisted_before
+        assert node.store.horizon == node.dag.lowest_round > max(vertex_id.round for vertex_id in logged)
+        assert logged_ids(node) == dag_ids(node)
+
+    def test_subscribers_see_every_ordered_vertex_once_across_recovery(self):
+        committee, simulator, network, nodes = build_cluster(dynamic=True)
+        node = nodes[2]
+        ordered, committed = [], []
+        node.on_ordered(lambda record: ordered.append(record.vertex.id))
+        node.on_commit(lambda subdag: committed.append(subdag.anchor.id))
+        for peer in nodes.values():
+            peer.start()
+        simulator.schedule_at(2.0, node.crash)
+        simulator.schedule_at(3.0, node.recover)
+        simulator.run(until=6.0)
+        assert node.recoveries == 1
+        assert max(vertex_id.round for vertex_id in ordered) > node.dag.lowest_round
+        assert ordered == node.consensus.ordered_ids()
+        assert len(set(ordered)) == len(ordered) == node.ordered_count
+        assert committed == [subdag.anchor.id for subdag in node.consensus.committed_subdags]
+
+    def test_a_late_recovery_replays_the_gc_window_and_agrees_with_its_peers(self):
+        gc_depth, size = 6, 4
+        committee, simulator, network, nodes = build_cluster(
+            config=gc_config(gc_depth=gc_depth), dynamic=True, commits_per_schedule=4
+        )
+        node = nodes[2]
+        inserted = []
+        node.dag.on_insert(inserted.append)
+        at_crash = {}
+
+        def crash():
+            at_crash.update(horizon=node.dag.lowest_round, schedules=len(node.schedule_manager.history))
+            node.crash()
+
+        for peer in nodes.values():
+            peer.start()
+        simulator.schedule_at(3.0, crash)
+        # Down for fewer rounds than the GC depth: the peers still hold what
+        # it missed, so it catches up by fetching, not by state sync.
+        simulator.schedule_at(3.15, node.recover)
+        simulator.run(until=7.0)
+        assert at_crash["horizon"] >= 3 * gc_depth
+        assert node.consensus.state_sync_gaps == []
+        # Schedules changed before the crash and after the recovery.
+        assert 1 < at_crash["schedules"] < len(node.schedule_manager.history)
+        # The GC window below the last ordered anchor (gc_depth + 1 rounds)
+        # and the at most three rounds a committee builds above it before
+        # its next commit: bounded by the GC depth, not the run's length.
+        assert 0 < node.recovery_replayed <= (gc_depth + 4) * size
+        assert check_run_consistency(
+            {validator: (peer.ordered_count, peer.consensus.ordering_digest) for validator, peer in nodes.items()},
+            {validator: peer.consensus.ordering_checkpoints for validator, peer in nodes.items()},
+        ) == []
+        histories = [list(peer.schedule_manager.history) for peer in nodes.values()]
+        common = min(len(history) for history in histories)
+        assert all(history[:common] == histories[0][:common] for history in histories)
+        # The oracle: everything the node inserted, replayed from genesis into
+        # a fresh consensus and a fresh manager, with nothing pruned.
+        replay = BullsharkConsensus(
+            owner=node.id,
+            committee=committee,
+            dag=DagStore(committee),
+            schedule_manager=HammerHeadScheduleManager(
+                committee, initial_schedule(committee, seed=1, permute=False), policy=CommitCountPolicy(4)
+            ),
+        )
+        replay.dag.on_insert(replay.process_vertex)
+        for vertex in sorted(inserted, key=lambda vertex: (vertex.round, vertex.source)):
+            replay.dag.add(vertex)
+        assert (
+            replay.last_ordered_anchor_round,
+            replay.ordered_count,
+            replay.ordering_digest,
+            replay.schedule_manager.history,
+        ) == (
+            node.consensus.last_ordered_anchor_round,
+            node.ordered_count,
+            node.consensus.ordering_digest,
+            node.schedule_manager.history,
+        )
 
     def test_recovered_node_does_not_equivocate(self):
         committee, simulator, network, nodes = build_cluster()
@@ -311,15 +415,11 @@ class TestUnheldHistory:
         assert self._walk(node, [vid(2, 1)], held=dag.held_sources()) == []
 
 
-def run_cluster(until=3.0, gc_depth=50):
-    config = NodeConfig(
-        max_batch_size=50,
-        min_round_interval=0.05,
-        leader_timeout=0.5,
-        record_sequence=True,
-        gc_depth=gc_depth,
-    )
-    committee, simulator, network, nodes = build_cluster(config=config)
+def run_cluster(until=3.0, gc_depth=50, on_insert=None):
+    """A committee of four run until ``until``; ``on_insert`` watches validator 1's DAG."""
+    committee, simulator, network, nodes = build_cluster(config=gc_config(gc_depth))
+    if on_insert is not None:
+        nodes[1].dag.on_insert(on_insert)
     for node in nodes.values():
         node.start()
     simulator.run(until=until)
@@ -390,15 +490,12 @@ class TestSynchronizer:
         """Regression: a fetch response re-inserted ordered, pruned history
         as below-horizon stragglers (each one invalidating reachability
         entries and forcing a GC sweep)."""
-        committee, simulator, network, nodes = run_cluster(until=4.0, gc_depth=4)
+        history = []
+        committee, simulator, network, nodes = run_cluster(until=4.0, gc_depth=4, on_insert=history.append)
         node = nodes[1]
         horizon = node.dag.lowest_round
         assert horizon > 2
-        pruned = [
-            vertex
-            for _, vertex in node.store.family(PersistentStore.CF_VERTICES).items()
-            if vertex.round < horizon
-        ]
+        pruned = [vertex for vertex in history if vertex.round < horizon]
         assert pruned
         inserted = []
         node.dag.on_insert(inserted.append)
@@ -706,16 +803,22 @@ class TestLazyClientLoad:
     """The four places a pool meets lazily materialised client arrivals."""
 
     @staticmethod
-    def proposed_by(node):
-        """transaction -> creation time of the own proposal that carried it."""
-        return {
-            transaction: vertex.created_at
-            for _round, vertex in node.store.family("own_proposals").items()
-            for transaction in vertex.block
-        }
+    def watch_proposals(observer):
+        """validator -> its vertices in the order ``observer`` inserts them:
+        every proposal that certified, one re-broadcast after a recovery
+        included."""
+        proposals = {}
+        observer.dag.on_insert(lambda vertex: proposals.setdefault(vertex.source, []).append(vertex))
+        return proposals
+
+    @staticmethod
+    def proposed_by(vertices):
+        """transaction -> creation time of the proposal that carried it."""
+        return {transaction: vertex.created_at for vertex in vertices for transaction in vertex.block}
 
     def crash_window_run(self):
         committee, simulator, network, nodes = build_cluster()
+        proposals = self.watch_proposals(nodes[0])
         for node in nodes.values():
             node.start()
         generator = LoadGenerator(
@@ -736,7 +839,7 @@ class TestLazyClientLoad:
         simulator.schedule_at(2.0, crash)
         simulator.schedule_at(3.0, nodes[3].recover)
         simulator.run(until=8.0)
-        return nodes[3], generator, pooled_at_crash
+        return nodes[3], generator, pooled_at_crash, proposals[3]
 
     @staticmethod
     def submission_times(generator):
@@ -746,26 +849,27 @@ class TestLazyClientLoad:
         ]
 
     def test_arrivals_before_a_crash_are_proposed_after_recovery(self):
-        node, _generator, pooled_at_crash = self.crash_window_run()
+        node, _generator, pooled_at_crash, proposals = self.crash_window_run()
         # What arrived since the last proposal went into the pool at the
         # crash instant, not later and not never.
         assert pooled_at_crash
         assert all(transaction.submitted_at + 0.040 <= 2.0 for transaction in pooled_at_crash)
-        proposed = self.proposed_by(node)
+        proposed = self.proposed_by(proposals)
         assert all(proposed[transaction] >= 3.0 for transaction in pooled_at_crash)
 
     def test_arrivals_during_downtime_are_dropped_but_counted(self):
-        node, generator, _ = self.crash_window_run()
+        node, generator, _, proposals = self.crash_window_run()
         assert generator.submitted == 1050
         submitted = self.submission_times(generator)
         down = [t for t in submitted if 2.0 < t + 0.040 <= 3.0]
         assert len(down) == 350
-        proposed = [transaction.submitted_at for transaction in self.proposed_by(node)]
+        proposed = [transaction.submitted_at for transaction in self.proposed_by(proposals)]
         assert sorted(proposed) == sorted(set(submitted) - set(down))
         assert node.transactions_submitted == 1050 - 350
 
     def test_retargeting_redirects_only_later_arrivals(self):
         committee, simulator, network, nodes = build_cluster()
+        proposals = self.watch_proposals(nodes[2])
         for node in nodes.values():
             node.start()
         generator = LoadGenerator(
@@ -783,7 +887,7 @@ class TestLazyClientLoad:
         simulator.schedule_at(switch, lambda: generator.set_targets([nodes[1]]))
         simulator.run(until=6.0)
         submitted = self.submission_times(generator)
-        before, after = sorted(self.proposed_by(nodes[0])), sorted(self.proposed_by(nodes[1]))
+        before, after = sorted(self.proposed_by(proposals[0])), sorted(self.proposed_by(proposals[1]))
         assert [t.submitted_at for t in before] == submitted[:71]
         assert [t.submitted_at for t in after] == submitted[71:]
         assert {t.target_validator for t in before} == {0}

@@ -137,6 +137,29 @@ class TestCertifiedBroadcastSpecifics:
         # later acknowledgements are ignored.
         assert protocols[0].ack_count(1) == committee.quorum_threshold
 
+    def test_a_certified_round_keeps_its_digest_not_its_payload(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        protocols[0].broadcast("payload", round_number=1)
+        digest = protocols[0]._own_payloads[1][1]
+        simulator.run()
+        assert protocols[0].is_certified(1)
+        assert protocols[0]._own_payloads[1] == (None, digest)
+        # Late acks still meet the certified round, and the round still
+        # refuses a second broadcast.
+        protocols[0].handle_message(3, AckMessage(origin=0, round=1, digest=digest, voter=3))
+        assert protocols[0].ack_count(1) == committee.quorum_threshold
+        with pytest.raises(BroadcastError):
+            protocols[0].broadcast("payload", round_number=1)
+
+    def test_an_uncertified_round_keeps_its_payload(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        network.set_crashed(1, True)
+        network.set_crashed(2, True)
+        protocols[0].broadcast("payload", round_number=1)
+        simulator.run()
+        assert not protocols[0].is_certified(1)
+        assert protocols[0]._own_payloads[1][0] == "payload"
+
     def test_propose_from_wrong_sender_ignored(self):
         committee, simulator, network, protocols, deliveries = build_cluster()
         from repro.crypto.hashing import digest_of

@@ -1,78 +1,62 @@
-"""Unit tests for the storage substrate."""
+"""Unit tests for the storage substrate: the vertex log and the latest proposal."""
 
-import pytest
-
-from repro.errors import StorageError
+from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.storage.store import PersistentStore
+from tests.conftest import vid
+
+
+def vertex(round_number, source):
+    return make_vertex(round_number, source, edges=[vid(round_number - 1, index) for index in range(3)])
 
 
 class TestPersistentStore:
-    def test_default_column_families_exist(self):
+    def test_a_new_store_is_empty(self):
         store = PersistentStore()
-        for name in PersistentStore.DEFAULT_FAMILIES:
-            assert name in store.families
+        assert store.horizon == 0
+        assert store.rounds == {}
+        assert store.own_proposal is None
+        assert store.replay_order() == []
 
-    def test_put_and_get(self):
+    def test_vertices_are_logged_per_round_in_insertion_order(self):
         store = PersistentStore()
-        family = store.family("vertices")
-        family.put("key", "value")
-        assert family.get("key") == "value"
-        assert family.contains("key")
+        logged = [vertex(2, 3), vertex(1, 2), vertex(2, 0), vertex(1, 0)]
+        for item in logged:
+            store.persist(item)
+        assert [item.id for item in store.rounds[1]] == [vid(1, 2), vid(1, 0)]
+        assert [item.id for item in store.rounds[2]] == [vid(2, 3), vid(2, 0)]
 
-    def test_get_missing_returns_default(self):
-        family = PersistentStore().family("vertices")
-        assert family.get("missing") is None
-        assert family.get("missing", 42) == 42
-
-    def test_delete(self):
-        family = PersistentStore().family("vertices")
-        family.put("key", 1)
-        family.delete("key")
-        assert not family.contains("key")
-        family.delete("key")  # idempotent
-
-    def test_family_is_created_on_demand(self):
+    def test_replay_puts_parents_first(self, committee4):
         store = PersistentStore()
-        store.family("new-family").put("a", 1)
-        assert "new-family" in store.families
+        for item in [vertex(2, 3), vertex(1, 2), vertex(2, 0), vertex(1, 0), *genesis_vertices(committee4)]:
+            store.persist(item)
+        assert [item.id for item in store.replay_order()] == [
+            vid(0, 0), vid(0, 1), vid(0, 2), vid(0, 3), vid(1, 0), vid(1, 2), vid(2, 0), vid(2, 3)
+        ]
 
-    def test_open_family_requires_existence(self):
-        with pytest.raises(StorageError):
-            PersistentStore().open_family("does-not-exist")
-
-    def test_families_are_isolated(self):
+    def test_prune_drops_the_rounds_below_the_horizon(self):
         store = PersistentStore()
-        store.family("a").put("key", "in-a")
-        store.family("b").put("key", "in-b")
-        assert store.family("a").get("key") == "in-a"
-        assert store.family("b").get("key") == "in-b"
+        for round_number in range(1, 7):
+            store.persist(vertex(round_number, 0))
+        store.prune(4)
+        assert store.horizon == 4
+        assert sorted(store.rounds) == [4, 5, 6]
+        # The horizon never moves back.
+        store.prune(2)
+        assert store.horizon == 4
+        assert sorted(store.rounds) == [4, 5, 6]
 
-    def test_counters(self):
+    def test_a_straggler_below_the_horizon_is_not_logged(self):
         store = PersistentStore()
-        store.family("a").put("x", 1)
-        store.family("a").put("y", 2)
-        store.family("a").get("x")
-        assert store.total_writes() == 2
-        assert store.total_keys() == 2
-        assert store.family("a").reads == 1
+        store.prune(5)
+        store.persist(vertex(3, 1))
+        store.persist(vertex(5, 1))
+        assert [item.id for item in store.replay_order()] == [vid(5, 1)]
 
-    def test_items_and_keys(self):
-        family = PersistentStore().family("a")
-        family.put(1, "one")
-        family.put(2, "two")
-        assert sorted(family.keys()) == [1, 2]
-        assert dict(family.items()) == {1: "one", 2: "two"}
-
-    def test_wipe_erases_everything(self):
+    def test_the_own_proposal_is_the_latest_one(self):
         store = PersistentStore()
-        store.family("a").put("x", 1)
-        store.wipe()
-        assert store.total_keys() == 0
-
-    def test_overwrite_replaces_value(self):
-        family = PersistentStore().family("a")
-        family.put("k", 1)
-        family.put("k", 2)
-        assert family.get("k") == 2
-        assert len(family) == 1
-
+        first, second = vertex(1, 2), vertex(2, 2)
+        store.own_proposal = first
+        store.own_proposal = second
+        assert store.own_proposal is second
+        # A proposal is not part of the log until it is inserted.
+        assert store.rounds == {}

@@ -10,7 +10,7 @@ from repro.dag.vertex import make_vertex
 from repro.errors import WorkloadError
 from repro.netexec import codec
 from repro.network.simulator import Simulator
-from repro.workload.generator import MAX_RATE_PER_CLIENT, LoadGenerator, spawn_load
+from repro.workload.generator import MAX_RATE_PER_CLIENT, ClientArrivals, LoadGenerator, spawn_load
 from repro.workload.transactions import Transaction, TransactionBatch, counter_increment
 from tests.conftest import vid
 
@@ -444,6 +444,46 @@ class TestMergedSubmissionEvents:
         other.run()
         assert [target.received for target in batched] == [target.received for target in plain]
         assert sum(len(target.received) for target in plain) == 900
+
+    def test_a_column_drops_its_delivered_prefix_and_keeps_the_ids(self, simulator):
+        target = FakeValidator(0)
+        generator = LoadGenerator(0, simulator, [target], rate=100.0, duration=10.0)
+        generator.start()
+        held = []
+        for instant in (0.5, 3.0, 5.1, 5.2, 8.0, 9.9):
+            simulator.run(until=instant)
+            simulator.settle()
+            (column,) = ClientArrivals.of(simulator)._columns
+            held.append((len(column.arrivals), column.position, column.first_id))
+        simulator.run()
+        # Never more than half the column is delivered rows, and the rows
+        # it drops move its first id.
+        assert all(2 * position <= length for length, position, _ in held)
+        assert held[-1][0] < 1000 // 2
+        assert [first_id for _, _, first_id in held] == sorted(first_id for _, _, first_id in held)
+        assert [transaction.tx_id for transaction in target.received] == list(range(1000))
+        assert [transaction.submitted_at for transaction in target.received] == [
+            generator._first_time + index * generator._interval for index in range(1000)
+        ]
+
+    def test_slices_of_a_column_keep_simultaneous_arrivals_together(self, simulator, monkeypatch):
+        import repro.workload.generator as generator_module
+
+        # Clients 0 and 17 submit on the same instants and client 18 at a
+        # tenth of their rate; slices of three rows a client cut the
+        # column everywhere, one sort does not.
+        rate = 18 * MAX_RATE_PER_CLIENT + 35.0
+        targets = [FakeValidator(0)]
+        spawn_load(simulator, targets, total_rate=rate, duration=0.1)
+        simulator.run()
+        other = Simulator(seed=7)
+        sliced = [FakeValidator(0)]
+        monkeypatch.setattr(generator_module, "_SLICE_ROWS", 3)
+        spawn_load(other, sliced, total_rate=rate, duration=0.1)
+        other.run()
+        arrived = [transaction.submitted_at for transaction in targets[0].received]
+        assert len(set(arrived)) < len(arrived)
+        assert sliced[0].received == targets[0].received
 
     def test_transaction_ids_are_a_function_of_the_run(self):
         """Regression: ids came from a process-wide counter, so the second
