@@ -8,7 +8,7 @@ paper.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 
 @dataclasses.dataclass
@@ -58,14 +58,15 @@ _COLUMNS = (
 
 
 def format_table(
-    reports: Sequence[PerformanceReport],
+    reports: Sequence[Union[PerformanceReport, Mapping[str, object]]],
     title: Optional[str] = None,
 ) -> str:
-    """Render reports as a fixed-width text table."""
+    """Render reports (or their ``as_dict()`` form, as artifacts store
+    them) as a fixed-width text table."""
     headers = [header for _, header in _COLUMNS]
     rows: List[List[str]] = []
     for report in reports:
-        data = report.as_dict()
+        data = report.as_dict() if isinstance(report, PerformanceReport) else report
         row = []
         for key, _ in _COLUMNS:
             value = data.get(key, "")

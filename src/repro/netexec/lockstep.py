@@ -38,21 +38,16 @@ a separate mode, not a change to the free-running semantics.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from repro.committee import Committee
 from repro.errors import ReproError
 from repro.faults.base import FaultInjector, tail_validators
 from repro.faults.crash import CrashFault
-from repro.node.config import NodeConfig
 from repro.node.validator import ValidatorNode
 from repro.sim.experiment import ExperimentConfig, ExperimentResult
-from repro.sim.runner import (
-    SimulationRunner,
-    build_committee,
-    build_node_config,
-    schedule_manager_factory,
-)
+from repro.sim.runner import SimulationRunner, build_committee
 from repro.types import Round, ValidatorId, VertexId
 from repro.workload.transactions import Transaction
 
@@ -165,13 +160,6 @@ def plan_for_config(
         max_round=max_round,
         crash_rounds=tuple(sorted(crashes.items())),
     )
-
-
-def lockstep_node_config(config: ExperimentConfig, plan: LockstepPlan) -> NodeConfig:
-    """The shared node lowering, stopped at the plan's final round."""
-    base = build_node_config(config)
-    base.max_round = plan.max_round
-    return base.validate()
 
 
 class LockstepNode(ValidatorNode):
@@ -298,24 +286,9 @@ class LockstepSimulationRunner(SimulationRunner):
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.plan = plan_for_config(config)
+        self.max_round = self.plan.max_round
+        self.node_class = functools.partial(LockstepNode, plan=self.plan)
         super().__init__(config)
-
-    def _build_node_config(self) -> NodeConfig:
-        return lockstep_node_config(self.config, self.plan)
-
-    def _build_nodes(self) -> None:
-        factory = schedule_manager_factory(
-            self.config, self.committee, self.node_config.scoring_rule
-        )
-        for validator in self.committee.validators:
-            self.nodes[validator] = LockstepNode(
-                validator_id=validator,
-                committee=self.committee,
-                network=self.network,
-                schedule_manager=factory(),
-                config=self.node_config,
-                plan=self.plan,
-            )
 
     def _build_faults(self) -> FaultInjector:
         # Crashes are plan-driven round decisions inside LockstepNode;

@@ -128,22 +128,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_artifact_table(spec: ScenarioSpec, artifact: dict) -> None:
-    from repro.metrics.report import PerformanceReport
-
-    reports = []
-    for point in artifact["points"]:
-        data = dict(point["report"])
-        extra = {
-            key: value
-            for key, value in data.items()
-            if key not in PerformanceReport.__dataclass_fields__
-        }
-        kwargs = {
-            key: value
-            for key, value in data.items()
-            if key in PerformanceReport.__dataclass_fields__ and key != "extra"
-        }
-        reports.append(PerformanceReport(extra=extra, **kwargs))
+    reports = [point["report"] for point in artifact["points"]]
     print()
     print(format_table(reports, title=f"Scenario {spec.name} - {spec.description}"))
     print()

@@ -37,7 +37,7 @@ from repro.behavior.coordination import (
     ColludingSilencePolicy,
 )
 from repro.core.scoring import scoring_rule_names
-from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
+from repro.committee import Committee
 from repro.crypto.hashing import digest_hex
 from repro.errors import ConfigurationError
 from repro.faults.base import FaultPlan, head_validators, tail_validators
@@ -51,6 +51,7 @@ from repro.faults.partition import (
 )
 from repro.faults.slow import SlowValidatorFault, degrade_fraction
 from repro.sim.experiment import ExperimentConfig, PROTOCOL_BULLSHARK, PROTOCOL_HAMMERHEAD
+from repro.sim.runner import build_committee
 from repro.workload.phases import (
     average_tps,
     burst_phases,
@@ -946,16 +947,6 @@ class CompiledPoint:
     scoring: str = "hammerhead"
 
 
-def _build_committee(spec: ScenarioSpec, size: int) -> Committee:
-    if spec.stake == "equal":
-        stake = equal_stake(size)
-    elif spec.stake == "geometric":
-        stake = geometric_stake(size)
-    else:
-        stake = zipfian_stake(size)
-    return Committee.build(size, stake=stake, seed=spec.seed)
-
-
 def _resolve_tail(committee: Committee, fault: FaultSpec, protect=(0,)) -> Tuple[int, ...]:
     """Resolve a count/fraction/max_faulty selector to concrete validators.
 
@@ -1192,7 +1183,10 @@ def compile_spec(spec: ScenarioSpec, seed: Optional[int] = None) -> List[Compile
     scoring_rules = spec.scoring_rules or (spec.scoring,)
     points: List[CompiledPoint] = []
     for committee_size in spec.committee_sizes:
-        committee = _build_committee(spec, committee_size)
+        # The runner's committee, which the fault selectors resolve against.
+        committee = build_committee(
+            ExperimentConfig(committee_size=committee_size, stake=spec.stake, seed=spec.seed)
+        )
         builtin_faults, builtin_time, plans = _compile_faults(spec, committee)
         loads, load_phases = _compile_workload(spec)
         for protocol in spec.protocols:

@@ -57,8 +57,6 @@ class ExperimentConfig:
     commits_per_schedule: int = 10
     exclude_fraction: float = 1.0 / 3.0
     scoring: str = "hammerhead"
-    schedule_change_policy: str = "commits"  # or "rounds"
-    rounds_per_schedule: int = 20
 
     # Node / network parameters.
     leader_timeout: SimTime = 4.0
@@ -67,7 +65,6 @@ class ExperimentConfig:
     latency_model: str = "geo"  # "geo" or "uniform"
     gst: SimTime = 0.0
     delta: SimTime = 2.0
-    execution_capacity_tps: Optional[float] = None
     # Client failover during partition windows: when on, load generators
     # retarget to the majority side while a PartitionPlan window is open
     # (the way real benchmark clients abandon unreachable endpoints) and
@@ -139,10 +136,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown scoring rule {self.scoring!r} "
                 f"(known: {', '.join(scoring_rule_names())})"
-            )
-        if self.schedule_change_policy not in ("commits", "rounds"):
-            raise ConfigurationError(
-                f"unknown schedule change policy {self.schedule_change_policy!r}"
             )
         if self.latency_model not in ("geo", "uniform"):
             raise ConfigurationError(f"unknown latency model {self.latency_model!r}")

@@ -9,8 +9,9 @@ into a :class:`~repro.metrics.report.PerformanceReport`.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
 from repro.core.manager import (
@@ -18,7 +19,7 @@ from repro.core.manager import (
     ScheduleManager,
     StaticScheduleManager,
 )
-from repro.core.schedule_change import CommitCountPolicy, RoundBasedPolicy
+from repro.core.schedule_change import CommitCountPolicy
 from repro.core.scoring import make_scoring_rule
 from repro.faults.base import FaultInjector
 from repro.faults.crash import crash_last_f
@@ -43,7 +44,7 @@ from repro.sim.experiment import (
     PROTOCOL_HAMMERHEAD,
 )
 from repro.sim.presets import execution_capacity_for, node_config_for
-from repro.types import ValidatorId
+from repro.types import Round, ValidatorId
 from repro.workload.generator import LoadGenerator, spawn_load
 from repro.workload.phases import LoadPhase, spawn_phased_load
 
@@ -91,14 +92,10 @@ def schedule_manager_factory(
         schedule = initial_schedule(committee, seed=config.seed)
         if config.protocol != PROTOCOL_HAMMERHEAD:
             return StaticScheduleManager(committee, schedule)
-        if config.schedule_change_policy == "commits":
-            policy = CommitCountPolicy(config.commits_per_schedule)
-        else:
-            policy = RoundBasedPolicy(config.rounds_per_schedule)
         return HammerHeadScheduleManager(
             committee,
             schedule,
-            policy=policy,
+            policy=CommitCountPolicy(config.commits_per_schedule),
             scoring=make_scoring_rule(scoring_rule),
             exclude_fraction=config.exclude_fraction,
         )
@@ -107,24 +104,35 @@ def schedule_manager_factory(
 
 
 class SimulationRunner:
-    """Builds and runs one experiment."""
+    """Builds and runs one experiment.
+
+    The lockstep oracle and the socket engine are subclasses: they swap
+    the clock and the network (``_build_clock`` / ``_build_network``),
+    the node class and its final round, and how the run is driven.
+    Node construction, tracing, the counter table and result assembly
+    exist only here.
+    """
+
+    # The validator class ``_build_nodes`` instantiates and the round
+    # every node stops at (``None``: the configured duration ends the
+    # run).  A lockstep runner sets both from its plan.
+    node_class: Callable[..., ValidatorNode] = ValidatorNode
+    max_round: Optional[Round] = None
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config.validate()
         self.committee = build_committee(config)
-        self.simulator = Simulator(seed=config.seed)
-        self.network = Network(
-            simulator=self.simulator,
-            latency_model=self._build_latency_model(),
-            synchrony=self._build_synchrony_model(),
+        self.simulator = self._build_clock()
+        self.network = self._build_network()
+        self.node_config = dataclasses.replace(
+            build_node_config(config), max_round=self.max_round
         )
-        self.node_config = self._build_node_config()
         self.nodes: Dict[ValidatorId, ValidatorNode] = {}
         self._build_nodes()
         self.metrics = MetricsCollector(
             confirmation_delay=0.040,
             warmup=config.warmup,
-            execution=ExecutionModel(self._execution_capacity()),
+            execution=ExecutionModel(execution_capacity_for(config.committee_size)),
         )
         self.leader_stats = LeaderUtilizationStats()
         self.fault_injector = self._build_faults()
@@ -139,30 +147,27 @@ class SimulationRunner:
 
     # -- construction ---------------------------------------------------------------
 
-    def _build_latency_model(self):
-        if self.config.latency_model == "geo":
-            return GeoLatencyModel()
-        return UniformLatencyModel()
+    def _build_clock(self) -> Simulator:
+        return Simulator(seed=self.config.seed)
 
-    def _build_synchrony_model(self):
-        if self.config.gst > 0:
-            return PartialSynchrony(gst=self.config.gst, delta=self.config.delta)
-        return AlwaysSynchronous(delta=self.config.delta)
-
-    def _build_node_config(self) -> NodeConfig:
-        return build_node_config(self.config)
-
-    def _execution_capacity(self) -> float:
-        if self.config.execution_capacity_tps is not None:
-            return self.config.execution_capacity_tps
-        return execution_capacity_for(self.config.committee_size)
+    def _build_network(self) -> Network:
+        config = self.config
+        if config.gst > 0:
+            synchrony = PartialSynchrony(gst=config.gst, delta=config.delta)
+        else:
+            synchrony = AlwaysSynchronous(delta=config.delta)
+        return Network(
+            simulator=self.simulator,
+            latency_model=GeoLatencyModel() if config.latency_model == "geo" else UniformLatencyModel(),
+            synchrony=synchrony,
+        )
 
     def _build_nodes(self) -> None:
         factory = schedule_manager_factory(
             self.config, self.committee, self.node_config.scoring_rule
         )
         for validator in self.committee.validators:
-            self.nodes[validator] = ValidatorNode(
+            self.nodes[validator] = self.node_class(
                 validator_id=validator,
                 committee=self.committee,
                 network=self.network,

@@ -72,6 +72,42 @@ class TestDigestEquivalence:
         assert first.ordering_digests == second.ordering_digests
 
 
+class TestSharedResultAssembly:
+    """The socket run reports through the oracle's result assembly."""
+
+    def test_sampled_trace_is_marked_like_the_oracle(self):
+        sampled = config(trace=True, trace_sample_every=4)
+        oracle = run_lockstep_experiment(sampled)
+        net = run_net_experiment(sampled)
+        for result in (oracle, net):
+            markers = [event for event in result.trace if event["kind"] == "trace_sampled"]
+            assert len(markers) == 1
+            (marker,) = markers
+            assert marker["sample_every"] == 4
+            assert marker["sampled_out"] == result.counters["always"]["trace.events_sampled_out"]
+        assert len(net.trace) == len(oracle.trace)
+        assert (
+            net.counters["always"]["trace.events_sampled_out"]
+            == oracle.counters["always"]["trace.events_sampled_out"]
+            > 0
+        )
+
+    def test_socket_counters_are_the_oracles_plus_the_socket_engine_pair(self):
+        from repro.netexec.runner import SOCKET_COUNTERS
+
+        oracle = run_lockstep_experiment(config())
+        net = run_net_experiment(config())
+        oracle_keys = set(oracle.counters["always"])
+        assert oracle_keys.isdisjoint(SOCKET_COUNTERS)
+        assert set(net.counters["always"]) == oracle_keys | set(SOCKET_COUNTERS)
+        assert net.ordering_digests == oracle.ordering_digests
+        # The plan fixes every proposal, whatever the engine.
+        assert (
+            net.counters["always"]["node.proposals_made"]
+            == oracle.counters["always"]["node.proposals_made"]
+        )
+
+
 class TestScenarioPlumbing:
     def test_scenario_artifacts_diff_clean_across_backends(self):
         spec = _tiny_spec()

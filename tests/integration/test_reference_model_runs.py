@@ -12,7 +12,7 @@ import pytest
 
 import repro.netexec.runner as net_runner
 from repro.faults.partition import NetworkDisturbanceFault
-from repro.netexec.lockstep import LockstepNode, LockstepSimulationRunner
+from repro.netexec.lockstep import LockstepSimulationRunner
 from repro.netexec.runner import run_net_experiment
 from repro.obs.consistency import check_run_consistency
 from repro.scenarios.registry import get_scenario
@@ -31,14 +31,13 @@ def run_on_simulator(runner_class, config):
 def run_over_sockets(config, monkeypatch):
     captured = {}
 
-    class RecordedNode(LockstepNode):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            if self.id == config.observer:
-                captured["observer"] = self
-                captured["log"] = record_insert_log(self)
+    class RecordedRunner(net_runner.SocketRunner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            observer = captured["observer"] = self.nodes[config.observer]
+            captured["log"] = record_insert_log(observer)
 
-    monkeypatch.setattr(net_runner, "LockstepNode", RecordedNode)
+    monkeypatch.setattr(net_runner, "SocketRunner", RecordedRunner)
     result = run_net_experiment(config)
     return captured["observer"], captured["log"], result
 

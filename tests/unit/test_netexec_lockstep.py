@@ -186,7 +186,7 @@ class TestSharedLowering:
         sim runner's node config only by the plan's final round."""
         import dataclasses
 
-        from repro.netexec.lockstep import lockstep_node_config
+        from repro.netexec.lockstep import LockstepSimulationRunner
         from repro.sim.runner import build_node_config
 
         experiment = config(
@@ -197,6 +197,6 @@ class TestSharedLowering:
         assert lowered.scoring_rule == "completeness"
         assert lowered.max_batch_size == 7
         plan = plan_for_config(experiment)
-        assert lockstep_node_config(experiment, plan) == dataclasses.replace(
+        assert LockstepSimulationRunner(experiment).node_config == dataclasses.replace(
             lowered, max_round=plan.max_round
         )
