@@ -179,7 +179,9 @@ class LockstepNode(ValidatorNode):
       leader's vertex is always waited for, a crashed leader is not
       expected and is skipped deterministically by the commit rule);
     * crashes are plan-driven round decisions;
-    * blocks are plan-synthesized, not drawn from a client pool.
+    * blocks are plan-synthesized, not drawn from a client pool;
+    * a round still incomplete is reported to the synchronizer as a
+      stall on the expected vertices it lacks.
 
     Everything else — certified broadcast, the DAG store, the commit
     rule, reputation scheduling, the synchronizer — is the production
@@ -217,17 +219,26 @@ class LockstepNode(ValidatorNode):
         # Our own vertex must have been certified and delivered back to us.
         if self.dag.vertex_of(round_number, self.id) is None:
             return
-        missing = tuple(
-            source for source in self.plan.expected(round_number)
-            if self.dag.vertex_of(round_number, source) is None
-        )
+        missing = self._absent_sources(round_number)
         self._lockstep_waiting_on = missing
         if missing:
             # Liveness insurance for lossy transports: if the round stays
             # incomplete past the fetch interval, ask a peer explicitly.
-            self._schedule_lockstep_repair(round_number)
+            self.synchronizer.on_stall(functools.partial(self._stalled_on, round_number))
             return
         self._schedule_advance()
+
+    def _absent_sources(self, round_number: Round) -> Tuple[ValidatorId, ...]:
+        return tuple(
+            source for source in self.plan.expected(round_number)
+            if self.dag.vertex_of(round_number, source) is None
+        )
+
+    def _stalled_on(self, round_number: Round) -> List[VertexId]:
+        """What this validator still lacks of ``round_number``; nothing once it left that round."""
+        if self.current_round != round_number:
+            return []
+        return [VertexId(round_number, source) for source in self._absent_sources(round_number)]
 
     def _schedule_advance(self) -> None:
         def advance() -> None:
@@ -237,32 +248,6 @@ class LockstepNode(ValidatorNode):
             self._enter_round(self.current_round + 1)
 
         self._advance_handle = self.simulator.schedule(0.0, advance)
-
-    def _schedule_lockstep_repair(self, round_number: Round) -> None:
-        if self._fetch_timer is not None:
-            return
-
-        def repair() -> None:
-            self._fetch_timer = None
-            if self.crashed or self.current_round != round_number:
-                return
-            still = tuple(
-                source for source in self.plan.expected(round_number)
-                if self.dag.vertex_of(round_number, source) is None
-            )
-            if not still:
-                self._maybe_advance()
-                return
-            self._fetch_requested.clear()
-            self._request_missing(
-                [VertexId(round_number, source) for source in still],
-                preferred_peer=self._random_peer(),
-            )
-            self._schedule_lockstep_repair(round_number)
-
-        self._fetch_timer = self.simulator.schedule(
-            self.config.fetch_retry_interval, repair
-        )
 
     # -- plan-synthesized workload --------------------------------------------------
 

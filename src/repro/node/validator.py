@@ -4,8 +4,9 @@ The node glues the substrates together exactly the way the production
 implementation does:
 
 * it proposes one vertex per round, batching pending transactions;
-* it disseminates vertices with the broadcast layer and inserts delivered
-  vertices into its local DAG (fetching missing parents on demand);
+* it disseminates vertices with the broadcast layer and hands delivered
+  vertices to its synchronizer (:mod:`repro.node.synchronizer`), which
+  inserts them into the local DAG and fetches missing parents on demand;
 * it advances rounds once a 2f+1 stake quorum of the current round is
   present, waiting up to ``leader_timeout`` for the anchor of even rounds
   (the Bullshark leader wait — the mechanism through which crashed leaders
@@ -27,20 +28,20 @@ from repro.behavior import HONEST, BehaviorPolicy
 from repro.committee import Committee
 from repro.consensus.bullshark import BullsharkConsensus
 from repro.consensus.committed import CommittedSubDag, OrderedVertex
-from repro.core.manager import ScheduleManager
+from repro.core.manager import HammerHeadScheduleManager, ScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
 from repro.errors import ConfigurationError
 from repro.network.events import EventHandle
 from repro.network.transport import Network
-from repro.core.manager import HammerHeadScheduleManager
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.node.config import NodeConfig
 from repro.node.messages import ConsensusSnapshot, FetchRequest, FetchResponse
+from repro.node.synchronizer import Synchronizer
 from repro.rbc.base import Delivery
 from repro.rbc.certified import CertifiedBroadcast
 from repro.storage.store import PersistentStore
-from repro.types import Round, SimTime, ValidatorId, VertexId, is_anchor_round
+from repro.types import Round, SimTime, ValidatorId, is_anchor_round
 from repro.workload.transactions import Transaction, TransactionBatch
 
 
@@ -86,6 +87,7 @@ class ValidatorNode:
             record_sequence=self.config.record_sequence,
         )
         self.consensus.clock = lambda: self.simulator.now
+        self.synchronizer = Synchronizer(self, self.config.fetch_retry_interval)
 
         self.broadcast_protocol = self._build_broadcast()
         self._message_handlers = self._build_message_handlers()
@@ -99,14 +101,7 @@ class ValidatorNode:
         self.last_proposal_time: SimTime = float("-inf")
         self._advance_handle: Optional[EventHandle] = None
         self._anchor_timer_handle: Optional[EventHandle] = None
-        self._anchor_timer_round: Optional[Round] = None
         self._anchor_timeout_expired = False
-        # Synchronizer state: missing parent -> last request time.
-        self._fetch_requested: Dict[VertexId, SimTime] = {}
-        self._fetch_timer: Optional[EventHandle] = None
-        # One bit per peer a fetch request was ever sent to: only those
-        # may hand this validator a snapshot to adopt.
-        self._asked_peers = 0
         # Messages received before ``start()`` are buffered, not dropped:
         # with the tightest possible quorum (exactly 2f+1 alive validators)
         # a single lost acknowledgement would block certification forever.
@@ -117,13 +112,6 @@ class ValidatorNode:
         self.leader_timeouts_suffered = 0
         self.transactions_submitted = 0
         self.transactions_proposed = 0
-        self.fetch_requests_sent = 0
-        # Fetch waste, counted where it happens: vertices this node put
-        # into responses, vertices it got back, and how many of those
-        # its DAG lacked.
-        self.fetch_vertices_served = 0
-        self.fetch_vertices_received = 0
-        self.fetch_vertices_new = 0
         self.recoveries = 0
         # Vertices recovery replayed from the store, over all recoveries.
         self.recovery_replayed = 0
@@ -151,6 +139,7 @@ class ValidatorNode:
     def _propagate_observability(self) -> None:
         self.dag.install_tracer(self._tracer, self.id)
         self.consensus.install_tracer(self._tracer)
+        self.synchronizer.install_tracer(self._tracer)
         self.schedule_manager.install_tracer(self._tracer, self.id)
         self.broadcast_protocol.install_observability(self._tracer, self._registry)
 
@@ -207,6 +196,7 @@ class ValidatorNode:
         self.crashed = False
         self.network.set_crashed(self.id, False)
         self._rebuild_dag()
+        self.synchronizer.forget_requests()
         self._rebuild_broadcast()
         if self._tracing or self._registry is not None:
             # Fresh dag and broadcast objects: re-thread the observability
@@ -217,8 +207,6 @@ class ValidatorNode:
         self._anchor_timeout_expired = False
         self._advance_handle = None
         self._anchor_timer_handle = None
-        self._fetch_timer = None
-        self._fetch_requested.clear()
         if last_proposal is None:
             self._enter_round(1)
             return
@@ -280,11 +268,12 @@ class ValidatorNode:
         return round_number
 
     def _cancel_timers(self) -> None:
-        for handle_name in ("_advance_handle", "_anchor_timer_handle", "_fetch_timer"):
+        for handle_name in ("_advance_handle", "_anchor_timer_handle"):
             handle = getattr(self, handle_name)
             if handle is not None:
                 self.simulator.cancel(handle)
                 setattr(self, handle_name, None)
+        self.synchronizer.stop()
 
     # -- transactions ---------------------------------------------------------------
 
@@ -412,7 +401,6 @@ class ValidatorNode:
             self.leader_timeouts_suffered += 1
             self._maybe_advance()
 
-        self._anchor_timer_round = round_number
         self._anchor_timer_handle = self.simulator.schedule(
             self.config.leader_timeout, on_timeout
         )
@@ -484,33 +472,16 @@ class ValidatorNode:
             return
         # Exact-class dispatch; this runs once per delivered message, so
         # the handler map replaces a chain of isinstance checks through
-        # the broadcast layer.  Unknown classes fall back to the broadcast
-        # protocol's own dispatch (custom protocols in tests may accept
-        # message types the map does not know about).  The identity check
-        # rebuilds the map if something replaced ``broadcast_protocol``
-        # directly instead of going through ``_rebuild_broadcast`` — the
-        # map must never dispatch into a dead protocol instance.
-        if self.broadcast_protocol is not self._handlers_protocol:
-            self._message_handlers = self._build_message_handlers()
+        # the broadcast layer.  A class no handler knows is dropped.
         handler = self._message_handlers.get(message.__class__)
         if handler is not None:
             handler(sender, message)
-            return
-        self.broadcast_protocol.handle_message(sender, message)
 
     def _build_message_handlers(self) -> Dict[type, Callable]:
-        """Flat message-class dispatch map for the delivery hot path.
-
-        A substituted protocol without a dispatch map keeps its
-        ``handle_message`` entry point via the dispatch fallback.
-        """
-        handlers: Dict[type, Callable] = {}
-        protocol_handlers = getattr(self.broadcast_protocol, "_handlers", None)
-        if protocol_handlers is not None:
-            handlers.update(protocol_handlers)
-        handlers[FetchRequest] = self._handle_fetch_request
+        """Flat message-class dispatch map for the delivery hot path."""
+        handlers: Dict[type, Callable] = dict(self.broadcast_protocol._handlers)
+        handlers[FetchRequest] = self.synchronizer.on_request
         handlers[FetchResponse] = self._handle_fetch_response
-        self._handlers_protocol = self.broadcast_protocol
         return handlers
 
     def _on_broadcast_delivery(self, delivery: Delivery) -> None:
@@ -531,135 +502,11 @@ class ValidatorNode:
                     vertex_source=vertex.source,
                 )
             return
-        self._ingest_vertex(vertex)
+        self.synchronizer.on_vertex(vertex)
 
-    def _ingest_vertex(self, vertex: Vertex) -> None:
-        inserted = self.dag.add(vertex)
-        if not inserted and vertex.id not in self.dag:
-            missing = self.dag.missing_parents(vertex)
-            if missing:
-                self._request_missing(missing, preferred_peer=vertex.source)
+    # -- state sync ---------------------------------------------------------------------------
 
-    # -- synchronizer (missing parent fetcher) ------------------------------------------------
-
-    def _request_missing(self, missing, preferred_peer: ValidatorId) -> None:
-        now = self.simulator.now
-        to_request = []
-        for vertex_id in missing:
-            last = self._fetch_requested.get(vertex_id)
-            if last is not None and now - last < self.config.fetch_retry_interval:
-                continue
-            self._fetch_requested[vertex_id] = now
-            to_request.append(vertex_id)
-        if not to_request:
-            return
-        self.fetch_requests_sent += 1
-        request = FetchRequest(
-            requester=self.id,
-            missing=tuple(to_request),
-            horizon=self.dag.lowest_round,
-            held=self.dag.held_sources(),
-        )
-        target = preferred_peer if preferred_peer != self.id else self._random_peer()
-        self._asked_peers |= 1 << target
-        self.network.send(self.id, target, request)
-        self._schedule_fetch_retry()
-
-    def _schedule_fetch_retry(self) -> None:
-        if self._fetch_timer is not None:
-            return
-
-        def retry() -> None:
-            self._fetch_timer = None
-            if self.crashed:
-                return
-            missing = self.dag.pending_missing()
-            if not missing:
-                self._fetch_requested.clear()
-                return
-            # Ask a random peer; the previous target may have crashed.
-            self._fetch_requested.clear()
-            self._request_missing(missing, preferred_peer=self._random_peer())
-
-        self._fetch_timer = self.simulator.schedule(self.config.fetch_retry_interval, retry)
-
-    def _random_peer(self) -> ValidatorId:
-        peers = [validator for validator in self.committee.validators if validator != self.id]
-        return self.simulator.rng.choice(peers)
-
-    def _handle_fetch_request(self, sender: ValidatorId, request: FetchRequest) -> None:
-        behavior = self.behavior
-        if not behavior.transparent and not behavior.should_serve_fetch(sender):
-            # Behavior policy: starve this peer's synchronizer.
-            return
-        found = self._unheld_history(request)
-        if not found:
-            return
-        self.fetch_vertices_served += len(found)
-        # The requester state-syncs only when our horizon is past its
-        # frontier (``_maybe_state_sync``), and its frontier only grows
-        # while the response is in flight, so the snapshot is built for
-        # the requests that can use it.
-        horizon = self.dag.lowest_round
-        requester_highest = max((round_number for round_number, _ in request.held), default=0)
-        response = FetchResponse(
-            responder=self.id,
-            vertices=tuple(found),
-            responder_gc_round=horizon,
-            snapshot=(
-                self._consensus_snapshot() if horizon > requester_highest + 1 else None
-            ),
-        )
-        self.network.send(self.id, sender, response)
-
-    def _unheld_history(self, request: FetchRequest) -> List[Vertex]:
-        """The causal history of ``request.missing`` the requester lacks.
-
-        A level-wise walk over the round slabs, one source bitmask per
-        level.  It stops at every vertex the requester's DAG holds —
-        causal completeness puts everything beneath it, down to the
-        requester's horizon, in that DAG too — and at the horizon
-        itself, so it costs the vertices shipped plus their edges, not
-        the size of the history.  Each requested vertex contributes, in
-        ascending (round, source) order, what the ones before it did
-        not; vertices this validator lacks block the walk.
-        """
-        round_map = self.dag.round_map
-        sources_of = self.committee.stake_vector.validators_of_mask
-        size = self.committee.size
-        in_committee = (1 << size) - 1
-        horizon = request.horizon
-        # Per round: sources the requester holds or an earlier root shipped.
-        covered: Dict[Round, int] = dict(request.held)
-        found: List[Vertex] = []
-        for root in request.missing:
-            if not 0 <= root.source < size:
-                continue
-            round_number = root.round
-            wanted = 1 << root.source
-            levels: List[List[Vertex]] = []
-            while round_number >= horizon:
-                already = covered.get(round_number, 0)
-                wanted &= ~already
-                slots = round_map(round_number)
-                if not wanted or not slots:
-                    break
-                covered[round_number] = already | wanted
-                level: List[Vertex] = []
-                parents = 0
-                for source in sources_of(wanted):
-                    vertex = slots[source]
-                    if vertex is not None:
-                        level.append(vertex)
-                        parents |= vertex.edge_mask
-                levels.append(level)
-                wanted = parents & in_committee
-                round_number -= 1
-            for level in reversed(levels):
-                found.extend(level)
-        return found
-
-    def _consensus_snapshot(self) -> ConsensusSnapshot:
+    def consensus_snapshot(self) -> ConsensusSnapshot:
         """Summarize committed state for a peer that may need state sync."""
         if isinstance(self.schedule_manager, HammerHeadScheduleManager):
             scores = self.schedule_manager.scores.as_dict()
@@ -680,33 +527,7 @@ class ValidatorNode:
 
     def _handle_fetch_response(self, sender: ValidatorId, response: FetchResponse) -> None:
         self._maybe_state_sync(sender, response)
-        dag = self.dag
-        horizon = dag.lowest_round
-        vertices = response.vertices
-        # What the responder was asked for: history our DAG lacks.  A
-        # vertex parked here counts as new, because parked parents are
-        # requested by id like absent ones; the trace tells them apart.
-        new = sum(1 for vertex in vertices if vertex.round >= horizon and vertex.id not in dag)
-        self.fetch_vertices_received += len(vertices)
-        self.fetch_vertices_new += new
-        if self._tracing:
-            parked = {vertex.id for vertex in dag.pending_vertices()}
-            self._tracer.emit(
-                "fetch_ingested",
-                node=self.id,
-                responder=response.responder,
-                received=len(vertices),
-                new=new,
-                parked=sum(1 for vertex in vertices if vertex.id in parked),
-            )
-        for vertex in sorted(vertices, key=lambda vertex: vertex.round):
-            # Ingesting can commit and raise the horizon mid-response;
-            # whatever falls below it (or was sent below it by a stale
-            # or hostile responder) is ordered history, not a straggler
-            # to re-insert.
-            if vertex.round >= dag.lowest_round:
-                self._ingest_vertex(vertex)
-        dag.reconsider_pending()
+        self.synchronizer.on_response(response)
         self._maybe_advance()
 
     def _maybe_state_sync(self, sender: ValidatorId, response: FetchResponse) -> None:
@@ -723,7 +544,7 @@ class ValidatorNode:
         """
         if response.responder_gc_round <= self.dag.highest_round() + 1:
             return
-        if not self._asked_peers >> sender & 1:
+        if not self.synchronizer.was_asked(sender):
             return
         snapshot = response.snapshot
         if snapshot is None:
@@ -742,7 +563,7 @@ class ValidatorNode:
         self.dag.garbage_collect(snapshot.gc_round)
         self.store.prune(self.dag.lowest_round)
         self.dag.reconsider_pending()
-        self._fetch_requested.clear()
+        self.synchronizer.forget_requests()
 
     # -- DAG insertion reaction ---------------------------------------------------------------
 

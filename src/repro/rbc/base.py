@@ -8,7 +8,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.committee import Committee
 from repro.network.transport import Network
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.rbc.messages import BroadcastMessage, ProposeMessage
+from repro.rbc.messages import ProposeMessage
 from repro.types import Round, SimTime, ValidatorId
 
 
@@ -114,9 +114,6 @@ class BroadcastProtocol:
         raise NotImplementedError
 
     # -- shared helpers ----------------------------------------------------------
-
-    def owns(self, message: Any) -> bool:
-        return isinstance(message, BroadcastMessage)
 
     def make_propose(self, payload: Any, round_number: Round) -> ProposeMessage:
         """Build a well-formed proposal for ``payload`` (protocol digest).

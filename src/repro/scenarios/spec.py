@@ -29,6 +29,7 @@ from repro.behavior.adversarial import (
     LazyLeaderPolicy,
     ReputationGamingPolicy,
     SilentFanoutPolicy,
+    VoteWithholdingPolicy,
 )
 from repro.behavior.coordination import (
     AdaptiveEquivocationPolicy,
@@ -42,7 +43,6 @@ from repro.crypto.hashing import digest_hex
 from repro.errors import ConfigurationError
 from repro.faults.base import FaultPlan, head_validators, tail_validators
 from repro.faults.behavior import BehaviorFault, validate_behavior_windows
-from repro.faults.byzantine import VoteWithholdingFault
 from repro.faults.crash import CrashFault, CrashRecoveryFault
 from repro.faults.partition import (
     NetworkDisturbanceFault,
@@ -70,6 +70,7 @@ COALITION_FAULT_KINDS = (
 # Behavior-policy fault kinds (compiled to BehaviorFault plans installing
 # the matching repro.behavior policy on a timeline).
 BEHAVIOR_FAULT_KINDS = (
+    "vote-withholding",
     "equivocate",
     "silent-fanout",
     "lazy-leader",
@@ -81,7 +82,6 @@ FAULT_KINDS = (
     "crash",
     "crash-recovery",
     "slow",
-    "vote-withholding",
 ) + BEHAVIOR_FAULT_KINDS
 # Workload shapes understood by the compiler.
 WORKLOAD_KINDS = ("constant", "burst", "ramp", "diurnal")
@@ -974,6 +974,8 @@ def _resolve_targets(fault: FaultSpec, committee: Committee) -> Tuple[int, ...]:
 
 def _behavior_factory(fault: FaultSpec, committee: Committee):
     """The picklable policy factory a behavior fault installs per validator."""
+    if fault.kind == "vote-withholding":
+        return VoteWithholdingPolicy
     if fault.kind == "equivocate":
         return partial(EquivocationPolicy, victims=_resolve_targets(fault, committee))
     if fault.kind == "silent-fanout":
@@ -1070,9 +1072,6 @@ def _compile_faults(
                         end=end,
                     )
                 )
-        elif fault.kind == "vote-withholding":
-            validators = fault.validators or _resolve_tail(committee, fault)
-            plans.append(VoteWithholdingFault(validators=tuple(validators), at_time=at))
         elif fault.kind in BEHAVIOR_FAULT_KINDS:
             validators = (
                 fault.coalition or fault.validators or _resolve_tail(committee, fault)

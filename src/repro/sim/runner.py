@@ -390,20 +390,18 @@ class SimulationRunner:
             "node.leader_timeouts": float(
                 sum(node.leader_timeouts_suffered for node in nodes)
             ),
-            "node.fetch_requests": float(sum(node.fetch_requests_sent for node in nodes)),
-            "fetch.vertices_served": float(sum(node.fetch_vertices_served for node in nodes)),
+            "node.fetch_requests": float(sum(node.synchronizer.requests_sent for node in nodes)),
+            "fetch.vertices_served": float(sum(node.synchronizer.vertices_served for node in nodes)),
             "fetch.vertices_received": float(
-                sum(node.fetch_vertices_received for node in nodes)
+                sum(node.synchronizer.vertices_received for node in nodes)
             ),
-            "fetch.vertices_new": float(sum(node.fetch_vertices_new for node in nodes)),
+            "fetch.vertices_new": float(sum(node.synchronizer.vertices_new for node in nodes)),
             "node.recoveries": float(sum(node.recoveries for node in nodes)),
             "node.recovery_replayed": float(sum(node.recovery_replayed for node in nodes)),
             "node.slot_mismatches_dropped": float(sum(node.slot_mismatches_dropped for node in nodes)),
             # Per-slot protocol state is keyed by round: the largest table of any validator.
             "rbc.delivered_rounds": float(max(len(node.broadcast_protocol._delivered) for node in nodes)),
-            "rbc.acked_rounds": float(
-                max(len(getattr(node.broadcast_protocol, "_acked", ())) for node in nodes)
-            ),
+            "rbc.acked_rounds": float(max(len(node.broadcast_protocol._acked) for node in nodes)),
             "consensus.ordered_rounds": float(max(len(node.consensus.ordered_sources) for node in nodes)),
             "memo.broadcast_digest.hits": float(BROADCAST_DIGEST_MEMO.hits),
             "memo.broadcast_digest.misses": float(BROADCAST_DIGEST_MEMO.misses),

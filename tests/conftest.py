@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import pytest
 
+from repro.behavior import HONEST
 from repro.committee import Committee, equal_stake
 from repro.consensus.bullshark import BullsharkConsensus
 from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
@@ -14,6 +16,7 @@ from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
 from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
+from repro.node.synchronizer import Synchronizer
 from repro.schedule.round_robin import initial_schedule
 from repro.types import Round, ValidatorId, VertexId
 from tests.reference_model import ReferenceModel
@@ -135,6 +138,25 @@ def drive_rounds(
 def vid(round_number: Round, source: ValidatorId) -> VertexId:
     """Shorthand vertex-id constructor for tests."""
     return VertexId(round=round_number, source=source)
+
+
+def bare_synchronizer(committee: Committee, dag: DagStore, owner: ValidatorId = 0) -> Synchronizer:
+    """A synchronizer over ``dag`` alone: no validator, consensus or GC around it.
+
+    Its node is a stand-in holding only what a synchronizer reads, and
+    its network a fresh simulated one; tests replace ``network.send`` to
+    capture what it sends.
+    """
+    network = Network(Simulator(seed=1), latency_model=UniformLatencyModel(base_delay=0.01, jitter=0.0))
+    node = SimpleNamespace(
+        id=owner,
+        committee=committee,
+        network=network,
+        dag=dag,
+        behavior=HONEST,
+        consensus_snapshot=lambda: None,
+    )
+    return Synchronizer(node, retry_interval=1.0)
 
 
 # -- reference-model comparison -------------------------------------------------------

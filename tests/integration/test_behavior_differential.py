@@ -13,9 +13,10 @@ Two families are pinned:
   jitter/loss window (the fault classes whose hot paths the refactor
   touched), and
 * every scenario of the PR 3 registry at smoke scale — including
-  ``targeted-leader-attack``, whose vote-withholding fault is now a shim
-  over :class:`~repro.behavior.adversarial.VoteWithholdingPolicy`, so
-  this additionally pins the policy port against the hook it replaced.
+  ``targeted-leader-attack``, whose vote-withholding fault installs
+  :class:`~repro.behavior.adversarial.VoteWithholdingPolicy` through a
+  behavior fault, so this additionally pins the policy port against the
+  hook it replaced.
 """
 
 import pytest

@@ -8,7 +8,8 @@ Utilization), reintegrates recovered ones, and keeps safety throughout.
 
 import pytest
 
-from repro.faults.byzantine import VoteWithholdingFault
+from repro.behavior import VoteWithholdingPolicy
+from repro.faults.behavior import BehaviorFault
 from repro.faults.crash import CrashRecoveryFault
 from repro.faults.slow import SlowValidatorFault
 from repro.sim.experiment import ExperimentConfig, run_experiment
@@ -208,7 +209,7 @@ class TestDegradedValidators:
 
 class TestByzantineVoteWithholding:
     def test_withholding_validator_loses_reputation_and_slots(self):
-        byzantine = VoteWithholdingFault(validators=(5, 6))
+        byzantine = BehaviorFault(validators=(5, 6), policy_factory=VoteWithholdingPolicy)
         runner, result = run_runner(
             fault_config(
                 duration=50.0, warmup=15.0, commits_per_schedule=8, extra_faults=(byzantine,)
@@ -231,7 +232,7 @@ class TestByzantineVoteWithholding:
         assert observer.schedule_manager.active_schedule.slots_of(6) == 0
 
     def test_withholding_does_not_break_safety_or_liveness(self):
-        byzantine = VoteWithholdingFault(validators=(5,))
+        byzantine = BehaviorFault(validators=(5,), policy_factory=VoteWithholdingPolicy)
         runner, result = run_runner(fault_config(extra_faults=(byzantine,)))
         assert result.report.commits > 10
         sequences = [node.consensus.ordered_ids() for node in runner.nodes.values()]

@@ -37,6 +37,7 @@ from repro.node.messages import FetchRequest, FetchResponse
 from repro.node.validator import ValidatorNode
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId
+from tests.conftest import bare_synchronizer
 
 REQUESTER = 0
 RESPONDER = 1
@@ -124,14 +125,22 @@ class Cluster:
         )
 
 
-def build_responder(world) -> Cluster:
-    cluster = Cluster(world["committee"], RESPONDER)
-    # A bare store: the responder only serves, nothing commits under it.
-    dag = cluster.node.dag = DagStore(world["committee"])
-    for vertex in world["vertices"]:
-        dag.add(vertex)
-    dag.garbage_collect(world["responder_horizon"])
-    return cluster
+class Responder:
+    """A bare synchronizer serving one DAG, with ``network.send`` recorded.
+
+    Nothing commits under the store: the responder only serves.
+    """
+
+    def __init__(self, world) -> None:
+        self.dag = DagStore(world["committee"])
+        for vertex in world["vertices"]:
+            self.dag.add(vertex)
+        self.dag.garbage_collect(world["responder_horizon"])
+        self.synchronizer = bare_synchronizer(world["committee"], self.dag, owner=RESPONDER)
+        self.sent: List[Tuple[int, object]] = []
+        self.synchronizer.network.send = lambda source, destination, message: self.sent.append(
+            (destination, message)
+        )
 
 
 def build_requester(world) -> Cluster:
@@ -143,7 +152,7 @@ def build_requester(world) -> Cluster:
     for vertex in world["parked"]:
         # Through the synchronizer, so the retry throttle is armed the
         # way it is when a real response comes back.
-        node._ingest_vertex(vertex)
+        node.synchronizer.on_vertex(vertex)
     del cluster.sent[:]
     return cluster
 
@@ -157,9 +166,9 @@ def request_of(node: ValidatorNode, missing: Sequence[VertexId]) -> FetchRequest
     )
 
 
-def serve(responder: Cluster, request: FetchRequest) -> Tuple[Vertex, ...]:
+def serve(responder: Responder, request: FetchRequest) -> Tuple[Vertex, ...]:
     del responder.sent[:]
-    responder.node._handle_fetch_request(request.requester, request)
+    responder.synchronizer.on_request(request.requester, request)
     if not responder.sent:
         return ()
     ((destination, response),) = responder.sent
@@ -203,24 +212,24 @@ class TestFrontierResponse:
     @given(fetch_worlds())
     @settings(max_examples=120, deadline=None)
     def test_response_is_the_history_the_requesters_dag_lacks(self, world):
-        responder = build_responder(world)
+        responder = Responder(world)
         requester = build_requester(world).node
         request = request_of(requester, world["missing"])
         shipped = serve(responder, request)
 
         expected = [
             vertex
-            for vertex in whole_history_response(responder.node.dag, request.missing)
+            for vertex in whole_history_response(responder.dag, request.missing)
             if vertex.round >= request.horizon and vertex.id not in requester.dag
         ]
         assert list(shipped) == expected
         assert all(vertex.round >= requester.dag.lowest_round for vertex in shipped)
-        assert responder.node.fetch_vertices_served == len(shipped)
+        assert responder.synchronizer.vertices_served == len(shipped)
 
     @given(fetch_worlds())
     @settings(max_examples=120, deadline=None)
     def test_ingest_matches_the_whole_history_flow(self, world):
-        responder = build_responder(world)
+        responder = Responder(world)
         frontier_side = build_requester(world)
         reference_side = build_requester(world)
         request = request_of(frontier_side.node, world["missing"])
@@ -228,7 +237,7 @@ class TestFrontierResponse:
 
         responses = {
             "frontier": serve(responder, request),
-            "reference": tuple(whole_history_response(responder.node.dag, request.missing)),
+            "reference": tuple(whole_history_response(responder.dag, request.missing)),
         }
         states = {}
         for name, cluster in (("frontier", frontier_side), ("reference", reference_side)):
@@ -238,7 +247,7 @@ class TestFrontierResponse:
                 FetchResponse(
                     responder=RESPONDER,
                     vertices=responses[name],
-                    responder_gc_round=responder.node.dag.lowest_round,
+                    responder_gc_round=responder.dag.lowest_round,
                 )
             )
             states[name] = {
@@ -248,11 +257,11 @@ class TestFrontierResponse:
                 "horizon": node.dag.lowest_round,
                 "ordered": node.consensus.ordered_ids(),
                 "follow_up": list(cluster.sent),
-                "new": node.fetch_vertices_new,
+                "new": node.synchronizer.vertices_new,
             }
         assert states["frontier"] == states["reference"]
         # Nothing the frontier flow ships is wasted on this requester.
-        assert frontier_side.node.fetch_vertices_received == states["frontier"]["new"]
+        assert frontier_side.node.synchronizer.vertices_received == states["frontier"]["new"]
         assert all(
             vertex.round >= frontier_side.node.dag.lowest_round
             for vertex in frontier_side.node.dag

@@ -252,12 +252,12 @@ class TestSilentFanout:
         start_all(nodes)
         simulator.run(until=1.0)
         sent_before = network.stats.messages_sent
-        nodes[adversary]._handle_fetch_request(
+        nodes[adversary].synchronizer.on_request(
             target, FetchRequest(requester=target, missing=(VertexId(round=1, source=0),))
         )
         assert network.stats.messages_sent == sent_before
         # An honest requester is still served.
-        nodes[adversary]._handle_fetch_request(
+        nodes[adversary].synchronizer.on_request(
             2, FetchRequest(requester=2, missing=(VertexId(round=1, source=0),))
         )
         assert network.stats.messages_sent == sent_before + 1

@@ -5,7 +5,8 @@ import pytest
 from repro.committee import Committee
 from repro.errors import ConfigurationError
 from repro.faults.base import FaultInjector
-from repro.faults.byzantine import VoteWithholdingFault
+from repro.behavior import VoteWithholdingPolicy
+from repro.faults.behavior import BehaviorFault
 from repro.faults.crash import CrashFault, CrashRecoveryFault, crash_last_f
 from repro.faults.slow import SlowValidatorFault, degrade_fraction
 from repro.node.config import NodeConfig
@@ -48,7 +49,7 @@ class TestCrashFaultPlans:
         assert "crash" in CrashFault(validators=(1, 2), at_time=3.0).describe()
         assert "recover" in CrashRecoveryFault(validators=(1,), crash_at=1.0, recover_at=2.0).describe()
         assert "slow" in SlowValidatorFault(validators=(1,), extra_delay=0.2).describe()
-        assert "withholding" in VoteWithholdingFault(validators=(2,)).describe()
+        assert "withholding" in BehaviorFault(validators=(2,), policy_factory=VoteWithholdingPolicy).describe()
 
 
 class TestSlowFaultPlans:

@@ -1,6 +1,7 @@
 """Unit tests for the validator node over a small simulated network."""
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.errors import ConfigurationError
 from repro.workload.generator import ClientArrivals, LoadGenerator
 from repro.workload.phases import diurnal_phases, spawn_phased_load
 from repro.workload.transactions import counter_increment
-from tests.conftest import build_round, vid
+from tests.conftest import bare_synchronizer, build_round, vid
 
 
 def build_cluster(size=4, seed=1, config=None, dynamic=False, commits_per_schedule=4):
@@ -163,6 +164,16 @@ class TestNodeLifecycle:
         committee, simulator, network, nodes = build_cluster()
         nodes[0].start()
         assert "validator 0" in nodes[0].describe()
+
+    def test_a_message_no_handler_knows_is_dropped(self):
+        committee, simulator, network, nodes = build_cluster()
+        for node in nodes.values():
+            node.start()
+        simulator.run(until=1.0)
+        node = nodes[0]
+        before = (node.current_round, dag_ids(node), network.stats.messages_sent)
+        node._on_network_message(1, "opaque")
+        assert (node.current_round, dag_ids(node), network.stats.messages_sent) == before
 
 
 class TestLeaderTimeouts:
@@ -350,69 +361,68 @@ class TestUnheldHistory:
 
     @staticmethod
     def _responder(rounds=6, gc_before=0):
-        committee, simulator, network, nodes = build_cluster()
-        node = nodes[0]
+        committee = Committee.build(4)
         # A bare store: no consensus or GC running underneath the walk.
-        dag = node.dag = DagStore(committee)
+        dag = DagStore(committee)
         for vertex in genesis_vertices(committee):
             dag.add(vertex)
         for round_number in range(1, rounds + 1):
             build_round(dag, committee, round_number)
         if gc_before:
             dag.garbage_collect(gc_before)
-        return node, dag
+        return bare_synchronizer(committee, dag), dag
 
     @staticmethod
-    def _walk(node, roots, horizon=0, held=()):
-        return node._unheld_history(FetchRequest(9, tuple(roots), horizon=horizon, held=held))
+    def _walk(synchronizer, roots, horizon=0, held=()):
+        return synchronizer.unheld_history(FetchRequest(9, tuple(roots), horizon=horizon, held=held))
 
     def test_requester_holding_nothing_gets_the_whole_history(self):
-        node, dag = self._responder()
-        assert self._walk(node, [vid(6, 1)]) == dag.causal_history(vid(6, 1))
+        synchronizer, dag = self._responder()
+        assert self._walk(synchronizer, [vid(6, 1)]) == dag.causal_history(vid(6, 1))
 
     def test_one_missing_vertex_gets_one_vertex(self):
-        node, dag = self._responder()
+        synchronizer, dag = self._responder()
         held = tuple(
             (round_number, mask & ~0b0010 if round_number == 6 else mask)
             for round_number, mask in dag.held_sources()
         )
-        assert self._walk(node, [vid(6, 1)], held=held) == [dag.get(vid(6, 1))]
+        assert self._walk(synchronizer, [vid(6, 1)], held=held) == [dag.get(vid(6, 1))]
 
     def test_walk_stops_at_held_vertices_and_at_the_horizon(self):
-        node, dag = self._responder()
+        synchronizer, dag = self._responder()
         # The requester holds rounds up to 3 in full, plus validator 0's
         # round-4 vertex; its horizon is round 2.
         held = ((2, 0b1111), (3, 0b1111), (4, 0b0001))
-        shipped = self._walk(node, [vid(6, 2)], horizon=2, held=held)
+        shipped = self._walk(synchronizer, [vid(6, 2)], horizon=2, held=held)
         assert [vertex.id for vertex in shipped] == [
             vid(4, 1), vid(4, 2), vid(4, 3),
             vid(5, 0), vid(5, 1), vid(5, 2), vid(5, 3),
             vid(6, 2),
         ]
         # A requester that holds nothing still gets nothing below its horizon.
-        shipped = self._walk(node, [vid(6, 2)], horizon=5)
+        shipped = self._walk(synchronizer, [vid(6, 2)], horizon=5)
         assert {vertex.round for vertex in shipped} == {5, 6}
-        assert self._walk(node, [vid(4, 0)], horizon=5) == []
+        assert self._walk(synchronizer, [vid(4, 0)], horizon=5) == []
 
     def test_each_root_adds_what_the_roots_before_it_did_not(self):
-        node, dag = self._responder(rounds=3)
+        synchronizer, dag = self._responder(rounds=3)
         held = ((0, 0b1111), (1, 0b1111))
-        shipped = self._walk(node, [vid(3, 2), vid(3, 0), vid(3, 2)], held=held)
+        shipped = self._walk(synchronizer, [vid(3, 2), vid(3, 0), vid(3, 2)], held=held)
         assert [vertex.id for vertex in shipped] == [
             vid(2, 0), vid(2, 1), vid(2, 2), vid(2, 3), vid(3, 2), vid(3, 0),
         ]
 
     def test_unknown_and_out_of_committee_roots_are_skipped(self):
-        node, dag = self._responder(rounds=2)
-        assert self._walk(node, [vid(9, 0), vid(2, 4), vid(2, -1), vid(-3, 0)]) == []
+        synchronizer, dag = self._responder(rounds=2)
+        assert self._walk(synchronizer, [vid(9, 0), vid(2, 4), vid(2, -1), vid(-3, 0)]) == []
 
     def test_vertices_the_responder_lacks_block_the_walk(self):
-        node, dag = self._responder(rounds=4, gc_before=3)
-        assert [vertex.round for vertex in self._walk(node, [vid(4, 0)])] == [3, 3, 3, 3, 4]
+        synchronizer, dag = self._responder(rounds=4, gc_before=3)
+        assert [vertex.round for vertex in self._walk(synchronizer, [vid(4, 0)])] == [3, 3, 3, 3, 4]
 
     def test_requested_vertex_the_requester_holds_is_not_served(self):
-        node, dag = self._responder(rounds=2)
-        assert self._walk(node, [vid(2, 1)], held=dag.held_sources()) == []
+        synchronizer, dag = self._responder(rounds=2)
+        assert self._walk(synchronizer, [vid(2, 1)], held=dag.held_sources()) == []
 
 
 def run_cluster(until=3.0, gc_depth=50, on_insert=None):
@@ -455,7 +465,7 @@ class TestSynchronizer:
         assert len(responses) == 1
         assert list(responses[0].vertices) == expected
         assert len(expected) > 1
-        assert nodes[0].fetch_vertices_served == len(expected)
+        assert nodes[0].synchronizer.vertices_served == len(expected)
 
     def test_requester_missing_one_vertex_gets_one_vertex(self):
         committee, simulator, network, nodes = run_cluster()
@@ -505,8 +515,8 @@ class TestSynchronizer:
         )
         assert inserted == []
         assert node.dag.gc_reclaimed_total == reclaimed_before
-        assert node.fetch_vertices_received == len(pruned)
-        assert node.fetch_vertices_new == 0
+        assert node.synchronizer.vertices_received == len(pruned)
+        assert node.synchronizer.vertices_new == 0
 
     def test_snapshot_is_attached_only_when_the_requester_can_use_it(self):
         committee, simulator, network, nodes = run_cluster(until=4.0, gc_depth=4)
@@ -548,7 +558,7 @@ class TestSynchronizer:
         simulator.run(until=4.0)
         lagging.crashed = False  # handle directly; the network still drops its traffic
         donor = nodes[0]
-        snapshot = donor._consensus_snapshot()
+        snapshot = donor.consensus_snapshot()
         assert len(snapshot.schedules) > len(lagging.schedule_manager.history)
         response = FetchResponse(
             responder=0, vertices=(), responder_gc_round=donor.dag.lowest_round, snapshot=snapshot
@@ -559,7 +569,7 @@ class TestSynchronizer:
     @staticmethod
     def _ask(node, peer):
         """Send ``peer`` a fetch request for a vertex no other request names."""
-        node._request_missing({vid(node.dag.highest_round() + 1, peer)}, preferred_peer=peer)
+        node.synchronizer.request({vid(node.dag.highest_round() + 1, peer)}, preferred_peer=peer)
 
     @staticmethod
     def _synced_state(node):
@@ -609,7 +619,7 @@ class TestSynchronizer:
         before = self._synced_state(lagging)
         lagging._handle_fetch_response(0, dataclasses.replace(response, vertices=vertices))
         assert self._synced_state(lagging) == before
-        assert lagging.fetch_vertices_received == lagging.fetch_vertices_new == len(vertices)
+        assert lagging.synchronizer.vertices_received == lagging.synchronizer.vertices_new == len(vertices)
         # Their parents were pruned by the responder: parked, not lost.
         parked = {vertex.id for vertex in lagging.dag.pending_vertices()}
         assert {vertex.id for vertex in vertices} <= parked
@@ -627,8 +637,8 @@ class TestSynchronizer:
         node._handle_fetch_response(
             0, FetchResponse(responder=0, vertices=tuple(history), responder_gc_round=0)
         )
-        assert node.fetch_vertices_received == len(history)
-        assert node.fetch_vertices_new == len(fresh)
+        assert node.synchronizer.vertices_received == len(history)
+        assert node.synchronizer.vertices_new == len(fresh)
         assert tip.id in node.dag
 
     def test_unknown_vertices_yield_no_response(self):
@@ -672,7 +682,7 @@ class TestFetchRequester:
     def test_a_parked_vertex_asks_its_source_for_the_missing_parents(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         vertex = history[2][2]
-        node._ingest_vertex(vertex)
+        node.synchronizer.on_vertex(vertex)
         assert [parked.id for parked in node.dag.pending_vertices()] == [vertex.id]
         ((target, request),) = self._requests(sent)
         assert target == vertex.source
@@ -680,20 +690,20 @@ class TestFetchRequester:
         assert set(request.missing) == {parent.id for parent in history[1]}
         assert request.horizon == node.dag.lowest_round
         assert request.held == node.dag.held_sources()
-        assert node.fetch_requests_sent == 1
+        assert node.synchronizer.requests_sent == 1
 
     def test_an_id_asked_within_the_retry_interval_is_not_asked_again(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         for vertex in history[2]:
-            node._ingest_vertex(vertex)
+            node.synchronizer.on_vertex(vertex)
         # Every round-2 vertex waits on the same four parents: one request.
         assert len(node.dag.pending_vertices()) == 4
         assert len(self._requests(sent)) == 1
-        assert node.fetch_requests_sent == 1
+        assert node.synchronizer.requests_sent == 1
 
     def test_a_request_preferring_itself_goes_to_another_peer(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node._request_missing({vid(1, 3)}, preferred_peer=0)
+        node.synchronizer.request({vid(1, 3)}, preferred_peer=0)
         ((target, request),) = self._requests(sent)
         assert target != 0
         assert request.missing == (vid(1, 3),)
@@ -701,26 +711,26 @@ class TestFetchRequester:
     @pytest.mark.parametrize("preferred", [2, 0], ids=["another-peer", "itself"])
     def test_a_request_records_the_peer_it_went_to(self, monkeypatch, preferred):
         simulator, node, history, sent = self._requester(monkeypatch)
-        assert node._asked_peers == 0
-        node._request_missing({vid(1, 3)}, preferred_peer=preferred)
+        assert node.synchronizer.asked_peers == 0
+        node.synchronizer.request({vid(1, 3)}, preferred_peer=preferred)
         ((target, _request),) = self._requests(sent)
-        assert target != node.id and node._asked_peers == 1 << target
+        assert target != node.id and node.synchronizer.asked_peers == 1 << target
 
     def test_a_request_with_nothing_left_to_ask_records_no_peer(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node._request_missing({vid(1, 3)}, preferred_peer=2)
+        node.synchronizer.request({vid(1, 3)}, preferred_peer=2)
         # Asked within the retry interval: nothing is sent, nobody is asked.
-        node._request_missing({vid(1, 3)}, preferred_peer=1)
+        node.synchronizer.request({vid(1, 3)}, preferred_peer=1)
         assert [target for target, _ in self._requests(sent)] == [2]
-        assert node._asked_peers == 1 << 2
+        assert node.synchronizer.asked_peers == 1 << 2
 
     def test_the_retry_records_its_random_peer(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node._ingest_vertex(history[2][2])
+        node.synchronizer.on_vertex(history[2][2])
         simulator.run(until=node.config.fetch_retry_interval * 1.5)
         targets = [target for target, _ in self._requests(sent)]
         assert len(targets) == 2
-        assert node._asked_peers == (1 << targets[0]) | (1 << targets[1])
+        assert node.synchronizer.asked_peers == (1 << targets[0]) | (1 << targets[1])
 
     def test_a_lockstep_repair_records_the_peer_it_asks(self):
         from repro.netexec.lockstep import LockstepSimulationRunner
@@ -735,58 +745,98 @@ class TestFetchRequester:
         node = runner.nodes[1]
         node.start()
         # No vertex of its round arrives: the repair asks a random peer.
-        node._schedule_lockstep_repair(node.current_round)
+        node.synchronizer.on_stall(functools.partial(node._stalled_on, node.current_round))
         runner.simulator.run(until=node.config.fetch_retry_interval * 1.5)
         ((target, request),) = self._requests([(1, target, message) for target, message in sent])
         assert set(request.missing) == {vid(node.current_round, source) for source in range(7)}
-        assert node._asked_peers == 1 << target
+        assert node.synchronizer.asked_peers == 1 << target
+
+    @staticmethod
+    def _stalled():
+        """A bare synchronizer over an empty DAG, every message it sends captured."""
+        committee = Committee.build(4)
+        synchronizer = bare_synchronizer(committee, DagStore(committee))
+        sent = []
+        synchronizer.network.send = lambda sender, target, message: sent.append((target, message))
+        return synchronizer, sent
+
+    def test_a_stall_asks_a_random_peer_for_what_is_still_wanted(self):
+        synchronizer, sent = self._stalled()
+        wanted = [vid(3, 1), vid(3, 2)]
+        synchronizer.on_stall(lambda: list(wanted))
+        # A second stall while the timer is armed does not replace it.
+        synchronizer.on_stall(lambda: [vid(3, 3)])
+        wanted.remove(vid(3, 1))  # arrives within the interval
+        synchronizer.simulator.run(until=synchronizer.retry_interval * 1.5)
+        ((target, request),) = sent
+        assert target != 0 and request.missing == (vid(3, 2),)
+        assert synchronizer.asked_peers == 1 << target
+
+    def test_a_stall_that_fills_in_time_asks_nothing(self):
+        synchronizer, sent = self._stalled()
+        synchronizer.on_stall(lambda: [])
+        synchronizer.simulator.run(until=synchronizer.retry_interval * 3)
+        assert sent == [] and synchronizer.asked_peers == 0
+        assert synchronizer._timer is None
+
+    def test_a_resolved_stall_keeps_the_retry_throttle(self):
+        synchronizer, sent = self._stalled()
+        interval = synchronizer.retry_interval
+        synchronizer.on_stall(lambda: [])
+        simulator = synchronizer.simulator
+        simulator.schedule(interval / 2, lambda: synchronizer.request({vid(3, 1)}, preferred_peer=1))
+        simulator.run(until=interval * 1.2)
+        # The stall timer fired with nothing wanted; the id asked for
+        # within the interval is still not asked for again.
+        synchronizer.request({vid(3, 1)}, preferred_peer=2)
+        assert [target for target, _ in sent] == [1]
 
     def test_the_retry_asks_a_random_peer_for_what_is_still_missing(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node._ingest_vertex(history[2][2])
+        node.synchronizer.on_vertex(history[2][2])
         # One parent arrives on its own; the retry asks only for the rest.
-        node._ingest_vertex(history[1][1])
+        node.synchronizer.on_vertex(history[1][1])
         simulator.run(until=node.config.fetch_retry_interval * 1.5)
         first, retry = self._requests(sent)
         assert retry[0] != 0
         assert set(retry[1].missing) == {vid(1, 0), vid(1, 2), vid(1, 3)}
-        assert node.fetch_requests_sent == 2
+        assert node.synchronizer.requests_sent == 2
 
     def test_the_retry_stops_once_nothing_is_missing(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node._ingest_vertex(history[2][2])
+        node.synchronizer.on_vertex(history[2][2])
         for parent in history[1]:
-            node._ingest_vertex(parent)
+            node.synchronizer.on_vertex(parent)
         assert node.dag.pending_vertices() == ()
         simulator.run(until=node.config.fetch_retry_interval * 3)
         assert len(self._requests(sent)) == 1
-        assert node._fetch_requested == {}
-        assert node._fetch_timer is None
+        assert node.synchronizer.requested == {}
+        assert node.synchronizer._timer is None
 
     def test_a_crashed_requester_does_not_retry(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node._ingest_vertex(history[2][2])
+        node.synchronizer.on_vertex(history[2][2])
         node.crash()
         simulator.run(until=node.config.fetch_retry_interval * 3)
         assert len(self._requests(sent)) == 1
-        assert node.fetch_requests_sent == 1
+        assert node.synchronizer.requests_sent == 1
 
     def test_a_fetch_response_promotes_the_parked_vertex(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         vertex = history[2][2]
-        node._ingest_vertex(vertex)
+        node.synchronizer.on_vertex(vertex)
         node._handle_fetch_response(
             2, FetchResponse(responder=2, vertices=tuple(reversed(history[1])), responder_gc_round=0)
         )
         assert vertex.id in node.dag
         assert all(parent.id in node.dag for parent in history[1])
         assert node.dag.pending_vertices() == ()
-        assert node.fetch_vertices_received == node.fetch_vertices_new == 4
+        assert node.synchronizer.vertices_received == node.synchronizer.vertices_new == 4
 
     def test_a_late_copy_of_a_fetched_vertex_is_neither_reinserted_nor_fetched(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         vertex = history[2][2]
-        node._ingest_vertex(vertex)
+        node.synchronizer.on_vertex(vertex)
         node._handle_fetch_response(
             2, FetchResponse(responder=2, vertices=tuple(history[1]), responder_gc_round=0)
         )
@@ -794,7 +844,7 @@ class TestFetchRequester:
         node.dag.on_insert(inserted.append)
         # The certificates lost earlier arrive after all.
         for late in (*history[1], vertex):
-            node._ingest_vertex(late)
+            node.synchronizer.on_vertex(late)
         assert inserted == []
         assert len(self._requests(sent)) == 1
 

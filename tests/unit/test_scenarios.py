@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.byzantine import VoteWithholdingFault
+from repro.behavior import VoteWithholdingPolicy
+from repro.faults.behavior import BehaviorFault
 from repro.faults.crash import CrashFault, CrashRecoveryFault
 from repro.faults.partition import NetworkDisturbanceFault, PartitionPlan
 from repro.faults.slow import SlowValidatorFault
@@ -216,12 +217,40 @@ class TestCompile:
         kinds = [type(plan) for plan in plans]
         assert CrashRecoveryFault in kinds
         assert SlowValidatorFault in kinds
-        assert VoteWithholdingFault in kinds
+        (withholding,) = [plan for plan in plans if isinstance(plan, BehaviorFault)]
+        assert withholding.policy_factory is VoteWithholdingPolicy
+        assert tuple(withholding.validators) == (4,)
         assert PartitionPlan in kinds
         assert NetworkDisturbanceFault in kinds
         # The count-selected crash went through the builtin path.
         assert CrashFault not in kinds
         assert points[0].config.faults == 1
+
+    def test_vote_withholding_is_a_behavior_window(self):
+        withholding = FaultSpec(kind="vote-withholding", validators=(2,), at=1.0, end=5.0)
+        spec = ScenarioSpec(name="window", committee_sizes=(4,), loads=(100.0,), faults=(withholding,))
+        (point,) = compile_spec(spec)
+        (plan,) = point.config.extra_faults
+        assert (plan.policy_factory, tuple(plan.validators), plan.start, plan.end) == (
+            VoteWithholdingPolicy, (2,), 1.0, 5.0
+        )
+        # It shares the behavior kinds' window rule: no overlap on a validator.
+        lazy = FaultSpec(kind="lazy-leader", validators=(2,), at=3.0)
+        with pytest.raises(ConfigurationError, match="overlap"):
+            dataclasses.replace(spec, faults=(withholding, lazy)).validate()
+
+    def test_vote_withholders_receive_client_load(self):
+        """Withholders are live validators: clients submit to them as to
+        any other (the time-stamped plan this kind compiled to before
+        was mistaken for a crash at t=0 and starved them of load)."""
+        from repro.sim.runner import SimulationRunner
+
+        (point, *_) = compile_spec(get_scenario("targeted-leader-attack").smoke())
+        runner = SimulationRunner(point.config)
+        runner.run()
+        (withholders,) = [plan.validators for plan in runner.fault_injector.plans]
+        assert withholders
+        assert all(runner.nodes[validator].transactions_submitted > 0 for validator in withholders)
 
     def test_point_order_is_committee_protocol_load(self):
         spec = ScenarioSpec(
