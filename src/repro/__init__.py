@@ -44,7 +44,6 @@ from repro.core import (
     HammerHeadScheduleManager,
     HammerHeadScoring,
     ReputationScores,
-    RoundBasedPolicy,
     ShoalScoring,
     StaticScheduleManager,
     compute_next_schedule,
@@ -102,7 +101,6 @@ __all__ = [
     "ShoalScoring",
     "CarouselScoring",
     "CommitCountPolicy",
-    "RoundBasedPolicy",
     "compute_next_schedule",
     "HammerHeadScheduleManager",
     "StaticScheduleManager",

@@ -1,7 +1,7 @@
 """Shared exit contract for every ``python -m repro.*`` entry point.
 
-All three CLIs (``repro.scenarios``, ``repro.analysis``, ``repro.obs``)
-promise the same thing to callers and CI:
+Both CLIs (``repro.scenarios``, ``repro.obs``) promise the same thing
+to callers and CI:
 
 - exit 0 on success,
 - exit 1 when the command itself reports findings/mismatches,
@@ -13,8 +13,7 @@ promise the same thing to callers and CI:
 
 The clause order below is load-bearing: ``BrokenPipeError`` subclasses
 ``OSError``, so it must be caught first or a closed pipe would exit 2.
-This helper replaced three hand-rolled copies that had started to
-drift.
+This helper replaced hand-rolled copies that had started to drift.
 """
 
 from __future__ import annotations

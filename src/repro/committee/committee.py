@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.committee.stake import StakeDistribution, StakeVector, equal_stake
 from repro.crypto.hashing import evict_oldest_half
-from repro.crypto.keys import KeyPair, PublicKey, keypairs_for_committee
+from repro.crypto.keys import PublicKey, keypairs_for_committee
 from repro.errors import CommitteeError
 from repro.types import Region, Stake, ValidatorId, quorum_threshold, validity_threshold
 
@@ -118,11 +118,6 @@ class Committee:
                 )
             )
         return cls(members)
-
-    @staticmethod
-    def keypairs(size: int, seed: int = 0) -> Dict[ValidatorId, KeyPair]:
-        """Return the signing key pairs matching :meth:`build` with ``seed``."""
-        return keypairs_for_committee(size, seed=seed)
 
     # -- membership --------------------------------------------------------
 

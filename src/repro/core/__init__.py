@@ -6,8 +6,8 @@ This package holds the paper's primary contribution:
   schedule epoch (Section 3).
 * Scoring rules — the HammerHead voting rule plus the Shoal-style and
   Carousel-style alternatives used in the ablation benchmarks.
-* Schedule-change policies — when to recompute the schedule (every ``N``
-  commits as in the evaluation, or every ``T`` rounds as in Algorithm 2).
+* :class:`CommitCountPolicy` — recompute the schedule every ``N``
+  commits, the evaluation's trigger.
 * :func:`compute_next_schedule` — the bottom-``f`` / top-``f`` slot swap.
 * :class:`HammerHeadScheduleManager` — the per-validator component that
   tracks the active schedule, applies schedule changes on committed
@@ -30,8 +30,6 @@ from repro.core.scoring import (
 )
 from repro.core.schedule_change import (
     CommitCountPolicy,
-    RoundBasedPolicy,
-    ScheduleChangePolicy,
     compute_next_schedule,
     select_swap_sets,
     swap_summary,
@@ -53,9 +51,7 @@ __all__ = [
     "register_scoring_rule",
     "scoring_rule_names",
     "make_scoring_rule",
-    "ScheduleChangePolicy",
     "CommitCountPolicy",
-    "RoundBasedPolicy",
     "compute_next_schedule",
     "select_swap_sets",
     "swap_summary",

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 from repro.committee import Committee
 from repro.core.schedule_change import (
     CommitCountPolicy,
-    ScheduleChangePolicy,
     compute_next_schedule,
     swap_details,
     swap_summary,
@@ -193,7 +192,7 @@ class HammerHeadScheduleManager(ScheduleManager):
         self,
         committee: Committee,
         initial: LeaderSchedule,
-        policy: Optional[ScheduleChangePolicy] = None,
+        policy: Optional[CommitCountPolicy] = None,
         scoring: Optional[ScoringRule] = None,
         exclude_fraction: float = 1.0 / 3.0,
     ) -> None:

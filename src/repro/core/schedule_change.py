@@ -2,12 +2,12 @@
 
 Two pieces live here:
 
-* Schedule-change *policies* decide when an epoch ends.  The paper's
-  pseudocode triggers after ``T`` rounds of the active schedule
-  (Algorithm 2, line 30); the evaluation recomputes the schedule every 10
-  committed leaders and the Sui mainnet every 300.  Both are deterministic
-  functions of the committed anchor sequence, so either choice preserves
-  Schedule Agreement.
+* :class:`CommitCountPolicy` decides when an epoch ends.  Only the
+  evaluation's trigger is implemented: recompute the schedule every 10
+  committed leaders (the Sui mainnet uses 300).  The paper's pseudocode
+  instead triggers after ``T`` rounds of the active schedule (Algorithm
+  2, line 30); both are deterministic functions of the committed anchor
+  sequence, so either preserves Schedule Agreement.
 * :func:`compute_next_schedule` builds schedule ``S'`` from ``S``: the
   lowest-reputation validators (set ``B``, at most ``f`` by stake) lose
   their slots to the highest-reputation validators (set ``G``), applied
@@ -26,23 +26,8 @@ from repro.schedule.base import LeaderSchedule
 from repro.types import Round, ValidatorId
 
 
-class ScheduleChangePolicy:
-    """Decides whether the epoch ends at a given committed anchor."""
-
-    def should_change(
-        self,
-        commits_in_epoch: int,
-        anchor_round: Round,
-        schedule: LeaderSchedule,
-    ) -> bool:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
 @dataclasses.dataclass(frozen=True)
-class CommitCountPolicy(ScheduleChangePolicy):
+class CommitCountPolicy:
     """Recompute the schedule every ``commits`` committed leaders.
 
     The paper's evaluation uses 10; the Sui mainnet uses the more
@@ -65,29 +50,6 @@ class CommitCountPolicy(ScheduleChangePolicy):
 
     def describe(self) -> str:
         return f"every {self.commits} commits"
-
-
-@dataclasses.dataclass(frozen=True)
-class RoundBasedPolicy(ScheduleChangePolicy):
-    """Recompute the schedule once the committed anchor round passes
-    ``schedule.initial_round + rounds`` (Algorithm 2, line 30)."""
-
-    rounds: int = 20
-
-    def __post_init__(self) -> None:
-        if self.rounds <= 0:
-            raise ScheduleError("the round horizon must be positive")
-
-    def should_change(
-        self,
-        commits_in_epoch: int,
-        anchor_round: Round,
-        schedule: LeaderSchedule,
-    ) -> bool:
-        return anchor_round >= schedule.initial_round + self.rounds
-
-    def describe(self) -> str:
-        return f"every {self.rounds} rounds"
 
 
 def select_swap_sets(

@@ -398,7 +398,7 @@ def register_scoring_rule(
 
 def scoring_rule_names() -> Tuple[str, ...]:
     """Registered rule names, in registration order."""
-    # det: ordered -- registration order is the documented public order.
+    # Registration order is the documented public order.
     return tuple(SCORING_RULE_REGISTRY)
 
 

@@ -1,26 +1,16 @@
-"""Simulated cryptography substrate.
+"""Simulated cryptography substrate: digests and validator keys.
 
 The production HammerHead implementation relies on ``fastcrypto`` for
 elliptic-curve signatures.  Signatures are not on the evaluated path of
 the paper (the evaluation measures consensus latency and throughput), so
-this reproduction substitutes a deterministic, dependency-free scheme:
-keys are derived from validator indices, signatures are keyed SHA-256
-digests, and aggregation is modeled as a multiset of individual
-signatures.  The scheme is unforgeable *within the simulation* because the
-signing key never leaves the owning validator object, which is all the
-protocol logic requires.
+this reproduction models none: a certificate is the set of its signers,
+and the only cryptography that runs is SHA-256 digests (vertex and
+ordering digests) and the per-validator public keys
+:meth:`~repro.committee.Committee.build` derives from validator indices.
 """
 
 from repro.crypto.hashing import Digest, digest_of, digest_hex
 from repro.crypto.keys import KeyPair, PublicKey, generate_keypair, keypairs_for_committee
-from repro.crypto.signatures import (
-    AggregateSignature,
-    Signature,
-    aggregate,
-    sign,
-    verify,
-    verify_aggregate,
-)
 
 __all__ = [
     "Digest",
@@ -30,10 +20,4 @@ __all__ = [
     "PublicKey",
     "generate_keypair",
     "keypairs_for_committee",
-    "Signature",
-    "AggregateSignature",
-    "sign",
-    "verify",
-    "aggregate",
-    "verify_aggregate",
 ]

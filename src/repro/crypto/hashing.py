@@ -95,7 +95,7 @@ def evict_oldest_half(entries: dict, limit: int) -> None:
     only the rare eviction path shares code.
     """
     if len(entries) >= limit:
-        # det: ordered -- insertion order IS the eviction policy ("oldest
+        # Insertion order IS the eviction policy ("oldest
         # half"), and dicts preserve it by language guarantee.
         for stale in list(entries)[: limit // 2]:
             del entries[stale]

@@ -28,12 +28,7 @@ class PublicKey:
 
 @dataclasses.dataclass(frozen=True)
 class KeyPair:
-    """A validator's signing key pair.
-
-    The ``secret`` field must never be shared between validator objects;
-    the signature scheme's unforgeability within the simulation rests on
-    that discipline.
-    """
+    """A validator's key pair; only its public half reaches the committee."""
 
     public: PublicKey
     secret: bytes

@@ -339,7 +339,7 @@ class DagStore:
         return slots[source]
 
     def vertices_at(self, round_number: Round) -> Tuple[Vertex, ...]:
-        # det: ordered -- arrival order under the single-threaded simulator;
+        # Arrival order under the single-threaded simulator;
         # the per-round arrival list makes it deterministic, and the
         # differential suite pins the digests that depend on it.
         return tuple(self._round_order.get(round_number, ()))
@@ -373,7 +373,7 @@ class DagStore:
         return len(self._by_id)
 
     def __iter__(self) -> Iterator[Vertex]:
-        # det: ordered -- arrival order (insertion-ordered dict); consumers
+        # Arrival order (insertion-ordered dict); consumers
         # are introspection and tests, never the digest fold.
         return iter(list(self._by_id.values()))
 
@@ -390,7 +390,7 @@ class DagStore:
 
     def pending_vertices(self) -> Tuple[Vertex, ...]:
         """Vertices parked while waiting for missing parents."""
-        # det: ordered -- arrival order (insertion-ordered dict), exposed
+        # Arrival order (insertion-ordered dict), exposed
         # for introspection and fetch bookkeeping only.
         return tuple(self._pending.values())
 
@@ -474,7 +474,7 @@ class DagStore:
             region.setdefault(vertex.round, []).append(vertex)
             if vertex.round == target_round + 1:
                 continue
-            # det: ordered -- BFS order only decides memo fill order; the
+            # BFS order only decides memo fill order; the
             # per-vertex results are sets, and phase 2 re-sorts by round.
             for edge in vertex.edges:
                 if edge in seen:
@@ -667,7 +667,7 @@ class DagStore:
             del self._waiting_on[parent]
         # Registrations whose waiter was just dropped (or promoted by an
         # earlier pass) are stale as well.
-        # det: ordered -- list() only guards mutation during iteration;
+        # list() only guards mutation during iteration;
         # the per-key rebuild/delete is order-insensitive.
         for parent in list(self._waiting_on):
             waiters = {w for w in self._waiting_on[parent] if w in self._pending}

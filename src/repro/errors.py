@@ -19,10 +19,6 @@ class CommitteeError(ConfigurationError):
     """The validator committee definition is invalid."""
 
 
-class CryptoError(ReproError):
-    """A signature or digest failed verification."""
-
-
 class NetworkError(ReproError):
     """The simulated network was asked to do something impossible."""
 

@@ -13,9 +13,10 @@ the oracle) and over real sockets (``--backend net``), and both must
 commit byte-identical ordering digests.
 
 ``clock``, ``transport``, and ``runner`` are the **deployment-facing**
-half: they read monotonic wall clocks and sockets by design, live
-outside the digest purity closure, and are allowlisted for DET002 via
-``AnalyzerConfig.wallclock_allowlist`` (see ``repro/analysis/config.py``).
+half: they read monotonic wall clocks and sockets by design, and no
+module on the commit path imports them.  What keeps the split honest is
+the oracle: a socket run's ordering digest must equal the lockstep
+run's for the same spec and seed.
 
 The asyncio imports stay lazy here so that importing pure pieces (the
 codec property tests, the lockstep oracle) never drags event-loop

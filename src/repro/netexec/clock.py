@@ -11,9 +11,8 @@ construction instant.  It is wall time: **non-deterministic by design**
 and therefore never digest-bearing — lockstep mode keeps every
 digest-relevant decision off the clock (see ``repro/netexec/lockstep.py``),
 and these timestamps only reach diagnostics (vertex ``created_at``,
-trace stamps, which the artifact diff never compares).  This module is
-allowlisted for DET002 (``AnalyzerConfig.wallclock_allowlist``) and
-must never be imported by the purity closure.
+trace stamps, which the artifact diff never compares).  No module on
+the commit path may import it.
 """
 
 from __future__ import annotations

@@ -30,9 +30,8 @@ on the discrete-event simulator — the oracle) and ``--backend net``
 byte-identical ordering digests for the same spec + seed.
 
 This module is pure (no wall clock, no sockets): it runs entirely on
-the simulated clock and stays outside the analyzer's wall-clock
-allowlist.  Plain ``--backend sim`` digests are untouched — lockstep is
-a separate mode, not a change to the free-running semantics.
+the simulated clock.  Plain ``--backend sim`` digests are untouched —
+lockstep is a separate mode, not a change to the free-running semantics.
 """
 
 from __future__ import annotations

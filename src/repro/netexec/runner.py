@@ -23,8 +23,7 @@ dead task) raises :class:`~repro.errors.ReproError` with the per-node
 round positions, rather than hanging CI.
 
 Wall-clock reads here are diagnostics only (trace stamps, quiescence
-timing); the module is DET002-allowlisted and outside the purity
-closure.
+timing); no module on the commit path imports this one.
 """
 
 from __future__ import annotations

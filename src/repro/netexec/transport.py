@@ -57,8 +57,7 @@ Mechanics:
   plug into the socket backend.
 
 Wall-clock and socket reads are confined to this module, ``clock``, and
-``runner`` — all three are DET002-allowlisted and sit outside the
-digest purity closure.
+``runner``; no module on the commit path imports any of the three.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Import surface is deliberately lean: only the trace core and the counter
 registry live here.  The CLI is *never* imported from this package root
 so that the hot modules which import :mod:`repro.obs.trace` never drag
-it into the digest purity closure.
+the query and rendering code in with it.
 """
 
 from repro.obs.registry import InstrumentationRegistry

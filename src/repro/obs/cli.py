@@ -15,7 +15,7 @@ Where the host's time goes is the benchmark's question, not this CLI's:
 ``python3 benchmarks/suite/run.py --workload W --traced`` prints the
 per-layer table.
 
-Follows the scenarios/analysis exit contract (``repro.cliutil``):
+Follows the scenarios CLI's exit contract (``repro.cliutil``):
 0 success, 1 findings, 2 operational errors with a stderr ``error:``
 line, 0 on a broken pipe.  Tracing is digest-neutral — ``trace``
 produces the exact artifact digests a plain run does.

@@ -12,11 +12,10 @@ trace survives a round-trip through the sweep engine's process pool
 without custom pickling, and serializes to JSONL with nothing but
 :mod:`json`.
 
-This module sits inside the digest purity closure (the commit-path
-modules import ``NULL_TRACER`` from here), so it must stay clean under
-the determinism auditor: no randomness, no wall clock, no unordered
-iteration into order-sensitive sinks.  Timestamps come from the
-*simulation* clock injected by the runner.
+The commit-path modules import ``NULL_TRACER`` from here, so this
+module reads no randomness and no wall clock: timestamps come from the
+*simulation* clock injected by the runner, and a traced run's events
+are a function of its spec (``test_observability.py`` pins both).
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class MemoryTracer(Tracer):
     """Collects events in memory, stamped with the simulation clock.
 
     ``clock`` is injected by the runner (``simulator.now``); the tracer
-    itself never reads a wall clock, keeping it purity-clean.
+    itself never reads a wall clock, so its events are a function of the run.
 
     ``max_events`` turns the tracer into a bounded ring buffer: at most
     that many events are held, the *oldest* are evicted first, and the

@@ -34,7 +34,7 @@ class BroadcastMessage:
 class ProposeMessage(BroadcastMessage):
     """The original payload sent by the broadcaster (certified protocol)."""
 
-    # det: waive[DET005] the broadcast layer is payload-generic; every
+    # The broadcast layer is payload-generic; every
     # production payload is a Vertex, which defines canonical_fields().
     payload: Any = None
 
@@ -50,7 +50,7 @@ class AckMessage(BroadcastMessage):
 class CertificateMessage(BroadcastMessage):
     """A 2f+1 quorum of acknowledgements; carries the payload for delivery."""
 
-    # det: waive[DET005] payload-generic (see ProposeMessage.payload).
+    # Payload-generic (see ProposeMessage.payload).
     payload: Any = None
     signers: Tuple[ValidatorId, ...] = ()
 

@@ -99,6 +99,8 @@ class TestFaultlessRuns:
 
 class TestDeterminism:
     def test_same_seed_same_results(self):
+        """In one process: the module-level memos leak no state from one
+        run into the next."""
         first = run_experiment(small_config(seed=11))
         second = run_experiment(small_config(seed=11))
         assert first.report.throughput_tps == second.report.throughput_tps

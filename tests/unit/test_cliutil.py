@@ -3,7 +3,7 @@
 The ordering of the except clauses is load-bearing —
 ``BrokenPipeError`` subclasses ``OSError``, so catching ``OSError``
 first would turn a closed pager into exit 2.  These tests pin the
-contract the scenario, analysis, and obs CLIs all inherit.
+contract the scenario and obs CLIs both inherit.
 """
 
 import pytest

@@ -4,6 +4,7 @@ import pytest
 
 from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
 from repro.committee.committee import DEFAULT_REGIONS
+from repro.crypto.keys import keypairs_for_committee
 from repro.errors import CommitteeError
 
 
@@ -95,7 +96,7 @@ class TestCommitteeConstruction:
 
     def test_keypairs_match_public_keys(self):
         committee = Committee.build(4, seed=5)
-        keypairs = Committee.keypairs(4, seed=5)
+        keypairs = keypairs_for_committee(4, seed=5)
         for validator in committee.validators:
             assert keypairs[validator].public == committee.public_key_of(validator)
 

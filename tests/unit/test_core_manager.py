@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
-from repro.core.schedule_change import CommitCountPolicy, RoundBasedPolicy
+from repro.core.schedule_change import CommitCountPolicy
 from repro.core.scoring import ShoalScoring
 from repro.dag.vertex import make_vertex
 from repro.errors import ScheduleError
@@ -145,16 +145,6 @@ class TestHammerHeadScheduleManager:
         # (e.g. on a lagging validator): it must not trigger another change.
         assert manager.on_anchor_committed(make_anchor(2, 1, [0, 1, 2])) is None
         assert manager.epochs == 2
-
-    def test_round_based_policy_change(self, committee4):
-        schedule = initial_schedule(committee4, permute=False)
-        manager = HammerHeadScheduleManager(
-            committee4, schedule, policy=RoundBasedPolicy(rounds=6)
-        )
-        assert manager.on_anchor_committed(make_anchor(4, 1, [0, 1, 2])) is None
-        new_schedule = manager.on_anchor_committed(make_anchor(8, 3, [0, 1, 2]))
-        assert new_schedule is not None
-        assert new_schedule.initial_round == 10
 
     def test_shoal_scoring_demotes_skipped_leaders(self, committee10):
         manager = self._manager(committee10, commits=1, scoring=ShoalScoring())

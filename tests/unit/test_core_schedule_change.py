@@ -5,7 +5,6 @@ import pytest
 from repro.committee import Committee, geometric_stake
 from repro.core.schedule_change import (
     CommitCountPolicy,
-    RoundBasedPolicy,
     compute_next_schedule,
     select_swap_sets,
 )
@@ -31,20 +30,8 @@ class TestPolicies:
         with pytest.raises(ScheduleError):
             CommitCountPolicy(0)
 
-    def test_round_based_policy_triggers_after_T_rounds(self):
-        policy = RoundBasedPolicy(20)
-        schedule = LeaderSchedule(epoch=0, initial_round=10, slots=(0,))
-        assert not policy.should_change(100, 28, schedule)
-        assert policy.should_change(0, 30, schedule)
-        assert policy.should_change(0, 31, schedule)
-
-    def test_round_based_policy_rejects_non_positive(self):
-        with pytest.raises(ScheduleError):
-            RoundBasedPolicy(0)
-
     def test_policies_describe_themselves(self):
         assert "10" in CommitCountPolicy(10).describe()
-        assert "20" in RoundBasedPolicy(20).describe()
 
 
 class TestSwapSelection:

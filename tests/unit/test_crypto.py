@@ -4,8 +4,6 @@ import pytest
 
 from repro.crypto.hashing import digest_hex, digest_of
 from repro.crypto.keys import generate_keypair, keypairs_for_committee
-from repro.crypto.signatures import aggregate, sign, verify, verify_aggregate
-from repro.errors import CryptoError
 
 
 class TestDigests:
@@ -71,60 +69,3 @@ class TestKeys:
     def test_public_key_short_fingerprint(self):
         assert len(generate_keypair(0).public.short()) == 12
 
-
-class TestSignatures:
-    def test_sign_and_verify_roundtrip(self):
-        keypair = generate_keypair(1, seed=3)
-        signature = sign(keypair, "message", 7)
-        assert verify(keypair.public, signature, "message", 7)
-
-    def test_verification_fails_for_wrong_message(self):
-        keypair = generate_keypair(1, seed=3)
-        signature = sign(keypair, "message", 7)
-        assert not verify(keypair.public, signature, "message", 8)
-
-    def test_verification_fails_for_wrong_signer(self):
-        alice = generate_keypair(1, seed=3)
-        bob = generate_keypair(2, seed=3)
-        signature = sign(alice, "message")
-        assert not verify(bob.public, signature, "message")
-
-    def test_forged_material_is_rejected(self):
-        keypair = generate_keypair(1, seed=3)
-        signature = sign(keypair, "message")
-        forged = type(signature)(
-            signer=signature.signer,
-            message_digest=signature.message_digest,
-            material=b"\x00" * 32,
-        )
-        assert not verify(keypair.public, forged, "message")
-
-    def test_aggregate_requires_same_message(self):
-        alice = generate_keypair(1)
-        bob = generate_keypair(2)
-        with pytest.raises(CryptoError):
-            aggregate([sign(alice, "a"), sign(bob, "b")])
-
-    def test_aggregate_rejects_duplicates(self):
-        alice = generate_keypair(1)
-        with pytest.raises(CryptoError):
-            aggregate([sign(alice, "a"), sign(alice, "a")])
-
-    def test_aggregate_rejects_empty(self):
-        with pytest.raises(CryptoError):
-            aggregate([])
-
-    def test_aggregate_verification(self):
-        keypairs = [generate_keypair(index) for index in range(4)]
-        signatures = [sign(keypair, "block", 9) for keypair in keypairs]
-        aggregated = aggregate(signatures)
-        assert aggregated.signers == (0, 1, 2, 3)
-        publics = [keypair.public for keypair in keypairs]
-        assert verify_aggregate(publics, aggregated, "block", 9)
-        assert not verify_aggregate(publics, aggregated, "block", 10)
-
-    def test_aggregate_verification_fails_for_unknown_signer(self):
-        keypairs = [generate_keypair(index) for index in range(3)]
-        aggregated = aggregate([sign(keypair, "m") for keypair in keypairs])
-        # Leave out one signer's public key.
-        assert not verify_aggregate([keypair.public for keypair in keypairs[:2]], aggregated, "m")
