@@ -1,9 +1,7 @@
 """Pytest bootstrap.
 
-Ensures the ``src`` layout is importable even when the package has not
-been installed (useful in offline environments where ``pip install -e .``
-cannot fetch the ``wheel`` build dependency; ``python setup.py develop``
-is the supported fallback, see README).
+Puts ``src`` on the import path, so the suite runs without installing the
+package (see ``setup.py`` for installing it).
 """
 
 import os

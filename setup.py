@@ -1,12 +1,18 @@
-"""Setuptools entry point.
+"""Setuptools metadata for the ``repro`` package.
 
-The pyproject.toml file carries all package metadata; this file exists so
-that ``pip install -e .`` works in offline environments whose setuptools
-lacks the ``wheel`` package required by the PEP 660 editable-install path
-(``pip install -e . --no-build-isolation --no-use-pep517`` and
-``python setup.py develop`` both work with this file present).
+The package lives under ``src/`` and needs nothing beyond the standard
+library at run time.  Installing it is optional: the root ``conftest.py``
+puts ``src`` on the import path for the test suite, and the scripts and
+CLIs run with ``PYTHONPATH=src``.  To install, ``pip install -e .`` or,
+where pip cannot fetch its ``wheel`` build dependency (offline hosts),
+``python setup.py develop``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+)

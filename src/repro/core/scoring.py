@@ -19,8 +19,7 @@ All rules receive only information derived from committed sub-DAGs
 (through a :class:`ScoringView`), so they keep the determinism Schedule
 Agreement requires.  Rules are registered by name in a process-wide
 registry (:func:`register_scoring_rule`) and selected by name from
-``ExperimentConfig.scoring`` / ``ScenarioSpec.scoring`` /
-``NodeConfig.scoring_rule``.
+``ExperimentConfig.scoring`` / ``ScenarioSpec.scoring``.
 """
 
 from __future__ import annotations
@@ -379,8 +378,8 @@ class CompletenessScoring(ScoringRule):
 # -- the scoring-rule registry ----------------------------------------------
 
 #: Name -> no-argument factory.  The registry is the single source of
-#: truth for which rules exist: ``ExperimentConfig``/``NodeConfig``
-#: validation, the scenario engine's ``scoring_rule`` sweep axis, and the
+#: truth for which rules exist: ``ExperimentConfig`` validation, the
+#: scenario engine's ``scoring_rules`` sweep axis, and the
 #: attack x rule matrix all enumerate it.
 SCORING_RULE_REGISTRY: Dict[str, Callable[[], ScoringRule]] = {}
 

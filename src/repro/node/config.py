@@ -43,13 +43,6 @@ class NodeConfig:
     # collection; 0 disables GC.
     gc_depth: int = 50
 
-    # Scoring rule driving this node's reputation accounting, by registry
-    # name (see :mod:`repro.core.scoring`).  The simulation runner's
-    # schedule-manager factory reads this field (after copying
-    # ``ExperimentConfig.scoring`` into it), so it is the per-node knob a
-    # standalone deployment sets to pick its rule.
-    scoring_rule: str = "hammerhead"
-
     # Record the full ordered sequence in memory (needed by safety checks;
     # disabled for very large simulations).
     record_sequence: bool = True
@@ -70,15 +63,6 @@ class NodeConfig:
             raise ConfigurationError("fetch_retry_interval must be positive")
         if self.gc_depth < 0:
             raise ConfigurationError("gc_depth must be non-negative")
-        # Imported here: the scoring registry sits above the node layer in
-        # the package graph, and config validation is not a hot path.
-        from repro.core.scoring import scoring_rule_names
-
-        if self.scoring_rule not in scoring_rule_names():
-            raise ConfigurationError(
-                f"unknown scoring rule {self.scoring_rule!r} "
-                f"(known: {', '.join(scoring_rule_names())})"
-            )
         if self.max_round is not None and self.max_round < 1:
             raise ConfigurationError("max_round must be at least 1")
         return self

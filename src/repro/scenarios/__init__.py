@@ -28,11 +28,12 @@ Command line::
     python -m repro.scenarios matrix --smoke
     python -m repro.scenarios run --spec my_scenario.json
 
-The registry ships nineteen curated scenarios: the paper's evaluation
+The registry ships twenty curated scenarios: the paper's evaluation
 (``faultless``, ``figure2-faults``, ``sui-incident``), environmental
 adversity (``rolling-crash-churn``, ``asymmetric-partition``,
 ``load-spike``, ``mixed-adversary``, ``partition-failover``,
-``maintenance-churn+recovery-spike``), the behavior-policy attacks
+``maintenance-churn+recovery-spike``, ``lossy-recovery``), the
+behavior-policy attacks
 (``targeted-leader-attack``, ``equivocation-split``, ``silent-saboteur``,
 ``lazy-leader``, ``reputation-gamer``, ``reputation-gamer-strict``,
 ``adaptive-equivocation``), and the coalition attacks

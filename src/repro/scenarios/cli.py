@@ -55,7 +55,7 @@ from repro.scenarios.spec import ScenarioSpec, compile_spec
 
 
 def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
-    if getattr(args, "spec", None):
+    if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -67,7 +67,7 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
         spec = ScenarioSpec.from_json(text)
     else:
         spec = get_scenario(args.name)
-    if getattr(args, "smoke", False):
+    if args.smoke:
         spec = spec.smoke()
     return spec
 
@@ -103,11 +103,11 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    seeds = args.seeds if getattr(args, "seeds", None) else None
+    seeds = args.seeds
     label = f"seeds {seeds}" if seeds else f"seed {spec.seed}"
     print(f"Running scenario {spec.name!r} ({label}) ...")
-    trace_path = getattr(args, "trace", None)
-    backend = getattr(args, "backend", "sim")
+    trace_path = args.trace
+    backend = args.backend
     if backend != "sim":
         print(f"backend: {backend}")
     artifact = run_scenario(
@@ -169,8 +169,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     code, lines = diff_artifact_files(
         args.left,
         args.right,
-        prefix=getattr(args, "prefix", False),
-        min_prefix=getattr(args, "min_prefix", 1),
+        prefix=args.prefix,
+        min_prefix=args.min_prefix,
     )
     stream = sys.stderr if code else sys.stdout
     for line in lines:

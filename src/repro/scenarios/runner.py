@@ -101,7 +101,7 @@ def build_artifact(
     # With a scoring_rules sweep axis, the config label alone no longer
     # identifies a point; suffix the rule so artifact diffing and the
     # bench gate keep a unique per-point key.
-    label_needs_rule = bool(getattr(spec, "scoring_rules", ()))
+    label_needs_rule = bool(spec.scoring_rules)
     for point, result in zip(points, results):
         observer = result.config.observer
         ordered_count, ordering_digest = result.ordering_digests[observer]
@@ -113,7 +113,7 @@ def build_artifact(
                 "committee_size": point.committee_size,
                 "protocol": point.protocol,
                 "load": point.load,
-                "scoring": getattr(point, "scoring", result.config.scoring),
+                "scoring": point.scoring,
                 "seed": result.config.seed,
                 "label": label,
                 "report": result.report.as_dict(),

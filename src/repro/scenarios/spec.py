@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -50,7 +51,7 @@ from repro.faults.partition import (
     isolate_tail_fraction,
 )
 from repro.faults.slow import SlowValidatorFault, degrade_fraction
-from repro.sim.experiment import ExperimentConfig, PROTOCOL_BULLSHARK, PROTOCOL_HAMMERHEAD
+from repro.sim.experiment import ExperimentConfig, PROTOCOL_HAMMERHEAD
 from repro.sim.runner import build_committee
 from repro.workload.phases import (
     average_tps,
@@ -77,17 +78,36 @@ BEHAVIOR_FAULT_KINDS = (
     "reputation-gaming",
     "adaptive-equivocation",
 ) + COALITION_FAULT_KINDS
+# Behavior kinds that aim at victims (``targets`` / ``target_count``).
+TARGETED_FAULT_KINDS = ("equivocate", "silent-fanout", "colluding-silence")
 # Fault kinds understood by the timeline.
 FAULT_KINDS = (
     "crash",
     "crash-recovery",
     "slow",
 ) + BEHAVIOR_FAULT_KINDS
+# The optional FaultSpec fields and the kinds that take them; every other
+# kind must leave the field unset.
+_FAULT_OPTIONS = {
+    "recover_at": ("crash-recovery",),
+    "end": ("slow",) + BEHAVIOR_FAULT_KINDS,
+    "targets": TARGETED_FAULT_KINDS,
+    "target_count": TARGETED_FAULT_KINDS,
+    "window": ("reputation-gaming",),
+    "coalition": COALITION_FAULT_KINDS,
+    "stride": COALITION_FAULT_KINDS,
+}
 # Workload shapes understood by the compiler.
 WORKLOAD_KINDS = ("constant", "burst", "ramp", "diurnal")
 
 # Version tag embedded in serialized specs; bump on incompatible changes.
 SPEC_VERSION = 1
+# Fields added after version 1 shipped.  ``to_dict`` omits them at their
+# defaults, so a spec that does not use them keeps the canonical form,
+# and the scenario digest, that earlier revisions recorded.
+_AFTER_V1 = frozenset(
+    ("partition_failover", "scoring_rules", "targets", "target_count", "window", "coalition", "stride")
+)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -95,9 +115,9 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
-def _is_int(value: Any) -> bool:
-    """A true integer — JSON ``true``/``false`` must not pass as 1/0."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_number(value: Any) -> bool:
+    """An int or float — JSON ``true``/``false`` must not pass as 1/0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # A timeline instant: either an absolute number of seconds, or a small
@@ -116,17 +136,11 @@ def _validate_time(value: Optional[TimeExpr], field: str) -> None:
         unknown = set(value) - _TIME_EXPR_KEYS
         _require(not unknown, f"unknown {field!r} expression keys: {sorted(unknown)}")
         _require(bool(value), f"a {field!r} expression needs base and/or per_validator")
-        for _key, entry in value.items():
-            _require(
-                isinstance(entry, (int, float)) and not isinstance(entry, bool),
-                f"{field!r} expression values must be numbers",
-            )
+        for entry in value.values():
+            _require(_is_number(entry), f"{field!r} expression values must be numbers")
             _require(entry >= 0.0, f"{field!r} expression values must be non-negative")
         return
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{field!r} must be a number or a time expression",
-    )
+    _require(_is_number(value), f"{field!r} must be a number or a time expression")
     _require(value >= 0.0, f"{field!r} must be non-negative")
 
 
@@ -193,7 +207,7 @@ class FaultSpec:
     recover_at: Optional[TimeExpr] = None  # crash-recovery only
     extra_delay: float = 0.5  # slow and lazy-leader
     end: Optional[TimeExpr] = None  # slow and behavior kinds
-    targets: Tuple[int, ...] = ()  # equivocate / silent-fanout victims
+    targets: Tuple[int, ...] = ()  # targeted kinds: explicit victims
     target_count: Optional[int] = None  # like targets, head-of-committee
     window: Optional[int] = None  # reputation-gaming only
     coalition: Tuple[int, ...] = ()  # coalition kinds: explicit members
@@ -201,23 +215,14 @@ class FaultSpec:
 
     def validate(self) -> "FaultSpec":
         _require(self.kind in FAULT_KINDS, f"unknown fault kind {self.kind!r}")
-        behavior = self.kind in BEHAVIOR_FAULT_KINDS
-        coalition_kind = self.kind in COALITION_FAULT_KINDS
-        if self.coalition:
-            _require(
-                coalition_kind,
-                f"{self.kind!r} does not take a coalition selector "
-                f"(coalition kinds: {', '.join(COALITION_FAULT_KINDS)})",
-            )
-            for member in self.coalition:
-                _require(_is_int(member), "coalition members must be validator ids (integers)")
-            _require(
-                len(set(self.coalition)) == len(self.coalition),
-                "coalition members must be distinct",
-            )
+        for name, kinds in _FAULT_OPTIONS.items():
+            if getattr(self, name) not in (None, ()):
+                _require(
+                    self.kind in kinds,
+                    f"{self.kind!r} does not take {name} (kinds that do: {', '.join(kinds)})",
+                )
+        _require(len(set(self.coalition)) == len(self.coalition), "coalition members must be distinct")
         if self.stride is not None:
-            _require(coalition_kind, f"{self.kind!r} does not take a stride")
-            _require(_is_int(self.stride), "the duty stride must be an integer")
             _require(self.stride >= 1, "the duty stride must be at least 1")
         selectors = [
             bool(self.validators),
@@ -230,61 +235,33 @@ class FaultSpec:
             sum(selectors) == 1,
             f"fault {self.kind!r} needs exactly one selector "
             "(validators, count, fraction, max_faulty"
-            + (", or coalition)" if coalition_kind else ")"),
+            + (", or coalition)" if self.kind in COALITION_FAULT_KINDS else ")"),
         )
         if self.count is not None:
             _require(self.count >= 1, "a fault count must be at least 1")
         if self.fraction is not None:
             _require(0.0 < self.fraction <= 1.0, "a fault fraction must lie in (0, 1]")
-        _validate_time(self.at, "at")
-        if self.kind == "crash-recovery":
-            _require(
-                self.recover_at is not None,
-                "crash-recovery needs recover_at after the crash time",
-            )
-            _validate_time(self.recover_at, "recover_at")
-            if not isinstance(self.at, Mapping) and not isinstance(self.recover_at, Mapping):
-                _require(
-                    self.recover_at > self.at,
-                    "crash-recovery needs recover_at after the crash time",
-                )
-        else:
-            _require(self.recover_at is None, f"{self.kind!r} does not take recover_at")
+        for name in ("at", "recover_at", "end"):
+            _validate_time(getattr(self, name), name)
+        _require(
+            self.kind != "crash-recovery" or self.recover_at is not None,
+            "crash-recovery needs recover_at after the crash time",
+        )
+        # Committee-relative instants are ordered once resolved, at compile.
+        if _is_number(self.at) and _is_number(self.recover_at):
+            _require(self.recover_at > self.at, "crash-recovery needs recover_at after the crash time")
+        if _is_number(self.at) and _is_number(self.end):
+            _require(self.end > self.at, "a fault window must close after it opens")
         if self.kind in ("slow", "lazy-leader"):
-            _require(
-                self.extra_delay > 0.0, f"a {self.kind} fault needs a positive extra delay"
-            )
-        if self.kind == "slow" or behavior:
-            _validate_time(self.end, "end")
-            if (
-                self.end is not None
-                and not isinstance(self.end, Mapping)
-                and not isinstance(self.at, Mapping)
-            ):
-                _require(self.end > self.at, "a fault window must close after it opens")
-        else:
-            _require(self.end is None, f"{self.kind!r} does not take an end time")
-        if self.kind in ("equivocate", "silent-fanout", "colluding-silence"):
-            _require(
-                not (self.targets and self.target_count is not None),
-                f"{self.kind!r} takes targets or target_count, not both",
-            )
-            for target in self.targets:
-                _require(_is_int(target), "targets must be validator ids (integers)")
-            if self.target_count is not None:
-                _require(_is_int(self.target_count), "target_count must be an integer")
-                _require(self.target_count >= 1, "target_count must be at least 1")
-        else:
-            _require(
-                not self.targets and self.target_count is None,
-                f"{self.kind!r} does not take targets",
-            )
-        if self.kind == "reputation-gaming":
-            if self.window is not None:
-                _require(_is_int(self.window), "the honest window must be an integer")
-                _require(self.window >= 0, "the honest window must be non-negative")
-        else:
-            _require(self.window is None, f"{self.kind!r} does not take a window")
+            _require(self.extra_delay > 0.0, f"a {self.kind} fault needs a positive extra delay")
+        _require(
+            not (self.targets and self.target_count is not None),
+            f"{self.kind!r} takes targets or target_count, not both",
+        )
+        if self.target_count is not None:
+            _require(self.target_count >= 1, "target_count must be at least 1")
+        if self.window is not None:
+            _require(self.window >= 0, "the honest window must be non-negative")
         return self
 
 
@@ -382,6 +359,13 @@ class WorkloadSpec:
 # Client load starts 0.5 s into the run, matching the constant-rate path.
 LOAD_START = 0.5
 
+# The ScenarioSpec fields ``then`` joins end to end (names, the summed
+# horizon, the shifted timelines, the combined workload; the first spec's
+# warmup); two combined specs must agree on every other field.
+_TIMELINE_FIELDS = frozenset(
+    ("name", "description", "duration", "warmup", "workload", "faults", "partitions", "disturbances")
+)
+
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioSpec:
@@ -427,21 +411,19 @@ class ScenarioSpec:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> "ScenarioSpec":
+        """Check the spec, then compile every point.
+
+        ``ExperimentConfig.validate`` vets each lowered point, and behavior
+        windows are checked for overlap at each committee size, with
+        selectors and times resolved.
+        """
         _require(bool(self.name), "a scenario needs a name")
         _require(bool(self.protocols), "a scenario needs at least one protocol")
-        for protocol in self.protocols:
-            _require(
-                protocol in (PROTOCOL_HAMMERHEAD, PROTOCOL_BULLSHARK),
-                f"unknown protocol {protocol!r}",
-            )
         _require(bool(self.committee_sizes), "a scenario needs at least one committee size")
         for size in self.committee_sizes:
             _require(size >= 1, "committee sizes must be positive")
-        for load in self.loads:
-            _require(load >= 0.0, "loads must be non-negative")
         self.workload.validate()
         _require(self.duration > 0.0, "the duration must be positive")
-        _require(0.0 <= self.warmup < self.duration, "warmup must lie within the duration")
         if self.workload.kind == "burst":
             # The load window is [LOAD_START, duration]; a burst outside it
             # would fail only at compile time otherwise.
@@ -450,17 +432,13 @@ class ScenarioSpec:
                 and self.workload.burst_end <= self.duration,
                 f"the burst window must lie within [{LOAD_START}s, duration]",
             )
-        _require(
-            self.scoring in scoring_rule_names(),
-            f"unknown scoring rule {self.scoring!r} "
-            f"(known: {', '.join(scoring_rule_names())})",
-        )
-        for rule in self.scoring_rules:
-            _require(
-                rule in scoring_rule_names(),
-                f"unknown scoring rule {rule!r} in scoring_rules "
-                f"(known: {', '.join(scoring_rule_names())})",
-            )
+        # The compile never sees ``scoring`` under a ``scoring_rules`` axis,
+        # nor ``loads`` under a phased workload, so both are checked here.
+        known = scoring_rule_names()
+        for field, rules in (("scoring", (self.scoring,)), ("scoring_rules", self.scoring_rules)):
+            for rule in rules:
+                _require(rule in known, f"unknown scoring rule {rule!r} in {field} (known: {', '.join(known)})")
+        _require(all(load >= 0.0 for load in self.loads), "loads must be non-negative")
         _require(
             len(set(self.scoring_rules)) == len(self.scoring_rules),
             "scoring_rules must not repeat a rule",
@@ -470,7 +448,6 @@ class ScenarioSpec:
             fault.validate()
             if fault.kind == "crash" and not fault.validators:
                 tail_crashes += 1
-        self._validate_behavior_windows()
         _require(
             tail_crashes <= 1,
             "at most one permanent crash fault may use a tail selector (count/"
@@ -494,86 +471,22 @@ class ScenarioSpec:
             )
         for disturbance in self.disturbances:
             disturbance.validate()
-        # The ExperimentConfig validator re-checks the per-point fields
-        # (stake, scoring, seed range, fault bounds) at compile time.
+        _compile_points(self)
         return self
-
-    def _validate_behavior_windows(self) -> None:
-        """Best-effort overlap rejection at spec level.
-
-        Two behavior windows on the same validator must not truly overlap
-        (abutting is fine): the later install would silently win while
-        both are open.  At spec level only plain-number times can be
-        compared and only explicit selections (``validators``/
-        ``coalition``) or two tail-convention selectors are provably
-        shared; everything else is re-checked exactly at compile time,
-        once selectors and committee-relative times are resolved
-        (:func:`compile_spec`).
-        """
-        entries = []
-        for index, fault in enumerate(self.faults):
-            if fault.kind not in BEHAVIOR_FAULT_KINDS:
-                continue
-            if isinstance(fault.at, Mapping) or isinstance(fault.end, Mapping):
-                continue
-            members = tuple(fault.coalition or fault.validators)
-            entries.append(
-                (
-                    bool(members),
-                    frozenset(members),
-                    float(fault.at),
-                    None if fault.end is None else float(fault.end),
-                    f"faults[{index}] ({fault.kind})",
-                )
-            )
-        for position, (explicit_a, members_a, start_a, end_a, label_a) in enumerate(entries):
-            for explicit_b, members_b, start_b, end_b, label_b in entries[position + 1 :]:
-                if explicit_a and explicit_b:
-                    shared = members_a & members_b
-                    if not shared:
-                        continue
-                elif explicit_a != explicit_b:
-                    # One explicit, one selector-based: membership is only
-                    # known per committee size — compile re-checks.
-                    continue
-                # Both tail-convention selectors always share the tail.
-                a_end = float("inf") if end_a is None else end_a
-                b_end = float("inf") if end_b is None else end_b
-                _require(
-                    not (start_a < b_end and start_b < a_end),
-                    f"behavior windows {label_a} and {label_b} overlap on the "
-                    "same validators; windows on a shared validator must not "
-                    "overlap (abutting is allowed)",
-                )
 
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON dictionary form (tuples become lists).
 
-        Fields introduced after spec version 1 shipped are omitted at
-        their default values: the canonical form (and therefore
+        Fields introduced after spec version 1 shipped (``_AFTER_V1``) are
+        omitted at their default values: the canonical form (and therefore
         :meth:`scenario_digest`) of a spec that does not use them is
         identical to what earlier revisions produced, so previously
         recorded scenario digests remain valid.
         """
-        data = dataclasses.asdict(self)
+        data = _plain(self)
         data["version"] = SPEC_VERSION
-        if not data["partition_failover"]:
-            del data["partition_failover"]
-        if not data["scoring_rules"]:
-            del data["scoring_rules"]
-        for fault in data["faults"]:
-            if not fault["targets"]:
-                del fault["targets"]
-            if fault["target_count"] is None:
-                del fault["target_count"]
-            if fault["window"] is None:
-                del fault["window"]
-            if not fault["coalition"]:
-                del fault["coalition"]
-            if fault["stride"] is None:
-                del fault["stride"]
         return json.loads(json.dumps(data))
 
     def to_json(self, indent: int = 2) -> str:
@@ -583,6 +496,7 @@ class ScenarioSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         """Parse and validate a dictionary produced by :meth:`to_dict`.
 
+        The dataclass annotations are the schema (see :func:`_parse`).
         Unknown keys, wrong field types, and semantic violations all
         raise :class:`~repro.errors.ConfigurationError`.
         """
@@ -593,32 +507,7 @@ class ScenarioSpec:
             version == SPEC_VERSION,
             f"unsupported scenario spec version {version!r} (expected {SPEC_VERSION})",
         )
-        spec = cls(
-            name=_parse_scalar(payload, "name", str, required=True),
-            description=_parse_scalar(payload, "description", str, default=""),
-            protocols=_parse_tuple(payload, "protocols", str, default=(PROTOCOL_HAMMERHEAD,)),
-            committee_sizes=_parse_tuple(payload, "committee_sizes", int, default=(10,)),
-            loads=_parse_tuple(payload, "loads", (int, float), default=(), cast=float),
-            workload=_parse_nested(payload, "workload", WorkloadSpec),
-            duration=_parse_scalar(payload, "duration", (int, float), default=30.0, cast=float),
-            warmup=_parse_scalar(payload, "warmup", (int, float), default=5.0, cast=float),
-            seed=_parse_scalar(payload, "seed", int, default=1),
-            stake=_parse_scalar(payload, "stake", str, default="equal"),
-            commits_per_schedule=_parse_scalar(payload, "commits_per_schedule", int, default=10),
-            scoring=_parse_scalar(payload, "scoring", str, default="hammerhead"),
-            scoring_rules=_parse_tuple(payload, "scoring_rules", str, default=()),
-            latency_model=_parse_scalar(payload, "latency_model", str, default="geo"),
-            gst=_parse_scalar(payload, "gst", (int, float), default=0.0, cast=float),
-            delta=_parse_scalar(payload, "delta", (int, float), default=2.0, cast=float),
-            faults=_parse_nested_tuple(payload, "faults", FaultSpec),
-            partitions=_parse_nested_tuple(payload, "partitions", PartitionSpec),
-            disturbances=_parse_nested_tuple(payload, "disturbances", DisturbanceSpec),
-            partition_failover=_parse_scalar(
-                payload, "partition_failover", bool, default=False
-            ),
-        )
-        _require(not payload, f"unknown scenario spec keys: {sorted(payload)}")
-        return spec.validate()
+        return _parse(payload, cls, "scenario spec").validate()
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -657,32 +546,20 @@ class ScenarioSpec:
         The result runs this scenario's timeline first, then — shifted by
         ``duration + gap`` — the other's faults, partitions, and
         disturbances ("churn, then partition, then spike").  The two
-        specs must agree on every per-point axis (protocols, committees,
-        loads, seed, stake, scoring, latency); workloads combine when
-        they share a base rate (two matching constants, or one burst over
-        the shared base — a spec layer cannot splice two distinct burst
-        windows into one profile).  The combination is an ordinary
-        validated spec: it serializes, digests, and smokes like any
-        other.
+        specs must agree on every field outside ``_TIMELINE_FIELDS`` (the
+        per-point axes: protocols, committees, loads, seed, stake, scoring,
+        latency, ...); workloads combine when they share a base rate (two
+        matching constants, or one burst over the shared base — a spec
+        layer cannot splice two distinct burst windows into one profile).
+        The combination is an ordinary validated spec: it serializes,
+        digests, and smokes like any other.
         """
         _require(gap >= 0.0, "the gap between combined scenarios must be non-negative")
-        for field in (
-            "protocols",
-            "committee_sizes",
-            "loads",
-            "seed",
-            "stake",
-            "commits_per_schedule",
-            "scoring",
-            "scoring_rules",
-            "latency_model",
-            "gst",
-            "delta",
-            "partition_failover",
-        ):
+        for field in dataclasses.fields(self):
             _require(
-                getattr(self, field) == getattr(other, field),
-                f"combined scenarios must agree on {field!r}",
+                field.name in _TIMELINE_FIELDS
+                or getattr(self, field.name) == getattr(other, field.name),
+                f"combined scenarios must agree on {field.name!r}",
             )
         offset = self.duration + gap
         shifted_faults = tuple(
@@ -801,7 +678,7 @@ class ScenarioSpec:
                 # A coalition shrinks to two distinct members so the
                 # coordination channel is still exercised at smoke scale.
                 changes["coalition"] = (3, 2)
-            if fault.kind in ("equivocate", "silent-fanout", "colluding-silence"):
+            if fault.kind in TARGETED_FAULT_KINDS:
                 # Victim selections shrink to one head victim; explicit
                 # ids may not exist in the 4-member committee.
                 changes["targets"] = ()
@@ -865,69 +742,69 @@ class ScenarioSpec:
         )
 
 
-# -- spec parsing helpers ---------------------------------------------------
+# -- the JSON schema ---------------------------------------------------------
 
-_MISSING = object()
-
-
-def _parse_scalar(payload, key, types, default=_MISSING, required=False, cast=None):
-    if key not in payload:
-        if required:
-            raise ConfigurationError(f"scenario spec is missing the {key!r} field")
-        return default
-    value = payload.pop(key)
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ConfigurationError(f"field {key!r} has the wrong type (bool)")
-    if not isinstance(value, types):
-        raise ConfigurationError(f"field {key!r} must be of type {types}")
-    return cast(value) if cast is not None else value
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
-def _parse_tuple(payload, key, types, default=(), cast=None):
-    if key not in payload:
-        return default
-    value = payload.pop(key)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"field {key!r} must be a list")
-    items = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, types):
-            raise ConfigurationError(f"entries of {key!r} must be of type {types}")
-        items.append(cast(item) if cast is not None else item)
-    return tuple(items)
+def _plain(value: Any) -> Any:
+    """The plain-JSON form of a spec value, without ``_AFTER_V1`` fields left at their defaults."""
+    if dataclasses.is_dataclass(value):
+        return {
+            field.name: _plain(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+            if not (field.name in _AFTER_V1 and getattr(value, field.name) == field.default)
+        }
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
-def _parse_nested(payload, key, spec_class):
-    if key not in payload:
-        return spec_class()
-    return _build_nested(payload.pop(key), key, spec_class)
+def _parse(value: Any, hint: Any, where: str) -> Any:
+    """Check a plain-JSON ``value`` against the field annotation ``hint``.
 
-
-def _parse_nested_tuple(payload, key, spec_class):
-    if key not in payload:
-        return ()
-    value = payload.pop(key)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"field {key!r} must be a list")
-    return tuple(_build_nested(item, key, spec_class) for item in value)
-
-
-def _build_nested(value, key, spec_class):
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(f"entries of {key!r} must be JSON objects")
-    fields = {field.name: field for field in dataclasses.fields(spec_class)}
-    unknown = set(value) - set(fields)
-    if unknown:
-        raise ConfigurationError(f"unknown {key!r} keys: {sorted(unknown)}")
-    kwargs: Dict[str, Any] = {}
-    for name, item in value.items():
-        if isinstance(item, list):
-            item = tuple(tuple(entry) if isinstance(entry, list) else entry for entry in item)
-        kwargs[name] = item
-    try:
-        return spec_class(**kwargs).validate()
-    except TypeError as error:
-        raise ConfigurationError(f"invalid {key!r} entry: {error}") from None
+    The spec dataclasses' annotations are the schema: nested specs are
+    JSON objects, ``Tuple[X, ...]`` a list, ``Optional`` admits ``null``,
+    a :data:`TimeExpr` is a number or an expression (whose form
+    :func:`_validate_time` checks), ``float`` takes any number but a
+    boolean, and ``int`` / ``str`` / ``bool`` must match exactly.  Errors
+    name the path of the offending value, e.g.
+    ``scenario spec.faults[0].fraction must be a number``.
+    """
+    if dataclasses.is_dataclass(hint):
+        _require(isinstance(value, Mapping), f"{where} must be a JSON object")
+        hints = typing.get_type_hints(hint)
+        unknown = set(value) - set(hints)
+        _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+        for field in dataclasses.fields(hint):
+            _require(
+                field.name in value or field.default is not dataclasses.MISSING,
+                f"{where} is missing the {field.name!r} field",
+            )
+        return hint(**{name: _parse(item, hints[name], f"{where}.{name}") for name, item in value.items()})
+    options = typing.get_args(hint)
+    if typing.get_origin(hint) is Union:
+        if value is None and type(None) in options:
+            return None
+        if hint in (TimeExpr, Optional[TimeExpr]):
+            _require(
+                _is_number(value) or isinstance(value, Mapping),
+                f"{where} must be a number or a time expression",
+            )
+            return value
+        (inner,) = (option for option in options if option is not type(None))
+        return _parse(value, inner, where)
+    if typing.get_origin(hint) is tuple:
+        _require(isinstance(value, (list, tuple)), f"{where} must be a list")
+        return tuple(_parse(item, options[0], f"{where}[{index}]") for index, item in enumerate(value))
+    if hint is float:
+        _require(_is_number(value), f"{where} must be a number")
+        return float(value)
+    _require(
+        isinstance(value, hint) and (hint is bool or not isinstance(value, bool)),
+        f"{where} must be {_TYPE_NAMES[hint]}",
+    )
+    return value
 
 
 # -- compilation ------------------------------------------------------------
@@ -1014,7 +891,7 @@ def _compile_faults(
     plans: List[FaultPlan] = []
     # (validators, start, end, label) of every behavior fault, with
     # selectors and committee-relative times resolved: the exact overlap
-    # check the spec-level validator can only approximate.
+    # check, which ScenarioSpec.validate runs for every committee size.
     behavior_windows: List[Tuple[Tuple[int, ...], float, Optional[float], str]] = []
     for fault in spec.faults:
         # Timeline instants resolve per sweep point: a committee-relative
@@ -1166,6 +1043,17 @@ def _compile_workload(
     return (nominal,), tuple((phase.start, phase.end, phase.tps) for phase in phases)
 
 
+# The ExperimentConfig knobs a spec carries under the same name.  ``seed``
+# and ``scoring`` vary per point, and ``faults`` only shares a name: the
+# spec's timeline versus the config's count of built-in crashes.
+_SHARED_KNOBS = tuple(
+    field.name
+    for field in dataclasses.fields(ScenarioSpec)
+    if field.name in {knob.name for knob in dataclasses.fields(ExperimentConfig)}
+    and field.name not in ("seed", "scoring", "faults")
+)
+
+
 def compile_spec(spec: ScenarioSpec, seed: Optional[int] = None) -> List[CompiledPoint]:
     """Lower ``spec`` into runnable experiment configurations.
 
@@ -1175,8 +1063,13 @@ def compile_spec(spec: ScenarioSpec, seed: Optional[int] = None) -> List[Compile
     configurations in the identical order.  ``seed`` overrides the spec's
     seed (used by multi-seed sweeps).
     """
-    spec = spec.validate()
+    return _compile_points(spec.validate(), seed)
+
+
+def _compile_points(spec: ScenarioSpec, seed: Optional[int] = None) -> List[CompiledPoint]:
+    """:func:`compile_spec` without the spec check (which ends by calling this)."""
     run_seed = spec.seed if seed is None else seed
+    knobs = {name: getattr(spec, name) for name in _SHARED_KNOBS}
     # The scoring-rule sweep axis: innermost, so existing single-rule
     # scenarios keep their historical compile order (and digests).
     scoring_rules = spec.scoring_rules or (spec.scoring,)
@@ -1194,21 +1087,14 @@ def compile_spec(spec: ScenarioSpec, seed: Optional[int] = None) -> List[Compile
                     config = ExperimentConfig(
                         protocol=protocol,
                         committee_size=committee_size,
-                        stake=spec.stake,
                         input_load_tps=load,
                         load_phases=load_phases,
-                        duration=spec.duration,
-                        warmup=spec.warmup,
                         faults=builtin_faults,
                         fault_time=builtin_time,
                         extra_faults=plans,
-                        commits_per_schedule=spec.commits_per_schedule,
                         scoring=scoring,
-                        latency_model=spec.latency_model,
-                        gst=spec.gst,
-                        delta=spec.delta,
                         seed=run_seed,
-                        partition_failover=spec.partition_failover,
+                        **knobs,
                     ).validate()
                     points.append(
                         CompiledPoint(

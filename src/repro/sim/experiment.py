@@ -23,11 +23,6 @@ from repro.types import SimTime
 PROTOCOL_HAMMERHEAD = "hammerhead"
 PROTOCOL_BULLSHARK = "bullshark"
 
-# Scoring rule identifiers (ablation ABL-SCORE).  Derived from the
-# scoring-rule registry at import time; validation consults the registry
-# live so rules registered later are accepted too.
-SCORING_RULES = scoring_rule_names()
-
 
 @dataclasses.dataclass
 class ExperimentConfig:

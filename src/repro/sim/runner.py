@@ -73,20 +73,13 @@ def build_node_config(config: ExperimentConfig) -> NodeConfig:
     if config.max_batch_size is not None:
         base.max_batch_size = config.max_batch_size
     base.record_sequence = config.record_sequences
-    base.scoring_rule = config.scoring
     return base.validate()
 
 
 def schedule_manager_factory(
-    config: ExperimentConfig, committee: Committee, scoring_rule: str
+    config: ExperimentConfig, committee: Committee
 ) -> Callable[[], ScheduleManager]:
-    """Per-validator schedule managers for ``config``.
-
-    ``scoring_rule`` is the node config's rule name: the node config is
-    the authoritative per-node knob (``build_node_config`` copies
-    ``ExperimentConfig.scoring`` into it; standalone deployments set it
-    directly).
-    """
+    """Per-validator schedule managers for ``config``."""
 
     def factory() -> ScheduleManager:
         schedule = initial_schedule(committee, seed=config.seed)
@@ -96,7 +89,7 @@ def schedule_manager_factory(
             committee,
             schedule,
             policy=CommitCountPolicy(config.commits_per_schedule),
-            scoring=make_scoring_rule(scoring_rule),
+            scoring=make_scoring_rule(config.scoring),
             exclude_fraction=config.exclude_fraction,
         )
 
@@ -163,9 +156,7 @@ class SimulationRunner:
         )
 
     def _build_nodes(self) -> None:
-        factory = schedule_manager_factory(
-            self.config, self.committee, self.node_config.scoring_rule
-        )
+        factory = schedule_manager_factory(self.config, self.committee)
         for validator in self.committee.validators:
             self.nodes[validator] = self.node_class(
                 validator_id=validator,

@@ -194,9 +194,8 @@ class TestSharedLowering:
         )
         lowered = build_node_config(experiment)
         assert lowered.min_round_interval == 0.25
-        assert lowered.scoring_rule == "completeness"
         assert lowered.max_batch_size == 7
         plan = plan_for_config(experiment)
-        assert LockstepSimulationRunner(experiment).node_config == dataclasses.replace(
-            lowered, max_round=plan.max_round
-        )
+        runner = LockstepSimulationRunner(experiment)
+        assert runner.node_config == dataclasses.replace(lowered, max_round=plan.max_round)
+        assert {node.schedule_manager.scoring.name for node in runner.nodes.values()} == {"completeness"}

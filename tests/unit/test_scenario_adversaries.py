@@ -5,6 +5,7 @@ committee-relative time expressions, and partition-aware load targeting.
 """
 
 import json
+import re
 
 import pytest
 
@@ -79,16 +80,55 @@ class TestBehaviorFaultKinds:
         with pytest.raises(ConfigurationError):
             FaultSpec(kind="slow", count=1, target_count=1).validate()
 
-    def test_boolean_and_wrong_typed_fields_rejected(self):
-        # JSON true must not slip through as window=1 / target_count=1.
-        with pytest.raises(ConfigurationError):
-            FaultSpec(kind="reputation-gaming", count=1, window=True).validate()
-        with pytest.raises(ConfigurationError):
-            FaultSpec(kind="equivocate", count=1, target_count=True).validate()
-        with pytest.raises(ConfigurationError):
-            FaultSpec(kind="silent-fanout", count=1, targets=(True,)).validate()
-        with pytest.raises(ConfigurationError):
-            FaultSpec(kind="reputation-gaming", count=1, window="9").validate()
+    @pytest.mark.parametrize(
+        "entry, path",
+        [
+            # JSON true must not slip through as window=1 / target_count=1.
+            pytest.param(
+                {"faults": [{"kind": "reputation-gaming", "count": 1, "window": True}]},
+                "faults[0].window",
+                id="window-true",
+            ),
+            pytest.param(
+                {"faults": [{"kind": "equivocate", "count": 1, "target_count": True}]},
+                "faults[0].target_count",
+                id="target_count-true",
+            ),
+            pytest.param(
+                {"faults": [{"kind": "silent-fanout", "count": 1, "targets": [True]}]},
+                "faults[0].targets[0]",
+                id="targets-true",
+            ),
+            pytest.param(
+                {"faults": [{"kind": "reputation-gaming", "count": 1, "window": "9"}]},
+                "faults[0].window",
+                id="window-string",
+            ),
+            pytest.param(
+                {"faults": [{"kind": "slow", "count": 1, "extra_delay": True}]},
+                "faults[0].extra_delay",
+                id="extra_delay-true",
+            ),
+            pytest.param({"disturbances": [{"jitter": True}]}, "disturbances[0].jitter", id="jitter-true"),
+            pytest.param({"faults": [{"kind": "crash", "fraction": True}]}, "faults[0].fraction", id="fraction-true"),
+            pytest.param(
+                {"partitions": [{"groups": [[1, "a"]]}]}, "partitions[0].groups[0][1]", id="groups-string"
+            ),
+            pytest.param({"faults": [{"kind": "crash", "count": 2.5}]}, "faults[0].count", id="count-float"),
+            pytest.param({"workload": {"kind": "ramp", "steps": 2.5}}, "workload.steps", id="steps-float"),
+            pytest.param(
+                {"faults": [{"kind": "crash", "max_faulty": 1}]}, "faults[0].max_faulty", id="max_faulty-int"
+            ),
+            pytest.param(
+                {"faults": [{"kind": "crash", "validators": [1.5]}]},
+                "faults[0].validators[0]",
+                id="validators-float",
+            ),
+        ],
+    )
+    def test_boolean_and_wrong_typed_fields_rejected(self, entry, path):
+        with pytest.raises(ConfigurationError, match=re.escape(f"scenario spec.{path} must be ")):
+            ScenarioSpec.from_dict({"name": "typed", **entry})
 
     def test_minimal_fault_plan_subclass_survives_a_run(self):
         # A FaultPlan subclass implementing only schedule() must not crash

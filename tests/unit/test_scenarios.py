@@ -63,6 +63,16 @@ class TestSpecRoundTrip:
         spec = rich_spec()
         assert ScenarioSpec.from_json(spec.to_json()).scenario_digest() == spec.scenario_digest()
 
+    @pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registered_scenario_json_round_trip(self, name, smoke):
+        # The annotations-driven parser rebuilds every curated spec exactly:
+        # same values, same types (no int/float drift), same digest.
+        spec = get_scenario(name).smoke() if smoke else get_scenario(name)
+        rebuilt = ScenarioSpec.from_json(spec.to_json())
+        assert rebuilt == spec
+        assert rebuilt.scenario_digest() == spec.scenario_digest()
+
     def test_to_dict_is_plain_json(self):
         # No tuples, dataclasses, or other non-JSON types survive.
         text = json.dumps(rich_spec().to_dict())
