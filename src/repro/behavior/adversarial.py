@@ -128,7 +128,7 @@ class EquivocationPolicy(BehaviorPolicy):
                 block=(),
                 created_at=vertex.created_at,
             )
-        edges = sorted(vertex.edges)
+        edges = vertex.edges
         for index in range(len(edges) - 1, -1, -1):
             remaining = edges[:index] + edges[index + 1 :]
             if self.node.committee.has_quorum({edge.source for edge in remaining}):

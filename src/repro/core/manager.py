@@ -245,8 +245,12 @@ class HammerHeadScheduleManager(ScheduleManager):
                     self.scoring.on_expected_vote(voter, vertex.round, False, view)
             return
         leader = self.leader_for_round(previous_round)
-        leader_vertex = VertexId(round=previous_round, source=leader)
-        voted = leader_vertex in vertex.edges
+        # ``previous_round`` is ``vertex.round - 1``: where every edge names
+        # that round, the edge mask answers without a scan of the edges.
+        if vertex.edges_adjacent:
+            voted = bool(vertex.edge_mask >> leader & 1)
+        else:
+            voted = VertexId(round=previous_round, source=leader) in vertex.edges
         if self._track_votes:
             if view.leader_was_ordered(previous_round):
                 # The leader vertex precedes this vertex in the

@@ -8,6 +8,18 @@ The store enforces two invariants the correctness proofs rely on:
 * **Non-equivocation**: at most one vertex per (round, source) pair is
   ever accepted; conflicting vertices raise :class:`EquivocationError`.
 
+Storage
+-------
+
+A vertex is held once per store, in its round's slab: a list indexed by
+validator id.  The slabs are the only index: every ``VertexId`` lookup
+(``get``, ``in``, ``path``, the reachability walk, ``reconsider_pending``)
+is a dict get on the round and a list index on the source, bounds-checked
+so that an id naming a source outside the committee is absent rather
+than another validator's vertex.  A per-round arrival list keeps the
+order vertices entered the DAG, which parent selection reads and
+iteration follows (rounds ascending, arrival order within a round).
+
 Reachability cache
 ------------------
 
@@ -77,14 +89,14 @@ class DagStore:
         # Flat per-validator stake lookup for the insertion hot path.
         self._stakes = committee.stake_vector.stakes
         self.require_edge_quorum = require_edge_quorum
-        # Arena-style per-round storage: ``_round_slots[r][source]`` is the
-        # round-``r`` vertex from ``source`` (``None`` when absent) in a
-        # flat slab indexed by validator id, and ``_round_order[r]`` keeps
-        # the arrival sequence the old insertion-ordered dicts exposed
-        # (digest-relevant: parent selection reads it).  Slabs are
-        # recycled through ``_slab_pool`` at GC so a long run allocates a
-        # bounded number of per-round containers instead of one dict per
-        # round.
+        # Arena-style per-round storage, the one index of the stored
+        # vertices: ``_round_slots[r][source]`` is the round-``r`` vertex
+        # from ``source`` (``None`` when absent) in a flat slab indexed by
+        # validator id, so a ``VertexId`` lookup is a round-dict get and a
+        # list index.  ``_round_order[r]`` keeps the round's arrival
+        # sequence (digest-relevant: parent selection reads it).  Slabs
+        # are recycled through ``_slab_pool`` at GC so a long run
+        # allocates a bounded number of per-round containers.
         self._size = len(committee.stake_vector.stakes)
         self._round_slots: Dict[Round, List[Optional[Vertex]]] = {}
         self._round_order: Dict[Round, List[Vertex]] = {}
@@ -96,7 +108,8 @@ class DagStore:
         # ``s``, the ``Vertex.edge_mask`` positions), maintained beside
         # the stake: the frontier a fetch request advertises.
         self._round_sources: Dict[Round, int] = {}
-        self._by_id: Dict[VertexId, Vertex] = {}
+        # Stored vertices, kept by ``_insert`` and GC for ``len()``.
+        self._count = 0
         # Vertices waiting for missing parents, keyed by the missing parent.
         self._pending: Dict[VertexId, Vertex] = {}
         self._waiting_on: Dict[VertexId, Set[VertexId]] = {}
@@ -166,7 +179,10 @@ class DagStore:
 
     def _check_known(self, vertex: Vertex) -> bool:
         """Detect duplicates and equivocation for ``vertex``."""
-        existing = self._by_id.get(vertex.id)
+        # ``get`` inlined: this runs once per insertion.
+        slots = self._round_slots.get(vertex.round)
+        source = vertex.source
+        existing = slots[source] if slots is not None and 0 <= source < len(slots) else None
         if existing is not None:
             if existing.digest != vertex.digest:
                 raise EquivocationError(
@@ -198,11 +214,16 @@ class DagStore:
             # the round lacks (or a pruned round) takes the loop below.
             if not vertex.edge_mask & ~self._round_sources.get(vertex.round - 1, 0):
                 return self._NO_MISSING
-        by_id = self._by_id
+        round_slots = self._round_slots
         lowest = self._lowest_round
         missing: Optional[Set[VertexId]] = None
         for parent in vertex.edges:
-            if parent not in by_id and parent.round >= lowest:
+            if parent.round < lowest:
+                continue
+            # ``get`` inlined, bounds check included.
+            slots = round_slots.get(parent.round)
+            source = parent.source
+            if slots is None or not 0 <= source < len(slots) or slots[source] is None:
                 if missing is None:
                     missing = {parent}
                 else:
@@ -237,7 +258,7 @@ class DagStore:
             self._stale_below_horizon = True
         round_number = vertex.round
         source = vertex.source
-        self._by_id[vertex.id] = vertex
+        self._count += 1
         slots = self._round_slots.get(round_number)
         if slots is None:
             pool = self._slab_pool
@@ -327,10 +348,19 @@ class DagStore:
     # -- lookups --------------------------------------------------------------------
 
     def __contains__(self, vertex_id: VertexId) -> bool:
-        return vertex_id in self._by_id
+        return self.get(vertex_id) is not None
 
     def get(self, vertex_id: VertexId) -> Optional[Vertex]:
-        return self._by_id.get(vertex_id)
+        """The stored vertex with ``vertex_id``, read from its round's slab.
+
+        The bounds check matters: ``slots[-1]`` would answer with another
+        validator's vertex.
+        """
+        slots = self._round_slots.get(vertex_id.round)
+        source = vertex_id.source
+        if slots is None or not 0 <= source < len(slots):
+            return None
+        return slots[source]
 
     def vertex_of(self, round_number: Round, source: ValidatorId) -> Optional[Vertex]:
         slots = self._round_slots.get(round_number)
@@ -370,12 +400,16 @@ class DagStore:
         return self._highest_round
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return self._count
 
     def __iter__(self) -> Iterator[Vertex]:
-        # Arrival order (insertion-ordered dict); consumers
-        # are introspection and tests, never the digest fold.
-        return iter(list(self._by_id.values()))
+        """Every stored vertex: rounds ascending, arrival order within a round.
+
+        A snapshot, so the caller may mutate the store while iterating.
+        Consumers are introspection and tests, never the digest fold.
+        """
+        round_order = self._round_order
+        return iter([vertex for round_number in sorted(round_order) for vertex in round_order[round_number]])
 
     @property
     def pending_count(self) -> int:
@@ -432,9 +466,9 @@ class DagStore:
         reached when an edge names its id, whether or not the ancestor
         vertex itself is still stored (it may have been pruned).
         """
+        start = self.get(descendant)
         if descendant == ancestor:
-            return descendant in self._by_id
-        start = self._by_id.get(descendant)
+            return start is not None
         if start is None or ancestor.round >= start.round:
             return False
         return ancestor.source in self._reachable_sources(start, ancestor.round)
@@ -447,7 +481,7 @@ class DagStore:
         memoized per (vertex, target round); see the module docstring for
         the invalidation argument.
         """
-        vertex = self._by_id.get(vertex_id)
+        vertex = self.get(vertex_id)
         if vertex is None or vertex.round <= target_round:
             return frozenset()
         return self._reachable_sources(vertex, target_round)
@@ -459,7 +493,7 @@ class DagStore:
             cached = entry.get(target_round)
             if cached is not None:
                 return cached
-        by_id = self._by_id
+        round_slots = self._round_slots
         # Phase 1: collect the not-yet-memoized region reachable from the
         # root, grouped by round.  The walk stops early at vertices whose
         # set is already cached and at round ``target_round + 1``.
@@ -480,10 +514,14 @@ class DagStore:
                 if edge in seen:
                     continue
                 seen.add(edge)
-                parent = by_id.get(edge)
-                # Absent parents (pruned or never received) block the walk.
-                if parent is not None:
-                    queue.append(parent)
+                # ``get`` inlined.  Absent parents (pruned or never
+                # received) block the walk.
+                slots = round_slots.get(edge.round)
+                source = edge.source
+                if slots is not None and 0 <= source < len(slots):
+                    parent = slots[source]
+                    if parent is not None:
+                        queue.append(parent)
         # Phase 2: rounds strictly decrease along edges, so computing in
         # ascending round order guarantees every parent's set is ready
         # (either memoized earlier or produced by a lower level).
@@ -580,7 +618,7 @@ class DagStore:
             # have been handled by a nested pass: remove with pop(), never
             # an unguarded del.
             for vertex_id, vertex in list(self._pending.items()):
-                if vertex_id in self._by_id:
+                if self.get(vertex_id) is not None:
                     self._pending.pop(vertex_id, None)
                     continue
                 if not self.missing_parents(vertex):
@@ -623,7 +661,6 @@ class DagStore:
         removed = 0
         for round_number in [r for r in self._round_slots if r < before_round]:
             for vertex in self._round_order.pop(round_number):
-                del self._by_id[vertex.id]
                 self._reach_cache.pop(vertex.id, None)
                 removed += 1
             slots = self._round_slots.pop(round_number)
@@ -636,6 +673,7 @@ class DagStore:
                 self._slab_pool.append(slots)
             self._round_stake.pop(round_number, None)
             self._round_sources.pop(round_number, None)
+        self._count -= removed
         if not self._round_slots:
             # GC swallowed every round (the horizon overtook the frontier);
             # match ``max(rounds) or 0`` semantics.

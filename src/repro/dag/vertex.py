@@ -10,7 +10,7 @@ being accepted.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.committee import Committee
 from repro.crypto.hashing import Digest, evict_oldest_half, vertex_digest
@@ -59,7 +59,11 @@ class Vertex:
     """A vertex of the DAG (``struct vertex`` in Algorithm 1)."""
 
     id: VertexId
-    edges: FrozenSet[VertexId]
+    # The parent ids, ascending and duplicate-free whatever iterable the
+    # constructor was given (``__post_init__`` canonicalises it).  A tuple
+    # is a fifth of a frozenset's size, and its order is the one both the
+    # content digest and the wire encoding use.
+    edges: Tuple[VertexId, ...]
     block: Block
     digest: Digest
     created_at: SimTime = 0.0
@@ -74,7 +78,7 @@ class Vertex:
     # an edge to a vertex from validator ``s``.  ``make_vertex`` only
     # builds vertices whose edges all point to the previous round; a
     # decoded vertex can name any round, so the mask stands for ``edges``
-    # (one AND instead of a frozenset lookup in the vote-stake scan, one
+    # (one AND instead of a scan of the edges in the vote checks, one
     # AND-NOT instead of a lookup per parent in ``missing_parents``) only
     # where ``edges_adjacent`` says every edge names ``round - 1``.
     edge_mask: int = dataclasses.field(init=False, compare=False, repr=False)
@@ -84,12 +88,19 @@ class Vertex:
         previous = self.id.round - 1
         object.__setattr__(self, "round", self.id.round)
         object.__setattr__(self, "source", self.id.source)
+        edges: List[VertexId] = []
+        last = None
         mask = 0
         adjacent = True
-        for edge in self.edges:
+        for edge in sorted(self.edges):
+            if edge == last:
+                continue
+            last = edge
+            edges.append(edge)
             mask |= 1 << edge.source
             if edge.round != previous:
                 adjacent = False
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "edge_mask", mask)
         object.__setattr__(self, "edges_adjacent", adjacent)
 
@@ -98,12 +109,16 @@ class Vertex:
         return (
             self.id.round,
             self.id.source,
-            tuple(sorted((edge.round, edge.source) for edge in self.edges)),
+            tuple((edge.round, edge.source) for edge in self.edges),
             len(self.block),
         )
 
     def references(self, other: VertexId) -> bool:
         """``True`` when this vertex has a direct edge to ``other``."""
+        if self.edges_adjacent:
+            return other.round == self.round - 1 and 0 <= other.source and bool(
+                self.edge_mask >> other.source & 1
+            )
         return other in self.edges
 
     def __str__(self) -> str:  # pragma: no cover - debugging helper
@@ -124,31 +139,27 @@ def make_vertex(
     """
     if round_number < 0:
         raise DagError("rounds are non-negative")
-    edge_set = frozenset(edges)
-    if round_number == 0 and edge_set:
-        raise DagError("genesis vertices must not reference parents")
-    for edge in edge_set:
-        if edge.round != round_number - 1:
-            raise DagError(
-                f"vertex at round {round_number} references parent at round "
-                f"{edge.round}; edges must point to the previous round"
-            )
-    vertex_id = interned_vertex_id(round_number, source)
-    digest = vertex_digest(
-        round_number,
-        source,
-        sorted(edge_set),
-        len(block),
-    )
-    evict_oldest_half(_DIGEST_INTERN, _INTERN_LIMIT)
-    digest = _DIGEST_INTERN.setdefault(digest, digest)
-    return Vertex(
-        id=vertex_id,
-        edges=edge_set,
+    vertex = Vertex(
+        id=interned_vertex_id(round_number, source),
+        edges=edges,
         block=block if getattr(block, "sealed", False) else tuple(block),
-        digest=digest,
+        digest=b"",
         created_at=created_at,
     )
+    if round_number == 0 and vertex.edges:
+        raise DagError("genesis vertices must not reference parents")
+    if not vertex.edges_adjacent:
+        stray = next(edge for edge in vertex.edges if edge.round != round_number - 1)
+        raise DagError(
+            f"vertex at round {round_number} references parent at round "
+            f"{stray.round}; edges must point to the previous round"
+        )
+    digest = vertex_digest(round_number, source, vertex.edges, len(block))
+    evict_oldest_half(_DIGEST_INTERN, _INTERN_LIMIT)
+    # The digest is a function of the canonical edges, so it is filled
+    # in once the vertex has built them.
+    object.__setattr__(vertex, "digest", _DIGEST_INTERN.setdefault(digest, digest))
+    return vertex
 
 
 def genesis_vertices(committee: Committee) -> List[Vertex]:

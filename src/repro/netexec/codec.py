@@ -172,24 +172,34 @@ def _build_vertex(fields: tuple) -> Vertex:
         source = getattr(named, "source", None)
         if type(source) is not int or not 0 <= source < _MAX_SOURCES:
             raise CodecError(f"vertex names a source outside the validator ids [0, {_MAX_SOURCES})")
-    expected = vertex_digest(
-        vertex_id.round,
-        vertex_id.source,
-        sorted(edges),
-        len(block),
-    )
-    if digest != expected:
-        raise CodecError(
-            f"vertex {vertex_id.round}/{vertex_id.source} digest mismatch: "
-            "carried digest does not match the recomputed content digest"
-        )
-    return Vertex(
+        # Ascending ids are then also ascending encoded bytes: the edge
+        # order ``Vertex`` keeps is the wire's (see ``_EdgeSet``).
+        round_number = named.round
+        if type(round_number) is not int or round_number < 0:
+            raise CodecError("vertex names a round that is not a non-negative integer")
+    vertex = Vertex(
         id=vertex_id,
         edges=edges,
         block=block,
         digest=digest,
         created_at=created_at,
     )
+    if digest != vertex_digest(vertex_id.round, vertex_id.source, vertex.edges, len(block)):
+        raise CodecError(
+            f"vertex {vertex_id.round}/{vertex_id.source} digest mismatch: "
+            "carried digest does not match the recomputed content digest"
+        )
+    return vertex
+
+
+class _EdgeSet(tuple):
+    """A vertex's edges on their way to the wire: a set, written as one.
+
+    ``Vertex`` keeps its edges ascending, and for the non-negative
+    integer ids a decoded vertex may name, ascending ids encode to
+    ascending bytes, so the edges are already in the canonical set order
+    and are written as they stand, not sorted by their encodings again.
+    """
 
 
 def _pack_fetch_request(request: FetchRequest) -> tuple:
@@ -265,7 +275,7 @@ _SPECS: Tuple[_TypeSpec, ...] = (
     _spec(
         3, Vertex, ("id", "edges", "block", "digest", "created_at"), build=_build_vertex,
         # A block travels as the tuple of its items, whatever sequence holds them.
-        pack=lambda v: (v.id, v.edges, tuple(v.block), v.digest, v.created_at),
+        pack=lambda v: (v.id, _EdgeSet(v.edges), tuple(v.block), v.digest, v.created_at),
     ),
     _spec(
         4,
@@ -455,6 +465,10 @@ def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None
         # identically whatever their in-memory iteration order.
         out.append(_TAG_FROZENSET + _HEADER.pack(len(value)))
         out.extend(sorted(encode(item) for item in value))
+    elif type(value) is _EdgeSet:
+        out.append(_TAG_FROZENSET + _HEADER.pack(len(value)))
+        for item in value:
+            _encode_into(item, out, slot)
     elif type(value) is dict:
         out.append(_TAG_DICT + _HEADER.pack(len(value)))
         pairs = sorted(

@@ -10,7 +10,7 @@ lacks, plus a consensus snapshot when that frontier lies below this
 validator's GC horizon; the wire side is described in
 :mod:`repro.node.messages`).  Adopting a snapshot rewrites the commit
 record, so it is the validator's decision; the synchronizer only
-remembers which peers were asked.
+counts, per peer, the requests that peer has not answered yet.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ class Synchronizer:
         self.retry_interval = retry_interval
         # Missing vertex -> when it was last asked for.
         self.requested: Dict[VertexId, SimTime] = {}
-        # One bit per peer a request was ever sent to: only those may
-        # hand the validator a snapshot to adopt.
-        self.asked_peers = 0
+        # Per peer, the requests sent to it that it has not answered:
+        # only a peer with one open may hand the validator a snapshot to
+        # adopt.  Each response closes one, once the validator decided
+        # on its snapshot.
+        self.open_requests = [0] * self.committee.size
         self._timer: Optional[EventHandle] = None
         # Fetch traffic and waste, counted where it happens: requests
         # sent, vertices put into responses, vertices received in
@@ -77,13 +79,13 @@ class Synchronizer:
 
         After a recovery rebuilt the DAG, or a state sync moved its
         horizon, earlier requests say nothing about what is missing.
-        Which peers were asked is kept.
+        The requests still open are kept: their answers are on the way.
         """
         self.requested.clear()
 
-    def was_asked(self, peer: ValidatorId) -> bool:
-        """Whether a request was ever sent to ``peer``."""
-        return bool(self.asked_peers >> peer & 1)
+    def has_open_request(self, peer: ValidatorId) -> bool:
+        """Whether ``peer`` has a request of ours it has not answered."""
+        return 0 <= peer < len(self.open_requests) and self.open_requests[peer] > 0
 
     # -- requesting ---------------------------------------------------------------
 
@@ -117,7 +119,7 @@ class Synchronizer:
             held=dag.held_sources(),
         )
         target = preferred_peer if preferred_peer != self.owner else self._random_peer()
-        self.asked_peers |= 1 << target
+        self.open_requests[target] += 1
         self.network.send(self.owner, target, request)
         self._arm(self._retry_parked)
 
@@ -234,8 +236,11 @@ class Synchronizer:
 
     # -- receiving ----------------------------------------------------------------
 
-    def on_response(self, response: FetchResponse) -> None:
-        """Ingest a response's vertices at or above the horizon, lowest round first."""
+    def on_response(self, sender: ValidatorId, response: FetchResponse) -> None:
+        """Close one of ``sender``'s open requests, then ingest the
+        response's vertices at or above the horizon, lowest round first."""
+        if self.has_open_request(sender):
+            self.open_requests[sender] -= 1
         dag = self.node.dag
         horizon = dag.lowest_round
         vertices = response.vertices

@@ -527,7 +527,7 @@ class ValidatorNode:
 
     def _handle_fetch_response(self, sender: ValidatorId, response: FetchResponse) -> None:
         self._maybe_state_sync(sender, response)
-        self.synchronizer.on_response(response)
+        self.synchronizer.on_response(sender, response)
         self._maybe_advance()
 
     def _maybe_state_sync(self, sender: ValidatorId, response: FetchResponse) -> None:
@@ -539,12 +539,13 @@ class ValidatorNode:
         simulation models that by adopting the responder's committed
         position, ordered-vertex set, and schedule state, then resuming
         normal operation from the responder's GC horizon.  Only a peer
-        this validator sent a fetch request to is trusted with that; an
-        unsolicited snapshot is ignored (its vertices are still ingested).
+        with a fetch request of this validator's still open is trusted
+        with that; an unsolicited snapshot is ignored (its vertices are
+        still ingested).
         """
         if response.responder_gc_round <= self.dag.highest_round() + 1:
             return
-        if not self.synchronizer.was_asked(sender):
+        if not self.synchronizer.has_open_request(sender):
             return
         snapshot = response.snapshot
         if snapshot is None:

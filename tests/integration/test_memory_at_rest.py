@@ -18,6 +18,15 @@ runs for 20 and for 40 sim-s, and:
   stayed persisted and every arrival scheduled);
 * the peak above what stays at rest is the percentile selection's probe
   and windows; a boxed sort of the latency samples costs ~36 B per sample.
+
+At committee 25 the DAG layer is measured on its own: every validator
+stores every vertex of the GC window, and all of them share one object
+per vertex.  What ``dag/store.py`` holds is then per (validator x stored
+vertex): a slab cell, an arrival-list cell, the round tables and the
+reachability memo, ~33 B (86 B while a second index keyed every vertex
+by id).  What ``dag/vertex.py`` holds is per distinct vertex: the object,
+its ascending edge tuple and the interned id and digest, ~520 B (2.4 KB
+while the edges were a frozenset).
 """
 
 import gc
@@ -34,6 +43,12 @@ PACKAGE = Path(repro.__file__).parent
 METRICS_AT_REST = 20
 GROWTH = 40
 PEAK_ABOVE_REST = 16
+
+
+# Per (validator x stored vertex) in dag/store.py; per distinct vertex in
+# dag/vertex.py, at committee 25.
+STORE_PER_STORED_VERTEX = 48
+VERTEX_PER_DISTINCT_VERTEX = 800
 
 
 def measure(duration):
@@ -67,3 +82,29 @@ def test_memory_at_rest_is_the_gc_window_and_two_cells_a_transaction():
     assert growth <= GROWTH, f"{growth:.1f} B per extra transaction at rest"
     for submitted, _, at_rest, peak in (short, long):
         assert (peak - at_rest) / submitted <= PEAK_ABOVE_REST, f"{(peak - at_rest) / submitted:.1f} B per transaction above rest"
+
+
+def test_the_dag_holds_each_vertex_once_at_committee_25():
+    config = ExperimentConfig(committee_size=25, input_load_tps=200.0, duration=6.0, warmup=1.0, seed=3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        runner = SimulationRunner(config)
+        runner.run()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+
+    def live(name):
+        traces = snapshot.filter_traces([tracemalloc.Filter(True, str(PACKAGE / "dag" / name))])
+        return sum(statistic.size for statistic in traces.statistics("filename"))
+
+    dags = [node.dag for node in runner.nodes.values()]
+    stored = sum(len(dag) for dag in dags)
+    distinct = len({vertex.id for dag in dags for vertex in dag})
+    assert distinct >= 10 * 25 and stored >= 20 * distinct
+    per_stored = live("store.py") / stored
+    assert per_stored <= STORE_PER_STORED_VERTEX, f"{per_stored:.1f} B per stored vertex in dag/store.py"
+    per_distinct = live("vertex.py") / distinct
+    assert per_distinct <= VERTEX_PER_DISTINCT_VERTEX, f"{per_distinct:.1f} B per distinct vertex in dag/vertex.py"

@@ -20,7 +20,7 @@ def dag_fingerprint(runner):
     state = {}
     for validator, node in sorted(runner.nodes.items()):
         vertices = sorted(
-            (vertex.round, vertex.source, vertex.digest, tuple(sorted(vertex.edges)))
+            (vertex.round, vertex.source, vertex.digest, vertex.edges)
             for vertex in node.dag
         )
         state[validator] = (

@@ -10,10 +10,11 @@ wire, same verdicts.
 Mutations are the hostile half: every strict prefix, single-byte flips,
 a tag byte swapped for each other tag, count fields moved by one or set
 to 2**32 - 1, two frames spliced, an edge duplicated inside a set, a
-forged vertex digest, signer tuples of committees past 64.  The last
-class of tests mutates the *production source* (a skipped tag
-comparison, a skipped set-size check, a skipped digest recomputation,
-an unchecked trailing byte) and requires the same corpus to notice.
+forged vertex digest, a negative round, signer tuples of committees past
+64.  The last class of tests mutates the *production source* (a skipped
+tag comparison, a skipped set-size check, a skipped digest
+recomputation, a skipped source or round bound, an unchecked trailing
+byte) and requires the same corpus to notice.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def _frames_around(vertex_wire):
 def _vertex_wire(vertex, edges_wire=None, digest=None):
     """``encode(vertex)`` with the edge set or the digest replaced."""
     if edges_wire is None:
-        edges_wire = encode(vertex.edges)
+        edges_wire = encode(frozenset(vertex.edges))
     return (
         b"O\x03"
         + encode(vertex.id)
@@ -393,10 +394,26 @@ def _out_of_range_source_frames():
     ]
 
 
+def _negative_round_frames():
+    """A vertex, or one of its edges, naming a round below zero, with the
+    true digest: ``%d`` formats it as readily as any other."""
+    block = (Transaction(7, 1, 0.5, 1),)
+    frames = []
+    for vertex_id, edges in (
+        (VertexId(2, 1), frozenset({VertexId(-1, 0), VertexId(1, 2)})),
+        (VertexId(-2, 1), frozenset({VertexId(-3, 0), VertexId(-3, 2)})),
+    ):
+        digest = vertex_digest(vertex_id.round, vertex_id.source, sorted(edges), len(block))
+        wire = b"O\x03" + b"".join(encode(field) for field in (vertex_id, edges, block, digest, 3.5))
+        frames.extend(_frames_around(wire).values())
+    return frames
+
+
 HOSTILE_FAMILIES = {
     "duplicated-edge": _duplicated_edge_frames,
     "forged-digest": _forged_digest_frames,
     "out-of-range-source": _out_of_range_source_frames,
+    "negative-round": _negative_round_frames,
     "unsorted-edges": _unsorted_edge_frames,
     "trailing-byte": _trailing_byte_frames,
     "swapped-tag": _swapped_tag_frames,
@@ -488,6 +505,11 @@ SOURCE_MUTANTS = {
         "if type(source) is not int or not 0 <= source < _MAX_SOURCES:",
         "if False:",
         "out-of-range-source",
+    ),
+    "skipped-round-bound": (
+        "if type(round_number) is not int or round_number < 0:",
+        "if False:",
+        "negative-round",
     ),
     "unchecked-trailing-byte": (
         "if offset == len(body):\n                return value",

@@ -13,9 +13,16 @@ It shares no decoding code with production.  What it imports from
 how bytes are walked: the error type, the ``Hello`` frame, and the two
 field validators (``_build_vertex`` recomputes a decoded vertex's
 digest; the differential suite checks that production still calls it).
-The bound on the validator ids a vertex names is written out again, in
-the same words, ahead of ``_build_vertex``: a production decoder that
-drops it disagrees with this one.
+The bounds on the validator ids and rounds a vertex names are written
+out again, in the same words, ahead of ``_build_vertex``: a production
+decoder that drops one disagrees with this one.
+
+It also holds the reference *encoder*: the one-value-at-a-time encoder
+the codec shipped while a vertex kept its edges in a ``frozenset``, which
+sorts every set by the encoded bytes of its items.  Its output is the
+golden wire (``tests/property/test_prop_codec_golden.py``): production
+writes a vertex's edges in the order the vertex keeps them and must still
+produce these bytes.
 The type-code table below is written out again on purpose: a code
 retired, renumbered or re-fielded in ``_SPECS`` shows up as a mismatch.
 ``tests/property/test_prop_codec_differential.py`` asserts the import
@@ -62,7 +69,8 @@ _MAX_SOURCES = 1024
 
 def _bounded_vertex(values: tuple) -> Vertex:
     """Refuse a vertex naming a source outside the validator ids, before
-    anything can shift by it; every other verdict is ``_build_vertex``'s."""
+    anything can shift by it, or a round that is not a non-negative
+    integer; every other verdict is ``_build_vertex``'s."""
     vertex_id, edges = values[0], values[1]
     if isinstance(vertex_id, VertexId) and isinstance(edges, frozenset):
         for named in (vertex_id, *edges):
@@ -71,6 +79,8 @@ def _bounded_vertex(values: tuple) -> Vertex:
                 raise CodecError(
                     f"vertex names a source outside the validator ids [0, {_MAX_SOURCES})"
                 )
+            if type(named.round) is not int or named.round < 0:
+                raise CodecError("vertex names a round that is not a non-negative integer")
     return _build_vertex(values)
 
 
@@ -209,6 +219,71 @@ def _decode_at(data: bytes, offset: int) -> Tuple[Any, int]:
             raise CodecError("duplicate keys in encoded dict")
         return result, offset
     raise CodecError(f"unknown value tag {bytes((tag,))!r}")
+
+
+# -- the reference encoder -------------------------------------------------------------
+
+# The wire fields of each registered type, in order.
+_FIELDS: Dict[type, Callable[[Any], tuple]] = {
+    Hello: lambda v: (v.node_id,),
+    VertexId: lambda v: (v.round, v.source),
+    Vertex: lambda v: (v.id, frozenset(v.edges), tuple(v.block), v.digest, v.created_at),
+    Transaction: lambda v: (
+        v.tx_id, v.client_id, v.submitted_at, v.target_validator, v.kind, v.payload_bytes
+    ),
+    LeaderSchedule: lambda v: (v.epoch, v.initial_round, v.slots),
+    ConsensusSnapshot: lambda v: (
+        v.last_ordered_anchor_round,
+        v.gc_round,
+        v.schedules,
+        v.scores,
+        v.commits_in_epoch,
+        v.ordered_vertices,
+        v.vote_accounting,
+    ),
+    FetchRequest: lambda v: (
+        v.requester,
+        v.missing,
+        v.horizon,
+        tuple((round_number, mask.to_bytes((mask.bit_length() + 7) // 8, "big")) for round_number, mask in v.held),
+    ),
+    FetchResponse: lambda v: (v.responder, v.vertices, v.responder_gc_round, v.snapshot),
+    BroadcastMessage: lambda v: (v.origin, v.round, v.digest),
+    ProposeMessage: lambda v: (v.origin, v.round, v.digest, v.payload),
+    AckMessage: lambda v: (v.origin, v.round, v.digest, v.voter),
+    CertificateMessage: lambda v: (v.origin, v.round, v.digest, v.payload, v.signers),
+    CertificateBatch: lambda v: (v.origin, v.round, v.digest, v.certificates),
+}
+_CODES: Dict[type, int] = {cls: code for code, (cls, _, _) in _TYPES.items()}
+
+
+def encode(value: Any) -> bytes:
+    """The canonical bytes of ``value``, every set sorted by encoded item."""
+    if value is None:
+        return b"N"
+    if value is True:
+        return b"T"
+    if value is False:
+        return b"F"
+    if type(value) is int:
+        return b"I" + struct.pack(">q", value)
+    if type(value) is float:
+        return b"R" + struct.pack(">d", value)
+    if type(value) is str:
+        raw = value.encode("utf-8")
+        return b"S" + struct.pack(">I", len(raw)) + raw
+    if type(value) is bytes:
+        return b"Y" + struct.pack(">I", len(value)) + value
+    if type(value) in (tuple, list):
+        return b"L" + struct.pack(">I", len(value)) + b"".join(map(encode, value))
+    if type(value) in (frozenset, set):
+        return b"E" + struct.pack(">I", len(value)) + b"".join(sorted(map(encode, value)))
+    if type(value) is dict:
+        pairs = sorted((encode(key), encode(item)) for key, item in value.items())
+        return b"D" + struct.pack(">I", len(value)) + b"".join(map(b"".join, pairs))
+    fields = _FIELDS[type(value)](value)
+    assert len(fields) == _TYPES[_CODES[type(value)]][1]
+    return b"O" + bytes((_CODES[type(value)],)) + b"".join(map(encode, fields))
 
 
 def decode(body: bytes) -> Any:

@@ -191,7 +191,7 @@ class ReferenceModel:
             for vertex_id in frontier:
                 vertex = self.dag.get(vertex_id)
                 if vertex is not None:
-                    parents |= vertex.edges
+                    parents.update(vertex.edges)
             if ancestor in parents:
                 return True
             frontier = {parent for parent in parents if parent.round > ancestor.round}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dag.store import DagStore
-from repro.dag.vertex import check_edge_quorum, genesis_vertices, make_vertex
+from repro.dag.vertex import Vertex, check_edge_quorum, genesis_vertices, make_vertex
 from repro.errors import DagError, EquivocationError
 from tests.conftest import build_round, populate_dag, vid
 from tests.reference_model import ReferenceModel
@@ -23,7 +23,7 @@ class TestVertexConstruction:
         vertex = make_vertex(1, 2, edges=parents, block=("tx1", "tx2"))
         assert vertex.round == 1
         assert vertex.source == 2
-        assert vertex.edges == frozenset(parents)
+        assert vertex.edges == tuple(parents)
         assert vertex.block == ("tx1", "tx2")
 
     def test_genesis_vertices_have_no_edges(self, committee4):
@@ -243,6 +243,105 @@ class TestDagStoreQueries:
         populate_dag(dag, committee4, rounds=2)
         assert {vertex.round for vertex in dag} == {0, 1, 2}
         assert dag.all_rounds() == [0, 1, 2]
+
+
+class TestLookupGuards:
+    """Every id lookup reads the round slabs: an id outside the committee
+    or below the horizon is absent, never another validator's vertex."""
+
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_a_source_outside_the_committee_is_absent(self, committee4, source):
+        dag = DagStore(committee4)
+        populate_dag(dag, committee4, rounds=3)
+        for round_number in range(4):
+            stray = vid(round_number, source)
+            assert dag.get(stray) is None
+            assert stray not in dag
+            assert not dag.path(stray, stray)
+            assert not dag.path(stray, vid(0, 0))
+            assert dag.reachable_sources(stray, 0) == frozenset()
+            if round_number < 3:
+                assert not dag.path(vid(3, 0), stray)
+
+    def test_an_edge_to_a_source_outside_the_committee_is_missing(self, committee4):
+        # The quorum check would refuse the unknown source first.
+        dag = DagStore(committee4, require_edge_quorum=False)
+        populate_dag(dag, committee4, rounds=1)
+        stray = vid(1, 4)
+        vertex = Vertex(id=vid(2, 0), edges=[vid(1, 0), vid(1, 1), vid(1, 2), stray], block=(), digest=b"any")
+        assert dag.missing_parents(vertex) == {stray}
+        assert dag.add(vertex) is False
+        assert vertex.id not in dag and len(dag) == 8
+
+    def test_pruned_rounds_are_absent(self, committee4):
+        dag = DagStore(committee4)
+        populate_dag(dag, committee4, rounds=6)
+        dag.garbage_collect(before_round=3)
+        for round_number in range(3):
+            for source in committee4.validators:
+                pruned = vid(round_number, source)
+                assert dag.get(pruned) is None
+                assert pruned not in dag
+                assert not dag.path(pruned, pruned)
+                assert not dag.path(pruned, vid(0, 0))
+        assert dag.get(vid(3, 0)) is dag.vertex_of(3, 0) is not None
+
+
+class TestIterationAndLength:
+    """``len()`` and iteration (rounds ascending, arrival order within a
+    round) follow inserts, parked promotions, stragglers and GC."""
+
+    @staticmethod
+    def _tracked(committee4):
+        """A DAG with genesis, and the log of every vertex it inserted."""
+        dag = DagStore(committee4)
+        inserted = []
+        dag.on_insert(inserted.append)
+        for vertex in genesis_vertices(committee4):
+            dag.add(vertex)
+        return dag, inserted
+
+    @staticmethod
+    def _assert_matches(dag, inserted):
+        expected = sorted(
+            (vertex for vertex in inserted if vertex.round >= dag.lowest_round or dag.get(vertex.id)),
+            key=lambda vertex: vertex.round,
+        )
+        assert list(dag) == expected
+        assert len(dag) == len(expected)
+
+    def test_arrival_order_within_a_round(self, committee4):
+        dag, inserted = self._tracked(committee4)
+        for source in (3, 1, 0, 2):
+            dag.add(make_vertex(1, source, edges=[vid(0, s) for s in range(4)]))
+        build_round(dag, committee4, 2)
+        assert [vertex.source for vertex in dag if vertex.round == 1] == [3, 1, 0, 2]
+        self._assert_matches(dag, inserted)
+
+    def test_promotions_stragglers_and_gc(self, committee4):
+        dag, inserted = self._tracked(committee4)
+        build_round(dag, committee4, 1, sources=[0, 1, 2])
+        for round_number in range(2, 5):
+            build_round(dag, committee4, round_number)
+        # Parked on round-5 parents that never arrive, then promoted by
+        # the GC that moves the horizon past them (``reconsider_pending``).
+        parked = [make_vertex(6, source, edges=[vid(5, 0), vid(5, 1), vid(5, 2)]) for source in (2, 0)]
+        for vertex in parked:
+            assert dag.add(vertex) is False
+        self._assert_matches(dag, inserted)
+        assert dag.garbage_collect(before_round=3) == 4 + 3 + 4
+        self._assert_matches(dag, inserted)
+        dag.garbage_collect(before_round=6)
+        assert [vertex.id for vertex in dag] == [vertex.id for vertex in parked]
+        self._assert_matches(dag, inserted)
+        # A straggler below the horizon is stored until the next sweep.
+        straggler = make_vertex(1, 3, edges=[vid(0, s) for s in range(4)])
+        assert dag.add(straggler) is True
+        assert list(dag)[0] is straggler and len(dag) == 3
+        self._assert_matches(dag, inserted)
+        assert dag.garbage_collect(before_round=6) == 1
+        assert len(dag) == 2
+        self._assert_matches(dag, inserted)
 
 
 class TestGarbageCollection:

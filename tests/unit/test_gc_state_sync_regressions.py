@@ -11,6 +11,10 @@ Covers three defects found alongside the commit-path overhaul:
 * A schedule change must invalidate the commit scan's
   candidate evaluations for rounds the new schedule covers (their leader
   may have changed after the rounds were already fully inserted).
+* A peer asked once used to be trusted with a snapshot forever: a
+  second, unrequested response from it could still rewrite the commit
+  record.  A snapshot is now adopted only from a peer with a request
+  still open, and each response closes one.
 """
 
 from __future__ import annotations
@@ -24,11 +28,14 @@ from repro.consensus.bullshark import BullsharkConsensus
 from repro.core.manager import HammerHeadScheduleManager, ScheduleManager, StaticScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
+from repro.node.config import NodeConfig
+from repro.node.messages import FetchResponse
 from repro.schedule.base import LeaderSchedule
 from repro.schedule.round_robin import initial_schedule
 from repro.types import Round, VertexId
 
 from tests.conftest import build_round, vid
+from tests.unit.test_node import build_cluster
 
 
 # -- garbage_collect promotes / purges the pending buffer ----------------------------
@@ -269,3 +276,64 @@ class TestScheduleChangeInvalidation:
         ordered = consensus.ordered_ids()
         assert ordered.index(vid(2, 0)) < ordered.index(vid(4, 2))
         assert ordered[-1] == vid(4, 2)
+
+
+# -- a snapshot needs a request still open -----------------------------------------------
+
+
+class TestSnapshotNeedsAnOpenRequest:
+    @staticmethod
+    def _lagging():
+        """Validator 3, crashed from the start while the others ran with
+        GC depth 4, and validator 2, whose horizon is past 3's frontier."""
+        config = NodeConfig(
+            max_batch_size=50, min_round_interval=0.05, leader_timeout=0.5, gc_depth=4
+        )
+        committee, simulator, network, nodes = build_cluster(config=config, dynamic=True)
+        for node in nodes.values():
+            node.start()
+        lagging = nodes[3]
+        lagging.crash()
+        simulator.run(until=4.0)
+        lagging.crashed = False  # handle directly; the network still drops its traffic
+        return nodes[2], lagging
+
+    def test_a_second_response_to_one_request_cannot_hand_over_a_snapshot(self):
+        donor, lagging = self._lagging()
+        lagging.synchronizer.request({vid(lagging.dag.highest_round() + 1, 2)}, preferred_peer=2)
+        assert lagging.synchronizer.open_requests[2] == 1
+        # Peer 2 answers the one request: nothing it can serve.
+        lagging._handle_fetch_response(
+            2, FetchResponse(responder=2, vertices=(), responder_gc_round=0)
+        )
+        assert lagging.synchronizer.open_requests[2] == 0
+
+        # A second response, unasked for, carrying a snapshot past our
+        # frontier and history above our horizon.
+        tip = donor.dag.vertex_of(donor.dag.highest_round() - 1, 2)
+        vertices = tuple(donor.dag.causal_history(tip.id))
+        assert vertices and all(vertex.round >= lagging.dag.lowest_round for vertex in vertices)
+        response = FetchResponse(
+            responder=2,
+            vertices=vertices,
+            responder_gc_round=donor.dag.lowest_round,
+            snapshot=donor.consensus_snapshot(),
+        )
+        assert response.responder_gc_round > lagging.dag.highest_round() + 1
+        assert len(response.snapshot.schedules) > len(lagging.schedule_manager.history)
+        before = (
+            lagging.consensus.last_ordered_anchor_round,
+            list(lagging.schedule_manager.history),
+            lagging.dag.lowest_round,
+        )
+        lagging._handle_fetch_response(2, response)
+        assert (
+            lagging.consensus.last_ordered_anchor_round,
+            list(lagging.schedule_manager.history),
+            lagging.dag.lowest_round,
+        ) == before
+        # Its vertices are still ingested: their parents were pruned by
+        # the responder, so they wait in the pending buffer.
+        assert lagging.synchronizer.vertices_received == lagging.synchronizer.vertices_new == len(vertices)
+        parked = {vertex.id for vertex in lagging.dag.pending_vertices()}
+        assert {vertex.id for vertex in vertices} <= parked
