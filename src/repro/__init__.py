@@ -71,8 +71,6 @@ from repro.sim import (
     ExperimentConfig,
     ExperimentResult,
     SimulationRunner,
-    compare_systems,
-    latency_throughput_curve,
     run_experiment,
 )
 from repro.workload import LoadGenerator, LoadPhase, Transaction, spawn_load, spawn_phased_load
@@ -142,8 +140,6 @@ __all__ = [
     "ExperimentResult",
     "SimulationRunner",
     "run_experiment",
-    "latency_throughput_curve",
-    "compare_systems",
     # Scenarios
     "ScenarioSpec",
     "compile_spec",

@@ -25,7 +25,6 @@ from repro.behavior.coordination import (
     CoalitionGamingPolicy,
     ColludingSilencePolicy,
     CoordinatedPolicy,
-    upcoming_duty_roster,
 )
 from repro.behavior.policy import (
     HONEST,
@@ -55,5 +54,4 @@ __all__ = [
     "AdaptiveSilentFanoutPolicy",
     "AdaptiveEquivocationPolicy",
     "CoalitionGamingPolicy",
-    "upcoming_duty_roster",
 ]

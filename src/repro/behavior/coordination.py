@@ -301,14 +301,3 @@ class CoalitionGamingPolicy(CoordinatedPolicy):
             f"coalition reputation gaming "
             f"({self.coordinator.describe() if self.coordinator else 'unjoined'})"
         )
-
-
-def upcoming_duty_roster(
-    coordinator: AdversaryCoordinator, from_round: Round, count: int
-) -> Tuple[Tuple[Round, Optional[ValidatorId]], ...]:
-    """The next ``count`` anchor rounds with their duty members (tests/UI)."""
-    first = next_anchor_round(from_round)
-    return tuple(
-        (first + 2 * index, coordinator.duty_member(first + 2 * index))
-        for index in range(count)
-    )

@@ -60,11 +60,6 @@ class FanoutSend:
         self.payload = payload
         self.delay = delay
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"FanoutSend({self.recipient}, payload={self.payload!r}, delay={self.delay})"
-        )
-
 
 # A fan-out plan: one directive per recipient that should receive the
 # message.  ``None`` (from plan_fanout) means "fan out normally".
@@ -141,9 +136,6 @@ class HonestPolicy(BehaviorPolicy):
     """
 
     transparent = True
-
-    def describe(self) -> str:
-        return "honest"
 
 
 #: Shared honest instance installed on every node at construction.  The

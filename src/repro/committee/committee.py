@@ -10,8 +10,7 @@ within a committee, never the committee itself.
 from __future__ import annotations
 
 import dataclasses
-import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.committee.stake import StakeDistribution, StakeVector, equal_stake
 from repro.crypto.hashing import evict_oldest_half
@@ -129,9 +128,6 @@ class Committee:
     def validators(self) -> Tuple[ValidatorId, ...]:
         return tuple(member.validator for member in self._members)
 
-    def __iter__(self) -> Iterator[ValidatorInfo]:
-        return iter(self._members)
-
     def __contains__(self, validator: ValidatorId) -> bool:
         return 0 <= validator < len(self._members)
 
@@ -147,9 +143,6 @@ class Committee:
 
     def region_of(self, validator: ValidatorId) -> Region:
         return self.info(validator).region
-
-    def public_key_of(self, validator: ValidatorId) -> PublicKey:
-        return self.info(validator).public_key
 
     # -- stake arithmetic ---------------------------------------------------
 
@@ -205,8 +198,8 @@ class Committee:
         the ``n`` DAG stores validating one broadcast vertex share a
         single verification.  When the caller supplies the precomputed
         edge ``mask`` and stake is uniform, the stake sum collapses to a
-        popcount-multiply; any out-of-range bit falls through to the
-        tuple path, which raises on unknown validators exactly as before.
+        popcount-multiply; any out-of-range bit falls through to
+        :meth:`stake`, which raises on unknown validators.
         """
         cache = self._edge_quorum_cache
         verdict = cache.get(digest)
@@ -216,31 +209,10 @@ class Committee:
             if mask is not None and vector.uniform_stake and not mask >> vector.size:
                 verdict = mask.bit_count() * vector.uniform_stake >= self._quorum_threshold
             else:
-                verdict = vector.stake_of_unique(sources) >= self._quorum_threshold
+                verdict = self.stake(sources) >= self._quorum_threshold
             cache[digest] = verdict
         return verdict
 
     def edge_quorum_cache_size(self) -> int:
         """Current size of the per-committee edge-quorum memo."""
         return len(self._edge_quorum_cache)
-
-    # -- stake-ordered helpers ----------------------------------------------
-
-    def by_stake(self, descending: bool = True) -> List[ValidatorId]:
-        """Validator ids ordered by stake, ties broken by id."""
-        return sorted(
-            self.validators,
-            key=lambda validator: (-self.stake_of(validator), validator)
-            if descending
-            else (self.stake_of(validator), validator),
-        )
-
-    def sample(self, count: int, rng: Optional[random.Random] = None) -> List[ValidatorId]:
-        """Sample ``count`` distinct validators uniformly at random."""
-        if count > self.size:
-            raise CommitteeError("cannot sample more validators than the committee holds")
-        generator = rng if rng is not None else random.Random(0)
-        return generator.sample(list(self.validators), count)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Committee(size={self.size}, total_stake={self.total_stake})"

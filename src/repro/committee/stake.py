@@ -33,15 +33,8 @@ class StakeDistribution:
     def size(self) -> int:
         return len(self.stakes)
 
-    @property
-    def total(self) -> Stake:
-        return sum(self.stakes)
-
     def stake_of(self, validator: int) -> Stake:
         return self.stakes[validator]
-
-    def as_list(self) -> List[Stake]:
-        return list(self.stakes)
 
 
 class StakeVector:
@@ -52,7 +45,7 @@ class StakeVector:
     probe.  At committee sizes of 25+ those summations dominate profiles
     when they rebuild a set and index :class:`Committee` per element.  The
     vector keeps the per-validator stakes in a flat tuple, precomputes the
-    thresholds and cumulative totals, and memoizes quorum verdicts for
+    thresholds, and memoizes quorum verdicts for
     signer tuples (one certificate object fans out to every validator, so
     the same tuple is verified ``n`` times per round).
     """
@@ -63,7 +56,6 @@ class StakeVector:
         "total",
         "quorum",
         "validity",
-        "cumulative",
         "uniform_stake",
         "_signer_quorum_cache",
         "signer_cache_hits",
@@ -87,15 +79,6 @@ class StakeVector:
         self.total: Stake = sum(self.stakes)
         self.quorum: Stake = quorum_threshold(self.total)
         self.validity: Stake = validity_threshold(self.total)
-        # cumulative[i] = stake of validators 0..i-1; the tail masks used
-        # by fault planners ("crash the last f") and the bench harness
-        # become O(1) range lookups.
-        running = 0
-        cumulative: List[Stake] = [0]
-        for stake in self.stakes:
-            running += stake
-            cumulative.append(running)
-        self.cumulative: Tuple[Stake, ...] = tuple(cumulative)
         first = self.stakes[0]
         self.uniform_stake: Stake = first if all(s == first for s in self.stakes) else 0
         self._signer_quorum_cache: Dict[Tuple[int, ...], bool] = {}
@@ -110,30 +93,6 @@ class StakeVector:
         self.signer_cache_misses = 0
         self.mask_cache_hits = 0
         self.mask_cache_misses = 0
-
-    def stake_of_unique(self, validators: Iterable[int]) -> Stake:
-        """Total stake of ``validators``, which must be duplicate-free.
-
-        The callers on the hot path (edge sets, ack sets, signer tuples)
-        are duplicate-free by construction, so the set-rebuild of
-        :meth:`Committee.stake` is skipped.  Raises on unknown ids.
-        """
-        stakes = self.stakes
-        total = 0
-        try:
-            for validator in validators:
-                if validator < 0:
-                    raise IndexError(validator)
-                total += stakes[validator]
-        except (IndexError, TypeError):
-            raise CommitteeError(f"unknown validator in {validators!r}") from None
-        return total
-
-    def range_stake(self, start: int, stop: int) -> Stake:
-        """Stake of the contiguous id range ``[start, stop)``."""
-        if not 0 <= start <= stop <= self.size:
-            raise CommitteeError(f"invalid validator range [{start}, {stop})")
-        return self.cumulative[stop] - self.cumulative[start]
 
     def signer_tuple_has_quorum(self, signers: Tuple[int, ...]) -> bool:
         """Memoized 2f+1 check for a certificate's signer tuple.
@@ -171,7 +130,7 @@ class StakeVector:
     # ``v`` is a member: duplicate-free by construction, hashable, and
     # O(1) to union/test.  Every mask method is a pure function of the
     # same stake tuple the tuple-based API reads, so verdicts agree bit
-    # for bit with ``signer_tuple_has_quorum``/``stake_of_unique`` — the
+    # for bit with ``signer_tuple_has_quorum`` and a plain stake sum — the
     # property suite pins that equivalence across stake distributions.
     # ------------------------------------------------------------------
 
@@ -211,10 +170,6 @@ class StakeVector:
         else:
             self.mask_cache_hits += 1
         return verdict
-
-    def mask_meets_validity(self, mask: int) -> bool:
-        """f+1 (weak availability) check for a voter bitmask."""
-        return self.mask_stake(mask) >= self.validity
 
     @staticmethod
     def mask_of_validators(validators: Iterable[int]) -> int:

@@ -22,14 +22,6 @@ class OrderedVertex:
     anchor_round: Round
     position: int
 
-    @property
-    def round(self) -> Round:
-        return self.vertex.round
-
-    @property
-    def source(self) -> ValidatorId:
-        return self.vertex.source
-
 
 @dataclasses.dataclass(frozen=True)
 class CommittedSubDag:
@@ -48,6 +40,3 @@ class CommittedSubDag:
     @property
     def leader(self) -> ValidatorId:
         return self.anchor.source
-
-    def __len__(self) -> int:
-        return len(self.vertices)

@@ -174,15 +174,9 @@ class ScheduleManager:
     def epochs(self) -> int:
         return len(self.history)
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 class StaticScheduleManager(ScheduleManager):
     """Baseline Bullshark: the initial (round-robin) schedule never changes."""
-
-    def describe(self) -> str:
-        return "static round-robin schedule (Bullshark baseline)"
 
 
 class HammerHeadScheduleManager(ScheduleManager):
@@ -385,10 +379,3 @@ class HammerHeadScheduleManager(ScheduleManager):
         )
 
     # -- introspection -------------------------------------------------------------------
-
-    def describe(self) -> str:
-        return (
-            f"HammerHead schedule ({self.policy.describe()}, scoring rule "
-            f"{self.scoring.name!r}, excluding up to "
-            f"{self.exclude_fraction:.0%} of stake)"
-        )

@@ -48,9 +48,6 @@ class CommitCountPolicy:
     ) -> bool:
         return commits_in_epoch >= self.commits
 
-    def describe(self) -> str:
-        return f"every {self.commits} commits"
-
 
 def select_swap_sets(
     scores: ReputationScores,

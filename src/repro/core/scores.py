@@ -110,6 +110,3 @@ class ReputationScores:
 
     def items(self) -> Tuple[Tuple[ValidatorId, float], ...]:
         return tuple(sorted(self._scores.items()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ReputationScores({self._scores})"

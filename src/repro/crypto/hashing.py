@@ -36,11 +36,6 @@ def _canonical_bytes(value: Any) -> bytes:
         return b"S" + str(len(encoded)).encode("ascii") + b":" + encoded
     if isinstance(value, (bytes, bytearray)):
         return b"Y" + str(len(value)).encode("ascii") + b":" + bytes(value)
-    # Objects declaring canonical fields take precedence over the tuple
-    # branch: named tuples like Transaction deliberately exclude fields
-    # (e.g. submission time) from their content identity.
-    if hasattr(value, "canonical_fields"):
-        return _canonical_bytes(value.canonical_fields())
     if isinstance(value, (list, tuple)):
         parts = [_canonical_bytes(item) for item in value]
         return b"L(" + b",".join(parts) + b")"
@@ -145,9 +140,6 @@ class DigestMemo:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 # Memo for the certified-broadcast digests, keyed by

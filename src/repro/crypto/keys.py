@@ -21,10 +21,6 @@ class PublicKey:
     validator: ValidatorId
     material: bytes
 
-    def short(self) -> str:
-        """Return a short printable key fingerprint."""
-        return self.material.hex()[:12]
-
 
 @dataclasses.dataclass(frozen=True)
 class KeyPair:
@@ -32,10 +28,6 @@ class KeyPair:
 
     public: PublicKey
     secret: bytes
-
-    @property
-    def validator(self) -> ValidatorId:
-        return self.public.validator
 
 
 def generate_keypair(validator: ValidatorId, seed: int = 0) -> KeyPair:

@@ -374,9 +374,6 @@ class DagStore:
         # differential suite pins the digests that depend on it.
         return tuple(self._round_order.get(round_number, ()))
 
-    def sources_at(self, round_number: Round) -> Set[ValidatorId]:
-        return {vertex.source for vertex in self._round_order.get(round_number, ())}
-
     def held_sources(self) -> Tuple[Tuple[Round, int], ...]:
         """``(round, source bitmask)`` for every stored round, ascending.
 

@@ -104,26 +104,6 @@ class Vertex:
         object.__setattr__(self, "edge_mask", mask)
         object.__setattr__(self, "edges_adjacent", adjacent)
 
-    def canonical_fields(self) -> Tuple[Any, ...]:
-        """Fields participating in the content digest."""
-        return (
-            self.id.round,
-            self.id.source,
-            tuple((edge.round, edge.source) for edge in self.edges),
-            len(self.block),
-        )
-
-    def references(self, other: VertexId) -> bool:
-        """``True`` when this vertex has a direct edge to ``other``."""
-        if self.edges_adjacent:
-            return other.round == self.round - 1 and 0 <= other.source and bool(
-                self.edge_mask >> other.source & 1
-            )
-        return other in self.edges
-
-    def __str__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Vertex(r={self.round}, p={self.source}, |edges|={len(self.edges)}, |block|={len(self.block)})"
-
 
 def make_vertex(
     round_number: Round,

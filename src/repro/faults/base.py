@@ -106,8 +106,3 @@ class FaultInjector:
                 if validator not in affected:
                     affected.append(validator)
         return affected
-
-    def describe(self) -> str:
-        if not self.plans:
-            return "no faults"
-        return "; ".join(plan.describe() for plan in self.plans)

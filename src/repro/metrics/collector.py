@@ -134,10 +134,3 @@ class MetricsCollector:
             return 0.0
         finalized = sum(map(ge, repeat(duration), self._finality_times))
         return finalized / window
-
-    def commit_ratio(self) -> float:
-        """Fraction of submitted transactions that committed."""
-        submitted = self.submitted
-        if submitted == 0:
-            return 0.0
-        return sum(map(sub, self._committed_stops, self._committed_starts)) / submitted

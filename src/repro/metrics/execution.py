@@ -38,10 +38,6 @@ class ExecutionModel:
         self._busy_until: SimTime = 0.0
         self.executed = 0
 
-    def execute(self, ordered_at: SimTime) -> SimTime:
-        """Execute one transaction ordered at ``ordered_at``; returns its completion (finality) time."""
-        return self.execute_many(1, ordered_at)[0]
-
     def execute_many(self, count: int, ordered_at: SimTime) -> List[SimTime]:
         """Execute ``count`` (at least one) transactions ordered at ``ordered_at``.
 
@@ -54,7 +50,3 @@ class ExecutionModel:
         self._busy_until = finish_times[-1]
         self.executed += count
         return finish_times
-
-    def backlog_delay(self, at_time: SimTime) -> SimTime:
-        """Current queueing delay an arriving transaction would experience."""
-        return max(0.0, self._busy_until - at_time)

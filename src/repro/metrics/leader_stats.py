@@ -10,7 +10,7 @@ rounds with no committed vertex by O(T)·f in crash-only executions; the
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.consensus.committed import CommittedSubDag
 from repro.types import Round, ValidatorId
@@ -42,18 +42,8 @@ class LeaderUtilizationStats:
     # -- derived metrics -----------------------------------------------------------
 
     @property
-    def commits(self) -> int:
-        return len(self.committed_rounds)
-
-    @property
     def skips(self) -> int:
         return len(self.skipped_rounds)
-
-    def skip_ratio(self) -> float:
-        total = self.commits + self.skips
-        if total == 0:
-            return 0.0
-        return self.skips / total
 
     def skipped_rounds_per_leader(self) -> Dict[ValidatorId, int]:
         result: Dict[ValidatorId, int] = {}
@@ -63,6 +53,3 @@ class LeaderUtilizationStats:
 
     def commits_per_leader(self) -> Dict[ValidatorId, int]:
         return dict(self.committed_leaders)
-
-    def leaders_with_commits(self) -> List[ValidatorId]:
-        return sorted(self.committed_leaders)

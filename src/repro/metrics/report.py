@@ -38,10 +38,6 @@ class PerformanceReport:
         data.update(self.extra)
         return data
 
-    def label(self) -> str:
-        fault_text = f", {self.faults} faulty" if self.faults else ""
-        return f"{self.system} - {self.committee_size} nodes{fault_text}"
-
 
 _COLUMNS = (
     ("system", "System"),

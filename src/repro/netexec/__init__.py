@@ -28,7 +28,6 @@ from repro.netexec.codec import (
     FrameError,
     MAX_FRAME_BYTES,
     decode,
-    decode_frames,
     encode,
     encode_frame,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "FrameError",
     "MAX_FRAME_BYTES",
     "decode",
-    "decode_frames",
     "encode",
     "encode_frame",
     "LockstepNode",

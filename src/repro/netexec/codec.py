@@ -762,16 +762,3 @@ def split_frames(buffer, deliver: Callable[[Any], None], slot: Optional[VertexSl
         deliver(decode(bytes(buffer[offset + 4:end]), slot))
         offset = end
     return offset
-
-
-def decode_frames(buffer: bytes) -> Tuple[Tuple[Any, ...], bytes]:
-    """Decode every complete frame in ``buffer``.
-
-    Returns ``(values, remainder)`` where ``remainder`` is the trailing
-    partial frame (possibly empty).  Raises :class:`FrameError` on a
-    header whose length is zero or above :data:`MAX_FRAME_BYTES` —
-    garbage headers must kill the connection, not stall it.
-    """
-    values: List[Any] = []
-    consumed = split_frames(buffer, values.append)
-    return tuple(values), buffer[consumed:]

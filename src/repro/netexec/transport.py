@@ -5,8 +5,8 @@ domain sockets by default, local TCP optionally) and one outbound
 connection per ordered validator pair.  The transport implements the
 exact surface :class:`~repro.node.validator.ValidatorNode` consumes
 from :class:`~repro.network.transport.Network` — ``register``/``send``/
-``broadcast``/``multicast``/``set_crashed``/``is_crashed``/``stats``/
-``node_ids``/``region_of``/``install_observability`` plus the
+``broadcast``/``set_crashed``/``is_crashed``/``stats``/
+``install_observability`` plus the
 ``.simulator`` timing facade — so the full validator stack runs over
 sockets unmodified.
 
@@ -323,13 +323,6 @@ class AsyncioTransport:
         self._endpoints[node_id] = _Endpoint(node_id, region, handler)
         self._node_ids = tuple(sorted(self._endpoints))
 
-    @property
-    def node_ids(self) -> Tuple[ValidatorId, ...]:
-        return self._node_ids
-
-    def region_of(self, node_id: ValidatorId) -> Region:
-        return self._endpoints[node_id].region
-
     def install_observability(self, tracer, registry: Optional[Any] = None) -> None:
         self.tracer = tracer
 
@@ -427,9 +420,6 @@ class AsyncioTransport:
         recipients = self._node_ids
         if not include_self:
             recipients = [recipient for recipient in recipients if recipient != sender]
-        self._send(sender, recipients, message)
-
-    def multicast(self, sender: ValidatorId, recipients, message: Any) -> None:
         self._send(sender, recipients, message)
 
     def _send(self, sender: ValidatorId, recipients: Iterable[ValidatorId], message: Any) -> None:

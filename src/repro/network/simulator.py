@@ -1,20 +1,70 @@
 """The discrete-event simulator driving every experiment.
 
-The simulator owns a virtual clock and an event queue.  Protocol code
+The simulator owns a virtual clock and an event heap.  Protocol code
 never sleeps or reads wall-clock time; it schedules callbacks at virtual
 times, which makes runs deterministic and allows a ten-minute benchmark to
 execute in seconds of wall-clock time.
+
+Events are ordered by their firing time; ties are broken by a strictly
+increasing sequence number so that two events scheduled for the same
+instant fire in scheduling order.  That property makes every simulation
+fully deterministic for a fixed seed.
+
+The heap stores plain tuples rather than the handles themselves: tuple
+comparison short-circuits on the two primitive fields in C, which keeps
+the comparison cost out of the Python interpreter.  The event loop is the
+single hottest path of every experiment (millions of pushes and pops per
+run), so this representation is worth the small indirection.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, List, Optional, Protocol
+from typing import Any, Callable, List, Optional, Protocol, Tuple
 
 from repro.errors import SimulationError
-from repro.network.events import EventHandle, EventQueue
 from repro.types import SimTime
+
+
+class EventHandle:
+    """A handle returned by scheduling, usable for cancellation."""
+
+    __slots__ = ("time", "sequence", "callback")
+
+    def __init__(self, time: SimTime, sequence: int, callback: Optional[Callable[[], Any]]) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+
+    @property
+    def cancelled(self) -> bool:
+        return self.callback is None
+
+    def cancel(self) -> None:
+        """Cancel the event.  Cancelling twice is harmless."""
+        self.callback = None
+
+
+# One heap entry, in one of two shapes.  ``time`` and ``sequence`` drive
+# the ordering; the third element is never compared (sequences are
+# unique).
+#
+# * ``(time, sequence, handle)`` — a cancellable event carrying an
+#   :class:`EventHandle`.
+# * ``(time, sequence, None, callback, args)`` — a raw fire-and-forget
+#   event (message deliveries).  These are never cancelled, so the
+#   handle allocation is skipped entirely; ``args`` is ``None`` or a
+#   tuple passed to ``callback``.
+#
+# The raw-entry protocol is deliberately inlined at every site (a shared
+# push helper would reintroduce the per-event call the shape exists to
+# avoid).  If the entry shape or the ``_cancelled`` accounting changes,
+# update ALL of: producers ``Simulator._push`` and ``Network._fan_out``
+# (transport.py); consumer ``Simulator.run``.  Client load is not a
+# producer: arrivals are a lazy source (``Simulator.settle``), never heap
+# entries.
+_Entry = Tuple[SimTime, int, Optional[EventHandle]]
 
 
 class LazySource(Protocol):
@@ -38,7 +88,11 @@ class Simulator:
     """A deterministic discrete-event loop with a virtual clock."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue = EventQueue()
+        self._heap: List[_Entry] = []
+        self._next_sequence = 0
+        # Cancelled handles still sitting in the heap.  The run loop only
+        # pays the cancelled-entry scan while this is non-zero.
+        self._cancelled = 0
         self._now: SimTime = 0.0
         self._running = False
         self.rng = random.Random(seed)
@@ -75,23 +129,19 @@ class Simulator:
         return self._push(time, callback)
 
     def _push(self, time: SimTime, callback: Callable[[], Any]) -> EventHandle:
-        # Inlined EventQueue.push: scheduling happens once or twice per
-        # event fired, so the extra call layer is measurable.
         if callback is None:
             raise SimulationError("cannot schedule a None callback")
-        queue = self._queue
-        sequence = queue._next_sequence
-        queue._next_sequence = sequence + 1
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
         handle = EventHandle(time, sequence, callback)
-        _heappush(queue._heap, (time, sequence, handle))
-        queue._live += 1
+        _heappush(self._heap, (time, sequence, handle))
         return handle
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled event."""
         if not handle.cancelled:
             handle.cancel()
-            self._queue.note_cancelled()
+            self._cancelled += 1
 
     # -- lazy sources -------------------------------------------------------
 
@@ -107,31 +157,14 @@ class Simulator:
 
     # -- execution ------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next event.  Returns ``False`` when none remain."""
-        next_time = self._queue.peek_time()
-        if next_time is None:
-            return False
-        handle = self._queue.pop()
-        self._now = handle.time
-        callback = handle.callback
-        handle.callback = None
-        self._events_fired += 1
-        if callback is not None:
-            if handle.args is None:
-                callback()
-            else:
-                callback(*handle.args)
-        return True
-
     def run(self, until: Optional[SimTime] = None, max_events: Optional[int] = None) -> SimTime:
-        """Run events until the queue drains, ``until`` is reached, or
+        """Run events until the heap drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the clock value on exit.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fired earlier, which gives experiments a
         well-defined duration.  Lazy sources are settled on the way out:
-        up to the exit instant, or — when the run drained the queue with
+        up to the exit instant, or — when the run drained the heap with
         no ``until`` — to the end of their schedules, the clock following
         the last effect exactly as if each had been an event.
         """
@@ -143,20 +176,14 @@ class Simulator:
         # branches into plain float comparisons.
         limit = max_events if max_events is not None else float("inf")
         horizon = until if until is not None else float("inf")
-        queue = self._queue
-        # The loop below reaches into the queue's heap directly: this is
-        # the single hottest path of every experiment (hundreds of
-        # thousands of iterations per run) and the method-call overhead of
-        # peek_time()/pop() is measurable there.  step() remains the
-        # encapsulated one-event variant.
-        heap = queue._heap
+        # This is the single hottest path of every experiment (hundreds
+        # of thousands of iterations per run): the heap is a local and
+        # the fired count is synced on exit.
+        heap = self._heap
         heappop = _heappop
-        # Counter writes are batched into locals and synced on exit; the
-        # per-event attribute stores were measurable at peak event rates.
-        popped = 0
         try:
             while fired < limit:
-                if queue._cancelled > 0:
+                if self._cancelled > 0:
                     # Purge cancelled entries only while some exist; in
                     # steady state this whole branch is one counter read
                     # instead of a per-event heap-top inspection.  The
@@ -167,8 +194,8 @@ class Simulator:
                         stale = heap[0][2]
                         if stale is not None and stale.callback is None:
                             heappop(heap)
-                            if queue._cancelled > 0:
-                                queue._cancelled -= 1
+                            if self._cancelled > 0:
+                                self._cancelled -= 1
                             continue
                         break
                 if not heap:
@@ -177,7 +204,6 @@ class Simulator:
                 if entry[0] > horizon:
                     break
                 heappop(heap)
-                popped += 1
                 handle = entry[2]
                 if handle is None:
                     # Raw fire-and-forget entry (message deliveries).
@@ -196,16 +222,11 @@ class Simulator:
                     continue
                 self._now = entry[0]
                 handle.callback = None
-                args = handle.args
-                if args is None:
-                    callback()
-                else:
-                    callback(*args)
+                callback()
                 fired += 1
         finally:
             self._running = False
             self._events_fired += fired
-            queue._live -= popped
         if until is not None and self._now < until:
             self._now = until
         if until is None and not heap:
@@ -215,7 +236,3 @@ class Simulator:
         else:
             self.settle()
         return self._now
-
-    def run_until_idle(self, max_time: SimTime = 1e9, max_events: int = 50_000_000) -> SimTime:
-        """Run until no events remain, bounded by ``max_time`` and ``max_events``."""
-        return self.run(until=max_time, max_events=max_events)

@@ -1,9 +1,9 @@
 """Message transport between simulated nodes.
 
 The :class:`Network` routes opaque messages between registered nodes,
-applying the latency model, the partial-synchrony model, per-node
-processing delays (used to model degraded validators), and crash state
-(crashed nodes neither send nor receive).  Point-to-point channels are
+applying the latency model, the partial-synchrony model, per-node link
+degradation (used to model slow validators), and crash state (crashed
+nodes neither send nor receive).  Point-to-point channels are
 reliable and authenticated, matching the QUIC channels of the production
 implementation: messages are never corrupted, reordering can only arise
 from differing delays, and the sender identity attached to a delivery is
@@ -17,11 +17,12 @@ fabric for bounded windows of virtual time:
 
 * :meth:`Network.set_partition` splits the nodes into groups; messages
   crossing a group boundary are dropped until :meth:`clear_partition`.
-* :meth:`Network.set_jitter` adds a uniformly random extra delay to every
-  delivery (drawn from the simulator RNG, so runs stay deterministic).
-* :meth:`Network.set_loss_rate` drops each message independently with the
-  given probability.  The reliable-channel abstraction is restored by the
-  synchronizer: missing vertices are re-fetched once the window closes.
+* :meth:`Network.add_disturbance` opens a window that adds a uniformly
+  random extra delay to every delivery (drawn from the simulator RNG, so
+  runs stay deterministic) and drops each message independently with the
+  given probability, until :meth:`remove_disturbance`.  The
+  reliable-channel abstraction is restored by the synchronizer: missing
+  vertices are re-fetched once the window closes.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class NetworkStats:
     partition_drops: int = 0
     loss_drops: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass
 class _Endpoint:
@@ -68,7 +66,6 @@ class _Endpoint:
     handler: DeliveryHandler
     index: int  # registration position: where the node sits in every row
     crashed: bool = False
-    processing_delay: SimTime = 0.0
     inbound_extra_delay: SimTime = 0.0
     outbound_extra_delay: SimTime = 0.0
 
@@ -117,8 +114,6 @@ class Network:
         # composes as independent drops, so overlapping windows never stomp
         # each other when one of them closes.
         self._partition_groups: Optional[Dict[int, int]] = None
-        self._base_jitter: SimTime = 0.0
-        self._base_loss_rate: float = 0.0
         self._disturbances: Dict[int, Tuple[SimTime, float]] = {}
         self._next_disturbance_token = 0
         self._jitter: SimTime = 0.0
@@ -148,9 +143,6 @@ class Network:
         self._endpoints[node_id] = _Endpoint(node_id, region, handler, len(self._endpoints))
         self._rows.clear()
 
-    def is_registered(self, node_id: int) -> bool:
-        return node_id in self._endpoints
-
     def _endpoint(self, node_id: int) -> _Endpoint:
         endpoint = self._endpoints.get(node_id)
         if endpoint is None:
@@ -170,12 +162,6 @@ class Network:
 
     def is_crashed(self, node_id: int) -> bool:
         return self._endpoint(node_id).crashed
-
-    def set_processing_delay(self, node_id: int, delay: SimTime) -> None:
-        """Add a fixed processing delay before the node handles any message."""
-        if delay < 0:
-            raise NetworkError("processing delay must be non-negative")
-        self._endpoint(node_id).processing_delay = delay
 
     def set_link_degradation(
         self,
@@ -221,30 +207,12 @@ class Network:
         if self._tracing:
             self.tracer.emit("partition_cleared")
 
-    @property
-    def partitioned(self) -> bool:
-        return self._partition_groups is not None
-
-    def set_jitter(self, amplitude: SimTime) -> None:
-        """Add up to ``amplitude`` seconds of random delay to every delivery."""
-        if amplitude < 0:
-            raise NetworkError("jitter amplitude must be non-negative")
-        self._base_jitter = amplitude
-        self._recompute_disturbance()
-
-    def set_loss_rate(self, rate: float) -> None:
-        """Drop each message independently with probability ``rate``."""
-        if not 0.0 <= rate < 1.0:
-            raise NetworkError("the loss rate must lie in [0, 1)")
-        self._base_loss_rate = rate
-        self._recompute_disturbance()
-
     def add_disturbance(self, jitter: SimTime = 0.0, loss_rate: float = 0.0) -> int:
         """Open a disturbance window; returns a token for its removal.
 
         Windows compose instead of overwriting each other: the effective
-        jitter is the maximum over active windows (and the base knob), and
-        losses combine as independent drop probabilities.
+        jitter is the maximum over active windows, and losses combine as
+        independent drop probabilities.
         """
         if jitter < 0:
             raise NetworkError("jitter amplitude must be non-negative")
@@ -268,8 +236,8 @@ class Network:
             self.tracer.emit("disturbance_close", token=token)
 
     def _recompute_disturbance(self) -> None:
-        jitter = self._base_jitter
-        keep = 1.0 - self._base_loss_rate
+        jitter = 0.0
+        keep = 1.0
         # Float multiplication is not associative: fold the windows in
         # token order so the composed loss rate cannot depend on dict
         # iteration order (tokens ascend, so this matches insertion).
@@ -285,9 +253,9 @@ class Network:
     def send(self, sender: int, recipient: int, message: Any) -> None:
         """Send ``message`` from ``sender`` to ``recipient``.
 
-        Sending from a crashed node, or to an unregistered node, silently
-        drops the message (and counts it), matching how a crashed process
-        behaves in the real system.
+        Sending from a crashed node drops the message (and counts it),
+        matching how a crashed process behaves in the real system.  An
+        unregistered sender or recipient raises :class:`NetworkError`.
         """
         endpoints = self._endpoints
         source = endpoints.get(sender)
@@ -351,8 +319,8 @@ class Network:
         The one fan-out loop: partition check, loss draw, delay, heap
         push, with everything the sender fixes read once.  For the default
         models the delay is ``GeoLatencyModel.one_way_delay`` (its uniform
-        jitter as the bit-identical ``2j * random() - j``), link extras,
-        processing delay and window jitter, capped at delta, in exactly
+        jitter as the bit-identical ``2j * random() - j``), link extras
+        and window jitter, capped at delta, in exactly
         ``_delivery_delay``'s float-operation and RNG-draw order;
         self-delivery and other models call it.  The push skips
         ``schedule_at``'s past-time guard (no delay is negative) and
@@ -364,8 +332,7 @@ class Network:
         rng = simulator.rng
         random = rng.random
         now = simulator._now
-        queue = simulator._queue
-        heap = queue._heap
+        heap = simulator._heap
         groups = self._partition_groups
         # Unlisted nodes share the implicit group -1.
         sender_group = groups.get(sender, -1) if groups is not None else -1
@@ -405,20 +372,18 @@ class Network:
                     if delay < 0.0002:
                         delay = 0.0002
                     delay += outbound + destination.inbound_extra_delay
-                    delay += destination.processing_delay
                     if window > 0.0:
                         delay += rng.uniform(0.0, window)
                     if delay > delta:
                         delay = delta
                 else:
                     delay = self._delivery_delay(source, destination)
-            sequence = queue._next_sequence
-            queue._next_sequence = sequence + 1
+            sequence = simulator._next_sequence
+            simulator._next_sequence = sequence + 1
             _heappush(
                 heap,
                 (now + delay, sequence, None, _deliver_message, (destination, stats, sender, message)),
             )
-            queue._live += 1
 
     def broadcast(self, sender: int, message: Any, include_self: bool = True) -> None:
         """Send ``message`` from ``sender`` to every registered node.
@@ -446,11 +411,6 @@ class Network:
             return
         self._fan_out(source, zip(row, repeat(message)))
 
-    def multicast(self, sender: int, recipients: Iterable[int], message: Any) -> None:
-        """Send ``message`` from ``sender`` to each node in ``recipients``."""
-        for recipient in recipients:
-            self.send(sender, recipient, message)
-
     def _delivery_delay(self, source: _Endpoint, destination: _Endpoint) -> SimTime:
         """The delay by the models' own methods (what ``_fan_out`` does not inline)."""
         rng = self.simulator.rng
@@ -459,19 +419,9 @@ class Network:
         else:
             base = self.latency_model.one_way_delay(source.region, destination.region, rng)
         base += source.outbound_extra_delay + destination.inbound_extra_delay
-        base += destination.processing_delay
         if self._jitter > 0.0 and source is not destination:
             base += rng.uniform(0.0, self._jitter)
         adjusted = self.synchrony.adjust_delay(self.simulator.now, base, rng)
         return adjusted if adjusted > 0.0 else 0.0
 
     # -- introspection --------------------------------------------------------------
-
-    @property
-    def node_ids(self) -> Iterable[int]:
-        # Endpoints register in committee order (ascending ids), so the
-        # sort is the identity today; it pins the contract regardless.
-        return tuple(sorted(self._endpoints))
-
-    def region_of(self, node_id: int) -> Region:
-        return self._endpoint(node_id).region

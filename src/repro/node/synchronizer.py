@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional
 
 from repro.dag.vertex import Vertex
-from repro.network.events import EventHandle
+from repro.network.simulator import EventHandle
 from repro.node.messages import FetchRequest, FetchResponse
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.types import Round, SimTime, ValidatorId, VertexId

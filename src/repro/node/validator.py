@@ -32,14 +32,13 @@ from repro.core.manager import HammerHeadScheduleManager, ScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
 from repro.errors import ConfigurationError
-from repro.network.events import EventHandle
+from repro.network.simulator import EventHandle
 from repro.network.transport import Network
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.node.config import NodeConfig
 from repro.node.messages import ConsensusSnapshot, FetchRequest, FetchResponse
 from repro.node.synchronizer import Synchronizer
-from repro.rbc.base import Delivery
-from repro.rbc.certified import CertifiedBroadcast
+from repro.rbc.certified import CertifiedBroadcast, Delivery
 from repro.storage.store import PersistentStore
 from repro.types import Round, SimTime, ValidatorId, is_anchor_round
 from repro.workload.transactions import Transaction, TransactionBatch
@@ -595,9 +594,3 @@ class ValidatorNode:
     @property
     def commit_count(self) -> int:
         return self.consensus.commit_count
-
-    def describe(self) -> str:
-        return (
-            f"validator {self.id} (round {self.current_round}, "
-            f"{self.commit_count} commits, {self.schedule_manager.describe()})"
-        )

@@ -1,4 +1,4 @@
-"""Instrumentation registry: counters, gauges, and histograms.
+"""Instrumentation registry: counters and histograms.
 
 The registry is the *detailed* tier of instrumentation — it only exists
 when a run asks for observability (``ExperimentConfig.trace``), so the
@@ -48,7 +48,7 @@ class Histogram:
 
 
 class InstrumentationRegistry:
-    """Named counters, gauges, and histograms.
+    """Named counters and histograms.
 
     Not shared across processes: in a parallel sweep each worker builds
     its own registry per run, and the snapshot rides home inside the
@@ -57,14 +57,10 @@ class InstrumentationRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def inc(self, name: str, amount: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + amount
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         histogram = self._histograms.get(name)
@@ -83,8 +79,6 @@ class InstrumentationRegistry:
         snap: Dict[str, Any] = {}
         if self._counters:
             snap["counters"] = {name: self._counters[name] for name in sorted(self._counters)}
-        if self._gauges:
-            snap["gauges"] = {name: self._gauges[name] for name in sorted(self._gauges)}
         if self._histograms:
             snap["histograms"] = {
                 name: self._histograms[name].snapshot() for name in sorted(self._histograms)

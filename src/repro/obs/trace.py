@@ -182,9 +182,6 @@ class MemoryTracer(Tracer):
             return [*markers, *events]
         return events
 
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 def _zero_clock() -> float:
     return 0.0

@@ -7,8 +7,6 @@ certificate.  It uses O(n) messages per broadcast, which keeps
 large-committee simulations tractable, and provides the guarantees of
 Definition 1 when combined with the node-level synchronizer (vertices
 referenced by later vertices are fetched on demand).
-:class:`BroadcastProtocol` is the interface the validator node programs
-against.
 """
 
 from repro.rbc.messages import (
@@ -17,11 +15,9 @@ from repro.rbc.messages import (
     CertificateMessage,
     ProposeMessage,
 )
-from repro.rbc.base import BroadcastProtocol, Delivery
-from repro.rbc.certified import CertifiedBroadcast
+from repro.rbc.certified import CertifiedBroadcast, Delivery
 
 __all__ = [
-    "BroadcastProtocol",
     "Delivery",
     "CertifiedBroadcast",
     "BroadcastMessage",

@@ -34,8 +34,8 @@ class BroadcastMessage:
 class ProposeMessage(BroadcastMessage):
     """The original payload sent by the broadcaster (certified protocol)."""
 
-    # The broadcast layer is payload-generic; every
-    # production payload is a Vertex, which defines canonical_fields().
+    # The broadcast layer is payload-generic; every production payload
+    # is a Vertex, whose ``digest`` is its content fingerprint.
     payload: Any = None
 
 
@@ -74,4 +74,3 @@ class CertificateBatch(BroadcastMessage):
     """
 
     certificates: Tuple["CertificateMessage", ...] = ()
-

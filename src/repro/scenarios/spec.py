@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
@@ -116,8 +117,19 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _is_number(value: Any) -> bool:
-    """An int or float — JSON ``true``/``false`` must not pass as 1/0."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float.
+
+    JSON ``true``/``false`` must not pass as 1/0, and Python's ``json``
+    reads ``Infinity`` and ``NaN``: an infinite load never finishes a run
+    and a NaN delta disables the delay cap.  An int past the float range
+    is refused too (``math.isfinite`` raises on it).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # A timeline instant: either an absolute number of seconds, or a small
@@ -1057,10 +1069,9 @@ _SHARED_KNOBS = tuple(
 def compile_spec(spec: ScenarioSpec, seed: Optional[int] = None) -> List[CompiledPoint]:
     """Lower ``spec`` into runnable experiment configurations.
 
-    Points are ordered committee-major, then protocol, then load — the
-    same order :func:`repro.sim.sweep.compare_systems` submits its batch,
-    so a scenario run through the sweep engine visits identical
-    configurations in the identical order.  ``seed`` overrides the spec's
+    Points are ordered committee-major, then protocol, then load, and a
+    scenario run submits them to the sweep engine as one batch in that
+    order.  ``seed`` overrides the spec's
     seed (used by multi-seed sweeps).
     """
     return _compile_points(spec.validate(), seed)

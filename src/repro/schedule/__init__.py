@@ -1,11 +1,10 @@
 """Leader schedules: who is the leader (anchor) of each round."""
 
 from repro.schedule.base import LeaderSchedule
-from repro.schedule.round_robin import initial_schedule, round_robin_slots, stake_weighted_slots
+from repro.schedule.round_robin import initial_schedule, stake_weighted_slots
 
 __all__ = [
     "LeaderSchedule",
     "initial_schedule",
-    "round_robin_slots",
     "stake_weighted_slots",
 ]

@@ -17,7 +17,6 @@ from typing import Dict, Tuple
 
 from repro.errors import ScheduleError
 from repro.types import Round, ValidatorId, is_anchor_round
-from repro.types import next_anchor_round as _next_anchor_round
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,14 +26,6 @@ class LeaderSchedule:
     epoch: int
     initial_round: Round
     slots: Tuple[ValidatorId, ...]
-
-    def canonical_fields(self) -> Tuple[object, ...]:
-        """Fields participating in canonical digests (state-sync snapshots).
-
-        Slots are an ordered cycle, so they are hashed in slot order —
-        permutations of the same multiset are *different* schedules.
-        """
-        return (self.epoch, self.initial_round, self.slots)
 
     def __post_init__(self) -> None:
         if not self.slots:
@@ -64,27 +55,6 @@ class LeaderSchedule:
         index = ((round_number - self.initial_round) // 2) % len(self.slots)
         return self.slots[index]
 
-    def covers(self, round_number: Round) -> bool:
-        """``True`` when the schedule assigns a leader to ``round_number``."""
-        return is_anchor_round(round_number) and round_number >= self.initial_round
-
-    def next_anchor_round(self, round_number: Round) -> Round:
-        """The first anchor round at or after ``round_number`` this schedule covers."""
-        return max(_next_anchor_round(round_number), self.initial_round)
-
-    def upcoming_leaders(self, round_number: Round, count: int = 1) -> Tuple[ValidatorId, ...]:
-        """Leaders of the next ``count`` anchor rounds at or after ``round_number``.
-
-        Duplicates are preserved (a validator holding consecutive slots
-        appears once per slot).  This is the lookup the schedule-adaptive
-        adversaries use to re-aim at whoever the *current* schedule is
-        about to make a leader.
-        """
-        if count <= 0:
-            return ()
-        start = self.next_anchor_round(round_number)
-        return tuple(self.leader_for_round(start + 2 * index) for index in range(count))
-
     # -- slot accounting ------------------------------------------------------------
 
     def slot_counts(self) -> Dict[ValidatorId, int]:
@@ -93,21 +63,3 @@ class LeaderSchedule:
 
     def slots_of(self, validator: ValidatorId) -> int:
         return self.slot_counts().get(validator, 0)
-
-    def leaders(self) -> Tuple[ValidatorId, ...]:
-        """Distinct validators holding at least one slot, in slot order."""
-        seen = []
-        for slot in self.slots:
-            if slot not in seen:
-                seen.append(slot)
-        return tuple(seen)
-
-    def with_slots(self, slots: Tuple[ValidatorId, ...], initial_round: Round, epoch: int) -> "LeaderSchedule":
-        """Derive a successor schedule with new slots and starting round."""
-        return LeaderSchedule(epoch=epoch, initial_round=initial_round, slots=slots)
-
-    def __str__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"LeaderSchedule(epoch={self.epoch}, start={self.initial_round}, "
-            f"slots={list(self.slots)})"
-        )

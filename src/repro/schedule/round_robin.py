@@ -19,11 +19,6 @@ from repro.schedule.base import LeaderSchedule
 from repro.types import Round, ValidatorId
 
 
-def round_robin_slots(committee: Committee) -> Tuple[ValidatorId, ...]:
-    """One slot per validator, in index order (the Bullshark baseline)."""
-    return tuple(committee.validators)
-
-
 def stake_weighted_slots(
     committee: Committee,
     cycle_length: int = 0,
@@ -53,7 +48,6 @@ def initial_schedule(
     committee: Committee,
     seed: int = 0,
     initial_round: Round = 2,
-    stake_weighted: bool = True,
     permute: bool = True,
 ) -> LeaderSchedule:
     """Build the unbiased initial schedule ``S0`` of an epoch.
@@ -61,10 +55,7 @@ def initial_schedule(
     ``initial_round`` is the first anchor round the schedule covers
     (round 2 is the first anchor round of a fresh DAG).
     """
-    if stake_weighted:
-        slots = list(stake_weighted_slots(committee))
-    else:
-        slots = list(round_robin_slots(committee))
+    slots = list(stake_weighted_slots(committee))
     if permute:
         rng = random.Random(seed)
         rng.shuffle(slots)

@@ -4,11 +4,8 @@ from repro.sim.experiment import ExperimentConfig, ExperimentResult, run_experim
 from repro.sim.presets import (
     execution_capacity_for,
     node_config_for,
-    paper_committee_sizes,
-    paper_fault_counts,
 )
 from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import latency_throughput_curve, compare_systems
 
 __all__ = [
     "ExperimentConfig",
@@ -17,8 +14,4 @@ __all__ = [
     "SimulationRunner",
     "node_config_for",
     "execution_capacity_for",
-    "paper_committee_sizes",
-    "paper_fault_counts",
-    "latency_throughput_curve",
-    "compare_systems",
 ]

@@ -12,13 +12,8 @@ match the testbed's absolute numbers.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Tuple
 
 from repro.node.config import NodeConfig
-
-# Committee sizes and their maximum tolerable fault counts, as in the paper.
-PAPER_COMMITTEES: Tuple[int, ...] = (10, 50, 100)
-PAPER_FAULTS: Dict[int, int] = {10: 3, 50: 16, 100: 33}
 
 # The paper's evaluation parameters for the reputation schedule.
 PAPER_COMMITS_PER_SCHEDULE = 10
@@ -26,16 +21,6 @@ PAPER_EXCLUDE_FRACTION = 1.0 / 3.0
 # The more conservative Sui mainnet parameters (footnote 15).
 MAINNET_COMMITS_PER_SCHEDULE = 300
 MAINNET_EXCLUDE_FRACTION = 0.20
-
-
-def paper_committee_sizes() -> List[int]:
-    """Committee sizes used in Figures 1 and 2."""
-    return list(PAPER_COMMITTEES)
-
-
-def paper_fault_counts() -> Dict[int, int]:
-    """Maximum tolerable fault count per committee size (Figure 2)."""
-    return dict(PAPER_FAULTS)
 
 
 def node_config_for(committee_size: int, leader_timeout: float = 4.0) -> NodeConfig:

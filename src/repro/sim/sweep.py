@@ -1,8 +1,9 @@
-"""Parameter sweeps: latency/throughput curves and system comparisons.
+"""Parameter sweeps: a batch of experiments, possibly in parallel.
 
-These helpers generate the series plotted in Figures 1 and 2 of the
-paper: for each input load in a sweep, run the system and record the
-measured throughput and latency; repeat per system and committee size.
+The examples, the figure benchmarks and the scenario engine build the
+series plotted in Figures 1 and 2 of the paper as one batch of
+configurations (one per system, committee size and input load) and hand
+it to :func:`run_sweep`.
 
 Sweeps are embarrassingly parallel — every experiment is an independent,
 deterministic discrete-event simulation whose outcome depends only on its
@@ -27,9 +28,8 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.metrics.report import PerformanceReport
 from repro.sim.experiment import ExperimentConfig, ExperimentResult, run_experiment
 
 # Environment knob for the default sweep parallelism.
@@ -112,62 +112,3 @@ def run_sweep(
 ) -> List[ExperimentResult]:
     """Run a batch of experiments with a :class:`SweepEngine`."""
     return SweepEngine(parallelism=parallelism).run(configs)
-
-
-def latency_throughput_curve(
-    base_config: ExperimentConfig,
-    loads: Sequence[float],
-    parallelism: Optional[int] = None,
-) -> List[ExperimentResult]:
-    """Run ``base_config`` once per input load and return all results."""
-    configs = [base_config.with_overrides(input_load_tps=load) for load in loads]
-    return run_sweep(configs, parallelism=parallelism)
-
-
-def compare_systems(
-    base_config: ExperimentConfig,
-    loads: Sequence[float],
-    protocols: Iterable[str] = ("hammerhead", "bullshark"),
-    parallelism: Optional[int] = None,
-) -> Dict[str, List[ExperimentResult]]:
-    """Latency/throughput curves for several systems under one setup.
-
-    All (protocol, load) points are submitted as a single batch so the
-    worker pool stays busy across the protocol boundary.
-    """
-    protocols = list(protocols)
-    configs = [
-        base_config.with_overrides(protocol=protocol, input_load_tps=load)
-        for protocol in protocols
-        for load in loads
-    ]
-    results = run_sweep(configs, parallelism=parallelism)
-    curves: Dict[str, List[ExperimentResult]] = {}
-    for index, protocol in enumerate(protocols):
-        curves[protocol] = results[index * len(loads) : (index + 1) * len(loads)]
-    return curves
-
-
-def reports_of(results: Sequence[ExperimentResult]) -> List[PerformanceReport]:
-    """Extract the performance reports of a result list."""
-    return [result.report for result in results]
-
-
-def curve_points(results: Sequence[ExperimentResult]) -> List[Tuple[float, float]]:
-    """(throughput, average latency) points of a curve, as plotted in the paper."""
-    return [(result.throughput, result.avg_latency) for result in results]
-
-
-def peak_throughput(results: Sequence[ExperimentResult]) -> float:
-    """Highest measured throughput across a sweep."""
-    if not results:
-        return 0.0
-    return max(result.throughput for result in results)
-
-
-def latency_at_peak(results: Sequence[ExperimentResult]) -> float:
-    """Average latency at the highest measured throughput."""
-    if not results:
-        return 0.0
-    best = max(results, key=lambda result: result.throughput)
-    return best.avg_latency

@@ -10,7 +10,7 @@ tests can use :mod:`hypothesis` strategies over well-defined domains.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, NamedTuple, Tuple
+from typing import NamedTuple
 
 # A validator is identified by a small non-negative integer index.  The
 # committee object (see :mod:`repro.committee`) maps indices to richer
@@ -39,11 +39,6 @@ def is_anchor_round(round_number: Round) -> bool:
     return round_number > 0 and round_number % 2 == 0
 
 
-def is_vote_round(round_number: Round) -> bool:
-    """Return ``True`` when vertices of ``round_number`` vote for an anchor."""
-    return round_number % 2 == 1
-
-
 def next_anchor_round(round_number: Round) -> Round:
     """The first anchor round at or after ``round_number`` (at least 2).
 
@@ -52,21 +47,6 @@ def next_anchor_round(round_number: Round) -> Round:
     """
     anchor = round_number if round_number % 2 == 0 else round_number + 1
     return max(anchor, 2)
-
-
-def anchor_rounds_between(start: Round, end: Round) -> Iterator[Round]:
-    """Yield every anchor round in the half-open interval ``(start, end]``.
-
-    Both callers of this helper walk the anchor sequence in increasing
-    order, so the iterator is ascending.
-    """
-    first = start + 1
-    if first % 2 == 1:
-        first += 1
-    if first <= 0:
-        first = 2
-    for round_number in range(first, end + 1, 2):
-        yield round_number
 
 
 class VertexId(NamedTuple):
@@ -88,9 +68,6 @@ class VertexId(NamedTuple):
     round: Round
     source: ValidatorId
 
-    def __str__(self) -> str:  # pragma: no cover - debugging helper
-        return f"V(r={self.round}, p={self.source})"
-
 
 @dataclasses.dataclass(frozen=True)
 class Region:
@@ -102,14 +79,6 @@ class Region:
     """
 
     name: str
-
-    def __str__(self) -> str:  # pragma: no cover - debugging helper
-        return self.name
-
-
-def total_stake(stakes: Iterable[Stake]) -> Stake:
-    """Sum an iterable of stake amounts."""
-    return sum(stakes)
 
 
 def quorum_threshold(total: Stake) -> Stake:
@@ -124,16 +93,3 @@ def quorum_threshold(total: Stake) -> Stake:
 def validity_threshold(total: Stake) -> Stake:
     """Return the f+1 stake threshold (at least one honest party)."""
     return total // 3 + 1
-
-
-def split_evenly(amount: int, parts: int) -> Tuple[int, ...]:
-    """Split ``amount`` into ``parts`` integers that differ by at most one.
-
-    Used to spread validators over regions "as equally as possible", the
-    same policy the paper uses to spread validators over AWS regions.
-    """
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    base = amount // parts
-    remainder = amount % parts
-    return tuple(base + (1 if index < remainder else 0) for index in range(parts))

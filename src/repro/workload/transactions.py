@@ -41,10 +41,6 @@ class Transaction(NamedTuple):
     kind: str = "counter_increment"
     payload_bytes: int = 64
 
-    def canonical_fields(self):
-        """Fields participating in content digests."""
-        return (self.tx_id, self.client_id, self.kind, self.payload_bytes)
-
 
 def counter_increment(
     tx_id: int,

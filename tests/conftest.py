@@ -13,6 +13,7 @@ from repro.consensus.bullshark import BullsharkConsensus
 from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
+from repro.netexec.codec import split_frames
 from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
@@ -20,6 +21,14 @@ from repro.node.synchronizer import Synchronizer
 from repro.schedule.round_robin import initial_schedule
 from repro.types import Round, ValidatorId, VertexId
 from tests.reference_model import ReferenceModel
+
+
+def decode_frames(buffer: bytes):
+    """``(values, remainder)``: every complete frame in ``buffer`` decoded,
+    and the trailing partial frame (possibly empty)."""
+    values: List = []
+    consumed = split_frames(buffer, values.append)
+    return tuple(values), buffer[consumed:]
 
 
 @pytest.fixture

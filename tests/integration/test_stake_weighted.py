@@ -45,8 +45,8 @@ class TestStakeWeightedCommittee:
         committee = runner.committee
         schedule = runner.nodes[0].schedule_manager.active_schedule
         counts = schedule.slot_counts()
-        heaviest = committee.by_stake()[0]
-        lightest = committee.by_stake()[-1]
+        by_stake = sorted(committee.validators, key=lambda validator: (-committee.stake_of(validator), validator))
+        heaviest, lightest = by_stake[0], by_stake[-1]
         assert counts.get(heaviest, 0) > counts.get(lightest, 0)
 
     def test_system_is_live_and_safe_with_weighted_stake(self):

@@ -70,7 +70,7 @@ def harvest_certificates(rounds=3, size=4):
         for round_number in range(1, rounds + 1):
             for index in protocols:
                 protocols[index].broadcast(f"payload-{index}-{round_number}", round_number)
-            simulator.run_until_idle(max_time=10.0 * round_number)
+            simulator.run(until=10.0 * round_number)
     finally:
         Network.broadcast = original
     return committee, collected

@@ -8,7 +8,7 @@ mixed in, the same block twice, partially overlapping id ranges, a
 duplicate inside one block, submissions on both sides of (and exactly
 on) the warm-up, an execution model that is saturated, idle or absent —
 both must hold the same latency samples (bit for bit, in order), the
-same finality times, counts, ratio, throughput and execution state.
+same finality times, counts, committed ids, throughput and execution state.
 """
 
 import ast
@@ -97,7 +97,9 @@ def play(script, collector_class=MetricsCollector, execution_class=ExecutionMode
             "finality": list(production._finality_times),
             "committed": production.committed,
             "duplicates": production.duplicate_commits,
-            "ratio": production.commit_ratio(),
+            "committed_ids": sum(
+                stop - start for start, stop in zip(production._committed_starts, production._committed_stops)
+            ),
             "throughput": production.throughput(DURATION),
             "busy_until": None if execution is None else execution._busy_until,
             "executed": None if execution is None else execution.executed,
@@ -107,7 +109,7 @@ def play(script, collector_class=MetricsCollector, execution_class=ExecutionMode
             "finality": oracle.finality_times,
             "committed": oracle.committed,
             "duplicates": oracle.duplicate_commits,
-            "ratio": oracle.commit_ratio(submitted),
+            "committed_ids": len(oracle.committed_ids),
             "throughput": oracle.throughput(DURATION),
             "busy_until": None if capacity is None else oracle.busy_until,
             "executed": None if capacity is None else oracle.executed,

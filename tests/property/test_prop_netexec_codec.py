@@ -28,7 +28,6 @@ from repro.netexec.codec import (
     FrameError,
     Hello,
     decode,
-    decode_frames,
     encode,
     encode_frame,
 )
@@ -43,6 +42,7 @@ from repro.rbc.messages import (
 from repro.schedule.base import LeaderSchedule
 from repro.types import VertexId
 from repro.workload.transactions import Transaction
+from tests.conftest import decode_frames
 
 # -- strategies over the wire vocabulary --------------------------------------------
 

@@ -1,5 +1,5 @@
 """Property-based tests for hashing, stake arithmetic, latency statistics,
-and the event queue."""
+and the simulator's event heap."""
 
 import math
 
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import digest_of
 from repro.metrics.latency import LatencyStats
-from repro.network.events import EventQueue
-from repro.types import quorum_threshold, split_evenly, validity_threshold
+from repro.network.simulator import Simulator
+from repro.types import quorum_threshold, validity_threshold
 
 # Values the canonical serializer supports.
 scalars = st.one_of(
@@ -66,13 +66,6 @@ class TestStakeThresholdProperties:
     def test_thresholds_do_not_exceed_total(self, total):
         assert validity_threshold(total) <= quorum_threshold(total) <= total + 1
 
-    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=500))
-    def test_split_evenly_preserves_total_and_balance(self, amount, parts):
-        split = split_evenly(amount, parts)
-        assert sum(split) == amount
-        assert len(split) == parts
-        assert max(split) - min(split) <= 1
-
 
 class TestLatencyStatsProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
@@ -99,17 +92,16 @@ class TestLatencyStatsProperties:
         assert math.isfinite(stats.stdev())
 
 
-class TestEventQueueProperties:
+class TestEventHeapProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=100))
     @settings(max_examples=100)
-    def test_events_pop_in_non_decreasing_time_order(self, times):
-        queue = EventQueue()
+    def test_events_fire_in_non_decreasing_time_order(self, times):
+        simulator = Simulator()
+        fired = []
         for time in times:
-            queue.push(time, lambda: None)
-        popped = []
-        while len(queue):
-            popped.append(queue.pop().time)
-        assert popped == sorted(times)
+            simulator.schedule_at(time, lambda: fired.append(simulator.now))
+        simulator.run()
+        assert fired == sorted(times)
 
     @given(
         st.lists(
@@ -119,17 +111,15 @@ class TestEventQueueProperties:
         )
     )
     @settings(max_examples=100)
-    def test_cancelled_events_never_pop(self, entries):
-        queue = EventQueue()
+    def test_cancelled_events_never_fire(self, entries):
+        simulator = Simulator()
         expected = []
+        fired = []
         for time, keep in entries:
-            handle = queue.push(time, lambda: None)
+            handle = simulator.schedule_at(time, lambda: fired.append(simulator.now))
             if keep:
                 expected.append(time)
             else:
-                handle.cancel()
-                queue.note_cancelled()
-        popped = []
-        while len(queue):
-            popped.append(queue.pop().time)
-        assert popped == sorted(expected)
+                simulator.cancel(handle)
+        simulator.run()
+        assert fired == sorted(expected)

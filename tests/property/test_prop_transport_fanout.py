@@ -85,7 +85,6 @@ def operations():
         st.tuples(st.just("open"), small, st.sampled_from((0.0, 0.3, 0.6))),
         st.tuples(st.just("close"), picks),
         st.tuples(st.just("degrade"), picks, small, small),
-        st.tuples(st.just("processing"), picks, small),
         st.tuples(st.just("register"), regions),
         st.tuples(st.just("model"), models),
     )
@@ -139,11 +138,11 @@ class Production:
 
     def capture(self):
         """Collect the raw heap entries pushed since the last call."""
-        queue = self.simulator._queue
+        simulator = self.simulator
         fresh = sorted(
-            (entry for entry in queue._heap if entry[1] >= self._seen), key=lambda entry: entry[1]
+            (entry for entry in simulator._heap if entry[1] >= self._seen), key=lambda entry: entry[1]
         )
-        self._seen = queue._next_sequence
+        self._seen = simulator._next_sequence
         for time, sequence, handle, _callback, (destination, _stats, sender, message) in fresh:
             assert handle is None
             self.scheduled.append((time, sequence, destination.node_id, sender, message))
@@ -209,9 +208,6 @@ def play(script, mode, network_class=transport.Network):
         elif kind == "degrade":
             network.set_link_degradation(node_id, arguments[1], arguments[2])
             oracle.set_link_degradation(node_id, arguments[1], arguments[2])
-        elif kind == "processing":
-            network.set_processing_delay(node_id, arguments[1])
-            oracle.set_processing_delay(node_id, arguments[1])
         elif kind == "register":
             register(arguments[0])
         elif kind == "model":
@@ -265,7 +261,7 @@ FIXED_SCRIPTS = {
     "partition-crash-degrade": fixed_script(
         ("geo", 0.9), ("partial", 2.0),
         [
-            ("partition", [0, 0, 1]), ("degrade", 1, 0.01, 0.02), ("processing", 2, 0.03),
+            ("partition", [0, 0, 1]), ("degrade", 1, 0.01, 0.02), ("degrade", 2, 0.03, 0.0),
             ("fanout", 1, True), ("crash", 1, True), ("fanout", 1, True), ("advance", 0.7),
             ("partition", None), ("crash", 4, True), ("fanout", 2, False),
         ],
@@ -305,8 +301,8 @@ SOURCE_MUTANTS = {
     "loss-draw-after-delay-draw": [
         ("                if loss_rate > 0.0 and random() < loss_rate:", "                if False:"),
         (
-            "            sequence = queue._next_sequence\n",
-            LOSS_DROP + "            sequence = queue._next_sequence\n",
+            "            sequence = simulator._next_sequence\n",
+            LOSS_DROP + "            sequence = simulator._next_sequence\n",
         ),
     ],
     "self-delivery-through-the-pair-row": [

@@ -60,11 +60,6 @@ class ReferenceCollector:
             return 0.0
         return sum(1 for finality in self.finality_times if finality <= duration) / window
 
-    def commit_ratio(self, submitted):
-        if submitted == 0:
-            return 0.0
-        return len(self.committed_ids) / submitted
-
     def summary(self):
         """Latency statistics the slow and obvious way: the mean and a list
         of squared deviations in sample order, percentiles interpolated on

@@ -4,8 +4,8 @@
 models into its fan-out loop and hoists what the sender fixes.  This
 module is what that loop must reproduce, written the slow and obvious
 way: one message is one :meth:`ReferenceNetwork.send`, its delay is the
-latency model's ``one_way_delay`` / ``local_delay`` plus link extras,
-processing delay and window jitter, passed through the synchrony model's
+latency model's ``one_way_delay`` / ``local_delay`` plus link extras
+and window jitter, passed through the synchrony model's
 ``adjust_delay``; ``broadcast`` is a loop of ``send`` over the registered
 nodes in registration order.
 
@@ -27,8 +27,6 @@ class ReferenceNetwork:
         self.now = 0.0
         self.nodes = {}  # node id -> state, in registration order
         self.groups = None
-        self.base_jitter = 0.0
-        self.base_loss = 0.0
         self.windows = {}  # token -> (jitter, loss rate)
         self.next_token = 0
         self.sequence = 0
@@ -47,14 +45,11 @@ class ReferenceNetwork:
 
     def register(self, node_id, region):
         self.nodes[node_id] = {
-            "region": region, "crashed": False, "processing": 0.0, "inbound": 0.0, "outbound": 0.0,
+            "region": region, "crashed": False, "inbound": 0.0, "outbound": 0.0,
         }
 
     def set_crashed(self, node_id, crashed):
         self.nodes[node_id]["crashed"] = crashed
-
-    def set_processing_delay(self, node_id, delay):
-        self.nodes[node_id]["processing"] = delay
 
     def set_link_degradation(self, node_id, inbound_extra, outbound_extra):
         self.nodes[node_id]["inbound"] = inbound_extra
@@ -75,10 +70,10 @@ class ReferenceNetwork:
         self.windows.pop(token, None)
 
     def window_jitter(self):
-        return max([self.base_jitter] + [jitter for jitter, _loss in self.windows.values()])
+        return max([0.0] + [jitter for jitter, _loss in self.windows.values()])
 
     def loss_rate(self):
-        keep = 1.0 - self.base_loss
+        keep = 1.0
         for token in sorted(self.windows):
             keep *= 1.0 - self.windows[token][1]
         return 1.0 - keep
@@ -94,7 +89,6 @@ class ReferenceNetwork:
                 source["region"], destination["region"], self.rng
             )
         delay += source["outbound"] + destination["inbound"]
-        delay += destination["processing"]
         if sender != recipient and self.window_jitter() > 0.0:
             delay += self.rng.uniform(0.0, self.window_jitter())
         return max(0.0, self.synchrony.adjust_delay(self.now, delay, self.rng))

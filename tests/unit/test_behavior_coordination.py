@@ -12,7 +12,6 @@ from repro.behavior import (
     AdversaryCoordinator,
     CoalitionGamingPolicy,
     ColludingSilencePolicy,
-    upcoming_duty_roster,
 )
 from repro.core.manager import StaticScheduleManager
 from repro.schedule.base import LeaderSchedule
@@ -72,11 +71,6 @@ class TestAdversaryCoordinator:
             AdversaryCoordinator(())
         with pytest.raises(ValueError):
             AdversaryCoordinator((1,), stride=0)
-
-    def test_upcoming_duty_roster(self):
-        coordinator = AdversaryCoordinator((7, 8, 9))
-        roster = upcoming_duty_roster(coordinator, 3, 3)
-        assert roster == ((4, 9), (6, 7), (8, 8))
 
 
 class TestColludingSilencePolicy:
@@ -204,4 +198,3 @@ class TestCoalitionGamingPolicy:
         policy = CoalitionGamingPolicy()
         policy.join(AdversaryCoordinator((7, 8, 9)))
         assert "7, 8, 9" in policy.describe()
-        assert HONEST.describe() == "honest"

@@ -12,7 +12,7 @@ class TestStakeDistributions:
     def test_equal_stake(self):
         distribution = equal_stake(5, per_validator=3)
         assert distribution.size == 5
-        assert distribution.total == 15
+        assert sum(distribution.stakes) == 15
         assert distribution.stake_of(2) == 3
 
     def test_equal_stake_requires_positive_size(self):
@@ -21,12 +21,12 @@ class TestStakeDistributions:
 
     def test_geometric_stake_is_decreasing(self):
         distribution = geometric_stake(8, ratio=0.8)
-        stakes = distribution.as_list()
+        stakes = distribution.stakes
         assert all(earlier >= later for earlier, later in zip(stakes, stakes[1:]))
 
     def test_geometric_stake_is_always_positive(self):
         distribution = geometric_stake(40, ratio=0.5)
-        assert all(stake >= 1 for stake in distribution.as_list())
+        assert all(stake >= 1 for stake in distribution.stakes)
 
     def test_geometric_stake_rejects_bad_ratio(self):
         with pytest.raises(CommitteeError):
@@ -35,7 +35,7 @@ class TestStakeDistributions:
             geometric_stake(5, ratio=1.5)
 
     def test_zipfian_stake_is_decreasing(self):
-        stakes = zipfian_stake(10).as_list()
+        stakes = zipfian_stake(10).stakes
         assert all(earlier >= later for earlier, later in zip(stakes, stakes[1:]))
 
     def test_zipfian_rejects_negative_exponent(self):
@@ -85,20 +85,29 @@ class TestCommitteeConstruction:
         with pytest.raises(CommitteeError):
             committee4.info(99)
 
+    def test_stake_and_region_of_an_unknown_validator_rejected(self, committee4):
+        for validator in (-1, 4):
+            with pytest.raises(CommitteeError):
+                committee4.stake_of(validator)
+            with pytest.raises(CommitteeError):
+                committee4.region_of(validator)
+            with pytest.raises(CommitteeError):
+                committee4.stake([0, validator])
+
     def test_contains(self, committee4):
         assert 0 in committee4
         assert 3 in committee4
         assert 4 not in committee4
 
     def test_public_keys_are_distinct(self, committee10):
-        keys = {committee10.public_key_of(validator).material for validator in committee10.validators}
+        keys = {committee10.info(validator).public_key.material for validator in committee10.validators}
         assert len(keys) == 10
 
     def test_keypairs_match_public_keys(self):
         committee = Committee.build(4, seed=5)
         keypairs = keypairs_for_committee(4, seed=5)
         for validator in committee.validators:
-            assert keypairs[validator].public == committee.public_key_of(validator)
+            assert keypairs[validator].public == committee.info(validator).public_key
 
 
 class TestCommitteeStakeArithmetic:
@@ -125,6 +134,20 @@ class TestCommitteeStakeArithmetic:
         assert committee10.has_quorum(range(7))
         assert not committee10.has_quorum(range(6))
 
+    def test_edge_quorum_mask_agrees_with_the_sources(self):
+        committee = Committee.build(4)
+        for index, sources in enumerate([(0, 1), (0, 1, 2), (0, 1, 2, 3), (3,)]):
+            mask = sum(1 << source for source in sources)
+            with_mask = committee.edge_quorum_verdict(bytes([index, 0]), sources, mask)
+            without = committee.edge_quorum_verdict(bytes([index, 1]), sources)
+            assert with_mask == without == committee.has_quorum(sources)
+
+    def test_an_edge_mask_outside_the_committee_falls_back_to_the_sources(self):
+        committee = Committee.build(4)
+        with pytest.raises(CommitteeError):
+            committee.edge_quorum_verdict(b"stray", (0, 1, 7), mask=0b10000011)
+        assert committee.edge_quorum_cache_size() == 0
+
     def test_weighted_stake_quorum(self):
         committee = Committee.build(4, stake=geometric_stake(4, ratio=0.5, scale=8))
         # Stakes are 8, 4, 2, 1 -> total 15, quorum 11, validity 6.
@@ -132,17 +155,3 @@ class TestCommitteeStakeArithmetic:
         assert committee.quorum_threshold == 11
         assert committee.has_quorum([0, 1])  # 12 >= 11
         assert not committee.has_quorum([1, 2, 3])  # 7 < 11
-
-    def test_by_stake_ordering(self):
-        committee = Committee.build(4, stake=geometric_stake(4, ratio=0.5, scale=8))
-        assert committee.by_stake() == [0, 1, 2, 3]
-        assert committee.by_stake(descending=False) == [3, 2, 1, 0]
-
-    def test_sample_returns_distinct_members(self, committee10):
-        sample = committee10.sample(5)
-        assert len(sample) == len(set(sample)) == 5
-        assert all(validator in committee10 for validator in sample)
-
-    def test_sample_too_many_raises(self, committee4):
-        with pytest.raises(CommitteeError):
-            committee4.sample(5)

@@ -46,10 +46,6 @@ class TestStaticScheduleManager:
         with pytest.raises(ScheduleError):
             manager.leader_for_round(3)
 
-    def test_describe(self, committee4):
-        manager = StaticScheduleManager(committee4, initial_schedule(committee4, permute=False))
-        assert "static" in manager.describe()
-
 
 class TestHammerHeadScheduleManager:
     def _manager(self, committee, commits=2, exclude_fraction=1 / 3, scoring=None):
@@ -157,9 +153,3 @@ class TestHammerHeadScheduleManager:
         skipped_leaders = {0, 1}  # round-robin leaders of rounds 2 and 4
         for leader in skipped_leaders:
             assert new_schedule.slots_of(leader) == 0
-
-    def test_describe_mentions_policy_and_rule(self, committee4):
-        manager = self._manager(committee4)
-        description = manager.describe()
-        assert "HammerHead" in description
-        assert "hammerhead" in description

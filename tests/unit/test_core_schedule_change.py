@@ -30,9 +30,6 @@ class TestPolicies:
         with pytest.raises(ScheduleError):
             CommitCountPolicy(0)
 
-    def test_policies_describe_themselves(self):
-        assert "10" in CommitCountPolicy(10).describe()
-
 
 class TestSwapSelection:
     def test_bottom_and_top_are_selected(self, committee10):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import digest_hex, digest_of
+from repro.crypto.hashing import digest_hex, digest_of, vertex_digest
 from repro.crypto.keys import generate_keypair, keypairs_for_committee
 
 
@@ -43,12 +43,24 @@ class TestDigests:
         with pytest.raises(TypeError):
             digest_of(Opaque())
 
-    def test_canonical_fields_protocol(self):
+    def test_an_object_offering_canonical_fields_is_refused(self):
         class WithFields:
             def canonical_fields(self):
                 return (1, "a")
 
-        assert digest_of(WithFields()) == digest_of((1, "a"))
+        with pytest.raises(TypeError):
+            digest_of(WithFields())
+
+    @pytest.mark.parametrize(
+        "round_number, source, edge_pairs, block_length",
+        [(0, 0, (), 0), (1, 3, ((0, 0), (0, 1), (0, 3)), 7), (10**12, 99, ((10**12 - 1, 98),), 10**6)],
+    )
+    def test_vertex_digest_is_the_generic_digest_of_the_vertex_fields(
+        self, round_number, source, edge_pairs, block_length
+    ):
+        assert vertex_digest(round_number, source, edge_pairs, block_length) == digest_of(
+            round_number, source, edge_pairs, block_length
+        )
 
 
 class TestKeys:
@@ -64,8 +76,4 @@ class TestKeys:
     def test_committee_keypairs_cover_all_indices(self):
         keypairs = keypairs_for_committee(5, seed=2)
         assert sorted(keypairs) == [0, 1, 2, 3, 4]
-        assert all(keypairs[index].validator == index for index in keypairs)
-
-    def test_public_key_short_fingerprint(self):
-        assert len(generate_keypair(0).public.short()) == 12
-
+        assert all(keypairs[index].public.validator == index for index in keypairs)

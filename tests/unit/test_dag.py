@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.hashing import digest_of
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, check_edge_quorum, genesis_vertices, make_vertex
 from repro.errors import DagError, EquivocationError
@@ -50,14 +51,15 @@ class TestVertexConstruction:
         vertex_b = make_vertex(1, 0, edges=[vid(0, 0), vid(0, 1), vid(0, 3)])
         assert vertex_a.digest != vertex_b.digest
 
+    def test_digest_is_the_digest_of_round_source_ascending_edges_and_block_length(self):
+        edges = [vid(2, 3), vid(2, 0), vid(2, 1)]
+        vertex = make_vertex(3, 2, edges=edges, block=("tx-a", "tx-b"))
+        assert vertex.edges == (vid(2, 0), vid(2, 1), vid(2, 3))
+        assert vertex.digest == digest_of(3, 2, ((2, 0), (2, 1), (2, 3)), 2)
+
     def test_digest_is_stable_under_edge_ordering(self):
         edges = [vid(0, 2), vid(0, 0), vid(0, 1)]
         assert make_vertex(1, 0, edges=edges).digest == make_vertex(1, 0, edges=reversed(edges)).digest
-
-    def test_references(self):
-        vertex = make_vertex(1, 0, edges=[vid(0, 0), vid(0, 1), vid(0, 2)])
-        assert vertex.references(vid(0, 1))
-        assert not vertex.references(vid(0, 3))
 
     def test_check_edge_quorum(self, committee4):
         good = make_vertex(1, 0, edges=[vid(0, 0), vid(0, 1), vid(0, 2)])
@@ -174,7 +176,7 @@ class TestDagStoreQueries:
         dag = DagStore(committee4)
         populate_dag(dag, committee4, rounds=1)
         build_round(dag, committee4, 2, sources=[0, 1, 2])
-        assert dag.sources_at(2) == {0, 1, 2}
+        assert {vertex.source for vertex in dag.vertices_at(2)} == {0, 1, 2}
         assert dag.stake_at(2) == 3
         assert dag.has_quorum_at(2)
         build_round(dag, committee4, 3, sources=[0, 1])

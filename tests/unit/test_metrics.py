@@ -125,30 +125,46 @@ class TestColumn:
 class TestExecutionModel:
     def test_below_capacity_adds_only_service_time(self):
         model = ExecutionModel(capacity_tps=100.0)
-        finish = model.execute(ordered_at=10.0)
+        (finish,) = model.execute_many(1, ordered_at=10.0)
         assert finish == pytest.approx(10.01)
 
     def test_saturation_builds_a_queue(self):
         model = ExecutionModel(capacity_tps=10.0)
-        finishes = [model.execute(ordered_at=0.0) for _ in range(10)]
+        finishes = [model.execute_many(1, ordered_at=0.0)[0] for _ in range(10)]
         assert finishes[-1] == pytest.approx(1.0)
-        assert model.backlog_delay(0.0) == pytest.approx(1.0)
 
     def test_idle_periods_drain_the_queue(self):
         model = ExecutionModel(capacity_tps=10.0)
-        model.execute(ordered_at=0.0)
-        finish = model.execute(ordered_at=5.0)
+        model.execute_many(1, ordered_at=0.0)
+        (finish,) = model.execute_many(1, ordered_at=5.0)
         assert finish == pytest.approx(5.1)
 
     def test_executed_counter(self):
         model = ExecutionModel(capacity_tps=10.0)
         for _ in range(3):
-            model.execute(0.0)
+            model.execute_many(1, 0.0)
         assert model.executed == 3
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             ExecutionModel(0.0)
+
+    def test_a_batch_completes_one_service_time_apart(self):
+        model = ExecutionModel(capacity_tps=10.0)
+        assert model.execute_many(3, ordered_at=1.0) == pytest.approx([1.1, 1.2, 1.3])
+        assert model.executed == 3
+
+    def test_a_batch_queues_behind_the_previous_one(self):
+        model = ExecutionModel(capacity_tps=10.0)
+        model.execute_many(2, ordered_at=0.0)
+        assert model.execute_many(2, ordered_at=0.05) == pytest.approx([0.3, 0.4])
+
+    def test_a_batch_equals_one_call_per_transaction(self):
+        batched, single = ExecutionModel(capacity_tps=7.0), ExecutionModel(capacity_tps=7.0)
+        for ordered_at, count in ((0.0, 5), (0.3, 3), (4.0, 2), (4.1, 6)):
+            expected = [single.execute_many(1, ordered_at)[0] for _ in range(count)]
+            assert batched.execute_many(count, ordered_at) == expected
+        assert batched.executed == single.executed == 16
 
 
 def ordered_record(transactions, ordered_at, source=1, round_number=3, position=0):
@@ -187,7 +203,6 @@ class TestMetricsCollector:
         assert list(collector.latency._samples) == [pytest.approx(2.0 + 0.040 - 1.0)]
         # Nothing was announced and no client is attached.
         assert collector.submitted == 0
-        assert collector.commit_ratio() == 0.0
 
     def test_submissions_are_read_from_attached_clients_on_demand(self):
         class Client:
@@ -203,7 +218,6 @@ class TestMetricsCollector:
         clients[1].submitted = 1
         # One source for the number, right whenever it is read.
         assert collector.submitted == 4
-        assert collector.commit_ratio() == pytest.approx(0.5)
         # A client that is not attached announces its own.
         collector.on_transaction_submitted(first)
         assert collector.submitted == 5
@@ -231,16 +245,6 @@ class TestMetricsCollector:
         # Execution takes 1 s per transaction: only 3 finish by t=5.
         assert collector.throughput(duration=5.0) == pytest.approx(3 / 5.0)
 
-    def test_commit_ratio(self):
-        collector = MetricsCollector()
-        transactions = [
-            counter_increment(index, 0, submitted_at=1.0, target_validator=0) for index in range(4)
-        ]
-        for transaction in transactions:
-            collector.on_transaction_submitted(transaction)
-        collector.on_vertex_ordered(ordered_record(tuple(transactions[:2]), ordered_at=2.0))
-        assert collector.commit_ratio() == pytest.approx(0.5)
-
     def test_non_transaction_payloads_are_skipped(self):
         collector = MetricsCollector()
         collector.on_vertex_ordered(ordered_record(("opaque",), ordered_at=2.0))
@@ -263,7 +267,6 @@ class TestMetricsCollector:
         assert collector._committed_stops == [3, 8]
         assert collector.committed == 2
         assert collector.submitted == 4
-        assert collector.commit_ratio() == pytest.approx(0.75)
         collector.on_vertex_ordered(ordered_record((pending, late), ordered_at=17.0, source=3))
         assert collector._committed_starts == [1, 3, 7]
         assert collector._committed_stops == [3, 4, 8]
@@ -288,7 +291,6 @@ class TestMetricsCollector:
             pytest.approx(2.0 + 0.040 - 1.0),
             pytest.approx(3.0 + 0.040 - 1.0),
         ]
-        assert collector.commit_ratio() == 1.0
 
     def test_execution_queue_carries_over_between_vertices(self):
         batched = MetricsCollector(confirmation_delay=0.0, execution=ExecutionModel(10.0))
@@ -300,10 +302,11 @@ class TestMetricsCollector:
             batched.on_transaction_submitted(transaction)
         batched.on_vertex_ordered(ordered_record(tuple(transactions[:4]), ordered_at=1.0))
         batched.on_vertex_ordered(ordered_record(tuple(transactions[4:]), ordered_at=1.2, source=2))
-        expected = [model.execute(1.0) for _ in range(4)] + [model.execute(1.2) for _ in range(2)]
+        expected = [model.execute_many(1, 1.0)[0] for _ in range(4)]
+        expected += [model.execute_many(1, 1.2)[0] for _ in range(2)]
         assert list(batched.latency._samples) == expected
         assert batched.execution.executed == 6
-        assert batched.execution.backlog_delay(1.2) == model.backlog_delay(1.2)
+        assert batched.execution._busy_until == model._busy_until
 
 
 class TestLeaderUtilizationStats:
@@ -318,10 +321,9 @@ class TestLeaderUtilizationStats:
         stats.record_commit(self._subdag(2, leader=0))
         stats.record_commit(self._subdag(6, leader=2))
         stats.finalize_skips(6, leader_of=lambda round_number: (round_number // 2 - 1) % 4)
-        assert stats.commits == 2
+        assert len(stats.committed_rounds) == 2
         assert stats.skips == 1
         assert stats.skipped_rounds == {4: 1}
-        assert stats.skip_ratio() == pytest.approx(1 / 3)
 
     def test_commits_per_leader(self):
         stats = LeaderUtilizationStats()
@@ -329,12 +331,24 @@ class TestLeaderUtilizationStats:
         stats.record_commit(self._subdag(4, leader=0))
         stats.record_commit(self._subdag(6, leader=1))
         assert stats.commits_per_leader() == {0: 2, 1: 1}
-        assert stats.leaders_with_commits() == [0, 1]
+
+    def test_skipped_rounds_per_leader(self):
+        stats = LeaderUtilizationStats()
+        stats.record_commit(self._subdag(4, leader=1))
+        stats.finalize_skips(12, leader_of=lambda round_number: round_number % 3)
+        assert stats.skipped_rounds == {2: 2, 6: 0, 8: 2, 10: 1, 12: 0}
+        assert stats.skipped_rounds_per_leader() == {2: 2, 0: 2, 1: 1}
+
+    def test_no_skip_is_recorded_past_the_highest_committed_round(self):
+        stats = LeaderUtilizationStats()
+        stats.record_commit(self._subdag(2, leader=0))
+        stats.finalize_skips(5, leader_of=lambda round_number: 3)
+        assert stats.skipped_rounds == {4: 3}
 
     def test_no_commits(self):
         stats = LeaderUtilizationStats()
         stats.finalize_skips(0, leader_of=lambda round_number: 0)
-        assert stats.skip_ratio() == 0.0
+        assert len(stats.committed_rounds) == stats.skips == 0
 
 
 class TestPerformanceReport:
@@ -359,10 +373,6 @@ class TestPerformanceReport:
         )
         values.update(overrides)
         return PerformanceReport(**values)
-
-    def test_label_mentions_faults(self):
-        assert "3 faulty" in self._report().label()
-        assert "faulty" not in self._report(faults=0).label()
 
     def test_as_dict_includes_extra(self):
         report = self._report(extra={"events_fired": 123.0})

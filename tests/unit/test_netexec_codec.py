@@ -27,7 +27,6 @@ from repro.netexec.codec import (
     FrameError,
     Hello,
     decode,
-    decode_frames,
     encode,
     encode_frame,
 )
@@ -42,6 +41,7 @@ from repro.rbc.messages import (
 from repro.schedule.base import LeaderSchedule
 from repro.types import VertexId
 from repro.workload.transactions import Transaction
+from tests.conftest import decode_frames
 
 
 def _sample_vertex() -> Vertex:

@@ -10,6 +10,8 @@ from repro.network.latency import GeoLatencyModel, UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.synchrony import AlwaysSynchronous, PartialSynchrony
 from repro.network.transport import Network
+from repro.obs.trace import MemoryTracer
+from repro.rbc.messages import ProposeMessage
 from repro.types import Region
 
 
@@ -150,13 +152,6 @@ class TestTransport:
         assert inboxes[0] == []
         assert inboxes[1] == [(0, "hi")]
 
-    def test_multicast_targets_subset(self):
-        simulator, network, inboxes = self._build(node_count=4)
-        network.multicast(0, [1, 3], "m")
-        simulator.run()
-        assert inboxes[1] and inboxes[3]
-        assert not inboxes[2]
-
     def test_crashed_sender_drops_messages(self):
         simulator, network, inboxes = self._build()
         network.set_crashed(0)
@@ -164,6 +159,14 @@ class TestTransport:
         simulator.run()
         assert inboxes[1] == []
         assert network.stats.messages_dropped == 1
+
+    def test_a_crashed_senders_broadcast_counts_every_recipient_as_dropped(self):
+        simulator, network, inboxes = self._build()
+        network.set_crashed(0)
+        network.broadcast(0, "lost")
+        simulator.run()
+        assert all(inbox == [] for inbox in inboxes.values())
+        assert network.stats.messages_sent == network.stats.messages_dropped == 3
 
     def test_crashed_recipient_drops_messages(self):
         simulator, network, inboxes = self._build()
@@ -216,10 +219,60 @@ class TestTransport:
         # the simulator clock having advanced past the degradation delay.
         assert simulator.now >= 0.5
 
-    def test_processing_delay_must_be_non_negative(self):
+    def test_delivery_takes_exactly_the_model_delay(self):
+        simulator, network, arrivals = timed_cluster(UniformLatencyModel(0.25, jitter=0.0))
+        network.send(0, 1, "timed")
+        simulator.run()
+        assert arrivals[1] == [(0.25, 0, "timed")]
+
+    def test_link_degradation_adds_the_outbound_and_inbound_extras(self):
+        simulator, network, arrivals = timed_cluster(UniformLatencyModel(0.01, jitter=0.0))
+        network.set_link_degradation(0, outbound_extra=0.5)
+        network.set_link_degradation(1, inbound_extra=0.25)
+        network.send(0, 1, "both")
+        network.send(0, 2, "outbound only")
+        network.send(2, 1, "inbound only")
+        simulator.run()
+        assert [time for time, _, _ in arrivals[1]] == [pytest.approx(0.26), pytest.approx(0.76)]
+        assert [time for time, _, _ in arrivals[2]] == [pytest.approx(0.51)]
+
+    def test_negative_link_degradation_rejected(self):
         _, network, _ = self._build()
         with pytest.raises(NetworkError):
-            network.set_processing_delay(0, -0.1)
+            network.set_link_degradation(0, inbound_extra=-0.1)
+        with pytest.raises(NetworkError):
+            network.set_link_degradation(0, outbound_extra=-0.1)
+
+    def test_deliveries_and_timers_due_together_fire_in_push_order(self):
+        simulator, network, _ = timed_cluster(UniformLatencyModel(1.0, jitter=0.0))
+        order = []
+        network.register(3, Region("region-3"), lambda sender, message: order.append(message))
+        network.send(0, 3, "first delivery")
+        simulator.schedule(1.0, lambda: order.append("timer"))
+        network.send(1, 3, "second delivery")
+        simulator.run()
+        assert order == ["first delivery", "timer", "second delivery"]
+
+    def test_a_broadcast_draws_the_delays_of_a_loop_of_sends(self):
+        def arrivals_of(fan_out):
+            simulator = Simulator(seed=7)
+            network = Network(simulator, latency_model=GeoLatencyModel(jitter_fraction=0.2))
+            arrivals = []
+            for index, region in enumerate(DEFAULT_REGIONS[:5]):
+                network.register(
+                    index,
+                    Region(region),
+                    lambda sender, message, index=index: arrivals.append((simulator.now, index)),
+                )
+            fan_out(network)
+            simulator.run()
+            return arrivals
+
+        def loop_of_sends(network):
+            for recipient in range(5):
+                network.send(2, recipient, "m")
+
+        assert arrivals_of(lambda network: network.broadcast(2, "m")) == arrivals_of(loop_of_sends)
 
 
 class TestPartitionAndDisturbance:
@@ -262,6 +315,14 @@ class TestPartitionAndDisturbance:
         simulator.run()
         assert inboxes[1] == [(0, "healed")]
 
+    def test_a_broadcast_across_a_partition_reaches_only_the_senders_group(self):
+        simulator, network, inboxes = self._build()
+        network.set_partition([(0, 1), (2, 3)])
+        network.broadcast(1, "inside")
+        simulator.run()
+        assert [len(inboxes[index]) for index in range(4)] == [1, 1, 0, 0]
+        assert network.stats.partition_drops == 2
+
     def test_partition_rejects_overlapping_groups(self):
         _, network, _ = self._build()
         with pytest.raises(NetworkError):
@@ -276,7 +337,7 @@ class TestPartitionAndDisturbance:
 
     def test_loss_rate_drops_some_messages(self):
         simulator, network, inboxes = self._build()
-        network.set_loss_rate(0.5)
+        network.add_disturbance(loss_rate=0.5)
         for _ in range(100):
             network.send(0, 1, "maybe")
         simulator.run()
@@ -285,7 +346,7 @@ class TestPartitionAndDisturbance:
 
     def test_loss_never_drops_self_delivery(self):
         simulator, network, inboxes = self._build()
-        network.set_loss_rate(0.9)
+        network.add_disturbance(loss_rate=0.9)
         for _ in range(50):
             network.send(1, 1, "local")
         simulator.run()
@@ -293,7 +354,7 @@ class TestPartitionAndDisturbance:
 
     def test_jitter_stretches_delivery(self):
         simulator, network, _ = self._build(base_delay=0.01)
-        network.set_jitter(0.5)
+        network.add_disturbance(jitter=0.5)
         for _ in range(20):
             network.send(0, 1, "jittered")
         simulator.run()
@@ -304,6 +365,105 @@ class TestPartitionAndDisturbance:
     def test_invalid_rates_rejected(self):
         _, network, _ = self._build()
         with pytest.raises(NetworkError):
-            network.set_loss_rate(1.0)
+            network.add_disturbance(loss_rate=1.0)
         with pytest.raises(NetworkError):
-            network.set_jitter(-0.1)
+            network.add_disturbance(jitter=-0.1)
+
+
+    def test_loss_drops_are_traced_against_the_newest_open_window(self):
+        simulator, network, _ = self._build()
+        tracer = MemoryTracer(clock=lambda: simulator.now)
+        network.install_observability(tracer)
+        first = network.add_disturbance(loss_rate=0.6)
+        for _ in range(30):
+            network.send(0, 1, "early")
+        second = network.add_disturbance(loss_rate=0.6)
+        for _ in range(30):
+            network.send(0, 2, "late")
+        network.set_partition([(0,), (1, 2, 3)])
+        network.send(0, 3, "cut off")
+        drops = [event for event in tracer.events if event["kind"] == "message_dropped"]
+        windows = {event["destination"]: set() for event in drops}
+        for event in drops:
+            windows[event["destination"]].add(event.get("window"))
+        assert windows == {1: {first}, 2: {second}, 3: {None}}
+        assert [event["reason"] for event in drops if event["destination"] == 3] == ["partition"]
+
+    def test_a_traced_drop_names_the_broadcast_it_carried(self):
+        simulator, network, _ = self._build()
+        tracer = MemoryTracer(clock=lambda: simulator.now)
+        network.install_observability(tracer)
+        network.set_partition([(0,), (1, 2, 3)])
+        network.send(0, 1, ProposeMessage(origin=0, round=6, digest=b"d", payload="p"))
+        network.send(0, 2, "no envelope")
+        first, second = (event for event in tracer.events if event["kind"] == "message_dropped")
+        assert (first["type"], first["origin"], first["round"]) == ("ProposeMessage", 0, 6)
+        assert "origin" not in second and "round" not in second
+
+    def test_overlapping_windows_take_the_larger_jitter(self):
+        _, network, _ = self._build()
+        small = network.add_disturbance(jitter=0.2)
+        large = network.add_disturbance(jitter=0.5)
+        assert network._jitter == 0.5
+        network.remove_disturbance(large)
+        assert network._jitter == 0.2
+        network.remove_disturbance(small)
+        assert network._jitter == 0.0
+
+    def test_overlapping_losses_compose_as_independent_drops(self):
+        _, network, _ = self._build()
+        first = network.add_disturbance(loss_rate=0.5)
+        network.add_disturbance(loss_rate=0.2)
+        assert network._loss_rate == pytest.approx(1.0 - 0.5 * 0.8)
+        network.remove_disturbance(first)
+        assert network._loss_rate == pytest.approx(0.2)
+
+    def test_closing_every_window_restores_a_clean_network(self):
+        simulator, network, arrivals = timed_cluster(UniformLatencyModel(0.01, jitter=0.0))
+        tokens = [network.add_disturbance(loss_rate=0.9), network.add_disturbance(jitter=0.5)]
+        for token in tokens:
+            network.remove_disturbance(token)
+        for _ in range(50):
+            network.send(0, 1, "clean")
+        simulator.run()
+        assert [time for time, _, _ in arrivals[1]] == [0.01] * 50
+        assert network.stats.loss_drops == network.stats.messages_dropped == 0
+
+    def test_closing_an_unknown_window_is_harmless(self):
+        _, network, _ = self._build()
+        token = network.add_disturbance(jitter=0.3, loss_rate=0.1)
+        network.remove_disturbance(token + 1)
+        network.remove_disturbance(token)
+        network.remove_disturbance(token)
+        assert (network._jitter, network._loss_rate) == (0.0, 0.0)
+
+    def test_window_tokens_ascend_and_are_not_reused(self):
+        _, network, _ = self._build()
+        first = network.add_disturbance(jitter=0.1)
+        network.remove_disturbance(first)
+        second = network.add_disturbance(jitter=0.1)
+        third = network.add_disturbance(loss_rate=0.1)
+        assert first < second < third
+
+    def test_window_jitter_never_delays_self_delivery(self):
+        simulator, network, arrivals = timed_cluster(UniformLatencyModel(0.01, jitter=0.0))
+        network.add_disturbance(jitter=5.0)
+        for _ in range(20):
+            network.send(1, 1, "local")
+        simulator.run()
+        assert {time for time, _, _ in arrivals[1]} == {0.0005}
+
+
+def timed_cluster(latency_model, node_count=3):
+    """A network of ``node_count`` nodes in distinct regions whose inboxes
+    record ``(arrival time, sender, message)``."""
+    simulator = Simulator(seed=1)
+    network = Network(simulator, latency_model=latency_model)
+    arrivals = {index: [] for index in range(node_count)}
+    for index in range(node_count):
+        network.register(
+            index,
+            Region(f"region-{index}"),
+            lambda sender, message, index=index: arrivals[index].append((simulator.now, sender, message)),
+        )
+    return simulator, network, arrivals

@@ -166,11 +166,6 @@ class TestNodeLifecycle:
         assert nodes[0].transactions_submitted == 0
         assert nodes[0].pool_size == 0
 
-    def test_describe(self):
-        committee, simulator, network, nodes = build_cluster()
-        nodes[0].start()
-        assert "validator 0" in nodes[0].describe()
-
     def test_a_message_no_handler_knows_is_dropped(self):
         committee, simulator, network, nodes = build_cluster()
         for node in nodes.values():

@@ -39,7 +39,7 @@ class TestTracerProtocol:
         tracer = MemoryTracer(clock=lambda: next(ticks))
         tracer.emit("vertex_proposed", node=0, round=1)
         tracer.emit("anchor_committed", node=0, round=2, leader=1)
-        assert len(tracer) == 2
+        assert len(tracer.events) == 2
         first, second = tracer.events
         assert first == {"kind": "vertex_proposed", "t": 1.5, "node": 0, "round": 1}
         assert second["t"] == 2.5
@@ -74,17 +74,15 @@ class TestTracerProtocol:
 
 
 class TestRegistry:
-    def test_counters_gauges_histograms_snapshot_sorted(self):
+    def test_counters_histograms_snapshot_sorted(self):
         registry = InstrumentationRegistry()
         registry.inc("b.two")
         registry.inc("a.one", 5)
-        registry.set_gauge("depth", 3.0)
         registry.observe("fill", 2.0)
         registry.observe("fill", 4.0)
         snap = registry.snapshot()
         assert list(snap["counters"]) == ["a.one", "b.two"]
         assert snap["counters"]["a.one"] == 5
-        assert snap["gauges"]["depth"] == 3.0
         assert snap["histograms"]["fill"] == {
             "count": 2,
             "total": 6.0,

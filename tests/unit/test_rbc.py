@@ -74,6 +74,40 @@ class TestReliableBroadcastProperties:
             payloads = {delivery.payload for delivery in deliveries[index]}
             assert payloads == {"payload-0", "payload-1", "payload-2", "payload-3"}
 
+    def test_has_delivered_tracks_each_origin_and_round(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        protocols[0].broadcast("payload", round_number=1)
+        simulator.run()
+        for protocol in protocols.values():
+            assert protocol.has_delivered(0, 1)
+            assert not protocol.has_delivered(1, 1)
+            assert not protocol.has_delivered(0, 3)
+
+    def test_a_delivery_is_stamped_with_the_instant_it_happened(self):
+        committee = Committee.build(4)
+        simulator = Simulator(seed=2)
+        network = Network(simulator, latency_model=UniformLatencyModel(base_delay=0.01, jitter=0.002))
+        stamps = []
+        protocols = {}
+        for index in range(4):
+            protocols[index] = CertifiedBroadcast(
+                index, committee, network, lambda delivery: stamps.append((delivery.delivered_at, simulator.now))
+            )
+            network.register(
+                index,
+                committee.region_of(index),
+                lambda sender, message, index=index: protocols[index].handle_message(sender, message),
+            )
+        protocols[2].broadcast("payload", round_number=1)
+        simulator.run()
+        assert len(stamps) == 4
+        assert all(stamp == now > 0.0 for stamp, now in stamps)
+
+    def test_messages_of_other_layers_are_left_to_the_caller(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        assert protocols[1].handle_message(0, "a vertex fetch, say") is False
+        assert protocols[1].handle_message(0, protocols[0].make_propose("payload", 1)) is True
+
     def test_agreement_with_crashed_minority(self):
         committee, simulator, network, protocols, deliveries = build_cluster(size=4)
         network.set_crashed(3)

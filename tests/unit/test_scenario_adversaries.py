@@ -124,6 +124,10 @@ class TestBehaviorFaultKinds:
                 "faults[0].validators[0]",
                 id="validators-float",
             ),
+            pytest.param({"loads": [float("inf")]}, "loads[0]", id="loads-infinity"),
+            pytest.param({"delta": float("nan")}, "delta", id="delta-nan"),
+            pytest.param({"gst": float("inf")}, "gst", id="gst-infinity"),
+            pytest.param({"gst": 10**400}, "gst", id="gst-huge-int"),
         ],
     )
     def test_boolean_and_wrong_typed_fields_rejected(self, entry, path):

@@ -7,7 +7,6 @@ from repro.errors import ScheduleError
 from repro.schedule.base import LeaderSchedule
 from repro.schedule.round_robin import (
     initial_schedule,
-    round_robin_slots,
     stake_weighted_slots,
 )
 
@@ -27,6 +26,16 @@ class TestLeaderSchedule:
         assert schedule.leader_for_round(12) == 6
         assert schedule.leader_for_round(14) == 5
 
+    def test_repeated_slots_keep_their_place_in_the_rotation(self):
+        schedule = LeaderSchedule(epoch=0, initial_round=2, slots=(2, 0, 2, 1))
+        assert [schedule.leader_for_round(r) for r in range(2, 20, 2)] == [2, 0, 2, 1, 2, 0, 2, 1, 2]
+
+    def test_round_zero_has_no_leader(self):
+        schedule = LeaderSchedule(epoch=0, initial_round=0, slots=(0, 1))
+        with pytest.raises(ScheduleError):
+            schedule.leader_for_round(0)
+        assert schedule.leader_for_round(2) == 1
+
     def test_odd_round_has_no_leader(self):
         schedule = LeaderSchedule(epoch=0, initial_round=2, slots=(0, 1))
         with pytest.raises(ScheduleError):
@@ -37,22 +46,11 @@ class TestLeaderSchedule:
         with pytest.raises(ScheduleError):
             schedule.leader_for_round(8)
 
-    def test_covers(self):
-        schedule = LeaderSchedule(epoch=0, initial_round=4, slots=(0,))
-        assert schedule.covers(4)
-        assert schedule.covers(100)
-        assert not schedule.covers(2)
-        assert not schedule.covers(5)
-
     def test_slot_counts(self):
         schedule = LeaderSchedule(epoch=0, initial_round=2, slots=(0, 1, 0, 2))
         assert schedule.slot_counts() == {0: 2, 1: 1, 2: 1}
         assert schedule.slots_of(0) == 2
         assert schedule.slots_of(3) == 0
-
-    def test_leaders_preserves_first_occurrence_order(self):
-        schedule = LeaderSchedule(epoch=0, initial_round=2, slots=(2, 0, 2, 1))
-        assert schedule.leaders() == (2, 0, 1)
 
     def test_empty_slots_rejected(self):
         with pytest.raises(ScheduleError):
@@ -62,22 +60,16 @@ class TestLeaderSchedule:
         with pytest.raises(ScheduleError):
             LeaderSchedule(epoch=0, initial_round=3, slots=(0,))
 
+    def test_negative_initial_round_rejected(self):
+        with pytest.raises(ScheduleError):
+            LeaderSchedule(epoch=0, initial_round=-2, slots=(0,))
+
     def test_negative_epoch_rejected(self):
         with pytest.raises(ScheduleError):
             LeaderSchedule(epoch=-1, initial_round=2, slots=(0,))
 
-    def test_with_slots_derives_successor(self):
-        schedule = LeaderSchedule(epoch=0, initial_round=2, slots=(0, 1))
-        successor = schedule.with_slots((1, 1), initial_round=10, epoch=1)
-        assert successor.epoch == 1
-        assert successor.initial_round == 10
-        assert successor.slots == (1, 1)
-
 
 class TestScheduleConstruction:
-    def test_round_robin_slots(self, committee4):
-        assert round_robin_slots(committee4) == (0, 1, 2, 3)
-
     def test_stake_weighted_slots_equal_stake(self, committee10):
         # Equal stakes reduce to one slot each.
         assert stake_weighted_slots(committee10) == tuple(range(10))
@@ -125,30 +117,3 @@ class TestScheduleConstruction:
         assert rounds.count(0) == 4
         assert rounds.count(1) == 2
         assert rounds.count(2) == 1
-
-
-class TestUpcomingLeaders:
-    def _schedule(self):
-        from repro.schedule.base import LeaderSchedule
-
-        return LeaderSchedule(epoch=0, initial_round=2, slots=(0, 1, 2, 3))
-
-    def test_next_anchor_round_snaps_forward(self):
-        schedule = self._schedule()
-        assert schedule.next_anchor_round(0) == 2
-        assert schedule.next_anchor_round(3) == 4
-        assert schedule.next_anchor_round(4) == 4
-
-    def test_upcoming_leaders_walks_the_rotation(self):
-        schedule = self._schedule()
-        assert schedule.upcoming_leaders(3, count=3) == (1, 2, 3)
-        # Duplicates preserved across a wrap of the cycle.
-        assert schedule.upcoming_leaders(7, count=5) == (3, 0, 1, 2, 3)
-        assert schedule.upcoming_leaders(2, count=0) == ()
-
-    def test_rounds_before_the_schedule_start_at_its_first_anchor(self):
-        from repro.schedule.base import LeaderSchedule
-
-        late = LeaderSchedule(epoch=1, initial_round=10, slots=(5, 6))
-        assert late.next_anchor_round(3) == 10
-        assert late.upcoming_leaders(3, count=2) == (5, 6)

@@ -1,62 +1,9 @@
-"""Unit tests for the discrete-event simulator and its event queue."""
+"""Unit tests for the discrete-event simulator and its event heap."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.network.events import EventQueue
 from repro.network.simulator import Simulator
-
-
-class TestEventQueue:
-    def test_events_pop_in_time_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(2.0, lambda: fired.append("late"))
-        queue.push(1.0, lambda: fired.append("early"))
-        assert queue.pop().time == 1.0
-        assert queue.pop().time == 2.0
-
-    def test_ties_break_by_scheduling_order(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: "first")
-        second = queue.push(1.0, lambda: "second")
-        assert queue.pop() is first
-        assert queue.pop() is second
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        handle = queue.push(1.0, lambda: "cancel me")
-        keeper = queue.push(2.0, lambda: "keep me")
-        handle.cancel()
-        queue.note_cancelled()
-        assert queue.pop() is keeper
-
-    def test_pop_on_empty_queue_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        handle = queue.push(1.0, lambda: None)
-        queue.push(3.0, lambda: None)
-        handle.cancel()
-        assert queue.peek_time() == 3.0
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
-
-    def test_length_tracks_live_events(self):
-        queue = EventQueue()
-        handle = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        handle.cancel()
-        queue.note_cancelled()
-        assert len(queue) == 1
-
-    def test_none_callback_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().push(1.0, None)
 
 
 class TestSimulator:
@@ -79,6 +26,19 @@ class TestSimulator:
         simulator.schedule(3.0, lambda: order.append("c"))
         simulator.run()
         assert order == ["a", "b", "c"]
+
+    def test_ties_fire_in_scheduling_order(self):
+        simulator = Simulator()
+        order = []
+        simulator.schedule_at(1.0, lambda: order.append("first"))
+        simulator.schedule(1.0, lambda: order.append("second"))
+        simulator.schedule_at(0.5, lambda: order.append("earlier"))
+        simulator.run()
+        assert order == ["earlier", "first", "second"]
+
+    def test_none_callback_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule(1.0, None)
 
     def test_events_scheduled_during_run_are_executed(self):
         simulator = Simulator()
@@ -126,6 +86,16 @@ class TestSimulator:
         simulator.run()
         assert fired == []
 
+    def test_cancel_skips_only_the_cancelled_event(self):
+        simulator = Simulator()
+        fired = []
+        handle = simulator.schedule(1.0, lambda: fired.append("cancel me"))
+        simulator.schedule(2.0, lambda: fired.append("keep me"))
+        handle.cancel()  # directly, without the simulator's accounting hint
+        simulator.run()
+        assert fired == ["keep me"]
+        assert simulator.events_fired == 1
+
     def test_cancel_twice_is_harmless(self):
         simulator = Simulator()
         handle = simulator.schedule(1.0, lambda: None)
@@ -154,8 +124,80 @@ class TestSimulator:
         assert values_a == values_b
         assert Simulator(seed=3).rng.random() != Simulator(seed=4).rng.random()
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+    def test_run_on_an_empty_heap_returns_the_clock(self):
+        assert Simulator().run() == 0.0
+
+    def test_run_is_not_reentrant(self):
+        simulator = Simulator()
+        errors = []
+
+        def nested():
+            with pytest.raises(SimulationError) as raised:
+                simulator.run()
+            errors.append(raised.value)
+
+        simulator.schedule(1.0, nested)
+        simulator.run()
+        assert len(errors) == 1
+        # The outer run released the loop: a later run works.
+        simulator.schedule(1.0, lambda: None)
+        assert simulator.run() == 2.0
+
+    def test_a_second_run_resumes_where_until_stopped(self):
+        simulator = Simulator()
+        fired = []
+        for delay in (1.0, 3.0, 5.0):
+            simulator.schedule(delay, lambda: fired.append(simulator.now))
+        simulator.run(until=2.0)
+        assert fired == [1.0]
+        assert simulator.run(until=4.0) == 4.0
+        assert fired == [1.0, 3.0]
+        simulator.run()
+        assert fired == [1.0, 3.0, 5.0]
+
+    def test_an_event_at_the_horizon_fires(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(2.0, lambda: fired.append("at"))
+        simulator.schedule(2.0 + 1e-9, lambda: fired.append("after"))
+        simulator.run(until=2.0)
+        assert fired == ["at"]
+
+    def test_cancelling_a_fired_event_changes_nothing(self):
+        simulator = Simulator()
+        fired = []
+        handle = simulator.schedule(1.0, lambda: fired.append("once"))
+        simulator.run()
+        assert handle.cancelled  # a fired handle holds no callback
+        simulator.cancel(handle)
+        simulator.schedule(1.0, lambda: fired.append("later"))
+        simulator.run()
+        assert fired == ["once", "later"]
+        assert simulator._cancelled == 0
+
+    def test_max_events_counts_only_fired_events(self):
+        simulator = Simulator()
+        fired = []
+        handles = [
+            simulator.schedule(float(index + 1), lambda index=index: fired.append(index))
+            for index in range(6)
+        ]
+        simulator.cancel(handles[0])
+        handles[2].cancel()
+        simulator.run(max_events=3)
+        assert fired == [1, 3, 4]
+        assert simulator.events_fired == 3
+
+    def test_a_cancelled_head_does_not_hide_later_events_from_until(self):
+        simulator = Simulator()
+        fired = []
+        head = simulator.schedule(1.0, lambda: fired.append("cancelled"))
+        simulator.schedule(1.5, lambda: fired.append("kept"))
+        simulator.cancel(head)
+        simulator.run(until=2.0)
+        assert fired == ["kept"]
+        assert simulator.now == 2.0
+        assert simulator._heap == []
 
 
 class RecordingSource:

@@ -19,28 +19,6 @@ class TestStakeVector:
                 committee.stake_of(validator) for validator in committee.validators
             )
 
-    def test_stake_of_unique_matches_committee_stake(self):
-        committee = Committee.build(10, stake=geometric_stake(10))
-        vector = committee.stake_vector
-        subsets = [(0,), (1, 3, 5), tuple(range(10)), (9, 2, 4)]
-        for subset in subsets:
-            assert vector.stake_of_unique(subset) == committee.stake(subset)
-
-    def test_stake_of_unique_rejects_unknown_ids(self):
-        vector = StakeVector((1, 1, 1))
-        with pytest.raises(CommitteeError):
-            vector.stake_of_unique((0, 3))
-        with pytest.raises(CommitteeError):
-            vector.stake_of_unique((-1,))
-
-    def test_range_stake_uses_cumulative_masks(self):
-        vector = StakeVector((5, 1, 2, 7, 4))
-        assert vector.range_stake(0, 5) == 19
-        assert vector.range_stake(1, 4) == 10
-        assert vector.range_stake(2, 2) == 0
-        with pytest.raises(CommitteeError):
-            vector.range_stake(3, 6)
-
     def test_signer_quorum_matches_has_quorum(self):
         committee = Committee.build(7, stake=zipfian_stake(7))
         vector = committee.stake_vector
@@ -55,6 +33,10 @@ class TestStakeVector:
         assert not vector.signer_tuple_has_quorum((0, 0, 0))
         assert not vector.signer_tuple_has_quorum((1, 1, 0))
         assert vector.signer_tuple_has_quorum((0, 1, 2))
+
+    def test_an_empty_vector_is_refused(self):
+        with pytest.raises(CommitteeError):
+            StakeVector(())
 
     def test_uniform_stake_detection(self):
         assert StakeVector((3, 3, 3)).uniform_stake == 3

@@ -1,25 +1,17 @@
 """Unit tests for the state-sync building blocks (fast forward, pending
-reconsideration, sweep helpers)."""
+reconsideration)."""
 
 import hashlib
 
-import pytest
-
+from repro.core.manager import StaticScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices, make_vertex
+from repro.faults.crash import CrashRecoveryFault
 from repro.netexec.codec import encode
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import compile_spec
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import (
-    compare_systems,
-    curve_points,
-    latency_at_peak,
-    latency_throughput_curve,
-    peak_throughput,
-    reports_of,
-)
 from tests.conftest import make_consensus, drive_rounds, vid
 
 
@@ -127,6 +119,52 @@ class TestOrderedVerticesInASnapshot:
         assert all(node.consensus.is_ordered(vertex_id) for vertex_id in snapshot.ordered_vertices)
 
 
+class TestBullsharkStateSync:
+    def test_a_static_schedule_validator_adopts_a_snapshot_and_rejoins_the_order(self):
+        """A Bullshark validator down for longer than the GC window resumes
+        from a peer's snapshot: its static manager adopts it as a no-op,
+        and from there it orders exactly what its peers order."""
+        plan = CrashRecoveryFault(validators=(3,), crash_at=3.0, recover_at=15.0)
+        config = ExperimentConfig(
+            protocol="bullshark",
+            committee_size=4,
+            input_load_tps=100.0,
+            duration=25.0,
+            warmup=5.0,
+            seed=4,
+            latency_model="uniform",
+            leader_timeout=1.0,
+            min_round_interval=0.10,
+            record_sequences=True,
+            extra_faults=(plan,),
+        )
+        runner = SimulationRunner(config)
+        node = runner.nodes[3]
+        manager = node.schedule_manager
+        assert type(manager) is StaticScheduleManager
+        schedules = list(manager.history)
+        adopted = []
+        adopt_state = manager.adopt_state
+
+        def recorded(*arguments, **keywords):
+            adopted.append(arguments)
+            adopt_state(*arguments, **keywords)
+
+        manager.adopt_state = recorded
+        runner.run()
+        assert len(adopted) == 1 and len(node.consensus.state_sync_gaps) == 1
+        assert manager.history == schedules
+        reference = runner.nodes[0].consensus.ordered_ids()
+        positions = {vertex_id: index for index, vertex_id in enumerate(reference)}
+        mine = [positions[vertex_id] for vertex_id in node.consensus.ordered_ids()]
+        # The prefix ordered before the crash, one jump over the adopted
+        # interval, then the peers' order without a gap to the end.
+        split = next(index for index in range(1, len(mine)) if mine[index] != mine[index - 1] + 1)
+        assert mine[:split] == list(range(split))
+        assert mine[split:] == list(range(mine[split], mine[split] + len(mine) - split))
+        assert len(mine) - split > 50 and mine[-1] == len(reference) - 1
+
+
 class TestReconsiderPending:
     def test_pending_promoted_after_horizon_moves(self, committee4):
         dag = DagStore(committee4)
@@ -151,60 +189,3 @@ class TestReconsiderPending:
         dag.add(orphan)
         assert dag.reconsider_pending() == 0
         assert dag.pending_count == 1
-
-
-class TestSweepHelpers:
-    @pytest.fixture(scope="class")
-    def tiny_results(self):
-        config = ExperimentConfig(
-            committee_size=4,
-            input_load_tps=100.0,
-            duration=10.0,
-            warmup=2.0,
-            latency_model="uniform",
-            min_round_interval=0.10,
-            leader_timeout=1.0,
-            seed=8,
-        )
-        return latency_throughput_curve(config, loads=[50.0, 100.0])
-
-    def test_curve_has_one_result_per_load(self, tiny_results):
-        assert len(tiny_results) == 2
-        assert tiny_results[0].config.input_load_tps == 50.0
-        assert tiny_results[1].config.input_load_tps == 100.0
-
-    def test_curve_points_match_reports(self, tiny_results):
-        points = curve_points(tiny_results)
-        assert len(points) == 2
-        for (throughput, latency), result in zip(points, tiny_results):
-            assert throughput == result.throughput
-            assert latency == result.avg_latency
-
-    def test_peak_throughput_and_latency_at_peak(self, tiny_results):
-        peak = peak_throughput(tiny_results)
-        assert peak == max(result.throughput for result in tiny_results)
-        assert latency_at_peak(tiny_results) > 0.0
-
-    def test_reports_of(self, tiny_results):
-        reports = reports_of(tiny_results)
-        assert len(reports) == 2
-        assert all(report.committee_size == 4 for report in reports)
-
-    def test_empty_sweep_helpers(self):
-        assert peak_throughput([]) == 0.0
-        assert latency_at_peak([]) == 0.0
-
-    def test_compare_systems_covers_both_protocols(self):
-        config = ExperimentConfig(
-            committee_size=4,
-            input_load_tps=80.0,
-            duration=8.0,
-            warmup=2.0,
-            latency_model="uniform",
-            min_round_interval=0.10,
-            leader_timeout=1.0,
-            seed=9,
-        )
-        curves = compare_systems(config, loads=[80.0])
-        assert set(curves) == {"hammerhead", "bullshark"}
-        assert all(len(results) == 1 for results in curves.values())

@@ -13,9 +13,7 @@ from repro.sim.experiment import ExperimentConfig
 from repro.sim.sweep import (
     PARALLELISM_ENV,
     SweepEngine,
-    compare_systems,
     default_parallelism,
-    latency_throughput_curve,
     run_sweep,
 )
 
@@ -118,19 +116,6 @@ class TestSweepEngine:
 
 
 class TestSweepHelpers:
-    def test_latency_throughput_curve_sets_loads(self):
-        results = latency_throughput_curve(tiny_config(), [60.0, 120.0], parallelism=1)
-        assert [result.config.input_load_tps for result in results] == [60.0, 120.0]
-
-    def test_compare_systems_batches_protocols(self):
-        curves = compare_systems(
-            tiny_config(), loads=[60.0], protocols=("hammerhead", "bullshark"), parallelism=1
-        )
-        assert set(curves) == {"hammerhead", "bullshark"}
-        for protocol, results in curves.items():
-            assert len(results) == 1
-            assert results[0].config.protocol == protocol
-
     def test_run_sweep_matches_individual_runs(self):
         from repro.sim.experiment import run_experiment
 

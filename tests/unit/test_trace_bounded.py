@@ -23,7 +23,7 @@ class TestRingBuffer:
     def test_under_capacity_keeps_everything(self):
         tracer = MemoryTracer(max_events=10)
         fill(tracer, 7)
-        assert len(tracer) == 7
+        assert len(tracer.events) == 7
         assert tracer.dropped == 0
         events = tracer.export_events()
         assert len(events) == 7
@@ -32,7 +32,7 @@ class TestRingBuffer:
     def test_overflow_evicts_oldest_first(self):
         tracer = MemoryTracer(max_events=5)
         fill(tracer, 12)
-        assert len(tracer) == 5
+        assert len(tracer.events) == 5
         assert tracer.dropped == 7
         kept = [event["round"] for event in tracer.events]
         assert kept == [7, 8, 9, 10, 11]  # newest five survive

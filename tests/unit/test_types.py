@@ -1,15 +1,10 @@
 """Unit tests for repro.types."""
 
-import pytest
-
 from repro.types import (
     VertexId,
-    anchor_rounds_between,
     is_anchor_round,
-    is_vote_round,
+    next_anchor_round,
     quorum_threshold,
-    split_evenly,
-    total_stake,
     validity_threshold,
 )
 
@@ -28,32 +23,25 @@ class TestRoundClassification:
         assert not is_anchor_round(3)
         assert not is_anchor_round(99)
 
-    def test_odd_rounds_are_vote_rounds(self):
-        assert is_vote_round(1)
-        assert is_vote_round(3)
 
-    def test_even_rounds_are_not_vote_rounds(self):
-        assert not is_vote_round(0)
-        assert not is_vote_round(2)
+class TestNextAnchorRound:
+    def test_rounds_before_the_first_anchor_map_to_round_two(self):
+        assert next_anchor_round(0) == 2
+        assert next_anchor_round(1) == 2
 
-    def test_anchor_and_vote_rounds_partition_positive_rounds(self):
-        for round_number in range(1, 50):
-            assert is_anchor_round(round_number) != is_vote_round(round_number)
+    def test_an_anchor_round_is_its_own_next_anchor(self):
+        assert next_anchor_round(2) == 2
+        assert next_anchor_round(40) == 40
 
+    def test_a_vote_round_rounds_up_to_the_next_anchor(self):
+        assert next_anchor_round(3) == 4
+        assert next_anchor_round(99) == 100
 
-class TestAnchorRoundsBetween:
-    def test_interval_is_half_open_on_the_left(self):
-        assert list(anchor_rounds_between(2, 6)) == [4, 6]
-
-    def test_starts_at_round_two_at_the_earliest(self):
-        assert list(anchor_rounds_between(0, 6)) == [2, 4, 6]
-
-    def test_empty_when_no_anchor_rounds_in_range(self):
-        assert list(anchor_rounds_between(4, 5)) == []
-        assert list(anchor_rounds_between(4, 4)) == []
-
-    def test_odd_start_rounds_up_to_next_even(self):
-        assert list(anchor_rounds_between(3, 8)) == [4, 6, 8]
+    def test_it_is_the_first_anchor_round_at_or_after_the_round(self):
+        for round_number in range(60):
+            anchor = next_anchor_round(round_number)
+            assert is_anchor_round(anchor) and anchor >= round_number
+            assert not any(is_anchor_round(earlier) for earlier in range(round_number, anchor))
 
 
 class TestStakeThresholds:
@@ -80,30 +68,6 @@ class TestStakeThresholds:
             overlap = 2 * quorum_threshold(total) - total
             assert overlap >= validity_threshold(total) - 1
             assert overlap >= f + 1
-
-    def test_total_stake_sums(self):
-        assert total_stake([1, 2, 3]) == 6
-        assert total_stake([]) == 0
-
-
-class TestSplitEvenly:
-    def test_even_split(self):
-        assert split_evenly(10, 5) == (2, 2, 2, 2, 2)
-
-    def test_remainder_distributed_to_first_parts(self):
-        assert split_evenly(10, 3) == (4, 3, 3)
-
-    def test_more_parts_than_amount(self):
-        assert split_evenly(2, 4) == (1, 1, 0, 0)
-
-    def test_zero_parts_rejected(self):
-        with pytest.raises(ValueError):
-            split_evenly(5, 0)
-
-    def test_total_is_preserved(self):
-        for amount in range(0, 40):
-            for parts in range(1, 15):
-                assert sum(split_evenly(amount, parts)) == amount
 
 
 class TestVertexId:

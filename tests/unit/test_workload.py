@@ -41,11 +41,6 @@ class TestTransactions:
         with pytest.raises(Exception):
             transaction.tx_id = 9
 
-    def test_canonical_fields_exclude_timing(self):
-        first = counter_increment(1, 0, 0.0, 0)
-        second = counter_increment(1, 0, 5.0, 0)
-        assert first.canonical_fields() == second.canonical_fields()
-
 
 class TestTransactionBatch:
     @staticmethod
