@@ -37,52 +37,46 @@ Scenarios (see :mod:`repro.scenarios` for the full catalogue)::
     artifact = run_scenario(get_scenario("mixed-adversary").smoke())
 """
 
-from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
-from repro.core import (
-    CarouselScoring,
-    CommitCountPolicy,
-    HammerHeadScheduleManager,
-    HammerHeadScoring,
-    ReputationScores,
-    ShoalScoring,
-    StaticScheduleManager,
-    compute_next_schedule,
-)
-from repro.consensus import BullsharkConsensus, CommittedSubDag, OrderedVertex
-from repro.dag import DagStore, Vertex, genesis_vertices, make_vertex
-from repro.metrics import (
-    ExecutionModel,
-    LatencyStats,
-    LeaderUtilizationStats,
-    MetricsCollector,
-    PerformanceReport,
-    format_table,
-)
-from repro.network import (
-    GeoLatencyModel,
-    Network,
-    PartialSynchrony,
-    Simulator,
-    UniformLatencyModel,
-)
-from repro.node import NodeConfig, ValidatorNode
-from repro.schedule import LeaderSchedule, initial_schedule
-from repro.sim import (
-    ExperimentConfig,
-    ExperimentResult,
-    SimulationRunner,
-    run_experiment,
-)
-from repro.workload import LoadGenerator, LoadPhase, Transaction, spawn_load, spawn_phased_load
+from repro.lazy import lazy_exports
 
-# Imported last: the scenario engine builds on every layer above.
-from repro.scenarios import (
-    ScenarioSpec,
-    compile_spec,
-    get_scenario,
-    run_scenario,
-    scenario_names,
-)
+# The public names, by the module that defines them.  A name is imported
+# at first use, so a run loads only the layers it executes: building a
+# simulation never compiles the scenario engine or the adversary stack.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.committee": ("Committee", "equal_stake", "geometric_stake", "zipfian_stake"),
+    "repro.core": (
+        "CarouselScoring",
+        "CommitCountPolicy",
+        "HammerHeadScheduleManager",
+        "HammerHeadScoring",
+        "ReputationScores",
+        "ShoalScoring",
+        "StaticScheduleManager",
+        "compute_next_schedule",
+    ),
+    "repro.consensus": ("BullsharkConsensus", "CommittedSubDag", "OrderedVertex"),
+    "repro.dag": ("DagStore", "Vertex", "genesis_vertices", "make_vertex"),
+    "repro.metrics": (
+        "ExecutionModel",
+        "LatencyStats",
+        "LeaderUtilizationStats",
+        "MetricsCollector",
+        "PerformanceReport",
+        "format_table",
+    ),
+    "repro.network": (
+        "GeoLatencyModel",
+        "Network",
+        "PartialSynchrony",
+        "Simulator",
+        "UniformLatencyModel",
+    ),
+    "repro.node": ("NodeConfig", "ValidatorNode"),
+    "repro.schedule": ("LeaderSchedule", "initial_schedule"),
+    "repro.sim": ("ExperimentConfig", "ExperimentResult", "SimulationRunner", "run_experiment"),
+    "repro.workload": ("LoadGenerator", "LoadPhase", "Transaction", "spawn_load", "spawn_phased_load"),
+    "repro.scenarios": ("ScenarioSpec", "compile_spec", "get_scenario", "run_scenario", "scenario_names"),
+})
 
 __version__ = "1.1.0"
 

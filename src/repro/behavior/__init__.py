@@ -10,30 +10,27 @@ policies in :mod:`repro.behavior.adversarial` implement the curated
 attacks the scenario registry exposes.
 """
 
-from repro.behavior.adversarial import (
-    EquivocationPolicy,
-    LazyLeaderPolicy,
-    ReputationGamingPolicy,
-    SilentFanoutPolicy,
-    VoteWithholdingPolicy,
-    withhold_leader_parent,
-)
-from repro.behavior.coordination import (
-    AdaptiveEquivocationPolicy,
-    AdaptiveSilentFanoutPolicy,
-    AdversaryCoordinator,
-    CoalitionGamingPolicy,
-    ColludingSilencePolicy,
-    CoordinatedPolicy,
-)
-from repro.behavior.policy import (
-    HONEST,
-    BehaviorPolicy,
-    FanoutPlan,
-    FanoutSend,
-    HonestPolicy,
-    full_fanout,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.behavior.adversarial": (
+        "EquivocationPolicy",
+        "LazyLeaderPolicy",
+        "ReputationGamingPolicy",
+        "SilentFanoutPolicy",
+        "VoteWithholdingPolicy",
+        "withhold_leader_parent",
+    ),
+    "repro.behavior.coordination": (
+        "AdaptiveEquivocationPolicy",
+        "AdaptiveSilentFanoutPolicy",
+        "AdversaryCoordinator",
+        "CoalitionGamingPolicy",
+        "ColludingSilencePolicy",
+        "CoordinatedPolicy",
+    ),
+    "repro.behavior.policy": ("HONEST", "BehaviorPolicy", "FanoutPlan", "FanoutSend", "HonestPolicy", "full_fanout"),
+})
 
 __all__ = [
     "BehaviorPolicy",

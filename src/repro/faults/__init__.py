@@ -7,15 +7,15 @@ scheduled virtual times.  Byzantine *behavior* lives in
 installs them on a timeline.
 """
 
-from repro.faults.base import FaultPlan, FaultInjector
-from repro.faults.behavior import BehaviorFault
-from repro.faults.crash import CrashFault, CrashRecoveryFault, crash_last_f
-from repro.faults.slow import SlowValidatorFault, degrade_fraction
-from repro.faults.partition import (
-    NetworkDisturbanceFault,
-    PartitionPlan,
-    isolate_tail_fraction,
-)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.base": ("FaultPlan", "FaultInjector"),
+    "repro.faults.behavior": ("BehaviorFault",),
+    "repro.faults.crash": ("CrashFault", "CrashRecoveryFault", "crash_last_f"),
+    "repro.faults.slow": ("SlowValidatorFault", "degrade_fraction"),
+    "repro.faults.partition": ("NetworkDisturbanceFault", "PartitionPlan", "isolate_tail_fraction"),
+})
 
 __all__ = [
     "FaultPlan",

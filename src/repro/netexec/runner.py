@@ -16,11 +16,15 @@ ordering digests must be byte-identical to the oracle's; the CI
 ``cross-backend-smoke`` job enforces exactly that via ``python -m
 repro.scenarios diff``.
 
-The run ends on **quiescence**: every alive validator has reached the
-plan's final round and the transport has stopped delivering.  A run
-that fails to quiesce inside ``runtime_limit`` (a stuck transport, a
-dead task) raises :class:`~repro.errors.ReproError` with the per-node
-round positions, rather than hanging CI.
+The run ends on **quiescence**, at the first poll where every alive
+validator has reached the plan's final round and no message is in
+flight: the transport's ``messages_sent`` equals ``messages_delivered``
+plus ``messages_dropped``.  The identity closes because every frame is
+delivered or counted as dropped, a frame lost with its connection
+included (see :mod:`repro.netexec.transport`).  A run that fails to
+quiesce inside ``runtime_limit`` (a stuck transport, a dead task)
+raises :class:`~repro.errors.ReproError` with the per-node round
+positions, rather than hanging CI.
 
 Wall-clock reads here are diagnostics only (trace stamps, quiescence
 timing); no module on the commit path imports this one.
@@ -40,14 +44,7 @@ from repro.sim.experiment import ExperimentConfig, ExperimentResult
 
 DEFAULT_RUNTIME_LIMIT = 120.0
 
-# Consecutive idle polls (no new deliveries, all alive nodes at the
-# final round) before the run is declared quiescent.  Every validator
-# shares this event loop, which serves readable sockets before due
-# timers, so a frame still in flight is delivered within a few loop
-# iterations whatever the interval: the count is the evidence, the
-# interval only the wall-clock wait a finished run sits through (a
-# wait that does not shrink on a faster host, so it is kept short).
-_QUIESCENT_POLLS = 5
+# How often the run looks for quiescence: the most a finished run waits.
 _POLL_INTERVAL = 0.01
 
 
@@ -109,8 +106,7 @@ class SocketRunner(LockstepSimulationRunner):
     async def _wait_quiescent(self, runtime_limit: float) -> None:
         plan, nodes, transport, scheduler = self.plan, self.nodes, self.network, self.simulator
         deadline = scheduler.now + runtime_limit
-        last_delivered = -1
-        idle_polls = 0
+        stats = transport.stats
         while True:
             await asyncio.sleep(_POLL_INTERVAL)
             if transport.handler_errors:
@@ -118,6 +114,10 @@ class SocketRunner(LockstepSimulationRunner):
                     "net backend handler failure: "
                     f"{transport.handler_errors[0]!r} (see transport.events)"
                 )
+            if stats.messages_sent == stats.messages_delivered + stats.messages_dropped and all(
+                node.crashed or node.current_round >= plan.max_round for node in nodes.values()
+            ):
+                return
             if scheduler.now >= deadline:
                 positions = {
                     validator: (node.current_round, node.crashed)
@@ -128,18 +128,3 @@ class SocketRunner(LockstepSimulationRunner):
                     f"target round {plan.max_round}, positions {positions}, "
                     f"last transport events: {transport.events[-5:]}"
                 )
-            alive_done = all(
-                node.crashed or node.current_round >= plan.max_round
-                for node in nodes.values()
-            )
-            if not alive_done:
-                idle_polls = 0
-                continue
-            delivered = transport.stats.messages_delivered
-            if delivered != last_delivered:
-                last_delivered = delivered
-                idle_polls = 0
-                continue
-            idle_polls += 1
-            if idle_polls >= _QUIESCENT_POLLS:
-                return

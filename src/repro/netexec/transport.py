@@ -39,8 +39,9 @@ Mechanics:
   writes resume — a link is FIFO throughout.  A full backlog sheds the
   frame and counts it (``stats.messages_dropped``); the protocol's
   synchronizer repairs the loss.  Every frame a link accepted is
-  written or counted: a backlog that outlives its connection counts as
-  dropped.  The default capacity is far above anything smoke-scale
+  delivered or counted: a backlog that outlives its connection counts as
+  dropped, and so, once both ends are gone, does every frame written into
+  a connection that the receiver rejected or lost before reading it.  The default capacity is far above anything smoke-scale
   traffic reaches, so the bound is an overload valve, not a
   steady-state drop source.
 * **Connection retry with deadline** — outbound connects retry with
@@ -112,6 +113,8 @@ class PeerLink(asyncio.Protocol):
         self.backlog: Deque[bytes] = collections.deque()
         self.frames_sent = 0
         self.frames_dropped = 0
+        # The accepted connection whose hello named this link.
+        self.reader: Optional["_InboundConnection"] = None
         self.closing = False
         # Resolves once the connection is gone (or was never made).
         self.closed: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -209,6 +212,8 @@ class _InboundConnection(asyncio.Protocol):
         self._owner = owner
         self._endpoint = endpoint
         self._peer: Optional[ValidatorId] = None
+        self._link: Optional[PeerLink] = None
+        self.frames_read = 0
         self._buffer = bytearray()
         self._slot = VertexSlot()
         self.transport: Optional[asyncio.Transport] = None
@@ -230,6 +235,7 @@ class _InboundConnection(asyncio.Protocol):
 
     def _deliver(self, message: Any) -> None:
         if self._peer is not None:
+            self.frames_read += 1
             self._owner._dispatch(self._peer, self._endpoint, message)
         elif isinstance(message, Hello):
             peer = message.node_id
@@ -237,6 +243,9 @@ class _InboundConnection(asyncio.Protocol):
             if not registered or peer == self._endpoint.node_id:
                 raise FrameError(f"hello names {peer!r}, not another registered validator")
             self._peer = peer
+            link = self._owner._links.get(peer, {}).get(self._endpoint.node_id)
+            if link is not None and link.reader is None:
+                link.reader, self._link = self, link
         else:
             raise FrameError(f"expected a hello frame, got {type(message).__name__}")
 
@@ -263,6 +272,13 @@ class _InboundConnection(asyncio.Protocol):
             )
         self._owner._inbound.discard(self)
         self.closed.set_result(None)
+        if self._link is not None:
+            self._link.closed.add_done_callback(self._count_unread)
+
+    def _count_unread(self, _closed: asyncio.Future) -> None:
+        # Both ends are gone: what the link wrote and this end never read
+        # (a rejected or lost connection) was lost on the way.
+        self._owner.stats.messages_dropped += self._link.frames_sent - self.frames_read
 
 
 class _Endpoint:
