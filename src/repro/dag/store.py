@@ -384,6 +384,10 @@ class DagStore:
         """
         return tuple(sorted(self._round_sources.items()))
 
+    def sources_at(self, round_number: Round) -> int:
+        """The source bitmask of ``round_number``, as in :meth:`held_sources`."""
+        return self._round_sources.get(round_number, 0)
+
     def stake_at(self, round_number: Round) -> int:
         """Total stake of the sources with a vertex in ``round_number``."""
         return self._round_stake.get(round_number, 0)

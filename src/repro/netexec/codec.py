@@ -29,24 +29,25 @@ is not optional on any path: the DAG, the commit rule and the reputation
 scores all identify a vertex by that digest, and the codec is the only
 place a peer's bytes are compared with it.
 
-There are two decoders and one verdict.  ``_decode_at`` walks any body
-one tagged value at a time and is the authority: it accepts or refuses
-every frame and words every refusal.  The propose, ack and certificate
-frames — nearly all of a run's traffic — also have a *compiled layout*
-(see "wire layouts of the hot frames"): a fixed prefix, or a whole run
-of edges, transactions or signers, is one ``struct`` call with the tag
-bytes included and compared in one go.  A layout decoder returns only
-what ``_decode_at`` would have returned for the same bytes; at the
-first byte off the exact layout it gives up and ``decode`` starts over
-from byte 0 with ``_decode_at``.  Wire bytes, the accept/reject set,
-decoded values and error text therefore do not depend on which decoder
-ran — ``tests/property/test_prop_codec_differential.py`` holds both
-against the reference decoder in ``tests/reference_codec.py`` — and
-every decoded vertex went through ``_build_vertex`` either way.  A link
-end may pass a :class:`VertexSlot`: a layout decoder whose vertex starts
-with the slot's bytes returns what those same bytes already decoded to
-on that link, and an encoder given the very vertex object it remembers
-appends the bytes it already made.  The wire does not change
+There are two decoders and two encoders, and the generic pair is the
+authority.  ``_decode_at`` walks any body one tagged value at a time: it
+accepts or refuses every frame and words every refusal; ``_encode_into``
+writes any registered value and refuses the rest.  The propose, ack and
+certificate frames — nearly all of a run's traffic — also have a
+*compiled layout* (see "wire layouts of the hot frames"): a fixed prefix,
+or a whole run of edges, transactions or signers, is one ``struct`` call
+with the tag bytes included, unpacked and compared in one go or packed
+from the values.  A layout coder only ever returns what the generic one
+would have: at the first byte or value off the exact layout it gives up
+and the generic coder starts over.  Wire bytes, the accept/reject set,
+decoded values and error text therefore do not depend on which coder
+ran — ``tests/property/test_prop_codec_differential.py`` and
+``test_prop_codec_golden.py`` hold both against ``tests/reference_codec.py``
+— and every decoded vertex went through ``_build_vertex`` either way.  A
+link end may pass a :class:`VertexSlot`: a layout decoder whose vertex
+starts with the slot's bytes returns what those same bytes already
+decoded to on that link, and an encoder given the very vertex object it
+remembers appends the bytes it already made.  The wire does not change
 (``tests/property/test_prop_codec_slots.py``).
 
 This module is pure (no clock, no randomness, no sockets) and is safe
@@ -57,8 +58,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import re
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dag.vertex import Vertex
 from repro.errors import ReproError
@@ -331,8 +334,9 @@ MESSAGE_TYPES: Tuple[type, ...] = tuple(spec.cls for spec in _SPECS)
 # codes, fixed lengths) and struct codes; ``_layout`` compiles it to one
 # ``struct.Struct`` whose even items are the literals and whose odd items
 # are the values, so one unpack reads a whole prefix or a whole run and
-# one tuple comparison checks every tag in it.  The decoders over these
-# layouts are an accelerator, never an authority: see ``decode``.
+# one tuple comparison checks every tag in it; one pack writes it.  The
+# coders over these layouts are an accelerator, never an authority: see
+# ``decode`` and ``encode``.
 #
 #   AckMessage          _message voter
 #   ProposeMessage      _message <vertex>
@@ -343,14 +347,42 @@ MESSAGE_TYPES: Tuple[type, ...] = tuple(spec.cls for spec in _SPECS)
 
 
 class _LayoutMismatch(Exception):
-    """The bytes are not the exact layout: the generic decoder decides."""
+    """The bytes or values are not the exact layout: the generic codec decides."""
+
+
+_OFF_LAYOUT = (_LayoutMismatch, struct.error, UnicodeError)  # what ``struct`` and ``str`` raise off it too
 
 
 def _object(cls: type) -> bytes:
     return _TAG_OBJECT + bytes([_SPEC_BY_CLASS[cls].code])
 
 
-def _layout(*tokens) -> Tuple[struct.Struct, Tuple[bytes, ...]]:
+class _Layout(tuple):
+    """``(struct, the literals it must unpack)`` for ``_fields_at``; ``write(values)`` packs.
+
+    The struct codes declare each value's exact type: ``q``/``I`` an ``int``
+    (not a ``bool``), ``d`` a ``float``, ``Ns`` ``bytes`` of length ``N``
+    (``struct`` would pad or cut).  A value off them raises ``_LayoutMismatch``.
+    The writer is generated on first use: the checks inline, one ``struct`` call.
+    """
+
+    @functools.cached_property
+    def write(self) -> Callable[[Sequence[Any]], bytes]:
+        packed, literals = self
+        codes = re.findall(r"\d+s(\d*[a-zA-Z])", packed.format)
+        types = tuple(float if code == "d" else bytes if code[-1] == "s" else int for code in codes)
+        checks = [f"type(v[{i}]) is not {kind.__name__}" for i, kind in enumerate(types)]
+        # Past a few values one comparison of all their types is the cheaper check.
+        checks = [f"len(v) != {len(types)}", *checks] if len(types) <= 8 else ["tuple(map(type, v)) != types"]
+        checks += [f"len(v[{i}]) != {code[:-1]}" for i, code in enumerate(codes) if code[-1] == "s"]
+        arguments = "".join(f"{literal!r}, v[{i}], " for i, literal in enumerate(literals))
+        source = f"def write(v):\n if {' or '.join(checks)}: raise off\n return pack({arguments})"
+        scope = {"types": types, "off": _LayoutMismatch, "pack": packed.pack}
+        exec(compile(source, __file__, "exec"), scope)  # profiled as this module's code
+        return scope["write"]
+
+
+def _layout(*tokens) -> _Layout:
     """Compile literals and struct codes to ``(struct, the literals it must unpack)``."""
     codes, literals, pending = [], [], b""
     for token in tokens:
@@ -360,7 +392,7 @@ def _layout(*tokens) -> Tuple[struct.Struct, Tuple[bytes, ...]]:
             codes.append(f"{len(pending)}s{token}")
             literals.append(pending)
             pending = b""
-    return struct.Struct(">" + "".join(codes)), tuple(literals)
+    return _Layout((struct.Struct(">" + "".join(codes)), tuple(literals)))
 
 
 _INT64 = (_TAG_INT, "q")
@@ -387,6 +419,8 @@ _PROPOSE = _layout(*_message(ProposeMessage), *_VERTEX_HEAD)
 _CERTIFICATE = _layout(*_message(CertificateMessage), *_VERTEX_HEAD)
 _BATCH = _layout(*_message(CertificateBatch), _TAG_TUPLE, "I")
 _SIGNER_COUNT = _layout(_TAG_TUPLE, "I")
+_VERTEX = _layout(*_VERTEX_HEAD)  # written apart from its message: a slot remembers it alone
+_CARRIER = {cls: _layout(*_message(cls)) for cls in (ProposeMessage, CertificateMessage)}
 
 def _wire_size(*tokens) -> int:
     return sum(
@@ -478,7 +512,7 @@ def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None
             out.append(encoded_key)
             out.append(encoded_value)
     elif slot is not None and type(value) is Vertex:
-        out.append(slot.encoded if slot.vertex is value else slot.remember(value, encode(value)))
+        out.append(_vertex_wire(value, slot))
     else:
         spec = _SPEC_BY_CLASS.get(type(value))
         if spec is None:
@@ -493,7 +527,16 @@ def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None
 
 
 def encode(value: Any, slot: Optional[VertexSlot] = None) -> bytes:
-    """Encode ``value`` to its canonical byte string (no frame header)."""
+    """Encode ``value`` to its canonical byte string (no frame header).
+
+    A hot frame goes through its layout, unless a value is off it.
+    """
+    by_layout = _LAYOUT_ENCODERS.get(type(value))
+    if by_layout is not None:
+        try:
+            return by_layout(value, slot)
+        except _OFF_LAYOUT:
+            pass
     out: List[bytes] = []
     _encode_into(value, out, slot)
     return b"".join(out)
@@ -507,6 +550,61 @@ def encode_frame(value: Any, slot: Optional[VertexSlot] = None) -> bytes:
             f"encoded frame is {len(body)} bytes, above the {MAX_FRAME_BYTES}-byte cap"
         )
     return _HEADER.pack(len(body)) + body
+
+
+def _vertex_by_layout(vertex: Vertex) -> bytes:
+    """``vertex`` through ``_VERTEX_HEAD``, ``_edges(n)`` and ``_block(n, kind length)``."""
+    ids, block = (vertex.id, *vertex.edges), vertex.block
+    if type(block) is not tuple or max(len(ids), len(block)) > _MAX_RUN or set(map(type, ids)) != {VertexId} or (
+        not set(map(type, block)) <= {Transaction}
+    ):
+        raise _LayoutMismatch
+    numbers = list(itertools.chain.from_iterable(ids))  # round, source of the id, then of each edge
+    rows = list(itertools.chain.from_iterable(block))  # six values a transaction
+    if not set(map(type, rows[4::6])) <= {str}:
+        raise _LayoutMismatch
+    rows[4::6] = kinds = list(map(str.encode, rows[4::6]))
+    head = _VERTEX.write((*numbers[:2], len(ids) - 1)) + _edges(len(ids) - 1).write((*numbers[2:], len(block)))
+    return head + _block(len(block), len(kinds[0]) if kinds else 0).write((*rows, vertex.digest, vertex.created_at))
+
+
+def _vertex_wire(vertex: Vertex, slot: Optional[VertexSlot]) -> bytes:
+    """``vertex`` encoded; a slot holding this very object answers with its bytes."""
+    if type(vertex) is not Vertex:
+        raise _LayoutMismatch
+    if slot is not None and slot.vertex is vertex:
+        return slot.encoded
+    try:
+        encoded = _vertex_by_layout(vertex)
+    except _OFF_LAYOUT:
+        encoded = encode(vertex)
+    return encoded if slot is None else slot.remember(vertex, encoded)
+
+
+def _carrier_wire(message: BroadcastMessage, slot: Optional[VertexSlot]) -> bytes:
+    """A propose or certificate frame: ``_message``, the vertex and a certificate's signers."""
+    head = _CARRIER[type(message)].write((message.origin, message.round, message.digest))
+    if type(message) is ProposeMessage:
+        return head + _vertex_wire(message.payload, slot)
+    signers = message.signers
+    if type(signers) is not tuple or len(signers) > _MAX_RUN:
+        raise _LayoutMismatch
+    vertex = _vertex_wire(message.payload, slot)
+    return b"".join((head, vertex, _SIGNER_COUNT.write((len(signers),)), _signers(len(signers)).write(signers)))
+
+
+def _batch_wire(message: CertificateBatch, slot: Optional[VertexSlot]) -> bytes:
+    certificates = message.certificates
+    if type(certificates) is not tuple or not set(map(type, certificates)) <= {CertificateMessage}:
+        raise _LayoutMismatch
+    head = _BATCH.write((message.origin, message.round, message.digest, len(certificates)))
+    return b"".join([head, *(_carrier_wire(certificate, slot) for certificate in certificates)])
+
+
+_LAYOUT_ENCODERS: Dict[type, Callable[[Any, Optional[VertexSlot]], bytes]] = {
+    AckMessage: lambda message, slot: _ACK.write((message.origin, message.round, message.digest, message.voter)),
+    ProposeMessage: _carrier_wire, CertificateMessage: _carrier_wire, CertificateBatch: _batch_wire,
+}
 
 
 # -- decoding ----------------------------------------------------------------
@@ -730,7 +828,7 @@ def decode(body: bytes, slot: Optional[VertexSlot] = None) -> Any:
             value, offset = by_layout(body, 0, slot)
             if offset == len(body):
                 return value
-        except (_LayoutMismatch, struct.error, UnicodeDecodeError):
+        except _OFF_LAYOUT:
             pass
     value, offset = _decode_at(body, 0)
     if offset != len(body):
@@ -752,13 +850,19 @@ def split_frames(buffer, deliver: Callable[[Any], None], slot: Optional[VertexSl
     """
     offset = 0
     available = len(buffer)
-    while available - offset >= 4:
-        (length,) = _unpack_count(buffer, offset)
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise FrameError(f"frame length {length} outside (0, {MAX_FRAME_BYTES}]")
-        end = offset + 4 + length
-        if end > available:
-            break
-        deliver(decode(bytes(buffer[offset + 4:end]), slot))
-        offset = end
+    # Each body is copied once, out of a view released however this returns,
+    # so the caller may clear ``buffer`` after a refusal.
+    view = memoryview(buffer)
+    try:
+        while available - offset >= 4:
+            (length,) = _unpack_count(buffer, offset)
+            if length == 0 or length > MAX_FRAME_BYTES:
+                raise FrameError(f"frame length {length} outside (0, {MAX_FRAME_BYTES}]")
+            end = offset + 4 + length
+            if end > available:
+                break
+            deliver(decode(view[offset + 4:end].tobytes(), slot))
+            offset = end
+    finally:
+        view.release()
     return offset

@@ -19,8 +19,10 @@ committed order depends on:
 * the synthetic block carried by each (round, source) proposal.
 
 A :class:`LockstepNode` advances to round ``r+1`` only when it holds
-*every* vertex expected at round ``r`` (all validators alive at ``r``),
-so its parent set each round is exactly the expected set — under any
+*every* vertex expected at round ``r`` (all validators alive at ``r``):
+one AND of the DAG's source bitmask for ``r`` against the plan's
+expected mask, which changes only at a crash round.  Its parent set
+each round is therefore exactly the expected set — under any
 network that eventually delivers, on the simulator or over sockets, the
 DAG every validator builds is identical, and the Bullshark commit rule
 (a pure function of DAG contents) orders the identical prefix.  That is
@@ -84,6 +86,19 @@ class LockstepPlan:
             v for v in self.validators
             if v not in crashed or round_number < crashed[v]
         )
+
+    @functools.cached_property
+    def _masks(self) -> Tuple[Tuple[Round, int], ...]:
+        """``(first round, expected mask)`` from each crash boundary on, latest first."""
+        firsts = sorted({0, *(r for _, r in self.crash_rounds)}, reverse=True)
+        return tuple((first, sum(1 << v for v in self.expected(first))) for first in firsts)
+
+    def expected_mask(self, round_number: Round) -> int:
+        """``expected(round_number)`` as a bitmask: bit ``v`` is validator ``v``."""
+        for first, mask in self._masks:
+            if round_number >= first:
+                return mask
+        return 0
 
     def crashed_validators(self) -> Tuple[ValidatorId, ...]:
         return tuple(v for v, _ in self.crash_rounds)
@@ -191,7 +206,6 @@ class LockstepNode(ValidatorNode):
         super().__init__(*args, **kwargs)
         self.plan = plan
         self._crash_round = plan.crash_round_of(self.id)
-        self._lockstep_waiting_on: Tuple[ValidatorId, ...] = ()
 
     # -- plan-driven crash ---------------------------------------------------------
 
@@ -215,29 +229,24 @@ class LockstepNode(ValidatorNode):
         round_number = self.current_round
         if self.config.max_round is not None and round_number >= self.config.max_round:
             return
+        held = self.dag.sources_at(round_number)
         # Our own vertex must have been certified and delivered back to us.
-        if self.dag.vertex_of(round_number, self.id) is None:
+        if not held >> self.id & 1:
             return
-        missing = self._absent_sources(round_number)
-        self._lockstep_waiting_on = missing
-        if missing:
+        expected = self.plan.expected_mask(round_number)
+        if held & expected != expected:
             # Liveness insurance for lossy transports: if the round stays
             # incomplete past the fetch interval, ask a peer explicitly.
             self.synchronizer.on_stall(functools.partial(self._stalled_on, round_number))
             return
         self._schedule_advance()
 
-    def _absent_sources(self, round_number: Round) -> Tuple[ValidatorId, ...]:
-        return tuple(
-            source for source in self.plan.expected(round_number)
-            if self.dag.vertex_of(round_number, source) is None
-        )
-
     def _stalled_on(self, round_number: Round) -> List[VertexId]:
         """What this validator still lacks of ``round_number``; nothing once it left that round."""
         if self.current_round != round_number:
             return []
-        return [VertexId(round_number, source) for source in self._absent_sources(round_number)]
+        absent = self.plan.expected_mask(round_number) & ~self.dag.sources_at(round_number)
+        return [VertexId(round_number, source) for source in self.plan.validators if absent >> source & 1]
 
     def _schedule_advance(self) -> None:
         def advance() -> None:
@@ -300,7 +309,7 @@ def check_lockstep_quiescence(plan: LockstepPlan, nodes) -> None:
         if node.crashed:
             continue
         if node.current_round < plan.max_round:
-            waiting = getattr(node, "_lockstep_waiting_on", ())
+            waiting = [missing.source for missing in node._stalled_on(node.current_round)]
             stuck.append(
                 f"validator {validator} stopped at round {node.current_round}"
                 f"/{plan.max_round} (waiting on sources {list(waiting)})"

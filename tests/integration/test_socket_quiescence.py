@@ -16,9 +16,14 @@ import time
 import pytest
 
 import repro.netexec.runner as net_runner
-from repro.netexec.codec import FrameError
-from repro.netexec.lockstep import run_lockstep_experiment
+from repro.dag.vertex import Vertex
+from repro.errors import ReproError
+from repro.faults.crash import CrashFault
+from repro.netexec.codec import FrameError, decode
+from repro.netexec.lockstep import check_lockstep_quiescence, run_lockstep_experiment
 from repro.netexec.runner import run_net_experiment
+from repro.node.messages import FetchResponse
+from repro.rbc.messages import CertificateBatch
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import compile_spec
 from repro.sim.experiment import ExperimentConfig
@@ -67,6 +72,50 @@ def test_crash_plan_ends_balanced_with_the_oracles_digests(monkeypatch):
     assert_ended_quiescent(result, runner)
     assert sorted(v for v, node in runner.nodes.items() if node.crashed) == result.crashed_validators
     assert len(result.crashed_validators) == 2
+
+
+def test_a_mid_run_crash_leaves_the_others_on_the_oracles_digests(monkeypatch):
+    """Validator 3 stops before proposing round 7: from there on the expected
+    mask no longer holds its bit, and the others finish without it."""
+    config = ExperimentConfig(
+        committee_size=5, input_load_tps=0.0, duration=16.0, warmup=0.0, seed=6,
+        extra_faults=(CrashFault(validators=(3,), at_time=6.0),),
+    )
+    result, runner = run_capturing(config, monkeypatch)
+    assert runner.plan.expected_mask(6) == 0b11111 and runner.plan.expected_mask(7) == 0b10111
+    assert result.crashed_validators == [3] and runner.nodes[3].current_round == 6
+    assert_ended_quiescent(result, runner)
+    assert len({result.ordering_digests[v] for v in (0, 1, 2, 4)}) == 1
+
+
+def test_a_round_missing_one_source_does_not_advance(monkeypatch):
+    """Every frame that would bring validator 2's round-5 vertex to validator 1
+    is dropped, fetch responses included: 1 stays at round 5, and the
+    quiescence check names the source it waits on."""
+    config = ExperimentConfig(committee_size=4, input_load_tps=0.0, duration=20.0, warmup=0.0, seed=7)
+
+    def carries_two_at_five(message):
+        if isinstance(message, CertificateBatch):
+            return any(carries_two_at_five(certificate) for certificate in message.certificates)
+        vertices = message.vertices if isinstance(message, FetchResponse) else [getattr(message, "payload", None)]
+        return any(isinstance(vertex, Vertex) and vertex.id == (5, 2) for vertex in vertices)
+
+    prepared = []
+
+    def starve_one_of_two_at_five(runner):
+        prepared.append(runner)
+        runner.network.drop_filter = lambda sender, recipient, frame: (
+            recipient == 1 and carries_two_at_five(decode(frame[4:]))
+        )
+
+    with pytest.raises(ReproError, match="did not quiesce"):
+        run_capturing(config, monkeypatch, starve_one_of_two_at_five, runtime_limit=3.0)
+    (runner,) = prepared
+    stalled = runner.nodes[1]
+    assert stalled.current_round == 5 and stalled.dag.vertex_of(5, 2) is None
+    assert stalled.dag.sources_at(5) == 0b1011 and stalled.synchronizer.requests_sent > 0
+    with pytest.raises(ReproError, match=r"validator 1 stopped at round 5/20 \(waiting on sources \[2\]\)"):
+        check_lockstep_quiescence(runner.plan, runner.nodes)
 
 
 def test_frames_a_drop_filter_sheds_are_counted_and_the_run_still_ends(monkeypatch):

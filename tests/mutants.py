@@ -30,6 +30,7 @@ def load_mutant(module, replacements):
         )
         source = source.replace(original, replacement)
     mutant = types.ModuleType(f"{module.__name__}_mutant")
+    mutant.__file__ = module.__file__
     # dataclasses looks the defining module up while the class body runs.
     sys.modules[mutant.__name__] = mutant
     try:

@@ -13,18 +13,21 @@ ordering by value and one by bytes would part first.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.netexec.codec as codec
 import tests.reference_codec as reference_codec
 from repro.crypto.hashing import vertex_digest
 from repro.dag.vertex import Vertex
-from repro.netexec.codec import CodecError, decode, encode
+from repro.netexec.codec import CodecError, VertexSlot, decode, encode, encode_frame
 from repro.node.messages import FetchResponse
-from repro.rbc.messages import CertificateBatch, CertificateMessage, ProposeMessage
+from repro.rbc.messages import AckMessage, CertificateBatch, CertificateMessage, ProposeMessage
 from repro.types import VertexId
-from repro.workload.transactions import Transaction
+from repro.workload.transactions import Transaction, TransactionBatch
 from tests.property.test_prop_codec_differential import _frames_around, _vertex_wire
 from tests.property.test_prop_netexec_codec import digests, snapshots, transactions
 
@@ -84,12 +87,111 @@ def _frames_with_edges(vertex, edges):
     return _frames_around(_vertex_wire(vertex, edges_wire=edges_wire))
 
 
+def _carried(message):
+    """The first vertex ``message`` carries, or ``None``."""
+    if isinstance(message, CertificateBatch):
+        message = message.certificates[0] if message.certificates else None
+    elif isinstance(message, FetchResponse):
+        message = message.vertices[0] if message.vertices else None
+    vertex = getattr(message, "payload", message)
+    return vertex if type(vertex) is Vertex else None
+
+
+def _slots(message):
+    """No slot, a fresh one, and one primed with the message's own vertex."""
+    primed = VertexSlot()
+    vertex = _carried(message)
+    if vertex is not None:
+        encode(vertex, primed)
+        assert primed.vertex is vertex
+    return None, VertexSlot(), primed
+
+
+def assert_golden_frames(message):
+    """``encode_frame`` writes the reference bytes behind their header, whatever the slot."""
+    golden = reference_codec.encode(message)
+    for slot in _slots(message):
+        assert encode_frame(message, slot) == len(golden).to_bytes(4, "big") + golden
+
+
 @given(carriers)
 @settings(max_examples=200, deadline=None)
 def test_encoding_is_the_golden_frozenset_encoding(message):
     wire = encode(message)
     assert wire == reference_codec.encode(message)
     assert decode(wire) == message
+    assert_golden_frames(message)
+
+
+def _proposal(**vertex_fields):
+    block = vertex_fields.pop("block", (Transaction(7, 1, 0.5, 1), Transaction(8, 2, 0.25, 1)))
+    fields = dict(id=VertexId(3, 1), edges=[VertexId(2, 0), VertexId(2, 1)], block=block, created_at=1.5)
+    fields.update(vertex_fields)
+    fields.setdefault("digest", vertex_digest(3, 1, sorted(fields["edges"]), len(block)))
+    return ProposeMessage(1, 3, b"\x05" * 32, Vertex(**fields))
+
+
+def _certified(proposal, signers=(0, 1, 2)):
+    return CertificateMessage(proposal.origin, proposal.round, proposal.digest, proposal.payload, signers)
+
+
+# Values the hot frames' layouts cannot write, next to two they can.  The
+# second item names the part whose layout refuses the value and hands it to
+# ``_encode_into``: "vertex", "message", or None when the layout writes it.
+OFF_LAYOUT = {
+    "created-at-int": (_proposal(created_at=3), "vertex"),
+    "created-at-negative-zero": (_proposal(created_at=-0.0), None),
+    "vertex-digest-31-bytes": (_proposal(digest=b"\x01" * 31), "vertex"),
+    "message-digest-31-bytes": (dataclasses.replace(_proposal(), digest=b"\x01" * 31), "message"),
+    "origin-true": (dataclasses.replace(_proposal(), origin=True), "message"),
+    "ack-voter-true": (AckMessage(1, 3, b"\x05" * 32, True), "message"),
+    "kinds-of-two-lengths": (
+        _proposal(block=(Transaction(7, 1, 0.5, 1, "a"), Transaction(8, 1, 0.5, 1, "bb"))), "vertex",
+    ),
+    "non-ascii-kind": (_proposal(block=(Transaction(7, 1, 0.5, 1, "zähler"),) * 2), None),
+    "kind-as-bytes": (_proposal(block=(Transaction(7, 1, 0.5, 1, b"ab"),)), "vertex"),
+    "transaction-batch-block": (
+        _proposal(block=TransactionBatch(1, [7, 8], [1, 2], [0.5, 0.25], sealed=True)), "vertex",
+    ),
+    "signers-as-a-list": (_certified(_proposal(), signers=[0, 1, 2]), "message"),
+    "signer-true": (_certified(_proposal(), signers=(0, True)), "message"),
+    "batch-holding-a-list": (CertificateBatch(1, 3, b"\x05" * 32, [_certified(_proposal())]), "message"),
+    "certificate-without-a-vertex": (CertificateMessage(1, 3, b"\x05" * 32, None, (0, 1)), "message"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_LAYOUT))
+def test_values_off_the_layouts_still_encode_to_the_golden_bytes(case):
+    message, refused_by = OFF_LAYOUT[case]
+    assert_golden_frames(message)
+    if type(message) is ProposeMessage:
+        certificate = _certified(message)
+        assert_golden_frames(certificate)
+        assert_golden_frames(CertificateBatch(2, 3, b"\x06" * 32, (certificate,)))
+    if refused_by == "vertex":
+        with pytest.raises(codec._OFF_LAYOUT):
+            codec._vertex_by_layout(message.payload)
+    elif refused_by == "message":
+        with pytest.raises(codec._OFF_LAYOUT):
+            codec._LAYOUT_ENCODERS[type(message)](message, None)
+    else:
+        assert codec._LAYOUT_ENCODERS[type(message)](message, None) == reference_codec.encode(message)
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        _proposal(block=(Transaction(1 << 63, 1, 0.5, 1),)),
+        AckMessage(1 << 63, 3, b"\x05" * 32, 1),
+        _certified(_proposal(), signers=(0, 1 << 63)),
+        _proposal(id=VertexId(1 << 63, 1), edges=[]),
+    ],
+    ids=["transaction-id", "ack-origin", "signer", "vertex-round"],
+)
+def test_an_integer_past_64_bits_is_refused_in_the_generic_words(message):
+    for slot in (None, VertexSlot()):
+        with pytest.raises(CodecError, match=r"^integer 9223372036854775808 exceeds the 64-bit wire range$"):
+            encode_frame(message, slot)
 
 
 @given(wire_vertices())

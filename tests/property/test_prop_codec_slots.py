@@ -300,7 +300,7 @@ SLOT_MUTANTS = {
         "    slot.remember(Vertex(vertex_id, edges, block, fields[-3], fields[-1]), data[start:offset])\n"
         "    try:\n        # Not optional on this path either",
     ),
-    "encode-hit-by-equality": ("slot.vertex is value", "slot.vertex == value"),
+    "encode-hit-by-equality": ("slot.vertex is vertex", "slot.vertex == vertex"),
 }
 
 

@@ -18,6 +18,7 @@ The contract pinned here is what the socket transport stands on:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from repro.netexec.codec import (
     decode,
     encode,
     encode_frame,
+    split_frames,
 )
 from repro.node.messages import ConsensusSnapshot, FetchRequest, FetchResponse
 from repro.rbc.messages import (
@@ -248,6 +250,35 @@ class TestAdversarialInput:
         raise AssertionError(
             f"truncated encoding ({cut}/{len(wire)} bytes) decoded successfully"
         )
+
+    @pytest.mark.parametrize("refused_by", ["deliver", "decode", "header", "nobody"])
+    def test_the_buffer_can_be_cut_after_every_exit_from_a_split(self, refused_by):
+        """``split_frames`` copies each body out of a view of the buffer and
+        releases it however it returns: a caller that clears or trims the
+        buffer next (as a connection does on a refusal) must not meet a
+        ``BufferError``."""
+        hello = encode_frame(Hello(1))
+        middle = {"decode": b"\x00\x00\x00\x05GARBA", "header": b"\x00\x00\x00\x00"}.get(refused_by, hello)
+        buffer = bytearray(hello + middle + hello[:3])
+        delivered = []
+
+        def deliver(value):
+            delivered.append(value)
+            if refused_by == "deliver" and len(delivered) == 2:
+                raise FrameError("refused on delivery")
+
+        if refused_by == "nobody":
+            del buffer[:split_frames(buffer, deliver)]
+            assert buffer == hello[:3] and delivered == [Hello(1)] * 2
+        else:
+            try:
+                split_frames(buffer, deliver)
+            except CodecError:
+                # With the error (its traceback, the split's frame) still held.
+                buffer.clear()
+            else:
+                raise AssertionError("the split refused nothing")
+            assert delivered[0] == Hello(1)
 
     @given(st.binary(max_size=64))
     @settings(max_examples=300, deadline=None)

@@ -28,6 +28,7 @@ from repro.netexec.lockstep import (
     run_lockstep_experiment,
 )
 from repro.sim.experiment import ExperimentConfig
+from repro.types import VertexId
 
 
 def config(committee_size=4, **overrides):
@@ -108,6 +109,15 @@ class TestPlanDerivation:
         with pytest.raises(ReproError, match="below a stake quorum"):
             plan_for_config(bad)
 
+    def test_the_expected_mask_drops_a_validator_from_its_crash_round_on(self):
+        plan = LockstepPlan(validators=(0, 1, 2, 3, 4), max_round=20, crash_rounds=((1, 9), (3, 4)))
+        for round_number in range(plan.max_round + 1):
+            assert plan.expected_mask(round_number) == sum(1 << v for v in plan.expected(round_number))
+        assert [plan.expected_mask(r) for r in (0, 3, 4, 8, 9, 400)] == [
+            0b11111, 0b11111, 0b10111, 0b10111, 0b10101, 0b10101,
+        ]
+        assert plan_for_config(config()).expected_mask(7) == 0b1111
+
     def test_block_size_is_a_pure_slot_function(self):
         plan = plan_for_config(config())
         assert plan.block_size(3, 2) == plan.block_size(3, 2)
@@ -165,10 +175,12 @@ class TestQuiescence:
         class StuckNode:
             crashed = False
             current_round = 3
-            _lockstep_waiting_on = (2,)
+
+            def _stalled_on(self, round_number):
+                return [VertexId(3, 2)] if round_number == 3 else []
 
         plan = LockstepPlan(validators=(0, 1), max_round=6, crash_rounds=())
-        with pytest.raises(ReproError, match="stopped at round 3/6"):
+        with pytest.raises(ReproError, match=r"stopped at round 3/6 \(waiting on sources \[2\]\)"):
             check_lockstep_quiescence(plan, {0: StuckNode(), 1: StuckNode()})
 
     def test_crashed_validators_are_exempt(self):

@@ -92,6 +92,18 @@ class _Harness:
         return harness
 
 
+FAMILIES = pytest.mark.parametrize("family", ["uds", "tcp"])
+
+
+async def _raw_client(transport, node_id):
+    """A plain stream connection to ``node_id``'s listener, as a peer would open."""
+    address = transport._endpoints[node_id].address
+    if transport.family == "uds":
+        return await asyncio.open_unix_connection(address)
+    host, port = address
+    return await asyncio.open_connection(host, port)
+
+
 def _ready(origin, round_number=1):
     return BroadcastMessage(origin=origin, round=round_number, digest=b"\x07" * 32)
 
@@ -139,13 +151,13 @@ class TestDelivery:
 
 
 class TestHostilePeers:
-    def test_garbage_after_hello_closes_connection_with_reason(self):
+    @FAMILIES
+    def test_garbage_after_hello_closes_connection_with_reason(self, family):
         async def scenario():
             with tempfile.TemporaryDirectory() as socket_dir:
-                harness = await _Harness.start(socket_dir, size=2)
+                harness = await _Harness.start(socket_dir, size=2, family=family)
                 transport = harness.transport
-                address = transport._endpoints[0].address
-                reader, writer = await asyncio.open_unix_connection(address)
+                reader, writer = await _raw_client(transport, 0)
                 writer.write(encode_frame(Hello(1)))
                 # A framed body whose first tag byte is garbage.
                 writer.write(b"\x00\x00\x00\x05GARBA")
@@ -166,13 +178,13 @@ class TestHostilePeers:
         ), harness.transport.events
         assert harness.transport.handler_errors == []
 
-    def test_zero_length_frame_instead_of_hello_closes_connection(self):
+    @FAMILIES
+    def test_zero_length_frame_instead_of_hello_closes_connection(self, family):
         async def scenario():
             with tempfile.TemporaryDirectory() as socket_dir:
-                harness = await _Harness.start(socket_dir, size=2)
+                harness = await _Harness.start(socket_dir, size=2, family=family)
                 transport = harness.transport
-                address = transport._endpoints[1].address
-                reader, writer = await asyncio.open_unix_connection(address)
+                reader, writer = await _raw_client(transport, 1)
                 writer.write(b"\x00\x00\x00\x00")
                 await writer.drain()
                 leftovers = await asyncio.wait_for(reader.read(), timeout=5.0)
@@ -188,13 +200,13 @@ class TestHostilePeers:
             for event in harness.transport.events
         ), harness.transport.events
 
-    def test_non_hello_first_frame_closes_connection(self):
+    @FAMILIES
+    def test_non_hello_first_frame_closes_connection(self, family):
         async def scenario():
             with tempfile.TemporaryDirectory() as socket_dir:
-                harness = await _Harness.start(socket_dir, size=2)
+                harness = await _Harness.start(socket_dir, size=2, family=family)
                 transport = harness.transport
-                address = transport._endpoints[0].address
-                reader, writer = await asyncio.open_unix_connection(address)
+                reader, writer = await _raw_client(transport, 0)
                 writer.write(encode_frame(_ready(1)))
                 await writer.drain()
                 await asyncio.wait_for(reader.read(), timeout=5.0)
@@ -211,13 +223,13 @@ class TestHostilePeers:
         assert harness.received[0] == []
 
     @pytest.mark.parametrize("claimed", [99, 0, -1], ids=["unregistered", "own-id", "negative"])
-    def test_hello_naming_no_other_registered_validator_closes_connection(self, claimed):
+    @FAMILIES
+    def test_hello_naming_no_other_registered_validator_closes_connection(self, claimed, family):
         async def scenario():
             with tempfile.TemporaryDirectory() as socket_dir:
-                harness = await _Harness.start(socket_dir, size=2)
+                harness = await _Harness.start(socket_dir, size=2, family=family)
                 transport = harness.transport
-                address = transport._endpoints[0].address
-                reader, writer = await asyncio.open_unix_connection(address)
+                reader, writer = await _raw_client(transport, 0)
                 writer.write(encode_frame(Hello(claimed)) + encode_frame(_ready(1)))
                 await writer.drain()
                 leftovers = await asyncio.wait_for(reader.read(), timeout=5.0)
@@ -480,18 +492,6 @@ class TestCrashSemantics:
 
 
 # -- the frame path's contract: segmentation, hostile bytes, EOF, size bounds -----
-
-FAMILIES = pytest.mark.parametrize("family", ["uds", "tcp"])
-
-
-async def _raw_client(transport, node_id):
-    """A plain stream connection to ``node_id``'s listener, as a peer would open."""
-    address = transport._endpoints[node_id].address
-    if transport.family == "uds":
-        return await asyncio.open_unix_connection(address)
-    host, port = address
-    return await asyncio.open_connection(host, port)
-
 
 async def _hang_up(reader, writer, timeout=5.0):
     """Half-close, then wait for the server's own close; returns what it sent."""
