@@ -43,7 +43,7 @@ from repro.lazy import lazy_exports
 # at first use, so a run loads only the layers it executes: building a
 # simulation never compiles the scenario engine or the adversary stack.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.committee": ("Committee", "equal_stake", "geometric_stake", "zipfian_stake"),
+    "repro.committee": ("Committee", "equal_stake", "geometric_stake"),
     "repro.core": (
         "CarouselScoring",
         "CommitCountPolicy",
@@ -86,7 +86,6 @@ __all__ = [
     "Committee",
     "equal_stake",
     "geometric_stake",
-    "zipfian_stake",
     # Core (HammerHead)
     "ReputationScores",
     "HammerHeadScoring",

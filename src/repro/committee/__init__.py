@@ -1,7 +1,7 @@
 """Validator committee: membership, stake, and quorum arithmetic."""
 
 from repro.committee.committee import Committee, ValidatorInfo
-from repro.committee.stake import StakeDistribution, equal_stake, geometric_stake, zipfian_stake
+from repro.committee.stake import StakeDistribution, equal_stake, geometric_stake
 
 __all__ = [
     "Committee",
@@ -9,5 +9,4 @@ __all__ = [
     "StakeDistribution",
     "equal_stake",
     "geometric_stake",
-    "zipfian_stake",
 ]

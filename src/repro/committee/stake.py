@@ -2,9 +2,9 @@
 
 The paper notes that real blockchains have validators with heterogeneous
 stake, and that high-stake validators occupy more leader slots.  The
-simulator therefore supports several stake distributions: uniform (used in
-the paper's evaluation, where every AWS validator is identical), geometric
-(a few heavy hitters), and Zipfian (a realistic long tail).
+simulator therefore supports two stake distributions: uniform (used in
+the paper's evaluation, where every AWS validator is identical) and
+geometric (a few heavy hitters).
 """
 
 from __future__ import annotations
@@ -216,14 +216,4 @@ def geometric_stake(size: int, ratio: float = 0.9, scale: int = 1000) -> StakeDi
     if not 0.0 < ratio <= 1.0:
         raise CommitteeError("ratio must lie in (0, 1]")
     stakes = [max(1, int(round(scale * ratio**index))) for index in range(size)]
-    return StakeDistribution(tuple(stakes))
-
-
-def zipfian_stake(size: int, exponent: float = 1.0, scale: int = 1000) -> StakeDistribution:
-    """Zipfian stake: validator ``i`` holds ``scale / (i + 1)**exponent``."""
-    if size <= 0:
-        raise CommitteeError("committee size must be positive")
-    if exponent < 0.0:
-        raise CommitteeError("exponent must be non-negative")
-    stakes = [max(1, int(round(scale / (index + 1) ** exponent))) for index in range(size)]
     return StakeDistribution(tuple(stakes))

@@ -157,9 +157,9 @@ class Simulator:
 
     # -- execution ------------------------------------------------------------
 
-    def run(self, until: Optional[SimTime] = None, max_events: Optional[int] = None) -> SimTime:
-        """Run events until the heap drains, ``until`` is reached, or
-        ``max_events`` have fired.  Returns the clock value on exit.
+    def run(self, until: Optional[SimTime] = None) -> SimTime:
+        """Run events until the heap drains or ``until`` is reached.
+        Returns the clock value on exit.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fired earlier, which gives experiments a
@@ -172,9 +172,8 @@ class Simulator:
             raise SimulationError("the simulator is already running")
         self._running = True
         fired = 0
-        # Infinity sentinels collapse the per-iteration ``is not None``
-        # branches into plain float comparisons.
-        limit = max_events if max_events is not None else float("inf")
+        # An infinity sentinel collapses the per-iteration ``is not None``
+        # branch into a plain float comparison.
         horizon = until if until is not None else float("inf")
         # This is the single hottest path of every experiment (hundreds
         # of thousands of iterations per run): the heap is a local and
@@ -182,7 +181,7 @@ class Simulator:
         heap = self._heap
         heappop = _heappop
         try:
-            while fired < limit:
+            while True:
                 if self._cancelled > 0:
                     # Purge cancelled entries only while some exist; in
                     # steady state this whole branch is one counter read

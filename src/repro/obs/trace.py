@@ -55,7 +55,6 @@ EVENT_KINDS: Tuple[Tuple[str, str], ...] = (
     ("validator_crashed", "transport marked a validator crashed: validator"),
     ("validator_recovered", "transport unmarked a crashed validator: validator"),
     ("trace_truncated", "bounded tracer dropped its oldest events: dropped, kept"),
-    ("trace_sampled", "tracer kept only every Nth event: sample_every, sampled_out, kept"),
 )
 
 KNOWN_KINDS: Tuple[str, ...] = tuple(kind for kind, _ in EVENT_KINDS)
@@ -92,22 +91,14 @@ class MemoryTracer(Tracer):
     ``clock`` is injected by the runner (``simulator.now``); the tracer
     itself never reads a wall clock, so its events are a function of the run.
 
-    ``max_events`` turns the tracer into a bounded ring buffer: at most
-    that many events are held, the *oldest* are evicted first, and the
-    eviction count is kept in ``dropped``.  A committee-100 traced run
-    emits millions of events; the ring bound makes tracing usable there
-    without holding the full stream in memory.  Exports of a truncated
-    trace are prefixed with one ``trace_truncated`` marker event (see
-    :meth:`export_events`) so JSONL consumers can tell a bounded trace
-    from a complete one.
-
-    ``sample_every`` thins the stream at the emit site instead: the
-    first event of every stride of N is kept, the other N-1 are counted
-    in ``sampled_out`` and discarded before any allocation hits the
-    buffer.  Where the ring bound keeps the *newest* window of a run,
-    sampling keeps a uniform cross-section of the *whole* run; the two
-    compose (the ring bound applies to the sampled stream).  Exports of
-    a sampled trace carry one ``trace_sampled`` marker event.
+    ``max_events`` (at least 1; ``None`` keeps every event) turns the
+    tracer into a bounded ring buffer: at most that many events are held,
+    the *oldest* are evicted first, and the eviction count is kept in
+    ``dropped``.  A committee-100 traced run emits millions of events;
+    the ring bound makes tracing usable there without holding the full
+    stream in memory.  Exports of a truncated trace are prefixed with one
+    ``trace_truncated`` marker event (see :meth:`export_events`) so JSONL
+    consumers can tell a bounded trace from a complete one.
     """
 
     enabled = True
@@ -116,28 +107,17 @@ class MemoryTracer(Tracer):
         self,
         clock: Callable[[], float] | None = None,
         max_events: Optional[int] = None,
-        sample_every: Optional[int] = None,
     ) -> None:
+        if max_events is not None and max_events < 1:
+            raise ValueError("max_events must be positive (or None)")
         self.clock: Callable[[], float] = clock if clock is not None else _zero_clock
         self.max_events = max_events
-        if sample_every is not None and sample_every < 1:
-            raise ValueError("sample_every must be positive (or None)")
-        self.sample_every = sample_every
         # deque(maxlen=N) evicts from the head on append at capacity —
         # exactly the ring-buffer semantics — at C speed.
-        self.events: Any = deque(maxlen=max_events) if max_events else []
+        self.events: Any = [] if max_events is None else deque(maxlen=max_events)
         self.dropped = 0
-        self.sampled_out = 0
-        self._emitted = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
-        sample_every = self.sample_every
-        if sample_every is not None and sample_every > 1:
-            emitted = self._emitted
-            self._emitted = emitted + 1
-            if emitted % sample_every:
-                self.sampled_out += 1
-                return
         event: Dict[str, Any] = {"kind": kind, "t": self.clock()}
         event.update(fields)
         events = self.events
@@ -146,41 +126,19 @@ class MemoryTracer(Tracer):
         events.append(event)
 
     def export_events(self) -> List[Dict[str, Any]]:
-        """The retained events as a list, truncation/sampling markers included.
+        """The retained events as a list, truncation marker included.
 
         When the ring bound evicted anything, the first element is a
         ``trace_truncated`` event carrying ``dropped`` (evicted count)
         and ``kept`` (retained count), stamped with the timestamp of the
         oldest retained event; consumers of the JSONL can rely on the
-        marker being first.  A sampled stream (``sample_every`` > 1)
-        additionally carries one ``trace_sampled`` marker — after the
-        truncation marker when both apply, first otherwise.
+        marker being first.
         """
         events = list(self.events)
-        markers: List[Dict[str, Any]] = []
-        first_t = events[0]["t"] if events else 0.0
-        if self.dropped:
-            markers.append(
-                {
-                    "kind": "trace_truncated",
-                    "t": first_t,
-                    "dropped": self.dropped,
-                    "kept": len(events),
-                }
-            )
-        if self.sample_every is not None and self.sample_every > 1:
-            markers.append(
-                {
-                    "kind": "trace_sampled",
-                    "t": first_t,
-                    "sample_every": self.sample_every,
-                    "sampled_out": self.sampled_out,
-                    "kept": len(events),
-                }
-            )
-        if markers:
-            return [*markers, *events]
-        return events
+        if not self.dropped:
+            return events
+        marker = {"kind": "trace_truncated", "t": events[0]["t"], "dropped": self.dropped, "kept": len(events)}
+        return [marker, *events]
 
 
 def _zero_clock() -> float:

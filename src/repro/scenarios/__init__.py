@@ -6,11 +6,10 @@ under X" and the raw experiment harness.  A scenario is *data* — a
 timeline of fault injections (crash, crash-recovery, slow, and the
 behavior-policy adversaries: vote withholding, equivocation, selective
 silence, lazy leaders, reputation gaming), network disturbances
-(partitions, jitter/loss windows), and a workload shape (constant,
-burst, ramp, diurnal) — that serializes to JSON, validates on the way
-back in, and hashes to a deterministic ``scenario_digest``.  Timeline
-instants may be committee-size-relative expressions resolved per sweep
-point, and specs concatenate in time with :meth:`ScenarioSpec.then`.
+(partitions, jitter/loss windows), and a workload shape (constant or
+burst) — that serializes to JSON, validates on the way back in, and
+hashes to a deterministic ``scenario_digest``.  Timeline instants may
+be committee-size-relative expressions resolved per sweep point.
 
 :func:`compile_spec` lowers a spec onto the existing simulation stack
 (:class:`~repro.sim.experiment.ExperimentConfig` plus

@@ -385,39 +385,35 @@ register_scenario(
     )
 )
 
-# Scenario composition (ScenarioSpec.then): maintenance churn, a quiet
-# gap, then a traffic spike while the committee digests the churn.
-_churn_phase = ScenarioSpec(
-    name="maintenance-churn",
-    description="two validators crash and recover in sequence",
-    protocols=("hammerhead", "bullshark"),
-    committee_sizes=(10,),
-    workload=WorkloadSpec(kind="constant", tps=1200.0),
-    duration=45.0,
-    warmup=15.0,
-    seed=12,
-    faults=(
-        FaultSpec(kind="crash-recovery", validators=(9,), at=10.0, recover_at=25.0),
-        FaultSpec(kind="crash-recovery", validators=(8,), at=20.0, recover_at=35.0),
-    ),
+# Maintenance churn, a quiet gap, then a traffic spike while the committee
+# digests the churn: 45 s of churn, 5 s of quiet, then 35 s with the burst
+# 10 s in.  The name and description join the two phases; the pinned
+# scenario digest holds this exact form.
+register_scenario(
+    ScenarioSpec(
+        name="maintenance-churn+recovery-spike",
+        description=(
+            "two validators crash and recover in sequence — then — "
+            "a 2.5x burst lands while the committee digests the churn"
+        ),
+        protocols=("hammerhead", "bullshark"),
+        committee_sizes=(10,),
+        workload=WorkloadSpec(
+            kind="burst",
+            tps=1200.0,
+            burst_tps=3000.0,
+            burst_start=60.0,
+            burst_end=70.0,
+        ),
+        duration=85.0,
+        warmup=15.0,
+        seed=12,
+        faults=(
+            FaultSpec(kind="crash-recovery", validators=(9,), at=10.0, recover_at=25.0),
+            FaultSpec(kind="crash-recovery", validators=(8,), at=20.0, recover_at=35.0),
+        ),
+    )
 )
-_spike_phase = ScenarioSpec(
-    name="recovery-spike",
-    description="a 2.5x burst lands while the committee digests the churn",
-    protocols=("hammerhead", "bullshark"),
-    committee_sizes=(10,),
-    workload=WorkloadSpec(
-        kind="burst",
-        tps=1200.0,
-        burst_tps=3000.0,
-        burst_start=10.0,
-        burst_end=20.0,
-    ),
-    duration=35.0,
-    warmup=10.0,
-    seed=12,
-)
-register_scenario(_churn_phase.then(_spike_phase, gap=5.0))
 
 # A mid-run loss window on a healthy committee: every certificate lost on
 # the wire is recovered by the synchronizer's fetch round-trip.

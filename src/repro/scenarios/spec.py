@@ -24,7 +24,7 @@ import json
 import math
 import typing
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Literal, Mapping, Optional, Tuple, Union
 
 from repro.behavior.adversarial import (
     EquivocationPolicy,
@@ -54,13 +54,7 @@ from repro.faults.partition import (
 from repro.faults.slow import SlowValidatorFault, degrade_fraction
 from repro.sim.experiment import ExperimentConfig, PROTOCOL_HAMMERHEAD
 from repro.sim.runner import build_committee
-from repro.workload.phases import (
-    average_tps,
-    burst_phases,
-    diurnal_phases,
-    ramp_phases,
-    validate_phases,
-)
+from repro.workload.phases import average_tps, burst_phases
 
 # Coalition fault kinds: the selected validators share one
 # AdversaryCoordinator per fault window (colluding attacks).
@@ -98,8 +92,10 @@ _FAULT_OPTIONS = {
     "coalition": COALITION_FAULT_KINDS,
     "stride": COALITION_FAULT_KINDS,
 }
-# Workload shapes understood by the compiler.
-WORKLOAD_KINDS = ("constant", "burst", "ramp", "diurnal")
+# Workload shapes understood by the compiler, and the stake distributions
+# a committee can have (``repro.sim.runner.build_committee``).
+WorkloadKind = Literal["constant", "burst"]
+StakeKind = Literal["equal", "geometric"]
 
 # Version tag embedded in serialized specs; bump on incompatible changes.
 SPEC_VERSION = 1
@@ -165,17 +161,6 @@ def resolve_time(value: Optional[TimeExpr], committee_size: int) -> Optional[flo
             value.get("per_validator", 0.0)
         ) * committee_size
     return float(value)
-
-
-def _shift_time(value: Optional[TimeExpr], offset: float) -> Optional[TimeExpr]:
-    """Shift a :data:`TimeExpr` later by ``offset`` seconds (for ``then``)."""
-    if value is None:
-        return None
-    if isinstance(value, Mapping):
-        shifted = dict(value)
-        shifted["base"] = float(shifted.get("base", 0.0)) + offset
-        return shifted
-    return round(float(value) + offset, 6)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -332,27 +317,20 @@ class DisturbanceSpec:
 class WorkloadSpec:
     """The shape of client load over the run.
 
-    ``constant`` compiles to the classic fixed-rate path; the other kinds
-    compile to piecewise-constant :class:`~repro.workload.phases.LoadPhase`
-    profiles starting at ``LOAD_START`` (the same 0.5 s client warm-up the
-    fixed-rate path uses).
+    ``constant`` compiles to the classic fixed-rate path; ``burst``
+    compiles to a piecewise-constant :class:`~repro.workload.phases.LoadPhase`
+    profile starting at ``LOAD_START`` (the same 0.5 s client warm-up the
+    fixed-rate path uses): ``tps`` with one ``burst_tps`` window.
     """
 
-    kind: str = "constant"
+    kind: WorkloadKind = "constant"
     tps: float = 1000.0
-    # burst
     burst_tps: float = 0.0
     burst_start: float = 0.0
     burst_end: float = 0.0
-    # ramp
-    end_tps: float = 0.0
-    steps: int = 4
-    # diurnal
-    amplitude: float = 0.0
-    period: float = 0.0
 
     def validate(self) -> "WorkloadSpec":
-        _require(self.kind in WORKLOAD_KINDS, f"unknown workload kind {self.kind!r}")
+        _require(self.kind in typing.get_args(WorkloadKind), f"unknown workload kind {self.kind!r}")
         _require(self.tps >= 0.0, "the workload rate must be non-negative")
         if self.kind == "burst":
             _require(self.burst_tps > 0.0, "a burst needs a positive burst rate")
@@ -360,23 +338,11 @@ class WorkloadSpec:
                 self.burst_end > self.burst_start >= 0.0,
                 "a burst window must close after it opens",
             )
-        if self.kind == "ramp":
-            _require(self.steps >= 1, "a ramp needs at least one step")
-        if self.kind == "diurnal":
-            _require(self.period > 0.0, "a diurnal profile needs a positive period")
-            _require(self.steps >= 1, "a diurnal profile needs at least one step")
         return self
 
 
 # Client load starts 0.5 s into the run, matching the constant-rate path.
 LOAD_START = 0.5
-
-# The ScenarioSpec fields ``then`` joins end to end (names, the summed
-# horizon, the shifted timelines, the combined workload; the first spec's
-# warmup); two combined specs must agree on every other field.
-_TIMELINE_FIELDS = frozenset(
-    ("name", "description", "duration", "warmup", "workload", "faults", "partitions", "disturbances")
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -399,7 +365,7 @@ class ScenarioSpec:
     duration: float = 30.0
     warmup: float = 5.0
     seed: int = 1
-    stake: str = "equal"
+    stake: StakeKind = "equal"
     commits_per_schedule: int = 10
     scoring: str = "hammerhead"
     # The scoring-rule sweep axis: when non-empty, the scenario fans out
@@ -408,7 +374,6 @@ class ScenarioSpec:
     # matrix sweeps.  Empty keeps the spec's canonical form (and digest)
     # identical to earlier revisions.
     scoring_rules: Tuple[str, ...] = ()
-    latency_model: str = "geo"
     gst: float = 0.0
     delta: float = 2.0
     faults: Tuple[FaultSpec, ...] = ()
@@ -492,8 +457,9 @@ class ScenarioSpec:
         """Plain-JSON dictionary form (tuples become lists).
 
         Fields introduced after spec version 1 shipped (``_AFTER_V1``) are
-        omitted at their default values: the canonical form (and therefore
-        :meth:`scenario_digest`) of a spec that does not use them is
+        omitted at their default values, and the keys of retired options
+        (``_RETIRED_V1``) kept at their former defaults: the canonical
+        form (and therefore :meth:`scenario_digest`) of a spec is
         identical to what earlier revisions produced, so previously
         recorded scenario digests remain valid.
         """
@@ -549,95 +515,6 @@ class ScenarioSpec:
     def without_faults(self) -> "ScenarioSpec":
         """The healthy twin: same run, empty fault/disturbance timelines."""
         return self.with_overrides(faults=(), partitions=(), disturbances=())
-
-    # -- composition ----------------------------------------------------------
-
-    def then(self, other: "ScenarioSpec", gap: float = 0.0) -> "ScenarioSpec":
-        """Concatenate ``other`` after this scenario, ``gap`` quiet seconds apart.
-
-        The result runs this scenario's timeline first, then — shifted by
-        ``duration + gap`` — the other's faults, partitions, and
-        disturbances ("churn, then partition, then spike").  The two
-        specs must agree on every field outside ``_TIMELINE_FIELDS`` (the
-        per-point axes: protocols, committees, loads, seed, stake, scoring,
-        latency, ...); workloads combine when they share a base rate (two
-        matching constants, or one burst over the shared base — a spec
-        layer cannot splice two distinct burst windows into one profile).
-        The combination is an ordinary validated spec: it serializes,
-        digests, and smokes like any other.
-        """
-        _require(gap >= 0.0, "the gap between combined scenarios must be non-negative")
-        for field in dataclasses.fields(self):
-            _require(
-                field.name in _TIMELINE_FIELDS
-                or getattr(self, field.name) == getattr(other, field.name),
-                f"combined scenarios must agree on {field.name!r}",
-            )
-        offset = self.duration + gap
-        shifted_faults = tuple(
-            dataclasses.replace(
-                fault,
-                at=_shift_time(fault.at, offset),
-                recover_at=_shift_time(fault.recover_at, offset),
-                end=_shift_time(fault.end, offset),
-            )
-            for fault in other.faults
-        )
-        shifted_partitions = tuple(
-            dataclasses.replace(
-                p,
-                start=round(p.start + offset, 6),
-                end=None if p.end is None else round(p.end + offset, 6),
-            )
-            for p in other.partitions
-        )
-        shifted_disturbances = tuple(
-            dataclasses.replace(
-                d,
-                start=round(d.start + offset, 6),
-                end=None if d.end is None else round(d.end + offset, 6),
-            )
-            for d in other.disturbances
-        )
-        return self.with_overrides(
-            name=f"{self.name}+{other.name}",
-            description=f"{self.description} — then — {other.description}".strip(" —"),
-            duration=self.duration + gap + other.duration,
-            workload=self._combine_workload(other, offset),
-            faults=self.faults + shifted_faults,
-            partitions=self.partitions + shifted_partitions,
-            disturbances=self.disturbances + shifted_disturbances,
-        )
-
-    def _combine_workload(self, other: "ScenarioSpec", offset: float) -> WorkloadSpec:
-        first, second = self.workload, other.workload
-        if first.kind == "constant" and second.kind == "constant":
-            _require(
-                first.tps == second.tps,
-                "combined constant workloads must share one rate "
-                f"({first.tps} vs {second.tps})",
-            )
-            return first
-        if first.kind == "constant" and second.kind == "burst":
-            _require(
-                second.tps == first.tps,
-                "a burst joined after a constant workload must share its base rate",
-            )
-            return dataclasses.replace(
-                second,
-                burst_start=round(second.burst_start + offset, 6),
-                burst_end=round(second.burst_end + offset, 6),
-            )
-        if first.kind == "burst" and second.kind == "constant":
-            _require(
-                second.tps == first.tps,
-                "a constant workload joined after a burst must share its base rate",
-            )
-            return first
-        raise ConfigurationError(
-            "combined scenarios support matching constant workloads or a single "
-            f"burst over a shared base rate (got {first.kind!r} then {second.kind!r})"
-        )
 
     def smoke(self) -> "ScenarioSpec":
         """A tiny-committee, short-horizon variant for CI smoke runs.
@@ -727,19 +604,6 @@ class ScenarioSpec:
                 burst_start=burst_start,
                 burst_end=burst_end,
             )
-        elif workload.kind == "diurnal":
-            workload = dataclasses.replace(
-                workload,
-                tps=min(workload.tps, 200.0),
-                amplitude=min(workload.amplitude, 150.0),
-                period=scaled(workload.period),
-            )
-        elif workload.kind == "ramp":
-            workload = dataclasses.replace(
-                workload,
-                tps=min(workload.tps, 100.0),
-                end_tps=min(workload.end_tps, 600.0),
-            )
         else:
             workload = dataclasses.replace(workload, tps=min(workload.tps, 300.0))
         return self.with_overrides(
@@ -758,15 +622,27 @@ class ScenarioSpec:
 
 _TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
+# Version-1 keys whose options were retired, each with the one value it
+# may still hold (its former default).  The canonical form keeps them at
+# that value, so digests recorded before the retirement stay valid, and
+# ``_parse`` accepts them at that value only.
+_RETIRED_V1: Dict[type, Dict[str, Any]] = {
+    ScenarioSpec: {"latency_model": "geo"},
+    WorkloadSpec: {"end_tps": 0.0, "steps": 4, "amplitude": 0.0, "period": 0.0},
+}
+
 
 def _plain(value: Any) -> Any:
-    """The plain-JSON form of a spec value, without ``_AFTER_V1`` fields left at their defaults."""
+    """The plain-JSON form of a spec value: ``_AFTER_V1`` fields left at
+    their defaults are omitted, and the ``_RETIRED_V1`` keys added."""
     if dataclasses.is_dataclass(value):
-        return {
+        plain = {
             field.name: _plain(getattr(value, field.name))
             for field in dataclasses.fields(value)
             if not (field.name in _AFTER_V1 and getattr(value, field.name) == field.default)
         }
+        plain.update(_RETIRED_V1.get(type(value), {}))
+        return plain
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
     return value
@@ -779,22 +655,35 @@ def _parse(value: Any, hint: Any, where: str) -> Any:
     JSON objects, ``Tuple[X, ...]`` a list, ``Optional`` admits ``null``,
     a :data:`TimeExpr` is a number or an expression (whose form
     :func:`_validate_time` checks), ``float`` takes any number but a
-    boolean, and ``int`` / ``str`` / ``bool`` must match exactly.  Errors
-    name the path of the offending value, e.g.
+    boolean, a ``Literal`` one of its values, and ``int`` / ``str`` /
+    ``bool`` must match exactly.  A ``_RETIRED_V1`` key is accepted at its
+    one value only.  Errors name the path of the offending value, e.g.
     ``scenario spec.faults[0].fraction must be a number``.
     """
     if dataclasses.is_dataclass(hint):
         _require(isinstance(value, Mapping), f"{where} must be a JSON object")
         hints = typing.get_type_hints(hint)
-        unknown = set(value) - set(hints)
+        retired = _RETIRED_V1.get(hint, {})
+        unknown = set(value) - set(hints) - set(retired)
         _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+        for name, fixed in retired.items():
+            if name in value:
+                _require(
+                    _parse(value[name], type(fixed), f"{where}.{name}") == fixed,
+                    f"{where}.{name} was retired and may only hold {fixed!r}",
+                )
         for field in dataclasses.fields(hint):
             _require(
                 field.name in value or field.default is not dataclasses.MISSING,
                 f"{where} is missing the {field.name!r} field",
             )
-        return hint(**{name: _parse(item, hints[name], f"{where}.{name}") for name, item in value.items()})
+        return hint(
+            **{name: _parse(item, hints[name], f"{where}.{name}") for name, item in value.items() if name in hints}
+        )
     options = typing.get_args(hint)
+    if typing.get_origin(hint) is Literal:
+        _require(value in options, f"{where} must be one of {', '.join(map(repr, options))}")
+        return value
     if typing.get_origin(hint) is Union:
         if value is None and type(None) in options:
             return None
@@ -1024,33 +913,14 @@ def _compile_workload(
         loads = spec.loads or (workload.tps,)
         return tuple(loads), ()
     start, end = LOAD_START, spec.duration
-    if workload.kind == "burst":
-        phases = burst_phases(
-            base_tps=workload.tps,
-            burst_tps=workload.burst_tps,
-            burst_start=max(start, workload.burst_start),
-            burst_end=min(end, workload.burst_end),
-            start=start,
-            end=end,
-        )
-    elif workload.kind == "ramp":
-        phases = ramp_phases(
-            start_tps=workload.tps,
-            end_tps=workload.end_tps,
-            steps=workload.steps,
-            start=start,
-            end=end,
-        )
-    else:
-        phases = diurnal_phases(
-            base_tps=workload.tps,
-            amplitude=workload.amplitude,
-            period=workload.period or (end - start),
-            steps=workload.steps,
-            start=start,
-            end=end,
-        )
-    validate_phases(phases)
+    phases = burst_phases(
+        base_tps=workload.tps,
+        burst_tps=workload.burst_tps,
+        burst_start=max(start, workload.burst_start),
+        burst_end=min(end, workload.burst_end),
+        start=start,
+        end=end,
+    )
     nominal = round(average_tps(phases), 3)
     return (nominal,), tuple((phase.start, phase.end, phase.tps) for phase in phases)
 

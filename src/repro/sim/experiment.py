@@ -31,7 +31,7 @@ class ExperimentConfig:
     # System under test.
     protocol: str = PROTOCOL_HAMMERHEAD
     committee_size: int = 10
-    stake: str = "equal"  # "equal", "geometric", or "zipf"
+    stake: str = "equal"  # "equal" or "geometric"
 
     # Workload.  ``input_load_tps`` drives a constant-rate load; when
     # ``load_phases`` is non-empty it takes precedence and describes a
@@ -83,20 +83,13 @@ class ExperimentConfig:
     # fine up to committee ~50, prohibitive at committee 100+.  Only
     # meaningful together with ``trace``.
     trace_limit: Optional[int] = None
-    # Sampling mode for the tracer: keep every Nth emitted event (the
-    # first of each stride), dropping the rest at the emit site.  ``None``
-    # (or 1) keeps the full stream.  Composes with ``trace_limit``: the
-    # ring bound applies to the sampled stream, and exports carry one
-    # ``trace_sampled`` marker so consumers can tell a thinned trace from
-    # a complete one.  Only meaningful together with ``trace``.
-    trace_sample_every: Optional[int] = None
 
     def validate(self) -> "ExperimentConfig":
         if self.protocol not in (PROTOCOL_HAMMERHEAD, PROTOCOL_BULLSHARK):
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if self.committee_size < 1:
             raise ConfigurationError("the committee needs at least one validator")
-        if self.stake not in ("equal", "geometric", "zipf"):
+        if self.stake not in ("equal", "geometric"):
             raise ConfigurationError(f"unknown stake distribution {self.stake!r}")
         if self.input_load_tps < 0:
             raise ConfigurationError("the input load must be non-negative")
@@ -140,8 +133,6 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must lie in [0, 4096)")
         if self.trace_limit is not None and self.trace_limit < 1:
             raise ConfigurationError("trace_limit must be positive (or None)")
-        if self.trace_sample_every is not None and self.trace_sample_every < 1:
-            raise ConfigurationError("trace_sample_every must be positive (or None)")
         if not 0.0 <= self.exclude_fraction < 1.0:
             raise ConfigurationError("exclude_fraction must lie in [0, 1)")
         return self

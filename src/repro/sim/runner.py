@@ -13,7 +13,7 @@ import dataclasses
 import gc
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
+from repro.committee import Committee, equal_stake, geometric_stake
 from repro.core.manager import (
     HammerHeadScheduleManager,
     ScheduleManager,
@@ -21,6 +21,7 @@ from repro.core.manager import (
 )
 from repro.core.schedule_change import CommitCountPolicy
 from repro.core.scoring import make_scoring_rule
+from repro.errors import ConfigurationError
 from repro.faults.base import FaultInjector
 from repro.faults.crash import crash_last_f
 from repro.faults.partition import PartitionPlan
@@ -57,7 +58,7 @@ def build_committee(config: ExperimentConfig) -> Committee:
     elif config.stake == "geometric":
         stake = geometric_stake(size)
     else:
-        stake = zipfian_stake(size)
+        raise ConfigurationError(f"unknown stake distribution {config.stake!r}")
     return Committee.build(size, stake=stake, seed=config.seed)
 
 
@@ -196,11 +197,7 @@ class SimulationRunner:
         untouched.
         """
         simulator = self.simulator
-        self.tracer = MemoryTracer(
-            clock=lambda: simulator.now,
-            max_events=self.config.trace_limit,
-            sample_every=self.config.trace_sample_every,
-        )
+        self.tracer = MemoryTracer(clock=lambda: simulator.now, max_events=self.config.trace_limit)
         self.registry = InstrumentationRegistry()
         self.network.install_observability(self.tracer, self.registry)
         for _validator, node in sorted(self.nodes.items()):
@@ -413,7 +410,6 @@ class SimulationRunner:
         if self.tracer is not None:
             counters["trace.events_kept"] = float(len(self.tracer.events))
             counters["trace.events_dropped"] = float(self.tracer.dropped)
-            counters["trace.events_sampled_out"] = float(self.tracer.sampled_out)
         return counters
 
     def _build_result(self) -> ExperimentResult:

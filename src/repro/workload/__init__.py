@@ -12,8 +12,6 @@ from repro.workload.phases import (
     LoadPhase,
     average_tps,
     burst_phases,
-    diurnal_phases,
-    ramp_phases,
     spawn_phased_load,
 )
 
@@ -25,7 +23,5 @@ __all__ = [
     "LoadPhase",
     "average_tps",
     "burst_phases",
-    "ramp_phases",
-    "diurnal_phases",
     "spawn_phased_load",
 ]

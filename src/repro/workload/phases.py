@@ -2,13 +2,8 @@
 
 The scenario engine (:mod:`repro.scenarios`) describes load over time as
 a sequence of :class:`LoadPhase` segments — each a constant rate over a
-half-open window ``[start, end)`` — and the shape helpers below build the
-common profiles from a handful of parameters:
-
-* :func:`burst_phases` — a base rate with one high-rate spike window;
-* :func:`ramp_phases` — a staircase from a starting to a final rate;
-* :func:`diurnal_phases` — a discretized sinusoid around a base rate,
-  modelling the day/night cycle of real client traffic.
+half-open window ``[start, end)``; :func:`burst_phases` builds its one
+shaped profile, a base rate with one high-rate spike window.
 
 :func:`spawn_phased_load` materializes the segments with the same client
 machinery as constant load (:func:`repro.workload.generator.spawn_load`),
@@ -20,7 +15,6 @@ costs one ``bisect`` per target however many phases the profile has.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import TYPE_CHECKING, List, Sequence
 
 from repro.errors import WorkloadError
@@ -89,56 +83,6 @@ def burst_phases(
     phases.append(LoadPhase(burst_start, burst_end, burst_tps))
     if end > burst_end:
         phases.append(LoadPhase(burst_end, end, base_tps))
-    return phases
-
-
-def ramp_phases(
-    start_tps: float,
-    end_tps: float,
-    steps: int,
-    start: SimTime,
-    end: SimTime,
-) -> List[LoadPhase]:
-    """A staircase of ``steps`` equal-width segments from one rate to another."""
-    if steps < 1:
-        raise WorkloadError("a ramp needs at least one step")
-    if end <= start:
-        raise WorkloadError("a ramp must end after it starts")
-    width = (end - start) / steps
-    phases = []
-    for step in range(steps):
-        fraction = step / (steps - 1) if steps > 1 else 1.0
-        tps = start_tps + (end_tps - start_tps) * fraction
-        phases.append(LoadPhase(start + step * width, start + (step + 1) * width, tps))
-    return phases
-
-
-def diurnal_phases(
-    base_tps: float,
-    amplitude: float,
-    period: SimTime,
-    steps: int,
-    start: SimTime,
-    end: SimTime,
-) -> List[LoadPhase]:
-    """A discretized sinusoid: ``base + amplitude * sin(2*pi*t/period)``.
-
-    The rate of each segment samples the sinusoid at the segment midpoint
-    and is clamped at zero, so ``amplitude > base_tps`` models quiet
-    periods with no traffic at all.
-    """
-    if period <= 0:
-        raise WorkloadError("the diurnal period must be positive")
-    if steps < 1:
-        raise WorkloadError("a diurnal profile needs at least one step")
-    if end <= start:
-        raise WorkloadError("a diurnal profile must end after it starts")
-    width = (end - start) / steps
-    phases = []
-    for step in range(steps):
-        midpoint = start + (step + 0.5) * width
-        tps = base_tps + amplitude * math.sin(2.0 * math.pi * (midpoint - start) / period)
-        phases.append(LoadPhase(start + step * width, start + (step + 1) * width, max(0.0, tps)))
     return phases
 
 

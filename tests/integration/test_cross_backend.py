@@ -75,20 +75,20 @@ class TestDigestEquivalence:
 class TestSharedResultAssembly:
     """The socket run reports through the oracle's result assembly."""
 
-    def test_sampled_trace_is_marked_like_the_oracle(self):
-        sampled = config(trace=True, trace_sample_every=4)
-        oracle = run_lockstep_experiment(sampled)
-        net = run_net_experiment(sampled)
+    def test_bounded_trace_is_marked_like_the_oracle(self):
+        bounded = config(trace=True, trace_limit=50)
+        oracle = run_lockstep_experiment(bounded)
+        net = run_net_experiment(bounded)
         for result in (oracle, net):
-            markers = [event for event in result.trace if event["kind"] == "trace_sampled"]
+            markers = [event for event in result.trace if event["kind"] == "trace_truncated"]
             assert len(markers) == 1
             (marker,) = markers
-            assert marker["sample_every"] == 4
-            assert marker["sampled_out"] == result.counters["always"]["trace.events_sampled_out"]
+            assert marker["kept"] == 50
+            assert marker["dropped"] == result.counters["always"]["trace.events_dropped"]
         assert len(net.trace) == len(oracle.trace)
         assert (
-            net.counters["always"]["trace.events_sampled_out"]
-            == oracle.counters["always"]["trace.events_sampled_out"]
+            net.counters["always"]["trace.events_dropped"]
+            == oracle.counters["always"]["trace.events_dropped"]
             > 0
         )
 

@@ -3,8 +3,8 @@
 The committee-100 fast path encodes validator subsets as int bitmasks
 (``StakeVector.mask_stake`` / ``mask_has_quorum`` / ``mask_of_validators``
 / ``validators_of_mask``).  Every mask operation must agree bit for bit
-with the tuple-based API it replaces — across uniform, geometric, and
-Zipfian stake distributions, and under duplicate validator ids (which the
+with the tuple-based API it replaces — across uniform and geometric
+stake distributions, and under duplicate validator ids (which the
 tuple fallback dedups and the bitmask collapses by construction).  These
 properties are what license the RBC and consensus layers to swap tuples
 for masks without a digest audit per call site.
@@ -14,23 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.committee.stake import (
-    StakeVector,
-    equal_stake,
-    geometric_stake,
-    zipfian_stake,
-)
+from repro.committee.stake import StakeVector, equal_stake, geometric_stake
 from repro.errors import CommitteeError
 
-DISTRIBUTIONS = ("uniform", "geometric", "zipf")
+DISTRIBUTIONS = ("uniform", "geometric")
 
 
 def vector_for(kind: str, size: int) -> StakeVector:
     if kind == "uniform":
         return StakeVector(equal_stake(size).stakes)
-    if kind == "geometric":
-        return StakeVector(geometric_stake(size).stakes)
-    return StakeVector(zipfian_stake(size).stakes)
+    return StakeVector(geometric_stake(size).stakes)
 
 
 @st.composite
@@ -122,7 +115,7 @@ class TestMaskErrorPaths:
             StakeVector.mask_of_validators([0, -1])
 
     def test_verdicts_are_memoized(self):
-        vector = vector_for("zipf", 8)
+        vector = vector_for("geometric", 8)
         mask = StakeVector.mask_of_validators(range(6))
         before = vector.mask_cache_misses
         first = vector.mask_has_quorum(mask)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
+from repro.committee import Committee, equal_stake, geometric_stake
 from repro.committee.committee import DEFAULT_REGIONS
 from repro.crypto.keys import keypairs_for_committee
 from repro.errors import CommitteeError
@@ -33,14 +33,6 @@ class TestStakeDistributions:
             geometric_stake(5, ratio=0.0)
         with pytest.raises(CommitteeError):
             geometric_stake(5, ratio=1.5)
-
-    def test_zipfian_stake_is_decreasing(self):
-        stakes = zipfian_stake(10).stakes
-        assert all(earlier >= later for earlier, later in zip(stakes, stakes[1:]))
-
-    def test_zipfian_rejects_negative_exponent(self):
-        with pytest.raises(CommitteeError):
-            zipfian_stake(5, exponent=-1.0)
 
     def test_stake_must_be_positive(self):
         from repro.committee.stake import StakeDistribution

@@ -22,7 +22,7 @@ from repro.obs.consistency import check_run_consistency
 from repro.schedule.round_robin import initial_schedule
 from repro.errors import ConfigurationError
 from repro.workload.generator import ClientArrivals, LoadGenerator
-from repro.workload.phases import diurnal_phases, spawn_phased_load
+from repro.workload.phases import LoadPhase, spawn_phased_load
 from repro.workload.transactions import counter_increment
 from tests.conftest import bare_synchronizer, build_round, vid
 
@@ -950,11 +950,10 @@ class TestLazyClientLoad:
         committee, simulator, network, nodes = build_cluster()
         for node in nodes.values():
             node.start()
-        phases = diurnal_phases(
-            base_tps=100.0, amplitude=300.0, period=4.0, steps=40, start=0.0, end=8.0
-        )
+        # Forty 0.2 s phases cycling through three rates and a quiet one.
+        rates = (400.0, 250.0, 100.0, 0.0) * 10
+        phases = [LoadPhase(index * 0.2, (index + 1) * 0.2, tps) for index, tps in enumerate(rates)]
         quiet = {phase.start for phase in phases if phase.tps == 0.0}
-        assert quiet
         generators = spawn_phased_load(simulator, list(nodes.values()), phases)
         assert len(generators) > 20
         arrivals = ClientArrivals.of(simulator)

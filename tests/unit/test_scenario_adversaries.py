@@ -115,7 +115,8 @@ class TestBehaviorFaultKinds:
                 {"partitions": [{"groups": [[1, "a"]]}]}, "partitions[0].groups[0][1]", id="groups-string"
             ),
             pytest.param({"faults": [{"kind": "crash", "count": 2.5}]}, "faults[0].count", id="count-float"),
-            pytest.param({"workload": {"kind": "ramp", "steps": 2.5}}, "workload.steps", id="steps-float"),
+            pytest.param({"workload": {"end_tps": False}}, "workload.end_tps", id="retired-end_tps-false"),
+            pytest.param({"commits_per_schedule": 2.5}, "commits_per_schedule", id="commits_per_schedule-float"),
             pytest.param(
                 {"faults": [{"kind": "crash", "max_faulty": 1}]}, "faults[0].max_faulty", id="max_faulty-int"
             ),
@@ -192,6 +193,68 @@ class TestBehaviorFaultKinds:
         assert fault.targets == ()
         assert fault.target_count == 1
         compile_spec(smoke)
+
+
+class TestRetiredSchema:
+    """Options no product run selected were retired from the schema.
+
+    The version-1 keys they left behind (``latency_model`` and four
+    workload fields) stay in the canonical form at their former
+    defaults, so recorded digests hold; a spec may state them only there.
+    """
+
+    @pytest.mark.parametrize(
+        "entry, path",
+        [
+            pytest.param({"workload": {"kind": "ramp"}}, "workload.kind", id="ramp"),
+            pytest.param({"workload": {"kind": "diurnal"}}, "workload.kind", id="diurnal"),
+            pytest.param({"stake": "zipf"}, "stake", id="zipf"),
+            pytest.param({"latency_model": "uniform"}, "latency_model", id="uniform-latency"),
+            pytest.param({"workload": {"steps": 2}}, "workload.steps", id="steps"),
+            pytest.param({"workload": {"end_tps": 400.0}}, "workload.end_tps", id="end_tps"),
+            pytest.param({"workload": {"amplitude": 50.0}}, "workload.amplitude", id="amplitude"),
+            pytest.param({"workload": {"period": 10.0}}, "workload.period", id="period"),
+        ],
+    )
+    def test_retired_values_are_refused_by_path(self, entry, path):
+        with pytest.raises(ConfigurationError, match=re.escape(f"scenario spec.{path} ")):
+            ScenarioSpec.from_dict({"name": "retired", **entry})
+
+    def test_the_parents_form_keeps_its_digest(self):
+        # Spec JSON as revisions before the retirement wrote it, every
+        # retired key at its default; digests recorded then.
+        old_form = {
+            "name": "retired-defaults",
+            "latency_model": "geo",
+            "workload": {"kind": "constant", "tps": 1000.0, "end_tps": 0.0, "steps": 4, "amplitude": 0.0, "period": 0.0},
+        }
+        spec = ScenarioSpec.from_json(json.dumps(old_form))
+        assert spec.scenario_digest() == "159b7f37a5dce4a74cb7f96f0620361891ea417d480c126b05912edca1419820"
+        assert ScenarioSpec(name="retired-defaults").scenario_digest() == spec.scenario_digest()
+        burst = {
+            "name": "retired-burst",
+            "stake": "geometric",
+            "latency_model": "geo",
+            "workload": {"kind": "burst", "tps": 800, "burst_tps": 2000, "burst_start": 5, "burst_end": 10, "steps": 4},
+        }
+        assert (
+            ScenarioSpec.from_dict(burst).scenario_digest()
+            == "4858147c2e7aa700c4964d1141b87cf79eab8c874df6a6211ced6e1994013dcb"
+        )
+        canonical = spec.to_dict()
+        assert canonical["latency_model"] == "geo"
+        assert {key: canonical["workload"][key] for key in ("end_tps", "steps", "amplitude", "period")} == {
+            "end_tps": 0.0,
+            "steps": 4,
+            "amplitude": 0.0,
+            "period": 0.0,
+        }
+
+    def test_a_spec_built_in_python_is_refused_too(self):
+        with pytest.raises(ConfigurationError, match="zipf"):
+            ScenarioSpec(name="retired", stake="zipf").validate()
+        with pytest.raises(ConfigurationError, match="ramp"):
+            ScenarioSpec(name="retired", workload=WorkloadSpec(kind="ramp")).validate()
 
 
 class TestTimeExpressions:
@@ -320,109 +383,6 @@ class TestTimeExpressions:
         (fault,) = smoke.faults
         # Resolved against the smoke committee (4), then time-scaled by 1/2.
         assert fault.at == pytest.approx(1.8)
-
-
-class TestThenCombinator:
-    def phase(self, name, **overrides):
-        base = dict(
-            name=name,
-            protocols=("hammerhead",),
-            committee_sizes=(4,),
-            workload=WorkloadSpec(kind="constant", tps=200.0),
-            duration=20.0,
-            warmup=5.0,
-            seed=3,
-        )
-        base.update(overrides)
-        return ScenarioSpec(**base)
-
-    def test_timelines_shift_by_duration_plus_gap(self):
-        first = self.phase(
-            "churn",
-            faults=(FaultSpec(kind="crash-recovery", validators=(3,), at=5.0, recover_at=10.0),),
-        )
-        second = self.phase(
-            "partition",
-            partitions=(PartitionSpec(isolate_fraction=0.25, start=4.0, end=9.0),),
-            disturbances=(),
-        )
-        combined = first.then(second, gap=2.0)
-        assert combined.name == "churn+partition"
-        assert combined.duration == 42.0
-        assert combined.faults[0].at == 5.0  # first phase untouched
-        (partition,) = combined.partitions
-        assert (partition.start, partition.end) == (26.0, 31.0)
-        combined.validate()
-
-    def test_expression_times_shift_their_base(self):
-        first = self.phase("quiet")
-        second = self.phase(
-            "late-crash",
-            faults=(
-                FaultSpec(kind="crash", validators=(3,), at={"base": 1.0, "per_validator": 0.5}),
-            ),
-        )
-        combined = first.then(second, gap=0.0)
-        (fault,) = combined.faults
-        assert fault.at == {"base": 21.0, "per_validator": 0.5}
-
-    def test_round_trip_and_digest_stability(self):
-        first = self.phase("a", faults=(FaultSpec(kind="crash", validators=(3,), at=2.0),))
-        second = self.phase("b")
-        combined = first.then(second, gap=1.0)
-        clone = ScenarioSpec.from_json(combined.to_json())
-        assert clone == combined
-        assert clone.scenario_digest() == combined.scenario_digest()
-        # Deterministic: recombining yields the identical spec.
-        assert first.then(second, gap=1.0).scenario_digest() == combined.scenario_digest()
-
-    def test_burst_joins_after_constant(self):
-        first = self.phase("flat")
-        second = self.phase(
-            "spike",
-            workload=WorkloadSpec(
-                kind="burst", tps=200.0, burst_tps=800.0, burst_start=5.0, burst_end=10.0
-            ),
-        )
-        combined = first.then(second, gap=0.0)
-        assert combined.workload.kind == "burst"
-        assert (combined.workload.burst_start, combined.workload.burst_end) == (25.0, 30.0)
-        combined.validate()
-
-    def test_mismatched_axes_rejected(self):
-        first = self.phase("a")
-        second = self.phase("b", committee_sizes=(7,))
-        with pytest.raises(ConfigurationError):
-            first.then(second)
-
-    def test_mismatched_rates_rejected(self):
-        first = self.phase("a")
-        second = self.phase("b", workload=WorkloadSpec(kind="constant", tps=500.0))
-        with pytest.raises(ConfigurationError):
-            first.then(second)
-
-    def test_two_bursts_rejected(self):
-        burst = WorkloadSpec(
-            kind="burst", tps=200.0, burst_tps=800.0, burst_start=5.0, burst_end=10.0
-        )
-        with pytest.raises(ConfigurationError):
-            self.phase("a", workload=burst).then(self.phase("b", workload=burst))
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self.phase("a").then(self.phase("b"), gap=-1.0)
-
-    def test_overlap_through_unhealed_partition_rejected(self):
-        first = self.phase(
-            "open-partition",
-            partitions=(PartitionSpec(isolate_fraction=0.25, start=4.0),),
-        )
-        second = self.phase(
-            "another",
-            partitions=(PartitionSpec(isolate_fraction=0.25, start=4.0, end=9.0),),
-        )
-        with pytest.raises(ConfigurationError):
-            first.then(second)
 
 
 class TestPartitionFailover:

@@ -12,7 +12,7 @@ from repro.behavior import (
 from repro.errors import ConfigurationError
 from repro.faults.behavior import BehaviorFault
 from repro.scenarios import ScenarioSpec, compile_spec, get_scenario
-from repro.scenarios.spec import FaultSpec, WorkloadSpec
+from repro.scenarios.spec import FaultSpec
 
 
 def behavior_plans(spec, committee_size=None):
@@ -157,94 +157,3 @@ class TestScoringRulesAxis:
             ScenarioSpec(
                 name="bad", scoring_rules=("hammerhead", "hammerhead")
             ).validate()
-
-
-class TestThenEdgeCases:
-    def _base(self, name, faults=(), duration=20.0, workload=None):
-        return ScenarioSpec(
-            name=name,
-            committee_sizes=(10,),
-            duration=duration,
-            warmup=5.0,
-            seed=3,
-            workload=workload or WorkloadSpec(kind="constant", tps=500.0),
-            faults=faults,
-        )
-
-    def test_zero_gap_concatenation(self):
-        first = self._base(
-            "a", faults=(FaultSpec(kind="crash", validators=(9,), at=5.0),)
-        )
-        second = self._base(
-            "b", faults=(FaultSpec(kind="crash", validators=(8,), at=2.0),)
-        )
-        combined = first.then(second, gap=0.0)
-        assert combined.duration == 40.0
-        assert combined.faults[1].at == 22.0
-        # Digest-stable: structurally equal reconstructions hash alike.
-        assert (
-            first.then(second, gap=0.0).scenario_digest()
-            == combined.scenario_digest()
-        )
-
-    def test_three_way_chaining_accumulates_offsets(self):
-        a = self._base("a", faults=(FaultSpec(kind="crash", validators=(9,), at=1.0),))
-        b = self._base("b", faults=(FaultSpec(kind="crash", validators=(8,), at=1.0),))
-        c = self._base("c", faults=(FaultSpec(kind="crash", validators=(7,), at=1.0),))
-        combined = a.then(b, gap=2.0).then(c, gap=3.0)
-        assert combined.name == "a+b+c"
-        assert combined.duration == 20.0 + 2.0 + 20.0 + 3.0 + 20.0
-        assert [fault.at for fault in combined.faults] == [1.0, 23.0, 46.0]
-        # Still a perfectly ordinary spec: serializes and shrinks.
-        assert ScenarioSpec.from_dict(combined.to_dict()) == combined
-        smoke = combined.smoke()
-        assert smoke.committee_sizes == (4,)
-        assert smoke.duration <= 15.0
-
-    def test_composition_with_coalition_faults(self):
-        quiet = self._base("quiet")
-        attack = self._base(
-            "attack",
-            faults=(
-                FaultSpec(
-                    kind="adaptive-dos", coalition=(7, 8, 9), at=2.0, end=18.0, stride=2
-                ),
-            ),
-        )
-        combined = quiet.then(attack, gap=1.0)
-        fault = combined.faults[0]
-        assert fault.kind == "adaptive-dos"
-        assert fault.at == 23.0 and fault.end == 39.0
-        assert fault.coalition == (7, 8, 9) and fault.stride == 2
-        assert (
-            quiet.then(attack, gap=1.0).scenario_digest()
-            == combined.scenario_digest()
-        )
-        smoke = combined.smoke()
-        assert smoke.faults[0].coalition == (3, 2)
-        (plan,) = behavior_plans(smoke)
-        assert plan.coordinated
-
-    def test_then_requires_matching_scoring_axes(self):
-        first = self._base("a").with_overrides(scoring_rules=("hammerhead",))
-        second = self._base("b")
-        with pytest.raises(ConfigurationError, match="scoring_rules"):
-            first.then(second)
-
-    def test_chained_coalition_windows_must_not_overlap(self):
-        first = self._base(
-            "a",
-            faults=(
-                FaultSpec(kind="coalition-gaming", coalition=(8, 9), at=1.0),
-            ),
-        )
-        second = self._base(
-            "b",
-            faults=(
-                FaultSpec(kind="coalition-gaming", coalition=(8, 9), at=1.0),
-            ),
-        )
-        # The first window is open-ended, so the concatenation overlaps
-        # on the shared members and must be rejected.
-        with pytest.raises(ConfigurationError, match="overlap"):
-            first.then(second)

@@ -103,14 +103,6 @@ class TestSimulator:
         simulator.cancel(handle)
         simulator.run()
 
-    def test_max_events_bound(self):
-        simulator = Simulator()
-        fired = []
-        for index in range(10):
-            simulator.schedule(float(index + 1), lambda index=index: fired.append(index))
-        simulator.run(max_events=4)
-        assert fired == [0, 1, 2, 3]
-
     def test_events_fired_counter(self):
         simulator = Simulator()
         for index in range(5):
@@ -175,7 +167,7 @@ class TestSimulator:
         assert fired == ["once", "later"]
         assert simulator._cancelled == 0
 
-    def test_max_events_counts_only_fired_events(self):
+    def test_events_fired_counts_only_fired_events(self):
         simulator = Simulator()
         fired = []
         handles = [
@@ -184,7 +176,7 @@ class TestSimulator:
         ]
         simulator.cancel(handles[0])
         handles[2].cancel()
-        simulator.run(max_events=3)
+        simulator.run(until=5.0)
         assert fired == [1, 3, 4]
         assert simulator.events_fired == 3
 
@@ -237,12 +229,12 @@ class TestLazySources:
         simulator.lazy_sources.append(RecordingSource([3.0]))
         assert simulator.run() == 7.0
 
-    def test_an_event_budget_is_not_idleness(self):
+    def test_a_horizon_is_not_idleness(self):
         simulator = Simulator()
         source = RecordingSource([0.5, 9.0])
         simulator.lazy_sources.append(source)
         for delay in (1.0, 2.0, 3.0):
             simulator.schedule(delay, lambda: None)
-        simulator.run(max_events=2)
+        simulator.run(until=2.0)
         assert simulator.now == 2.0
         assert source.due == [9.0]

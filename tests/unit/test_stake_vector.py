@@ -3,13 +3,13 @@
 import pytest
 
 from repro.committee import Committee
-from repro.committee.stake import StakeVector, geometric_stake, zipfian_stake
+from repro.committee.stake import StakeVector, geometric_stake
 from repro.errors import CommitteeError
 
 
 class TestStakeVector:
     def test_totals_and_thresholds_match_committee(self):
-        for stake in (None, geometric_stake(7), zipfian_stake(7)):
+        for stake in (None, geometric_stake(7)):
             committee = Committee.build(7, stake=stake)
             vector = committee.stake_vector
             assert vector.total == committee.total_stake
@@ -20,7 +20,7 @@ class TestStakeVector:
             )
 
     def test_signer_quorum_matches_has_quorum(self):
-        committee = Committee.build(7, stake=zipfian_stake(7))
+        committee = Committee.build(7, stake=geometric_stake(7))
         vector = committee.stake_vector
         for signers in [(0, 1), (0, 1, 2, 3, 4), tuple(range(7)), (5, 6)]:
             assert vector.signer_tuple_has_quorum(signers) == committee.has_quorum(signers)

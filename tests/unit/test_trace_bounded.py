@@ -60,6 +60,12 @@ class TestRingBuffer:
         assert len(lines) == 2
         assert '"kind":"trace_truncated"' in lines[0]
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_bound_refused(self, limit):
+        # A zero bound used to keep every event yet report one dropped.
+        with pytest.raises(ValueError, match="max_events"):
+            MemoryTracer(max_events=limit)
+
     def test_unbounded_tracer_unchanged(self):
         tracer = MemoryTracer()
         fill(tracer, 4)

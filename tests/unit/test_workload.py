@@ -537,23 +537,6 @@ class TestLoadPhases:
             (10.0, 20.0, 100.0),
         ]
 
-    def test_ramp_shape(self):
-        from repro.workload.phases import ramp_phases
-
-        phases = ramp_phases(100.0, 400.0, steps=4, start=0.0, end=8.0)
-        assert [p.tps for p in phases] == [100.0, 200.0, 300.0, 400.0]
-        assert phases[-1].end == 8.0
-
-    def test_diurnal_shape_clamps_at_zero(self):
-        from repro.workload.phases import diurnal_phases
-
-        phases = diurnal_phases(
-            base_tps=100.0, amplitude=300.0, period=10.0, steps=10, start=0.0, end=10.0
-        )
-        assert all(p.tps >= 0.0 for p in phases)
-        assert any(p.tps == 0.0 for p in phases)
-        assert any(p.tps > 100.0 for p in phases)
-
     def test_average_tps_is_time_weighted(self):
         from repro.workload.phases import LoadPhase, average_tps
 
