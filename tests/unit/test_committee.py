@@ -34,6 +34,9 @@ class TestStakeDistributions:
         with pytest.raises(CommitteeError):
             geometric_stake(5, ratio=1.5)
 
+    def test_geometric_stake_at_ratio_one_is_equal(self):
+        assert geometric_stake(6, ratio=1.0, scale=7).stakes == equal_stake(6, per_validator=7).stakes
+
     def test_stake_must_be_positive(self):
         from repro.committee.stake import StakeDistribution
 

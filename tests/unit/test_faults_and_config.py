@@ -149,6 +149,26 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(scoring="random").validate()
 
+    def test_unknown_stake_distribution_rejected(self):
+        with pytest.raises(ConfigurationError, match="'zipf'"):
+            ExperimentConfig(stake="zipf").validate()
+
+    @pytest.mark.parametrize(
+        "stake, expected",
+        [("equal", (1, 1, 1, 1)), ("geometric", (1000, 900, 810, 729))],
+    )
+    def test_the_runner_builds_the_named_stake(self, stake, expected):
+        from repro.sim.runner import build_committee
+
+        committee = build_committee(ExperimentConfig(committee_size=4, stake=stake))
+        assert tuple(committee.stake_of(validator) for validator in range(4)) == expected
+
+    def test_the_runner_refuses_an_unknown_stake(self):
+        from repro.sim.runner import build_committee
+
+        with pytest.raises(ConfigurationError, match="'zipf'"):
+            build_committee(ExperimentConfig(committee_size=4, stake="zipf"))
+
     def test_seed_range_enforced(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(seed=5000).validate()

@@ -214,11 +214,28 @@ class TestRetiredSchema:
             pytest.param({"workload": {"end_tps": 400.0}}, "workload.end_tps", id="end_tps"),
             pytest.param({"workload": {"amplitude": 50.0}}, "workload.amplitude", id="amplitude"),
             pytest.param({"workload": {"period": 10.0}}, "workload.period", id="period"),
+            pytest.param({"workload": {"steps": 4.0}}, "workload.steps", id="steps-float-default"),
         ],
     )
     def test_retired_values_are_refused_by_path(self, entry, path):
         with pytest.raises(ConfigurationError, match=re.escape(f"scenario spec.{path} ")):
             ScenarioSpec.from_dict({"name": "retired", **entry})
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param({"latency_model": "geo"}, id="latency_model"),
+            pytest.param({"workload": {"end_tps": 0.0}}, id="end_tps"),
+            pytest.param({"workload": {"end_tps": 0}}, id="end_tps-int-zero"),
+            pytest.param({"workload": {"steps": 4}}, id="steps"),
+            pytest.param({"workload": {"amplitude": 0.0}}, id="amplitude"),
+            pytest.param({"workload": {"period": 0.0}}, id="period"),
+        ],
+    )
+    def test_a_retired_key_at_its_fixed_value_changes_nothing(self, entry):
+        spec = ScenarioSpec.from_dict({"name": "retired", **entry})
+        assert spec == ScenarioSpec(name="retired")
+        assert spec.scenario_digest() == ScenarioSpec(name="retired").scenario_digest()
 
     def test_the_parents_form_keeps_its_digest(self):
         # Spec JSON as revisions before the retirement wrote it, every

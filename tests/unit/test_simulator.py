@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulator and its event heap."""
 
+import heapq
+
 import pytest
 
 from repro.errors import SimulationError
@@ -190,6 +192,54 @@ class TestSimulator:
         assert fired == ["kept"]
         assert simulator.now == 2.0
         assert simulator._heap == []
+
+    def test_a_horizon_behind_the_clock_fires_nothing_and_keeps_the_clock(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(6.0, lambda: fired.append(simulator.now))
+        simulator.run(until=5.0)
+        assert simulator.run(until=2.0) == 5.0
+        assert fired == []
+        simulator.run()
+        assert fired == [6.0]
+
+    def test_an_event_chained_onto_the_horizon_fires(self):
+        simulator = Simulator()
+        fired = []
+
+        def chain():
+            fired.append(simulator.now)
+            simulator.schedule(1.0, chain)
+
+        simulator.schedule(1.0, chain)
+        simulator.run(until=3.0)
+        assert fired == [1.0, 2.0, 3.0]
+        assert simulator.now == 3.0
+
+    def test_stepping_by_horizons_fires_what_one_run_fires(self):
+        def build():
+            simulator = Simulator()
+            fired = []
+            handles = [
+                simulator.schedule(0.5 * index, lambda index=index: fired.append(("handle", index)))
+                for index in range(1, 12)
+            ]
+            simulator.cancel(handles[3])
+            for index in range(1, 8):
+                # Raw fire-and-forget entries, as the transport pushes them.
+                sequence = simulator._next_sequence
+                simulator._next_sequence = sequence + 1
+                heapq.heappush(simulator._heap, (0.75 * index, sequence, None, fired.append, (("raw", index),)))
+            return simulator, fired
+
+        whole, whole_fired = build()
+        whole.run()
+        stepped, stepped_fired = build()
+        for step in range(1, 14):
+            stepped.run(until=0.5 * step)
+        assert stepped_fired == whole_fired
+        assert len(whole_fired) == 10 + 7
+        assert stepped.events_fired == whole.events_fired == 17
 
 
 class RecordingSource:

@@ -12,6 +12,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.trace import KNOWN_KINDS, MemoryTracer, event_lines
 from repro.sim.experiment import ExperimentConfig
+from repro.sim.runner import SimulationRunner
 
 
 def fill(tracer, count):
@@ -60,6 +61,34 @@ class TestRingBuffer:
         assert len(lines) == 2
         assert '"kind":"trace_truncated"' in lines[0]
 
+    def test_a_ring_filled_exactly_is_complete(self):
+        tracer = MemoryTracer(max_events=5)
+        fill(tracer, 5)
+        assert tracer.dropped == 0
+        assert [event["kind"] for event in tracer.export_events()] == ["vertex_inserted"] * 5
+        fill(tracer, 1)
+        assert tracer.dropped == 1
+        assert tracer.export_events()[0]["kind"] == "trace_truncated"
+
+    def test_export_leaves_the_ring_intact(self):
+        tracer = MemoryTracer(max_events=2)
+        fill(tracer, 3)
+        assert tracer.export_events() == tracer.export_events()
+        fill(tracer, 2)
+        marker, *events = tracer.export_events()
+        assert (marker["dropped"], marker["kept"]) == (3, 2)
+        assert [event["round"] for event in events] == [0, 1]
+
+    def test_events_and_marker_carry_the_injected_clock(self):
+        now = [0.0]
+        tracer = MemoryTracer(clock=lambda: now[0], max_events=2)
+        for step in range(4):
+            now[0] = 1.5 * step
+            tracer.emit("vertex_inserted", round=step, source=0)
+        marker, *events = tracer.export_events()
+        assert [event["t"] for event in events] == [3.0, 4.5]
+        assert marker["t"] == 3.0
+
     @pytest.mark.parametrize("limit", [0, -1])
     def test_non_positive_bound_refused(self, limit):
         # A zero bound used to keep every event yet report one dropped.
@@ -86,3 +115,25 @@ class TestConfigValidation:
     def test_non_positive_limit_rejected(self, limit):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(trace=True, trace_limit=limit).validate()
+
+
+class TestBoundedRun:
+    def test_a_bounded_run_keeps_the_newest_window_of_the_full_stream(self):
+        base = ExperimentConfig(
+            committee_size=4,
+            faults=0,
+            input_load_tps=200.0,
+            duration=4.0,
+            warmup=1.0,
+            seed=5,
+            trace=True,
+        )
+        full = SimulationRunner(base)
+        full_result = full.run()
+        bounded = SimulationRunner(base.with_overrides(trace_limit=40))
+        bounded_result = bounded.run()
+        assert full.tracer.dropped == 0
+        assert len(full.tracer.events) > 40
+        assert list(bounded.tracer.events) == full.tracer.events[-40:]
+        assert bounded.tracer.dropped == len(full.tracer.events) - 40
+        assert bounded_result.ordering_digests == full_result.ordering_digests

@@ -537,6 +537,30 @@ class TestLoadPhases:
             (10.0, 20.0, 100.0),
         ]
 
+    def test_a_burst_on_an_edge_of_the_window_has_one_base_phase(self):
+        from repro.workload.phases import burst_phases
+
+        leading = burst_phases(100.0, 400.0, burst_start=0.0, burst_end=5.0, start=0.0, end=20.0)
+        assert [(p.start, p.end, p.tps) for p in leading] == [(0.0, 5.0, 400.0), (5.0, 20.0, 100.0)]
+        trailing = burst_phases(100.0, 400.0, burst_start=15.0, burst_end=20.0, start=0.0, end=20.0)
+        assert [(p.start, p.end, p.tps) for p in trailing] == [(0.0, 15.0, 100.0), (15.0, 20.0, 400.0)]
+        (whole,) = burst_phases(100.0, 400.0, burst_start=0.0, burst_end=20.0, start=0.0, end=20.0)
+        assert (whole.start, whole.end, whole.tps) == (0.0, 20.0, 400.0)
+
+    @pytest.mark.parametrize(
+        "burst_start, burst_end",
+        [
+            pytest.param(-1.0, 5.0, id="starts-before-the-window"),
+            pytest.param(15.0, 21.0, id="ends-after-the-window"),
+            pytest.param(5.0, 5.0, id="empty"),
+        ],
+    )
+    def test_a_burst_outside_the_load_window_is_refused(self, burst_start, burst_end):
+        from repro.workload.phases import burst_phases
+
+        with pytest.raises(WorkloadError, match="burst window"):
+            burst_phases(100.0, 400.0, burst_start=burst_start, burst_end=burst_end, start=0.0, end=20.0)
+
     def test_average_tps_is_time_weighted(self):
         from repro.workload.phases import LoadPhase, average_tps
 
