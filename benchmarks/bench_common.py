@@ -111,5 +111,4 @@ def base_config(scale: BenchScale, committee_size: int, faults: int = 0) -> Expe
         seed=2,
         commits_per_schedule=10,       # the paper's evaluation parameter
         exclude_fraction=1.0 / 3.0,    # "excludes the 33% less performant"
-        latency_model="geo",
     )

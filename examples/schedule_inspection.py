@@ -48,9 +48,7 @@ def main() -> None:
         policy=CommitCountPolicy(4),      # change the schedule every 4 commits
         exclude_fraction=1.0 / 3.0,
     )
-    consensus = BullsharkConsensus(
-        owner=0, committee=committee, dag=dag, schedule_manager=manager, record_sequence=True
-    )
+    consensus = BullsharkConsensus(owner=0, committee=committee, dag=dag, schedule_manager=manager)
 
     for vertex in genesis_vertices(committee):
         dag.add(vertex)

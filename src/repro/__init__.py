@@ -42,7 +42,7 @@ from repro.lazy import lazy_exports
 # The public names, by the module that defines them.  A name is imported
 # at first use, so a run loads only the layers it executes: building a
 # simulation never compiles the scenario engine or the adversary stack.
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__ = lazy_exports(__name__, {
     "repro.committee": ("Committee", "equal_stake", "geometric_stake"),
     "repro.core": (
         "CarouselScoring",
@@ -69,7 +69,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "Network",
         "PartialSynchrony",
         "Simulator",
-        "UniformLatencyModel",
     ),
     "repro.node": ("NodeConfig", "ValidatorNode"),
     "repro.schedule": ("LeaderSchedule", "initial_schedule"),
@@ -110,7 +109,6 @@ __all__ = [
     "Simulator",
     "Network",
     "GeoLatencyModel",
-    "UniformLatencyModel",
     "PartialSynchrony",
     # Node
     "NodeConfig",

@@ -12,7 +12,7 @@ attacks the scenario registry exposes.
 
 from repro.lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__ = lazy_exports(__name__, {
     "repro.behavior.adversarial": (
         "EquivocationPolicy",
         "LazyLeaderPolicy",

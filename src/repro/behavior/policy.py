@@ -122,11 +122,6 @@ class BehaviorPolicy:
         """Answer ``requester``'s synchronizer fetch request?"""
         return True
 
-    # -- introspection -------------------------------------------------------
-
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class HonestPolicy(BehaviorPolicy):
     """The protocol-faithful default: every decision is the honest one.

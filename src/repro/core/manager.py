@@ -200,11 +200,9 @@ class HammerHeadScheduleManager(ScheduleManager):
         # original representation at the next schedule change.
         self._base_slots = initial.slots
         self.scores = ReputationScores(committee)
-        # The scoring view: committee + scores, plus schedule access,
-        # expected-voter sets, and committed-prefix round accounting.
-        self._view = ScoringView(committee, self.scores, manager=self)
-        self._view.track_votes = bool(getattr(self.scoring, "needs_vote_accounting", False))
-        self._track_votes = self._view.track_votes
+        # The scoring view: committee + scores, plus vote accounting.
+        self._view = ScoringView(committee, self.scores)
+        self._track_votes = bool(getattr(self.scoring, "needs_vote_accounting", False))
         self.commits_in_epoch = 0
         self.change_records: List[ScheduleChangeRecord] = []
 
@@ -235,7 +233,7 @@ class HammerHeadScheduleManager(ScheduleManager):
                 # the linearization missed a vote that only now became
                 # countable; record the opportunities retroactively.
                 for voter in view.note_leader_ordered(vertex.round):
-                    view.note_expected_vote(voter, vertex.round, False)
+                    view.note_expected_vote(voter, False)
                     self.scoring.on_expected_vote(voter, vertex.round, False, view)
             return
         leader = self.leader_for_round(previous_round)
@@ -251,7 +249,7 @@ class HammerHeadScheduleManager(ScheduleManager):
                 # linearization (it is a causal ancestor whenever the vote
                 # exists), so the vote was *possible*: count the
                 # opportunity either way.
-                view.note_expected_vote(vertex.source, previous_round, voted)
+                view.note_expected_vote(vertex.source, voted)
                 self.scoring.on_expected_vote(vertex.source, previous_round, voted, view)
             elif not voted:
                 # The leader vertex may still enter the prefix later; park
@@ -270,7 +268,6 @@ class HammerHeadScheduleManager(ScheduleManager):
         """Count the commit and switch schedules when the policy fires."""
         view = self._view
         self.scoring.on_anchor_committed(anchor.source, anchor.round, view)
-        view.note_anchor_committed(anchor.round)
         self.commits_in_epoch += 1
         if self._track_votes:
             # Leader-presence markers span epochs (a straggler vote may
@@ -357,10 +354,12 @@ class HammerHeadScheduleManager(ScheduleManager):
         self.commits_in_epoch = commits_in_epoch
         view = self._view
         view.reset_epoch()
-        view.last_committed_anchor_round = None
         if self._track_votes and vote_accounting is not None:
             cast, expected, leader_rounds, pending = vote_accounting
-            view.adopt_accounting(dict(cast), dict(expected), leader_rounds, pending)
+            view.votes_cast = dict(cast)
+            view.votes_expected = dict(expected)
+            view.ordered_leaders = set(leader_rounds)
+            view.pending_votes = {anchor_round: set(voters) for anchor_round, voters in pending}
 
     def vote_accounting_snapshot(self):
         """The view's vote accounting as a picklable triple (state sync).
@@ -374,8 +373,11 @@ class HammerHeadScheduleManager(ScheduleManager):
         return (
             tuple(sorted(view.votes_cast.items())),
             tuple(sorted(view.votes_expected.items())),
-            view.ordered_leader_rounds(),
-            view.pending_votes_snapshot(),
+            tuple(sorted(view.ordered_leaders)),
+            tuple(
+                (anchor_round, tuple(sorted(voters)))
+                for anchor_round, voters in sorted(view.pending_votes.items())
+            ),
         )
 
     # -- introspection -------------------------------------------------------------------

@@ -8,7 +8,7 @@ prefixes — the property Schedule Agreement (Proposition 1) rests on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from repro.committee import Committee
 from repro.errors import ScheduleError
@@ -46,19 +46,8 @@ class ReputationScores:
 
     # -- queries ---------------------------------------------------------------
 
-    def score_of(self, validator: ValidatorId) -> float:
-        if validator not in self._scores:
-            raise ScheduleError(f"validator {validator} is not in the committee")
-        return self._scores[validator]
-
     def as_dict(self) -> Dict[ValidatorId, float]:
         return dict(self._scores)
-
-    def snapshot(self) -> "ReputationScores":
-        """An independent copy (used when archiving an epoch's scores)."""
-        copy = ReputationScores(self.committee)
-        copy._scores = dict(self._scores)
-        return copy
 
     # -- rankings ---------------------------------------------------------------
 
@@ -107,6 +96,3 @@ class ReputationScores:
             if len(result) == count:
                 break
         return result
-
-    def items(self) -> Tuple[Tuple[ValidatorId, float], ...]:
-        return tuple(sorted(self._scores.items()))

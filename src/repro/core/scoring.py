@@ -24,7 +24,7 @@ registry (:func:`register_scoring_rule`) and selected by name from
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Set, Tuple
 
 from repro.committee import Committee
 from repro.core.scores import ReputationScores
@@ -35,95 +35,42 @@ from repro.types import Round, ValidatorId
 class ScoringView:
     """Everything a scoring rule is allowed to observe.
 
-    On top of the committee and the epoch's mutable scores the view
-    exposes the active :class:`~repro.schedule.base.LeaderSchedule`,
-    leader lookups against the full schedule history, per-round
-    expected-voter sets, and committed-prefix round accounting.  All of
-    it derives from the committed prefix, so every honest validator sees
-    an identical view at the same prefix position — the property every
-    rule's determinism rests on.
+    The committee and the epoch's mutable scores, plus the epoch's vote
+    accounting.  All of it derives from the committed prefix, so every
+    honest validator sees an identical view at the same prefix position
+    — the property every rule's determinism rests on.
 
-    Vote accounting (``votes_cast`` / ``votes_expected`` and the
-    per-round expected-voter sets) is maintained by the schedule manager
-    only when the active rule sets ``needs_vote_accounting``; the three
-    count-based rules leave it off, keeping their hot path identical to
-    the pre-view code.
+    Vote accounting (``votes_cast`` / ``votes_expected``) is maintained
+    by the schedule manager only when the active rule sets
+    ``needs_vote_accounting``; the three count-based rules leave it off,
+    keeping their hot path identical to the pre-view code.
     """
 
     __slots__ = (
         "committee",
         "scores",
-        "manager",
-        "track_votes",
         "votes_cast",
         "votes_expected",
-        "committed_anchor_rounds",
-        "last_committed_anchor_round",
-        "_expected_voters",
-        "_ordered_leaders",
-        "_pending_votes",
+        "ordered_leaders",
+        "pending_votes",
     )
 
-    def __init__(
-        self,
-        committee: Committee,
-        scores: ReputationScores,
-        manager=None,
-    ) -> None:
+    def __init__(self, committee: Committee, scores: ReputationScores) -> None:
         self.committee = committee
         self.scores = scores
-        self.manager = manager
-        self.track_votes = False
-        # Current-epoch vote accounting (populated when track_votes).
+        # Current-epoch vote accounting (populated when votes are tracked).
         self.votes_cast: Dict[ValidatorId, int] = {}
         self.votes_expected: Dict[ValidatorId, int] = {}
-        # Committed-prefix round accounting for the current epoch.
-        self.committed_anchor_rounds: List[Round] = []
-        self.last_committed_anchor_round: Optional[Round] = None
-        # Anchor round -> validators whose ordered round+1 vertex could
-        # have voted for that round's leader (current epoch only).
-        self._expected_voters: Dict[Round, Set[ValidatorId]] = {}
         # Anchor rounds whose leader vertex appeared in the committed
         # prefix (spans epochs; pruned against the GC horizon).
-        self._ordered_leaders: Set[Round] = set()
+        self.ordered_leaders: Set[Round] = set()
         # Non-voting round r+1 vertices ordered *before* the leader vertex
         # of round r: anchor round -> voters.  If the leader vertex is
         # ordered later, these become retroactive missed opportunities; if
         # it never is, they are pruned uncounted (nobody could vote for a
         # vertex that never entered the prefix).  Spans epochs, like the
         # leader markers.
-        self._pending_votes: Dict[Round, Set[ValidatorId]] = {}
-
-    # -- schedule access ------------------------------------------------------
-
-    @property
-    def active_schedule(self):
-        """The manager's active :class:`LeaderSchedule` (``None`` unbound)."""
-        return self.manager.active_schedule if self.manager is not None else None
-
-    def leader_for_round(self, round_number: Round) -> ValidatorId:
-        if self.manager is None:
-            raise ConfigurationError("this scoring view is not bound to a schedule manager")
-        return self.manager.leader_for_round(round_number)
-
-    def schedule_for_round(self, round_number: Round):
-        if self.manager is None:
-            raise ConfigurationError("this scoring view is not bound to a schedule manager")
-        return self.manager.schedule_for_round(round_number)
-
-    # -- committed-prefix accounting -----------------------------------------
-
-    @property
-    def commits_in_epoch(self) -> int:
-        # The manager's counter is authoritative (it survives state sync,
-        # where the per-round list cannot be reconstructed).
-        if self.manager is not None and hasattr(self.manager, "commits_in_epoch"):
-            return self.manager.commits_in_epoch
-        return len(self.committed_anchor_rounds)
-
-    def note_anchor_committed(self, anchor_round: Round) -> None:
-        self.committed_anchor_rounds.append(anchor_round)
-        self.last_committed_anchor_round = anchor_round
+        self.pending_votes: Dict[Round, Set[ValidatorId]] = {}
 
     # -- vote accounting ------------------------------------------------------
 
@@ -137,44 +84,25 @@ class ScoringView:
         function of the committed prefix, so every honest validator
         performs it at the same position.
         """
-        self._ordered_leaders.add(anchor_round)
-        pending = self._pending_votes.pop(anchor_round, None)
+        self.ordered_leaders.add(anchor_round)
+        pending = self.pending_votes.pop(anchor_round, None)
         if not pending:
             return ()
         return tuple(sorted(pending))
 
     def leader_was_ordered(self, anchor_round: Round) -> bool:
-        return anchor_round in self._ordered_leaders
+        return anchor_round in self.ordered_leaders
 
     def note_vote_before_leader(self, voter: ValidatorId, anchor_round: Round) -> None:
         """A non-voting round ``anchor_round + 1`` vertex of ``voter`` was
         ordered while the leader vertex of ``anchor_round`` was not (yet)
         part of the prefix."""
-        self._pending_votes.setdefault(anchor_round, set()).add(voter)
+        self.pending_votes.setdefault(anchor_round, set()).add(voter)
 
-    def note_expected_vote(
-        self, voter: ValidatorId, anchor_round: Round, voted: bool
-    ) -> None:
+    def note_expected_vote(self, voter: ValidatorId, voted: bool) -> None:
         self.votes_expected[voter] = self.votes_expected.get(voter, 0) + 1
         if voted:
             self.votes_cast[voter] = self.votes_cast.get(voter, 0) + 1
-        self._expected_voters.setdefault(anchor_round, set()).add(voter)
-
-    def expected_voters(self, anchor_round: Round) -> frozenset:
-        """Validators whose ordered vertex could have voted at ``anchor_round``."""
-        return frozenset(self._expected_voters.get(anchor_round, ()))
-
-    def ordered_leader_rounds(self) -> Tuple[Round, ...]:
-        """Anchor rounds whose leader vertex entered the committed prefix
-        (sorted; the state-sync snapshot carries this set)."""
-        return tuple(sorted(self._ordered_leaders))
-
-    def completeness_of(self, validator: ValidatorId) -> float:
-        """``votes cast / votes expected`` this epoch (0 when never expected)."""
-        expected = self.votes_expected.get(validator, 0)
-        if not expected:
-            return 0.0
-        return self.votes_cast.get(validator, 0) / expected
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -182,8 +110,6 @@ class ScoringView:
         """Drop per-epoch accounting (called after a schedule change)."""
         self.votes_cast.clear()
         self.votes_expected.clear()
-        self._expected_voters.clear()
-        self.committed_anchor_rounds.clear()
 
     def prune_below(self, round_number: Round) -> None:
         """Forget prefix bookkeeping for rounds below ``round_number``.
@@ -193,35 +119,12 @@ class ScoringView:
         frontier instead of the epoch boundary — this is what keeps the
         view's memory bounded on production-length runs.
         """
-        stale = [r for r in self._ordered_leaders if r < round_number]
+        stale = [r for r in self.ordered_leaders if r < round_number]
         for r in stale:
-            self._ordered_leaders.discard(r)
-        dropped = [r for r in self._pending_votes if r < round_number]
+            self.ordered_leaders.discard(r)
+        dropped = [r for r in self.pending_votes if r < round_number]
         for r in dropped:
-            del self._pending_votes[r]
-
-    def adopt_accounting(
-        self,
-        votes_cast: Dict[ValidatorId, int],
-        votes_expected: Dict[ValidatorId, int],
-        ordered_leader_rounds,
-        pending_votes=(),
-    ) -> None:
-        """Take over a peer's vote accounting (state sync)."""
-        self.votes_cast = dict(votes_cast)
-        self.votes_expected = dict(votes_expected)
-        self._expected_voters.clear()
-        self._ordered_leaders = set(ordered_leader_rounds)
-        self._pending_votes = {
-            anchor_round: set(voters) for anchor_round, voters in pending_votes
-        }
-
-    def pending_votes_snapshot(self) -> Tuple[Tuple[Round, Tuple[ValidatorId, ...]], ...]:
-        """The not-yet-countable missed votes, picklable (state sync)."""
-        return tuple(
-            (anchor_round, tuple(sorted(voters)))
-            for anchor_round, voters in sorted(self._pending_votes.items())
-        )
+            del self.pending_votes[r]
 
 
 class ScoringRule:

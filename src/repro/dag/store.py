@@ -17,8 +17,8 @@ validator id.  The slabs are the only index: every ``VertexId`` lookup
 is a dict get on the round and a list index on the source, bounds-checked
 so that an id naming a source outside the committee is absent rather
 than another validator's vertex.  A per-round arrival list keeps the
-order vertices entered the DAG, which parent selection reads and
-iteration follows (rounds ascending, arrival order within a round).
+order vertices entered the DAG, which parent selection reads through
+``vertices_at``.
 
 Reachability cache
 ------------------
@@ -26,7 +26,7 @@ Reachability cache
 ``path()`` queries are issued by the commit rule while walking anchor
 chains, and a search per probe would repeat the same downward walk.  The
 store memoizes, per vertex and per target round, the set of *sources*
-whose round-``r`` vertex is reachable (``reachable_sources``), and every
+whose round-``r`` vertex is reachable (``_reachable_sources``), and every
 ``path()`` query is answered from it.  Identity of a vertex is its
 ``(round, source)`` pair, so membership of the ancestor's source in that
 set is exactly path reachability.  The plain breadth-first search this
@@ -57,7 +57,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -403,19 +402,6 @@ class DagStore:
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[Vertex]:
-        """Every stored vertex: rounds ascending, arrival order within a round.
-
-        A snapshot, so the caller may mutate the store while iterating.
-        Consumers are introspection and tests, never the digest fold.
-        """
-        round_order = self._round_order
-        return iter([vertex for round_number in sorted(round_order) for vertex in round_order[round_number]])
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def pending_missing(self) -> Set[VertexId]:
         """All parents currently blocking pending vertices."""
         missing: Set[VertexId] = set()
@@ -473,19 +459,6 @@ class DagStore:
         if start is None or ancestor.round >= start.round:
             return False
         return ancestor.source in self._reachable_sources(start, ancestor.round)
-
-    def reachable_sources(self, vertex_id: VertexId, target_round: Round) -> FrozenSet[ValidatorId]:
-        """Sources whose ``target_round`` vertex is reachable from ``vertex_id``.
-
-        A source ``s`` is included exactly when :meth:`path` from
-        ``vertex_id`` to ``VertexId(target_round, s)`` holds.  Results are
-        memoized per (vertex, target round); see the module docstring for
-        the invalidation argument.
-        """
-        vertex = self.get(vertex_id)
-        if vertex is None or vertex.round <= target_round:
-            return frozenset()
-        return self._reachable_sources(vertex, target_round)
 
     def _reachable_sources(self, root: Vertex, target_round: Round) -> FrozenSet[ValidatorId]:
         cache = self._reach_cache
@@ -718,6 +691,3 @@ class DagStore:
     @property
     def lowest_round(self) -> Round:
         return self._lowest_round
-
-    def all_rounds(self) -> List[Round]:
-        return sorted(self._round_slots)

@@ -9,7 +9,7 @@ installs them on a timeline.
 
 from repro.lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__ = lazy_exports(__name__, {
     "repro.faults.base": ("FaultPlan", "FaultInjector"),
     "repro.faults.behavior": ("BehaviorFault",),
     "repro.faults.crash": ("CrashFault", "CrashRecoveryFault", "crash_last_f"),

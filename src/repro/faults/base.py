@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.committee import Committee
 from repro.network.simulator import Simulator
@@ -51,30 +51,15 @@ class FaultPlan:
     """One fault affecting one or more validators.
 
     Subclasses implement :meth:`schedule`, which registers the virtual-time
-    events that enact the fault.
+    events that enact the fault, and :meth:`describe`; those that touch
+    validators name them in ``affected_validators()`` (see
+    :meth:`FaultInjector.affected_validators`).
     """
 
-    def affected_validators(self) -> Sequence[ValidatorId]:
-        """Validators this plan touches.
-
-        Defaults to the plan's ``validators`` field (empty for
-        fabric-wide plans without one): the injector calls this on every
-        run now that reputation metrics consume the faulty set, so a
-        subclass that only implements :meth:`schedule` must not crash at
-        result-build time.
-        """
-        return tuple(getattr(self, "validators", ()))
-
-    def schedule(
-        self,
-        simulator: Simulator,
-        network: Network,
-        nodes: Dict[ValidatorId, ValidatorNode],
-    ) -> None:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
+    #: ``schedule(simulator, network, nodes)``.
+    schedule: Callable[[Simulator, Network, Dict[ValidatorId, ValidatorNode]], None]
+    #: One line naming the fault.
+    describe: Callable[[], str]
 
 
 class FaultInjector:
@@ -98,8 +83,10 @@ class FaultInjector:
     def affected_validators(self) -> List[ValidatorId]:
         affected: List[ValidatorId] = []
         for plan in self.plans:
-            # Duck-typed plans (tests, external tooling) may implement
-            # only ``schedule``; fall back to their ``validators`` field.
+            # The result's faulty set is built from this on every run, so
+            # a plan that implements only ``schedule`` (a fabric-wide one,
+            # a test's) must not crash it: fall back to its ``validators``
+            # field, empty when it has none.
             selector = getattr(plan, "affected_validators", None)
             validators = selector() if selector is not None else getattr(plan, "validators", ())
             for validator in validators:

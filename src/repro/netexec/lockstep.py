@@ -100,9 +100,6 @@ class LockstepPlan:
                 return mask
         return 0
 
-    def crashed_validators(self) -> Tuple[ValidatorId, ...]:
-        return tuple(v for v, _ in self.crash_rounds)
-
     def block_size(self, round_number: Round, source: ValidatorId) -> int:
         """Synthetic per-proposal block size (a pure function of the slot)."""
         return (round_number * 7 + source * 3) % 5

@@ -41,6 +41,7 @@ from repro.netexec.clock import MonotonicScheduler
 from repro.netexec.lockstep import LockstepSimulationRunner, check_lockstep_quiescence
 from repro.netexec.transport import AsyncioTransport
 from repro.sim.experiment import ExperimentConfig, ExperimentResult
+from repro.sim.runner import collector_suspended
 
 DEFAULT_RUNTIME_LIMIT = 120.0
 
@@ -53,7 +54,8 @@ def run_net_experiment(
     family: str = "uds",
     runtime_limit: float = DEFAULT_RUNTIME_LIMIT,
 ) -> ExperimentResult:
-    """Run ``config`` in lockstep mode over real sockets."""
+    """Run ``config`` in lockstep mode over real sockets, the cyclic
+    garbage collector suspended as in a simulated run."""
 
     async def run() -> ExperimentResult:
         with tempfile.TemporaryDirectory(prefix="repro-netexec-") as socket_dir:
@@ -61,7 +63,8 @@ def run_net_experiment(
                 runtime_limit
             )
 
-    return asyncio.run(run())
+    with collector_suspended():
+        return asyncio.run(run())
 
 
 # The socket engine's counters beyond the table every engine shares.
@@ -71,9 +74,9 @@ SOCKET_COUNTERS = ("net.broadcasts", "net.transport_events")
 class SocketRunner(LockstepSimulationRunner):
     """The lockstep runner on the event loop's clock and real sockets.
 
-    Built inside a running event loop.  The cyclic garbage collector
-    stays on, and nodes start in validator order without the start-up
-    jitter (and its RNG draws) of the simulated runs.
+    Built inside a running event loop.  Nodes start in validator order
+    without the start-up jitter (and its RNG draws) of the simulated
+    runs.
     """
 
     def __init__(self, config: ExperimentConfig, socket_dir: str, family: str) -> None:

@@ -7,7 +7,7 @@ representative inter-region round-trip times, and a partial-synchrony
 model (GST + Delta) matching the paper's network assumptions.
 """
 
-from repro.network.latency import GeoLatencyModel, LatencyModel, UniformLatencyModel
+from repro.network.latency import GeoLatencyModel, LatencyModel
 from repro.network.simulator import EventHandle, Simulator
 from repro.network.synchrony import AlwaysSynchronous, PartialSynchrony, SynchronyModel
 from repro.network.transport import Network, NetworkStats
@@ -17,7 +17,6 @@ __all__ = [
     "Simulator",
     "LatencyModel",
     "GeoLatencyModel",
-    "UniformLatencyModel",
     "SynchronyModel",
     "AlwaysSynchronous",
     "PartialSynchrony",

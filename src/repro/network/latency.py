@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.types import Region, SimTime
@@ -85,43 +85,12 @@ def _area_pair_latency(area_a: str, area_b: str) -> float:
 class LatencyModel:
     """Interface of latency models: one-way delay between two regions."""
 
-    def one_way_delay(
-        self,
-        sender_region: Region,
-        recipient_region: Region,
-        rng: random.Random,
-    ) -> SimTime:
-        raise NotImplementedError
+    #: ``one_way_delay(sender_region, recipient_region, rng)``.
+    one_way_delay: Callable[[Region, Region, random.Random], SimTime]
 
     def local_delay(self, rng: random.Random) -> SimTime:
         """Delay of a loop-back message (a node sending to itself)."""
         return 0.0005
-
-
-class UniformLatencyModel(LatencyModel):
-    """A flat latency model: every link has the same base delay plus jitter.
-
-    Useful for unit tests and for isolating protocol effects from
-    geography in ablation benchmarks.
-    """
-
-    def __init__(self, base_delay: SimTime = 0.05, jitter: SimTime = 0.005) -> None:
-        if base_delay < 0 or jitter < 0:
-            raise NetworkError("delays must be non-negative")
-        self.base_delay = base_delay
-        self.jitter = jitter
-
-    def one_way_delay(
-        self,
-        sender_region: Region,
-        recipient_region: Region,
-        rng: random.Random,
-    ) -> SimTime:
-        if sender_region == recipient_region and self.base_delay > 0.002:
-            base = self.base_delay / 5.0
-        else:
-            base = self.base_delay
-        return max(0.0002, base + rng.uniform(-self.jitter, self.jitter))
 
 
 class GeoLatencyModel(LatencyModel):

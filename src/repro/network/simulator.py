@@ -72,16 +72,12 @@ class LazySource(Protocol):
 
     A lazy source owns no heap events.  Whoever is about to read state
     the source writes calls :meth:`Simulator.settle` first, and the
-    source then applies, in time order, every effect due at or before
-    the instant it is given.
+    source's ``settle(horizon)`` then applies, in time order, every
+    effect due at or before ``horizon`` (inclusive), returning the
+    instant of the last effect applied (``-inf`` when none was due).
     """
 
-    def settle(self, horizon: SimTime) -> SimTime:
-        """Apply every effect due at or before ``horizon`` (inclusive).
-
-        Returns the instant of the last effect applied, ``-inf`` when
-        none was due.
-        """
+    settle: Callable[[SimTime], SimTime]
 
 
 class Simulator:

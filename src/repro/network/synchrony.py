@@ -11,7 +11,7 @@ latency model.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import NetworkError
 from repro.types import SimTime
@@ -20,8 +20,8 @@ from repro.types import SimTime
 class SynchronyModel:
     """Interface: adjust a proposed delivery delay given the send time."""
 
-    def adjust_delay(self, send_time: SimTime, proposed_delay: SimTime, rng: random.Random) -> SimTime:
-        raise NotImplementedError
+    #: ``adjust_delay(send_time, proposed_delay, rng)``.
+    adjust_delay: Callable[[SimTime, SimTime, random.Random], SimTime]
 
 
 class AlwaysSynchronous(SynchronyModel):

@@ -33,7 +33,7 @@ from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.network.latency import GeoLatencyModel, LatencyModel, UniformLatencyModel
+from repro.network.latency import GeoLatencyModel, LatencyModel
 from repro.network.simulator import Simulator
 from repro.network.synchrony import AlwaysSynchronous, SynchronyModel
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -100,11 +100,11 @@ class Network:
     def __init__(
         self,
         simulator: Simulator,
-        latency_model: Optional[LatencyModel] = None,
+        latency_model: LatencyModel,
         synchrony: Optional[SynchronyModel] = None,
     ) -> None:
         self.simulator = simulator
-        self.latency_model = latency_model if latency_model is not None else UniformLatencyModel()
+        self.latency_model = latency_model
         self.synchrony = synchrony if synchrony is not None else AlwaysSynchronous(delta=2.0)
         self.stats = NetworkStats()
         self._endpoints: Dict[int, _Endpoint] = {}

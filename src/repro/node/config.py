@@ -43,10 +43,6 @@ class NodeConfig:
     # collection; 0 disables GC.
     gc_depth: int = 50
 
-    # Record the full ordered sequence in memory (needed by safety checks;
-    # disabled for very large simulations).
-    record_sequence: bool = True
-
     # Upper bound on the round number, as a safety valve for runaway
     # simulations; ``None`` means unbounded.
     max_round: Optional[int] = None

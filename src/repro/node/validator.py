@@ -41,7 +41,7 @@ from repro.node.synchronizer import Synchronizer
 from repro.rbc.certified import CertifiedBroadcast, Delivery
 from repro.storage.store import PersistentStore
 from repro.types import Round, SimTime, ValidatorId, is_anchor_round
-from repro.workload.transactions import Transaction, TransactionBatch
+from repro.workload.transactions import TransactionBatch
 
 
 class ValidatorNode:
@@ -83,7 +83,6 @@ class ValidatorNode:
             committee=committee,
             dag=self.dag,
             schedule_manager=schedule_manager,
-            record_sequence=self.config.record_sequence,
         )
         self.consensus.clock = lambda: self.simulator.now
         self.synchronizer = Synchronizer(self, self.config.fetch_retry_interval)
@@ -276,25 +275,12 @@ class ValidatorNode:
 
     # -- transactions ---------------------------------------------------------------
 
-    def submit_transaction(self, transaction: Transaction) -> None:
-        """Accept a client transaction (a counter increment submitted to
-        this validator: the pool refuses any other) into the local pool."""
-        if self.crashed:
-            return
-        self.transaction_pool.append(transaction)
-        self.transactions_submitted += 1
-
     def submit_transactions(self, batch: TransactionBatch) -> None:
         """Accept a batch of client transactions into the local pool."""
         if self.crashed:
             return
         self.transaction_pool.extend(batch)
         self.transactions_submitted += len(batch)
-
-    @property
-    def pool_size(self) -> int:
-        self.simulator.settle()
-        return len(self.transaction_pool)
 
     # -- round progression --------------------------------------------------------------
 
@@ -586,10 +572,6 @@ class ValidatorNode:
 
     def on_commit(self, callback: Callable[[CommittedSubDag], None]) -> None:
         self.consensus.on_commit(callback)
-
-    @property
-    def ordered_count(self) -> int:
-        return self.consensus.ordered_count
 
     @property
     def commit_count(self) -> int:

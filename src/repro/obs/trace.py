@@ -64,9 +64,8 @@ class Tracer:
     """Base tracer.  ``enabled`` gates every instrumentation site."""
 
     enabled: bool = False
-
-    def emit(self, kind: str, **fields: Any) -> None:  # pragma: no cover - overridden
-        """Record one event.  The base class drops it."""
+    #: ``emit(kind, **fields)`` records one event.
+    emit: Callable[..., None]
 
 
 class NullTracer(Tracer):
@@ -105,12 +104,12 @@ class MemoryTracer(Tracer):
 
     def __init__(
         self,
-        clock: Callable[[], float] | None = None,
+        clock: Callable[[], float],
         max_events: Optional[int] = None,
     ) -> None:
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be positive (or None)")
-        self.clock: Callable[[], float] = clock if clock is not None else _zero_clock
+        self.clock = clock
         self.max_events = max_events
         # deque(maxlen=N) evicts from the head on append at capacity —
         # exactly the ring-buffer semantics — at C speed.
@@ -139,10 +138,6 @@ class MemoryTracer(Tracer):
             return events
         marker = {"kind": "trace_truncated", "t": events[0]["t"], "dropped": self.dropped, "kept": len(events)}
         return [marker, *events]
-
-
-def _zero_clock() -> float:
-    return 0.0
 
 
 def event_lines(events: List[Dict[str, Any]], **tags: Any) -> List[str]:

@@ -461,12 +461,6 @@ class CertifiedBroadcast:
     def has_delivered(self, origin: ValidatorId, round_number: Round) -> bool:
         return 0 <= origin < self._size and bool(self._delivered.get(round_number, 0) >> origin & 1)
 
-    def ack_count(self, round_number: Round) -> int:
-        return self._ack_masks.get(round_number, 0).bit_count()
-
-    def is_certified(self, round_number: Round) -> bool:
-        return round_number in self._certified
-
 
 def _payload_digest(payload: Any) -> Any:
     """Best-effort content fingerprint of an arbitrary payload."""

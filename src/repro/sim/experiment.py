@@ -57,7 +57,6 @@ class ExperimentConfig:
     leader_timeout: SimTime = 4.0
     min_round_interval: Optional[SimTime] = None
     max_batch_size: Optional[int] = None
-    latency_model: str = "geo"  # "geo" or "uniform"
     gst: SimTime = 0.0
     delta: SimTime = 2.0
     # Client failover during partition windows: when on, load generators
@@ -70,7 +69,6 @@ class ExperimentConfig:
 
     # Simulation control.
     seed: int = 1
-    record_sequences: bool = False
     observer: int = 0
 
     # Observability (see :mod:`repro.obs`).  ``trace`` records the
@@ -125,8 +123,6 @@ class ExperimentConfig:
                 f"unknown scoring rule {self.scoring!r} "
                 f"(known: {', '.join(scoring_rule_names())})"
             )
-        if self.latency_model not in ("geo", "uniform"):
-            raise ConfigurationError(f"unknown latency model {self.latency_model!r}")
         if not 0 <= self.observer < self.committee_size:
             raise ConfigurationError("the observer must be a committee member")
         if self.seed < 0 or self.seed >= 4096:

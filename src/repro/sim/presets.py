@@ -39,7 +39,6 @@ def node_config_for(committee_size: int, leader_timeout: float = 4.0) -> NodeCon
         min_round_interval=0.45,
         leader_timeout=leader_timeout,
         gc_depth=40,
-        record_sequence=False,
     )
     return base.scaled_for_committee(committee_size)
 

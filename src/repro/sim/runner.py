@@ -9,9 +9,10 @@ into a :class:`~repro.metrics.report.PerformanceReport`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.committee import Committee, equal_stake, geometric_stake
 from repro.core.manager import (
@@ -30,7 +31,7 @@ from repro.metrics.execution import ExecutionModel
 from repro.metrics.leader_stats import LeaderUtilizationStats
 from repro.metrics.report import PerformanceReport
 from repro.metrics.reputation import reputation_metrics
-from repro.network.latency import GeoLatencyModel, UniformLatencyModel
+from repro.network.latency import GeoLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.synchrony import AlwaysSynchronous, PartialSynchrony
 from repro.network.transport import Network
@@ -48,6 +49,37 @@ from repro.sim.presets import execution_capacity_for, node_config_for
 from repro.types import Round, ValidatorId
 from repro.workload.generator import LoadGenerator, spawn_load
 from repro.workload.phases import LoadPhase, spawn_phased_load
+
+
+@contextlib.contextmanager
+def collector_suspended() -> Iterator[None]:
+    """Suspend the cyclic garbage collector for the duration of a run.
+
+    A peak-load run allocates hundreds of thousands of short-lived
+    tuples and messages per simulated second, nearly all of which die by
+    reference counting, and the periodic generational scans over that
+    churn were a measurable fraction of wall-clock time.  On exit the
+    collector is re-enabled and run once, to pick up the cycles the run
+    did create (nodes, closures and callbacks refer to each other).
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+            # With collection suspended, every container the run
+            # allocated (including its cycles) still sits in generation
+            # 0, so a young-generation pass reclaims them at a cost
+            # bounded by recent survivors — a full collect would walk the
+            # whole process heap, which grows across a bench/sweep
+            # session.  Generation 1 (not 0) is swept so the previous
+            # run's promoted-but-now-dead survivors are also reclaimed
+            # here, instead of piling up until the automatic collector
+            # walks them inside a later run's measured window.
+            gc.collect(1)
 
 
 def build_committee(config: ExperimentConfig) -> Committee:
@@ -73,7 +105,6 @@ def build_node_config(config: ExperimentConfig) -> NodeConfig:
         base.min_round_interval = config.min_round_interval
     if config.max_batch_size is not None:
         base.max_batch_size = config.max_batch_size
-    base.record_sequence = config.record_sequences
     return base.validate()
 
 
@@ -152,7 +183,7 @@ class SimulationRunner:
             synchrony = AlwaysSynchronous(delta=config.delta)
         return Network(
             simulator=self.simulator,
-            latency_model=GeoLatencyModel() if config.latency_model == "geo" else UniformLatencyModel(),
+            latency_model=GeoLatencyModel(),
             synchrony=synchrony,
         )
 
@@ -206,22 +237,10 @@ class SimulationRunner:
     # -- running ------------------------------------------------------------------------
 
     def run(self) -> ExperimentResult:
-        """Run the experiment and return its result.
-
-        The cyclic garbage collector is suspended for the duration of the
-        event loop: a peak-load run allocates hundreds of thousands of
-        short-lived tuples and messages per simulated second, nearly all
-        of which die by reference counting, and the periodic generational
-        scans over that churn were a measurable fraction of wall-clock
-        time.  The collector is re-enabled (and run once, to pick up the
-        cycles the run did create — nodes, closures, and callbacks refer
-        to each other) before returning.
-        """
+        """Run the experiment and return its result, the cyclic garbage
+        collector suspended (see :func:`collector_suspended`)."""
         config = self.config
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with collector_suspended():
             self.fault_injector.schedule_all(self.simulator, self.network, self.nodes)
             self._start_nodes()
             self._start_load()
@@ -231,20 +250,6 @@ class SimulationRunner:
                 self._schedule_partition_failover()
             self.simulator.run(until=config.duration)
             return self._build_result()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                # With collection suspended, every container the run
-                # allocated (including its cycles) still sits in
-                # generation 0, so a young-generation pass reclaims them
-                # at a cost bounded by recent survivors — a full collect
-                # would walk the whole process heap, which grows across a
-                # bench/sweep session.  Generation 1 (not 0) is swept so
-                # the previous run's promoted-but-now-dead survivors are
-                # also reclaimed here, instead of piling up until the
-                # automatic collector walks them inside a later run's
-                # measured window.
-                gc.collect(1)
 
     def _start_nodes(self) -> None:
         # Each start-up consumes an RNG draw, so the iteration order is

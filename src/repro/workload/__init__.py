@@ -6,7 +6,7 @@ on the target load.  :class:`LoadGenerator` reproduces that behaviour in
 virtual time; every transaction carries its submission timestamp.
 """
 
-from repro.workload.transactions import Transaction, counter_increment
+from repro.workload.transactions import Transaction
 from repro.workload.generator import LoadGenerator, spawn_load
 from repro.workload.phases import (
     LoadPhase,
@@ -17,7 +17,6 @@ from repro.workload.phases import (
 
 __all__ = [
     "Transaction",
-    "counter_increment",
     "LoadGenerator",
     "spawn_load",
     "LoadPhase",

@@ -42,21 +42,6 @@ class Transaction(NamedTuple):
     payload_bytes: int = 64
 
 
-def counter_increment(
-    tx_id: int,
-    client_id: int,
-    submitted_at: SimTime,
-    target_validator: ValidatorId,
-) -> Transaction:
-    """Build the shared-counter increment transaction used by the paper."""
-    return Transaction(
-        tx_id=tx_id,
-        client_id=client_id,
-        submitted_at=submitted_at,
-        target_validator=target_validator,
-    )
-
-
 def as_column(typecode: str, values: Iterable[Any]) -> array:
     """``values`` as a column of that type: themselves when they already are one,
     else copied (via a list, which ``array`` reads at twice an iterator's speed)."""
@@ -73,14 +58,13 @@ class TransactionBatch:
     """Counter increments submitted to one validator, as parallel columns.
 
     Row ``i`` is ``Transaction(ids[i], clients[i], submitted_at[i],
-    target)``; ``len``, iteration and indexing build those tuples on
-    demand, and a batch equals (and hashes as) the tuple of its rows.  A
-    batch is what a client delivers and what a validator pools; what
+    target)``; iteration builds those tuples on demand.  A batch is
+    what a client delivers and what a validator pools; what
     :meth:`take` returns is ``sealed``, never to change again, and that
     is what a vertex carries as its block.  A batch owns the columns it
     is built from (``array``s of the module's types are kept as they
     are, anything else is copied into one): the caller keeps no
-    reference to them.  A refused row or column leaves the batch as it was.
+    reference to them.  A refused column leaves the batch as it was.
     """
 
     target: ValidatorId
@@ -101,29 +85,6 @@ class TransactionBatch:
 
     def __iter__(self) -> Iterator[Transaction]:
         return map(Transaction, self.ids, self.clients, self.submitted_at, repeat(self.target))
-
-    def __getitem__(self, index: int) -> Transaction:
-        return Transaction(self.ids[index], self.clients[index], self.submitted_at[index], self.target)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (TransactionBatch, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def append(self, transaction: Transaction) -> None:
-        """Add one row; only an increment submitted to ``target`` is one."""
-        row = None
-        if not self.sealed and tuple(transaction[3:]) == (self.target, *Transaction._field_defaults.values()):
-            try:  # typed before any column grows: all three take the row or none does
-                row = TransactionBatch(self.target, *([cell] for cell in transaction[:3]))
-            except WorkloadError:
-                pass
-        if row is None:
-            raise WorkloadError(f"{transaction!r} is no row of a batch for validator {self.target}")
-        self.extend(row)
 
     def extend(self, batch: "TransactionBatch") -> None:
         """Add every row of ``batch``, in order."""

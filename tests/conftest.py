@@ -14,12 +14,12 @@ from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
 from repro.netexec.codec import split_frames
-from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.node.synchronizer import Synchronizer
 from repro.schedule.round_robin import initial_schedule
 from repro.types import Round, ValidatorId, VertexId
+from tests.doubles import UniformLatencyModel
 from tests.reference_model import ReferenceModel
 
 
@@ -127,7 +127,6 @@ def make_consensus(
         committee=committee,
         dag=dag,
         schedule_manager=manager,
-        record_sequence=True,
     )
 
 

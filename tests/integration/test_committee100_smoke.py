@@ -23,6 +23,7 @@ from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from tests.conftest import model_mismatches, reference_model_for
+from tests.doubles import OrderRecorder
 
 COMMITTEE_SIZE = 100
 ROUNDS = 10
@@ -63,13 +64,13 @@ def make_engine(committee):
         committee=committee,
         dag=DagStore(committee),
         schedule_manager=manager,
-        record_sequence=True,
     )
 
 
 def test_committee100_arena_matches_reference_model():
     committee, rounds = build_committee100_dag()
     engine = make_engine(committee)
+    order = OrderRecorder(engine)
     model = reference_model_for(engine.schedule_manager)
     engine.dag.on_insert(model.insert)
     for index, round_vertices in enumerate(rounds):
@@ -84,7 +85,7 @@ def test_committee100_arena_matches_reference_model():
         assert model_mismatches(engine, model) == [], f"divergence after round {index}"
     assert engine.ordered_count > 0, "smoke DAG must actually order vertices"
     assert engine.schedule_manager.change_records, "smoke DAG must change schedules"
-    assert engine.ordered_ids() == model.sequence
+    assert order.ids() == model.sequence
 
 
 def smoke_config(**overrides) -> ExperimentConfig:
@@ -96,7 +97,6 @@ def smoke_config(**overrides) -> ExperimentConfig:
         warmup=0.5,
         seed=2,
         commits_per_schedule=10,
-        latency_model="geo",
     )
     base.update(overrides)
     return ExperimentConfig(**base)

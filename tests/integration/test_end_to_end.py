@@ -9,6 +9,7 @@ import pytest
 
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.sim.runner import SimulationRunner
+from tests.doubles import FlatNetwork, run_recorded
 
 
 def small_config(**overrides):
@@ -21,12 +22,11 @@ def small_config(**overrides):
         warmup=4.0,
         seed=3,
         commits_per_schedule=4,
-        latency_model="uniform",
         leader_timeout=1.0,
         min_round_interval=0.10,
-        record_sequences=True,
     )
     base.update(overrides)
+    base["extra_faults"] = (FlatNetwork(), *base.get("extra_faults", ()))
     return ExperimentConfig(**base)
 
 
@@ -51,8 +51,8 @@ class TestFaultlessRuns:
         assert result.report.schedule_changes == 0
 
     def test_total_order_across_validators(self):
-        runner, _ = run_runner(small_config())
-        sequences = [node.consensus.ordered_ids() for node in runner.nodes.values()]
+        _, orders, _ = run_recorded(small_config())
+        sequences = [order.ids() for order in orders.values()]
         shortest = min(len(sequence) for sequence in sequences)
         assert shortest > 50
         reference = sequences[0][:shortest]
@@ -78,13 +78,8 @@ class TestFaultlessRuns:
             assert slots[:shortest] == slot_histories[0][:shortest]
 
     def test_every_validator_commits_every_transaction_once(self):
-        runner, result = run_runner(small_config(input_load_tps=100.0, duration=15.0))
-        observer = runner.nodes[0]
-        seen = [
-            transaction.tx_id
-            for record in observer.consensus.ordered_sequence
-            for transaction in record.vertex.block
-        ]
+        _, orders, result = run_recorded(small_config(input_load_tps=100.0, duration=15.0))
+        seen = [transaction.tx_id for record in orders[0].ordered for transaction in record.vertex.block]
         assert len(seen) == len(set(seen))
         assert result.report.committed_transactions > 0
 
@@ -126,11 +121,11 @@ class TestPartialSynchrony:
             warmup=10.0,
             input_load_tps=80.0,
         )
-        runner, result = run_runner(config)
+        _, orders, result = run_recorded(config)
         # After GST the system must be live: commits happened and all
         # validators agree on the ordered prefix.
         assert result.report.commits > 5
-        sequences = [node.consensus.ordered_ids() for node in runner.nodes.values()]
+        sequences = [order.ids() for order in orders.values()]
         shortest = min(len(sequence) for sequence in sequences)
         reference = sequences[0][:shortest]
         for sequence in sequences[1:]:

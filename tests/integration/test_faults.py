@@ -14,6 +14,7 @@ from repro.faults.crash import CrashRecoveryFault
 from repro.faults.slow import SlowValidatorFault
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.sim.runner import SimulationRunner
+from tests.doubles import FlatNetwork, run_recorded
 
 
 def fault_config(**overrides):
@@ -25,12 +26,11 @@ def fault_config(**overrides):
         warmup=15.0,
         seed=4,
         commits_per_schedule=4,
-        latency_model="uniform",
         leader_timeout=1.0,
         min_round_interval=0.10,
-        record_sequences=True,
     )
     base.update(overrides)
+    base["extra_faults"] = (FlatNetwork(), *base.get("extra_faults", ()))
     return ExperimentConfig(**base)
 
 
@@ -47,9 +47,8 @@ class TestCrashFaults:
             assert result.report.throughput_tps > 80.0, protocol
 
     def test_safety_with_crash_faults(self):
-        runner, result = run_runner(fault_config(faults=2))
-        honest = [node for node in runner.nodes.values() if not node.crashed]
-        sequences = [node.consensus.ordered_ids() for node in honest]
+        runner, orders, result = run_recorded(fault_config(faults=2))
+        sequences = [orders[validator].ids() for validator, node in runner.nodes.items() if not node.crashed]
         shortest = min(len(sequence) for sequence in sequences)
         assert shortest > 20
         reference = sequences[0][:shortest]
@@ -161,9 +160,9 @@ class TestCrashRecovery:
     def test_safety_across_crash_and_recovery(self):
         plan = CrashRecoveryFault(validators=(6,), crash_at=3.0, recover_at=12.0)
         config = fault_config(faults=0, duration=40.0, extra_faults=(plan,))
-        runner, _ = run_runner(config)
-        reference = runner.nodes[0].consensus.ordered_ids()
-        recovered = runner.nodes[6].consensus.ordered_ids()
+        _, orders, _ = run_recorded(config)
+        reference = orders[0].ids()
+        recovered = orders[6].ids()
         assert len(recovered) > 10
         # The recovered validator may have skipped an interval of history via
         # state sync, so its sequence is not necessarily a prefix of the
@@ -233,9 +232,9 @@ class TestByzantineVoteWithholding:
 
     def test_withholding_does_not_break_safety_or_liveness(self):
         byzantine = BehaviorFault(validators=(5,), policy_factory=VoteWithholdingPolicy)
-        runner, result = run_runner(fault_config(extra_faults=(byzantine,)))
+        _, orders, result = run_recorded(fault_config(extra_faults=(byzantine,)))
         assert result.report.commits > 10
-        sequences = [node.consensus.ordered_ids() for node in runner.nodes.values()]
+        sequences = [order.ids() for order in orders.values()]
         shortest = min(len(sequence) for sequence in sequences)
         reference = sequences[0][:shortest]
         for sequence in sequences[1:]:

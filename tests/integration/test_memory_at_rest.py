@@ -36,6 +36,7 @@ from pathlib import Path
 import repro
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import SimulationRunner
+from tests.doubles import dag_vertices
 
 PACKAGE = Path(repro.__file__).parent
 # Per transaction: two cells and block slack; growth of everything in the
@@ -102,7 +103,7 @@ def test_the_dag_holds_each_vertex_once_at_committee_25():
 
     dags = [node.dag for node in runner.nodes.values()]
     stored = sum(len(dag) for dag in dags)
-    distinct = len({vertex.id for dag in dags for vertex in dag})
+    distinct = len({vertex.id for dag in dags for vertex in dag_vertices(dag)})
     assert distinct >= 10 * 25 and stored >= 20 * distinct
     per_stored = live("store.py") / stored
     assert per_stored <= STORE_PER_STORED_VERTEX, f"{per_stored:.1f} B per stored vertex in dag/store.py"

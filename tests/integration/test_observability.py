@@ -12,6 +12,7 @@ from repro.scenarios import get_scenario
 from repro.scenarios.spec import compile_spec
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.sim.runner import SimulationRunner
+from tests.doubles import dag_vertices
 
 
 def dag_fingerprint(runner):
@@ -21,7 +22,7 @@ def dag_fingerprint(runner):
     for validator, node in sorted(runner.nodes.items()):
         vertices = sorted(
             (vertex.round, vertex.source, vertex.digest, vertex.edges)
-            for vertex in node.dag
+            for vertex in dag_vertices(node.dag)
         )
         state[validator] = (
             node.dag.lowest_round,

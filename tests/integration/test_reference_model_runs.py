@@ -20,6 +20,7 @@ from repro.scenarios.spec import compile_spec
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import SimulationRunner
 from tests.conftest import model_mismatches, record_insert_log, reference_model_for
+from tests.doubles import dag_vertices
 
 
 def run_on_simulator(runner_class, config):
@@ -153,7 +154,6 @@ def test_model_reproduces_larger_committees(size, faults, with_loss, protocol, d
         seed=11,
         commits_per_schedule=4,
         extra_faults=(loss_window,) if with_loss else (),
-        latency_model="geo",
     )
     assert_model_reproduces(*run_on_simulator(SimulationRunner, config))
 
@@ -213,7 +213,7 @@ def test_model_follows_a_validator_through_recovery_and_state_sync():
 
     def recorded_recover():
         recover()
-        events.append(("recover", {vertex.id for vertex in node.dag}))
+        events.append(("recover", {vertex.id for vertex in dag_vertices(node.dag)}))
 
     def recorded_state_sync(sender, response):
         adopting.append(response.snapshot)

@@ -13,6 +13,7 @@ import pytest
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import SimulationRunner
 from repro.faults.crash import CrashFault
+from tests.doubles import FlatNetwork, run_recorded
 
 
 def stake_config(**overrides):
@@ -25,12 +26,11 @@ def stake_config(**overrides):
         warmup=8.0,
         seed=6,
         commits_per_schedule=5,
-        latency_model="uniform",
         leader_timeout=1.0,
         min_round_interval=0.10,
-        record_sequences=True,
     )
     base.update(overrides)
+    base["extra_faults"] = (FlatNetwork(), *base.get("extra_faults", ()))
     return ExperimentConfig(**base)
 
 
@@ -50,9 +50,9 @@ class TestStakeWeightedCommittee:
         assert counts.get(heaviest, 0) > counts.get(lightest, 0)
 
     def test_system_is_live_and_safe_with_weighted_stake(self):
-        runner, result = run_runner(stake_config())
+        _, orders, result = run_recorded(stake_config())
         assert result.report.commits > 5
-        sequences = [node.consensus.ordered_ids() for node in runner.nodes.values()]
+        sequences = [order.ids() for order in orders.values()]
         shortest = min(len(sequence) for sequence in sequences)
         reference = sequences[0][:shortest]
         for sequence in sequences[1:]:

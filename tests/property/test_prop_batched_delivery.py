@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from repro.committee import Committee
 from repro.dag.store import DagStore
-from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.rbc.certified import CertifiedBroadcast
 from repro.rbc.messages import CertificateBatch, CertificateMessage
+from tests.doubles import UniformLatencyModel, dag_vertices
 
 
 # -- protocol-level batch semantics ------------------------------------------
@@ -109,7 +109,7 @@ def test_batch_split_dedup_matches_individual_delivery(data):
         protocol = CertifiedBroadcast(
             0,
             committee,
-            network=Network(Simulator(seed=0)),
+            network=Network(Simulator(seed=0), latency_model=UniformLatencyModel()),
             on_deliver=received.append,
         )
         return protocol, received
@@ -153,10 +153,10 @@ def test_batch_ingest_parks_and_promotes_out_of_order_vertices():
     # Children first: every round-2 vertex parks...
     for vertex in round2:
         out_of_order.add(vertex)
-    assert out_of_order.pending_count == len(round2)
+    assert len(out_of_order.pending_vertices()) == len(round2)
     # ...until the parents arrive (later in the same batch) and the
     # whole buffer promotes.
     for vertex in round1:
         out_of_order.add(vertex)
-    assert out_of_order.pending_count == 0
-    assert sorted(v.id for v in out_of_order) == sorted(v.id for v in reference)
+    assert len(out_of_order.pending_vertices()) == 0
+    assert sorted(v.id for v in dag_vertices(out_of_order)) == sorted(v.id for v in dag_vertices(reference))

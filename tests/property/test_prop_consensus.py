@@ -20,6 +20,7 @@ from repro.core.schedule_change import CommitCountPolicy
 from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
+from tests.doubles import OrderRecorder
 
 
 @st.composite
@@ -60,16 +61,16 @@ def build_global_dag(committee, participation):
 
 
 def run_consensus(committee, vertices, order_seed, dynamic):
-    """Feed ``vertices`` to a fresh consensus instance in a random order."""
+    """Feed ``vertices`` to a fresh consensus instance in a random order;
+    return it, its schedule manager and the recorder of its ordered output."""
     dag = DagStore(committee)
     schedule = initial_schedule(committee, seed=0, permute=False)
     if dynamic:
         manager = HammerHeadScheduleManager(committee, schedule, policy=CommitCountPolicy(3))
     else:
         manager = StaticScheduleManager(committee, schedule)
-    consensus = BullsharkConsensus(
-        owner=0, committee=committee, dag=dag, schedule_manager=manager, record_sequence=True
-    )
+    consensus = BullsharkConsensus(owner=0, committee=committee, dag=dag, schedule_manager=manager)
+    order = OrderRecorder(consensus)
     shuffled = list(vertices)
     random.Random(order_seed).shuffle(shuffled)
     for vertex in shuffled:
@@ -79,7 +80,7 @@ def run_consensus(committee, vertices, order_seed, dynamic):
             consensus.try_commit()
     # One final attempt once everything is present.
     consensus.try_commit()
-    return consensus, manager
+    return consensus, manager, order
 
 
 class TestTotalOrderProperty:
@@ -88,9 +89,9 @@ class TestTotalOrderProperty:
     def test_same_order_regardless_of_delivery_order_static(self, scenario):
         committee, participation, shuffle_seed = scenario
         vertices = build_global_dag(committee, participation)
-        first, _ = run_consensus(committee, vertices, order_seed=shuffle_seed, dynamic=False)
-        second, _ = run_consensus(committee, vertices, order_seed=shuffle_seed + 1, dynamic=False)
-        assert first.ordered_ids() == second.ordered_ids()
+        first, _, first_order = run_consensus(committee, vertices, order_seed=shuffle_seed, dynamic=False)
+        second, _, second_order = run_consensus(committee, vertices, order_seed=shuffle_seed + 1, dynamic=False)
+        assert first_order.ids() == second_order.ids()
         assert first.ordering_digest == second.ordering_digest
 
     @given(dag_scenario())
@@ -98,11 +99,11 @@ class TestTotalOrderProperty:
     def test_same_order_regardless_of_delivery_order_hammerhead(self, scenario):
         committee, participation, shuffle_seed = scenario
         vertices = build_global_dag(committee, participation)
-        first, manager_a = run_consensus(committee, vertices, order_seed=shuffle_seed, dynamic=True)
-        second, manager_b = run_consensus(
+        _, manager_a, first = run_consensus(committee, vertices, order_seed=shuffle_seed, dynamic=True)
+        _, manager_b, second = run_consensus(
             committee, vertices, order_seed=shuffle_seed + 17, dynamic=True
         )
-        assert first.ordered_ids() == second.ordered_ids()
+        assert first.ids() == second.ids()
         # Schedule Agreement (Proposition 1): identical schedule histories.
         history_a = [(schedule.epoch, schedule.initial_round, schedule.slots) for schedule in manager_a.history]
         history_b = [(schedule.epoch, schedule.initial_round, schedule.slots) for schedule in manager_b.history]
@@ -113,8 +114,8 @@ class TestTotalOrderProperty:
     def test_no_duplicates_and_causal_order(self, scenario):
         committee, participation, shuffle_seed = scenario
         vertices = build_global_dag(committee, participation)
-        consensus, _ = run_consensus(committee, vertices, order_seed=shuffle_seed, dynamic=True)
-        ordered = consensus.ordered_ids()
+        _, _, order = run_consensus(committee, vertices, order_seed=shuffle_seed, dynamic=True)
+        ordered = order.ids()
         assert len(ordered) == len(set(ordered))
         # Causal order: a vertex never appears before one of its ancestors.
         positions = {vertex_id: index for index, vertex_id in enumerate(ordered)}
@@ -135,8 +136,8 @@ class TestTotalOrderProperty:
         max_round = max(vertex.round for vertex in vertices)
         cutoff = max(2, max_round - 2)
         partial_vertices = [vertex for vertex in vertices if vertex.round <= cutoff]
-        partial, _ = run_consensus(committee, partial_vertices, order_seed=shuffle_seed, dynamic=False)
-        full, _ = run_consensus(committee, vertices, order_seed=shuffle_seed, dynamic=False)
-        partial_ids = partial.ordered_ids()
-        full_ids = full.ordered_ids()
+        _, _, partial = run_consensus(committee, partial_vertices, order_seed=shuffle_seed, dynamic=False)
+        _, _, full = run_consensus(committee, vertices, order_seed=shuffle_seed, dynamic=False)
+        partial_ids = partial.ids()
+        full_ids = full.ids()
         assert partial_ids == full_ids[: len(partial_ids)]

@@ -11,6 +11,7 @@ from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.base import LeaderSchedule
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId
+from tests.doubles import dag_vertices
 
 
 # -- random DAG growth ---------------------------------------------------------------
@@ -66,12 +67,12 @@ class TestDagProperties:
         # Insert in reverse round order (worst case for buffering).
         for vertex in sorted(vertices, key=lambda vertex: -vertex.round):
             dag.add(vertex)
-            for inserted in list(dag):
+            for inserted in dag_vertices(dag):
                 for parent in inserted.edges:
                     assert parent in dag
         # Everything was eventually inserted.
         assert len(dag) == len(vertices)
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
 
     @given(dag_growth_plan())
     @settings(max_examples=60, deadline=None)
@@ -137,8 +138,8 @@ class TestScheduleChangeProperties:
         demoted, promoted = select_swap_sets(scores, committee, exclude_fraction=fraction)
         if not demoted:
             return
-        worst_promoted = min(scores.score_of(validator) for validator in promoted)
-        best_demoted = max(scores.score_of(validator) for validator in demoted)
+        worst_promoted = min(scores.as_dict()[validator] for validator in promoted)
+        best_demoted = max(scores.as_dict()[validator] for validator in demoted)
         assert best_demoted <= worst_promoted
 
     @given(scored_committee(), st.integers(min_value=0, max_value=3))
@@ -177,8 +178,11 @@ class TestScheduleChangeProperties:
         first = compute_next_schedule(
             previous, scores, committee, new_initial_round=30, exclude_fraction=fraction
         )
+        copy = ReputationScores(committee)
+        for validator, value in scores.as_dict().items():
+            copy.set(validator, value)
         second = compute_next_schedule(
-            previous, scores.snapshot(), committee, new_initial_round=30, exclude_fraction=fraction
+            previous, copy, committee, new_initial_round=30, exclude_fraction=fraction
         )
         assert first == second
 

@@ -29,7 +29,6 @@ from repro.committee import Committee
 from repro.core.manager import StaticScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
-from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.node.config import NodeConfig
@@ -38,6 +37,7 @@ from repro.node.validator import ValidatorNode
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId
 from tests.conftest import bare_synchronizer
+from tests.doubles import OrderRecorder, UniformLatencyModel, dag_vertices
 
 REQUESTER = 0
 RESPONDER = 1
@@ -123,6 +123,7 @@ class Cluster:
             ),
             config=NodeConfig(gc_depth=gc_depth),
         )
+        self.order = OrderRecorder(self.node)
 
 
 class Responder:
@@ -251,11 +252,11 @@ class TestFrontierResponse:
                 )
             )
             states[name] = {
-                "dag": {vertex.id for vertex in node.dag},
+                "dag": {vertex.id for vertex in dag_vertices(node.dag)},
                 "pending": {vertex.id for vertex in node.dag.pending_vertices()},
-                "arrival": [node.dag.vertices_at(r) for r in node.dag.all_rounds()],
+                "arrival": [node.dag.vertices_at(r) for r, _ in node.dag.held_sources()],
                 "horizon": node.dag.lowest_round,
-                "ordered": node.consensus.ordered_ids(),
+                "ordered": cluster.order.ids(),
                 "follow_up": list(cluster.sent),
                 "new": node.synchronizer.vertices_new,
             }
@@ -264,5 +265,5 @@ class TestFrontierResponse:
         assert frontier_side.node.synchronizer.vertices_received == states["frontier"]["new"]
         assert all(
             vertex.round >= frontier_side.node.dag.lowest_round
-            for vertex in frontier_side.node.dag
+            for vertex in dag_vertices(frontier_side.node.dag)
         )

@@ -16,6 +16,7 @@ from repro.committee import Committee
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
 from repro.types import VertexId
+from tests.doubles import dag_vertices
 
 SIZE = 4
 ROUNDS = 6
@@ -90,7 +91,7 @@ def test_missing_parents_equals_the_per_edge_definition(dag, vertex, adjacent_so
     assert dag.missing_parents(adjacent) == definition(dag, adjacent)
     for parked in dag.pending_vertices():
         assert dag.missing_parents(parked) == definition(dag, parked)
-    for stored in dag:
+    for stored in dag_vertices(dag):
         assert not dag.missing_parents(stored)
 
 

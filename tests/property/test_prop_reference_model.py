@@ -26,6 +26,7 @@ from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId
 from tests.conftest import model_mismatches, reference_model_for
+from tests.doubles import OrderRecorder, dag_vertices
 
 
 @st.composite
@@ -104,7 +105,6 @@ def make_engine(committee, dynamic, commits_per_schedule):
         committee=committee,
         dag=dag,
         schedule_manager=manager,
-        record_sequence=True,
     )
 
 
@@ -134,6 +134,7 @@ def test_engine_orders_and_schedules_like_the_model(scenario):
     rng.shuffle(stream)
     withheld = withhold_some(stream, rng)
     engine = make_engine(committee, dynamic, commits_per_schedule)
+    order = OrderRecorder(engine)
     model = reference_model_for(engine.schedule_manager)
     # Parked vertices reach the model only when the store promotes them.
     engine.dag.on_insert(model.insert)
@@ -156,13 +157,13 @@ def test_engine_orders_and_schedules_like_the_model(scenario):
     engine.try_commit()
     model.try_commit()
     assert model_mismatches(engine, model) == []
-    assert engine.ordered_ids() == model.sequence
+    assert order.ids() == model.sequence
 
 
 @given(equivalence_scenario())
 @settings(max_examples=25, deadline=None)
 def test_cached_reachability_matches_model_search(scenario):
-    """``DagStore.path`` / ``reachable_sources`` equal the model's
+    """``DagStore.path`` / ``causal_history`` equal the model's
     breadth-first search on random DAGs, across insertions and GC."""
     committee, participation, rng, _, _, _, keep_rounds, _ = scenario
     vertices = build_vertices(committee, participation, rng)
@@ -175,7 +176,7 @@ def test_cached_reachability_matches_model_search(scenario):
     store.on_insert(model.insert)
     for position, vertex in enumerate(stream):
         store.add(vertex)
-        inserted = list(store)
+        inserted = dag_vertices(store)
         # Interleave queries with insertions so the cache is exercised
         # against a growing DAG, not just the final one.
         if inserted and position % 3 == 0:
@@ -191,7 +192,7 @@ def test_cached_reachability_matches_model_search(scenario):
             horizon = store.highest_round() - keep_rounds
             store.garbage_collect(horizon)
             model.prune_below(horizon)
-    inserted = list(store)
+    inserted = dag_vertices(store)
     assert {vertex.id for vertex in inserted} == set(model.dag)
     # Exhaustive sweep at the end.
     for descendant in inserted:
@@ -202,8 +203,9 @@ def test_cached_reachability_matches_model_search(scenario):
                 descendant.id, ancestor.id
             )
     for descendant in inserted[:8]:
-        for target_round in range(max(0, descendant.round - 4), descendant.round):
-            assert store.reachable_sources(descendant.id, target_round) == {
+        history = store.causal_history(descendant.id)
+        for target_round in range(max(store.lowest_round, descendant.round - 4), descendant.round):
+            assert {vertex.source for vertex in history if vertex.round == target_round} == {
                 source
                 for source in committee.validators
                 if model.path(descendant.id, VertexId(target_round, source))

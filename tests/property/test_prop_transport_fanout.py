@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 import tests.reference_transport as reference_transport
 from repro.network import transport
-from repro.network.latency import GeoLatencyModel, UniformLatencyModel
+from repro.network.latency import GeoLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.synchrony import AlwaysSynchronous, PartialSynchrony
 from repro.types import Region
+from tests.doubles import UniformLatencyModel
 from tests.mutants import load_mutant
 from tests.reference_transport import ReferenceNetwork
 

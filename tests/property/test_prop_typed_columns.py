@@ -10,8 +10,8 @@ transaction, ``tests/reference_collector.py`` loops over transactions.
 A script drives both sides through the whole path: clients deliver to
 one pool (18 of them share submission instants pairwise), the pool is
 also fed hand-built batches (ids next to ±2**63, duplicates of ids the
-clients use, columns given as lists, tuples, iterators or arrays) and
-single rows, it is read with limits that cut across the batches it was
+clients use, columns given as lists, tuples, iterators or arrays, and
+one-row batches), it is read with limits that cut across the batches it was
 extended by, and what it hands over is ordered — next to foreign blocks
 and repeats — on both sides of a warm-up that the submissions straddle.
 Every row taken, every latency and finality time, and p50, p95, the
@@ -159,9 +159,9 @@ def play(script, module=transactions_module):
             ]
             pool.extend(module.TransactionBatch(TARGET, *columns))
             fifo.rows.extend(rows)
-        elif kind == "append":
+        elif kind == "row":
             row = Transaction(*step[1], TARGET)
-            pool.append(module.Transaction(*row))
+            pool.extend(module.TransactionBatch(TARGET, *([cell] for cell in row[:3])))
             fifo.rows.append(row)
         elif kind == "foreign":
             block = [Transaction(item[0], 9, item[1], TARGET) if isinstance(item, tuple) else item for item in step[1]]
@@ -231,7 +231,7 @@ _rows = st.one_of(
 _steps = st.one_of(
     st.tuples(st.just("take"), st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("extend"), st.tuples(*[st.sampled_from(sorted(CONTAINERS))] * 3), _rows),
-    st.tuples(st.just("append"), st.tuples(_ids, st.integers(min_value=0, max_value=5), _times)),
+    st.tuples(st.just("row"), st.tuples(_ids, st.integers(min_value=0, max_value=5), _times)),
     st.tuples(
         st.just("foreign"),
         st.lists(st.one_of(st.tuples(_ids, _times), st.sampled_from(["opaque", 17, None])), max_size=6),
@@ -275,7 +275,7 @@ FIXED_SCRIPTS = {
             (0.0, ("extend", ("list", "tuple", "iterator"), [(-(2**63) + index, index, 0.1 * index) for index in range(4)])),
             (0.1, ("extend", ("array", "long-array", "array"), [(TOP - 2 + index, 2**40, 1 / 3) for index in range(5)])),
             (0.2, ("take", 6)),
-            (0.3, ("append", (2**31, 1, 0.25))),
+            (0.3, ("row", (2**31, 1, 0.25))),
             (0.4, ("foreign", [(TOP, 0.3), "opaque", (-(2**63), 0.05), (TOP - 1, 0.3)])),
         ],
     ),

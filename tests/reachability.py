@@ -8,8 +8,9 @@ call; tier-1 then runs under ``cProfile`` in a child process.  Each function in
 ``src/repro`` is product, tests only, or nothing.  Exit 1 on a non-product one
 without a waiver in ``tests/reachability_waivers.json`` and on a stale waiver.
 A reason starts with its kind: ``safety:`` (refuses bad input or recovers from
-a fault no scenario makes), ``full-scale:<scenario>``, ``test fake:`` (only
-tests use it) or ``out of scope:`` (an option no registered scenario selects).
+a fault no scenario makes), ``full-scale:<scenario>`` or ``out of scope:`` (an
+option no registered scenario selects); what only tests use has no kind, so it
+goes, its tests reading product state or doubles in ``tests/`` instead.
 Usage: ``python tests/reachability.py [--product]`` (``--product`` skips tier-1).
 """
 
@@ -18,7 +19,7 @@ import ast, contextlib, glob, importlib, io, json, os, pathlib, pstats, runpy, s
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 WAIVERS = os.path.join(ROOT, "tests", "reachability_waivers.json")
-KINDS = ("safety:", "full-scale:", "test fake:", "out of scope:")
+KINDS = ("safety:", "full-scale:", "out of scope:")
 REACHED = set()
 SHORT = ["--duration", "20", "--warmup", "5"]
 EXAMPLES = {"quickstart.py": [], "schedule_inspection.py": [], "sui_incident.py": ["--committee", "7", *SHORT],

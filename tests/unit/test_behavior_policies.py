@@ -21,7 +21,6 @@ from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
 from repro.core.schedule_change import CommitCountPolicy
 from repro.faults.behavior import BehaviorFault
 from repro.metrics.reputation import reputation_metrics
-from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.node.config import NodeConfig
@@ -30,6 +29,7 @@ from repro.node.validator import ValidatorNode
 from repro.schedule.base import LeaderSchedule
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId, is_anchor_round
+from tests.doubles import UniformLatencyModel
 
 
 def build_cluster(size=4, seed=1, dynamic=False, commits_per_schedule=4):
@@ -42,7 +42,6 @@ def build_cluster(size=4, seed=1, dynamic=False, commits_per_schedule=4):
         max_batch_size=50,
         min_round_interval=0.05,
         leader_timeout=0.5,
-        record_sequence=True,
     )
 
     def manager_factory():

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.consensus import bullshark
 from repro.consensus.bullshark import BullsharkConsensus
 from tests.conftest import build_round, drive_rounds, make_consensus, vid
+from tests.doubles import OrderRecorder
 
 
 class TestDirectCommit:
@@ -14,10 +16,11 @@ class TestDirectCommit:
 
     def test_anchor_commits_once_votes_arrive(self, committee4):
         consensus = make_consensus(committee4)
+        order = OrderRecorder(consensus)
         drive_rounds(consensus, committee4, rounds=3)
         # Round 2's anchor (leader 0) has f+1 votes from round 3.
         assert consensus.commit_count == 1
-        anchor = consensus.committed_subdags[0].anchor
+        anchor = order.committed[0].anchor
         assert anchor.round == 2
         assert anchor.source == 0  # round-robin leader of round 2
 
@@ -47,8 +50,9 @@ class TestDirectCommit:
 
     def test_ordered_history_is_the_anchor_causal_history(self, committee4):
         consensus = make_consensus(committee4)
+        order = OrderRecorder(consensus)
         drive_rounds(consensus, committee4, rounds=3)
-        subdag = consensus.committed_subdags[0]
+        subdag = order.committed[0]
         rounds = [vertex.round for vertex in subdag.vertices]
         assert rounds == sorted(rounds)
         assert all(round_number <= 2 for round_number in rounds)
@@ -58,8 +62,9 @@ class TestDirectCommit:
 
     def test_subsequent_commits_do_not_reorder(self, committee4):
         consensus = make_consensus(committee4)
+        order = OrderRecorder(consensus)
         drive_rounds(consensus, committee4, rounds=7)
-        ordered = consensus.ordered_ids()
+        ordered = order.ids()
         assert len(ordered) == len(set(ordered))
         assert consensus.commit_count >= 3
 
@@ -83,6 +88,7 @@ class TestDirectCommit:
 class TestSkippedAnchors:
     def test_crashed_leader_is_skipped_and_ordered_later(self, committee10):
         consensus = make_consensus(committee10)
+        order = OrderRecorder(consensus)
         dag = consensus.dag
         alive = [validator for validator in committee10.validators if validator != 0]
         # Validator 0 (leader of round 2) never produces vertices.
@@ -91,7 +97,7 @@ class TestSkippedAnchors:
                 consensus.process_vertex(vertex)
         # Round 2's anchor is missing; round 4's anchor (leader 1) commits.
         assert consensus.commit_count >= 1
-        committed_rounds = [subdag.anchor_round for subdag in consensus.committed_subdags]
+        committed_rounds = [subdag.anchor_round for subdag in order.committed]
         assert 2 not in committed_rounds
         assert 4 in committed_rounds
 
@@ -114,6 +120,7 @@ class TestSkippedAnchors:
         """An anchor without direct votes is still ordered when a later
         committed anchor reaches it through the DAG (indirect commit)."""
         consensus = make_consensus(committee4)
+        order = OrderRecorder(consensus)
         dag = consensus.dag
         drive_rounds(consensus, committee4, rounds=2)
         # Round 3: nobody votes for the round-2 anchor (validator 0).
@@ -131,12 +138,12 @@ class TestSkippedAnchors:
         for round_number in range(drive_rounds_from, 6):
             for vertex in build_round(dag, committee4, round_number):
                 consensus.process_vertex(vertex)
-        committed_rounds = [subdag.anchor_round for subdag in consensus.committed_subdags]
+        committed_rounds = [subdag.anchor_round for subdag in order.committed]
         assert 4 in committed_rounds
         assert 2 not in committed_rounds
         # The skipped anchor's vertex itself is never ordered.
-        assert not consensus.is_ordered(vid(2, 0))
-        assert consensus.is_ordered(vid(4, 1))
+        assert vid(2, 0) not in order.ids()
+        assert vid(4, 1) in order.ids()
 
 
 class TestIndirectCommit:
@@ -157,8 +164,9 @@ class TestIndirectCommit:
 
     def test_total_order_position_is_monotonic(self, committee4):
         consensus = make_consensus(committee4)
+        order = OrderRecorder(consensus)
         drive_rounds(consensus, committee4, rounds=9)
-        positions = [record.position for record in consensus.ordered_sequence]
+        positions = [record.position for record in order.ordered]
         assert positions == list(range(len(positions)))
 
 
@@ -187,20 +195,36 @@ class TestScheduleChangeInteraction:
         linearization either way."""
         static = make_consensus(committee4, dynamic=False)
         dynamic = make_consensus(committee4, dynamic=True, commits_per_schedule=2)
+        static_order, dynamic_order = OrderRecorder(static), OrderRecorder(dynamic)
         drive_rounds(static, committee4, rounds=10)
         drive_rounds(dynamic, committee4, rounds=10)
-        static_ids = static.ordered_ids()
-        dynamic_ids = dynamic.ordered_ids()
+        static_ids = static_order.ids()
+        dynamic_ids = dynamic_order.ids()
         assert len(static_ids) == len(set(static_ids))
         assert len(dynamic_ids) == len(set(dynamic_ids))
 
-    def test_record_sequence_disabled_keeps_counters(self, committee4):
-        consensus = make_consensus(committee4)
-        consensus.record_sequence = False
-        drive_rounds(consensus, committee4, rounds=5)
-        assert consensus.ordered_sequence == []
-        assert consensus.ordered_count > 0
-        assert consensus.commit_count > 0
+    def test_no_ordered_record_is_built_without_a_listener(self, committee4, monkeypatch):
+        built = []
+        record = bullshark.OrderedVertex
+        monkeypatch.setattr(bullshark, "OrderedVertex", lambda **fields: built.append(fields) or record(**fields))
+        quiet = make_consensus(committee4)
+        drive_rounds(quiet, committee4, rounds=7)
+        assert quiet.ordered_count > 0 and built == []
+        heard = make_consensus(committee4)
+        order = OrderRecorder(heard)
+        drive_rounds(heard, committee4, rounds=7)
+        assert len(built) == len(order.ordered) == heard.ordered_count == quiet.ordered_count
+
+    def test_a_listener_changes_no_counter_or_digest(self, committee4):
+        heard = make_consensus(committee4, dynamic=True, commits_per_schedule=2)
+        unheard = make_consensus(committee4, dynamic=True, commits_per_schedule=2)
+        order = OrderRecorder(heard)
+        drive_rounds(heard, committee4, rounds=12)
+        drive_rounds(unheard, committee4, rounds=12)
+        assert unheard.ordered_count == len(order.ordered) > 0
+        assert unheard.commit_count == len(order.committed) > 0
+        assert (unheard.ordering_digest, unheard.ordering_checkpoints) == (heard.ordering_digest, heard.ordering_checkpoints)
+        assert unheard.schedule_manager.history == heard.schedule_manager.history
 
 
 class TestGarbageCollectionIntegration:

@@ -63,20 +63,20 @@ class TestHammerHeadScheduleManager:
         # Leader of round 2 is validator 0 (round robin, no permutation).
         voter = make_vertex(3, 1, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])
         manager.on_vertex_ordered(voter)
-        assert manager.scores.score_of(1) == 1.0
+        assert manager.scores.as_dict()[1] == 1.0
 
     def test_non_votes_do_not_score(self, committee4):
         manager = self._manager(committee4)
         # A round-3 vertex that does not link to the round-2 leader (0).
         non_voter = make_vertex(3, 2, edges=[vid(2, 1), vid(2, 2), vid(2, 3)])
         manager.on_vertex_ordered(non_voter)
-        assert manager.scores.score_of(2) == 0.0
+        assert manager.scores.as_dict()[2] == 0.0
 
     def test_even_round_vertices_do_not_vote(self, committee4):
         manager = self._manager(committee4)
         vertex = make_vertex(2, 1, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
         manager.on_vertex_ordered(vertex)
-        assert all(manager.scores.score_of(validator) == 0.0 for validator in committee4.validators)
+        assert all(manager.scores.as_dict()[validator] == 0.0 for validator in committee4.validators)
 
     def test_schedule_change_after_commit_threshold(self, committee4):
         manager = self._manager(committee4, commits=2)
@@ -95,7 +95,7 @@ class TestHammerHeadScheduleManager:
         voter = make_vertex(3, 1, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])
         manager.on_vertex_ordered(voter)
         manager.on_anchor_committed(make_anchor(2, 0, [0, 1, 2]))
-        assert all(manager.scores.score_of(validator) == 0.0 for validator in committee4.validators)
+        assert all(manager.scores.as_dict()[validator] == 0.0 for validator in committee4.validators)
         assert manager.commits_in_epoch == 0
 
     def test_change_records_capture_scores(self, committee4):

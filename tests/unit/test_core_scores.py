@@ -15,13 +15,13 @@ from repro.errors import ScheduleError
 class TestReputationScores:
     def test_scores_start_at_zero(self, committee4):
         scores = ReputationScores(committee4)
-        assert all(scores.score_of(validator) == 0.0 for validator in committee4.validators)
+        assert all(scores.as_dict()[validator] == 0.0 for validator in committee4.validators)
 
     def test_add_accumulates(self, committee4):
         scores = ReputationScores(committee4)
         scores.add(1)
         scores.add(1, 2.0)
-        assert scores.score_of(1) == 3.0
+        assert scores.as_dict()[1] == 3.0
 
     def test_add_unknown_validator_rejected(self, committee4):
         with pytest.raises(ScheduleError):
@@ -31,15 +31,15 @@ class TestReputationScores:
         scores = ReputationScores(committee4)
         scores.add(0, 5.0)
         scores.reset()
-        assert scores.score_of(0) == 0.0
+        assert scores.as_dict()[0] == 0.0
 
-    def test_snapshot_is_independent(self, committee4):
+    def test_an_exported_table_does_not_follow_later_updates(self, committee4):
         scores = ReputationScores(committee4)
         scores.add(2, 1.0)
-        snapshot = scores.snapshot()
+        exported = scores.as_dict()
         scores.add(2, 1.0)
-        assert snapshot.score_of(2) == 1.0
-        assert scores.score_of(2) == 2.0
+        assert exported[2] == 1.0
+        assert scores.as_dict()[2] == 2.0
 
     def test_ranked_ascending_breaks_ties_by_id(self, committee4):
         scores = ReputationScores(committee4)
@@ -71,18 +71,16 @@ class TestReputationScores:
         scores = ReputationScores(committee4)
         assert len(scores.highest(10)) == 4
 
-    def test_items_sorted_by_validator(self, committee4):
+    def test_as_dict_names_every_validator(self, committee4):
         scores = ReputationScores(committee4)
         scores.add(3, 7.0)
-        items = scores.items()
-        assert [validator for validator, _ in items] == [0, 1, 2, 3]
-        assert dict(items)[3] == 7.0
+        assert scores.as_dict() == {0: 0.0, 1: 0.0, 2: 0.0, 3: 7.0}
 
     def test_as_dict_is_a_copy(self, committee4):
         scores = ReputationScores(committee4)
         exported = scores.as_dict()
         exported[0] = 99.0
-        assert scores.score_of(0) == 0.0
+        assert scores.as_dict()[0] == 0.0
 
 
 class TestScoringRules:
@@ -95,9 +93,9 @@ class TestScoringRules:
         rule.on_vote(1, anchor_round=2, context=context)
         rule.on_vote(1, anchor_round=4, context=context)
         rule.on_vote(2, anchor_round=4, context=context)
-        assert context.scores.score_of(1) == 2.0
-        assert context.scores.score_of(2) == 1.0
-        assert context.scores.score_of(0) == 0.0
+        assert context.scores.as_dict()[1] == 2.0
+        assert context.scores.as_dict()[2] == 1.0
+        assert context.scores.as_dict()[0] == 0.0
 
     def test_hammerhead_ignores_commit_and_skip_events(self, committee4):
         context = self._context(committee4)
@@ -105,12 +103,12 @@ class TestScoringRules:
         rule.on_anchor_committed(0, 2, context)
         rule.on_anchor_skipped(1, 4, context)
         rule.on_vertex_in_committed_subdag(2, 3, context)
-        assert all(context.scores.score_of(validator) == 0.0 for validator in committee4.validators)
+        assert all(context.scores.as_dict()[validator] == 0.0 for validator in committee4.validators)
 
     def test_hammerhead_custom_points(self, committee4):
         context = self._context(committee4)
         HammerHeadScoring(points_per_vote=0.5).on_vote(0, 2, context)
-        assert context.scores.score_of(0) == 0.5
+        assert context.scores.as_dict()[0] == 0.5
 
     def test_shoal_rewards_committed_and_punishes_skipped(self, committee4):
         context = self._context(committee4)
@@ -118,20 +116,20 @@ class TestScoringRules:
         rule.on_anchor_committed(0, 2, context)
         rule.on_anchor_committed(0, 4, context)
         rule.on_anchor_skipped(1, 6, context)
-        assert context.scores.score_of(0) == 2.0
-        assert context.scores.score_of(1) == -1.0
+        assert context.scores.as_dict()[0] == 2.0
+        assert context.scores.as_dict()[1] == -1.0
 
     def test_shoal_ignores_votes(self, committee4):
         context = self._context(committee4)
         ShoalScoring().on_vote(2, 2, context)
-        assert context.scores.score_of(2) == 0.0
+        assert context.scores.as_dict()[2] == 0.0
 
     def test_carousel_scores_committed_subdag_presence(self, committee4):
         context = self._context(committee4)
         rule = CarouselScoring()
         rule.on_vertex_in_committed_subdag(3, 1, context)
         rule.on_vertex_in_committed_subdag(3, 2, context)
-        assert context.scores.score_of(3) == 2.0
+        assert context.scores.as_dict()[3] == 2.0
 
     def test_rule_names_are_distinct(self):
         names = {HammerHeadScoring.name, ShoalScoring.name, CarouselScoring.name}

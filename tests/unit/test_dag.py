@@ -7,6 +7,7 @@ from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, check_edge_quorum, genesis_vertices, make_vertex
 from repro.errors import DagError, EquivocationError
 from tests.conftest import build_round, populate_dag, vid
+from tests.doubles import dag_vertices
 from tests.reference_model import ReferenceModel
 
 
@@ -113,12 +114,12 @@ class TestDagStoreInsertion:
         orphan = make_vertex(2, 0, edges=[vertex.id for vertex in round1[:3]])
         assert dag.add(orphan) is False
         assert orphan.id not in dag
-        assert dag.pending_count == 1
+        assert len(dag.pending_vertices()) == 1
         # Parents arrive: the orphan is promoted automatically.
         for vertex in round1:
             dag.add(vertex)
         assert orphan.id in dag
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
 
     def test_pending_promotion_cascades(self, committee4):
         dag = DagStore(committee4)
@@ -130,10 +131,10 @@ class TestDagStoreInsertion:
         # Insert out of order: rounds 3, then 2, then 1.
         for vertex in round3 + round2:
             assert dag.add(vertex) is False
-        assert dag.pending_count == 8
+        assert len(dag.pending_vertices()) == 8
         for vertex in round1:
             dag.add(vertex)
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
         assert dag.highest_round() == 3
 
     def test_pending_missing_lists_blocking_parents(self, committee4):
@@ -243,8 +244,8 @@ class TestDagStoreQueries:
     def test_iteration_and_rounds(self, committee4):
         dag = DagStore(committee4)
         populate_dag(dag, committee4, rounds=2)
-        assert {vertex.round for vertex in dag} == {0, 1, 2}
-        assert dag.all_rounds() == [0, 1, 2]
+        assert {vertex.round for vertex in dag_vertices(dag)} == {0, 1, 2}
+        assert [round_number for round_number, _ in dag.held_sources()] == [0, 1, 2]
 
 
 class TestLookupGuards:
@@ -261,7 +262,6 @@ class TestLookupGuards:
             assert stray not in dag
             assert not dag.path(stray, stray)
             assert not dag.path(stray, vid(0, 0))
-            assert dag.reachable_sources(stray, 0) == frozenset()
             if round_number < 3:
                 assert not dag.path(vid(3, 0), stray)
 
@@ -309,7 +309,7 @@ class TestIterationAndLength:
             (vertex for vertex in inserted if vertex.round >= dag.lowest_round or dag.get(vertex.id)),
             key=lambda vertex: vertex.round,
         )
-        assert list(dag) == expected
+        assert dag_vertices(dag) == expected
         assert len(dag) == len(expected)
 
     def test_arrival_order_within_a_round(self, committee4):
@@ -317,7 +317,7 @@ class TestIterationAndLength:
         for source in (3, 1, 0, 2):
             dag.add(make_vertex(1, source, edges=[vid(0, s) for s in range(4)]))
         build_round(dag, committee4, 2)
-        assert [vertex.source for vertex in dag if vertex.round == 1] == [3, 1, 0, 2]
+        assert [vertex.source for vertex in dag.vertices_at(1)] == [3, 1, 0, 2]
         self._assert_matches(dag, inserted)
 
     def test_promotions_stragglers_and_gc(self, committee4):
@@ -334,12 +334,12 @@ class TestIterationAndLength:
         assert dag.garbage_collect(before_round=3) == 4 + 3 + 4
         self._assert_matches(dag, inserted)
         dag.garbage_collect(before_round=6)
-        assert [vertex.id for vertex in dag] == [vertex.id for vertex in parked]
+        assert [vertex.id for vertex in dag_vertices(dag)] == [vertex.id for vertex in parked]
         self._assert_matches(dag, inserted)
         # A straggler below the horizon is stored until the next sweep.
         straggler = make_vertex(1, 3, edges=[vid(0, s) for s in range(4)])
         assert dag.add(straggler) is True
-        assert list(dag)[0] is straggler and len(dag) == 3
+        assert dag_vertices(dag)[0] is straggler and len(dag) == 3
         self._assert_matches(dag, inserted)
         assert dag.garbage_collect(before_round=6) == 1
         assert len(dag) == 2
@@ -352,7 +352,7 @@ class TestGarbageCollection:
         populate_dag(dag, committee4, rounds=6)
         removed = dag.garbage_collect(before_round=3)
         assert removed == 4 * 3  # rounds 0, 1, 2
-        assert dag.all_rounds() == [3, 4, 5, 6]
+        assert [round_number for round_number, _ in dag.held_sources()] == [3, 4, 5, 6]
         assert dag.lowest_round == 3
 
     def test_gc_is_idempotent(self, committee4):
@@ -405,7 +405,7 @@ class TestStragglerCacheInvalidation:
             build_round(dag, committee4, round_number)
         root = dag.vertex_of(6, 0)
         for target in (2, 3, 4, 5):
-            dag.reachable_sources(root.id, target)
+            dag.path(root.id, vid(target, 0))
         dag.garbage_collect(2)
         warm_before = {
             vertex_id: dict(entry) for vertex_id, entry in dag._reach_cache.items()
@@ -423,7 +423,7 @@ class TestStragglerCacheInvalidation:
         dag = self._grown_dag(committee4)
         root = dag.vertex_of(6, 0)
         for target in (2, 3, 4, 5):
-            dag.reachable_sources(root.id, target)
+            dag.path(root.id, vid(target, 0))
         dag.garbage_collect(3)
         entry_before = dict(dag._reach_cache[root.id])
         assert set(entry_before) >= {3, 4, 5}
@@ -441,17 +441,17 @@ class TestStragglerCacheInvalidation:
         cached = self._grown_dag(committee4)
         cached.garbage_collect(3)
         # Warm every entry.
-        for vertex in list(cached):
+        for vertex in dag_vertices(cached):
             for target in range(3, vertex.round):
-                cached.reachable_sources(vertex.id, target)
+                cached.path(vertex.id, vid(target, 0))
         # Deliver a straggler below the horizon (state-sync replay).
         straggler = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
         cached.add(straggler)
         # The model holds the same content and searches it afresh.
         model = ReferenceModel(committee4, initial_round=2, slots=committee4.validators)
-        for vertex in cached:
+        for vertex in dag_vertices(cached):
             model.insert(vertex)
-        for vertex in list(cached):
+        for vertex in dag_vertices(cached):
             for target in range(vertex.round):
                 for source in committee4.validators:
                     target_id = vid(target, source)
@@ -469,8 +469,8 @@ class TestCausalHistoryWalk:
             # Vary participation so the DAG has holes.
             sources = [0, 1, 2] if round_number % 3 == 0 else None
             build_round(dag, committee4, round_number, sources=sources)
-        for vertex in list(dag):
-            reachable = [other for other in dag if dag.path(vertex.id, other.id)]
+        for vertex in dag_vertices(dag):
+            reachable = [other for other in dag_vertices(dag) if dag.path(vertex.id, other.id)]
             reachable.sort(key=lambda other: (other.round, other.source))
             assert dag.causal_history(vertex.id) == reachable
 

@@ -207,7 +207,7 @@ class TestExperimentConfig:
 class TestPartitionFaultPlans:
     def test_partition_plan_windows_the_partition(self, committee10):
         from repro.faults.partition import PartitionPlan
-        from repro.network.latency import UniformLatencyModel
+        from tests.doubles import UniformLatencyModel
         from repro.network.simulator import Simulator
         from repro.network.transport import Network
 
@@ -242,7 +242,7 @@ class TestPartitionFaultPlans:
 
     def test_disturbance_windows_jitter_and_loss(self, committee10):
         from repro.faults.partition import NetworkDisturbanceFault
-        from repro.network.latency import UniformLatencyModel
+        from tests.doubles import UniformLatencyModel
         from repro.network.simulator import Simulator
         from repro.network.transport import Network
 

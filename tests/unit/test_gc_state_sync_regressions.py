@@ -35,6 +35,7 @@ from repro.schedule.round_robin import initial_schedule
 from repro.types import Round, VertexId
 
 from tests.conftest import build_round, vid
+from tests.doubles import OrderRecorder
 from tests.unit.test_node import build_cluster
 
 
@@ -53,12 +54,12 @@ class TestGarbageCollectPending:
         ]
         for vertex in parked:
             assert dag.add(vertex) is False
-        assert dag.pending_count == len(parked)
+        assert len(dag.pending_vertices()) == len(parked)
         # GC moves the horizon past the missing parents: the parked
         # vertices become insertable and must be promoted by the GC call
         # itself (no explicit reconsider_pending()).
         dag.garbage_collect(6)
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
         for vertex in parked:
             assert vertex.id in dag
 
@@ -72,7 +73,7 @@ class TestGarbageCollectPending:
         stale = make_vertex(3, 0, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])
         assert dag.add(stale) is False
         dag.garbage_collect(6)
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
         assert stale.id not in dag
 
     def test_gc_purges_stale_wait_registrations(self, committee4):
@@ -85,7 +86,7 @@ class TestGarbageCollectPending:
         dag.garbage_collect(5)
         # Neither the waiter nor the registrations survive: the waiter is
         # below the horizon and the parents will never arrive.
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
         assert dag.pending_missing() == set()
         assert not dag._waiting_on
 
@@ -106,7 +107,7 @@ class TestGarbageCollectPending:
             assert dag.add(vertex) is False
         dag.on_insert(lambda vertex: dag.garbage_collect(vertex.round + 1))
         dag.garbage_collect(8)  # raised KeyError before the pop() guards
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
 
     def test_long_run_pending_buffer_stays_bounded(self, committee4):
         """The leak scenario: stragglers parked below a moving horizon."""
@@ -122,7 +123,7 @@ class TestGarbageCollectPending:
             dag.garbage_collect(base + 2)
         # Before the fix every generation left entries behind; now the
         # buffer is empty once the horizon has passed everything.
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
         assert not dag._waiting_on
 
 
@@ -145,9 +146,7 @@ def make_recording_consensus(committee: Committee) -> BullsharkConsensus:
     for vertex in genesis_vertices(committee):
         dag.add(vertex)
     manager = RecordingManager(committee, initial_schedule(committee, seed=0, permute=False))
-    return BullsharkConsensus(
-        owner=0, committee=committee, dag=dag, schedule_manager=manager, record_sequence=True
-    )
+    return BullsharkConsensus(owner=0, committee=committee, dag=dag, schedule_manager=manager)
 
 
 class TestFastForwardSkipReporting:
@@ -213,7 +212,7 @@ class SwitchOnceManager(ScheduleManager):
         return "test manager switching the round-4 leader after the round-2 commit"
 
 
-def drive_switch_scenario() -> BullsharkConsensus:
+def drive_switch_scenario():
     """Round 4's leader changes *after* rounds 4-5 are fully inserted.
 
     Under the initial schedule (slots 0,1,2,3 from round 2) the round-4
@@ -235,8 +234,8 @@ def drive_switch_scenario() -> BullsharkConsensus:
         committee=committee,
         dag=dag,
         schedule_manager=manager,
-        record_sequence=True,
     )
+    order = OrderRecorder(consensus)
     build_round(dag, committee, 1)
     build_round(dag, committee, 2)
     # Round 3: only validator 0 votes for the round-2 anchor (validator 0's
@@ -263,17 +262,17 @@ def drive_switch_scenario() -> BullsharkConsensus:
     # the schedule, making validator 2 the round-4 leader retroactively.
     dag.add(withheld)
     consensus.try_commit()
-    return consensus
+    return consensus, order
 
 
 class TestScheduleChangeInvalidation:
     def test_new_leader_anchor_commits_without_new_insertions(self):
-        consensus = drive_switch_scenario()
+        consensus, order = drive_switch_scenario()
         assert consensus.last_ordered_anchor_round == 4
         assert consensus.commit_count == 2
         # Round 2 under the initial schedule, then round 4 under the new
         # one: validator 2's anchor closes the sequence.
-        ordered = consensus.ordered_ids()
+        ordered = order.ids()
         assert ordered.index(vid(2, 0)) < ordered.index(vid(4, 2))
         assert ordered[-1] == vid(4, 2)
 

@@ -13,7 +13,7 @@ from repro.metrics.leader_stats import LeaderUtilizationStats
 from repro.metrics.report import PerformanceReport, format_table
 from repro.consensus.committed import CommittedSubDag
 from repro.errors import ConfigurationError
-from repro.workload.transactions import counter_increment
+from repro.workload.transactions import Transaction
 from tests.conftest import vid
 
 
@@ -180,7 +180,7 @@ def ordered_record(transactions, ordered_at, source=1, round_number=3, position=
 class TestMetricsCollector:
     def test_latency_includes_confirmation_delay(self):
         collector = MetricsCollector(confirmation_delay=0.1)
-        transaction = counter_increment(1, 0, submitted_at=1.0, target_validator=0)
+        transaction = Transaction(1, 0, submitted_at=1.0, target_validator=0)
         collector.on_transaction_submitted(transaction)
         collector.on_vertex_ordered(ordered_record((transaction,), ordered_at=2.0))
         assert collector.committed == 1
@@ -188,7 +188,7 @@ class TestMetricsCollector:
 
     def test_duplicate_orderings_count_once(self):
         collector = MetricsCollector()
-        transaction = counter_increment(1, 0, submitted_at=1.0, target_validator=0)
+        transaction = Transaction(1, 0, submitted_at=1.0, target_validator=0)
         collector.on_transaction_submitted(transaction)
         collector.on_vertex_ordered(ordered_record((transaction,), ordered_at=2.0))
         collector.on_vertex_ordered(ordered_record((transaction,), ordered_at=3.0, source=2))
@@ -197,7 +197,7 @@ class TestMetricsCollector:
 
     def test_an_ordered_transaction_counts_without_being_announced(self):
         collector = MetricsCollector()
-        transaction = counter_increment(5, 0, submitted_at=1.0, target_validator=0)
+        transaction = Transaction(5, 0, submitted_at=1.0, target_validator=0)
         collector.on_vertex_ordered(ordered_record((transaction,), ordered_at=2.0))
         assert collector.committed == 1
         assert list(collector.latency._samples) == [pytest.approx(2.0 + 0.040 - 1.0)]
@@ -211,8 +211,8 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         clients = [Client(), Client()]
         collector.attach_clients(clients)
-        first = counter_increment(0, 0, submitted_at=1.0, target_validator=0)
-        second = counter_increment(1, 0, submitted_at=1.0, target_validator=0)
+        first = Transaction(0, 0, submitted_at=1.0, target_validator=0)
+        second = Transaction(1, 0, submitted_at=1.0, target_validator=0)
         collector.on_vertex_ordered(ordered_record((first, second), ordered_at=2.0))
         clients[0].submitted = 3
         clients[1].submitted = 1
@@ -224,8 +224,8 @@ class TestMetricsCollector:
 
     def test_warmup_excludes_early_transactions(self):
         collector = MetricsCollector(warmup=10.0)
-        early = counter_increment(1, 0, submitted_at=5.0, target_validator=0)
-        late = counter_increment(2, 0, submitted_at=15.0, target_validator=0)
+        early = Transaction(1, 0, submitted_at=5.0, target_validator=0)
+        late = Transaction(2, 0, submitted_at=15.0, target_validator=0)
         for transaction in (early, late):
             collector.on_transaction_submitted(transaction)
         collector.on_vertex_ordered(ordered_record((early, late), ordered_at=16.0))
@@ -237,7 +237,7 @@ class TestMetricsCollector:
             confirmation_delay=0.0, execution=ExecutionModel(capacity_tps=1.0)
         )
         transactions = [
-            counter_increment(index, 0, submitted_at=1.0, target_validator=0) for index in range(10)
+            Transaction(index, 0, submitted_at=1.0, target_validator=0) for index in range(10)
         ]
         for transaction in transactions:
             collector.on_transaction_submitted(transaction)
@@ -252,10 +252,10 @@ class TestMetricsCollector:
 
     def test_committed_ids_are_kept_as_ranges(self):
         collector = MetricsCollector(warmup=10.0)
-        early = counter_increment(1, 0, submitted_at=5.0, target_validator=0)
-        late = counter_increment(2, 0, submitted_at=15.0, target_validator=0)
-        pending = counter_increment(3, 0, submitted_at=15.5, target_validator=0)
-        apart = counter_increment(7, 0, submitted_at=15.5, target_validator=0)
+        early = Transaction(1, 0, submitted_at=5.0, target_validator=0)
+        late = Transaction(2, 0, submitted_at=15.0, target_validator=0)
+        pending = Transaction(3, 0, submitted_at=15.5, target_validator=0)
+        apart = Transaction(7, 0, submitted_at=15.5, target_validator=0)
         for transaction in (early, late, pending, apart):
             collector.on_transaction_submitted(transaction)
         collector.on_vertex_ordered(ordered_record((early, late), ordered_at=16.0))
@@ -275,8 +275,8 @@ class TestMetricsCollector:
 
     def test_duplicates_are_recognised_after_the_first_commit(self):
         collector = MetricsCollector()
-        transaction = counter_increment(1, 0, submitted_at=1.0, target_validator=0)
-        other = counter_increment(2, 0, submitted_at=1.0, target_validator=0)
+        transaction = Transaction(1, 0, submitted_at=1.0, target_validator=0)
+        other = Transaction(2, 0, submitted_at=1.0, target_validator=0)
         for submitted in (transaction, other):
             collector.on_transaction_submitted(submitted)
         # Twice in one block, again in a later vertex, next to a
@@ -296,7 +296,7 @@ class TestMetricsCollector:
         batched = MetricsCollector(confirmation_delay=0.0, execution=ExecutionModel(10.0))
         model = ExecutionModel(10.0)
         transactions = [
-            counter_increment(index, 0, submitted_at=0.0, target_validator=0) for index in range(6)
+            Transaction(index, 0, submitted_at=0.0, target_validator=0) for index in range(6)
         ]
         for transaction in transactions:
             batched.on_transaction_submitted(transaction)

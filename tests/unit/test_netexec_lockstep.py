@@ -62,14 +62,14 @@ class TestPlanDerivation:
 
     def test_builtin_faults_crash_the_tail_never_the_observer(self):
         plan = plan_for_config(config(committee_size=7, faults=2, fault_time=0.0))
-        assert plan.crashed_validators() == (5, 6)
+        assert [validator for validator, _ in plan.crash_rounds] == [5, 6]
         # Crash at t=0 means the validator never proposes: crash round 1.
         assert plan.crash_round_of(6) == 1
         assert plan.expected(1) == (0, 1, 2, 3, 4)
 
     def test_fault_time_maps_to_a_later_crash_round(self):
         plan = plan_for_config(config(committee_size=7, faults=1, fault_time=3.5))
-        (victim,) = plan.crashed_validators()
+        ((victim, _),) = plan.crash_rounds
         assert plan.crash_round_of(victim) == 4
         # The victim participates strictly below its crash round.
         assert victim in plan.expected(3)

@@ -6,13 +6,14 @@ import pytest
 
 from repro.committee.committee import DEFAULT_REGIONS
 from repro.errors import NetworkError
-from repro.network.latency import GeoLatencyModel, UniformLatencyModel
+from repro.network.latency import GeoLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.synchrony import AlwaysSynchronous, PartialSynchrony
 from repro.network.transport import Network
 from repro.obs.trace import MemoryTracer
 from repro.rbc.messages import ProposeMessage
 from repro.types import Region
+from tests.doubles import UniformLatencyModel
 
 
 class TestUniformLatencyModel:

@@ -12,7 +12,6 @@ from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
 from repro.core.schedule_change import CommitCountPolicy
 from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices
-from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.node.config import NodeConfig
@@ -20,11 +19,12 @@ from repro.node.messages import FetchRequest, FetchResponse
 from repro.node.validator import ValidatorNode
 from repro.obs.consistency import check_run_consistency
 from repro.schedule.round_robin import initial_schedule
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.workload.generator import ClientArrivals, LoadGenerator
 from repro.workload.phases import LoadPhase, spawn_phased_load
-from repro.workload.transactions import counter_increment
+from repro.workload.transactions import TransactionBatch
 from tests.conftest import bare_synchronizer, build_round, vid
+from tests.doubles import UniformLatencyModel, dag_vertices, record_orders
 
 
 def build_cluster(size=4, seed=1, config=None, dynamic=False, commits_per_schedule=4):
@@ -35,7 +35,6 @@ def build_cluster(size=4, seed=1, config=None, dynamic=False, commits_per_schedu
         max_batch_size=50,
         min_round_interval=0.05,
         leader_timeout=0.5,
-        record_sequence=True,
     )
 
     def manager_factory():
@@ -63,7 +62,6 @@ def gc_config(gc_depth):
         max_batch_size=50,
         min_round_interval=0.05,
         leader_timeout=0.5,
-        record_sequence=True,
         gc_depth=gc_depth,
     )
 
@@ -78,7 +76,13 @@ def open_requests(synchronizer):
 
 
 def dag_ids(node):
-    return {vertex.id for vertex in node.dag}
+    return {vertex.id for vertex in dag_vertices(node.dag)}
+
+
+def submit(node, count, target=None):
+    """Hand ``node`` ``count`` client transactions (ids from 0) in one batch."""
+    target = node.id if target is None else target
+    node.submit_transactions(TransactionBatch(target, range(count), [0] * count, [0.0] * count))
 
 
 class TestNodeLifecycle:
@@ -110,10 +114,11 @@ class TestNodeLifecycle:
 
     def test_all_nodes_order_the_same_prefix(self):
         committee, simulator, network, nodes = build_cluster()
+        orders = record_orders(nodes)
         for node in nodes.values():
             node.start()
         simulator.run(until=5.0)
-        sequences = [node.consensus.ordered_ids() for node in nodes.values()]
+        sequences = [order.ids() for order in orders.values()]
         shortest = min(len(sequence) for sequence in sequences)
         assert shortest > 0
         reference = sequences[0][:shortest]
@@ -124,47 +129,35 @@ class TestNodeLifecycle:
         committee, simulator, network, nodes = build_cluster()
         for node in nodes.values():
             node.start()
-        for index in range(100):
-            nodes[0].submit_transaction(counter_increment(index, 0, 0.0, 0))
+        submit(nodes[0], 100)
         simulator.run(until=5.0)
         assert nodes[0].transactions_proposed == 100
-        assert nodes[0].pool_size == 0
+        assert len(nodes[0].transaction_pool) == 0
 
     def test_pool_respects_batch_size(self):
         config = NodeConfig(max_batch_size=5, min_round_interval=0.05, leader_timeout=0.5)
         committee, simulator, network, nodes = build_cluster(config=config)
-        for index in range(12):
-            nodes[0].submit_transaction(counter_increment(index, 0, 0.0, 0))
+        submit(nodes[0], 12)
         nodes[0].start()
         # Only the first batch of five was proposed with the round-1 vertex.
         assert nodes[0].transactions_proposed == 5
-        assert nodes[0].pool_size == 7
+        assert len(nodes[0].transaction_pool) == 7
 
     def test_crashed_node_rejects_transactions(self):
         committee, simulator, network, nodes = build_cluster()
         nodes[0].start()
         nodes[0].crash()
-        nodes[0].submit_transaction(counter_increment(1, 0, 0.0, 0))
+        submit(nodes[0], 1)
         assert nodes[0].transactions_submitted == 0
 
-    def test_the_pool_refuses_what_it_cannot_hold(self):
-        from repro.errors import WorkloadError
-        from repro.workload.transactions import Transaction
-
+    def test_the_pool_refuses_a_batch_for_another_validator(self):
         committee, simulator, network, nodes = build_cluster()
         nodes[0].start()
-        # The pool's columns leave out target, kind and size: a row that
-        # differs in one would be proposed as a different transaction.
-        for refused in (
-            counter_increment(1, 0, 0.0, target_validator=2),
-            Transaction(1, 0, 0.0, 0, kind="transfer"),
-            Transaction(1, 0, 0.0, 0, payload_bytes=512),
-            "opaque",
-        ):
-            with pytest.raises(WorkloadError):
-                nodes[0].submit_transaction(refused)
-        assert nodes[0].transactions_submitted == 0
-        assert nodes[0].pool_size == 0
+        # The pool's columns leave out the target: a batch for another
+        # validator would be proposed as different transactions.
+        with pytest.raises(WorkloadError):
+            submit(nodes[0], 1, target=2)
+        assert len(nodes[0].transaction_pool) == 0
 
     def test_a_message_no_handler_knows_is_dropped(self):
         committee, simulator, network, nodes = build_cluster()
@@ -228,13 +221,14 @@ class TestCrashRecovery:
 
     def test_recovery_preserves_total_order_prefix(self):
         committee, simulator, network, nodes = build_cluster()
+        orders = record_orders(nodes)
         for node in nodes.values():
             node.start()
         simulator.schedule_at(2.0, nodes[2].crash)
         simulator.schedule_at(3.5, nodes[2].recover)
         simulator.run(until=10.0)
-        recovered = nodes[2].consensus.ordered_ids()
-        reference = nodes[0].consensus.ordered_ids()
+        recovered = orders[2].ids()
+        reference = orders[0].ids()
         shortest = min(len(recovered), len(reference))
         assert shortest > 0
         assert recovered[:shortest] == reference[:shortest]
@@ -280,9 +274,8 @@ class TestCrashRecovery:
         simulator.run(until=6.0)
         assert node.recoveries == 1
         assert max(vertex_id.round for vertex_id in ordered) > node.dag.lowest_round
-        assert ordered == node.consensus.ordered_ids()
-        assert len(set(ordered)) == len(ordered) == node.ordered_count
-        assert committed == [subdag.anchor.id for subdag in node.consensus.committed_subdags]
+        assert len(set(ordered)) == len(ordered) == node.consensus.ordered_count
+        assert len(committed) == node.commit_count
 
     def test_a_late_recovery_replays_the_gc_window_and_agrees_with_its_peers(self):
         gc_depth, size = 6, 4
@@ -314,7 +307,7 @@ class TestCrashRecovery:
         # its next commit: bounded by the GC depth, not the run's length.
         assert 0 < node.recovery_replayed <= (gc_depth + 4) * size
         assert check_run_consistency(
-            {validator: (peer.ordered_count, peer.consensus.ordering_digest) for validator, peer in nodes.items()},
+            {validator: (peer.consensus.ordered_count, peer.consensus.ordering_digest) for validator, peer in nodes.items()},
             {validator: peer.consensus.ordering_checkpoints for validator, peer in nodes.items()},
         ) == []
         histories = [list(peer.schedule_manager.history) for peer in nodes.values()]
@@ -340,7 +333,7 @@ class TestCrashRecovery:
             replay.schedule_manager.history,
         ) == (
             node.consensus.last_ordered_anchor_round,
-            node.ordered_count,
+            node.consensus.ordered_count,
             node.consensus.ordering_digest,
             node.schedule_manager.history,
         )
@@ -960,7 +953,7 @@ class TestLazyClientLoad:
         waiting = []
 
         def look():
-            nodes[0].pool_size
+            simulator.settle()
             held = sum(len(column.arrivals) - column.position for column in arrivals._columns)
             waiting.append((held, sum(g._count - g.submitted for g in generators)))
 
@@ -988,6 +981,7 @@ class TestForgedSlot:
         from repro.obs.trace import MemoryTracer
 
         committee, simulator, network, nodes = build_cluster()
+        orders = record_orders(nodes)
         tracer = MemoryTracer(clock=lambda: simulator.now)
         for node in nodes.values():
             node.install_observability(tracer)
@@ -1008,10 +1002,10 @@ class TestForgedSlot:
 
         simulator.schedule_at(1.0, forge)
         simulator.run(until=3.0)
-        return nodes, tracer, forged[0]
+        return nodes, orders, tracer, forged[0]
 
     def test_forged_vertex_is_dropped_and_the_run_completes(self):
-        nodes, tracer, forged = self.forged_slot_run()
+        nodes, _orders, tracer, forged = self.forged_slot_run()
         # Certified and delivered everywhere, ingested nowhere.
         assert [node.slot_mismatches_dropped for node in nodes.values()] == [1, 1, 1, 1]
         for node in nodes.values():
@@ -1024,8 +1018,8 @@ class TestForgedSlot:
         assert {(event["origin"], event["vertex_source"]) for event in dropped} == {(3, 0)}
 
     def test_honest_prefixes_stay_consistent(self):
-        nodes, _tracer, forged = self.forged_slot_run()
-        sequences = [nodes[validator].consensus.ordered_ids() for validator in (0, 1, 2)]
+        _nodes, orders, _tracer, forged = self.forged_slot_run()
+        sequences = [orders[validator].ids() for validator in (0, 1, 2)]
         shortest = min(len(sequence) for sequence in sequences)
         assert shortest > 0 and any(vertex_id.round > forged.round for vertex_id in sequences[0])
         assert all(sequence[:shortest] == sequences[0][:shortest] for sequence in sequences)

@@ -44,17 +44,17 @@ class TestTracerProtocol:
         assert first == {"kind": "vertex_proposed", "t": 1.5, "node": 0, "round": 1}
         assert second["t"] == 2.5
 
-    def test_default_clock_is_zero_not_wallclock(self):
-        tracer = MemoryTracer()
-        tracer.emit("dag_gc", removed=3)
-        assert tracer.events[0]["t"] == 0.0
+    def test_a_tracer_has_no_clock_of_its_own(self):
+        # Stamps come only from the injected clock: never a wall clock.
+        with pytest.raises(TypeError):
+            MemoryTracer()
 
     def test_event_kinds_catalogue_is_unique_and_described(self):
         assert len(KNOWN_KINDS) == len(set(KNOWN_KINDS))
         assert all(description for _, description in EVENT_KINDS)
 
     def test_event_lines_are_sorted_key_jsonl(self):
-        tracer = MemoryTracer()
+        tracer = MemoryTracer(clock=lambda: 0.0)
         tracer.emit("vertex_parked", source=2, round=4, missing=1)
         (line,) = event_lines(tracer.events, point="p", seed=7)
         decoded = json.loads(line)
@@ -62,7 +62,7 @@ class TestTracerProtocol:
         assert list(json.loads(line)) == sorted(decoded)
 
     def test_write_events_round_trips_through_load_trace(self, tmp_path):
-        tracer = MemoryTracer()
+        tracer = MemoryTracer(clock=lambda: 0.0)
         tracer.emit("vertex_inserted", node=0, round=1, source=2)
         path = tmp_path / "t.jsonl"
         with open(path, "w", encoding="utf-8") as handle:

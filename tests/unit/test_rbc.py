@@ -5,7 +5,6 @@ import tracemalloc
 import pytest
 
 from repro.committee import Committee
-from repro.network.latency import UniformLatencyModel
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.rbc.certified import CertifiedBroadcast
@@ -16,6 +15,8 @@ from repro.rbc.messages import (
     ProposeMessage,
 )
 from repro.errors import BroadcastError
+from repro.obs.trace import MemoryTracer
+from tests.doubles import UniformLatencyModel
 
 
 def build_cluster(size=4, seed=0):
@@ -39,6 +40,18 @@ def build_cluster(size=4, seed=0):
             lambda sender, message, index=index: protocols[index].handle_message(sender, message),
         )
     return committee, simulator, network, protocols, deliveries
+
+
+def traced(protocol):
+    """A tracer installed on ``protocol``."""
+    tracer = MemoryTracer(clock=lambda: 0.0)
+    protocol.install_observability(tracer, None)
+    return tracer
+
+
+def certificates_formed(tracer):
+    """``(round, signer count)`` of each certificate formed, from its trace."""
+    return [(event["round"], event["signers"]) for event in tracer.events if event["kind"] == "vertex_certified"]
 
 
 class TestReliableBroadcastProperties:
@@ -164,34 +177,38 @@ class TestCertifiedBroadcastSpecifics:
 
     def test_ack_only_sent_for_first_proposal(self):
         committee, simulator, network, protocols, deliveries = build_cluster()
+        tracer = traced(protocols[0])
         protocols[0].broadcast("first", round_number=1)
         simulator.run()
-        assert protocols[0].is_certified(1)
         # Certification happens as soon as a 2f+1 stake quorum acknowledges;
         # later acknowledgements are ignored.
-        assert protocols[0].ack_count(1) == committee.quorum_threshold
+        assert certificates_formed(tracer) == [(1, committee.quorum_threshold)]
 
     def test_a_certified_round_keeps_its_digest_not_its_payload(self):
         committee, simulator, network, protocols, deliveries = build_cluster()
+        tracer = traced(protocols[0])
         protocols[0].broadcast("payload", round_number=1)
         digest = protocols[0]._own_payloads[1][1]
         simulator.run()
-        assert protocols[0].is_certified(1)
+        assert certificates_formed(tracer) == [(1, committee.quorum_threshold)]
         assert protocols[0]._own_payloads[1] == (None, digest)
-        # Late acks still meet the certified round, and the round still
-        # refuses a second broadcast.
+        # Late acks still meet the certified round: nothing is sent and no
+        # second certificate forms.  The round still refuses a second broadcast.
+        sent = network.stats.messages_sent
         protocols[0].handle_message(3, AckMessage(origin=0, round=1, digest=digest, voter=3))
-        assert protocols[0].ack_count(1) == committee.quorum_threshold
+        assert certificates_formed(tracer) == [(1, committee.quorum_threshold)]
+        assert network.stats.messages_sent == sent
         with pytest.raises(BroadcastError):
             protocols[0].broadcast("payload", round_number=1)
 
     def test_an_uncertified_round_keeps_its_payload(self):
         committee, simulator, network, protocols, deliveries = build_cluster()
+        tracer = traced(protocols[0])
         network.set_crashed(1, True)
         network.set_crashed(2, True)
         protocols[0].broadcast("payload", round_number=1)
         simulator.run()
-        assert not protocols[0].is_certified(1)
+        assert certificates_formed(tracer) == []
         assert protocols[0]._own_payloads[1][0] == "payload"
 
     def test_propose_from_wrong_sender_ignored(self):
@@ -342,10 +359,17 @@ class TestIdsOutsideTheCommittee:
     def test_an_ack_from_outside_is_not_counted(self, sender):
         committee, simulator, network, protocols, deliveries = build_cluster()
         protocol = protocols[1]
+        tracer = traced(protocol)
         protocol.broadcast("payload", round_number=1)
-        ack = AckMessage(origin=1, round=1, digest=protocol._own_payloads[1][1], voter=sender)
+        digest = protocol._own_payloads[1][1]
+        ack = AckMessage(origin=1, round=1, digest=digest, voter=sender)
         assert self.peak_bytes(lambda: protocol.handle_message(sender, ack)) < 1 << 20
-        assert protocol.ack_count(1) == 0
+        # Had the outsider counted, two more acks would make the quorum of three.
+        for voter in (0, 2):
+            protocol.handle_message(voter, AckMessage(origin=1, round=1, digest=digest, voter=voter))
+        assert certificates_formed(tracer) == []
+        protocol.handle_message(3, AckMessage(origin=1, round=1, digest=digest, voter=3))
+        assert certificates_formed(tracer) == [(1, 3)]
 
     @pytest.mark.parametrize("signers", [(0, 1, HUGE), (0, 1, 2, 4), (-1, 0, 1, 2)])
     def test_a_signer_from_outside_fails_the_certificate_and_is_not_cached(self, signers):

@@ -21,6 +21,7 @@ from tests.conftest import (
     reference_model_for,
     vid,
 )
+from tests.doubles import dag_vertices
 from tests.reference_model import ReferenceModel
 
 ALLOWED_IMPORTS = {
@@ -119,7 +120,7 @@ def drive_against_model(committee_size=7, rounds=16, seed=3):
     rng = random.Random(seed)
     engine = make_consensus(committee, dynamic=True, commits_per_schedule=2)
     model = reference_model_for(engine.schedule_manager)
-    for vertex in engine.dag:
+    for vertex in dag_vertices(engine.dag):
         model.insert(vertex)
     engine.dag.on_insert(model.insert)
     quorum = committee.quorum_threshold

@@ -422,7 +422,7 @@ class TestReviewRegressions:
 
     def test_overlapping_disturbance_windows_compose(self):
         from repro.faults.partition import NetworkDisturbanceFault
-        from repro.network.latency import UniformLatencyModel
+        from tests.doubles import UniformLatencyModel
         from repro.network.simulator import Simulator
         from repro.network.transport import Network
 

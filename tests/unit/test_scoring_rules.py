@@ -5,13 +5,11 @@ import pytest
 
 from repro.core.manager import HammerHeadScheduleManager
 from repro.core.schedule_change import CommitCountPolicy
-from repro.core.scores import ReputationScores
 from repro.core.scoring import (
     CarouselScoring,
     CompletenessScoring,
     HammerHeadScoring,
     ScoringRule,
-    ScoringView,
     ShoalScoring,
     make_scoring_rule,
     register_scoring_rule,
@@ -88,27 +86,11 @@ class TestScoringRuleRegistry:
 
 
 class TestScoringView:
-    def test_view_without_a_manager_is_unbound(self, committee4):
-        context = ScoringView(committee=committee4, scores=ReputationScores(committee4))
-        assert context.active_schedule is None
-        with pytest.raises(ConfigurationError):
-            context.leader_for_round(2)
-
-    def test_view_exposes_schedule_and_leader_lookup(self, committee4):
-        manager = make_manager(committee4)
-        view = manager._view
-        assert view.active_schedule is manager.active_schedule
-        assert view.leader_for_round(2) == manager.leader_for_round(2)
-        assert view.schedule_for_round(2) is manager.schedule_for_round(2)
-
     def test_commit_accounting(self, committee4):
         manager = make_manager(committee4, commits=5)
-        view = manager._view
         manager.on_anchor_committed(make_anchor(2, 0, [0, 1, 2]))
         manager.on_anchor_committed(make_anchor(4, 1, [0, 1, 2]))
-        assert view.commits_in_epoch == 2
-        assert view.committed_anchor_rounds == [2, 4]
-        assert view.last_committed_anchor_round == 4
+        assert manager.commits_in_epoch == 2
 
     def test_count_rules_do_not_track_votes(self, committee4):
         manager = make_manager(committee4, scoring=HammerHeadScoring())
@@ -116,7 +98,6 @@ class TestScoringView:
         manager.on_vertex_ordered(make_anchor(2, 0, [0, 1, 2]))
         manager.on_vertex_ordered(voter)
         view = manager._view
-        assert not view.track_votes
         assert view.votes_cast == {}
         assert view.votes_expected == {}
 
@@ -150,13 +131,11 @@ class TestCompletenessScoring:
     def test_expected_and_cast_counting(self, committee4):
         manager = make_manager(committee4, scoring=CompletenessScoring())
         view = manager._view
-        assert view.track_votes
         self._feed_round(manager, 2, leader=0, voters=(1, 2), withholders=(3,))
         assert view.votes_expected == {1: 1, 2: 1, 3: 1}
         assert view.votes_cast == {1: 1, 2: 1}
-        assert view.expected_voters(2) == frozenset({1, 2, 3})
-        assert view.completeness_of(1) == 1.0
-        assert view.completeness_of(3) == 0.0
+        manager.scoring.prepare_epoch_scores(view)
+        assert manager.scores.as_dict() == {0: 0.0, 1: 1.0, 2: 1.0, 3: 0.0}
 
     def test_scores_materialized_at_schedule_change(self, committee4):
         manager = make_manager(committee4, commits=2, scoring=CompletenessScoring())
@@ -243,7 +222,8 @@ class TestCompletenessScoring:
         view = target._view
         assert view.votes_cast == source._view.votes_cast
         assert view.votes_expected == source._view.votes_expected
-        assert view.ordered_leader_rounds() == source._view.ordered_leader_rounds()
+        assert view.ordered_leaders == source._view.ordered_leaders
+        assert view.pending_votes == source._view.pending_votes
         # The parked vote is adopted too: when the round-4 leader orders,
         # both managers count the retro opportunity identically.
         for manager in (source, target):

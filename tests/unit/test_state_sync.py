@@ -13,6 +13,7 @@ from repro.scenarios.spec import compile_spec
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import SimulationRunner
 from tests.conftest import make_consensus, drive_rounds, vid
+from tests.doubles import FlatNetwork, OrderRecorder, record_orders
 
 
 class TestConsensusFastForward:
@@ -64,12 +65,13 @@ class TestOrderedVerticesInASnapshot:
 
     def test_masks_to_ids_to_masks_is_the_identity_above_the_horizon(self, committee4):
         donor = make_consensus(committee4)
+        order = OrderRecorder(donor)
         drive_rounds(donor, committee4, rounds=11, sources=[0, 1, 3])
         assert len(donor.ordered_sources) > 6
         for horizon in (0, 4, 7):
             ids = donor.ordered_from(horizon)
             assert ids == {
-                record.vertex.id for record in donor.ordered_sequence if record.vertex.round >= horizon
+                vertex_id for vertex_id in order.ids() if vertex_id.round >= horizon
             }
             adopter = make_consensus(committee4)
             adopter.adopt_ordered(ids)
@@ -79,14 +81,12 @@ class TestOrderedVerticesInASnapshot:
                 if round_number >= horizon
             }
             assert adopter.ordered_from(0) == ids
-            assert all(adopter.is_ordered(vertex_id) for vertex_id in ids)
 
     def test_adopted_ids_outside_the_committee_are_not_marked(self, committee4):
         adopter = make_consensus(committee4)
         adopter.adopt_ordered([vid(3, 1), vid(3, 4), vid(3, 2**33), vid(5, -1), vid(-2, 0)])
         assert adopter.ordered_sources == {3: 0b10, -2: 0b1}
-        assert adopter.is_ordered(vid(3, 1))
-        assert not adopter.is_ordered(vid(3, 2**33)) and not adopter.is_ordered(vid(5, -1))
+        assert adopter.ordered_from(-2) == {vid(3, 1), vid(-2, 0)}
 
     def test_the_pinned_state_sync_run_adopts_a_byte_identical_snapshot(self):
         """``rolling-crash-churn``: validator 9 recovers, finds history pruned
@@ -116,7 +116,7 @@ class TestOrderedVerticesInASnapshot:
         assert hashlib.sha256(encoded).hexdigest() == (
             "9231d5c4999c80b595d4027c4913bfb7727df708cf829776bc41d9740dd7042c"
         )
-        assert all(node.consensus.is_ordered(vertex_id) for vertex_id in snapshot.ordered_vertices)
+        assert set(snapshot.ordered_vertices) <= node.consensus.ordered_from(0)
 
 
 class TestBullsharkStateSync:
@@ -132,13 +132,12 @@ class TestBullsharkStateSync:
             duration=25.0,
             warmup=5.0,
             seed=4,
-            latency_model="uniform",
             leader_timeout=1.0,
             min_round_interval=0.10,
-            record_sequences=True,
-            extra_faults=(plan,),
+            extra_faults=(FlatNetwork(), plan),
         )
         runner = SimulationRunner(config)
+        orders = record_orders(runner.nodes)
         node = runner.nodes[3]
         manager = node.schedule_manager
         assert type(manager) is StaticScheduleManager
@@ -154,9 +153,9 @@ class TestBullsharkStateSync:
         runner.run()
         assert len(adopted) == 1 and len(node.consensus.state_sync_gaps) == 1
         assert manager.history == schedules
-        reference = runner.nodes[0].consensus.ordered_ids()
+        reference = orders[0].ids()
         positions = {vertex_id: index for index, vertex_id in enumerate(reference)}
-        mine = [positions[vertex_id] for vertex_id in node.consensus.ordered_ids()]
+        mine = [positions[vertex_id] for vertex_id in orders[3].ids()]
         # The prefix ordered before the crash, one jump over the adopted
         # interval, then the peers' order without a gap to the end.
         split = next(index for index in range(1, len(mine)) if mine[index] != mine[index - 1] + 1)
@@ -173,12 +172,12 @@ class TestReconsiderPending:
         # A vertex at round 5 whose parents (round 4) we will never receive.
         orphan = make_vertex(5, 0, edges=[vid(4, 0), vid(4, 1), vid(4, 2)])
         assert dag.add(orphan) is False
-        assert dag.pending_count == 1
+        assert len(dag.pending_vertices()) == 1
         # garbage_collect itself re-evaluates the pending buffer, so the
         # orphan is promoted without an explicit reconsider_pending() call.
         dag.garbage_collect(before_round=5)
         assert orphan.id in dag
-        assert dag.pending_count == 0
+        assert len(dag.pending_vertices()) == 0
         assert dag.reconsider_pending() == 0
 
     def test_reconsider_without_horizon_change_is_noop(self, committee4):
@@ -188,4 +187,4 @@ class TestReconsiderPending:
         orphan = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
         dag.add(orphan)
         assert dag.reconsider_pending() == 0
-        assert dag.pending_count == 1
+        assert len(dag.pending_vertices()) == 1

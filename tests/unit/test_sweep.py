@@ -16,6 +16,7 @@ from repro.sim.sweep import (
     default_parallelism,
     run_sweep,
 )
+from tests.doubles import FlatNetwork
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -24,10 +25,10 @@ def tiny_config(**overrides) -> ExperimentConfig:
         input_load_tps=100.0,
         duration=6.0,
         warmup=1.0,
-        latency_model="uniform",
         min_round_interval=0.10,
         leader_timeout=1.0,
         seed=8,
+        extra_faults=(FlatNetwork(),),
     )
     return base.with_overrides(**overrides)
 
@@ -74,7 +75,7 @@ class TestSweepEngine:
             def schedule(self, simulator, network, nodes):
                 return None
 
-        configs = [tiny_config(extra_faults=(Unpicklable(),)) for _ in range(2)]
+        configs = [tiny_config(extra_faults=(FlatNetwork(), Unpicklable())) for _ in range(2)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results = SweepEngine(parallelism=2).run(configs)

@@ -22,7 +22,7 @@ def fill(tracer, count):
 
 class TestRingBuffer:
     def test_under_capacity_keeps_everything(self):
-        tracer = MemoryTracer(max_events=10)
+        tracer = MemoryTracer(clock=lambda: 0.0, max_events=10)
         fill(tracer, 7)
         assert len(tracer.events) == 7
         assert tracer.dropped == 0
@@ -31,7 +31,7 @@ class TestRingBuffer:
         assert [event["round"] for event in events] == list(range(7))
 
     def test_overflow_evicts_oldest_first(self):
-        tracer = MemoryTracer(max_events=5)
+        tracer = MemoryTracer(clock=lambda: 0.0, max_events=5)
         fill(tracer, 12)
         assert len(tracer.events) == 5
         assert tracer.dropped == 7
@@ -39,7 +39,7 @@ class TestRingBuffer:
         assert kept == [7, 8, 9, 10, 11]  # newest five survive
 
     def test_export_prepends_truncation_marker(self):
-        tracer = MemoryTracer(max_events=3)
+        tracer = MemoryTracer(clock=lambda: 0.0, max_events=3)
         fill(tracer, 5)
         events = tracer.export_events()
         marker = events[0]
@@ -55,14 +55,14 @@ class TestRingBuffer:
         assert "trace_truncated" in KNOWN_KINDS
 
     def test_marker_serializes_like_any_event(self):
-        tracer = MemoryTracer(max_events=1)
+        tracer = MemoryTracer(clock=lambda: 0.0, max_events=1)
         fill(tracer, 2)
         lines = event_lines(tracer.export_events(), point="p", seed=1)
         assert len(lines) == 2
         assert '"kind":"trace_truncated"' in lines[0]
 
     def test_a_ring_filled_exactly_is_complete(self):
-        tracer = MemoryTracer(max_events=5)
+        tracer = MemoryTracer(clock=lambda: 0.0, max_events=5)
         fill(tracer, 5)
         assert tracer.dropped == 0
         assert [event["kind"] for event in tracer.export_events()] == ["vertex_inserted"] * 5
@@ -71,7 +71,7 @@ class TestRingBuffer:
         assert tracer.export_events()[0]["kind"] == "trace_truncated"
 
     def test_export_leaves_the_ring_intact(self):
-        tracer = MemoryTracer(max_events=2)
+        tracer = MemoryTracer(clock=lambda: 0.0, max_events=2)
         fill(tracer, 3)
         assert tracer.export_events() == tracer.export_events()
         fill(tracer, 2)
@@ -93,10 +93,10 @@ class TestRingBuffer:
     def test_non_positive_bound_refused(self, limit):
         # A zero bound used to keep every event yet report one dropped.
         with pytest.raises(ValueError, match="max_events"):
-            MemoryTracer(max_events=limit)
+            MemoryTracer(clock=lambda: 0.0, max_events=limit)
 
     def test_unbounded_tracer_unchanged(self):
-        tracer = MemoryTracer()
+        tracer = MemoryTracer(clock=lambda: 0.0)
         fill(tracer, 4)
         assert tracer.max_events is None
         assert tracer.dropped == 0

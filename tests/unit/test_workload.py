@@ -11,7 +11,7 @@ from repro.errors import WorkloadError
 from repro.netexec import codec
 from repro.network.simulator import Simulator
 from repro.workload.generator import MAX_RATE_PER_CLIENT, ClientArrivals, LoadGenerator, spawn_load
-from repro.workload.transactions import Transaction, TransactionBatch, counter_increment
+from repro.workload.transactions import Transaction, TransactionBatch
 from tests.conftest import vid
 
 
@@ -27,8 +27,8 @@ class FakeValidator:
 
 
 class TestTransactions:
-    def test_counter_increment_fields(self):
-        transaction = counter_increment(7, client_id=2, submitted_at=1.5, target_validator=3)
+    def test_a_transaction_is_a_counter_increment_by_default(self):
+        transaction = Transaction(7, client_id=2, submitted_at=1.5, target_validator=3)
         assert transaction.tx_id == 7
         assert transaction.client_id == 2
         assert transaction.submitted_at == 1.5
@@ -36,7 +36,7 @@ class TestTransactions:
         assert transaction.kind == "counter_increment"
 
     def test_transactions_are_hashable_and_frozen(self):
-        transaction = counter_increment(1, 0, 0.0, 0)
+        transaction = Transaction(1, 0, 0.0, 0)
         assert hash(transaction) is not None
         with pytest.raises(Exception):
             transaction.tx_id = 9
@@ -47,11 +47,15 @@ class TestTransactionBatch:
     def rows(first, count):
         return [Transaction(first + index, index % 3, 0.25 * (first + index), 5) for index in range(count)]
 
+    @staticmethod
+    def batch_of(rows, target=5):
+        ids, clients, submitted_at = ([row[field] for row in rows] for field in range(3))
+        return TransactionBatch(target, ids, clients, submitted_at)
+
     @given(
         steps=st.lists(
             st.one_of(
                 st.tuples(st.just("extend"), st.integers(min_value=0, max_value=6)),
-                st.tuples(st.just("append"), st.just(1)),
                 st.tuples(st.just("take"), st.integers(min_value=0, max_value=5)),
             ),
             max_size=12,
@@ -74,11 +78,7 @@ class TestTransactionBatch:
             rows = self.rows(following, size)
             following += size
             fifo.extend(rows)
-            if kind == "append":
-                pool.append(rows[0])
-            else:
-                ids, clients, submitted_at = ([row[field] for row in rows] for field in range(3))
-                pool.extend(TransactionBatch(5, ids, clients, submitted_at))
+            pool.extend(self.batch_of(rows))
             assert len(pool) == len(fifo)
             assert list(pool) == list(fifo)
         # What was taken is the taker's: the pool's later life does not show in it.
@@ -87,21 +87,15 @@ class TestTransactionBatch:
 
     def test_rows_read_as_transactions(self):
         rows = self.rows(10, 4)
-        batch = TransactionBatch(5)
-        for row in rows:
-            batch.append(row)
+        batch = self.batch_of(rows)
         assert len(batch) == 4 and bool(batch)
         assert not TransactionBatch(5)
         assert list(batch) == rows
-        assert [batch[index] for index in range(4)] == rows
-        assert batch[-1] == rows[-1]
-        assert batch[2].kind == "counter_increment" and batch[2].payload_bytes == 64
+        assert all(row.kind == "counter_increment" and row.payload_bytes == 64 for row in batch)
 
     def test_a_vertex_keeps_a_taken_batch_and_encodes_it_as_its_transactions(self):
         rows = self.rows(0, 5)
-        pool = TransactionBatch(5)
-        for row in rows:
-            pool.append(row)
+        pool = self.batch_of(rows)
         edges = [vid(2, index) for index in range(3)]
         # A pool can still change, so a vertex copies it; what take()
         # hands over cannot, and is kept as it is.
@@ -112,57 +106,24 @@ class TestTransactionBatch:
         carried = make_vertex(3, 1, edges, block=batch, created_at=1.5)
         spelled = make_vertex(3, 1, edges, block=rows, created_at=1.5)
         assert carried.block is batch
-        assert spelled.block == tuple(rows)
+        assert spelled.block == tuple(rows) == copied.block
         assert carried.digest == spelled.digest
         assert codec.encode(carried) == codec.encode(spelled)
         assert codec.decode(codec.encode(carried)) == spelled
-
-    def test_a_batch_equals_the_tuple_of_its_rows(self):
-        rows = self.rows(3, 4)
-        ids, clients, submitted_at = ([row[field] for row in rows] for field in range(3))
-        batch = TransactionBatch(5, ids, clients, submitted_at)
-        assert batch == tuple(rows) and tuple(rows) == batch
-        assert batch == TransactionBatch(5, list(ids), list(clients), list(submitted_at))
-        assert hash(batch) == hash(tuple(rows))
-        assert batch != tuple(rows[:-1]) and batch != tuple(reversed(rows))
-        assert batch != TransactionBatch(6, list(ids), list(clients), list(submitted_at))
-        assert batch != rows  # as a tuple: never equal to a list
-        # A vertex holding a batch is the vertex holding the same rows: in
-        # memory, after a codec round trip, and as a set member.
-        edges = [vid(2, index) for index in range(3)]
-        carried = make_vertex(3, 1, edges, block=batch.take(4))
-        spelled = make_vertex(3, 1, edges, block=rows)
-        assert carried == spelled and spelled == carried
-        assert codec.decode(codec.encode(carried)) == carried
-        assert len({carried, spelled}) == 1
-        assert carried != make_vertex(3, 1, edges, block=self.rows(4, 4))
+        other = make_vertex(3, 1, edges, block=self.batch_of(self.rows(1, 5)).take(5), created_at=1.5)
+        assert codec.encode(other) != codec.encode(carried)
 
     def test_a_sealed_batch_does_not_change(self):
-        pool = TransactionBatch(5)
-        pool.append(Transaction(0, 0, 0.0, 5))
+        pool = TransactionBatch(5, [0], [0], [0.0])
         taken = pool.take(1)
-        with pytest.raises(WorkloadError):
-            taken.append(Transaction(1, 0, 0.25, 5))
         with pytest.raises(WorkloadError):
             taken.extend(TransactionBatch(5, [1], [0], [0.25]))
         assert list(taken) == [Transaction(0, 0, 0.0, 5)]
 
-    @pytest.mark.parametrize(
-        "row",
-        [
-            Transaction(1, 0, 0.25, 6),
-            Transaction(1, 0, 0.25, 5, kind="transfer"),
-            Transaction(1, 0, 0.25, 5, payload_bytes=512),
-            "opaque",
-        ],
-    )
-    def test_a_row_the_columns_cannot_hold_is_refused(self, row):
-        # The columns say nothing of kind, size or target: a row that
-        # differs there would be proposed and encoded as another one.
+    def test_a_batch_for_another_target_is_refused(self):
+        # The columns say nothing of the target: rows for another
+        # validator would be proposed and encoded as this one's.
         pool = TransactionBatch(5)
-        with pytest.raises(WorkloadError):
-            pool.append(row)
-        assert len(pool) == 0
         with pytest.raises(WorkloadError):
             pool.extend(TransactionBatch(6, [1], [0], [0.25]))
         assert len(pool) == 0
@@ -179,19 +140,14 @@ class TestTransactionBatch:
             (1, 0),
         ],
     )
-    def test_a_value_a_typed_column_cannot_hold_is_refused_whole(self, row):
+    def test_a_row_a_typed_column_cannot_hold_is_refused_whole(self, row):
         # A list took anything; ``array`` raises on the second or third
         # column, after the first has grown.  Nothing may have grown.
-        pool = TransactionBatch(5)
-        pool.append(Transaction(0, 0, 0.0, 5))
-        with pytest.raises(WorkloadError, match="is no row of a batch for validator 5"):
-            pool.append(row)
+        pool = TransactionBatch(5, [0], [0], [0.0])
+        with pytest.raises(WorkloadError):
+            pool.extend(TransactionBatch(5, *([cell] for cell in row[:3])))
         assert len(pool.ids) == len(pool.clients) == len(pool.submitted_at) == 1
         assert list(pool) == [Transaction(0, 0, 0.0, 5)]
-        sealed = pool.take(1)
-        with pytest.raises(WorkloadError):
-            sealed.append(Transaction(1, 0, 0.25, 5))
-        assert len(sealed.ids) == len(sealed.clients) == len(sealed.submitted_at) == 1
 
     @pytest.mark.parametrize(
         "columns",
