@@ -3,9 +3,12 @@
 Latency is measured the way the paper defines it: "the time elapsed from
 when the client submits the transaction to when it receives confirmation
 of the transaction's finality".  A transaction carries its submission
-time; the collector passes once over the columns of every block an
-observer validator orders, counts a transaction the first time only, and
-adds the client confirmation delay (one network one-way trip back).
+time; for every block an observer validator orders, the collector proves
+the block's ids one fresh run (compared as one integer) or claims them id
+by id, counts a transaction the first time only, and makes the finality
+times in one pass over the execution queue's running sum with the client
+confirmation delay (one network one-way trip back) added, and the
+latencies in one more.
 
 Throughput is "the number of distinct transactions over the entire
 duration of the run", counted over a measurement window that excludes a
@@ -15,9 +18,10 @@ bias results.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from itertools import compress, repeat
-from operator import add, ge, sub
+from operator import ge, sub
 from typing import Any, List, Optional, Sequence
 
 from repro.consensus.committed import OrderedVertex
@@ -25,7 +29,7 @@ from repro.metrics.execution import ExecutionModel
 from repro.metrics.latency import Column, LatencyStats
 from repro.node.validator import ValidatorNode
 from repro.types import SimTime
-from repro.workload.transactions import Transaction, as_column, transaction_columns
+from repro.workload.transactions import Transaction, is_id_run, transaction_columns
 
 
 class MetricsCollector:
@@ -88,17 +92,16 @@ class MetricsCollector:
         """Record commit times for the transactions of an ordered vertex.
 
         Only a transaction's first commit counts.  Any block is first
-        reduced to an id column and a submission-time column; execution,
-        finality, the warm-up filter and the latencies are then column
-        passes.
+        reduced to an id column and a submission-time column; the
+        finality times are then one pass (the execution queue's running
+        sum plus the confirmation delay) and the latencies one more.
         """
         ids, submitted_at = transaction_columns(record.vertex.block)
         count = len(ids)
         if not count:
             return
-        first, stop = ids[0], ids[-1] + 1
-        # The ends first: a run between them holds no id that 64 bits cannot.
-        if stop - first != count or ids != as_column("q", range(first, stop)) or not self._claim(first, stop):
+        first = ids[0]
+        if not (is_id_run(ids) and self._claim(first, first + count)):
             # Not one run of fresh ids: settle it id by id.
             fresh = [self._claim(tx_id, tx_id + 1) for tx_id in ids]
             submitted_at = list(compress(submitted_at, fresh))
@@ -109,14 +112,13 @@ class MetricsCollector:
         if self.execution is None:
             finality_times = [record.ordered_at + self.confirmation_delay] * count
         else:
-            finish_times = self.execution.execute_many(count, record.ordered_at)
-            finality_times = list(map(add, finish_times, repeat(self.confirmation_delay)))
+            finality_times = self.execution.execute_many(count, record.ordered_at, self.confirmation_delay)
         warmup = self.warmup
         if min(submitted_at) < warmup:
             measured = [submit_time >= warmup for submit_time in submitted_at]
             finality_times = list(compress(finality_times, measured))
             submitted_at = list(compress(submitted_at, measured))
-        self._finality_times.extend(finality_times)
+        self._finality_times.extend(array("d", finality_times))
         self.committed += len(finality_times)
         self.latency.extend(list(map(sub, finality_times, submitted_at)))
 

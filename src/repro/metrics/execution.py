@@ -20,7 +20,8 @@ curves.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
+from operator import add
 from typing import List
 
 from repro.errors import ConfigurationError
@@ -38,15 +39,19 @@ class ExecutionModel:
         self._busy_until: SimTime = 0.0
         self.executed = 0
 
-    def execute_many(self, count: int, ordered_at: SimTime) -> List[SimTime]:
+    def execute_many(self, count: int, ordered_at: SimTime, delay: SimTime = 0.0) -> List[SimTime]:
         """Execute ``count`` (at least one) transactions ordered at ``ordered_at``.
 
         Each starts when the one before it finishes, the first no earlier
-        than the ordering.  Returns the completion times.
+        than the ordering.  Returns the completion times, each plus
+        ``delay``, made in one pass over the running sum; the last sum,
+        read off the same iterator, is where the queue stays busy until.
         """
         start = max(self._busy_until, ordered_at)
-        finish_times = list(accumulate(repeat(self.service_time, count), initial=start))
-        del finish_times[0]
-        self._busy_until = finish_times[-1]
+        finish_times = accumulate(repeat(self.service_time, count), initial=start)
+        next(finish_times)  # ``start`` itself
+        times = list(map(add, islice(finish_times, count - 1), repeat(delay)))
+        self._busy_until = last = next(finish_times)
+        times.append(last + delay)
         self.executed += count
-        return finish_times
+        return times

@@ -13,8 +13,8 @@ Protocol (for one broadcast by validator ``p`` at round ``r``):
    travel in: one transport send per peer carries all certificates the
    validator emits for that round.
 4. A validator delivers the payload of every valid certificate it splits
-   out of a batch (a bare :class:`CertificateMessage` from a peer is
-   verified and delivered the same way).
+   out of a batch (a bare :class:`CertificateMessage` from a peer goes
+   through the same loop as a batch of one).
 
 The quorum intersection argument gives non-equivocation: two conflicting
 certificates would require two quorums of acknowledgements whose
@@ -73,7 +73,7 @@ from repro.rbc.messages import (
     CertificateMessage,
     ProposeMessage,
 )
-from repro.types import Round, SimTime, Stake, ValidatorId
+from repro.types import Round, Stake, ValidatorId
 
 # Verified certificate objects kept per stake vector, in rounds' worth of
 # the committee's certificates: a fan-out spans a round or two, and an
@@ -89,19 +89,12 @@ class Delivery:
     ``object.__setattr__`` per field was measurable on that path.
     """
 
-    __slots__ = ("payload", "round", "origin", "delivered_at")
+    __slots__ = ("payload", "round", "origin")
 
-    def __init__(
-        self,
-        payload: Any,
-        round: Round,
-        origin: ValidatorId,
-        delivered_at: SimTime,
-    ) -> None:
+    def __init__(self, payload: Any, round: Round, origin: ValidatorId) -> None:
         self.payload = payload
         self.round = round
         self.origin = origin
-        self.delivered_at = delivered_at
 
 
 # Callback invoked exactly once per (origin, round) on delivery.
@@ -161,8 +154,8 @@ class CertifiedBroadcast:
         self._handlers = {
             ProposeMessage: self._handle_propose,
             AckMessage: self._handle_ack,
-            CertificateMessage: self._handle_certificate,
-            CertificateBatch: self._handle_certificate_batch,
+            CertificateMessage: self._handle_certificates,
+            CertificateBatch: self._handle_certificates,
         }
 
     def install_observability(self, tracer: Tracer, registry: Optional[Any]) -> None:
@@ -300,14 +293,7 @@ class CertifiedBroadcast:
                 round=round_number,
                 origin=origin,
             )
-        self.on_deliver(
-            Delivery(
-                payload=payload,
-                round=round_number,
-                origin=origin,
-                delivered_at=self.network.simulator.now,
-            )
-        )
+        self.on_deliver(Delivery(payload=payload, round=round_number, origin=origin))
 
     # -- message handling ----------------------------------------------------------
 
@@ -428,26 +414,18 @@ class CertifiedBroadcast:
         verified[id(message)] = message
         return True
 
-    def _handle_certificate(self, sender: ValidatorId, message: CertificateMessage) -> None:
-        if not 0 <= message.origin < self._size:
-            return
-        if self.has_delivered(message.origin, message.round):
-            # Duplicate delivery is a no-op either way; skip verification.
-            return
-        if self._verify_certificate(message):
-            self._deliver(message.payload, message.round, message.origin)
-
-    def _handle_certificate_batch(self, sender: ValidatorId, message: CertificateBatch) -> None:
+    def _handle_certificates(self, sender: ValidatorId, message: Any) -> None:
         """Split a batch: dedup, verify, and deliver in batch order.
 
-        Delivery order within the batch is the emitter's order; vertices
-        whose parents are still missing are parked by the DAG store and
-        promoted when the parent arrives (possibly later in the same
-        batch).
+        A bare certificate from a peer is a batch of one.  Delivery order
+        within a batch is the emitter's order; vertices whose parents are
+        still missing are parked by the DAG store and promoted when the
+        parent arrives (possibly later in the same batch).
         """
+        certificates = (message,) if message.__class__ is CertificateMessage else message.certificates
         delivered = self._delivered
         size = self._size
-        for certificate in message.certificates:
+        for certificate in certificates:
             origin = certificate.origin
             if not 0 <= origin < size:
                 continue
@@ -455,11 +433,6 @@ class CertifiedBroadcast:
                 continue
             if self._verify_certificate(certificate):
                 self._deliver(certificate.payload, certificate.round, certificate.origin)
-
-    # -- introspection -----------------------------------------------------------------
-
-    def has_delivered(self, origin: ValidatorId, round_number: Round) -> bool:
-        return 0 <= origin < self._size and bool(self._delivered.get(round_number, 0) >> origin & 1)
 
 
 def _payload_digest(payload: Any) -> Any:

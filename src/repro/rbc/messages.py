@@ -65,7 +65,7 @@ class CertificateBatch(BroadcastMessage):
     into a single send per peer; the receiver splits the envelope,
     deduplicates against already-delivered ``(origin, round)`` pairs, and
     verifies the remainder in one aggregate pass (see
-    :meth:`~repro.rbc.certified.CertifiedBroadcast._handle_certificate_batch`).
+    :meth:`~repro.rbc.certified.CertifiedBroadcast._handle_certificates`).
 
     ``origin``/``round``/``digest`` describe the *emitter* and the round
     the batch belongs to; the certificates inside carry their own origins,

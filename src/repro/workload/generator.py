@@ -12,22 +12,25 @@ No client costs the simulator an event and no transaction an object: all
 clients of a simulator are merged in one :class:`ClientArrivals`, a
 per-target schedule built once per client set, which hands a target what
 has arrived as one ``TransactionBatch`` whenever a pool is about to be read.
+Clients of one rate take turns at a target, so a schedule is laid out
+rather than sorted: their rows interleave by extended-slice assignment,
+and any other client's rows are spliced in where ``bisect`` puts them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
-from itertools import groupby, repeat
-from operator import eq
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from itertools import compress, count, islice, repeat
+from operator import eq, lt, sub
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.network.simulator import Simulator
 from repro.types import SimTime
-from repro.workload.transactions import TransactionBatch, as_column
+from repro.workload.transactions import TransactionBatch
 
 if TYPE_CHECKING:
     from repro.node.validator import ValidatorNode
@@ -58,11 +61,12 @@ class ClientArrivals:
     round-robin — and a transaction pool is observable only where a
     validator reads it, so arrivals are not heap events.  One client's
     arrivals at one target are an arithmetic progression of its indices;
-    a target's column is the progressions of all its clients, merged
-    once, and :meth:`settle`, which the simulator calls before every
-    pool read and when a run ends, delivers the slice one ``bisect``
-    finds and drops a column's delivered prefix once it is more than
-    half the column.  The columns are rebuilt, from the arrivals still
+    a target's column is the progressions of all its clients, laid out
+    once (:func:`_append_merged`: interleaved and spliced, not sorted),
+    and :meth:`settle`, which the simulator calls before every pool read
+    and when a run ends, delivers the slice one ``bisect`` finds and
+    drops a column's delivered prefix once it is more than half the
+    column.  The columns are rebuilt, from the arrivals still
     undelivered, only when a client starts or is retargeted.
 
     Rows are in the order the event queue would have fired one event per
@@ -170,12 +174,12 @@ class ClientArrivals:
         return [self._merge(target, [part[1:] for part in parts if part[0] is target]) for target in targets]
 
     def _merge(self, target: Any, parts: List[Tuple[LoadGenerator, range]]) -> _Column:
-        """The column of ``parts``' arrivals, sorted one slice at a time.
+        """The column of ``parts``' arrivals, merged one slice at a time.
 
         Each part is in arrival order already.  A slice takes from every
         part the rows arriving no later than the earliest of the parts'
         next ``_SLICE_ROWS``-th arrivals, so equal arrivals never straddle
-        two slices and the slices, each sorted, are the column one sort
+        two slices and the slices, each merged, are the column one merge
         would give; only a slice's rows are ever boxed.
         """
         column = _Column(target, array("d"), array("d"), array("q"), self._next_id)
@@ -195,43 +199,171 @@ class ClientArrivals:
                 stop = bisect_right(indices, bound, starts[position], key=generator._arrival)
                 rows.append((generator, indices[starts[position]:stop]))
                 starts[position] = stop
-            _append_sorted(column, rows)
+            _append_merged(column, rows)
 
 
 # Rows a slice of a column takes from each of its parts, at most.
 _SLICE_ROWS = 512
 
 
-def _append_sorted(column: _Column, parts: List[Tuple[LoadGenerator, range]]) -> None:
-    """Append the rows of ``parts`` to ``column`` in delivery order."""
-    submitted_at, arrivals, clients = [], [], []
-    for generator, indices in parts:
+class _Part(NamedTuple):
+    """The rows of one client's progression that one slice takes."""
+
+    generator: LoadGenerator
+    indices: range
+    submitted_at: List[SimTime]
+    arrivals: List[SimTime]
+
+
+# Three parallel columns in delivery order: arrivals, submission instants
+# (lists, to be searched and compared) and clients (an ``array('q')``).
+_Run = Tuple[List[SimTime], List[SimTime], array]
+
+
+def _append_merged(column: _Column, indices_of: List[Tuple[LoadGenerator, range]]) -> None:
+    """Append the rows of ``indices_of`` to ``column`` in delivery order.
+
+    Clients that share an interval, a submission delay and a target
+    cycle take turns at a target, so their parts are laid into one run
+    by extended-slice assignment, earliest first; each other part is a
+    run of its own.  The runs are spliced into the longest where
+    ``bisect`` puts their rows.  A run that is not strictly increasing,
+    or a splice that meets an equal arrival, marks the slice tied, and
+    only the rows on a shared instant are then put in the order
+    :func:`_compare` gives, start() order where it gives none.
+    """
+    indices_of = [(generator, indices) for generator, indices in indices_of if indices]
+    parts: List[_Part] = []
+    groups: Dict[Tuple[SimTime, SimTime, int], List[_Part]] = {}
+    for (generator, indices), products in zip(indices_of, _products(indices_of)):
         first_time, interval, delay = generator._parameters()
-        times = [first_time + index * interval for index in indices]
-        submitted_at += times
-        arrivals += [time + delay for time in times]
-        clients += repeat(generator.client_id, len(times))
-    order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
-    merged = sorted(arrivals)
-    if any(map(eq, merged, merged[1:])):
-        _order_ties(order, merged, parts)
-    column.arrivals.extend(as_column("d", merged))
-    column.submitted_at.extend(as_column("d", map(submitted_at.__getitem__, order)))
-    column.clients.extend(as_column("q", map(clients.__getitem__, order)))
+        submitted_at = [first_time + product for product in products]
+        part = _Part(generator, indices, submitted_at, [time + delay for time in submitted_at])
+        parts.append(part)
+        groups.setdefault((interval, delay, indices.step), []).append(part)
+    runs: List[_Run] = []
+    tied = False
+    for group in groups.values():
+        rotation = _rotation(group)
+        if len(group) > 1 and (rotation is None or not rotation[1]):
+            # Not a strict rotation: each part is a run of its own.
+            rotations = [_rotation([part]) for part in group]
+        else:
+            rotations = [rotation]
+        for run, strict in rotations:
+            runs.append(run)
+            tied = tied or not strict
+    runs.sort(key=lambda run: len(run[0]), reverse=True)
+    merged = runs[0]
+    for run in runs[1:]:
+        merged, equal = _splice(merged, run)
+        tied = tied or equal
+    arrivals, submitted_at, clients = merged
+    if tied:
+        _order_ties(arrivals, submitted_at, clients, parts)
+    column.arrivals.fromlist(arrivals)
+    column.submitted_at.fromlist(submitted_at)
+    column.clients += clients
 
 
-def _order_ties(order: List[int], merged: List[SimTime], parts: List[Tuple[LoadGenerator, range]]) -> None:
-    """Put the rows of ``order`` (indices into the concatenation of
-    ``parts``) whose arrivals in ``merged`` are equal in delivery order."""
-    rows = [(generator, index) for generator, indices in parts for index in indices]
-    # Stable: rows that compare equal stay in start() order.
-    delivery = cmp_to_key(lambda left, right: _compare(*rows[left], *rows[right]))
-    low = 0
-    for _, run in groupby(merged):
-        high = low + len(list(run))
-        if high - low > 1:
-            order[low:high] = sorted(order[low:high], key=delivery)
-        low = high
+def _products(indices_of: List[Tuple[LoadGenerator, range]]) -> List[List[SimTime]]:
+    """``index * interval`` for each row of each part, one list per part.
+
+    Clients with one rate and one target cycle run through the same
+    indices at a target, so each product is computed once for all of
+    them and a part takes its slice of the list.
+    """
+    keys = [(generator._interval, indices.step, indices.start % indices.step) for generator, indices in indices_of]
+    spans: Dict[Tuple[SimTime, int, int], Tuple[int, int]] = {}
+    for key, (_, indices) in zip(keys, indices_of):
+        low, high = spans.get(key, (indices[0], indices[-1]))
+        spans[key] = (min(low, indices[0]), max(high, indices[-1]))
+    products = {
+        key: [index * key[0] for index in range(low, high + 1, key[1])] for key, (low, high) in spans.items()
+    }
+    sliced = []
+    for key, (_, indices) in zip(keys, indices_of):
+        offset = (indices[0] - spans[key][0]) // indices.step
+        sliced.append(products[key][offset:offset + len(indices)])
+    return sliced
+
+
+def _rotation(parts: List[_Part]) -> Optional[Tuple[_Run, bool]]:
+    """``parts`` taken in turn, earliest first, and whether their arrivals
+    then strictly increase; ``None`` when their lengths cannot take turns."""
+    parts = sorted(parts, key=lambda part: part.arrivals[0])
+    total = sum(len(part.arrivals) for part in parts)
+    turns = len(parts)
+    if any(len(part.arrivals) != len(range(turn, total, turns)) for turn, part in enumerate(parts)):
+        return None
+    if turns == 1:
+        arrivals, submitted_at = parts[0].arrivals, parts[0].submitted_at
+    else:
+        arrivals = [0.0] * total
+        submitted_at = [0.0] * total
+        for turn, part in enumerate(parts):
+            arrivals[turn::turns] = part.arrivals
+            submitted_at[turn::turns] = part.submitted_at
+    clients = array("q", [part.generator.client_id for part in parts]) * len(parts[0].arrivals)
+    del clients[total:]
+    return (arrivals, submitted_at, clients), all(map(lt, arrivals, islice(arrivals, 1, None)))
+
+
+def _splice(into: _Run, run: _Run) -> Tuple[_Run, bool]:
+    """The rows of ``into`` and ``run`` in arrival order, and whether an
+    arrival of ``run`` equals one of ``into``.
+
+    Each row of ``run`` goes after the rows of ``into`` arriving no later
+    (``bisect_right``); the rows of ``into`` between two of them are
+    copied as one slice.
+    """
+    into_arrivals, into_submitted_at, into_clients = into
+    run_arrivals, run_submitted_at, run_clients = run
+    positions = list(map(bisect_right, repeat(into_arrivals), run_arrivals))
+    # An equal arrival sits just before the row's position; position 0
+    # reads the last row of ``into``, later than the row.
+    equal = any(map(eq, run_arrivals, map(into_arrivals.__getitem__, map(sub, positions, repeat(1)))))
+    spliced_arrivals: List[SimTime] = []
+    spliced_submitted_at: List[SimTime] = []
+    spliced_clients = array("q")
+    previous = 0
+    for row, position in enumerate(positions):
+        spliced_arrivals += into_arrivals[previous:position]
+        spliced_arrivals.append(run_arrivals[row])
+        spliced_submitted_at += into_submitted_at[previous:position]
+        spliced_submitted_at.append(run_submitted_at[row])
+        spliced_clients += into_clients[previous:position]
+        spliced_clients.append(run_clients[row])
+        previous = position
+    spliced_arrivals += into_arrivals[previous:]
+    spliced_submitted_at += into_submitted_at[previous:]
+    spliced_clients += into_clients[previous:]
+    return (spliced_arrivals, spliced_submitted_at, spliced_clients), equal
+
+
+def _order_ties(arrivals: List[SimTime], submitted_at: List[SimTime], clients: array, parts: List[_Part]) -> None:
+    """Put the rows of each shared instant of ``arrivals`` in delivery order.
+
+    The rows on one instant are found in ``parts`` (in start() order) by
+    ``bisect`` and sorted stably by :func:`_compare`; no other row is read.
+    """
+    delivery = cmp_to_key(lambda left, right: _compare(left[0], left[1], right[0], right[1]))
+    end = 0
+    for low in compress(count(), map(eq, arrivals, islice(arrivals, 1, None))):
+        if low < end:
+            continue
+        instant = arrivals[low]
+        end = bisect_right(arrivals, instant, low)
+        rows = sorted(
+            (
+                (part.generator, part.indices[row], part.submitted_at[row])
+                for part in parts
+                for row in range(bisect_left(part.arrivals, instant), bisect_right(part.arrivals, instant))
+            ),
+            key=delivery,
+        )
+        submitted_at[low:end] = [row[2] for row in rows]
+        clients[low:end] = array("q", [row[0].client_id for row in rows])
 
 
 def _compare(first: LoadGenerator, i: int, second: LoadGenerator, j: int) -> int:

@@ -17,9 +17,10 @@ is refused there with ``WorkloadError``, before anything changes.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from array import array
 from itertools import repeat
-from typing import Any, Iterable, Iterator, NamedTuple, Tuple
+from typing import Any, Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.errors import WorkloadError
 from repro.types import SimTime, ValidatorId
@@ -110,3 +111,30 @@ def transaction_columns(block: Iterable[Any]) -> Tuple[array, array]:
         return block.ids, block.submitted_at
     rows = [item for item in block if isinstance(item, Transaction)]
     return as_column("q", [row.tx_id for row in rows]), as_column("d", [row.submitted_at for row in rows])
+
+
+def is_id_run(ids: array) -> bool:
+    """Whether the id column ``ids`` (not empty) is ``ids[0], ids[0] + 1, ...``.
+
+    The column is read as one unsigned integer in the host's byte order,
+    ``ids[k]`` in lane ``k`` of ``itemsize`` bytes, and compared with the
+    run's integer: ``ids[0]`` in every lane plus each lane's number.
+    Lanes under half their range carry nothing into their neighbours, so
+    equal integers mean equal lanes; no id is boxed.
+    """
+    first, count, width = ids[0], len(ids), 8 * ids.itemsize
+    if first < 0 or first + count > 1 << width - 1:
+        return False
+    size, typecode, ones, ramp = _LANES
+    if count > size or typecode != ids.typecode:
+        size, typecode = max(count, 2 * size), ids.typecode
+        ones = int.from_bytes(array(typecode, [1]) * size, sys.byteorder)
+        ramp = int.from_bytes(array(typecode, range(size)), sys.byteorder)
+        _LANES[:] = size, typecode, ones, ramp
+    mask = (1 << width * count) - 1
+    return int.from_bytes(ids, sys.byteorder) == (ones & mask) * first + (ramp & mask)
+
+
+# Lanes, their type, one in every lane and each lane's number, for the
+# widest id column met so far.
+_LANES: List[Any] = [0, "", 0, 0]

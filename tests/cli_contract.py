@@ -15,7 +15,7 @@ import ...``) instead of copy-pasting the capsys plumbing and the
 contract assertions per CLI.
 """
 
-from repro.cliutil import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK  # noqa: F401 - re-exported
+from repro.cliutil import EXIT_ERROR, EXIT_OK
 
 
 def run_cli(main, capsys, *argv):

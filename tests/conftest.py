@@ -8,7 +8,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import pytest
 
 from repro.behavior import HONEST
-from repro.committee import Committee, equal_stake
+from repro.committee import Committee
 from repro.consensus.bullshark import BullsharkConsensus
 from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
 from repro.dag.store import DagStore

@@ -5,8 +5,6 @@ paper's protocol-level properties: liveness, total order across
 validators, schedule agreement, and determinism.
 """
 
-import pytest
-
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.sim.runner import SimulationRunner
 from tests.doubles import FlatNetwork, run_recorded

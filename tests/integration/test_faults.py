@@ -6,8 +6,6 @@ HammerHead removes failing validators from the leader schedule (Leader
 Utilization), reintegrates recovered ones, and keeps safety throughout.
 """
 
-import pytest
-
 from repro.behavior import VoteWithholdingPolicy
 from repro.faults.behavior import BehaviorFault
 from repro.faults.crash import CrashRecoveryFault

@@ -8,8 +8,6 @@ frequency follows stake and that HammerHead still removes a crashed
 high-stake validator from the schedule.
 """
 
-import pytest
-
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import SimulationRunner
 from repro.faults.crash import CrashFault

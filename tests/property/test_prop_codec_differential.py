@@ -274,8 +274,10 @@ def test_runs_past_the_layout_cap_decode_through_the_generic_decoder():
 
 # -- hostile frames written out by hand --------------------------------------------------------
 
+_BLOCK = (Transaction(7, 1, 0.5, 1),)
 
-def _vertex(edge_sources=(0, 1, 2), block=(Transaction(7, 1, 0.5, 1),), edge_rounds=(1,)):
+
+def _vertex(edge_sources=(0, 1, 2), block=_BLOCK, edge_rounds=(1,)):
     edges = frozenset(
         VertexId(edge_round, source) for edge_round in edge_rounds for source in edge_sources
     )

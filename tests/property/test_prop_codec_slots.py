@@ -83,7 +83,7 @@ def link_verdicts(frames, decoder=decode, slot=None, tally=None):
     for frame in frames:
         remembered, decoded = slot.vertex, []
 
-        def through_slot(wire):
+        def through_slot(wire, decoded=decoded):
             decoded.append(decoder(wire, slot))
             return decoded[0]
 

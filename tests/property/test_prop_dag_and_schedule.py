@@ -10,7 +10,6 @@ from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.base import LeaderSchedule
 from repro.schedule.round_robin import initial_schedule
-from repro.types import VertexId
 from tests.doubles import dag_vertices
 
 

@@ -20,6 +20,7 @@ the read is inclusive (``arrival == now`` is delivered).
 """
 
 import ast
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -231,20 +232,19 @@ def check_against_the_eager_chain(groups, pools, steps, inside_events):
     oracle.simulator.run()
     expected.append(oracle.snapshot())
 
+    def step(deployment, observed, action):
+        deployment.apply(action)
+        observed.append(deployment.snapshot())
+
     for deployment in (lazy, batched):
         observed = []
-
-        def step(action):
-            deployment.apply(action)
-            observed.append(deployment.snapshot())
-
         for instant, action in timeline:
             if inside_events:
                 # The seams as the protocol meets them: from inside an event.
-                deployment.simulator.schedule_at(instant, lambda action=action: step(action))
+                deployment.simulator.schedule_at(instant, partial(step, deployment, observed, action))
             else:
                 deployment.simulator.run(until=instant)
-                step(action)
+                step(deployment, observed, action)
         deployment.simulator.run()
         observed.append(deployment.snapshot())
 

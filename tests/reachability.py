@@ -31,20 +31,21 @@ hook = lambda frame, event, _arg: REACHED.add(frame.f_code) if event == "call" e
 def defined():
     """``(file, first line) -> "repro/module.py:Qual.name"``, and each key's line count."""
     where, lines = {}, {}
+
+    def visit(node, prefix, path, relative):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                key = where[(os.path.realpath(path), first)] = f"{relative}:{prefix}{child.name}"
+                lines[key] = lines.get(key, 0) + child.end_lineno - first + 1
+                visit(child, f"{prefix}{child.name}.<locals>.", path, relative)
+            else:
+                visit(child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix, path, relative)
+
     for path in sorted(glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True)):
         relative = os.path.relpath(path, SRC).replace(os.sep, "/")
-
-        def visit(node, prefix):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    key = where[(os.path.realpath(path), first)] = f"{relative}:{prefix}{child.name}"
-                    lines[key] = lines.get(key, 0) + child.end_lineno - first + 1
-                    visit(child, f"{prefix}{child.name}.<locals>.")
-                else:
-                    visit(child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix)
         with open(path, encoding="utf-8") as source:
-            visit(ast.parse(source.read()), "")
+            visit(ast.parse(source.read()), "", path, relative)
     return where, lines
 
 

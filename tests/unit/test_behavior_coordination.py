@@ -6,7 +6,6 @@ from functools import partial
 import pytest
 
 from repro.behavior import (
-    HONEST,
     AdaptiveEquivocationPolicy,
     AdaptiveSilentFanoutPolicy,
     AdversaryCoordinator,
@@ -85,7 +84,7 @@ class TestColludingSilencePolicy:
         assigned = [policies[m]._assigned for m in (7, 8, 9)]
         assert sorted(v for piece in assigned for v in piece) == [1, 2, 3]
         # Each member only denies its own slice.
-        for member, policy in policies.items():
+        for policy in policies.values():
             for victim in (1, 2, 3):
                 assert policy.should_ack(victim, 4) == (victim not in policy._assigned)
                 assert policy.should_serve_fetch(victim) == (

@@ -1,9 +1,6 @@
 """Unit tests for the Bullshark consensus engine over hand-built DAGs."""
 
-import pytest
-
 from repro.consensus import bullshark
-from repro.consensus.bullshark import BullsharkConsensus
 from tests.conftest import build_round, drive_rounds, make_consensus, vid
 from tests.doubles import OrderRecorder
 

@@ -125,7 +125,7 @@ class TestHammerHeadScheduleManager:
 
     def test_retroactive_lookup_uses_schedule_history(self, committee4):
         manager = self._manager(committee4, commits=1)
-        old_leader_round4 = manager.leader_for_round(4)
+        manager.leader_for_round(4)
         manager.on_anchor_committed(make_anchor(2, 0, [0, 1, 2]))
         # Round 4 now falls under the new schedule (starting at round 4),
         # but round 2 is still resolved against the original schedule.

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import pytest
-
 from repro.committee import Committee
 from repro.consensus.bullshark import BullsharkConsensus
 from repro.core.manager import HammerHeadScheduleManager, ScheduleManager, StaticScheduleManager
@@ -32,7 +30,7 @@ from repro.node.config import NodeConfig
 from repro.node.messages import FetchResponse
 from repro.schedule.base import LeaderSchedule
 from repro.schedule.round_robin import initial_schedule
-from repro.types import Round, VertexId
+from repro.types import Round
 
 from tests.conftest import build_round, vid
 from tests.doubles import OrderRecorder

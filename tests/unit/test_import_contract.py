@@ -58,7 +58,7 @@ def test_every_exported_name_resolves_and_is_listed(package):
 @pytest.mark.parametrize("package", FACADES, ids=lambda package: package.__name__)
 def test_an_unknown_name_raises_attribute_error_naming_it(package):
     with pytest.raises(AttributeError, match="no_such_export"):
-        package.no_such_export
+        _ = package.no_such_export
     with pytest.raises(ImportError, match="no_such_export"):
         exec(f"from {package.__name__} import no_such_export", {})
 

@@ -187,7 +187,10 @@ class TestDefensiveDecoding:
             decode(encode(forged))
 
 
-def _fetch_request_wire(requester=2, missing=(VertexId(3, 0),), horizon=1, held=((1, b"\x0f"),)):
+_MISSING = (VertexId(3, 0),)
+
+
+def _fetch_request_wire(requester=2, missing=_MISSING, horizon=1, held=((1, b"\x0f"),)):
     """A code-7 body built field by field, so a test can forge any one."""
     return b"O\x07" + b"".join(encode(field) for field in (requester, missing, horizon, held))
 

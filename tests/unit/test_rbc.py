@@ -87,34 +87,12 @@ class TestReliableBroadcastProperties:
             payloads = {delivery.payload for delivery in deliveries[index]}
             assert payloads == {"payload-0", "payload-1", "payload-2", "payload-3"}
 
-    def test_has_delivered_tracks_each_origin_and_round(self):
+    def test_each_origin_and_round_is_delivered_once(self):
         committee, simulator, network, protocols, deliveries = build_cluster()
         protocols[0].broadcast("payload", round_number=1)
         simulator.run()
-        for protocol in protocols.values():
-            assert protocol.has_delivered(0, 1)
-            assert not protocol.has_delivered(1, 1)
-            assert not protocol.has_delivered(0, 3)
-
-    def test_a_delivery_is_stamped_with_the_instant_it_happened(self):
-        committee = Committee.build(4)
-        simulator = Simulator(seed=2)
-        network = Network(simulator, latency_model=UniformLatencyModel(base_delay=0.01, jitter=0.002))
-        stamps = []
-        protocols = {}
-        for index in range(4):
-            protocols[index] = CertifiedBroadcast(
-                index, committee, network, lambda delivery: stamps.append((delivery.delivered_at, simulator.now))
-            )
-            network.register(
-                index,
-                committee.region_of(index),
-                lambda sender, message, index=index: protocols[index].handle_message(sender, message),
-            )
-        protocols[2].broadcast("payload", round_number=1)
-        simulator.run()
-        assert len(stamps) == 4
-        assert all(stamp == now > 0.0 for stamp, now in stamps)
+        for index in deliveries:
+            assert [(delivery.origin, delivery.round) for delivery in deliveries[index]] == [(0, 1)]
 
     def test_messages_of_other_layers_are_left_to_the_caller(self):
         committee, simulator, network, protocols, deliveries = build_cluster()
@@ -251,6 +229,16 @@ class TestCertificateVerdictByIdentity:
             protocols[index].handle_message(2, certificate)
             assert [delivery.payload for delivery in deliveries[index]] == ["payload"]
 
+    def test_a_bare_certificate_is_a_batch_of_one(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        certificate = self.genuine()
+        batch = CertificateBatch(origin=2, round=4, digest=certificate.digest, certificates=(certificate,))
+        for message in (certificate, certificate, batch):
+            assert protocols[1].handle_message(2, message) is True
+        assert [(delivery.origin, delivery.round, delivery.payload) for delivery in deliveries[1]] == [
+            (2, 4, "payload")
+        ]
+
     def test_a_copy_is_verified_in_full_and_a_forged_copy_refused(self):
         import copy
         import dataclasses
@@ -334,7 +322,7 @@ class TestIdsOutsideTheCommittee:
             protocol.handle_message(
                 2, CertificateBatch(origin=2, round=4, digest=certificate.digest, certificates=(certificate,))
             )
-            assert not protocol.has_delivered(origin, 4)
+            assert deliveries[1] == []
             protocol._deliver("forged", 4, origin)
 
         assert self.peak_bytes(every_path) < 1 << 20

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.scenarios import get_scenario
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.matrix import (

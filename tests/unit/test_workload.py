@@ -38,7 +38,7 @@ class TestTransactions:
     def test_transactions_are_hashable_and_frozen(self):
         transaction = Transaction(1, 0, 0.0, 0)
         assert hash(transaction) is not None
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             transaction.tx_id = 9
 
 
