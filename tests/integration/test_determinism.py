@@ -18,8 +18,15 @@ counters, which report process-wide caches.  The defect plants of README
 processes, are each caught by one of the three checks.  The socket
 backend's artifacts carry host time and are held to the lockstep oracle
 elsewhere.
+
+The fresh runs also hold the per-transaction outputs of every point --
+the ``float.hex`` of the latency average, standard deviation, p50, p95
+and throughput, and the committed and submitted counts -- to
+``per_transaction_pins.json``: crash gaps, partition failover and batch
+cuts all pass through the pools, the collector and the statistics.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -34,6 +41,15 @@ ROOT = Path(__file__).resolve().parents[2]
 LOCKSTEP_RUNS = ("faultless@lockstep", "figure2-faults@lockstep", "load-spike@lockstep")
 RUNS = (*all_scenarios(), *LOCKSTEP_RUNS)
 CLOCK_OFFSET = 1e6
+PINS = json.loads(Path(__file__).with_name("per_transaction_pins.json").read_text())
+# Pinned name -> the report field it reads, as a double.
+PINNED_FLOATS = {
+    "avg": "avg_latency_s",
+    "stdev": "stdev_latency_s",
+    "p50": "p50_latency_s",
+    "p95": "p95_latency_s",
+    "throughput": "throughput_tps",
+}
 
 # Each check as the options of its two sides: (hash seed, probe options).
 # Every side fixes the random state, so only the checked input differs.
@@ -109,6 +125,20 @@ def fresh(tmp_path_factory):
 @pytest.mark.parametrize("run", RUNS)
 def test_hash_seed_does_not_reach_the_artifact(fresh, run):
     assert_same(*fresh, run)
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_per_transaction_outputs_hold_their_pins(fresh, run):
+    points = json.loads(Path(fresh[0], run + ".json").read_text())["points"]
+    found = []
+    for point in points:
+        report = point["report"]
+        row = {"label": point["label"]}
+        row.update((name, float(report[field]).hex()) for name, field in PINNED_FLOATS.items())
+        row["committed"] = report["committed_transactions"]
+        row["submitted"] = report["submitted_transactions"]
+        found.append(row)
+    assert found == PINS[run]
 
 
 @pytest.mark.parametrize("run", RUNS)
