@@ -3,12 +3,15 @@
 Latency is measured the way the paper defines it: "the time elapsed from
 when the client submits the transaction to when it receives confirmation
 of the transaction's finality".  A transaction carries its submission
-time; for every block an observer validator orders, the collector proves
-the block's ids one fresh run (compared as one integer) or claims them id
-by id, counts a transaction the first time only, and makes the finality
-times in one pass over the execution queue's running sum with the client
-confirmation delay (one network one-way trip back) added, and the
-latencies in one more.
+time; for every block an observer validator orders, the collector claims
+the block's ids as one fresh run when they are a ``range`` (a block taken
+from one pool window) or else id by id, counts a transaction the first
+time only, and makes the finality times in one pass over the execution
+queue's running sum with the client confirmation delay (one network
+one-way trip back) added, and the latencies in one more.  Both are kept
+as one ``array('d')`` per block; a block's finality times never
+decrease, so throughput reads each block with one comparison or one
+``bisect``.
 
 Throughput is "the number of distinct transactions over the entire
 duration of the run", counted over a measurement window that excludes a
@@ -20,16 +23,16 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import compress, repeat
-from operator import ge, sub
+from itertools import compress
+from operator import sub
 from typing import Any, List, Optional, Sequence
 
 from repro.consensus.committed import OrderedVertex
 from repro.metrics.execution import ExecutionModel
-from repro.metrics.latency import Column, LatencyStats
+from repro.metrics.latency import LatencyStats
 from repro.node.validator import ValidatorNode
 from repro.types import SimTime
-from repro.workload.transactions import Transaction, is_id_run, transaction_columns
+from repro.workload.transactions import Transaction, transaction_columns
 
 
 class MetricsCollector:
@@ -50,8 +53,9 @@ class MetricsCollector:
         self._committed_starts: List[int] = []
         self._committed_stops: List[int] = []
         # Finality times of the transactions submitted after the warm-up
-        # period; throughput is derived from these at reporting time.
-        self._finality_times = Column()
+        # period, one nondecreasing array per block; throughput is
+        # derived from these at reporting time.
+        self.finality_blocks: List[array] = []
         self.latency = LatencyStats()
         # Submissions announced one by one; attached clients count their own.
         self._announced = 0
@@ -100,8 +104,7 @@ class MetricsCollector:
         count = len(ids)
         if not count:
             return
-        first = ids[0]
-        if not (is_id_run(ids) and self._claim(first, first + count)):
+        if not (type(ids) is range and self._claim(ids.start, ids.stop)):
             # Not one run of fresh ids: settle it id by id.
             fresh = [self._claim(tx_id, tx_id + 1) for tx_id in ids]
             submitted_at = list(compress(submitted_at, fresh))
@@ -118,7 +121,9 @@ class MetricsCollector:
             measured = [submit_time >= warmup for submit_time in submitted_at]
             finality_times = list(compress(finality_times, measured))
             submitted_at = list(compress(submitted_at, measured))
-        self._finality_times.extend(array("d", finality_times))
+            if not finality_times:
+                return
+        self.finality_blocks.append(array("d", finality_times))
         self.committed += len(finality_times)
         self.latency.extend(list(map(sub, finality_times, submitted_at)))
 
@@ -134,5 +139,10 @@ class MetricsCollector:
         window = duration - self.warmup
         if window <= 0:
             return 0.0
-        finalized = sum(map(ge, repeat(duration), self._finality_times))
+        finalized = 0
+        for block in self.finality_blocks:
+            if block[-1] <= duration:
+                finalized += len(block)
+            elif block[0] <= duration:
+                finalized += bisect_right(block, duration)
         return finalized / window

@@ -1,99 +1,70 @@
 """Latency sample aggregation (average, standard deviation, percentiles).
 
-The samples are one ``array('d')`` cell each, in fixed-size blocks
-(:class:`Column`), and nothing else is kept: no sorted copy, and no list
-of every sample while a percentile is taken.  A percentile is an order
-statistic found by selection (:func:`_order_statistics`): it boxes a few
-thousand probe samples and the narrow windows around the wanted ranks,
-and :meth:`LatencyStats.percentiles` answers several fractions from one
-probe and two passes over the samples.
+The samples are kept as they are recorded: one ``array('d')`` per
+ordered block, in sample order, and nothing else — no sorted copy, and
+no list of every sample while a percentile is taken.  The average and
+the standard deviation read the samples in that order.  A percentile is
+an order statistic found by selection (:func:`_order_statistics`): a
+probe strided across every sample brackets each wanted rank, and each
+block, sorted on its own and let go, is bisected at the brackets; only
+the samples inside a bracket are kept and sorted together.
+:meth:`LatencyStats.percentiles` answers several fractions from one
+probe and one pass over the blocks.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
-from itertools import chain, compress, repeat
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice, repeat
 from operator import sub
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 # Selection probes at most this many samples, and at most every eighth;
 # fewer than twice this many samples are simply sorted.
 PROBE_SIZE = 4096
-# Cells per block of a :class:`Column`.
-BLOCK_SIZE = 1 << 12
-
-
-class Column:
-    """An append-only column of doubles, in blocks of ``BLOCK_SIZE`` cells.
-
-    A full block is never copied again.  One array grown to a run's 200k
-    samples is reallocated at every growth step, and the copies it leaves
-    behind cost about its own size again in resident memory.
-    """
-
-    __slots__ = ("blocks",)
-
-    def __init__(self) -> None:
-        self.blocks = [array("d")]
-
-    def extend(self, values: Sequence[float]) -> None:
-        start = 0
-        while start < len(values):
-            last = self.blocks[-1]
-            if len(last) == BLOCK_SIZE:
-                last = array("d")
-                self.blocks.append(last)
-            stop = start + BLOCK_SIZE - len(last)
-            last.extend(values[start:stop])
-            start = stop
-
-    def __len__(self) -> int:
-        return sum(map(len, self.blocks))
-
-    def __iter__(self) -> Iterator[float]:
-        return chain.from_iterable(self.blocks)
 
 
 class LatencyStats:
     """Streaming collection of latency samples with summary statistics."""
 
     def __init__(self) -> None:
-        self._samples = Column()
+        # One array per ``extend``, none empty; ``count`` cells in all.
+        self.blocks: List[array] = []
+        self.count = 0
 
     def extend(self, latencies: Sequence[float]) -> None:
-        if latencies and min(latencies) < 0:
+        block = array("d", latencies)
+        if not block:
+            return
+        if min(block) < 0:
             raise ValueError("latency samples must be non-negative")
-        self._samples.extend(array("d", latencies))
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
+        self.blocks.append(block)
+        self.count += len(block)
 
     def average(self) -> float:
-        if not self._samples:
+        if not self.count:
             return 0.0
-        return sum(self._samples) / len(self._samples)
+        return sum(chain.from_iterable(self.blocks)) / self.count
 
     def stdev(self) -> float:
-        if len(self._samples) < 2:
+        if self.count < 2:
             return 0.0
         mean = self.average()
         # Squared and summed in sample order, one at a time: no column of squares.
-        squares = map(pow, map(sub, self._samples, repeat(mean)), repeat(2))
-        return math.sqrt(sum(squares) / (len(self._samples) - 1))
+        squares = map(pow, map(sub, chain.from_iterable(self.blocks), repeat(mean)), repeat(2))
+        return math.sqrt(sum(squares) / (self.count - 1))
 
     def percentiles(self, *fractions: float) -> Tuple[float, ...]:
         """The linear-interpolated percentile of each of ``fractions`` (in [0, 1]), from one selection."""
         if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
             raise ValueError("percentile fraction must lie in [0, 1]")
-        samples = self._samples
-        if not samples:
+        if not self.count:
             return (0.0,) * len(fractions)
-        positions = [fraction * (len(samples) - 1) for fraction in fractions]
+        positions = [fraction * (self.count - 1) for fraction in fractions]
         ranks = sorted({end for position in positions for end in (math.floor(position), math.ceil(position))})
-        ordered = dict(zip(ranks, _order_statistics(samples, ranks)))
+        ordered = dict(zip(ranks, _order_statistics(self.blocks, self.count, ranks)))
         return tuple(_interpolate(ordered, position) for position in positions)
 
     def p50(self) -> float:
@@ -123,55 +94,54 @@ def _interpolate(ordered: Dict[int, float], position: float) -> float:
     return min(max(interpolated, low_value), ordered[upper])
 
 
-def _order_statistics(samples: Column, ranks: List[int]) -> List[float]:
-    """``sorted(samples)[rank]`` for each of the ascending ``ranks``.
+def _order_statistics(blocks: List[array], count: int, ranks: List[int]) -> List[float]:
+    """``sorted(chain(*blocks))[rank]`` for each of the ascending ``ranks``;
+    ``count`` samples in all.
 
-    The probe, every ``stride``-th sample of each block sorted, brackets
-    each rank between the probe values ``margin`` places either side of
-    where the rank falls in it: four standard errors of a sample median,
-    more elsewhere.  Each bracket end and its successor float are edges
-    of value regions; one pass files every sample into its region, a
-    byte each, and the regions are counted.  A rank whose region holds
-    one value is answered by the counts; the samples of every other
-    region holding a rank are collected in a second pass and sorted, and
-    nothing else is.  Where the probe misleads, a region to sort is
+    The probe, every ``stride``-th sample across all the blocks (a
+    stride per block would see little but their first samples), sorted,
+    brackets each rank between the probe values ``margin`` places either
+    side of where the rank falls in it: four standard errors of a sample
+    median, more elsewhere.  One pass sorts each block on its own and
+    bisects it at every bracket, counting the samples below a bracket
+    and keeping those inside; the kept samples of a bracket, sorted,
+    answer its ranks.  Blocks are kept in sample order and sorts are
+    stable, so of equal samples (``0.0`` and ``-0.0``) the one answered
+    is the one a sort of every sample puts at the rank.  Where the probe
+    misleads, the bracket is opened on that side and the pass repeated:
     wider, never wrong.
     """
-    if len(samples) < 2 * PROBE_SIZE:
-        ordered = sorted(samples)
+    if count < 2 * PROBE_SIZE:
+        ordered = sorted(chain.from_iterable(blocks))
         return [ordered[rank] for rank in ranks]
-    stride = max(8, len(samples) // PROBE_SIZE)
-    probe = sorted(chain.from_iterable(block[::stride] for block in samples.blocks))
+    stride = max(8, count // PROBE_SIZE)
+    probe = sorted(islice(chain.from_iterable(blocks), 0, None, stride))
     last = len(probe) - 1
     margin = 2 * math.isqrt(last)
-    edges = set()
+    brackets: Dict[int, Tuple[float, float]] = {}
     for rank in ranks:
-        at = rank * last // (len(samples) - 1)
-        for end in (at - margin, at + margin):
-            if 0 < end < last:
-                edges.update((probe[end], math.nextafter(probe[end], math.inf)))
-    edges = sorted(edges)
-    regions = bytes(map(bisect_right, repeat(edges), samples))
-    # ``starts[r]``: how many samples lie below region ``r``.
-    starts = [0]
-    for region in range(len(edges)):
-        starts.append(starts[-1] + regions.count(region))
-    starts.append(len(samples))
-    found = [bisect_right(starts, rank) - 1 for rank in ranks]
-    single = {
-        region for region in found
-        if 0 < region < len(edges) and edges[region] == math.nextafter(edges[region - 1], math.inf)
-    }
-    wanted = sorted(set(found) - single)
-    selected = bytearray(256)
-    offsets = {}
-    collected = 0
-    for region in wanted:
-        selected[region] = 1
-        offsets[region] = collected - starts[region]
-        collected += starts[region + 1] - starts[region]
-    members = sorted(compress(samples, regions.translate(selected))) if wanted else []
-    return [
-        edges[region - 1] if region in single else members[offsets[region] + rank]
-        for rank, region in zip(ranks, found)
-    ]
+        at = rank * last // (count - 1)
+        low = probe[at - margin] if at - margin > 0 else -math.inf
+        high = probe[at + margin] if at + margin < last else math.inf
+        brackets[rank] = (low, high)
+    found: Dict[int, float] = {}
+    while brackets:
+        wanted = sorted(set(brackets.values()))
+        below = [0] * len(wanted)
+        inside: List[List[float]] = [[] for _ in wanted]
+        for block in blocks:
+            ordered = sorted(block)
+            for index, (low, high) in enumerate(wanted):
+                first = bisect_left(ordered, low)
+                below[index] += first
+                inside[index] += ordered[first:bisect_right(ordered, high, first)]
+        for (low, high), under, members in zip(wanted, below, map(sorted, inside)):
+            for rank in [rank for rank, bracket in brackets.items() if bracket == (low, high)]:
+                if rank < under:
+                    brackets[rank] = (-math.inf, high)
+                elif rank >= under + len(members):
+                    brackets[rank] = (low, math.inf)
+                else:
+                    found[rank] = members[rank - under]
+                    del brackets[rank]
+    return [found[rank] for rank in ranks]

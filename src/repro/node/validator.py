@@ -41,7 +41,7 @@ from repro.node.synchronizer import Synchronizer
 from repro.rbc.certified import CertifiedBroadcast, Delivery
 from repro.storage.store import PersistentStore
 from repro.types import Round, SimTime, ValidatorId, is_anchor_round
-from repro.workload.transactions import TransactionBatch
+from repro.workload.transactions import TransactionPool
 
 
 class ValidatorNode:
@@ -90,8 +90,9 @@ class ValidatorNode:
         self.broadcast_protocol = self._build_broadcast()
         self._message_handlers = self._build_message_handlers()
 
-        # Transaction pool (FIFO).
-        self.transaction_pool = TransactionBatch(validator_id)
+        # Transaction pool (FIFO): windows the client arrivals open and
+        # extend while the node is up (``repro.workload.generator``).
+        self.transaction_pool = TransactionPool(validator_id)
         # Round progression state.
         self.current_round: Round = 0
         self.started = False
@@ -108,7 +109,6 @@ class ValidatorNode:
         # Statistics.
         self.proposals_made = 0
         self.leader_timeouts_suffered = 0
-        self.transactions_submitted = 0
         self.transactions_proposed = 0
         self.recoveries = 0
         # Vertices recovery replayed from the store, over all recoveries.
@@ -272,15 +272,6 @@ class ValidatorNode:
                 self.simulator.cancel(handle)
                 setattr(self, handle_name, None)
         self.synchronizer.stop()
-
-    # -- transactions ---------------------------------------------------------------
-
-    def submit_transactions(self, batch: TransactionBatch) -> None:
-        """Accept a batch of client transactions into the local pool."""
-        if self.crashed:
-            return
-        self.transaction_pool.extend(batch)
-        self.transactions_submitted += len(batch)
 
     # -- round progression --------------------------------------------------------------
 

@@ -10,16 +10,19 @@ system load.
 
 No client costs the simulator an event and no transaction an object: all
 clients of a simulator are merged in one :class:`ClientArrivals`, a
-per-target schedule built once per client set, which hands a target what
-has arrived as one ``TransactionBatch`` whenever a pool is about to be read.
-Clients of one rate take turns at a target, so a schedule is laid out
-rather than sorted: their rows interleave by extended-slice assignment,
-and any other client's rows are spliced in where ``bisect`` puts them.
+per-target schedule built once per client set.  Whenever a pool is about
+to be read, what has arrived at a target opens or extends a window of its
+pool on the target's column (``TransactionPool``); no row is copied until
+a block is taken.  Clients of one rate take turns at a target, so a
+schedule is laid out rather than sorted: their rows interleave by
+extended-slice assignment, and any other client's rows are spliced in
+where ``bisect`` puts them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequenc
 from repro.errors import WorkloadError
 from repro.network.simulator import Simulator
 from repro.types import SimTime
-from repro.workload.transactions import TransactionBatch
+from repro.workload.transactions import Transaction, TransactionPool
 
 if TYPE_CHECKING:
     from repro.node.validator import ValidatorNode
@@ -41,16 +44,19 @@ MAX_RATE_PER_CLIENT = 350.0
 _NEVER: SimTime = float("-inf")
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(slots=True, eq=False)
 class _Column:
     """The arrivals at one target, earliest first."""
 
     target: Any
-    arrivals: array  # 'd'; the other two as in a ``TransactionBatch``
-    submitted_at: array
-    clients: array
+    # The target's pool; ``None`` for a target that takes rows one by one.
+    pool: Optional[TransactionPool]
+    arrivals: array  # 'd'
+    submitted_at: array  # 'd'
+    clients: array  # 'q'
     first_id: int  # row ``i`` carries transaction id ``first_id + i``
     position: int = 0  # the rows before it have been delivered
+    next_due: SimTime = float("inf")  # the arrival at ``position``, ``inf`` past the end
 
 
 class ClientArrivals:
@@ -64,10 +70,12 @@ class ClientArrivals:
     a target's column is the progressions of all its clients, laid out
     once (:func:`_append_merged`: interleaved and spliced, not sorted),
     and :meth:`settle`, which the simulator calls before every pool read
-    and when a run ends, delivers the slice one ``bisect`` finds and
-    drops a column's delivered prefix once it is more than half the
-    column.  The columns are rebuilt, from the arrivals still
-    undelivered, only when a client starts or is retargeted.
+    and when a run ends, passes over a column with nothing due on one
+    comparison, delivers the slice one ``bisect`` finds from any other
+    into its target's pool as a window, and drops a column's prefix
+    before its oldest pooled row once that is more than half the column.
+    The columns are rebuilt, from the arrivals still undelivered, only
+    when a client starts or is retargeted.
 
     Rows are in the order the event queue would have fired one event per
     transaction: earliest first, simultaneous ones as :func:`_compare`
@@ -102,10 +110,20 @@ class ClientArrivals:
         self._next_due = min(self._next_due, first_arrival)
 
     def invalidate(self) -> None:
-        """Have the next settle with something due rebuild the columns."""
+        """Have the next settle with something due rebuild the columns.
+
+        A pool window may keep an old column, so every row no pool holds
+        is cut off it here: the undelivered ones are laid out again by
+        the rebuild.
+        """
         if self._columns is not None:
-            heads = (c.arrivals[c.position] for c in self._columns if c.position < len(c.arrivals))
-            self._next_due = min(heads, default=float("inf"))
+            self._next_due = min((column.next_due for column in self._columns), default=float("inf"))
+            for column in self._columns:
+                oldest = None if column.pool is None else column.pool.oldest(column)
+                low = column.position if oldest is None else oldest - column.first_id
+                for cells in (column.arrivals, column.submitted_at, column.clients):
+                    del cells[column.position:], cells[:low]
+                column.first_id += low
             self._columns = None
 
     def settle(self, horizon: SimTime) -> SimTime:
@@ -121,34 +139,44 @@ class ClientArrivals:
                 return _NEVER
             columns = self._columns = self._build()
         last = _NEVER
+        # A run to idle asks for everything: every finite arrival.
+        bound = horizon if horizon < float("inf") else sys.float_info.max
         for column in columns:
+            if column.next_due > bound:
+                continue
             arrivals = column.arrivals
             start = column.position
-            end = bisect_right(arrivals, horizon, start)
-            if end == start:
-                continue
+            end = bisect_right(arrivals, bound, start)
             column.position = end
+            column.next_due = arrivals[end] if end < len(arrivals) else float("inf")
             if arrivals[end - 1] > last:
                 last = arrivals[end - 1]
             target = column.target
-            batch = TransactionBatch(
-                target.id,
-                range(column.first_id + start, column.first_id + end),
-                column.clients[start:end],
-                column.submitted_at[start:end],
-            )
-            if hasattr(target, "submit_transactions"):
-                target.submit_transactions(batch)
-            else:
-                for transaction in batch:
+            pool = column.pool
+            first_id = column.first_id
+            if pool is None:
+                for transaction in map(
+                    Transaction,
+                    range(first_id + start, first_id + end),
+                    column.clients[start:end],
+                    column.submitted_at[start:end],
+                    repeat(target.id),
+                ):
                     target.submit_transaction(transaction)
+            elif not target.crashed:
+                # Rows that arrive at a crashed validator are not pooled.
+                pool.add(column, first_id + start, first_id + end)
             if 2 * end > len(arrivals):
-                # The delivered prefix is most of the column: drop it.
-                # A drop moves fewer rows than were delivered since the
-                # last one, so the cost stays proportional to deliveries.
-                del arrivals[:end], column.submitted_at[:end], column.clients[:end]
-                column.first_id += end
-                column.position = 0
+                # The delivered prefix is most of the column: drop what
+                # no pool holds of it.  A drop moves fewer rows than were
+                # delivered since the last one, so the cost stays
+                # proportional to deliveries.
+                oldest = None if pool is None else pool.oldest(column)
+                keep = end if oldest is None else min(end, oldest - first_id)
+                if 2 * keep > len(arrivals):
+                    del arrivals[:keep], column.submitted_at[:keep], column.clients[:keep]
+                    column.first_id += keep
+                    column.position -= keep
         # A run to idle asks for everything and reaches the last arrival.
         self.horizon = max(self.horizon, horizon if horizon < float("inf") else last)
         return last
@@ -182,7 +210,8 @@ class ClientArrivals:
         two slices and the slices, each merged, are the column one merge
         would give; only a slice's rows are ever boxed.
         """
-        column = _Column(target, array("d"), array("d"), array("q"), self._next_id)
+        pool = getattr(target, "transaction_pool", None)
+        column = _Column(target, pool, array("d"), array("d"), array("q"), self._next_id)
         self._next_id += sum(len(indices) for _, indices in parts)
         starts = [0] * len(parts)
         while True:
@@ -192,6 +221,7 @@ class ClientArrivals:
                 if start < len(indices)
             ]
             if not ends:
+                column.next_due = column.arrivals[0]
                 return column
             bound = min(ends)
             rows = []

@@ -3,7 +3,8 @@
 Product runs use the geo latency model and keep no ordered sequence (the
 observer's digest, checkpoints and the collector's columns are what they
 report).  Tests that want a fast, geography-free network or a validator's
-full total order build it here, from the hooks every run exposes.
+full total order build it here, from the hooks every run exposes, and
+read a transaction pool's windows as rows here.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.faults.base import FaultPlan
 from repro.network.latency import LatencyModel
 from repro.sim.runner import SimulationRunner
 from repro.types import Region, SimTime, ValidatorId, VertexId
+from repro.workload.transactions import Transaction, TransactionPool
 
 
 class UniformLatencyModel(LatencyModel):
@@ -91,3 +93,26 @@ def run_recorded(config):
 def dag_vertices(dag: DagStore) -> List[Vertex]:
     """Every vertex the DAG holds: rounds ascending, arrival order within one."""
     return [vertex for round_number, _ in dag.held_sources() for vertex in dag.vertices_at(round_number)]
+
+
+def pooled(pool: TransactionPool) -> List[Transaction]:
+    """The transactions ``pool``'s windows hold, oldest first, as rows."""
+    return [
+        Transaction(
+            tx_id,
+            column.clients[tx_id - column.first_id],
+            column.submitted_at[tx_id - column.first_id],
+            pool.target,
+        )
+        for column, start, stop in pool.windows
+        for tx_id in range(start, stop)
+    ]
+
+
+class PoolTarget:
+    """A load target with a validator's pool and crash flag, and nothing else."""
+
+    def __init__(self, validator: ValidatorId) -> None:
+        self.id = validator
+        self.crashed = False
+        self.transaction_pool = TransactionPool(validator)

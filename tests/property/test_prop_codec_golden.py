@@ -14,6 +14,7 @@ ordering by value and one by bytes would part first.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -151,7 +152,7 @@ OFF_LAYOUT = {
     "non-ascii-kind": (_proposal(block=(Transaction(7, 1, 0.5, 1, "zähler"),) * 2), None),
     "kind-as-bytes": (_proposal(block=(Transaction(7, 1, 0.5, 1, b"ab"),)), "vertex"),
     "transaction-batch-block": (
-        _proposal(block=TransactionBatch(1, [7, 8], [1, 2], [0.5, 0.25], sealed=True)), "vertex",
+        _proposal(block=TransactionBatch(1, range(7, 9), array("q", [1, 2]), array("d", [0.5, 0.25]))), "vertex",
     ),
     "signers-as-a-list": (_certified(_proposal(), signers=[0, 1, 2]), "message"),
     "signer-true": (_certified(_proposal(), signers=(0, True)), "message"),

@@ -12,6 +12,8 @@ same finality times, counts, committed ids, throughput and execution state.
 """
 
 import ast
+from array import array
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -60,10 +62,12 @@ def build_block(spec, built):
         return built[spec[1] % len(built)] if built else ()
     if kind == "batch":
         _, first, times = spec
-        return TransactionBatch(1, list(range(first, first + len(times))), [7] * len(times), list(times))
+        # As one pool window hands it over: the ids a range.
+        return TransactionBatch(1, range(first, first + len(times)), array("q", [7]) * len(times), array("d", times))
     if kind == "ids":
+        # As a take across windows hands it over: an id column.
         _, ids, times = spec
-        return TransactionBatch(1, ids, [7] * len(ids), times)
+        return TransactionBatch(1, array("q", ids), array("q", [7]) * len(ids), array("d", times))
     return [
         Transaction(item[0], 7, item[1], 1) if isinstance(item, tuple) else item
         for item in spec[1]
@@ -96,8 +100,8 @@ def play(script, collector_class=MetricsCollector, execution_class=ExecutionMode
     execution = production.execution
     return (
         {
-            "latencies": list(production.latency._samples),
-            "finality": list(production._finality_times),
+            "latencies": list(chain.from_iterable(production.latency.blocks)),
+            "finality": list(chain.from_iterable(production.finality_blocks)),
             "committed": production.committed,
             "duplicates": production.duplicate_commits,
             "committed_ids": sum(
@@ -156,10 +160,9 @@ def test_columns_leave_what_the_loop_leaves(script):
 
 # -- batches of any ids, compared bit for bit --------------------------------------------
 #
-# A batch's ids are one run when a pool hands it over, but the collector
-# proves that rather than trusting it.  Runs, the same ids shuffled, a
-# gap, a repeat, negative ids and ids up to 2**63 - 1 (the last a lane
-# holds) all meet that proof here.
+# A batch taken across pool windows carries an id column, which the
+# collector settles id by id.  Runs, the same ids shuffled, a gap, a
+# repeat, negative ids and ids up to 2**63 - 1 all meet that path here.
 
 
 @st.composite

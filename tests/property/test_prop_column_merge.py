@@ -23,6 +23,7 @@ import pytest
 
 from repro.network.simulator import Simulator
 from repro.workload import generator as generator_module
+from tests.doubles import PoolTarget, pooled
 from tests.mutants import load_mutant
 from tests.reference_load import reference_spawn_load
 
@@ -43,17 +44,15 @@ class Pool:
         self.received.append(transaction)
 
 
-class BatchPool(Pool):
-    def submit_transactions(self, batch):
-        self.received.extend(batch)
-
-
 def production(rate, targets, duration, module=generator_module):
     simulator = Simulator(seed=0)
-    pools = [BatchPool(index) for index in range(targets)]
+    pools = [PoolTarget(index) for index in range(targets)]
     module.spawn_load(simulator, pools, rate, duration, submission_delay=DELAY)
     simulator.run()
-    return [[(row.client_id, row.submitted_at.hex(), row.target_validator) for row in pool.received] for pool in pools]
+    return [
+        [(row.client_id, row.submitted_at.hex(), row.target_validator) for row in pooled(pool.transaction_pool)]
+        for pool in pools
+    ]
 
 
 def oracle(rate, targets, duration):

@@ -9,8 +9,8 @@ read, crashed, recovered, clients retargeted and further clients started
 — all of it after deliveries began, which is when the merged schedule has
 to be rebuilt from what is left — every pool's received sequence must be
 the same in both, at every one of those instants, not only at the end.
-A third deployment, whose targets take a whole ``TransactionBatch``
-through ``submit_transactions``, must record what the per-transaction
+A third deployment, whose targets have a validator's
+``TransactionPool``, must hold in its windows what the per-transaction
 pools record.  Groups draw their own delays, so inside one pool arrival
 order is not submission order.
 
@@ -30,7 +30,9 @@ from hypothesis import strategies as st
 from repro.network.simulator import Simulator
 from repro.workload.generator import spawn_load
 from repro.workload.phases import LoadPhase, spawn_phased_load
+from repro.workload.transactions import TransactionPool
 import tests.reference_load as reference_load
+from tests.doubles import pooled
 from tests.reference_load import reference_spawn_load, reference_spawn_phased_load
 
 
@@ -59,18 +61,24 @@ class Pool:
         if not self.crashed:
             self.received.append(self.key(transaction))
 
+    def rows(self):
+        return list(self.received)
+
     def set_crashed(self, crashed):
         # ValidatorNode.crash()/recover(): settle, then flip.
         self.simulator.settle()
         self.crashed = crashed
 
 
-class BatchPool(Pool):
-    """A target with the validator's batch seam next to the other."""
+class WindowPool(Pool):
+    """A target with a validator's pool: the arrivals open and extend its windows."""
 
-    def submit_transactions(self, batch):
-        if not self.crashed:
-            self.received.extend(self.key(transaction) for transaction in batch)
+    def __init__(self, target_id, simulator, key):
+        super().__init__(target_id, simulator, key)
+        self.transaction_pool = TransactionPool(target_id)
+
+    def rows(self):
+        return [self.key(transaction) for transaction in pooled(self.transaction_pool)]
 
 
 class Deployment:
@@ -111,7 +119,7 @@ class Deployment:
                 generator.set_targets(targets)
 
     def snapshot(self):
-        return [list(pool.received) for pool in self.pools]
+        return [pool.rows() for pool in self.pools]
 
 
 def _oracle_constant(simulator, targets, rate, duration, start, delay, first_client_id):
@@ -215,8 +223,8 @@ def check_against_the_eager_chain(groups, pools, steps, inside_events):
         _oracle_constant, reference_spawn_phased_load, lambda transaction: transaction, pools, groups
     )
     lazy = Deployment(spawn_load, _production_phased, lambda transaction: transaction[1:4], pools, groups)
-    batched = Deployment(
-        spawn_load, _production_phased, lambda transaction: transaction[1:4], pools, groups, BatchPool
+    windowed = Deployment(
+        spawn_load, _production_phased, lambda transaction: transaction[1:4], pools, groups, WindowPool
     )
     timeline = sorted(
         ((_resolve(instant, lazy.generators), action) for instant, action in steps),
@@ -236,7 +244,7 @@ def check_against_the_eager_chain(groups, pools, steps, inside_events):
         deployment.apply(action)
         observed.append(deployment.snapshot())
 
-    for deployment in (lazy, batched):
+    for deployment in (lazy, windowed):
         observed = []
         for instant, action in timeline:
             if inside_events:

@@ -1,6 +1,7 @@
 """Unit tests for metrics: latency stats, execution model, collector, reports."""
 
 from array import array
+from itertools import chain
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.consensus.committed import OrderedVertex
 from repro.dag.vertex import make_vertex
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.execution import ExecutionModel
-from repro.metrics.latency import Column, LatencyStats
+from repro.metrics.latency import LatencyStats
 from repro.metrics.leader_stats import LeaderUtilizationStats
 from repro.metrics.report import PerformanceReport, format_table
 from repro.consensus.committed import CommittedSubDag
@@ -94,30 +95,22 @@ class TestLatencyStats:
             stats.percentiles(0.5, -0.1)
 
 
-class TestColumn:
-    def test_blocks_fill_to_their_size_and_keep_the_order(self, monkeypatch):
-        import repro.metrics.latency as latency_module
+class TestLatencyBlocks:
+    def test_each_extend_is_one_block_in_sample_order(self):
+        stats = LatencyStats()
+        stats.extend([0.0, 1.0, 2.0])
+        stats.extend(array("d", [3.0, 4.0]))
+        stats.extend([])
+        stats.extend((5.0,))
+        assert [block.typecode for block in stats.blocks] == ["d"] * 3
+        assert [list(block) for block in stats.blocks] == [[0.0, 1.0, 2.0], [3.0, 4.0], [5.0]]
+        assert stats.count == 6
 
-        monkeypatch.setattr(latency_module, "BLOCK_SIZE", 4)
-        column = Column()
-        column.extend([0.0, 1.0, 2.0])
-        column.extend(array("d", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]))
-        column.extend([])
-        column.extend((10.0,))
-        assert [list(block) for block in column.blocks] == [
-            [0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [8.0, 9.0, 10.0]
-        ]
-        assert len(column) == 11
-        assert list(column) == [float(value) for value in range(11)]
-
-    def test_latency_percentiles_span_blocks(self, monkeypatch):
-        import repro.metrics.latency as latency_module
-
-        monkeypatch.setattr(latency_module, "BLOCK_SIZE", 3)
+    def test_latency_percentiles_span_blocks(self):
         stats = LatencyStats()
         stats.extend([5.0, 1.0, 4.0, 2.0])
         stats.extend([3.0])
-        assert len(stats._samples.blocks) == 2
+        assert len(stats.blocks) == 2
         assert stats.percentiles(0.0, 0.5, 1.0) == (1.0, 3.0, 5.0)
         assert stats.average() == 3.0
 
@@ -200,7 +193,7 @@ class TestMetricsCollector:
         transaction = Transaction(5, 0, submitted_at=1.0, target_validator=0)
         collector.on_vertex_ordered(ordered_record((transaction,), ordered_at=2.0))
         assert collector.committed == 1
-        assert list(collector.latency._samples) == [pytest.approx(2.0 + 0.040 - 1.0)]
+        assert list(chain.from_iterable(collector.latency.blocks)) == [pytest.approx(2.0 + 0.040 - 1.0)]
         # Nothing was announced and no client is attached.
         assert collector.submitted == 0
 
@@ -287,7 +280,7 @@ class TestMetricsCollector:
         )
         assert collector.committed == 2
         assert collector.duplicate_commits == 2
-        assert list(collector.latency._samples) == [
+        assert list(chain.from_iterable(collector.latency.blocks)) == [
             pytest.approx(2.0 + 0.040 - 1.0),
             pytest.approx(3.0 + 0.040 - 1.0),
         ]
@@ -304,7 +297,7 @@ class TestMetricsCollector:
         batched.on_vertex_ordered(ordered_record(tuple(transactions[4:]), ordered_at=1.2, source=2))
         expected = [model.execute_many(1, 1.0)[0] for _ in range(4)]
         expected += [model.execute_many(1, 1.2)[0] for _ in range(2)]
-        assert list(batched.latency._samples) == expected
+        assert list(chain.from_iterable(batched.latency.blocks)) == expected
         assert batched.execution.executed == 6
         assert batched.execution._busy_until == model._busy_until
 

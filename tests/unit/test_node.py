@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import functools
+from array import array
 
 import pytest
 
@@ -19,12 +20,11 @@ from repro.node.messages import FetchRequest, FetchResponse
 from repro.node.validator import ValidatorNode
 from repro.obs.consistency import check_run_consistency
 from repro.schedule.round_robin import initial_schedule
-from repro.errors import ConfigurationError, WorkloadError
-from repro.workload.generator import ClientArrivals, LoadGenerator
+from repro.errors import ConfigurationError
+from repro.workload.generator import ClientArrivals, LoadGenerator, _Column
 from repro.workload.phases import LoadPhase, spawn_phased_load
-from repro.workload.transactions import TransactionBatch
 from tests.conftest import bare_synchronizer, build_round, vid
-from tests.doubles import UniformLatencyModel, dag_vertices, record_orders
+from tests.doubles import UniformLatencyModel, dag_vertices, pooled, record_orders
 
 
 def build_cluster(size=4, seed=1, config=None, dynamic=False, commits_per_schedule=4):
@@ -79,10 +79,12 @@ def dag_ids(node):
     return {vertex.id for vertex in dag_vertices(node.dag)}
 
 
-def submit(node, count, target=None):
-    """Hand ``node`` ``count`` client transactions (ids from 0) in one batch."""
-    target = node.id if target is None else target
-    node.submit_transactions(TransactionBatch(target, range(count), [0] * count, [0.0] * count))
+def submit(node, count):
+    """Pool ``count`` client transactions (ids from 0) at ``node``: one
+    window on an arrival column of its own."""
+    zeros = array("d", [0.0]) * count
+    column = _Column(node, node.transaction_pool, zeros, array("d", zeros), array("q", [0]) * count, 0)
+    node.transaction_pool.add(column, 0, count)
 
 
 class TestNodeLifecycle:
@@ -147,17 +149,12 @@ class TestNodeLifecycle:
         committee, simulator, network, nodes = build_cluster()
         nodes[0].start()
         nodes[0].crash()
-        submit(nodes[0], 1)
-        assert nodes[0].transactions_submitted == 0
-
-    def test_the_pool_refuses_a_batch_for_another_validator(self):
-        committee, simulator, network, nodes = build_cluster()
-        nodes[0].start()
-        # The pool's columns leave out the target: a batch for another
-        # validator would be proposed as different transactions.
-        with pytest.raises(WorkloadError):
-            submit(nodes[0], 1, target=2)
-        assert len(nodes[0].transaction_pool) == 0
+        generator = LoadGenerator(0, simulator, [nodes[0]], rate=100.0, duration=0.5)
+        generator.start()
+        simulator.run(until=1.0)
+        assert generator.submitted == 50
+        assert nodes[0].transaction_pool.received == 0
+        assert not nodes[0].transaction_pool.windows
 
     def test_a_message_no_handler_knows_is_dropped(self):
         committee, simulator, network, nodes = build_cluster()
@@ -878,7 +875,7 @@ class TestLazyClientLoad:
 
         def crash():
             nodes[3].crash()
-            pooled_at_crash.extend(nodes[3].transaction_pool)
+            pooled_at_crash.extend(pooled(nodes[3].transaction_pool))
 
         simulator.schedule_at(2.0, crash)
         simulator.schedule_at(3.0, nodes[3].recover)
@@ -909,7 +906,7 @@ class TestLazyClientLoad:
         assert len(down) == 350
         proposed = [transaction.submitted_at for transaction in self.proposed_by(proposals)]
         assert sorted(proposed) == sorted(set(submitted) - set(down))
-        assert node.transactions_submitted == 1050 - 350
+        assert node.transaction_pool.received == 1050 - 350
 
     def test_retargeting_redirects_only_later_arrivals(self):
         committee, simulator, network, nodes = build_cluster()
@@ -966,7 +963,7 @@ class TestLazyClientLoad:
         assert [held for held, _ in waiting] == [unfinished for _, unfinished in waiting]
         assert waiting[0][0] > waiting[-1][0] > 0
         assert all(column.position == len(column.arrivals) for column in arrivals._columns)
-        assert sum(node.transactions_submitted for node in nodes.values()) == sum(
+        assert sum(node.transaction_pool.received for node in nodes.values()) == sum(
             g._count for g in generators
         )
         assert quiet.isdisjoint(g.start_time for g in generators)

@@ -436,7 +436,7 @@ class TestPartitionFailover:
             runner = SimulationRunner(point.config)
             runner.run()
             return {
-                validator: node.transactions_submitted
+                validator: node.transaction_pool.received
                 for validator, node in runner.nodes.items()
             }
 

@@ -260,7 +260,7 @@ class TestCompile:
         runner.run()
         (withholders,) = [plan.validators for plan in runner.fault_injector.plans]
         assert withholders
-        assert all(runner.nodes[validator].transactions_submitted > 0 for validator in withholders)
+        assert all(runner.nodes[validator].transaction_pool.received > 0 for validator in withholders)
 
     def test_point_order_is_committee_protocol_load(self):
         spec = ScenarioSpec(

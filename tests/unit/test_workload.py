@@ -1,5 +1,7 @@
 """Unit tests for transactions and load generators."""
 
+import bisect
+from array import array
 from collections import deque
 
 import pytest
@@ -10,9 +12,10 @@ from repro.dag.vertex import make_vertex
 from repro.errors import WorkloadError
 from repro.netexec import codec
 from repro.network.simulator import Simulator
-from repro.workload.generator import MAX_RATE_PER_CLIENT, ClientArrivals, LoadGenerator, spawn_load
-from repro.workload.transactions import Transaction, TransactionBatch
+from repro.workload.generator import MAX_RATE_PER_CLIENT, ClientArrivals, LoadGenerator, _Column, spawn_load
+from repro.workload.transactions import Transaction, TransactionPool, transaction_columns
 from tests.conftest import vid
+from tests.doubles import PoolTarget, pooled
 
 
 class FakeValidator:
@@ -42,153 +45,121 @@ class TestTransactions:
             transaction.tx_id = 9
 
 
-class TestTransactionBatch:
+def column_of(rows, target=5, first_id=None):
+    """An arrival column holding ``rows`` (consecutive ids from the first row's)."""
+    first_id = rows[0].tx_id if first_id is None else first_id
+    submitted_at = array("d", [row.submitted_at for row in rows])
+    clients = array("q", [row.client_id for row in rows])
+    return _Column(target, None, array("d", submitted_at), submitted_at, clients, first_id)
+
+
+class TestTransactionPool:
     @staticmethod
     def rows(first, count):
-        return [Transaction(first + index, index % 3, 0.25 * (first + index), 5) for index in range(count)]
-
-    @staticmethod
-    def batch_of(rows, target=5):
-        ids, clients, submitted_at = ([row[field] for row in rows] for field in range(3))
-        return TransactionBatch(target, ids, clients, submitted_at)
+        return [Transaction(tx_id, tx_id % 3, 0.25 * tx_id, 5) for tx_id in range(first, first + count)]
 
     @given(
         steps=st.lists(
             st.one_of(
-                st.tuples(st.just("extend"), st.integers(min_value=0, max_value=6)),
-                st.tuples(st.just("take"), st.integers(min_value=0, max_value=5)),
+                st.tuples(st.just("arrive"), st.integers(min_value=0, max_value=6)),
+                st.tuples(st.just("gap"), st.integers(min_value=1, max_value=3)),
+                st.tuples(st.just("rebuild"), st.just(0)),
+                st.tuples(st.just("take"), st.integers(min_value=0, max_value=9)),
             ),
-            max_size=12,
+            max_size=14,
         )
     )
-    def test_the_pool_is_a_fifo(self, steps):
-        pool = TransactionBatch(5)
+    def test_the_pool_is_a_fifo_across_gaps_and_columns(self, steps):
+        pool = TransactionPool(5)
+        column = column_of(self.rows(0, 200))
+        following = 0
         fifo = deque()
         taken = []
-        following = 0
         for kind, size in steps:
             if kind == "take":
+                if not pool:
+                    continue
                 batch = pool.take(size)
                 expected = [fifo.popleft() for _ in range(min(size, len(fifo)))]
                 assert list(batch) == expected
-                for column in ("ids", "clients", "submitted_at"):
-                    assert getattr(batch, column) is not getattr(pool, column)
+                # One window's rows carry their ids as a range, any others an id column.
+                assert type(batch.ids) in (range, array)
+                if type(batch.ids) is array:
+                    assert batch.ids.typecode == "q"
+                assert (batch.clients.typecode, batch.submitted_at.typecode) == ("q", "d")
                 taken.append((batch, expected))
-                continue
-            rows = self.rows(following, size)
-            following += size
-            fifo.extend(rows)
-            pool.extend(self.batch_of(rows))
+            elif kind == "gap":
+                following += size
+            elif kind == "rebuild":
+                # Later rows come from a new column, at ids further on.
+                following += 3
+                column = column_of(self.rows(following, 200))
+            else:
+                pool.add(column, following, following + size)
+                fifo.extend(self.rows(following, size))
+                following += size
             assert len(pool) == len(fifo)
-            assert list(pool) == list(fifo)
+            assert pooled(pool) == list(fifo)
         # What was taken is the taker's: the pool's later life does not show in it.
         for batch, expected in taken:
             assert list(batch) == expected
 
-    def test_rows_read_as_transactions(self):
-        rows = self.rows(10, 4)
-        batch = self.batch_of(rows)
-        assert len(batch) == 4 and bool(batch)
-        assert not TransactionBatch(5)
-        assert list(batch) == rows
-        assert all(row.kind == "counter_increment" and row.payload_bytes == 64 for row in batch)
+    def test_a_window_grows_only_on_its_own_column_without_a_gap(self):
+        pool = TransactionPool(5)
+        first, second = column_of(self.rows(0, 20)), column_of(self.rows(0, 20))
+        pool.add(first, 0, 3)
+        pool.add(first, 3, 5)
+        pool.add(first, 7, 8)
+        pool.add(second, 8, 9)
+        assert [window[1:] for window in pool.windows] == [[0, 5], [7, 8], [8, 9]]
+        assert pool.received == 7
+        assert (pool.oldest(first), pool.oldest(second), pool.oldest(column_of(self.rows(0, 1)))) == (0, 8, None)
+
+    def test_a_take_within_a_window_is_a_range_and_one_across_is_an_id_column(self):
+        pool = TransactionPool(5)
+        column = column_of(self.rows(0, 20))
+        pool.add(column, 0, 4)
+        pool.add(column, 6, 9)
+        block = pool.take(3)
+        assert block.ids == range(0, 3) and type(block.ids) is range
+        block = pool.take(3)
+        assert list(block.ids) == [3, 6, 7] and type(block.ids) is array
+        assert list(block) == [self.rows(0, 20)[index] for index in (3, 6, 7)]
+        assert pool.take(5).ids == range(8, 9)
+        assert not pool.windows
 
     def test_a_vertex_keeps_a_taken_batch_and_encodes_it_as_its_transactions(self):
         rows = self.rows(0, 5)
-        pool = self.batch_of(rows)
+        pool = TransactionPool(5)
+        pool.add(column_of(rows), 0, 5)
         edges = [vid(2, index) for index in range(3)]
-        # A pool can still change, so a vertex copies it; what take()
-        # hands over cannot, and is kept as it is.
-        copied = make_vertex(3, 1, edges, block=pool, created_at=1.5)
-        assert type(copied.block) is tuple and not pool.sealed
         batch = pool.take(5)
         assert batch.sealed
         carried = make_vertex(3, 1, edges, block=batch, created_at=1.5)
         spelled = make_vertex(3, 1, edges, block=rows, created_at=1.5)
         assert carried.block is batch
-        assert spelled.block == tuple(rows) == copied.block
+        assert spelled.block == tuple(rows)
         assert carried.digest == spelled.digest
         assert codec.encode(carried) == codec.encode(spelled)
         assert codec.decode(codec.encode(carried)) == spelled
-        other = make_vertex(3, 1, edges, block=self.batch_of(self.rows(1, 5)).take(5), created_at=1.5)
+        other_pool = TransactionPool(5)
+        other_pool.add(column_of(self.rows(1, 5)), 1, 6)
+        other = make_vertex(3, 1, edges, block=other_pool.take(5), created_at=1.5)
         assert codec.encode(other) != codec.encode(carried)
 
-    def test_a_sealed_batch_does_not_change(self):
-        pool = TransactionBatch(5, [0], [0], [0.0])
-        taken = pool.take(1)
-        with pytest.raises(WorkloadError):
-            taken.extend(TransactionBatch(5, [1], [0], [0.25]))
-        assert list(taken) == [Transaction(0, 0, 0.0, 5)]
-
-    def test_a_batch_for_another_target_is_refused(self):
-        # The columns say nothing of the target: rows for another
-        # validator would be proposed and encoded as this one's.
-        pool = TransactionBatch(5)
-        with pytest.raises(WorkloadError):
-            pool.extend(TransactionBatch(6, [1], [0], [0.25]))
-        assert len(pool) == 0
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            Transaction(2**63, 0, 0.25, 5),
-            Transaction(-(2**63) - 1, 0, 0.25, 5),
-            Transaction(1, 2**63, 0.25, 5),
-            Transaction(1.5, 0, 0.25, 5),
-            Transaction(1, 0, "soon", 5),
-            Transaction(1, 0, None, 5),
-            (1, 0),
-        ],
-    )
-    def test_a_row_a_typed_column_cannot_hold_is_refused_whole(self, row):
-        # A list took anything; ``array`` raises on the second or third
-        # column, after the first has grown.  Nothing may have grown.
-        pool = TransactionBatch(5, [0], [0], [0.0])
-        with pytest.raises(WorkloadError):
-            pool.extend(TransactionBatch(5, *([cell] for cell in row[:3])))
-        assert len(pool.ids) == len(pool.clients) == len(pool.submitted_at) == 1
-        assert list(pool) == [Transaction(0, 0, 0.0, 5)]
-
-    @pytest.mark.parametrize(
-        "columns",
-        [
-            ([1, 2**63], [0, 0], [0.25, 0.5]),
-            ([1, 2], [0, -(2**63) - 1], [0.25, 0.5]),
-            ([1, 2], [0, 0], [0.25, "soon"]),
-            ([1, 2.5], [0, 0], [0.25, 0.5]),
-            ([1, 2], [0], [0.25, 0.5]),
-            ([1, 2], [0, 0], [0.25]),
-            (7, [0], [0.25]),
-        ],
-    )
-    def test_columns_are_coerced_or_refused_at_construction(self, columns):
-        with pytest.raises(WorkloadError):
-            TransactionBatch(5, *columns)
-        # ... so nothing half-typed ever reaches a pool.
-        pool = TransactionBatch(5, [0], [0], [0.0])
-        with pytest.raises(WorkloadError):
-            pool.extend(TransactionBatch(5, *columns))
-        assert len(pool.ids) == len(pool.clients) == len(pool.submitted_at) == 1
-
-    def test_every_column_is_typed_whatever_it_was_built_from(self):
-        from array import array
-
-        from repro.workload.transactions import transaction_columns
-
-        kept = array("q", [4, 5])
-        batch = TransactionBatch(5, kept, (0, 1), iter([0.25, 1]))
-        assert batch.ids is kept  # a column of the right type is owned, not copied
-        assert [column.typecode for column in (batch.ids, batch.clients, batch.submitted_at)] == ["q", "q", "d"]
-        assert list(batch) == [Transaction(4, 0, 0.25, 5), Transaction(5, 1, 1.0, 5)]
-        taken = batch.take(1)
-        assert [column.typecode for column in (taken.ids, taken.clients, taken.submitted_at)] == ["q", "q", "d"]
-        # A foreign block (the socket engine's tuple of transactions)
-        # reduces to the same two types as a batch's own columns.
-        for block in (taken, tuple(taken), ["opaque", *batch]):
-            ids, submitted_at = transaction_columns(block)
-            assert (type(ids), ids.typecode, type(submitted_at), submitted_at.typecode) == (array, "q", array, "d")
-        with pytest.raises(WorkloadError):
-            transaction_columns([Transaction(2**63, 0, 0.25, 5)])
+    def test_a_foreign_block_reduces_to_columns(self):
+        rows = self.rows(4, 2)
+        # A batch's own columns, as they are.
+        pool = TransactionPool(5)
+        pool.add(column_of(rows), 4, 6)
+        batch = pool.take(2)
+        assert transaction_columns(batch) == (batch.ids, batch.submitted_at)
+        # The socket engine's tuple of transactions: one run of ids is a range.
+        ids, submitted_at = transaction_columns(tuple(batch))
+        assert (ids, submitted_at) == (range(4, 6), [1.0, 1.25])
+        ids, submitted_at = transaction_columns(["opaque", rows[1], rows[0], None])
+        assert (ids, submitted_at) == ([5, 4], [1.25, 1.0])
+        assert transaction_columns(()) == ([], [])
 
 
 class TestLoadGenerator:
@@ -330,6 +301,48 @@ class TestMergedSubmissionEvents:
         assert len(target.received) == 100
         assert simulator.now == pytest.approx(0.99 + 0.040)
 
+    def test_a_settle_with_nothing_due_bisects_nothing_and_touches_no_pool(self, simulator, monkeypatch):
+        import repro.workload.generator as generator_module
+
+        calls = []
+
+        class CountingPool(TransactionPool):
+            def add(self, column, start, stop):
+                calls.append(("add", self.target))
+                super().add(column, start, stop)
+
+            def oldest(self, column):
+                calls.append(("oldest", self.target))
+                return super().oldest(column)
+
+        def counted_bisect_right(*args, **kwargs):
+            calls.append(("bisect_right",))
+            return bisect.bisect_right(*args, **kwargs)
+
+        targets = [PoolTarget(0), PoolTarget(1)]
+        for target in targets:
+            target.transaction_pool = CountingPool(target.id)
+        # 100 tx/s round-robin: an arrival at one of the two targets every 10 ms.
+        generator = LoadGenerator(0, simulator, targets, rate=100.0, duration=1.0, start_time=1.0, submission_delay=0.0)
+        generator.start()
+        arrivals = ClientArrivals.of(simulator)
+        first = generator._arrival(0)
+        # Before the first arrival a settle builds no column.
+        arrivals.settle(first / 2)
+        assert arrivals._columns is None
+        arrivals.settle(first)
+        assert arrivals._columns is not None
+        assert calls == [("add", 0)]
+        # The build is done: from here on every bisect is a settle's.
+        monkeypatch.setattr(generator_module, "bisect_right", counted_bisect_right)
+        # Again, and then short of target 1's first arrival: no column has anything due.
+        calls.clear()
+        arrivals.settle(first)
+        arrivals.settle(generator._arrival(1) - 1e-9)
+        assert calls == []
+        arrivals.settle(generator._arrival(1))
+        assert calls == [("bisect_right",), ("add", 1)]
+
     def test_a_read_sees_exactly_the_arrivals_due(self, simulator):
         target = FakeValidator(0)
         generator = LoadGenerator(
@@ -377,24 +390,22 @@ class TestMergedSubmissionEvents:
         assert len(gaps) == 9
         assert all(gap == pytest.approx(0.1) for gap in gaps)
 
-    def test_a_batch_target_receives_what_a_per_transaction_target_does(self, simulator):
-        class BatchValidator(FakeValidator):
-            def submit_transactions(self, batch):
-                self.received.extend(batch)
-
+    def test_a_pool_holds_what_a_per_transaction_target_receives(self, simulator):
         plain = [FakeValidator(index) for index in range(3)]
-        batched = [BatchValidator(index) for index in range(3)]
+        pools = [PoolTarget(index) for index in range(3)]
         spawn_load(simulator, plain, total_rate=900.0, duration=1.0)
         other = Simulator(seed=7)
-        spawn_load(other, batched, total_rate=900.0, duration=1.0)
+        spawn_load(other, pools, total_rate=900.0, duration=1.0)
         for instant in (0.3, 0.7):
             simulator.run(until=instant)
             other.run(until=instant)
-            assert [target.received for target in batched] == [target.received for target in plain]
+            assert [pooled(target.transaction_pool) for target in pools] == [target.received for target in plain]
         simulator.run()
         other.run()
-        assert [target.received for target in batched] == [target.received for target in plain]
+        assert [pooled(target.transaction_pool) for target in pools] == [target.received for target in plain]
         assert sum(len(target.received) for target in plain) == 900
+        # Each pool is one window: the rows of a column arrive in turn.
+        assert [len(target.transaction_pool.windows) for target in pools] == [1, 1, 1]
 
     def test_a_column_drops_its_delivered_prefix_and_keeps_the_ids(self, simulator):
         target = FakeValidator(0)
@@ -415,6 +426,27 @@ class TestMergedSubmissionEvents:
         assert [transaction.tx_id for transaction in target.received] == list(range(1000))
         assert [transaction.submitted_at for transaction in target.received] == [
             generator._first_time + index * generator._interval for index in range(1000)
+        ]
+
+    def test_a_column_keeps_every_row_from_its_oldest_pooled_one(self, simulator):
+        target = PoolTarget(0)
+        generator = LoadGenerator(0, simulator, [target], rate=100.0, duration=10.0)
+        generator.start()
+        pool = target.transaction_pool
+        simulator.run(until=6.0)
+        simulator.settle()
+        (column,) = ClientArrivals.of(simulator)._columns
+        # Nothing taken: most of the column is delivered, and all of it kept.
+        assert 2 * column.position > len(column.arrivals) == 1000
+        assert column.first_id == 0 and len(pool) == generator.submitted
+        pool.take(550)
+        simulator.run(until=9.0)
+        simulator.settle()
+        # Taken rows go with the next drop; pooled rows stay, under their ids.
+        assert column.first_id == 550
+        assert pooled(pool) == [
+            Transaction(index, 0, generator._first_time + index * generator._interval, 0)
+            for index in range(550, generator.submitted)
         ]
 
     def test_slices_of_a_column_keep_simultaneous_arrivals_together(self, simulator, monkeypatch):
