@@ -161,6 +161,7 @@ class ValidatorNode:
             return
         # Client arrivals up to this instant were accepted before the crash.
         self.simulator.settle()
+        self.transaction_pool.detach()
         self.crashed = True
         self.network.set_crashed(self.id, True)
         self._cancel_timers()

@@ -71,6 +71,14 @@ class TransactionBatch:
         return map(Transaction, self.ids, self.clients, self.submitted_at, repeat(self.target))
 
 
+class _Rows(NamedTuple):
+    """Pooled rows copied off their column: what a window reads of one."""
+
+    first_id: int
+    clients: array
+    submitted_at: array
+
+
 class TransactionPool:
     """A validator's pending transactions: windows on arrival columns, oldest first.
 
@@ -81,7 +89,9 @@ class TransactionPool:
     extend windows as rows arrive (:meth:`add`), and a column keeps every
     row from its oldest pooled one on.  Rows that arrive while the
     validator is crashed are never pooled, so a window ends at a crash
-    and the next one starts after the gap; a window keeps its column
+    and the next one starts after the gap; the rows pooled before the
+    crash are copied off their column (:meth:`detach`), which can then
+    drop what arrives during the downtime.  A window keeps its column
     when the columns are rebuilt.
     """
 
@@ -113,6 +123,18 @@ class TransactionPool:
             if window[0] is column:
                 return window[1]
         return None
+
+    def detach(self) -> None:
+        """Copy every pooled row off its column.
+
+        A crashed validator's pool is read again only after it recovers;
+        until then its windows would keep their columns from dropping the
+        rows that arrive, and are skipped, during the downtime.
+        """
+        for window in self.windows:
+            column, start, stop = window
+            low, high = start - column.first_id, stop - column.first_id
+            window[0] = _Rows(start, column.clients[low:high], column.submitted_at[low:high])
 
     def take(self, limit: int) -> TransactionBatch:
         """Remove and return, sealed, the oldest ``limit`` rows (all, when fewer)."""

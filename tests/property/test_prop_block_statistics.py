@@ -109,11 +109,10 @@ def test_thousands_of_small_blocks_at_the_real_probe_size():
     count = 2 * latency_module.PROBE_SIZE + 7 * 1021
     stride = max(8, count // latency_module.PROBE_SIZE)
     signed_zeros = [(-0.0 if index % 3 else 0.0) if index % 5 else float(index % 7) for index in range(count)]
+    scattered = [(index * 7919) % 1009 / 8 for index in range(count)]
     layouts = {
         "signed-zeros": cut(signed_zeros, [1, 2, 3]),
-        "descending": [
-            sorted(block, reverse=True) for block in cut([(index * 7919) % 1009 / 8 for index in range(count)], [3, 1, 2])
-        ],
+        "descending": [sorted(block, reverse=True) for block in cut(scattered, [3, 1, 2])],
         "misleading-probe": cut([float(index % stride) for index in range(count)], [2, 3, 1]),
         "all-equal": cut([2.5] * count, [3]),
     }

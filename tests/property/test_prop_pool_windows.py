@@ -91,6 +91,8 @@ class WindowTarget:
 
     def set_crashed(self, crashed):
         self.simulator.settle()
+        if crashed:
+            self.transaction_pool.detach()
         self.crashed = crashed
 
 

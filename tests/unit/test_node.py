@@ -908,6 +908,25 @@ class TestLazyClientLoad:
         assert sorted(proposed) == sorted(set(submitted) - set(down))
         assert node.transaction_pool.received == 1050 - 350
 
+    def test_a_crashed_pool_lets_its_column_drop_the_downtime(self):
+        committee, simulator, network, nodes = build_cluster()
+        for node in nodes.values():
+            node.start()
+        generator = LoadGenerator(0, simulator, [nodes[3]], rate=350.0, duration=20.0, start_time=1.0)
+        generator.start()
+        simulator.run(until=2.0)
+        nodes[3].crash()
+        pooled_at_crash = pooled(nodes[3].transaction_pool)
+        assert pooled_at_crash
+        simulator.run(until=18.0)
+        simulator.settle()
+        # Down for good: the rows pooled at the crash are still there, and
+        # the column has dropped what arrived since, rows pooled included.
+        (column,) = ClientArrivals.of(simulator)._columns
+        assert column.first_id > pooled_at_crash[-1].tx_id
+        assert 2 * column.position <= len(column.arrivals)
+        assert pooled(nodes[3].transaction_pool) == pooled_at_crash
+
     def test_retargeting_redirects_only_later_arrivals(self):
         committee, simulator, network, nodes = build_cluster()
         proposals = self.watch_proposals(nodes[2])
