@@ -20,21 +20,24 @@ Differences from the pseudocode that matter for the reproduction:
   schedule application described in Section 3.1: rounds after the change
   must be interpreted under the new schedule, so anchors selected for
   those rounds under the old schedule are recomputed.
-* A commit attempt re-evaluates only the anchor rounds dirtied since
-  the previous one: the DAG store records the anchor round of every
-  insertion, and schedule changes and state sync dirty the rounds whose
-  leader may have changed (``_invalidate_candidates_from`` /
-  ``reset_candidates``).  Rescanning every round between
-  ``lastOrderedRound`` and the frontier on every insertion is quadratic
-  over a run.  The independent check of this engine is the executable
-  reference model in ``tests/reference_model.py``, which recomputes
-  ordering and schedule changes from a recorded insert log.
+* An insertion at round ``r`` can change the direct-vote stake of one
+  anchor round only, ``r - r % 2``, and that anchor commits on ``f+1``
+  stake of round-``r+1`` votes, so :meth:`process_vertex` enters the
+  commit scan only when that round is above ``lastOrderedRound`` and its
+  vote round already holds ``f+1`` stake.  A schedule change or state
+  sync can change the leader of any round above ``lastOrderedRound``;
+  it leaves a rescan of all of them pending, which the next scan runs
+  (:meth:`reset_candidates`).  :meth:`try_commit` is that full rescan,
+  for callers that add to the DAG behind the engine.  The independent
+  check of this engine is the executable reference model in
+  ``tests/reference_model.py``, which recomputes ordering and schedule
+  changes from a recorded insert log.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.committee import Committee
 from repro.consensus.committed import CommittedSubDag, OrderedVertex
@@ -96,12 +99,10 @@ class BullsharkConsensus:
         self._uniform_stake = committee.stake_vector.uniform_stake
         self.dag = dag
         self.schedule_manager = schedule_manager
-        # Candidate tracking for the commit scan: anchor rounds that
-        # currently satisfy the f+1 direct-vote rule, and anchor rounds
-        # that need (re-)evaluation.  Entries at or below the last ordered
-        # anchor round are purged lazily.
-        self._committable_rounds: Set[Round] = set()
-        self._dirty_anchor_rounds: Set[Round] = set()
+        # Set when a schedule change or state sync may have changed the
+        # leader of any anchor round above the last ordered one: the next
+        # commit scan re-evaluates all of them.
+        self._rescan_pending = False
 
         # ``lastOrderedRound`` from Algorithm 2 (tracks anchor rounds).
         self.last_ordered_anchor_round: Round = 0
@@ -145,29 +146,45 @@ class BullsharkConsensus:
     def process_vertex(self, vertex: Vertex) -> List[CommittedSubDag]:
         """React to a vertex having been inserted into the local DAG.
 
-        Vote-round vertices may complete the ``f+1`` quorum of an anchor,
-        and anchor-round vertices may be anchors themselves, so any
-        insertion can unlock commits.  Returns the sub-DAGs committed as a
-        consequence of this insertion (possibly empty).
+        The insertion can change the direct-vote stake of one anchor
+        round: its own round when even (the anchor), the round below when
+        odd (a vote).  The commit scan runs only when that round is above
+        the last ordered anchor and its vote round holds ``f+1`` stake;
+        a pending rescan runs whatever the round.  Returns the sub-DAGs
+        committed as a consequence of this insertion (possibly empty).
         """
-        if vertex.round < 1:
+        if self._rescan_pending:
+            return self.try_commit()
+        round_number = vertex.round - vertex.round % 2
+        if (
+            round_number <= self.last_ordered_anchor_round
+            or self.dag.stake_at(round_number + 1) < self.committee.validity_threshold
+        ):
             return []
-        return self.try_commit()
+        return self._commit_scan((round_number,))
 
     def try_commit(self) -> List[CommittedSubDag]:
-        """Attempt to commit anchors given the current DAG contents."""
+        """Commit what the current DAG allows: a rescan of every anchor
+        round above the last ordered one (also what callers that add
+        vertices to the DAG without :meth:`process_vertex` call)."""
+        return self._commit_scan(self._rescan_rounds())
+
+    def _rescan_rounds(self) -> range:
+        """Every anchor round above the last ordered one up to the DAG's
+        frontier, highest first; the pending rescan is then done."""
+        self._rescan_pending = False
+        top = self.dag.highest_round()
+        return range(top - top % 2, self.last_ordered_anchor_round, -2)
+
+    def _commit_scan(self, rounds: Iterable[Round]) -> List[CommittedSubDag]:
+        """Order the anchor :meth:`_committable_anchor` finds in ``rounds``,
+        and rescan for as long as ordering changes the schedule (see the
+        module docstring)."""
         committed: List[CommittedSubDag] = []
-        # A schedule change mid-ordering restarts the scan (see module
-        # docstring); the loop runs until no further anchor can be
-        # committed under the then-active schedule.
-        while True:
-            anchor = self._find_directly_committable_anchor()
-            if anchor is None:
-                break
-            newly = self._order_anchor_chain(anchor)
-            committed.extend(newly)
-            if not newly:
-                break
+        anchor = self._committable_anchor(rounds)
+        while anchor is not None:
+            committed.extend(self._order_anchor_chain(anchor))
+            anchor = self._committable_anchor(self._rescan_rounds()) if self._rescan_pending else None
         return committed
 
     # -- commit rule -------------------------------------------------------------------
@@ -205,82 +222,33 @@ class BullsharkConsensus:
             voters ^= low_bit
         return total
 
-    def _find_directly_committable_anchor(self) -> Optional[Vertex]:
-        """The highest uncommitted anchor with an ``f+1`` stake of votes.
+    def _committable_anchor(self, rounds: Iterable[Round]) -> Optional[Vertex]:
+        """The first anchor of ``rounds`` (uncommitted anchor rounds,
+        highest first) with an ``f+1`` stake of direct votes.
 
-        An anchor round's direct-vote stake only changes when a vertex is
-        inserted at that round (the anchor itself) or the round above (a
-        vote), and its leader only changes on a schedule switch or state
-        sync; those events dirty the round (see
-        :meth:`DagStore.drain_dirty_anchor_rounds`,
-        :meth:`_invalidate_candidates_from` and :meth:`reset_candidates`).
-        Once a round satisfies the f+1 rule it stays satisfied — votes are
-        never removed above the GC horizon — so it parks in
-        ``_committable_rounds`` until ordered or invalidated.  Amortized
-        O(1) per insertion.
+        A round whose vote round holds less than ``f+1`` stake is passed
+        over without a leader lookup or an edge scan: no anchor of it can
+        have ``f+1`` direct votes.
         """
-        last_ordered = self.last_ordered_anchor_round
-        drained = self.dag.drain_dirty_anchor_rounds()
-        if drained:
-            self._dirty_anchor_rounds |= drained
-        if self._dirty_anchor_rounds:
-            threshold = self.committee.validity_threshold
-            dag = self.dag
-            for round_number in self._dirty_anchor_rounds:
-                if round_number <= last_ordered:
-                    continue
-                if dag.stake_at(round_number + 1) < threshold:
-                    # Not enough voting-round stake present yet for any
-                    # anchor of this round to reach f+1 direct votes: skip
-                    # the leader lookup and edge scan.  The next insertion
-                    # at the round (or its voting round) re-dirties it.
-                    continue
-                anchor = self._get_anchor(round_number)
-                if anchor is not None and self._direct_vote_stake(anchor) >= threshold:
-                    self._committable_rounds.add(round_number)
-            self._dirty_anchor_rounds.clear()
-        while self._committable_rounds:
-            best_round = max(self._committable_rounds)
-            if best_round <= last_ordered:
-                self._committable_rounds = {
-                    r for r in self._committable_rounds if r > last_ordered
-                }
+        threshold = self.committee.validity_threshold
+        stake_at = self.dag.stake_at
+        for round_number in rounds:
+            if stake_at(round_number + 1) < threshold:
                 continue
-            anchor = self._get_anchor(best_round)
-            if anchor is None:
-                # Only possible after an external schedule mutation that
-                # bypassed the invalidation hooks; drop and re-derive.
-                self._committable_rounds.discard(best_round)
-                continue
-            return anchor
+            anchor = self._get_anchor(round_number)
+            if anchor is not None and self._direct_vote_stake(anchor) >= threshold:
+                return anchor
         return None
 
-    def _invalidate_candidates_from(self, from_round: Round) -> None:
-        """Re-evaluate candidates at or after ``from_round``.
-
-        Called when a schedule change takes effect: rounds covered by the
-        new schedule may have a different leader, so both their committable
-        status and their prior negative evaluations are void.
-        """
-        self._committable_rounds = {
-            r for r in self._committable_rounds if r < from_round
-        }
-        start = max(from_round, self.last_ordered_anchor_round + 2)
-        if start % 2 != 0:
-            start += 1
-        for round_number in range(max(start, 2), self.dag.highest_round() + 1, 2):
-            self._dirty_anchor_rounds.add(round_number)
-
     def reset_candidates(self) -> None:
-        """Drop all candidate state and re-derive it from the DAG.
+        """Re-evaluate every anchor round above the last ordered one at the
+        next commit scan.
 
         Needed after state sync (``adopt_state`` replaces the schedule
-        history wholesale, so any round's leader may have changed).
+        history wholesale, so any round's leader may have changed) and
+        after recovery rebuilds the DAG.
         """
-        self._committable_rounds.clear()
-        self._dirty_anchor_rounds.clear()
-        self.dag.drain_dirty_anchor_rounds()
-        self._invalidate_candidates_from(self.last_ordered_anchor_round + 2)
+        self._rescan_pending = True
 
     # -- ordering (``orderAnchors`` / ``orderHistory``) -----------------------------------
 
@@ -316,14 +284,14 @@ class BullsharkConsensus:
             new_schedule = self.schedule_manager.on_anchor_committed(next_anchor)
             if new_schedule is not None:
                 # Leaders of rounds covered by the new schedule may differ,
-                # so candidate evaluations for those rounds are void.
-                self._invalidate_candidates_from(new_schedule.initial_round)
+                # so the commit scan re-evaluates every round above this one.
+                self._rescan_pending = True
                 if stack:
                     # The schedule now active starts after
                     # ``next_anchor.round``; the anchors still on the stack
                     # belong to later rounds and were chosen under the
                     # superseded schedule, so they must be re-derived.
-                    # ``try_commit`` restarts the scan.
+                    # ``_commit_scan`` restarts the scan.
                     break
         return committed
 

@@ -18,7 +18,12 @@ is a dict get on the round and a list index on the source, bounds-checked
 so that an id naming a source outside the committee is absent rather
 than another validator's vertex.  A per-round arrival list keeps the
 order vertices entered the DAG, which parent selection reads through
-``vertices_at``.
+``vertices_at``.  Each round's total stake and source bitmask are kept
+beside its slab on insert and GC, so the quorum checks, the commit
+rule's ``f+1`` vote-stake gate (``stake_at``) and a fetch request's
+frontier (``held_sources``) are a dict get.  The store does not record
+which anchor rounds an insertion touched: the consensus engine derives
+that from the inserted vertex's round (``BullsharkConsensus.process_vertex``).
 
 Reachability cache
 ------------------
@@ -119,14 +124,6 @@ class DagStore:
         self._highest_round = 0
         # vertex id -> {target round -> sources reachable at that round}.
         self._reach_cache: Dict[VertexId, Dict[Round, FrozenSet[ValidatorId]]] = {}
-        # Anchor rounds whose commit-rule status may have changed since the
-        # consensus engine last drained this set: an insertion at an even
-        # round r is a (potential) anchor for r, an insertion at an odd
-        # round r is a (potential) vote for the anchor of r - 1.  Tracking
-        # this at the store keeps the commit scan correct no
-        # matter how vertices enter the DAG (broadcast, promotion of parked
-        # vertices, GC-triggered promotion, recovery replay).
-        self._dirty_anchor_rounds: Set[Round] = set()
         # Set when a vertex is inserted below the GC horizon; tells the
         # next garbage_collect that a sweep is needed even if the horizon
         # did not move.
@@ -275,9 +272,6 @@ class DagStore:
         )
         if round_number > self._highest_round:
             self._highest_round = round_number
-        anchor_round = round_number if round_number % 2 == 0 else round_number - 1
-        if anchor_round >= 2:
-            self._dirty_anchor_rounds.add(anchor_round)
         if self._tracing:
             self._tracer.emit(
                 "vertex_inserted",
@@ -415,29 +409,14 @@ class DagStore:
         # for introspection and fetch bookkeeping only.
         return tuple(self._pending.values())
 
-    def drain_dirty_anchor_rounds(self) -> Set[Round]:
-        """Anchor rounds touched by insertions since the last drain.
-
-        The consensus engine uses this to re-evaluate only the anchor
-        rounds whose direct-vote quorum can actually have changed, instead
-        of rescanning every candidate round on every insertion.  When the
-        set is empty it is returned as-is (the caller consumes it
-        immediately), avoiding a set allocation per insertion.
-        """
-        dirty = self._dirty_anchor_rounds
-        if not dirty:
-            return dirty
-        self._dirty_anchor_rounds = set()
-        return dirty
-
     def round_map(self, round_number: Round) -> Sequence[Optional[Vertex]]:
         """Read-only slab of the vertices at ``round_number`` by source.
 
         The result is indexable by validator id (``None`` where the source
         has no vertex yet) and iterates in id order.  Unlike
         :meth:`vertices_at` this does not copy; callers must not mutate
-        the returned sequence.  Used by the per-insertion commit probes,
-        where a per-call copy was measurable at committee 25+.
+        the returned sequence.  Used by the commit rule's direct-vote
+        count, where a per-call copy was measurable at committee 25+.
         """
         return self._round_slots.get(round_number, self._EMPTY_ROUND)
 

@@ -4,11 +4,13 @@ Latency is measured the way the paper defines it: "the time elapsed from
 when the client submits the transaction to when it receives confirmation
 of the transaction's finality".  A transaction carries its submission
 time; for every block an observer validator orders, the collector claims
-the block's ids as one fresh run when they are a ``range`` (a block taken
-from one pool window) or else id by id, counts a transaction the first
-time only, and makes the finality times in one pass over the execution
-queue's running sum with the client confirmation delay (one network
-one-way trip back) added, and the latencies in one more.  Both are kept
+each maximal run of consecutive ids as one range (a block taken from one
+pool window is one run, a block cut across a crash gap one per window),
+settles id by id only a run that overlaps ids already committed, counts
+a transaction the first time only, and makes the finality times in one
+pass over the execution queue's running sum with the client
+confirmation delay (one network one-way trip back) added, and the
+latencies in one more.  Both are kept
 as one ``array('d')`` per block; a block's finality times never
 decrease, so throughput reads each block with one comparison or one
 ``bisect``.
@@ -23,9 +25,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import compress
-from operator import sub
-from typing import Any, List, Optional, Sequence
+from itertools import compress, count, islice, repeat
+from operator import ne, sub
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.consensus.committed import OrderedVertex
 from repro.metrics.execution import ExecutionModel
@@ -33,6 +35,16 @@ from repro.metrics.latency import LatencyStats
 from repro.node.validator import ValidatorNode
 from repro.types import SimTime
 from repro.workload.transactions import Transaction, transaction_columns
+
+
+def _id_runs(ids: Union[range, Sequence[int]]) -> Sequence[range]:
+    """``ids`` as its maximal runs of consecutive ids, in order."""
+    if type(ids) is range:
+        return (ids,)
+    # Positions where an id is not its predecessor plus one.
+    breaks = list(compress(count(1), map(ne, map(sub, islice(ids, 1, None), ids), repeat(1))))
+    bounds = [0, *breaks, len(ids)]
+    return [range(ids[low], ids[high - 1] + 1) for low, high in zip(bounds, bounds[1:])]
 
 
 class MetricsCollector:
@@ -96,26 +108,35 @@ class MetricsCollector:
         """Record commit times for the transactions of an ordered vertex.
 
         Only a transaction's first commit counts.  Any block is first
-        reduced to an id column and a submission-time column; the
-        finality times are then one pass (the execution queue's running
-        sum plus the confirmation delay) and the latencies one more.
+        reduced to an id column and a submission-time column, and its ids
+        are claimed one run at a time; the finality times are then one
+        pass (the execution queue's running sum plus the confirmation
+        delay) and the latencies one more.
         """
         ids, submitted_at = transaction_columns(record.vertex.block)
-        count = len(ids)
-        if not count:
+        size = len(ids)
+        if not size:
             return
-        if not (type(ids) is range and self._claim(ids.start, ids.stop)):
-            # Not one run of fresh ids: settle it id by id.
-            fresh = [self._claim(tx_id, tx_id + 1) for tx_id in ids]
+        fresh: Optional[List[bool]] = None
+        position = 0
+        for run in _id_runs(ids):
+            if not self._claim(run.start, run.stop):
+                # Not a run of fresh ids: settle it id by id.
+                if fresh is None:
+                    fresh = [True] * size
+                for index, tx_id in enumerate(run, position):
+                    fresh[index] = self._claim(tx_id, tx_id + 1)
+            position += len(run)
+        if fresh is not None:
             submitted_at = list(compress(submitted_at, fresh))
-            self.duplicate_commits += count - len(submitted_at)
-            count = len(submitted_at)
-            if not count:
+            self.duplicate_commits += size - len(submitted_at)
+            size = len(submitted_at)
+            if not size:
                 return
         if self.execution is None:
-            finality_times = [record.ordered_at + self.confirmation_delay] * count
+            finality_times = [record.ordered_at + self.confirmation_delay] * size
         else:
-            finality_times = self.execution.execute_many(count, record.ordered_at, self.confirmation_delay)
+            finality_times = self.execution.execute_many(size, record.ordered_at, self.confirmation_delay)
         warmup = self.warmup
         if min(submitted_at) < warmup:
             measured = [submit_time >= warmup for submit_time in submitted_at]

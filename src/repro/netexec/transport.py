@@ -4,7 +4,7 @@ One process, one event loop, one listening socket per validator (Unix
 domain sockets by default, local TCP optionally) and one outbound
 connection per ordered validator pair.  The transport implements the
 exact surface :class:`~repro.node.validator.ValidatorNode` consumes
-from :class:`~repro.network.transport.Network` — ``register``/``send``/
+from :class:`~repro.network.transport.Network` — ``register``/``route``/``send``/
 ``broadcast``/``set_crashed``/``is_crashed``/``stats``/
 ``install_observability`` plus the
 ``.simulator`` timing facade — so the full validator stack runs over
@@ -282,12 +282,14 @@ class _InboundConnection(asyncio.Protocol):
 
 
 class _Endpoint:
-    __slots__ = ("node_id", "region", "handler", "crashed", "server", "address", "encode_slot", "self_slot")
+    __slots__ = ("node_id", "region", "handler", "routes", "crashed", "server", "address", "encode_slot", "self_slot")
 
     def __init__(self, node_id: ValidatorId, region: Region, handler) -> None:
         self.node_id = node_id
         self.region = region
         self.handler = handler
+        # Message class -> handler, ahead of ``handler`` (``Network.route``).
+        self.routes: Dict[type, Any] = {}
         self.crashed = False
         self.server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Any] = None
@@ -338,6 +340,9 @@ class AsyncioTransport:
             raise NetworkError(f"node {node_id} is already registered")
         self._endpoints[node_id] = _Endpoint(node_id, region, handler)
         self._node_ids = tuple(sorted(self._endpoints))
+
+    def route(self, node_id: ValidatorId, routes: Dict[type, Any]) -> None:
+        self._endpoints[node_id].routes = routes
 
     def install_observability(self, tracer, registry: Optional[Any] = None) -> None:
         self.tracer = tracer
@@ -470,7 +475,7 @@ class AsyncioTransport:
             return
         self.stats.messages_delivered += 1
         try:
-            endpoint.handler(sender, message)
+            endpoint.routes.get(message.__class__, endpoint.handler)(sender, message)
         except Exception as error:  # noqa: BLE001 - surfaced by the runner
             self.handler_errors.append(error)
             self._note(

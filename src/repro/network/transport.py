@@ -9,6 +9,18 @@ implementation: messages are never corrupted, reordering can only arise
 from differing delays, and the sender identity attached to a delivery is
 trustworthy.
 
+Class routing
+-------------
+
+A node registers one handler, and may add a class map with
+:meth:`Network.route`: a delivery looks its message's exact class up in
+the map inside the delivery event's own frame and calls the handler it
+finds, so a routed message reaches its protocol handler in one call.  A
+class the map does not name goes to the registered handler, which is
+all a node that installs no map ever sees.  A validator installs its map
+when it starts, and again when recovery rebuilds its broadcast layer;
+its registered handler buffers what arrives before the start.
+
 Scenario hooks
 --------------
 
@@ -65,6 +77,8 @@ class _Endpoint:
     region: Region
     handler: DeliveryHandler
     index: int  # registration position: where the node sits in every row
+    # Message class -> handler, ahead of ``handler`` (see ``Network.route``).
+    routes: Dict[type, DeliveryHandler] = dataclasses.field(default_factory=dict)
     crashed: bool = False
     inbound_extra_delay: SimTime = 0.0
     outbound_extra_delay: SimTime = 0.0
@@ -77,13 +91,14 @@ def _deliver_message(
 
     Crash state is re-read at delivery time: a node that crashed while
     the message was in flight must not process it, and a node that
-    recovered may.
+    recovered may.  The message's class picks the handler here, in the
+    event's frame (see "Class routing" in the module docstring).
     """
     if destination.crashed:
         stats.messages_dropped += 1
         return
     stats.messages_delivered += 1
-    destination.handler(sender, message)
+    destination.routes.get(message.__class__, destination.handler)(sender, message)
 
 
 class Network:
@@ -142,6 +157,11 @@ class Network:
             raise NetworkError(f"node {node_id} is already registered")
         self._endpoints[node_id] = _Endpoint(node_id, region, handler, len(self._endpoints))
         self._rows.clear()
+
+    def route(self, node_id: int, routes: Dict[type, DeliveryHandler]) -> None:
+        """Deliver ``node_id``'s messages of the classes ``routes`` names to
+        their handlers; any other class still goes to its registered one."""
+        self._endpoint(node_id).routes = routes
 
     def _endpoint(self, node_id: int) -> _Endpoint:
         endpoint = self._endpoints.get(node_id)

@@ -14,10 +14,10 @@ implementation does:
 * it runs the Bullshark commit rule on every insertion and feeds the
   ordered prefix to its schedule manager (static for the baseline,
   HammerHead for the paper's protocol);
-* it persists the vertices above its GC horizon and its latest proposal,
-  and keeps its commit record (consensus engine and schedule manager)
-  across a crash, so a crashed validator recovers in time and memory
-  bounded by the GC window, not by the length of the run.
+* it persists its latest proposal, captures the vertices above its GC
+  horizon at a crash, and keeps its commit record (consensus engine and
+  schedule manager) across the crash, so a crashed validator recovers in
+  time and memory bounded by the GC window, not by the length of the run.
 """
 
 from __future__ import annotations
@@ -150,10 +150,13 @@ class ValidatorNode:
         for vertex in genesis_vertices(self.committee):
             self.dag.add(vertex)
         self.started = True
+        self.network.route(self.id, self._message_handlers)
         self._enter_round(1)
         buffered, self._pre_start_buffer = self._pre_start_buffer, []
         for sender, message in buffered:
-            self._on_network_message(sender, message)
+            handler = self._message_handlers.get(message.__class__)
+            if handler is not None and not self.crashed:
+                handler(sender, message)
 
     def crash(self) -> None:
         """Crash the node: it stops proposing and drops all traffic."""
@@ -162,6 +165,7 @@ class ValidatorNode:
         # Client arrivals up to this instant were accepted before the crash.
         self.simulator.settle()
         self.transaction_pool.detach()
+        self.store.capture(self.dag)
         self.crashed = True
         self.network.set_crashed(self.id, True)
         self._cancel_timers()
@@ -259,6 +263,8 @@ class ValidatorNode:
     def _rebuild_broadcast(self) -> None:
         self.broadcast_protocol = self._build_broadcast()
         self._message_handlers = self._build_message_handlers()
+        if self.started:
+            self.network.route(self.id, self._message_handlers)
 
     def _highest_quorum_round(self) -> Round:
         round_number = self.dag.highest_round()
@@ -442,20 +448,18 @@ class ValidatorNode:
     # -- message handling -----------------------------------------------------------------
 
     def _on_network_message(self, sender: ValidatorId, message) -> None:
-        if self.crashed:
-            return
+        """The registered handler: what the class map does not route.
+
+        Before :meth:`start` the map is not installed and every message
+        lands here, to be buffered; after it, only a class no handler
+        knows does, and is dropped.
+        """
         if not self.started:
             self._pre_start_buffer.append((sender, message))
-            return
-        # Exact-class dispatch; this runs once per delivered message, so
-        # the handler map replaces a chain of isinstance checks through
-        # the broadcast layer.  A class no handler knows is dropped.
-        handler = self._message_handlers.get(message.__class__)
-        if handler is not None:
-            handler(sender, message)
 
     def _build_message_handlers(self) -> Dict[type, Callable]:
-        """Flat message-class dispatch map for the delivery hot path."""
+        """Flat message-class dispatch map: the transport routes each
+        delivery by its exact class through it (``Network.route``)."""
         handlers: Dict[type, Callable] = dict(self.broadcast_protocol._handlers)
         handlers[FetchRequest] = self.synchronizer.on_request
         handlers[FetchResponse] = self._handle_fetch_response
@@ -539,21 +543,18 @@ class ValidatorNode:
         # the commit scan must re-derive its candidates.
         self.consensus.reset_candidates()
         self.dag.garbage_collect(snapshot.gc_round)
-        self.store.prune(self.dag.lowest_round)
         self.dag.reconsider_pending()
         self.synchronizer.forget_requests()
 
     # -- DAG insertion reaction ---------------------------------------------------------------
 
     def _on_vertex_inserted(self, vertex: Vertex) -> None:
-        self.store.persist(vertex)
         committed = self.consensus.process_vertex(vertex)
         if self.config.gc_depth and (committed or self.dag._stale_below_horizon):
             # The GC horizon only moves when a commit advanced the last
             # ordered round (or a state-sync straggler needs sweeping),
             # so the probe is skipped on the other ~95% of insertions.
             self.consensus.garbage_collect(keep_rounds=self.config.gc_depth)
-            self.store.prune(self.dag.lowest_round)
         if vertex.round >= self.current_round - 1:
             self._maybe_advance()
 

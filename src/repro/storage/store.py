@@ -2,18 +2,24 @@
 
 The store outlives a crash of its validator's in-memory protocol state
 and holds exactly what :meth:`~repro.node.validator.ValidatorNode.recover`
-reads: the vertex log, one list per round, pruned to the DAG's GC
-horizon, and the latest own proposal, which a recovering validator
-re-broadcasts rather than proposing anything else for that round.  The
-commit record is not copied here: the consensus engine and the schedule
-manager change state only inside a commit, so the validator keeps those
-objects across a crash as that record.
+reads: the vertex log, one list per round from the DAG's GC horizon up,
+and the latest own proposal, which a recovering validator re-broadcasts
+rather than proposing anything else for that round.  The log is captured
+from the DAG at the crash (:meth:`PersistentStore.capture`) rather than
+written at every insertion and pruned at every GC step: in a crash-stop
+simulation nothing reads the log before the crash, and at the crash
+instant the DAG's window is exactly what per-insertion logging would
+hold (every inserted vertex at or above the horizon).  The commit record
+is not copied here: the consensus engine and the schedule manager change
+state only inside a commit, so the validator keeps those objects across
+a crash as that record.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex
 from repro.types import Round
 
@@ -27,29 +33,21 @@ class PersistentStore:
         self.rounds: Dict[Round, List[Vertex]] = {}
         self.own_proposal: Optional[Vertex] = None
 
-    def persist(self, vertex: Vertex) -> None:
-        """Log an inserted vertex (once per insertion, so keep it cheap).
+    def capture(self, dag: DagStore) -> None:
+        """Make the log ``dag``'s window: its vertices at and above its
+        horizon, per round in source order.
 
-        A straggler below the horizon is ordered history: not logged.
+        A straggler the DAG holds below its horizon until the next GC
+        sweep is ordered history: not logged.
         """
-        if vertex.round < self.horizon:
-            return
-        logged = self.rounds.get(vertex.round)
-        if logged is None:
-            self.rounds[vertex.round] = [vertex]
-        else:
-            logged.append(vertex)
-
-    def prune(self, horizon: Round) -> None:
-        """Drop the rounds below ``horizon``."""
-        for round_number in range(self.horizon, horizon):
-            self.rounds.pop(round_number, None)
-        self.horizon = max(self.horizon, horizon)
+        horizon = dag.lowest_round
+        self.horizon = horizon
+        self.rounds = {
+            round_number: [vertex for vertex in dag.round_map(round_number) if vertex is not None]
+            for round_number, _sources in dag.held_sources()
+            if round_number >= horizon
+        }
 
     def replay_order(self) -> List[Vertex]:
         """The logged vertices in ``(round, source)`` order: parents first."""
-        return [
-            vertex
-            for round_number in sorted(self.rounds)
-            for vertex in sorted(self.rounds[round_number], key=lambda vertex: vertex.source)
-        ]
+        return [vertex for round_number in sorted(self.rounds) for vertex in self.rounds[round_number]]

@@ -1,6 +1,6 @@
 """Differential properties: the production engine vs the reference model.
 
-The production commit path — dirty anchor-round tracking in
+The production commit path — the vote-stake gate and rescans of
 ``BullsharkConsensus``, the round-indexed reachability cache, parking and
 promotion, slab recycling and GC in ``DagStore``, ``_commit_anchor``, and
 the whole ``HammerHeadScheduleManager`` — is checked against

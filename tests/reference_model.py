@@ -4,7 +4,7 @@ The safety argument of the paper is that every validator derives the same
 order and the same schedule from the same DAG, so the check that matters
 is an *independent* recomputation from a recorded DAG.  This module is
 that recomputation: plain dicts, sets and lists, no caches, no arenas, no
-dirty-round tracking.  It replays the insert log of one validator — the
+commit-scan gate.  It replays the insert log of one validator — the
 vertices in the order they entered that validator's DAG — and must
 reproduce the validator's ``ordering_digest``, ``ordered_count`` and
 schedule-change records.

@@ -1,6 +1,13 @@
 """Unit tests for the Bullshark consensus engine over hand-built DAGs."""
 
+import collections
+
+import pytest
+
 from repro.consensus import bullshark
+from repro.faults.partition import NetworkDisturbanceFault
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.runner import SimulationRunner
 from tests.conftest import build_round, drive_rounds, make_consensus, vid
 from tests.doubles import OrderRecorder
 
@@ -242,3 +249,42 @@ class TestGarbageCollectionIntegration:
             for vertex in build_round(consensus.dag, committee4, round_number):
                 consensus.process_vertex(vertex)
         assert consensus.commit_count > before
+
+
+class TestCommitScanEntries:
+    """Bullshark commits an anchor on f+1 stake of votes one round up, so an
+    insertion enters the commit scan only when its anchor round's vote
+    round already holds that much stake (or a schedule change left a
+    rescan pending), not on every insertion."""
+
+    @pytest.mark.parametrize("seed", [2, 2 + 1009])
+    def test_a_lossy_run_enters_the_scan_about_once_per_commit(self, seed, monkeypatch):
+        entries = collections.Counter()
+        scan = bullshark.BullsharkConsensus._commit_scan
+
+        def counted(engine, round_number):
+            entries[engine.owner] += 1
+            return scan(engine, round_number)
+
+        monkeypatch.setattr(bullshark.BullsharkConsensus, "_commit_scan", counted)
+        # The shape of the benchmark's lossy workload, small: committee 7
+        # through a 3% loss window with jitter (parked vertices, fetches),
+        # and a schedule change every two commits.
+        runner = SimulationRunner(
+            ExperimentConfig(
+                committee_size=7,
+                input_load_tps=100.0,
+                duration=12.0,
+                warmup=1.0,
+                seed=seed,
+                commits_per_schedule=2,
+                extra_faults=(NetworkDisturbanceFault(jitter=0.02, loss_rate=0.03, start=2.0, end=8.0),),
+            )
+        )
+        runner.run()
+        assert runner.network.stats.loss_drops > 0
+        assert max(node.dag.pending_peak for node in runner.nodes.values()) > 0
+        for validator, node in runner.nodes.items():
+            restarts = len(node.schedule_manager.change_records)
+            assert node.commit_count > 10 and restarts > 0
+            assert 0 < entries[validator] <= node.commit_count + restarts

@@ -14,7 +14,8 @@ from repro.metrics.leader_stats import LeaderUtilizationStats
 from repro.metrics.report import PerformanceReport, format_table
 from repro.consensus.committed import CommittedSubDag
 from repro.errors import ConfigurationError
-from repro.workload.transactions import Transaction
+from repro.workload.generator import _Column
+from repro.workload.transactions import Transaction, TransactionPool
 from tests.conftest import vid
 
 
@@ -265,6 +266,46 @@ class TestMetricsCollector:
         assert collector._committed_stops == [3, 4, 8]
         assert collector.committed == 3
         assert collector.duplicate_commits == 1
+
+    @staticmethod
+    def cut_block(pool_target=0):
+        """A block taken across a crash gap and a column rebuild: ids 0-3
+        and 6-8 of one arrival column, then 30-32 of the next."""
+        def column(first_id, rows):
+            submitted_at = array("d", [1.0 + 0.01 * index for index in range(rows)])
+            return _Column(pool_target, None, array("d", submitted_at), submitted_at, array("q", [0]) * rows, first_id)
+
+        pool = TransactionPool(pool_target)
+        before, after = column(0, 20), column(30, 10)
+        pool.add(before, 0, 4)
+        pool.add(before, 6, 9)
+        pool.add(after, 30, 33)
+        block = pool.take(20)
+        assert type(block.ids) is array and len(pool.windows) == 0
+        return block
+
+    def test_a_block_cut_across_a_crash_gap_adds_one_range_per_window(self):
+        collector = MetricsCollector()
+        collector.on_vertex_ordered(ordered_record(self.cut_block(), ordered_at=2.0))
+        assert list(zip(collector._committed_starts, collector._committed_stops)) == [(0, 4), (6, 9), (30, 33)]
+        assert (collector.committed, collector.duplicate_commits) == (10, 0)
+        # Ordered again, every id is a duplicate and no range is added.
+        collector.on_vertex_ordered(ordered_record(self.cut_block(), ordered_at=3.0, source=2))
+        assert len(collector._committed_starts) == 3
+        assert (collector.committed, collector.duplicate_commits) == (10, 10)
+
+    def test_only_a_run_that_overlaps_committed_ids_is_claimed_id_by_id(self):
+        collector = MetricsCollector()
+        seven = Transaction(7, 0, submitted_at=1.0, target_validator=0)
+        collector.on_vertex_ordered(ordered_record((seven,), ordered_at=1.5))
+        collector.on_vertex_ordered(ordered_record(self.cut_block(), ordered_at=2.0, source=2))
+        assert list(zip(collector._committed_starts, collector._committed_stops)) == [
+            (0, 4), (6, 7), (7, 8), (8, 9), (30, 33)
+        ]
+        assert (collector.committed, collector.duplicate_commits) == (10, 1)
+        # The duplicate's submission time is the one left out.
+        assert len(collector.latency.blocks[-1]) == 9
+        assert collector.latency.blocks[-1][4] == pytest.approx(2.0 + 0.040 - 1.06)
 
     def test_duplicates_are_recognised_after_the_first_commit(self):
         collector = MetricsCollector()

@@ -490,6 +490,29 @@ class TestCrashSemantics:
         assert harness.received[0] == []
         assert harness.received[2] == []
 
+    def test_a_routed_class_is_dispatched_by_class_and_dropped_while_crashed(self):
+        routed = []
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=3)
+                transport = harness.transport
+                for node_id in (1, 2):
+                    transport.route(node_id, {BroadcastMessage: lambda sender, message: routed.append(message)})
+                transport.set_crashed(2)
+                transport.send(0, 1, _ready(0))
+                transport.send(0, 2, _ready(0, round_number=2))
+                await _wait_until(lambda: transport.stats.messages_delivered + transport.stats.messages_dropped >= 2)
+                await transport.shutdown()
+                return harness
+
+        harness = run(scenario())
+        # The routed class skips the registered handler; the crashed
+        # endpoint's copy is counted as dropped and reaches no handler.
+        assert routed == [_ready(0)]
+        assert harness.received[1] == [] and harness.received[2] == []
+        assert (harness.transport.stats.messages_delivered, harness.transport.stats.messages_dropped) == (1, 1)
+
 
 # -- the frame path's contract: segmentation, hostile bytes, EOF, size bounds -----
 

@@ -191,6 +191,28 @@ class TestTransport:
         simulator.run()
         assert inboxes[1] == [(0, "back")]
 
+    def test_a_routed_class_reaches_its_handler_and_any_other_the_registered_one(self):
+        simulator, network, inboxes = self._build()
+        routed = []
+        network.route(1, {ProposeMessage: lambda sender, message: routed.append((sender, message))})
+        proposal = ProposeMessage(origin=0, round=1, payload="p", digest=b"d")
+        network.send(0, 1, proposal)
+        network.send(0, 1, "unrouted")
+        simulator.run()
+        assert routed == [(0, proposal)]
+        assert inboxes[1] == [(0, "unrouted")]
+        assert network.stats.messages_delivered == 2
+
+    def test_a_crashed_endpoint_drops_and_counts_a_routed_message(self):
+        simulator, network, inboxes = self._build()
+        routed = []
+        network.route(1, {str: lambda sender, message: routed.append(message)})
+        network.send(0, 1, "in flight")
+        network.set_crashed(1)
+        simulator.run()
+        assert routed == [] and inboxes[1] == []
+        assert (network.stats.messages_delivered, network.stats.messages_dropped) == (0, 1)
+
     def test_unregistered_recipient_rejected(self):
         simulator, network, _ = self._build()
         with pytest.raises(NetworkError):

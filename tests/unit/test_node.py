@@ -162,9 +162,65 @@ class TestNodeLifecycle:
             node.start()
         simulator.run(until=1.0)
         node = nodes[0]
-        before = (node.current_round, dag_ids(node), network.stats.messages_sent)
-        node._on_network_message(1, "opaque")
-        assert (node.current_round, dag_ids(node), network.stats.messages_sent) == before
+        endpoint = network._endpoints[node.id]
+        unrouted = []
+        registered = endpoint.handler
+        endpoint.handler = lambda sender, message: (unrouted.append(message), registered(sender, message))
+        routed = collections.Counter()
+        for kind, handler in list(node._message_handlers.items()):
+            node._message_handlers[kind] = functools.partial(
+                lambda kind, handler, sender, message: (routed.update([kind]), handler(sender, message)), kind, handler
+            )
+        network.send(1, 0, "opaque")
+        simulator.run(until=1.5)
+        # Everything else was routed by class; the string reached the
+        # registered handler, which drops it once the node has started.
+        assert unrouted == ["opaque"] and node._pre_start_buffer == []
+        assert sum(routed.values()) > 0 and str not in routed
+        assert node.current_round > 0 and node.commit_count > 0
+
+    def test_traffic_before_start_is_buffered_and_replayed_in_order(self):
+        committee, simulator, network, nodes = build_cluster()
+        late = nodes[3]
+        for node in list(nodes.values())[:3]:
+            node.start()
+        simulator.run(until=0.2)
+        buffered = list(late._pre_start_buffer)
+        assert len(buffered) > 3
+        # No class map until the start: every delivery reaches the buffer.
+        assert network._endpoints[late.id].routes == {}
+        handled = []
+
+        def recorded(handler, sender, message):
+            handled.append((sender, message))
+            handler(sender, message)
+
+        late._message_handlers = {
+            kind: functools.partial(recorded, handler) for kind, handler in late._message_handlers.items()
+        }
+        late.start()
+        assert network._endpoints[late.id].routes is late._message_handlers
+        assert handled == buffered and late._pre_start_buffer == []
+        # From the start on, the class map routes every delivery.
+        simulator.run(until=1.0)
+        assert len(handled) > len(buffered) and late._pre_start_buffer == []
+        assert late.commit_count > 0
+
+    def test_a_crashed_validator_drops_and_counts_its_traffic(self):
+        committee, simulator, network, nodes = build_cluster()
+        for node in nodes.values():
+            node.start()
+        simulator.run(until=0.5)
+        node = nodes[3]
+        node.crash()
+        handled = []
+        for kind in list(node._message_handlers):
+            node._message_handlers[kind] = lambda sender, message: handled.append(message)
+        dropped = network.stats.messages_dropped
+        network.send(0, 3, FetchRequest(requester=0, missing=()))
+        simulator.run(until=0.6)
+        assert handled == [] and node._pre_start_buffer == []
+        assert network.stats.messages_dropped > dropped
 
 
 class TestLeaderTimeouts:
@@ -230,6 +286,25 @@ class TestCrashRecovery:
         assert shortest > 0
         assert recovered[:shortest] == reference[:shortest]
 
+    def test_a_recovered_validator_routes_to_its_rebuilt_broadcast_layer(self):
+        committee, simulator, network, nodes = build_cluster()
+        node = nodes[3]
+        for peer in nodes.values():
+            peer.start()
+        simulator.run(until=1.0)
+        crashed_layer = node.broadcast_protocol
+        node.crash()
+        node.recover()
+        rebuilt = node.broadcast_protocol
+        assert rebuilt is not crashed_layer
+        routes = network._endpoints[node.id].routes
+        assert routes is node._message_handlers
+        assert {handler.__self__ for kind, handler in routes.items() if kind in rebuilt._handlers} == {rebuilt}
+        frozen, delivered = dict(crashed_layer._delivered), len(rebuilt._delivered)
+        simulator.run(until=3.0)
+        assert len(rebuilt._delivered) > delivered
+        assert crashed_layer._delivered == frozen
+
     def test_recovery_without_crash_is_a_no_op(self):
         committee, simulator, network, nodes = build_cluster()
         nodes[0].start()
@@ -243,20 +318,55 @@ class TestCrashRecovery:
             peer.start()
         simulator.run(until=2.0)
         assert node.dag.lowest_round > 4
-        # The log is what the DAG holds: every inserted vertex above the horizon.
-        assert logged_ids(node) == dag_ids(node)
-        assert node.store.horizon == node.dag.lowest_round
         # Of its own proposals it keeps the latest, the one it re-broadcasts.
         assert (node.store.own_proposal.source, node.store.own_proposal.round) == (node.id, node.current_round)
-        logged = logged_ids(node)
+        window, horizon = dag_ids(node), node.dag.lowest_round
         node.crash()
-        assert logged_ids(node) == logged
+        # The log is what the DAG held at the crash: every vertex above the horizon.
+        assert (logged_ids(node), node.store.horizon) == (window, horizon)
         node.recover()
-        assert dag_ids(node) == logged
-        assert node.recovery_replayed == len(logged)
+        assert dag_ids(node) == window
+        assert node.recovery_replayed == len(window)
         simulator.run(until=4.0)
-        assert node.store.horizon == node.dag.lowest_round > max(vertex_id.round for vertex_id in logged)
-        assert logged_ids(node) == dag_ids(node)
+        window, horizon = dag_ids(node), node.dag.lowest_round
+        assert horizon > max(vertex_id.round for vertex_id in logged_ids(node))
+        node.crash()
+        assert (logged_ids(node), node.store.horizon) == (window, horizon)
+        node.recover()
+        assert dag_ids(node) == window
+
+    def test_each_crash_captures_the_window_per_insert_logging_held(self):
+        """The reference: a log written at every insertion and pruned at
+        every horizon move, kept beside the node through crash, recovery
+        and a second crash; at each crash the captured log equals it."""
+        committee, simulator, network, nodes = build_cluster(config=gc_config(gc_depth=4), dynamic=True)
+        node = nodes[2]
+        reference = {}
+
+        def log(vertex):
+            if vertex.round >= node.dag.lowest_round:
+                reference[vertex.id] = vertex.round
+
+        def check_and_crash():
+            horizon = node.dag.lowest_round
+            for vertex_id in [key for key, round_number in reference.items() if round_number < horizon]:
+                del reference[vertex_id]
+            node.crash()
+            assert node.store.horizon == horizon
+            assert logged_ids(node) == set(reference)
+            captures.append(len(reference))
+
+        captures = []
+        node.dag.on_insert(log)
+        for peer in nodes.values():
+            peer.start()
+        simulator.schedule_at(1.5, check_and_crash)
+        simulator.schedule_at(1.8, node.recover)
+        simulator.schedule_at(3.0, check_and_crash)
+        simulator.schedule_at(3.2, node.recover)
+        simulator.run(until=5.0)
+        assert node.recoveries == 2 and len(captures) == 2 and min(captures) > 0
+        assert node.commit_count > 0
 
     def test_subscribers_see_every_ordered_vertex_once_across_recovery(self):
         committee, simulator, network, nodes = build_cluster(dynamic=True)
