@@ -25,33 +25,20 @@ frontier (``held_sources``) are a dict get.  The store does not record
 which anchor rounds an insertion touched: the consensus engine derives
 that from the inserted vertex's round (``BullsharkConsensus.process_vertex``).
 
-Reachability cache
-------------------
+Reachability
+------------
 
-``path()`` queries are issued by the commit rule while walking anchor
-chains, and a search per probe would repeat the same downward walk.  The
-store memoizes, per vertex and per target round, the set of *sources*
-whose round-``r`` vertex is reachable (``_reachable_sources``), and every
-``path()`` query is answered from it.  Identity of a vertex is its
-``(round, source)`` pair, so membership of the ancestor's source in that
-set is exactly path reachability.  The plain breadth-first search this
-must agree with lives in ``tests/reference_model.py``.
-
-The cache stays correct under the store's mutation pattern:
-
-* The DAG grows at the frontier: a vertex is only inserted once every
-  parent at or above the GC horizon is present, so a new insertion can
-  never add paths *between* previously inserted vertices — cached entries
-  stay valid.  The single exception is a straggler delivered *below* the
-  horizon (its parents count as present), which can reconnect previously
-  blocked walks; such an insertion invalidates only the entries of
-  vertices that can reach the straggler, and only their target rounds at
-  or below it.  It is rare: a broadcast delivered after its round was
-  pruned (fetch responses are filtered at the horizon by the node).
-* ``garbage_collect`` drops cache lines keyed by pruned vertices and all
-  cached target rounds below the new horizon.  Entries for surviving
-  vertices with targets at or above the horizon only ever traversed
-  rounds above the pruned region, so they remain valid.
+One walk answers every reachability question (``_descend``): a descent
+from a root over the round slabs, one source bitmask per round, that
+ORs each stored vertex's ``edge_mask`` into the round below and stops at
+absent vertices and at what the caller excludes.  ``path()`` reads the
+ancestor's bit from it, ``causal_history()`` maps its masks back to the
+stored vertices, and the fetch responder (``Synchronizer.unheld_history``)
+calls ``causal_history`` with the requester's frontier excluded and its
+horizon as the floor.  Nothing is memoized, so nothing goes stale when a
+straggler arrives below the GC horizon or when GC prunes.  The plain
+breadth-first search the walk must agree with lives in
+``tests/reference_model.py``.
 """
 
 from __future__ import annotations
@@ -122,8 +109,6 @@ class DagStore:
         self._lowest_round = 0
         # Cached ``max(self._round_slots)``; queried on every round advance.
         self._highest_round = 0
-        # vertex id -> {target round -> sources reachable at that round}.
-        self._reach_cache: Dict[VertexId, Dict[Round, FrozenSet[ValidatorId]]] = {}
         # Set when a vertex is inserted below the GC horizon; tells the
         # next garbage_collect that a sweep is needed even if the horizon
         # did not move.
@@ -244,13 +229,8 @@ class DagStore:
 
     def _insert(self, vertex: Vertex) -> None:
         if vertex.round < self._lowest_round:
-            # A straggler below the GC horizon can reconnect walks that
-            # previously stopped at its (absent) id.  Only cache entries of
-            # vertices that can actually reach the straggler — and only
-            # their targets at or below its round — can change, so those
-            # are invalidated surgically instead of clearing the whole
-            # cache; warm entries elsewhere survive state sync.
-            self._invalidate_straggler_reachers(vertex)
+            # A straggler below the GC horizon: the next garbage_collect
+            # sweeps its slab even if the horizon does not move.
             self._stale_below_horizon = True
         round_number = vertex.round
         source = vertex.source
@@ -281,37 +261,6 @@ class DagStore:
             )
         for callback in self._on_insert:
             callback(vertex)
-
-    def _invalidate_straggler_reachers(self, vertex: Vertex) -> None:
-        """Invalidate cache entries a below-horizon straggler can affect.
-
-        New paths opened by the straggler all pass *through* it, so the
-        only stale entries are those of vertices from which the
-        straggler's id is reachable, and only for target rounds at or
-        below the straggler's round (sets for higher targets never
-        depended on its presence: an edge naming a round-``t`` vertex
-        counts for target ``t`` whether or not that vertex is stored).
-        The reacher set is found by one upward sweep over the stored
-        rounds above the straggler; this runs only on the rare state-sync
-        path, never on frontier insertions.
-        """
-        cache = self._reach_cache
-        if not cache:
-            return
-        reacher_ids: Set[VertexId] = {vertex.id}
-        for round_number in sorted(r for r in self._round_slots if r > vertex.round):
-            for candidate in self._round_order[round_number]:
-                if any(edge in reacher_ids for edge in candidate.edges):
-                    reacher_ids.add(candidate.id)
-        reacher_ids.discard(vertex.id)
-        for reacher_id in reacher_ids:
-            entry = cache.get(reacher_id)
-            if not entry:
-                continue
-            for target_round in [t for t in entry if t <= vertex.round]:
-                del entry[target_round]
-            if not entry:
-                del cache[reacher_id]
 
     def _promote_pending(self, arrived: VertexId) -> None:
         """Promote pending vertices whose last missing parent just arrived."""
@@ -427,112 +376,77 @@ class DagStore:
     def path(self, descendant: VertexId, ancestor: VertexId) -> bool:
         """``True`` when a directed path exists from ``descendant`` to ``ancestor``.
 
-        Edges point from a round-``r`` vertex to round-``r-1`` vertices, so
-        the walk always moves downwards in rounds.  An ancestor counts as
-        reached when an edge names its id, whether or not the ancestor
-        vertex itself is still stored (it may have been pruned).
+        Edges point from a round-``r`` vertex to lower rounds, so the walk
+        always moves downwards and stops at ``ancestor``'s round.  An
+        ancestor counts as reached when an edge names its id, whether or
+        not the ancestor vertex itself is still stored (it may have been
+        pruned).
         """
         start = self.get(descendant)
         if descendant == ancestor:
             return start is not None
-        if start is None or ancestor.round >= start.round:
+        if start is None or ancestor.round >= start.round or ancestor.source < 0:
             return False
-        return ancestor.source in self._reachable_sources(start, ancestor.round)
-
-    def _reachable_sources(self, root: Vertex, target_round: Round) -> FrozenSet[ValidatorId]:
-        cache = self._reach_cache
-        entry = cache.get(root.id)
-        if entry is not None:
-            cached = entry.get(target_round)
-            if cached is not None:
-                return cached
-        round_slots = self._round_slots
-        # Phase 1: collect the not-yet-memoized region reachable from the
-        # root, grouped by round.  The walk stops early at vertices whose
-        # set is already cached and at round ``target_round + 1``.
-        region: Dict[Round, List[Vertex]] = {}
-        seen: Set[VertexId] = {root.id}
-        queue = deque([root])
-        while queue:
-            vertex = queue.popleft()
-            entry = cache.get(vertex.id)
-            if entry is not None and target_round in entry:
-                continue
-            region.setdefault(vertex.round, []).append(vertex)
-            if vertex.round == target_round + 1:
-                continue
-            # BFS order only decides memo fill order; the
-            # per-vertex results are sets, and phase 2 re-sorts by round.
-            for edge in vertex.edges:
-                if edge in seen:
-                    continue
-                seen.add(edge)
-                # ``get`` inlined.  Absent parents (pruned or never
-                # received) block the walk.
-                slots = round_slots.get(edge.round)
-                source = edge.source
-                if slots is not None and 0 <= source < len(slots):
-                    parent = slots[source]
-                    if parent is not None:
-                        queue.append(parent)
-        # Phase 2: rounds strictly decrease along edges, so computing in
-        # ascending round order guarantees every parent's set is ready
-        # (either memoized earlier or produced by a lower level).
-        for round_number in sorted(region):
-            for vertex in region[round_number]:
-                entry = cache.setdefault(vertex.id, {})
-                if target_round in entry:
-                    continue
-                if vertex.round == target_round + 1:
-                    # Base case: edges point straight at the target round;
-                    # an edge names the target vertex whether or not that
-                    # vertex is still stored.
-                    entry[target_round] = frozenset(edge.source for edge in vertex.edges)
-                    continue
-                reachable: Set[ValidatorId] = set()
-                for edge in vertex.edges:
-                    parent_entry = cache.get(edge)
-                    if parent_entry is not None:
-                        parent_set = parent_entry.get(target_round)
-                        if parent_set:
-                            reachable |= parent_set
-                entry[target_round] = frozenset(reachable)
-        return cache[root.id][target_round]
+        reached = self._descend(descendant, ancestor.round, self._NO_EXCLUSION)
+        return reached.get(ancestor.round, 0) >> ancestor.source & 1 == 1
 
     def causal_history(
-        self, root: VertexId, exclude: Optional[Dict[Round, int]] = None
+        self, root: VertexId, exclude: Optional[Dict[Round, int]] = None, floor: Round = -1
     ) -> List[Vertex]:
         """All vertices reachable from ``root`` that ``exclude`` does not name.
 
         ``exclude`` maps a round to a source bitmask (bit ``s`` names the
         round's vertex from validator ``s``): the form the consensus
-        engine keeps its ordered vertices in.  The result is in ascending
-        (round, source) order, so every validator linearizes a committed
-        sub-DAG identically (Algorithm 2, line 35).  Excluded and absent
-        vertices (pruned or never received) stop the walk: nothing beneath
-        them is visited unless another path reaches it.
+        engine keeps its ordered vertices in, and a fetch request its
+        requester's frontier.  Nothing below ``floor`` is visited.  The
+        result is in ascending (round, source) order, so every validator
+        linearizes a committed sub-DAG identically (Algorithm 2, line 35).
+        Excluded and absent vertices (pruned or never received) stop the
+        walk: nothing beneath them is visited unless another path reaches
+        it.
         """
         if self.get(root) is None:
             raise DagError(f"vertex {root} is not in the DAG")
-        excluded = exclude if exclude is not None else {}
+        reached = self._descend(root, floor, exclude if exclude is not None else self._NO_EXCLUSION)
+        round_slots = self._round_slots
+        sources_of = self.committee.stake_vector.validators_of_mask
+        return [
+            vertex
+            for round_number in sorted(reached)
+            if round_number in round_slots
+            for vertex in map(round_slots[round_number].__getitem__, sources_of(reached[round_number]))
+            if vertex is not None
+        ]
+
+    _NO_EXCLUSION: Dict[Round, int] = {}
+
+    def _descend(self, root: VertexId, floor: Round, excluded: Dict[Round, int]) -> Dict[Round, int]:
+        """``{round: source mask}`` of the ids reachable from ``root``, ``root`` included.
+
+        A level-by-level descent over the round slabs, one source mask
+        per level.  ``make_vertex`` edges all name the previous round, so
+        ``wanted`` holds one round at a time; a decoded vertex can name
+        any round, which is why it is a dict and why ``reached`` (ids
+        already visited, stored or not) also guards termination.  An id
+        ``excluded`` names, an absent vertex and a round below ``floor``
+        are not descended through; the vertices *at* ``floor`` are, as a
+        decoded one may name a round above it.
+        """
         round_slots = self._round_slots
         sources_of = self.committee.stake_vector.validators_of_mask
         in_committee = (1 << self._size) - 1
-        # A level-by-level descent over the round slabs, one source mask
-        # per level.  ``make_vertex`` edges all name the previous round,
-        # so ``wanted`` holds one round at a time; a decoded vertex can
-        # name any round, which is why it is a dict and why ``reached``
-        # (ids already visited, stored or not) also guards termination.
         reached: Dict[Round, int] = {}
         wanted: Dict[Round, int] = {root.round: 1 << root.source}
         while wanted:
             round_number = max(wanted)
             visited = reached.get(round_number, 0)
             fresh = wanted.pop(round_number) & in_committee & ~visited & ~excluded.get(round_number, 0)
-            slots = round_slots.get(round_number)
-            if not fresh or slots is None:
+            if not fresh or round_number < floor:
                 continue
             reached[round_number] = visited | fresh
+            slots = round_slots.get(round_number)
+            if slots is None:
+                continue
             below = 0
             for source in sources_of(fresh):
                 vertex = slots[source]
@@ -545,12 +459,7 @@ class DagStore:
                         wanted[edge.round] = wanted.get(edge.round, 0) | 1 << edge.source
             if below:
                 wanted[round_number - 1] = wanted.get(round_number - 1, 0) | below
-        return [
-            vertex
-            for round_number in sorted(reached)
-            for vertex in map(round_slots[round_number].__getitem__, sources_of(reached[round_number]))
-            if vertex is not None
-        ]
+        return reached
 
     # -- garbage collection ----------------------------------------------------------------
 
@@ -613,9 +522,7 @@ class DagStore:
             return 0
         removed = 0
         for round_number in [r for r in self._round_slots if r < before_round]:
-            for vertex in self._round_order.pop(round_number):
-                self._reach_cache.pop(vertex.id, None)
-                removed += 1
+            removed += len(self._round_order.pop(round_number))
             slots = self._round_slots.pop(round_number)
             # Recycle the slab: wipe in place and park it for the next
             # round allocation.  The pool is bounded so a burst GC cannot
@@ -633,11 +540,6 @@ class DagStore:
             self._highest_round = 0
         self._lowest_round = max(self._lowest_round, before_round)
         self._stale_below_horizon = False
-        # Cached sets for targets below the horizon may now reference
-        # pruned rounds; entries at or above it never traversed them.
-        for entry in self._reach_cache.values():
-            for target_round in [r for r in entry if r < before_round]:
-                del entry[target_round]
         self._prune_pending(before_round)
         self.reconsider_pending()
         self.gc_reclaimed_total += removed

@@ -161,15 +161,22 @@ def genesis_vertices(committee: Committee) -> List[Vertex]:
 
 
 def check_edge_quorum(vertex: Vertex, committee: Committee) -> bool:
-    """``True`` when the vertex's edges cover a 2f+1 stake quorum.
+    """``True`` when the vertex's edges into the previous round cover a
+    2f+1 stake quorum.
 
-    Genesis vertices trivially satisfy the requirement.  Edges all point
-    to the previous round, so their sources are duplicate-free and the
-    verdict is memoized per content digest (every recipient of a
-    broadcast validates the same vertex).
+    Genesis vertices trivially satisfy the requirement.  Only round
+    ``r-1`` edges count (Bullshark's strong edges); an edge naming a
+    lower round, which a decoded vertex may carry, never makes up the
+    quorum.  The verdict is memoized per content digest (every recipient
+    of a broadcast validates the same vertex).
     """
     if vertex.round == 0:
         return True
+    if vertex.edges_adjacent:
+        return committee.edge_quorum_verdict(
+            vertex.digest, (edge.source for edge in vertex.edges), vertex.edge_mask
+        )
+    previous = vertex.round - 1
     return committee.edge_quorum_verdict(
-        vertex.digest, (edge.source for edge in vertex.edges), vertex.edge_mask
+        vertex.digest, [edge.source for edge in vertex.edges if edge.round == previous]
     )

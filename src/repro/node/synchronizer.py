@@ -190,48 +190,27 @@ class Synchronizer:
     def unheld_history(self, request: FetchRequest) -> List[Vertex]:
         """The causal history of ``request.missing`` the requester lacks.
 
-        A level-wise walk over the round slabs, one source bitmask per
-        level.  It stops at every vertex the requester's DAG holds —
-        causal completeness puts everything beneath it, down to the
-        requester's horizon, in that DAG too — and at the horizon
-        itself, so it costs the vertices shipped plus their edges, not
-        the size of the history.  Each requested vertex contributes, in
-        ascending (round, source) order, what the ones before it did
-        not; vertices this validator lacks block the walk.
+        Each requested vertex this validator stores contributes, in
+        ascending (round, source) order, the part of its causal history
+        (``DagStore.causal_history``) that neither the requester's
+        frontier nor an earlier root's shipment covers.  The walk stops at
+        every vertex the requester's DAG holds — causal completeness puts
+        everything beneath it, down to the requester's horizon, in that
+        DAG too — and at the horizon itself, so it costs the vertices
+        shipped plus their edges, not the size of the history.  Vertices
+        this validator lacks block the walk.
         """
-        round_map = self.node.dag.round_map
-        sources_of = self.committee.stake_vector.validators_of_mask
-        size = self.committee.size
-        in_committee = (1 << size) - 1
-        horizon = request.horizon
+        dag = self.node.dag
         # Per round: sources the requester holds or an earlier root shipped.
         covered: Dict[Round, int] = dict(request.held)
         found: List[Vertex] = []
         for root in request.missing:
-            if not 0 <= root.source < size:
+            if root not in dag:
                 continue
-            round_number = root.round
-            wanted = 1 << root.source
-            levels: List[List[Vertex]] = []
-            while round_number >= horizon:
-                already = covered.get(round_number, 0)
-                wanted &= ~already
-                slots = round_map(round_number)
-                if not wanted or not slots:
-                    break
-                covered[round_number] = already | wanted
-                level: List[Vertex] = []
-                parents = 0
-                for source in sources_of(wanted):
-                    vertex = slots[source]
-                    if vertex is not None:
-                        level.append(vertex)
-                        parents |= vertex.edge_mask
-                levels.append(level)
-                wanted = parents & in_committee
-                round_number -= 1
-            for level in reversed(levels):
-                found.extend(level)
+            shipped = dag.causal_history(root, exclude=covered, floor=request.horizon)
+            for vertex in shipped:
+                covered[vertex.round] = covered.get(vertex.round, 0) | 1 << vertex.source
+            found.extend(shipped)
         return found
 
     # -- receiving ----------------------------------------------------------------

@@ -376,9 +376,6 @@ class SimulationRunner:
             "dag.gc_reclaimed_total": float(
                 sum(node.dag.gc_reclaimed_total for node in nodes)
             ),
-            "dag.reach_cache_entries": float(
-                sum(len(node.dag._reach_cache) for node in nodes)
-            ),
             "node.proposals_made": float(sum(node.proposals_made for node in nodes)),
             "node.leader_timeouts": float(
                 sum(node.leader_timeouts_suffered for node in nodes)

@@ -10,6 +10,7 @@ import pytest
 from repro.behavior import HONEST
 from repro.committee import Committee
 from repro.consensus.bullshark import BullsharkConsensus
+from repro.crypto.hashing import vertex_digest
 from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
@@ -88,6 +89,18 @@ def build_round(
         dag.add(vertex)
         created.append(vertex)
     return created
+
+
+def decoded_vertex(round_number: Round, source: ValidatorId, edges: Iterable[VertexId]) -> Vertex:
+    """A vertex as the codec accepts one: its edges may name any round,
+    and its digest is the content digest ``make_vertex`` would give it."""
+    edges = sorted(set(edges))
+    return Vertex(
+        id=VertexId(round_number, source),
+        edges=edges,
+        block=(),
+        digest=vertex_digest(round_number, source, edges, 0),
+    )
 
 
 def populate_dag(

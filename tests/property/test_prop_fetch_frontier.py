@@ -3,8 +3,9 @@
 A fetch request carries the requester's GC horizon and one source
 bitmask per stored round; the responder ships only the part of the
 requested vertices' causal history the requester's DAG lacks.  Two
-properties over random DAGs and random requester states (a GC horizon,
-a causally closed but gappy DAG above it, parked vertices):
+properties over random DAGs (some vertices decoded with edges below the
+previous round beside their quorum) and random requester states (a GC
+horizon, a causally closed but gappy DAG above it, parked vertices):
 
 (a) the response is exactly ``ancestors(missing)`` minus the requester's
     DAG, never reaches below the requester's horizon, and keeps the
@@ -36,7 +37,7 @@ from repro.node.messages import FetchRequest, FetchResponse
 from repro.node.validator import ValidatorNode
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId
-from tests.conftest import bare_synchronizer
+from tests.conftest import bare_synchronizer, decoded_vertex
 from tests.doubles import OrderRecorder, UniformLatencyModel, dag_vertices
 
 REQUESTER = 0
@@ -67,7 +68,13 @@ def fetch_worlds(draw):
                     st.sampled_from(previous), min_size=quorum, max_size=len(previous), unique=True
                 )
             )
-            level.append(make_vertex(round_number, source, edges=edges))
+            lower = [vertex.id for earlier in by_round[:-1] for vertex in earlier]
+            if lower and draw(st.integers(0, 3)) == 0:
+                # A decoded vertex: beside its quorum, edges to rounds below r-1.
+                edges += draw(st.lists(st.sampled_from(lower), min_size=1, max_size=2, unique=True))
+                level.append(decoded_vertex(round_number, source, edges))
+            else:
+                level.append(make_vertex(round_number, source, edges=edges))
         by_round.append(level)
     vertices = [vertex for level in by_round for vertex in level]
 

@@ -28,9 +28,10 @@ from repro.committee import Committee, geometric_stake
 from repro.consensus.bullshark import BullsharkConsensus
 from repro.core.manager import StaticScheduleManager
 from repro.dag.store import DagStore
-from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
+from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId
+from tests.conftest import decoded_vertex
 from tests.mutants import load_mutant
 from tests.reference_model import ReferenceModel
 from tests.doubles import dag_vertices
@@ -44,11 +45,6 @@ def committee_of(size):
     if size not in _COMMITTEES:
         _COMMITTEES[size] = Committee.build(size, stake=geometric_stake(size, ratio=0.97))
     return _COMMITTEES[size]
-
-
-def decoded(round_number, source, edges):
-    """A vertex as the codec builds one: no ``make_vertex`` check on its edges."""
-    return Vertex(id=VertexId(round_number, source), edges=frozenset(edges), block=(), digest=b"decoded")
 
 
 # -- playing a case ---------------------------------------------------------------------------------
@@ -137,11 +133,11 @@ def cases(draw):
             # ids outside the committee, cycles.
             below_horizon = st.builds(VertexId, st.integers(0, horizon - 1), any_sources)
             edges += draw(st.lists(below_horizon, max_size=3))
-        add(decoded(round_number, draw(st.integers(0, size - 1)), edges))
+        add(decoded_vertex(round_number, draw(st.integers(0, size - 1)), edges))
     for source in draw(source_lists):
         # A top round over everything stored, so commits reach the decoded vertices.
         edges = draw(st.lists(st.sampled_from(stored_ids()), min_size=1, max_size=8, unique=True))
-        add(decoded(rounds + 2, source, edges))
+        add(decoded_vertex(rounds + 2, source, edges))
     for _ in range(draw(st.integers(1, 6))):
         if draw(st.integers(0, 4)) == 0:
             any_ids = st.builds(VertexId, st.integers(0, rounds + 2), any_sources)
@@ -191,18 +187,18 @@ FIXED_CASES = {
     ]),
     # Edges two levels down, sideways and upwards: round 3 is visited three times.
     "edges-off-the-previous-round": (5, full_rounds(5, 3, skip={(1, 4), (2, 4), (3, 4)}) + [
-        ("add", decoded(2, 4, [VertexId(0, 4), VertexId(1, 0)])),
-        ("add", decoded(3, 4, [VertexId(2, 4), VertexId(3, 0), VertexId(1, 2)])),
-        ("add", decoded(1, 4, [VertexId(3, 4), VertexId(0, 1)])),
-        ("add", decoded(4, 0, [VertexId(1, 4), VertexId(3, 1)])),
+        ("add", decoded_vertex(2, 4, [VertexId(0, 4), VertexId(1, 0)])),
+        ("add", decoded_vertex(3, 4, [VertexId(2, 4), VertexId(3, 0), VertexId(1, 2)])),
+        ("add", decoded_vertex(1, 4, [VertexId(3, 4), VertexId(0, 1)])),
+        ("add", decoded_vertex(4, 0, [VertexId(1, 4), VertexId(3, 1)])),
         ("adopt", frozenset({VertexId(2, 1), VertexId(1, 7), VertexId(9, 0)})),
         ("commit", VertexId(2, 2)), ("commit", VertexId(4, 0)), ("commit", VertexId(3, 2)),
     ]),
     # Two stragglers under the horizon naming each other, an absent id and one outside the committee.
     "cycle-under-the-horizon": (4, full_rounds(4, 5) + [
         ("gc", 4),
-        ("add", decoded(3, 0, [VertexId(3, 1), VertexId(2, 2)])),
-        ("add", decoded(3, 1, [VertexId(3, 0), VertexId(2, 7)])),
+        ("add", decoded_vertex(3, 0, [VertexId(3, 1), VertexId(2, 2)])),
+        ("add", decoded_vertex(3, 1, [VertexId(3, 0), VertexId(2, 7)])),
         ("commit", VertexId(5, 2)),
     ]),
 }

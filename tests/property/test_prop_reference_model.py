@@ -1,7 +1,7 @@
 """Differential properties: the production engine vs the reference model.
 
 The production commit path — the vote-stake gate and rescans of
-``BullsharkConsensus``, the round-indexed reachability cache, parking and
+``BullsharkConsensus``, the round-mask reachability descent, parking and
 promotion, slab recycling and GC in ``DagStore``, ``_commit_anchor``, and
 the whole ``HammerHeadScheduleManager`` — is checked against
 ``tests/reference_model.py``, which shares none of that code: for any
@@ -162,7 +162,7 @@ def test_engine_orders_and_schedules_like_the_model(scenario):
 
 @given(equivalence_scenario())
 @settings(max_examples=25, deadline=None)
-def test_cached_reachability_matches_model_search(scenario):
+def test_reachability_matches_model_search(scenario):
     """``DagStore.path`` / ``causal_history`` equal the model's
     breadth-first search on random DAGs, across insertions and GC."""
     committee, participation, rng, _, _, _, keep_rounds, _ = scenario
@@ -177,7 +177,7 @@ def test_cached_reachability_matches_model_search(scenario):
     for position, vertex in enumerate(stream):
         store.add(vertex)
         inserted = dag_vertices(store)
-        # Interleave queries with insertions so the cache is exercised
+        # Interleave queries with insertions so the walk is exercised
         # against a growing DAG, not just the final one.
         if inserted and position % 3 == 0:
             for _ in range(4):

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.committee import Committee, geometric_stake
 from repro.crypto.hashing import digest_of
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, check_edge_quorum, genesis_vertices, make_vertex
 from repro.errors import DagError, EquivocationError
-from tests.conftest import build_round, populate_dag, vid
+from tests.conftest import build_round, decoded_vertex, populate_dag, vid
 from tests.doubles import dag_vertices
 from tests.reference_model import ReferenceModel
 
@@ -68,6 +69,21 @@ class TestVertexConstruction:
         assert check_edge_quorum(good, committee4)
         assert not check_edge_quorum(bad, committee4)
         assert check_edge_quorum(genesis_vertices(committee4)[0], committee4)
+
+    @pytest.mark.parametrize("stake", ["equal", "geometric"])
+    def test_only_previous_round_edges_count_toward_the_quorum(self, stake):
+        # Geometric stakes 1000/900/810/729 against a 2293 quorum:
+        # validators 0 and 1 alone fall short, with 3 or with 2 they do not.
+        committee = Committee.build(4, stake=geometric_stake(4) if stake == "geometric" else None)
+        dag = DagStore(committee)
+        populate_dag(dag, committee, rounds=2)
+        weak = decoded_vertex(3, 0, [vid(2, 0), vid(2, 1), vid(1, 3)])
+        assert not check_edge_quorum(weak, committee)
+        with pytest.raises(DagError, match="quorum"):
+            dag.add(weak)
+        strong = decoded_vertex(3, 1, [vid(2, 0), vid(2, 1), vid(2, 2), vid(1, 3)])
+        assert check_edge_quorum(strong, committee)
+        assert dag.add(strong) is True
 
 
 class TestDagStoreInsertion:
@@ -383,79 +399,28 @@ class TestGarbageCollection:
         assert all(vertex.round >= 3 for vertex in history)
 
 
-class TestStragglerCacheInvalidation:
-    """Below-horizon insertions invalidate per subtree, not wholesale."""
-
-    def _grown_dag(self, committee4):
+class TestStragglerPath:
+    def test_path_through_a_straggler_matches_model(self, committee4):
+        """A straggler stored below the GC horizon opens paths through
+        it; ``path()`` equals the model's search afresh."""
         dag = DagStore(committee4)
-        for vertex in genesis_vertices(committee4):
-            dag.add(vertex)
-        for round_number in range(1, 7):
-            build_round(dag, committee4, round_number)
-        return dag
-
-    def test_unreachable_straggler_keeps_cache_entries_warm(self, committee4):
-        # Round 1 misses validator 3, so no stored edge ever names (1, 3):
-        # a late delivery of that vertex reconnects nothing.
-        dag = DagStore(committee4)
-        for vertex in genesis_vertices(committee4):
-            dag.add(vertex)
-        build_round(dag, committee4, 1, sources=[0, 1, 2])
-        for round_number in range(2, 7):
-            build_round(dag, committee4, round_number)
-        root = dag.vertex_of(6, 0)
-        for target in (2, 3, 4, 5):
-            dag.path(root.id, vid(target, 0))
-        dag.garbage_collect(2)
-        warm_before = {
-            vertex_id: dict(entry) for vertex_id, entry in dag._reach_cache.items()
-        }
-        assert warm_before, "the cache should hold entries after GC"
-        genesis = [vid(0, source) for source in committee4.validators]
-        straggler = make_vertex(1, 3, edges=genesis)
-        assert dag.add(straggler) is True
-        # Nothing reaches the straggler, so every warm entry survives.
-        assert {
-            vertex_id: dict(entry) for vertex_id, entry in dag._reach_cache.items()
-        } == warm_before
-
-    def test_reachable_straggler_invalidates_only_low_targets(self, committee4):
-        dag = self._grown_dag(committee4)
-        root = dag.vertex_of(6, 0)
-        for target in (2, 3, 4, 5):
-            dag.path(root.id, vid(target, 0))
+        populate_dag(dag, committee4, rounds=6)
         dag.garbage_collect(3)
-        entry_before = dict(dag._reach_cache[root.id])
-        assert set(entry_before) >= {3, 4, 5}
-        # Re-deliver the pruned (2, 0) vertex: round-3 edges name it, so
-        # every vertex above can reach it.
-        straggler = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
-        assert dag.add(straggler) is True
-        entry_after = dag._reach_cache.get(root.id, {})
-        # Targets above the straggler's round survive; lower ones are gone.
-        assert set(entry_after) >= {3, 4, 5}
-        assert all(target > 2 for target in entry_after)
-
-    def test_straggler_results_match_model_after_invalidation(self, committee4):
-        """Differential check: cached path() equals the model's search."""
-        cached = self._grown_dag(committee4)
-        cached.garbage_collect(3)
-        # Warm every entry.
-        for vertex in dag_vertices(cached):
+        # Query first, so an answer kept from before the straggler would show.
+        for vertex in dag_vertices(dag):
             for target in range(3, vertex.round):
-                cached.path(vertex.id, vid(target, 0))
+                dag.path(vertex.id, vid(target, 0))
         # Deliver a straggler below the horizon (state-sync replay).
         straggler = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
-        cached.add(straggler)
-        # The model holds the same content and searches it afresh.
+        dag.add(straggler)
         model = ReferenceModel(committee4, initial_round=2, slots=committee4.validators)
-        for vertex in dag_vertices(cached):
+        for vertex in dag_vertices(dag):
             model.insert(vertex)
-        for vertex in dag_vertices(cached):
+        for vertex in dag_vertices(dag):
             for target in range(vertex.round):
                 for source in committee4.validators:
                     target_id = vid(target, source)
-                    assert cached.path(vertex.id, target_id) == model.path(
+                    assert dag.path(vertex.id, target_id) == model.path(
                         vertex.id, target_id
                     ), f"path({vertex.id}, {target_id}) diverged from the model"
 

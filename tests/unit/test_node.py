@@ -23,7 +23,7 @@ from repro.schedule.round_robin import initial_schedule
 from repro.errors import ConfigurationError
 from repro.workload.generator import ClientArrivals, LoadGenerator, _Column
 from repro.workload.phases import LoadPhase, spawn_phased_load
-from tests.conftest import bare_synchronizer, build_round, vid
+from tests.conftest import bare_synchronizer, build_round, decoded_vertex, vid
 from tests.doubles import UniformLatencyModel, dag_vertices, pooled, record_orders
 
 
@@ -524,6 +524,21 @@ class TestUnheldHistory:
     def test_requested_vertex_the_requester_holds_is_not_served(self):
         synchronizer, dag = self._responder(rounds=2)
         assert self._walk(synchronizer, [vid(2, 1)], held=dag.held_sources()) == []
+
+    def test_an_edge_below_the_previous_round_is_followed(self):
+        committee = Committee.build(4)
+        # A decoded vertex's edges may name any round; this one's quorum
+        # is not checked, only what the walk makes of its edges.
+        dag = DagStore(committee, require_edge_quorum=False)
+        for vertex in genesis_vertices(committee):
+            dag.add(vertex)
+        build_round(dag, committee, 1)
+        build_round(dag, committee, 2, parent_sources={source: (0, 1, 2) for source in range(4)})
+        dag.add(decoded_vertex(3, 0, [vid(2, 0), vid(2, 1), vid(1, 3)]))
+        # Nothing the requester holds is beneath (1, 3): round 2 never names it.
+        held = ((0, 0b1111), (1, 0b0111), (2, 0b1111))
+        shipped = self._walk(bare_synchronizer(committee, dag), [vid(3, 0)], held=held)
+        assert [vertex.id for vertex in shipped] == [vid(1, 3), vid(3, 0)]
 
 
 def run_cluster(until=3.0, gc_depth=50, on_insert=None):

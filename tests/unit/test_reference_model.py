@@ -155,8 +155,8 @@ def reverse_source_order(monkeypatch):
     original = DagStore.causal_history
     applied = []
 
-    def mutated(self, root, exclude=None):
-        history = original(self, root, exclude)
+    def mutated(self, root, exclude=None, floor=-1):
+        history = original(self, root, exclude, floor)
         reordered = sorted(history, key=lambda vertex: (vertex.round, -vertex.source))
         if reordered != history:
             applied.append(root)
