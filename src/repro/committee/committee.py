@@ -75,7 +75,8 @@ class Committee:
         # Edge-quorum verdicts memoized by vertex digest: one proposed
         # vertex object is validated by every recipient's DAG store, and
         # the digest binds the edge set, so the verdict is shared.
-        self._edge_quorum_cache: Dict[bytes, bool] = {}
+        # ``check_edge_quorum`` reads a hit straight off this dict.
+        self.edge_quorum_verdicts: Dict[bytes, bool] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -201,7 +202,7 @@ class Committee:
         popcount-multiply; any out-of-range bit falls through to
         :meth:`stake`, which raises on unknown validators.
         """
-        cache = self._edge_quorum_cache
+        cache = self.edge_quorum_verdicts
         verdict = cache.get(digest)
         if verdict is None:
             evict_oldest_half(cache, 65536)
@@ -212,7 +213,3 @@ class Committee:
                 verdict = self.stake(sources) >= self._quorum_threshold
             cache[digest] = verdict
         return verdict
-
-    def edge_quorum_cache_size(self) -> int:
-        """Current size of the per-committee edge-quorum memo."""
-        return len(self._edge_quorum_cache)

@@ -97,6 +97,8 @@ class BullsharkConsensus:
         # collapse the stake sum to popcount * stake (see
         # ``_direct_vote_stake``).
         self._uniform_stake = committee.stake_vector.uniform_stake
+        # The f+1 threshold the commit scan and its gate compare against.
+        self._validity = committee.validity_threshold
         self.dag = dag
         self.schedule_manager = schedule_manager
         # Set when a schedule change or state sync may have changed the
@@ -158,7 +160,7 @@ class BullsharkConsensus:
         round_number = vertex.round - vertex.round % 2
         if (
             round_number <= self.last_ordered_anchor_round
-            or self.dag.stake_at(round_number + 1) < self.committee.validity_threshold
+            or self.dag.stake_at(round_number + 1) < self._validity
         ):
             return []
         return self._commit_scan((round_number,))
@@ -230,7 +232,7 @@ class BullsharkConsensus:
         over without a leader lookup or an edge scan: no anchor of it can
         have ``f+1`` direct votes.
         """
-        threshold = self.committee.validity_threshold
+        threshold = self._validity
         stake_at = self.dag.stake_at
         for round_number in rounds:
             if stake_at(round_number + 1) < threshold:

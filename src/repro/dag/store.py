@@ -77,8 +77,10 @@ class DagStore:
 
     def __init__(self, committee: Committee, require_edge_quorum: bool = True) -> None:
         self.committee = committee
-        # Flat per-validator stake lookup for the insertion hot path.
+        # Flat per-validator stake lookup and the 2f+1 threshold for the
+        # insertion hot path.
         self._stakes = committee.stake_vector.stakes
+        self._quorum = committee.quorum_threshold
         self.require_edge_quorum = require_edge_quorum
         # Arena-style per-round storage, the one index of the stored
         # vertices: ``_round_slots[r][source]`` is the round-``r`` vertex
@@ -335,7 +337,7 @@ class DagStore:
         return self._round_stake.get(round_number, 0)
 
     def has_quorum_at(self, round_number: Round) -> bool:
-        return self._round_stake.get(round_number, 0) >= self.committee.quorum_threshold
+        return self._round_stake.get(round_number, 0) >= self._quorum
 
     def highest_round(self) -> Round:
         if not self._round_slots:

@@ -168,10 +168,14 @@ def check_edge_quorum(vertex: Vertex, committee: Committee) -> bool:
     ``r-1`` edges count (Bullshark's strong edges); an edge naming a
     lower round, which a decoded vertex may carry, never makes up the
     quorum.  The verdict is memoized per content digest (every recipient
-    of a broadcast validates the same vertex).
+    of a broadcast validates the same vertex), and a memo hit is answered
+    here, before the edge sources are gathered.
     """
     if vertex.round == 0:
         return True
+    verdict = committee.edge_quorum_verdicts.get(vertex.digest)
+    if verdict is not None:
+        return verdict
     if vertex.edges_adjacent:
         return committee.edge_quorum_verdict(
             vertex.digest, (edge.source for edge in vertex.edges), vertex.edge_mask

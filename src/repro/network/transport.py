@@ -9,6 +9,18 @@ implementation: messages are never corrupted, reordering can only arise
 from differing delays, and the sender identity attached to a delivery is
 trustworthy.
 
+Sending
+-------
+
+A broadcast and a one-destination :meth:`Network.send` schedule their
+deliveries through one loop (``_fan_out``) over the sender's row of
+``(endpoint, base delay)`` entries: the whole row, or the one entry
+``send`` picks.  What no sender changes (the partition, the composed loss
+rate and window jitter, the inlined geo model's constants and delta) is
+one tuple kept in network state and rebuilt when a model, a window or a
+partition changes, so a call's setup is what its sender and the clock
+fix.
+
 Class routing
 -------------
 
@@ -41,7 +53,6 @@ from __future__ import annotations
 
 import dataclasses
 from heapq import heappush as _heappush
-from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import NetworkError
@@ -137,7 +148,8 @@ class Network:
         # so rows are dropped only when a node registers or the latency
         # model object is swapped out (tests do this).
         self._rows: Dict[int, _Row] = {}
-        self._rows_model: Optional[LatencyModel] = None
+        self._plan_model: Optional[LatencyModel] = None
+        self._refresh_plan()
 
     def install_observability(self, tracer: Tracer, registry: Optional[Any] = None) -> None:
         """Attach a tracer (and optionally a counter registry).
@@ -148,6 +160,29 @@ class Network:
         self.tracer = tracer
         self._tracing = tracer.enabled
         self._counters = registry
+
+    def _refresh_plan(self) -> None:
+        """Hold what every delivery reads and no sender changes (see ``_fan_out``).
+
+        ``(partition groups, loss rate, jitter fraction, extra latency,
+        window jitter, delta)``; the two model constants are ``None`` and
+        ``delta`` unused unless the geo model runs under
+        ``AlwaysSynchronous``, the pair ``_fan_out`` inlines.  Rebuilt
+        whenever one of them changes: a disturbance window, a partition,
+        or the latency model object (``send`` and ``broadcast`` compare it
+        with ``_plan_model`` and drop the rows with the plan).  A model's
+        parameters and the synchrony model are read here, not per send.
+        """
+        model = self.latency_model
+        if model is not self._plan_model:
+            self._plan_model = model
+            self._rows.clear()
+        synchrony = self.synchrony
+        if type(model) is GeoLatencyModel and type(synchrony) is AlwaysSynchronous:
+            fraction, extra, delta = model.jitter_fraction, model.extra_latency, synchrony.delta
+        else:
+            fraction, extra, delta = None, None, 0.0
+        self._plan = (self._partition_groups, self._loss_rate, fraction, extra, self._jitter, delta)
 
     # -- registration --------------------------------------------------------
 
@@ -212,6 +247,7 @@ class Network:
                     raise NetworkError(f"node {node_id} appears in two partition groups")
                 mapping[node_id] = index
         self._partition_groups = mapping
+        self._refresh_plan()
         if self._tracing:
             indices = sorted(set(mapping.values()))
             self.tracer.emit(
@@ -224,6 +260,7 @@ class Network:
     def clear_partition(self) -> None:
         """Heal any active partition."""
         self._partition_groups = None
+        self._refresh_plan()
         if self._tracing:
             self.tracer.emit("partition_cleared")
 
@@ -267,6 +304,7 @@ class Network:
             keep *= 1.0 - window_loss
         self._jitter = jitter
         self._loss_rate = 1.0 - keep
+        self._refresh_plan()
 
     # -- sending ---------------------------------------------------------------
 
@@ -293,7 +331,12 @@ class Network:
             if self._tracing:
                 self._trace_drop(sender, recipient, message, "sender_crashed")
             return
-        self._fan_out(source, ((self._row(source)[destination.index], message),))
+        if self.latency_model is not self._plan_model:
+            self._refresh_plan()
+        row = self._rows.get(sender)
+        if row is None:
+            row = self._row(source)
+        self._fan_out(source, (row[destination.index],), message)
 
     def _trace_drop(self, sender: int, recipient: int, message: Any, reason: str) -> None:
         fields: Dict[str, Any] = {
@@ -318,56 +361,44 @@ class Network:
         self.tracer.emit("message_dropped", **fields)
 
     def _row(self, source: _Endpoint) -> _Row:
-        """``source``'s row: every node in registration order, each with
-        the geo model's base delay from ``source`` (unused by other models)."""
+        """Build ``source``'s row: every node in registration order, each
+        with the geo model's base delay from ``source`` (unused by other
+        models).  Senders read ``_rows`` first and build on a miss."""
         model = self.latency_model
-        if model is not self._rows_model:
-            self._rows.clear()
-            self._rows_model = model
-        row = self._rows.get(source.node_id)
-        if row is None:
-            geo = type(model) is GeoLatencyModel
-            row = self._rows[source.node_id] = tuple(
-                (destination, model.base_delay(source.region, destination.region) if geo else 0.0)
-                for destination in sorted(self._endpoints.values(), key=lambda endpoint: endpoint.index)
-            )
+        geo = type(model) is GeoLatencyModel
+        row = self._rows[source.node_id] = tuple(
+            (destination, model.base_delay(source.region, destination.region) if geo else 0.0)
+            for destination in sorted(self._endpoints.values(), key=lambda endpoint: endpoint.index)
+        )
         return row
 
-    def _fan_out(self, source: _Endpoint, sends: Iterable[Tuple[Tuple[_Endpoint, SimTime], Any]]) -> None:
-        """Schedule one delivery per ``(row entry, message)``, in order.
+    def _fan_out(self, source: _Endpoint, entries: Iterable[Tuple[_Endpoint, SimTime]], message: Any) -> None:
+        """Schedule one delivery of ``message`` per row entry, in order.
 
-        The one fan-out loop: partition check, loss draw, delay, heap
-        push, with everything the sender fixes read once.  For the default
-        models the delay is ``GeoLatencyModel.one_way_delay`` (its uniform
-        jitter as the bit-identical ``2j * random() - j``), link extras
-        and window jitter, capped at delta, in exactly
+        The one delivery loop, of a broadcast and of a one-destination
+        ``send`` alike: partition check, loss draw, delay, heap push.
+        What no sender changes is one tuple (``_refresh_plan``), so the
+        per-call setup is what the sender and the clock fix.  For the
+        default models the delay is ``GeoLatencyModel.one_way_delay`` (its
+        uniform jitter as the bit-identical ``2j * random() - j``), link
+        extras and window jitter (``uniform(0, w)`` as the bit-identical
+        ``w * random()``), capped at delta, in exactly
         ``_delivery_delay``'s float-operation and RNG-draw order;
         self-delivery and other models call it.  The push skips
         ``schedule_at``'s past-time guard (no delay is negative) and
         carries the delivery arguments on a raw event, not a closure.
         """
         stats = self.stats
-        sender = source.node_id
         simulator = self.simulator
-        rng = simulator.rng
-        random = rng.random
+        random = simulator.rng.random
         now = simulator._now
         heap = simulator._heap
-        groups = self._partition_groups
+        groups, loss_rate, fraction, extra, window, delta = self._plan
+        sender = source.node_id
         # Unlisted nodes share the implicit group -1.
         sender_group = groups.get(sender, -1) if groups is not None else -1
-        loss_rate = self._loss_rate
-        model = self.latency_model
-        synchrony = self.synchrony
-        inline = type(model) is GeoLatencyModel and type(synchrony) is AlwaysSynchronous
-        if inline:
-            fraction = model.jitter_fraction
-            extra = model.extra_latency
-            source_region = source.region.name
-            outbound = source.outbound_extra_delay
-            window = self._jitter
-            delta = synchrony.delta
-        for (destination, delay), message in sends:
+        outbound = source.outbound_extra_delay
+        for destination, delay in entries:
             if destination is source:
                 delay = self._delivery_delay(source, destination)
             else:
@@ -383,9 +414,9 @@ class Network:
                     if self._tracing:
                         self._trace_drop(sender, destination.node_id, message, "loss")
                     continue
-                if inline:
+                if fraction is not None:
                     if extra:
-                        delay += extra.get(source_region, 0.0)
+                        delay += extra.get(source.region.name, 0.0)
                         delay += extra.get(destination.region.name, 0.0)
                     jitter = delay * fraction
                     delay += jitter * 2.0 * random() - jitter
@@ -393,7 +424,7 @@ class Network:
                         delay = 0.0002
                     delay += outbound + destination.inbound_extra_delay
                     if window > 0.0:
-                        delay += rng.uniform(0.0, window)
+                        delay += window * random()
                     if delay > delta:
                         delay = delta
                 else:
@@ -418,7 +449,11 @@ class Network:
         stats = self.stats
         stats.broadcasts += 1
         source = self._endpoint(sender)
-        row = self._row(source)
+        if self.latency_model is not self._plan_model:
+            self._refresh_plan()
+        row = self._rows.get(sender)
+        if row is None:
+            row = self._row(source)
         if not include_self:
             row = row[: source.index] + row[source.index + 1 :]
         stats.messages_sent += len(row)
@@ -429,7 +464,7 @@ class Network:
             if self._tracing:
                 self._trace_drop(sender, -1, message, "sender_crashed")
             return
-        self._fan_out(source, zip(row, repeat(message)))
+        self._fan_out(source, row, message)
 
     def _delivery_delay(self, source: _Endpoint, destination: _Endpoint) -> SimTime:
         """The delay by the models' own methods (what ``_fan_out`` does not inline)."""
@@ -440,8 +475,8 @@ class Network:
             base = self.latency_model.one_way_delay(source.region, destination.region, rng)
         base += source.outbound_extra_delay + destination.inbound_extra_delay
         if self._jitter > 0.0 and source is not destination:
-            base += rng.uniform(0.0, self._jitter)
-        adjusted = self.synchrony.adjust_delay(self.simulator.now, base, rng)
+            base += self._jitter * rng.random()
+        adjusted = self.synchrony.adjust_delay(self.simulator._now, base, rng)
         return adjusted if adjusted > 0.0 else 0.0
 
     # -- introspection --------------------------------------------------------------

@@ -1,16 +1,20 @@
 """The synchronizer: every fetch decision of one validator.
 
-It decides what to ask for (the parents a delivered vertex names that
-the DAG lacks, what parked vertices still wait on when the retry timer
-fires, what a stalled caller such as a lockstep round still lacks), whom
+It decides what to ask for (the parents a vertex the validator parked
+waits on, handed over by :meth:`ValidatorNode.ingest
+<repro.node.validator.ValidatorNode.ingest>` through :meth:`request`;
+what parked vertices still wait on when the retry timer fires; what a
+stalled caller such as a lockstep round still lacks), whom
 (the vertex's source first, a random peer on every timer-driven
 request), when (an id at most once per retry interval, one timer for
 retries and stalls), and what to serve a peer (the history its frontier
 lacks, plus a consensus snapshot when that frontier lies below this
 validator's GC horizon; the wire side is described in
-:mod:`repro.node.messages`).  Adopting a snapshot rewrites the commit
-record, so it is the validator's decision; the synchronizer only
-counts, per peer, the requests that peer has not answered yet.
+:mod:`repro.node.messages`).  A response's vertices go back through
+``ingest``, lowest round first, as deliveries of their own slots.
+Adopting a snapshot rewrites the commit record, so it is the
+validator's decision; the synchronizer only counts, per peer, the
+requests that peer has not answered yet.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.dag.vertex import Vertex
 from repro.network.simulator import EventHandle
 from repro.node.messages import FetchRequest, FetchResponse
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.rbc.certified import Delivery
 from repro.types import Round, SimTime, ValidatorId, VertexId
 
 if TYPE_CHECKING:
@@ -88,14 +93,6 @@ class Synchronizer:
         return 0 <= peer < len(self.open_requests) and self.open_requests[peer] > 0
 
     # -- requesting ---------------------------------------------------------------
-
-    def on_vertex(self, vertex: Vertex) -> None:
-        """Insert a delivered or fetched vertex; ask for the parents it waits on."""
-        dag = self.node.dag
-        if not dag.add(vertex) and vertex.id not in dag:
-            missing = dag.missing_parents(vertex)
-            if missing:
-                self.request(missing, preferred_peer=vertex.source)
 
     def request(self, missing: Collection[VertexId], preferred_peer: ValidatorId) -> None:
         """Ask ``preferred_peer`` (another peer if that is this validator)
@@ -239,11 +236,12 @@ class Synchronizer:
                 new=new,
                 parked=sum(1 for vertex in vertices if vertex.id in parked),
             )
+        ingest = self.node.ingest
         for vertex in sorted(vertices, key=lambda vertex: vertex.round):
             # Ingesting can commit and raise the horizon mid-response;
             # whatever falls below it (or was sent below it by a stale
             # or hostile responder) is ordered history, not a straggler
             # to re-insert.
             if vertex.round >= dag.lowest_round:
-                self.on_vertex(vertex)
+                ingest(Delivery(vertex, vertex.round, vertex.source), sender)
         dag.reconsider_pending()

@@ -4,9 +4,11 @@ The node glues the substrates together exactly the way the production
 implementation does:
 
 * it proposes one vertex per round, batching pending transactions;
-* it disseminates vertices with the broadcast layer and hands delivered
-  vertices to its synchronizer (:mod:`repro.node.synchronizer`), which
-  inserts them into the local DAG and fetches missing parents on demand;
+* it disseminates vertices with the broadcast layer and inserts each
+  certified or fetched vertex into the local DAG in one function
+  (:meth:`ValidatorNode.ingest`), which asks its synchronizer
+  (:mod:`repro.node.synchronizer`) for the parents a parked vertex waits
+  on and refuses, counts and traces a vertex the DAG cannot hold;
 * it advances rounds once a 2f+1 stake quorum of the current round is
   present, waiting up to ``leader_timeout`` for the anchor of even rounds
   (the Bullshark leader wait — the mechanism through which crashed leaders
@@ -31,7 +33,7 @@ from repro.consensus.committed import CommittedSubDag, OrderedVertex
 from repro.core.manager import HammerHeadScheduleManager, ScheduleManager
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex, genesis_vertices, make_vertex
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DagError
 from repro.network.simulator import EventHandle
 from repro.network.transport import Network
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -65,6 +67,7 @@ class ValidatorNode:
         self.id = validator_id
         self.committee = committee
         self.network = network
+        self._committee_size = committee.size
         self.config = (config if config is not None else NodeConfig()).validate()
         self.schedule_manager = schedule_manager
         self.store = PersistentStore()
@@ -115,6 +118,8 @@ class ValidatorNode:
         self.recovery_replayed = 0
         # Certified deliveries dropped because the vertex named another slot.
         self.slot_mismatches_dropped = 0
+        # Certified or fetched vertices the DAG cannot hold (``ingest``).
+        self.vertices_refused = 0
 
         self.network.register(validator_id, committee.region_of(validator_id), self._on_network_message)
         self.dag.on_insert(self._on_vertex_inserted)
@@ -239,7 +244,7 @@ class ValidatorNode:
             self.id,
             self.committee,
             self.network,
-            self._on_broadcast_delivery,
+            self.ingest,
         )
         protocol.policy = self.behavior
         return protocol
@@ -465,7 +470,17 @@ class ValidatorNode:
         handlers[FetchResponse] = self._handle_fetch_response
         return handlers
 
-    def _on_broadcast_delivery(self, delivery: Delivery) -> None:
+    def ingest(self, delivery: Delivery, sender: Optional[ValidatorId] = None) -> None:
+        """Insert a delivered vertex, or ask for the parents it waits on.
+
+        The broadcast layer calls this with each certified delivery, and
+        the synchronizer with each fetched vertex as the delivery of its
+        own slot, naming the responder as ``sender`` (the origin stands
+        for it otherwise).  A vertex the DAG cannot hold (a source outside
+        the committee, no 2f+1 parent quorum, a twin of a stored or
+        parked vertex) is refused: counted in ``vertices_refused`` and
+        traced with ``sender``, never raised into the message handler.
+        """
         vertex = delivery.payload
         if not isinstance(vertex, Vertex):
             return
@@ -483,7 +498,31 @@ class ValidatorNode:
                     vertex_source=vertex.source,
                 )
             return
-        self.synchronizer.on_vertex(vertex)
+        dag = self.dag
+        try:
+            if not 0 <= vertex.source < self._committee_size:
+                # Bounded before any state changes: a slab index, a shift.
+                raise DagError(f"vertex {vertex.id} names a source outside the committee")
+            if dag.add(vertex) or vertex.id in dag:
+                return
+        except DagError as error:
+            if dag.get(vertex.id) is vertex:
+                # Raised after the vertex went in: not a verdict on it.
+                raise
+            self.vertices_refused += 1
+            if self._tracing:
+                self._tracer.emit(
+                    "vertex_refused",
+                    node=self.id,
+                    round=vertex.round,
+                    source=vertex.source,
+                    sender=delivery.origin if sender is None else sender,
+                    reason=type(error).__name__,
+                )
+            return
+        missing = dag.missing_parents(vertex)
+        if missing:
+            self.synchronizer.request(missing, preferred_peer=vertex.source)
 
     # -- state sync ---------------------------------------------------------------------------
 

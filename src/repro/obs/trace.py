@@ -32,6 +32,7 @@ EVENT_KINDS: Tuple[Tuple[str, str], ...] = (
     ("vertex_certified", "2f+1 acks collected: round, signers"),
     ("payload_delivered", "certificate accepted, payload handed to the DAG: round, origin"),
     ("slot_mismatch_dropped", "certified vertex named another slot than its broadcast: round, origin, vertex_round, vertex_source"),
+    ("vertex_refused", "certified or fetched vertex the DAG cannot hold, dropped: round, source, sender (the responder of a fetch, else the origin), reason (the DagError class)"),
     ("vertex_parked", "vertex waited on missing parents: round, source, missing"),
     ("vertex_inserted", "vertex entered the local DAG: round, source"),
     ("vertex_promoted", "parked vertex completed and was inserted: round, source"),

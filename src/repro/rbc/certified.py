@@ -31,9 +31,11 @@ Three per-message costs dominated profiles at committee sizes of 25+ and
 are engineered away here:
 
 * **Acknowledgement accounting** used to rebuild a voter set and re-sum
-  its stake on every ack (``O(n)`` per ack, ``O(n^2)`` per round); the
-  stake of the voter set is now accumulated incrementally, making each
-  ack O(1).
+  its stake on every ack (``O(n)`` per ack, ``O(n^2)`` per round).  An
+  own broadcast round is one :class:`OwnRound` record (payload, digest,
+  voter mask, stake, certified), so an ack is one dict read, a bit test
+  and a stake add from the flat stake list; a repeated ack or one after
+  certification changes nothing.
 * **Certificate verification** recomputed the expected broadcast digest
   (an SHA-256 over a canonical preimage) at every one of the ``n``
   recipients of a certificate.  The digest is a pure function of
@@ -44,23 +46,24 @@ are engineered away here:
   per signer tuple.  In a simulated committee one certificate *object*
   fans out to all peers, so the first recipient's success is remembered
   for that object under the committee's stake vector and later
-  recipients are answered by identity; a decoded, copied or
-  differently-committee'd certificate is another object or another
-  vector and takes both memoized checks, and a failure is never
+  recipients are answered by identity inside the batch loop; a decoded,
+  copied or differently-committee'd certificate is another object or
+  another vector and takes both memoized checks, and a failure is never
   remembered.
 * **Batched delivery** (:class:`CertificateBatch`) keeps the transport
   send count at one per peer per round regardless of how many
   certificates a validator emits; receivers split, deduplicate against
-  the round's delivered-origins mask, and hand the payloads to
-  the DAG in batch order (parking/promotion of out-of-order vertices is
-  exercised by the property suite).
+  the round's delivered-origins mask, mark the mask and hand each
+  payload to ``on_deliver`` from the batch loop's own frame, in batch
+  order (parking/promotion of out-of-order vertices is exercised by the
+  property suite).
 """
 
 from __future__ import annotations
 
 from functools import partial
 from hashlib import sha256
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.committee import Committee
 from repro.crypto.hashing import BROADCAST_DIGEST_MEMO, digest_of, evict_oldest_half
@@ -73,7 +76,7 @@ from repro.rbc.messages import (
     CertificateMessage,
     ProposeMessage,
 )
-from repro.types import Round, Stake, ValidatorId
+from repro.types import Round, ValidatorId
 
 # Verified certificate objects kept per stake vector, in rounds' worth of
 # the committee's certificates: a fan-out spans a round or two, and an
@@ -99,6 +102,28 @@ class Delivery:
 
 # Callback invoked exactly once per (origin, round) on delivery.
 DeliveryCallback = Callable[[Delivery], None]
+
+
+class OwnRound:
+    """One broadcast of our own: everything an acknowledgement reads.
+
+    ``voters`` is the bitmask of the validators that acked (bit ``v`` for
+    validator ``v``) and ``stake`` their stake, accumulated one ack at a
+    time; the mask's ascending bit order *is* the sorted voter order, so
+    the certificate's signers tuple is read straight off it.  Once
+    ``certified``, ``payload`` is ``None`` (the certificate carries it)
+    and the record keeps its digest for the double-broadcast guard and
+    late acks.
+    """
+
+    __slots__ = ("payload", "digest", "voters", "stake", "certified")
+
+    def __init__(self, payload: Any, digest: bytes) -> None:
+        self.payload = payload
+        self.digest = digest
+        self.voters = 0
+        self.stake = 0
+        self.certified = False
 
 
 class CertifiedBroadcast:
@@ -132,23 +157,14 @@ class CertifiedBroadcast:
         # Integrity property (at most one delivery per origin and round).
         self._delivered: Dict[Round, int] = {}
         self._size = committee.size
-        # Acks received for broadcasts we originated: round -> voter
-        # bitmask (bit ``v`` set iff validator ``v`` acked), with the
-        # voter set's stake accumulated incrementally so each ack costs
-        # O(1).  The mask's ascending bit order *is* the sorted voter
-        # order, so the certificate's signers tuple is read straight off
-        # it — byte-identical to the old ``tuple(sorted(voter_set))``.
-        self._ack_masks: Dict[Round, int] = {}
-        self._ack_stake: Dict[Round, Stake] = {}
-        # (payload, digest) of our own broadcasts, keyed by round; the
-        # payload is ``None`` once the round certified.
-        self._own_payloads: Dict[Round, Tuple[Any, bytes]] = {}
-        # Rounds we already certified (to send the certificate only once).
-        self._certified: Set[Round] = set()
+        # Our own broadcasts by round: an ack is one dict read.
+        self._own_rounds: Dict[Round, OwnRound] = {}
         # First proposal digest acknowledged per round, in a slab indexed
         # by the proposal's (authenticated) sender.
         self._acked: Dict[Round, List[Optional[bytes]]] = {}
         self._stake_vector = committee.stake_vector
+        self._stakes = committee.stake_vector.stakes
+        self._quorum = committee.stake_vector.quorum
         # Class-keyed dispatch: cheaper than an isinstance chain on the
         # per-delivery path, and exact classes are the wire contract.
         self._handlers = {
@@ -192,13 +208,11 @@ class CertifiedBroadcast:
     def broadcast(self, payload: Any, round_number: Round) -> None:
         """``r_bcast(m, r)``: disseminate ``payload`` for ``round_number``."""
         digest = self._broadcast_digest(self.node_id, round_number, payload)
-        if round_number in self._own_payloads:
+        if round_number in self._own_rounds:
             raise BroadcastError(
                 f"validator {self.node_id} already broadcast for round {round_number}"
             )
-        self._own_payloads[round_number] = (payload, digest)
-        self._ack_masks[round_number] = 0
-        self._ack_stake[round_number] = 0
+        self._own_rounds[round_number] = OwnRound(payload, digest)
         message = ProposeMessage(
             origin=self.node_id,
             round=round_number,
@@ -272,29 +286,6 @@ class CertifiedBroadcast:
             else:
                 network.send(self.node_id, directive.recipient, wire)
 
-    def _participates(self, origin: ValidatorId, round_number: Round) -> bool:
-        """Ack participation decision for ``origin``'s proposal."""
-        policy = self.policy
-        if policy is None or policy.transparent:
-            return True
-        return policy.should_ack(origin, round_number)
-
-    def _deliver(self, payload: Any, round_number: Round, origin: ValidatorId) -> None:
-        if not 0 <= origin < self._size:  # bounded before it becomes a shift
-            return
-        delivered = self._delivered.get(round_number, 0)
-        if delivered >> origin & 1:
-            return
-        self._delivered[round_number] = delivered | 1 << origin
-        if self._tracing:
-            self._tracer.emit(
-                "payload_delivered",
-                node=self.node_id,
-                round=round_number,
-                origin=origin,
-            )
-        self.on_deliver(Delivery(payload=payload, round=round_number, origin=origin))
-
     # -- message handling ----------------------------------------------------------
 
     def handle_message(self, sender: ValidatorId, message: Any) -> bool:
@@ -314,7 +305,12 @@ class CertifiedBroadcast:
         if sender != message.origin or not 0 <= sender < self._size:
             # Proposals are only valid coming directly from their origin (a member).
             return
-        if not self._participates(message.origin, message.round):
+        policy = self.policy
+        if (
+            policy is not None
+            and not policy.transparent
+            and not policy.should_ack(message.origin, message.round)
+        ):
             # Behavior policy: withhold the acknowledgement entirely (and
             # record nothing, so an honest relapse could still ack).
             if self._tracing:
@@ -344,63 +340,62 @@ class CertifiedBroadcast:
     def _handle_ack(self, sender: ValidatorId, message: AckMessage) -> None:
         if message.origin != self.node_id:
             return
-        own = self._own_payloads.get(message.round)
-        if own is None:
-            return
-        payload, digest = own
-        if message.digest != digest or message.voter != sender or not 0 <= sender < self._size:
-            return
-        if message.round in self._certified:
+        own = self._own_rounds.get(message.round)
+        if (
+            own is None
+            or own.certified
+            or message.digest != own.digest
+            or message.voter != sender
+            or not 0 <= sender < self._size
+        ):
             return
         voter_bit = 1 << sender
-        voters = self._ack_masks.get(message.round, 0)
-        if not voters & voter_bit:
-            voters |= voter_bit
-            self._ack_masks[message.round] = voters
-            stake = self._ack_stake.get(message.round, 0) + self.committee.stake_of(sender)
-            self._ack_stake[message.round] = stake
-        else:
-            stake = self._ack_stake[message.round]
-        if stake >= self._stake_vector.quorum:
-            self._certified.add(message.round)
-            # From here on the certificate carries the payload; the round
-            # keeps its digest for the double-broadcast guard and late acks.
-            self._own_payloads[message.round] = (None, digest)
-            if self._tracing:
-                self._tracer.emit(
-                    "vertex_certified",
-                    node=self.node_id,
-                    round=message.round,
-                    signers=voters.bit_count(),
-                )
-            certificate = CertificateMessage(
-                origin=self.node_id,
+        voters = own.voters
+        if voters & voter_bit:
+            # A repeated ack adds no stake, so it cannot certify.
+            return
+        voters |= voter_bit
+        own.voters = voters
+        own.stake += self._stakes[sender]
+        if own.stake < self._quorum:
+            return
+        own.certified = True
+        # From here on the certificate carries the payload.
+        payload = own.payload
+        own.payload = None
+        if self._tracing:
+            self._tracer.emit(
+                "vertex_certified",
+                node=self.node_id,
                 round=message.round,
-                digest=digest,
-                payload=payload,
-                # Ascending-bit order == sorted voter ids, so the wire
-                # tuple is identical to the pre-bitmask encoding.
-                signers=self._stake_vector.validators_of_mask(voters),
+                signers=voters.bit_count(),
             )
-            self._emit_certificates(message.round, (certificate,))
+        certificate = CertificateMessage(
+            origin=self.node_id,
+            round=message.round,
+            digest=own.digest,
+            payload=payload,
+            # Ascending-bit order == sorted voter ids, so the wire
+            # tuple is identical to the pre-bitmask encoding.
+            signers=self._stake_vector.validators_of_mask(voters),
+        )
+        self._emit_certificates(message.round, (certificate,))
 
     def _verify_certificate(self, message: CertificateMessage) -> bool:
         """One certificate's aggregate check: signer quorum + digest.
 
         An object that already passed under this stake vector is answered
-        by identity.  Otherwise both halves are memoized process-wide (the
-        signer tuple and the digest preimage are shared by all recipients
-        of one fan-out), so a batch is verified in a single pass over
-        cached verdicts.  The tuple memo's miss path converts to a
-        bitmask once and decides via
+        by identity before this is called (``_handle_certificates``), and
+        a success is remembered for that here.  Both halves are memoized
+        process-wide (the signer tuple and the digest preimage are shared
+        by all recipients of one fan-out), so a batch is verified in a
+        single pass over cached verdicts.  The tuple memo's miss path
+        converts to a bitmask once and decides via
         :meth:`~repro.committee.stake.StakeVector.mask_has_quorum`;
         calling the converter per verification instead costs O(signers)
         per certificate and measurably regressed committee-100 runs.
         """
         vector = self._stake_vector
-        verified = vector.verified_certificates
-        if verified.get(id(message)) is message:
-            return True
         if not vector.signer_tuple_has_quorum(message.signers):
             # An invalid certificate cannot trigger delivery.
             return False
@@ -410,6 +405,7 @@ class CertifiedBroadcast:
         # its ``id`` cannot be reused while the entry lives.  Sound only
         # because a message is never edited in place once built (the
         # dataclasses in ``rbc/messages.py`` are not frozen; see there).
+        verified = vector.verified_certificates
         evict_oldest_half(verified, VERIFIED_CERTIFICATE_ROUNDS * self._size)
         verified[id(message)] = message
         return True
@@ -425,14 +421,26 @@ class CertifiedBroadcast:
         certificates = (message,) if message.__class__ is CertificateMessage else message.certificates
         delivered = self._delivered
         size = self._size
+        verified = self._stake_vector.verified_certificates
         for certificate in certificates:
             origin = certificate.origin
-            if not 0 <= origin < size:
+            if not 0 <= origin < size:  # bounded before it becomes a shift
                 continue
-            if delivered.get(certificate.round, 0) >> origin & 1:
+            round_number = certificate.round
+            origins = delivered.get(round_number, 0)
+            if origins >> origin & 1:
                 continue
-            if self._verify_certificate(certificate):
-                self._deliver(certificate.payload, certificate.round, certificate.origin)
+            if verified.get(id(certificate)) is not certificate and not self._verify_certificate(certificate):
+                continue
+            delivered[round_number] = origins | 1 << origin
+            if self._tracing:
+                self._tracer.emit(
+                    "payload_delivered",
+                    node=self.node_id,
+                    round=round_number,
+                    origin=origin,
+                )
+            self.on_deliver(Delivery(certificate.payload, round_number, origin))
 
 
 def _payload_digest(payload: Any) -> Any:

@@ -5,9 +5,9 @@ thousands are created per simulated second and the frozen-dataclass
 ``object.__setattr__`` per field dominated their construction cost.
 Protocol code treats them as immutable by convention (one instance fans
 out to every recipient).  The convention carries weight:
-``CertifiedBroadcast._verify_certificate`` remembers that a
-:class:`CertificateMessage` *object* verified and answers later
-recipients by identity, so setting ``signers``, ``payload`` or ``digest``
+``CertifiedBroadcast`` remembers that a :class:`CertificateMessage`
+*object* verified and answers later recipients by identity
+(``_handle_certificates``), so setting ``signers``, ``payload`` or ``digest``
 on a built message would be accepted unchecked — build a new one
 (``dataclasses.replace``) instead.
 """

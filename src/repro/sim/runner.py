@@ -389,6 +389,7 @@ class SimulationRunner:
             "node.recoveries": float(sum(node.recoveries for node in nodes)),
             "node.recovery_replayed": float(sum(node.recovery_replayed for node in nodes)),
             "node.slot_mismatches_dropped": float(sum(node.slot_mismatches_dropped for node in nodes)),
+            "node.vertices_refused": float(sum(node.vertices_refused for node in nodes)),
             # Per-slot protocol state is keyed by round: the largest table of any validator.
             "rbc.delivered_rounds": float(max(len(node.broadcast_protocol._delivered) for node in nodes)),
             "rbc.acked_rounds": float(max(len(node.broadcast_protocol._acked) for node in nodes)),
@@ -402,7 +403,7 @@ class SimulationRunner:
             "memo.mask_quorum.hits": float(vector.mask_cache_hits),
             "memo.mask_quorum.misses": float(vector.mask_cache_misses),
             "memo.mask_quorum.size": float(len(vector._mask_quorum_cache)),
-            "memo.edge_quorum.size": float(self.committee.edge_quorum_cache_size()),
+            "memo.edge_quorum.size": float(len(self.committee.edge_quorum_verdicts)),
             "memo.verified_certificates.size": float(len(vector.verified_certificates)),
             "memo.ordering_tokens.size": float(len(_ORDERING_TOKENS)),
         }

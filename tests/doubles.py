@@ -3,8 +3,9 @@
 Product runs use the geo latency model and keep no ordered sequence (the
 observer's digest, checkpoints and the collector's columns are what they
 report).  Tests that want a fast, geography-free network or a validator's
-full total order build it here, from the hooks every run exposes, and
-read a transaction pool's windows as rows here.
+full total order build it here, from the hooks every run exposes,
+read a transaction pool's windows as rows here, and hand a validator a
+vertex as its certificate would (``deliver``).
 """
 
 from __future__ import annotations
@@ -18,9 +19,15 @@ from repro.dag.vertex import Vertex
 from repro.errors import NetworkError
 from repro.faults.base import FaultPlan
 from repro.network.latency import LatencyModel
+from repro.rbc.certified import Delivery
 from repro.sim.runner import SimulationRunner
 from repro.types import Region, SimTime, ValidatorId, VertexId
 from repro.workload.transactions import Transaction, TransactionPool
+
+
+def deliver(node, vertex: Vertex) -> None:
+    """Hand ``vertex`` to ``node`` as the certified delivery of its own slot."""
+    node.ingest(Delivery(vertex, vertex.round, vertex.source))
 
 
 class UniformLatencyModel(LatencyModel):

@@ -38,7 +38,7 @@ from repro.node.validator import ValidatorNode
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId
 from tests.conftest import bare_synchronizer, decoded_vertex
-from tests.doubles import OrderRecorder, UniformLatencyModel, dag_vertices
+from tests.doubles import OrderRecorder, UniformLatencyModel, dag_vertices, deliver
 
 REQUESTER = 0
 RESPONDER = 1
@@ -158,9 +158,9 @@ def build_requester(world) -> Cluster:
     for vertex in world["held"]:
         node.dag.add(vertex)
     for vertex in world["parked"]:
-        # Through the synchronizer, so the retry throttle is armed the
-        # way it is when a real response comes back.
-        node.synchronizer.on_vertex(vertex)
+        # Delivered, so the retry throttle is armed the way it is when a
+        # real response comes back.
+        deliver(node, vertex)
     del cluster.sent[:]
     return cluster
 

@@ -267,6 +267,19 @@ FIXED_SCRIPTS = {
             ("partition", None), ("crash", 4, True), ("fanout", 2, False),
         ],
     ),
+    # Point to point only: a loss window with window jitter, two partition
+    # groups (node 4 in the implicit third), a degraded link and a crashed
+    # peer (node 1, in node 0's group: its traffic passes the partition).
+    "point-to-point-under-faults": fixed_script(
+        ("geo", 0.1), ("always", 2.0),
+        [
+            ("open", 0.03, 0.3), ("partition", [0, 0, 1, 1]), ("degrade", 2, 0.01, 0.02),
+            ("send", 0, 1), ("send", 2, 3), ("send", 3, 2), ("send", 0, 0), ("crash", 1, True),
+            ("send", 1, 0), ("send", 0, 1), ("send", 2, 3), ("send", 0, 2), ("send", 4, 0),
+            ("send", 3, 2), ("send", 2, 2), ("send", 2, 3), ("send", 0, 1), ("send", 3, 2),
+            ("send", 1, 0), ("send", 2, 3), ("send", 3, 2), ("send", 0, 1), ("send", 2, 3),
+        ],
+    ),
     "register-then-swap-model": fixed_script(
         ("geo", 0.1), ("always", 2.0),
         [
@@ -284,6 +297,15 @@ def test_fixed_scripts(name, mode):
     production, oracle = play(FIXED_SCRIPTS[name], mode)
     assert oracle.scheduled, "the script schedules nothing"
     assert differences(production, oracle) == []
+
+
+def test_the_point_to_point_script_meets_every_fault():
+    production, oracle = play(FIXED_SCRIPTS["point-to-point-under-faults"], "send")
+    stats = production.network.stats
+    assert stats.loss_drops and stats.partition_drops and stats.messages_delivered
+    # The rest of the drops are the crashed peer's, at either end.
+    assert stats.messages_dropped > stats.loss_drops + stats.partition_drops
+    assert production.network._jitter > 0.0
 
 
 # -- source mutants --------------------------------------------------------------------------------
@@ -309,6 +331,19 @@ SOURCE_MUTANTS = {
     "self-delivery-through-the-pair-row": [
         ("            if destination is source:\n", "            if False:\n"),
     ],
+    # The one-destination path: a crashed sender's message goes out.
+    "send-from-a-crashed-sender": [
+        (
+            "        if source.crashed:\n"
+            "            stats.messages_dropped += 1\n"
+            "            if self._tracing:\n"
+            "                self._trace_drop(sender, recipient, message, \"sender_crashed\")\n",
+            "        if False:\n"
+            "            stats.messages_dropped += 1\n"
+            "            if self._tracing:\n"
+            "                self._trace_drop(sender, recipient, message, \"sender_crashed\")\n",
+        ),
+    ],
 }
 
 
@@ -327,3 +362,8 @@ def test_fixed_scripts_kill_the_source_mutant(mutant):
     for script in FIXED_SCRIPTS.values():
         for mode in MODES:
             assert differences(*play(script, mode, intact)) == []
+
+
+def test_the_point_to_point_script_kills_the_one_destination_mutant():
+    network_class = load_mutant(transport, SOURCE_MUTANTS["send-from-a-crashed-sender"]).Network
+    assert differences(*play(FIXED_SCRIPTS["point-to-point-under-faults"], "send", network_class))

@@ -19,16 +19,20 @@ from repro.behavior import (
 from repro.committee import Committee
 from repro.core.manager import HammerHeadScheduleManager, StaticScheduleManager
 from repro.core.schedule_change import CommitCountPolicy
+from repro.crypto.hashing import vertex_digest
+from repro.dag.vertex import Vertex
 from repro.faults.behavior import BehaviorFault
 from repro.metrics.reputation import reputation_metrics
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.node.config import NodeConfig
-from repro.node.messages import FetchRequest
+from repro.node.messages import FetchRequest, FetchResponse
 from repro.node.validator import ValidatorNode
+from repro.obs.trace import MemoryTracer
 from repro.schedule.base import LeaderSchedule
 from repro.schedule.round_robin import initial_schedule
 from repro.types import VertexId, is_anchor_round
+from tests.conftest import decoded_vertex
 from tests.doubles import UniformLatencyModel
 
 
@@ -233,8 +237,8 @@ class TestSilentFanout:
         start_all(nodes)
         simulator.run(until=5.0)
         # The adversary never acknowledged the target's broadcasts...
-        target_acks = nodes[target].broadcast_protocol._ack_masks
-        assert all(not mask >> adversary & 1 for mask in target_acks.values())
+        target_rounds = nodes[target].broadcast_protocol._own_rounds
+        assert all(not own.voters >> adversary & 1 for own in target_rounds.values())
         # ...nor did the target ever hear a proposal from the adversary.
         assert all(
             acked[adversary] is None for acked in nodes[target].broadcast_protocol._acked.values()
@@ -260,6 +264,66 @@ class TestSilentFanout:
             2, FetchRequest(requester=2, missing=(VertexId(round=1, source=0),))
         )
         assert network.stats.messages_sent == sent_before + 1
+
+
+class TestHostileFetchResponder:
+    """Validator 3 answers validator 0 with vertices its DAG cannot hold:
+    each is refused (counted, traced with the responder) and the run goes on."""
+
+    HOSTILE = ("one-parent", "longer-block-twin", "source-outside", "negative-source")
+
+    @staticmethod
+    def hostile_vertex(dag, name):
+        top = dag.highest_round()
+        parents = [vertex.id for vertex in dag.vertices_at(top - 2)]
+        assert len(parents) >= 3
+        if name == "one-parent":
+            return decoded_vertex(top + 3, 1, parents[:1])
+        if name == "longer-block-twin":
+            stored = dag.vertex_of(top - 2, 2)
+            block = (*stored.block, "tx")
+            digest = vertex_digest(stored.round, stored.source, stored.edges, len(block))
+            return Vertex(id=stored.id, edges=stored.edges, block=block, digest=digest)
+        source = {"source-outside": 7, "negative-source": -1}[name]
+        # Its parents are all held: the insertion itself would index or shift by the source.
+        return decoded_vertex(top - 1, source, parents)
+
+    def run_with(self, names):
+        _, simulator, network, nodes = build_cluster()
+        start_all(nodes)
+        simulator.run(until=1.0)
+        node = nodes[0]
+        tracer = MemoryTracer(clock=lambda: simulator.now)
+        node.install_observability(tracer)
+        hostile = [self.hostile_vertex(node.dag, name) for name in names]
+        held = (len(node.dag), node.dag.held_sources())
+        for vertex in hostile:
+            network.send(3, 0, FetchResponse(responder=3, vertices=(vertex,), responder_gc_round=0))
+        simulator.run(until=1.02)
+        # Nothing of them entered the DAG: not the vertex, not its slab bits.
+        assert (len(node.dag), node.dag.held_sources()) == held
+        round_before = node.current_round
+        simulator.run(until=3.0)
+        assert node.current_round > round_before + 10
+        refused = [event for event in tracer.events if event["kind"] == "vertex_refused"]
+        return node, hostile, refused
+
+    @pytest.mark.parametrize("name", HOSTILE)
+    def test_a_vertex_the_dag_cannot_hold_is_refused(self, name):
+        node, (vertex,), refused = self.run_with([name])
+        assert node.vertices_refused == 1
+        assert [(event["round"], event["source"], event["sender"]) for event in refused] == [
+            (vertex.round, vertex.source, 3)
+        ]
+        assert node.dag.get(vertex.id) is not vertex
+        assert vertex.id not in {parked.id for parked in node.dag.pending_vertices()}
+
+    def test_the_four_are_counted(self):
+        node, hostile, refused = self.run_with(self.HOSTILE)
+        assert node.vertices_refused == len(refused) == 4
+        assert sorted(event["reason"] for event in refused) == [
+            "DagError", "DagError", "DagError", "EquivocationError"
+        ]
 
 
 class TestLazyLeader:

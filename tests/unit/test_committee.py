@@ -141,7 +141,7 @@ class TestCommitteeStakeArithmetic:
         committee = Committee.build(4)
         with pytest.raises(CommitteeError):
             committee.edge_quorum_verdict(b"stray", (0, 1, 7), mask=0b10000011)
-        assert committee.edge_quorum_cache_size() == 0
+        assert committee.edge_quorum_verdicts == {}
 
     def test_weighted_stake_quorum(self):
         committee = Committee.build(4, stake=geometric_stake(4, ratio=0.5, scale=8))

@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.workload.generator import ClientArrivals, LoadGenerator, _Column
 from repro.workload.phases import LoadPhase, spawn_phased_load
 from tests.conftest import bare_synchronizer, build_round, decoded_vertex, vid
-from tests.doubles import UniformLatencyModel, dag_vertices, pooled, record_orders
+from tests.doubles import UniformLatencyModel, dag_vertices, deliver, pooled, record_orders
 
 
 def build_cluster(size=4, seed=1, config=None, dynamic=False, commits_per_schedule=4):
@@ -798,7 +798,7 @@ class TestFetchRequester:
     def test_a_parked_vertex_asks_its_source_for_the_missing_parents(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         vertex = history[2][2]
-        node.synchronizer.on_vertex(vertex)
+        deliver(node, vertex)
         assert [parked.id for parked in node.dag.pending_vertices()] == [vertex.id]
         ((target, request),) = self._requests(sent)
         assert target == vertex.source
@@ -811,7 +811,7 @@ class TestFetchRequester:
     def test_an_id_asked_within_the_retry_interval_is_not_asked_again(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         for vertex in history[2]:
-            node.synchronizer.on_vertex(vertex)
+            deliver(node, vertex)
         # Every round-2 vertex waits on the same four parents: one request.
         assert len(node.dag.pending_vertices()) == 4
         assert len(self._requests(sent)) == 1
@@ -842,7 +842,7 @@ class TestFetchRequester:
 
     def test_the_retry_records_its_random_peer(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node.synchronizer.on_vertex(history[2][2])
+        deliver(node, history[2][2])
         simulator.run(until=node.config.fetch_retry_interval * 1.5)
         targets = [target for target, _ in self._requests(sent)]
         assert len(targets) == 2
@@ -909,9 +909,9 @@ class TestFetchRequester:
 
     def test_the_retry_asks_a_random_peer_for_what_is_still_missing(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node.synchronizer.on_vertex(history[2][2])
+        deliver(node, history[2][2])
         # One parent arrives on its own; the retry asks only for the rest.
-        node.synchronizer.on_vertex(history[1][1])
+        deliver(node, history[1][1])
         simulator.run(until=node.config.fetch_retry_interval * 1.5)
         first, retry = self._requests(sent)
         assert retry[0] != 0
@@ -920,9 +920,9 @@ class TestFetchRequester:
 
     def test_the_retry_stops_once_nothing_is_missing(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node.synchronizer.on_vertex(history[2][2])
+        deliver(node, history[2][2])
         for parent in history[1]:
-            node.synchronizer.on_vertex(parent)
+            deliver(node, parent)
         assert node.dag.pending_vertices() == ()
         simulator.run(until=node.config.fetch_retry_interval * 3)
         assert len(self._requests(sent)) == 1
@@ -931,7 +931,7 @@ class TestFetchRequester:
 
     def test_a_crashed_requester_does_not_retry(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
-        node.synchronizer.on_vertex(history[2][2])
+        deliver(node, history[2][2])
         node.crash()
         simulator.run(until=node.config.fetch_retry_interval * 3)
         assert len(self._requests(sent)) == 1
@@ -940,7 +940,7 @@ class TestFetchRequester:
     def test_a_fetch_response_promotes_the_parked_vertex(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         vertex = history[2][2]
-        node.synchronizer.on_vertex(vertex)
+        deliver(node, vertex)
         node._handle_fetch_response(
             2, FetchResponse(responder=2, vertices=tuple(reversed(history[1])), responder_gc_round=0)
         )
@@ -952,7 +952,7 @@ class TestFetchRequester:
     def test_a_late_copy_of_a_fetched_vertex_is_neither_reinserted_nor_fetched(self, monkeypatch):
         simulator, node, history, sent = self._requester(monkeypatch)
         vertex = history[2][2]
-        node.synchronizer.on_vertex(vertex)
+        deliver(node, vertex)
         node._handle_fetch_response(
             2, FetchResponse(responder=2, vertices=tuple(history[1]), responder_gc_round=0)
         )
@@ -960,7 +960,7 @@ class TestFetchRequester:
         node.dag.on_insert(inserted.append)
         # The certificates lost earlier arrive after all.
         for late in (*history[1], vertex):
-            node.synchronizer.on_vertex(late)
+            deliver(node, late)
         assert inserted == []
         assert len(self._requests(sent)) == 1
 

@@ -166,10 +166,11 @@ class TestCertifiedBroadcastSpecifics:
         committee, simulator, network, protocols, deliveries = build_cluster()
         tracer = traced(protocols[0])
         protocols[0].broadcast("payload", round_number=1)
-        digest = protocols[0]._own_payloads[1][1]
+        own = protocols[0]._own_rounds[1]
+        digest = own.digest
         simulator.run()
         assert certificates_formed(tracer) == [(1, committee.quorum_threshold)]
-        assert protocols[0]._own_payloads[1] == (None, digest)
+        assert (own.payload, own.digest, own.certified) == (None, digest, True)
         # Late acks still meet the certified round: nothing is sent and no
         # second certificate forms.  The round still refuses a second broadcast.
         sent = network.stats.messages_sent
@@ -187,7 +188,43 @@ class TestCertifiedBroadcastSpecifics:
         protocols[0].broadcast("payload", round_number=1)
         simulator.run()
         assert certificates_formed(tracer) == []
-        assert protocols[0]._own_payloads[1][0] == "payload"
+        own = protocols[0]._own_rounds[1]
+        assert (own.payload, own.certified) == ("payload", False)
+
+    def test_repeated_and_late_acks_leave_one_certificate_in_one_batch(self):
+        committee, simulator, network, protocols, deliveries = build_cluster()
+        protocol = protocols[0]
+        fanned_out = []
+        broadcast = network.broadcast
+
+        def recording_broadcast(sender, message, include_self=True):
+            fanned_out.append(message)
+            broadcast(sender, message, include_self=include_self)
+
+        network.broadcast = recording_broadcast
+        protocol.broadcast("payload", round_number=1)
+        own = protocol._own_rounds[1]
+
+        def ack(voter):
+            protocol.handle_message(voter, AckMessage(origin=0, round=1, digest=own.digest, voter=voter))
+
+        # Voters 2 and 0 repeat themselves before 3 completes the quorum of three.
+        for voter in (2, 2, 0, 0, 2):
+            ack(voter)
+        assert (own.voters, own.stake, own.certified) == (0b101, 2, False)
+        ack(3)
+        assert (own.voters, own.stake, own.certified, own.payload) == (0b1101, 3, True, None)
+        sent = network.stats.messages_sent
+        # After certification: a new voter, and the quorum's voters again.
+        for voter in (1, 3, 0, 1):
+            ack(voter)
+        assert own.voters == 0b1101
+        assert network.stats.messages_sent == sent
+        assert [type(message) for message in fanned_out] == [ProposeMessage, CertificateBatch]
+        (certificate,) = fanned_out[1].certificates
+        assert (certificate.origin, certificate.round, certificate.payload) == (0, 1, "payload")
+        assert certificate.signers == (0, 2, 3)
+        assert certificate.digest == own.digest
 
     def test_propose_from_wrong_sender_ignored(self):
         committee, simulator, network, protocols, deliveries = build_cluster()
@@ -220,13 +257,13 @@ class TestCertificateVerdictByIdentity:
     def test_later_recipients_are_answered_by_identity(self):
         committee, simulator, network, protocols, deliveries = build_cluster()
         certificate = self.genuine()
-        assert protocols[0]._verify_certificate(certificate)
         checked = self.full_checks(committee)
-        for index in (1, 2, 3, 0):
-            assert protocols[index]._verify_certificate(certificate)
-        assert self.full_checks(committee) == checked
-        for index in range(4):
+        protocols[0].handle_message(2, certificate)
+        assert self.full_checks(committee) == checked + 1
+        for index in (1, 2, 3):
             protocols[index].handle_message(2, certificate)
+        assert self.full_checks(committee) == checked + 1
+        for index in range(4):
             assert [delivery.payload for delivery in deliveries[index]] == ["payload"]
 
     def test_a_bare_certificate_is_a_batch_of_one(self):
@@ -322,8 +359,9 @@ class TestIdsOutsideTheCommittee:
             protocol.handle_message(
                 2, CertificateBatch(origin=2, round=4, digest=certificate.digest, certificates=(certificate,))
             )
-            assert deliveries[1] == []
-            protocol._deliver("forged", 4, origin)
+            protocol.handle_message(
+                origin, CertificateBatch(origin=origin, round=4, digest=certificate.digest, certificates=(certificate,))
+            )
 
         assert self.peak_bytes(every_path) < 1 << 20
         assert deliveries[1] == []
@@ -349,7 +387,7 @@ class TestIdsOutsideTheCommittee:
         protocol = protocols[1]
         tracer = traced(protocol)
         protocol.broadcast("payload", round_number=1)
-        digest = protocol._own_payloads[1][1]
+        digest = protocol._own_rounds[1].digest
         ack = AckMessage(origin=1, round=1, digest=digest, voter=sender)
         assert self.peak_bytes(lambda: protocol.handle_message(sender, ack)) < 1 << 20
         # Had the outsider counted, two more acks would make the quorum of three.
