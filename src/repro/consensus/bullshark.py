@@ -32,6 +32,13 @@ Differences from the pseudocode that matter for the reproduction:
   check of this engine is the executable reference model in
   ``tests/reference_model.py``, which recomputes ordering and schedule
   changes from a recorded insert log.
+* A committed sub-DAG is folded in one loop (the ordered set, the
+  rolling digest and its checkpoints) and handed to the schedule manager
+  in one call, :meth:`ScheduleManager.on_subdag_ordered`; subscribers
+  of :meth:`BullsharkConsensus.on_ordered` then get one record per
+  vertex, in the same order.  Nothing reads scores or the digest while
+  a sub-DAG is being ordered, so this is the per-vertex order of
+  Algorithm 2, line 35, with fewer calls.
 """
 
 from __future__ import annotations
@@ -160,7 +167,7 @@ class BullsharkConsensus:
         round_number = vertex.round - vertex.round % 2
         if (
             round_number <= self.last_ordered_anchor_round
-            or self.dag.stake_at(round_number + 1) < self._validity
+            or self.dag.round_stake.get(round_number + 1, 0) < self._validity
         ):
             return []
         return self._commit_scan((round_number,))
@@ -298,13 +305,59 @@ class BullsharkConsensus:
         return committed
 
     def _commit_anchor(self, anchor: Vertex, direct: bool) -> CommittedSubDag:
+        """Order ``anchor``'s causal history not yet ordered, in one pass.
+
+        One loop folds the whole sub-DAG into ``ordered_sources``, the
+        rolling digest and its checkpoints (and the ``vertex_ordered``
+        trace events); the schedule manager then gets the sub-DAG in one
+        call, and the ``on_ordered`` subscribers one record per vertex, in
+        the same order.
+        """
         now = self.clock()
         ordered_sources = self.ordered_sources
         ordered = self.dag.causal_history(anchor.id, exclude=ordered_sources)
+        first = self.ordered_count
+        position = first
+        digest = self._ordering_digest
+        checkpoints = self.ordering_checkpoints
+        tokens = _ORDERING_TOKENS
         for vertex in ordered:
             round_number = vertex.round
             ordered_sources[round_number] = ordered_sources.get(round_number, 0) | 1 << vertex.source
-            self._emit_ordered(vertex, anchor.round, now)
+            token = tokens.get(vertex.id)
+            if token is None:
+                evict_oldest_half(tokens, 1 << 16)
+                token = tokens[vertex.id] = f"{round_number}:{vertex.source};".encode("ascii")
+            digest.update(token)
+            position += 1
+            if not position & (ORDERING_CHECKPOINT_INTERVAL - 1):
+                checkpoints.append((position, digest.hexdigest()))
+            if self._tracing:
+                # Commit latency per vertex: creation (sim time) to ordering.
+                self._tracer.emit(
+                    "vertex_ordered",
+                    node=self.owner,
+                    round=round_number,
+                    source=vertex.source,
+                    anchor_round=anchor.round,
+                    position=position - 1,
+                    latency=now - vertex.created_at,
+                )
+        self.ordered_count = position
+        self.schedule_manager.on_subdag_ordered(ordered)
+        callbacks = self._ordered_callbacks
+        if callbacks:
+            # Records are built only for a listener: n-1 of n validators
+            # in a benchmark run have none.
+            for offset, vertex in enumerate(ordered, first):
+                record = OrderedVertex(
+                    vertex=vertex,
+                    ordered_at=now,
+                    anchor_round=anchor.round,
+                    position=offset,
+                )
+                for callback in callbacks:
+                    callback(record)
         # Skipped anchors between the previously ordered anchor round and
         # this one are reported to the schedule manager (used by the
         # Shoal-style scoring ablation).
@@ -356,43 +409,6 @@ class BullsharkConsensus:
             ),
             threshold=self.committee.validity_threshold,
         )
-
-    def _emit_ordered(self, vertex: Vertex, anchor_round: Round, now: SimTime) -> None:
-        position = self.ordered_count
-        self.ordered_count = position + 1
-        key = vertex.id
-        token = _ORDERING_TOKENS.get(key)
-        if token is None:
-            evict_oldest_half(_ORDERING_TOKENS, 1 << 16)
-            token = _ORDERING_TOKENS[key] = f"{vertex.round}:{vertex.source};".encode("ascii")
-        self._ordering_digest.update(token)
-        count = position + 1
-        if not count & (ORDERING_CHECKPOINT_INTERVAL - 1):
-            self.ordering_checkpoints.append((count, self._ordering_digest.hexdigest()))
-        if self._tracing:
-            # Commit latency per vertex: creation (sim time) to ordering.
-            self._tracer.emit(
-                "vertex_ordered",
-                node=self.owner,
-                round=vertex.round,
-                source=vertex.source,
-                anchor_round=anchor_round,
-                position=position,
-                latency=now - vertex.created_at,
-            )
-        self.schedule_manager.on_vertex_ordered(vertex)
-        callbacks = self._ordered_callbacks
-        if callbacks:
-            # Built only for a listener: n-1 of n validators in a benchmark
-            # run have none.
-            record = OrderedVertex(
-                vertex=vertex,
-                ordered_at=now,
-                anchor_round=anchor_round,
-                position=position,
-            )
-            for callback in callbacks:
-                callback(record)
 
     # -- state sync -------------------------------------------------------------------------
 

@@ -10,6 +10,13 @@ schedules (Proposition 1), possibly at different wall-clock times — a
 lagging validator applies them retroactively by looking up older schedules
 in its history.
 
+The consensus engine hands over each committed sub-DAG in one call
+(:meth:`ScheduleManager.on_subdag_ordered`), in linearization order; the
+HammerHead manager scores it vertex by vertex, with each vote round's
+leader looked up once and a rule's per-vertex hooks called only where the
+rule defines them.  ``tests/reference_scoring.py`` keeps the per-vertex
+form as the oracle.
+
 Two managers implement the same interface:
 
 * :class:`StaticScheduleManager` — baseline Bullshark: the initial
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.committee import Committee
 from repro.core.schedule_change import (
@@ -138,8 +145,14 @@ class ScheduleManager:
 
     # -- consensus feedback -------------------------------------------------------
 
+    def on_subdag_ordered(self, vertices: Sequence[Vertex]) -> None:
+        """``vertices`` were linearized, in this order, as one committed sub-DAG."""
+
     def on_vertex_ordered(self, vertex: Vertex) -> None:
-        """A vertex was linearized as part of a committed sub-DAG."""
+        """One vertex linearized: a sub-DAG of one.  The consensus engine
+        hands over whole sub-DAGs; the benchmark suite's scoring unit cost
+        feeds vertices one at a time through this."""
+        self.on_subdag_ordered((vertex,))
 
     def on_anchor_committed(self, anchor: Vertex) -> Optional[LeaderSchedule]:
         """An anchor was committed; returns the new schedule if one started."""
@@ -208,55 +221,76 @@ class HammerHeadScheduleManager(ScheduleManager):
 
     # -- consensus feedback ---------------------------------------------------------
 
-    def on_vertex_ordered(self, vertex: Vertex) -> None:
-        """Update reputation from one newly linearized vertex.
+    def on_subdag_ordered(self, vertices: Sequence[Vertex]) -> None:
+        """Update reputation from a newly linearized sub-DAG, vertex by vertex.
 
-        The vertex is part of a committed sub-DAG, so every honest
-        validator processes it (in the same order), which keeps the scores
-        identical everywhere.  Scoring looks one round back: if this vertex
-        links to the leader vertex of the previous (anchor) round, the
-        vertex's source voted for that leader.
+        The vertices are part of a committed sub-DAG, so every honest
+        validator processes them (in the same order), which keeps the
+        scores identical everywhere.  Scoring looks one round back: if a
+        round-``r+1`` vertex links to the leader vertex of anchor round
+        ``r``, its source voted for that leader.  Each vote round's leader
+        is looked up once per sub-DAG (no schedule changes inside one),
+        and a rule's optional per-vertex hooks (see
+        :class:`~repro.core.scoring.ScoringRule`) are called only where the
+        rule defines them.
         """
+        scoring = self.scoring
         view = self._view
-        self.scoring.on_vertex_in_committed_subdag(vertex.source, vertex.round, view)
-        previous_round = vertex.round - 1
-        if not is_anchor_round(previous_round):
-            # ``vertex.round`` is an anchor round (or 0/1): record the
-            # leader vertex entering the committed prefix, which is what
-            # later marks its round-``r+1`` voters as *expected*.
-            if (
-                self._track_votes
-                and is_anchor_round(vertex.round)
-                and vertex.source == self.leader_for_round(vertex.round)
-            ):
-                # Voters whose non-voting vertex preceded this leader in
-                # the linearization missed a vote that only now became
-                # countable; record the opportunities retroactively.
-                for voter in view.note_leader_ordered(vertex.round):
-                    view.note_expected_vote(voter, False)
-                    self.scoring.on_expected_vote(voter, vertex.round, False, view)
-            return
-        leader = self.leader_for_round(previous_round)
-        # ``previous_round`` is ``vertex.round - 1``: where every edge names
-        # that round, the edge mask answers without a scan of the edges.
-        if vertex.edges_adjacent:
-            voted = bool(vertex.edge_mask >> leader & 1)
-        else:
-            voted = VertexId(round=previous_round, source=leader) in vertex.edges
-        if self._track_votes:
-            if view.leader_was_ordered(previous_round):
-                # The leader vertex precedes this vertex in the
-                # linearization (it is a causal ancestor whenever the vote
-                # exists), so the vote was *possible*: count the
-                # opportunity either way.
-                view.note_expected_vote(vertex.source, voted)
-                self.scoring.on_expected_vote(vertex.source, previous_round, voted, view)
-            elif not voted:
-                # The leader vertex may still enter the prefix later; park
-                # the missed vote until it does (or is pruned).
-                view.note_vote_before_leader(vertex.source, previous_round)
-        if voted:
-            self.scoring.on_vote(vertex.source, previous_round, view)
+        in_subdag = getattr(scoring, "on_vertex_in_committed_subdag", None)
+        on_vote = getattr(scoring, "on_vote", None)
+        on_expected_vote = getattr(scoring, "on_expected_vote", None)
+        track_votes = self._track_votes
+        leaders: Dict[Round, ValidatorId] = {}
+        for vertex in vertices:
+            round_number = vertex.round
+            source = vertex.source
+            if in_subdag is not None:
+                in_subdag(source, round_number, view)
+            if not round_number % 2:
+                if track_votes and round_number:
+                    # An anchor-round vertex: record the leader vertex
+                    # entering the committed prefix, which is what later
+                    # marks its round-``r+1`` voters as *expected*.
+                    leader = leaders.get(round_number)
+                    if leader is None:
+                        leader = leaders[round_number] = self.leader_for_round(round_number)
+                    if source == leader:
+                        # Voters whose non-voting vertex preceded this
+                        # leader in the linearization missed a vote that
+                        # only now became countable; record the
+                        # opportunities retroactively.
+                        for voter in view.note_leader_ordered(round_number):
+                            view.note_expected_vote(voter, False)
+                            if on_expected_vote is not None:
+                                on_expected_vote(voter, round_number, False, view)
+                continue
+            anchor_round = round_number - 1
+            if not anchor_round:
+                continue
+            leader = leaders.get(anchor_round)
+            if leader is None:
+                leader = leaders[anchor_round] = self.leader_for_round(anchor_round)
+            # Where every edge names the anchor round, the edge mask
+            # answers without a scan of the edges.
+            if vertex.edges_adjacent:
+                voted = bool(vertex.edge_mask >> leader & 1)
+            else:
+                voted = VertexId(round=anchor_round, source=leader) in vertex.edges
+            if track_votes:
+                if view.leader_was_ordered(anchor_round):
+                    # The leader vertex precedes this vertex in the
+                    # linearization (it is a causal ancestor whenever the
+                    # vote exists), so the vote was *possible*: count the
+                    # opportunity either way.
+                    view.note_expected_vote(source, voted)
+                    if on_expected_vote is not None:
+                        on_expected_vote(source, anchor_round, voted, view)
+                elif not voted:
+                    # The leader vertex may still enter the prefix later;
+                    # park the missed vote until it does (or is pruned).
+                    view.note_vote_before_leader(source, anchor_round)
+            if voted and on_vote is not None:
+                on_vote(source, anchor_round, view)
 
     def on_anchor_skipped(self, round_number: Round) -> None:
         if not is_anchor_round(round_number):

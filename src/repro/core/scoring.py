@@ -132,6 +132,21 @@ class ScoringRule:
 
     The schedule manager invokes these callbacks while it processes the
     committed prefix; implementations mutate ``context.scores``.
+
+    Three per-vertex hooks are optional: the manager calls each one only
+    on a rule that defines it, once per ordered vertex it concerns, so a
+    rule without them pays no call per vertex.
+
+    * ``on_vote(voter, anchor_round, context)``: an ordered vertex of
+      ``voter`` at round ``anchor_round + 1`` linked to the leader vertex
+      of ``anchor_round``.
+    * ``on_expected_vote(voter, anchor_round, voted, context)``:
+      ``voter``'s ordered vertex at ``anchor_round + 1`` could have voted
+      (the leader vertex of ``anchor_round`` was part of the committed
+      prefix); ``voted`` says whether it did.  Only for a rule that sets
+      :attr:`needs_vote_accounting`.
+    * ``on_vertex_in_committed_subdag(source, round_number, context)``: a
+      vertex of ``source`` was linearized as part of a committed sub-DAG.
     """
 
     name = "abstract"
@@ -140,18 +155,6 @@ class ScoringRule:
     #: per-round expected-voter sets and cast/expected counters.  Off by
     #: default so count-based rules pay nothing for the bookkeeping.
     needs_vote_accounting = False
-
-    def on_vote(self, voter: ValidatorId, anchor_round: Round, context: ScoringView) -> None:
-        """An ordered vertex of ``voter`` at round ``anchor_round + 1`` linked
-        to the leader vertex of ``anchor_round``."""
-
-    def on_expected_vote(
-        self, voter: ValidatorId, anchor_round: Round, voted: bool, context: ScoringView
-    ) -> None:
-        """``voter``'s ordered vertex at ``anchor_round + 1`` could have voted
-        (the leader vertex of ``anchor_round`` was part of the committed
-        prefix); ``voted`` says whether it did.  Only invoked when the rule
-        sets :attr:`needs_vote_accounting`."""
 
     def on_anchor_committed(
         self, leader: ValidatorId, anchor_round: Round, context: ScoringView
@@ -162,11 +165,6 @@ class ScoringRule:
         self, leader: ValidatorId, anchor_round: Round, context: ScoringView
     ) -> None:
         """The anchor of ``anchor_round`` was skipped (no commit for it)."""
-
-    def on_vertex_in_committed_subdag(
-        self, source: ValidatorId, round_number: Round, context: ScoringView
-    ) -> None:
-        """A vertex of ``source`` was linearized as part of a committed sub-DAG."""
 
     def prepare_epoch_scores(self, context: ScoringView) -> None:
         """Last write to ``context.scores`` before the swap sets are selected.

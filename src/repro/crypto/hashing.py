@@ -3,7 +3,9 @@
 Digests provide content addressing for DAG vertices and transaction
 batches.  They are computed over a canonical serialization so that two
 structurally equal objects always hash to the same digest, regardless of
-the process or the insertion order of dictionaries.
+the process or the insertion order of dictionaries.  A vertex's digest
+has its own encoder (:func:`vertex_digest`), which formats the edges
+through ``map`` so that no Python frame runs per edge.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ def vertex_digest(
     formatting.  One digest is computed per proposed vertex, and the
     recursive generic path dominated proposal construction at large
     committees.  ``edge_pairs`` must be the sorted tuple of
-    ``(round, source)`` integer pairs.
+    ``(round, source)`` integer pairs; each is formatted by ``map`` over
+    the bound ``%`` of its template, so no Python frame runs per edge.
     """
-    edges_encoded = b",".join(b"L(I%d,I%d)" % pair for pair in edge_pairs)
+    edges_encoded = b",".join(map(b"L(I%d,I%d)".__mod__, edge_pairs))
     preimage = b"I%dI%dL(%b)I%d" % (round_number, source, edges_encoded, block_length)
     return hashlib.sha256(preimage).digest()
 

@@ -20,8 +20,22 @@ than another validator's vertex.  A per-round arrival list keeps the
 order vertices entered the DAG, which parent selection reads through
 ``vertices_at``.  Each round's total stake and source bitmask are kept
 beside its slab on insert and GC, so the quorum checks, the commit
-rule's ``f+1`` vote-stake gate (``stake_at``) and a fetch request's
-frontier (``held_sources``) are a dict get.  The store does not record
+rule's ``f+1`` vote-stake gate and a fetch request's frontier
+(``held_sources``) are a dict get.  ``round_stake``, ``round_sources``
+and ``lowest_round`` (the GC horizon) are plain attributes, read-only
+outside the store: the insertion gates of the node and the consensus
+engine read them without a call; the slabs stay private.
+
+Insertion
+---------
+
+``add`` answers the common case, a new vertex whose parents are all
+stored, in its own frame: the known-check (duplicate, equivocation) runs
+only when the vertex's slot is taken or a vertex is parked, and the
+edge-quorum memo and the one-AND parent test are read inline.  A vertex
+naming a source or an edge source outside the committee is a
+:class:`DagError`, raised before any state changes.  Parking, promotion
+and the full parent scan keep their helpers.  The store does not record
 which anchor rounds an insertion touched: the consensus engine derives
 that from the inserted vertex's round (``BullsharkConsensus.process_vertex``).
 
@@ -94,21 +108,26 @@ class DagStore:
         self._round_slots: Dict[Round, List[Optional[Vertex]]] = {}
         self._round_order: Dict[Round, List[Vertex]] = {}
         self._slab_pool: List[List[Optional[Vertex]]] = []
-        # Total stake present per round, maintained on insert/GC so the
-        # per-insertion quorum checks are O(1) instead of summing stakes.
-        self._round_stake: Dict[Round, int] = {}
-        # Bitmask of the sources present per round (bit ``s`` = validator
-        # ``s``, the ``Vertex.edge_mask`` positions), maintained beside
-        # the stake: the frontier a fetch request advertises.
-        self._round_sources: Dict[Round, int] = {}
-        # Stored vertices, kept by ``_insert`` and GC for ``len()``.
+        # Read-only outside the store (see the module docstring): the
+        # total stake present per round, maintained on insert/GC so the
+        # per-insertion quorum checks are a dict get instead of a sum.
+        self.round_stake: Dict[Round, int] = {}
+        # Read-only outside the store: the bitmask of the sources present
+        # per round (bit ``s`` = validator ``s``, the ``Vertex.edge_mask``
+        # positions), maintained beside the stake: the frontier a fetch
+        # request advertises, and whether a given validator's vertex of a
+        # round is stored.
+        self.round_sources: Dict[Round, int] = {}
+        # Stored vertices, kept by insertion and GC for ``len()``.
         self._count = 0
         # Vertices waiting for missing parents, keyed by the missing parent.
         self._pending: Dict[VertexId, Vertex] = {}
         self._waiting_on: Dict[VertexId, Set[VertexId]] = {}
         # Callbacks invoked whenever a vertex is actually inserted.
         self._on_insert: List[Callable[[Vertex], None]] = []
-        self._lowest_round = 0
+        # The GC horizon: rounds below it are pruned, and parents below
+        # it count as present.  Read-only outside the store.
+        self.lowest_round = 0
         # Cached ``max(self._round_slots)``; queried on every round advance.
         self._highest_round = 0
         # Set when a vertex is inserted below the GC horizon; tells the
@@ -142,20 +161,75 @@ class DagStore:
         """Add ``vertex`` to the DAG.
 
         Returns ``True`` when the vertex (and possibly vertices that were
-        waiting on it) became part of the DAG, ``False`` when it was parked
-        in the pending buffer because parents are missing.
+        waiting on it) became part of the DAG, ``False`` when it was
+        already known or was parked in the pending buffer because parents
+        are missing.  Raises :class:`DagError` for a vertex the DAG cannot
+        hold: a source or an edge source outside the committee, or no
+        2f+1 parent quorum (and :class:`EquivocationError` for a twin).
+
+        The common case, a new vertex whose parents are all stored, is
+        answered in this frame: the known-check runs only when the slot is
+        taken or a vertex is parked, the edge-quorum memo and the parent
+        mask are read inline, and the insertion is :meth:`_insert`'s body
+        (its twin, which the promotion paths call).
         """
-        if self._check_known(vertex):
+        round_number = vertex.round
+        source = vertex.source
+        size = self._size
+        if not 0 <= source < size:
+            # Bounded before any state changes: a slab index, a shift.
+            raise DagError(f"vertex {vertex.id} names a source outside the committee")
+        round_slots = self._round_slots
+        slots = round_slots.get(round_number)
+        if (self._pending or (slots is not None and slots[source] is not None)) and self._check_known(vertex):
             return False
-        if self.require_edge_quorum and not check_edge_quorum(vertex, self.committee):
-            raise DagError(
-                f"vertex {vertex.id} does not reference a 2f+1 quorum of parents"
+        if round_number and self.require_edge_quorum:
+            if vertex.edge_mask >> size:
+                # The stake of a parent outside the committee is no number.
+                raise DagError(f"vertex {vertex.id} names an edge source outside the committee")
+            # ``check_edge_quorum``'s memo hit, read here.
+            verdict = self.committee.edge_quorum_verdicts.get(vertex.digest)
+            if verdict is None:
+                verdict = check_edge_quorum(vertex, self.committee)
+            if not verdict:
+                raise DagError(
+                    f"vertex {vertex.id} does not reference a 2f+1 quorum of parents"
+                )
+        if not vertex.edges_adjacent or vertex.edge_mask & ~self.round_sources.get(round_number - 1, 0):
+            # ``missing_parents``'s one-AND answer failed: ask it in full.
+            missing = self.missing_parents(vertex)
+            if missing:
+                self._park(vertex, missing)
+                return False
+        # ``_insert``, inlined.
+        if round_number < self.lowest_round:
+            self._stale_below_horizon = True
+        self._count += 1
+        bit = 1 << source
+        if slots is None:
+            pool = self._slab_pool
+            slots = pool.pop() if pool else [None] * size
+            round_slots[round_number] = slots
+            order = self._round_order[round_number] = []
+            self.round_sources[round_number] = bit
+        else:
+            order = self._round_order[round_number]
+            self.round_sources[round_number] |= bit
+        slots[source] = vertex
+        order.append(vertex)
+        round_stake = self.round_stake
+        round_stake[round_number] = round_stake.get(round_number, 0) + self._stakes[source]
+        if round_number > self._highest_round:
+            self._highest_round = round_number
+        if self._tracing:
+            self._tracer.emit(
+                "vertex_inserted",
+                node=self.trace_owner,
+                round=round_number,
+                source=source,
             )
-        missing = self.missing_parents(vertex)
-        if missing:
-            self._park(vertex, missing)
-            return False
-        self._insert(vertex)
+        for callback in self._on_insert:
+            callback(vertex)
         if self._waiting_on:
             self._promote_pending(vertex.id)
         return True
@@ -195,10 +269,10 @@ class DagStore:
             # Every edge names ``round - 1``, so the edge mask against the
             # round's source mask answers for all parents at once; a bit
             # the round lacks (or a pruned round) takes the loop below.
-            if not vertex.edge_mask & ~self._round_sources.get(vertex.round - 1, 0):
+            if not vertex.edge_mask & ~self.round_sources.get(vertex.round - 1, 0):
                 return self._NO_MISSING
         round_slots = self._round_slots
-        lowest = self._lowest_round
+        lowest = self.lowest_round
         missing: Optional[Set[VertexId]] = None
         for parent in vertex.edges:
             if parent.round < lowest:
@@ -230,7 +304,9 @@ class DagStore:
             )
 
     def _insert(self, vertex: Vertex) -> None:
-        if vertex.round < self._lowest_round:
+        """Store ``vertex`` and fire the insertion callbacks (the promotion
+        paths; :meth:`add` inlines the same body)."""
+        if vertex.round < self.lowest_round:
             # A straggler below the GC horizon: the next garbage_collect
             # sweeps its slab even if the horizon does not move.
             self._stale_below_horizon = True
@@ -243,14 +319,14 @@ class DagStore:
             slots = pool.pop() if pool else [None] * self._size
             self._round_slots[round_number] = slots
             order = self._round_order[round_number] = []
-            self._round_sources[round_number] = 1 << source
+            self.round_sources[round_number] = 1 << source
         else:
             order = self._round_order[round_number]
-            self._round_sources[round_number] |= 1 << source
+            self.round_sources[round_number] |= 1 << source
         slots[source] = vertex
         order.append(vertex)
-        self._round_stake[round_number] = (
-            self._round_stake.get(round_number, 0) + self._stakes[source]
+        self.round_stake[round_number] = (
+            self.round_stake.get(round_number, 0) + self._stakes[source]
         )
         if round_number > self._highest_round:
             self._highest_round = round_number
@@ -326,18 +402,18 @@ class DagStore:
         :attr:`lowest_round` this is the frontier a fetch request
         advertises (``FetchRequest.held``).
         """
-        return tuple(sorted(self._round_sources.items()))
+        return tuple(sorted(self.round_sources.items()))
 
     def sources_at(self, round_number: Round) -> int:
         """The source bitmask of ``round_number``, as in :meth:`held_sources`."""
-        return self._round_sources.get(round_number, 0)
+        return self.round_sources.get(round_number, 0)
 
     def stake_at(self, round_number: Round) -> int:
         """Total stake of the sources with a vertex in ``round_number``."""
-        return self._round_stake.get(round_number, 0)
+        return self.round_stake.get(round_number, 0)
 
     def has_quorum_at(self, round_number: Round) -> bool:
-        return self._round_stake.get(round_number, 0) >= self._quorum
+        return self.round_stake.get(round_number, 0) >= self._quorum
 
     def highest_round(self) -> Round:
         if not self._round_slots:
@@ -517,7 +593,7 @@ class DagStore:
         buffer leaks on long runs and vertices parked on pruned parents
         stay stranded forever.
         """
-        if before_round <= self._lowest_round and not self._stale_below_horizon:
+        if before_round <= self.lowest_round and not self._stale_below_horizon:
             # The horizon did not move and no straggler arrived below it:
             # nothing to prune.  The consensus engine calls this on every
             # insertion, so the early-out matters.
@@ -533,14 +609,14 @@ class DagStore:
                 for index in range(self._size):
                     slots[index] = None
                 self._slab_pool.append(slots)
-            self._round_stake.pop(round_number, None)
-            self._round_sources.pop(round_number, None)
+            self.round_stake.pop(round_number, None)
+            self.round_sources.pop(round_number, None)
         self._count -= removed
         if not self._round_slots:
             # GC swallowed every round (the horizon overtook the frontier);
             # match ``max(rounds) or 0`` semantics.
             self._highest_round = 0
-        self._lowest_round = max(self._lowest_round, before_round)
+        self.lowest_round = max(self.lowest_round, before_round)
         self._stale_below_horizon = False
         self._prune_pending(before_round)
         self.reconsider_pending()
@@ -570,7 +646,3 @@ class DagStore:
                 self._waiting_on[parent] = waiters
             else:
                 del self._waiting_on[parent]
-
-    @property
-    def lowest_round(self) -> Round:
-        return self._lowest_round

@@ -11,7 +11,7 @@ retries and stalls), and what to serve a peer (the history its frontier
 lacks, plus a consensus snapshot when that frontier lies below this
 validator's GC horizon; the wire side is described in
 :mod:`repro.node.messages`).  A response's vertices go back through
-``ingest``, lowest round first, as deliveries of their own slots.
+``ingest``, lowest round first, each standing for its own slot.
 Adopting a snapshot rewrites the commit record, so it is the
 validator's decision; the synchronizer only counts, per peer, the
 requests that peer has not answered yet.
@@ -25,7 +25,6 @@ from repro.dag.vertex import Vertex
 from repro.network.simulator import EventHandle
 from repro.node.messages import FetchRequest, FetchResponse
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.rbc.certified import Delivery
 from repro.types import Round, SimTime, ValidatorId, VertexId
 
 if TYPE_CHECKING:
@@ -243,5 +242,5 @@ class Synchronizer:
             # or hostile responder) is ordered history, not a straggler
             # to re-insert.
             if vertex.round >= dag.lowest_round:
-                ingest(Delivery(vertex, vertex.round, vertex.source), sender)
+                ingest(vertex, sender)
         dag.reconsider_pending()

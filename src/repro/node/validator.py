@@ -6,9 +6,11 @@ implementation does:
 * it proposes one vertex per round, batching pending transactions;
 * it disseminates vertices with the broadcast layer and inserts each
   certified or fetched vertex into the local DAG in one function
-  (:meth:`ValidatorNode.ingest`), which asks its synchronizer
-  (:mod:`repro.node.synchronizer`) for the parents a parked vertex waits
-  on and refuses, counts and traces a vertex the DAG cannot hold;
+  (:meth:`ValidatorNode.ingest`: the broadcast layer hands it the
+  verified certificate, the synchronizer the fetched vertex, neither
+  wrapped), which asks its synchronizer (:mod:`repro.node.synchronizer`)
+  for the parents a parked vertex waits on and refuses, counts and
+  traces a vertex the DAG cannot hold;
 * it advances rounds once a 2f+1 stake quorum of the current round is
   present, waiting up to ``leader_timeout`` for the anchor of even rounds
   (the Bullshark leader wait — the mechanism through which crashed leaders
@@ -24,7 +26,7 @@ implementation does:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.behavior import HONEST, BehaviorPolicy
 from repro.committee import Committee
@@ -40,7 +42,8 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.node.config import NodeConfig
 from repro.node.messages import ConsensusSnapshot, FetchRequest, FetchResponse
 from repro.node.synchronizer import Synchronizer
-from repro.rbc.certified import CertifiedBroadcast, Delivery
+from repro.rbc.certified import CertifiedBroadcast
+from repro.rbc.messages import CertificateMessage
 from repro.storage.store import PersistentStore
 from repro.types import Round, SimTime, ValidatorId, is_anchor_round
 from repro.workload.transactions import TransactionPool
@@ -67,7 +70,8 @@ class ValidatorNode:
         self.id = validator_id
         self.committee = committee
         self.network = network
-        self._committee_size = committee.size
+        # The 2f+1 stake the round-advance gate compares against.
+        self._quorum = committee.quorum_threshold
         self.config = (config if config is not None else NodeConfig()).validate()
         self.schedule_manager = schedule_manager
         self.store = PersistentStore()
@@ -399,24 +403,30 @@ class ValidatorNode:
             return
         if self._advance_handle is not None:
             return
-        if self.current_round < self.dag.lowest_round:
+        dag = self.dag
+        if self.current_round < dag.lowest_round:
             # State sync moved the DAG past the round this validator was
             # proposing in; rejoin the committee at the current frontier.
             frontier = self._highest_quorum_round()
-            if frontier >= self.dag.lowest_round:
+            if frontier >= dag.lowest_round:
                 self._enter_round(frontier + 1)
             return
         round_number = self.current_round
         if self.config.max_round is not None and round_number >= self.config.max_round:
             return
-        # Our own vertex must have been certified and delivered back to us.
-        if self.dag.vertex_of(round_number, self.id) is None:
+        # Our own vertex must have been certified and delivered back to
+        # us; the round's source mask and stake are the DAG's read-only
+        # attributes.
+        present = dag.round_sources.get(round_number, 0)
+        if not present >> self.id & 1:
             return
-        if not self.dag.has_quorum_at(round_number):
+        if dag.round_stake.get(round_number, 0) < self._quorum:
             return
-        if is_anchor_round(round_number) and not self._anchor_timeout_expired:
+        # A started validator is at round 1 or above, so an even round is
+        # an anchor round.
+        if not round_number % 2 and not self._anchor_timeout_expired:
             leader = self.schedule_manager.leader_for_round(round_number)
-            if leader != self.id and self.dag.vertex_of(round_number, leader) is None:
+            if leader != self.id and not present >> leader & 1:
                 return
         self._schedule_advance()
 
@@ -470,21 +480,26 @@ class ValidatorNode:
         handlers[FetchResponse] = self._handle_fetch_response
         return handlers
 
-    def ingest(self, delivery: Delivery, sender: Optional[ValidatorId] = None) -> None:
+    def ingest(
+        self, delivered: Union[CertificateMessage, Vertex], sender: Optional[ValidatorId] = None
+    ) -> None:
         """Insert a delivered vertex, or ask for the parents it waits on.
 
-        The broadcast layer calls this with each certified delivery, and
-        the synchronizer with each fetched vertex as the delivery of its
-        own slot, naming the responder as ``sender`` (the origin stands
-        for it otherwise).  A vertex the DAG cannot hold (a source outside
-        the committee, no 2f+1 parent quorum, a twin of a stored or
-        parked vertex) is refused: counted in ``vertices_refused`` and
-        traced with ``sender``, never raised into the message handler.
+        ``delivered`` is what the broadcast layer hands over, the
+        certificate that delivered a payload for its round and origin, or
+        a vertex the synchronizer fetched, which stands for its own slot;
+        the synchronizer names the responder as ``sender`` (the origin
+        stands for it otherwise).  Neither is wrapped in another object.
+        A vertex the DAG cannot hold (a source or an edge source outside
+        the committee, no 2f+1 parent quorum, a twin of a stored or parked
+        vertex) is refused: counted in ``vertices_refused`` and traced
+        with ``sender``, never raised into the message handler.
         """
-        vertex = delivery.payload
+        certified = delivered.__class__ is CertificateMessage
+        vertex = delivered.payload if certified else delivered
         if not isinstance(vertex, Vertex):
             return
-        if vertex.round != delivery.round or vertex.source != delivery.origin:
+        if certified and (vertex.round != delivered.round or vertex.source != delivered.origin):
             # Acks bind a payload to the broadcaster's own slot, so it can
             # certify there a vertex whose id names an honest validator.
             self.slot_mismatches_dropped += 1
@@ -492,17 +507,14 @@ class ValidatorNode:
                 self._tracer.emit(
                     "slot_mismatch_dropped",
                     node=self.id,
-                    round=delivery.round,
-                    origin=delivery.origin,
+                    round=delivered.round,
+                    origin=delivered.origin,
                     vertex_round=vertex.round,
                     vertex_source=vertex.source,
                 )
             return
         dag = self.dag
         try:
-            if not 0 <= vertex.source < self._committee_size:
-                # Bounded before any state changes: a slab index, a shift.
-                raise DagError(f"vertex {vertex.id} names a source outside the committee")
             if dag.add(vertex) or vertex.id in dag:
                 return
         except DagError as error:
@@ -516,7 +528,7 @@ class ValidatorNode:
                     node=self.id,
                     round=vertex.round,
                     source=vertex.source,
-                    sender=delivery.origin if sender is None else sender,
+                    sender=vertex.source if sender is None else sender,
                     reason=type(error).__name__,
                 )
             return

@@ -15,10 +15,9 @@ from repro.rbc.messages import (
     CertificateMessage,
     ProposeMessage,
 )
-from repro.rbc.certified import CertifiedBroadcast, Delivery
+from repro.rbc.certified import CertifiedBroadcast
 
 __all__ = [
-    "Delivery",
     "CertifiedBroadcast",
     "BroadcastMessage",
     "ProposeMessage",

@@ -12,9 +12,10 @@ Protocol (for one broadcast by validator ``p`` at round ``r``):
    inside a :class:`CertificateBatch`, the one envelope certificates
    travel in: one transport send per peer carries all certificates the
    validator emits for that round.
-4. A validator delivers the payload of every valid certificate it splits
-   out of a batch (a bare :class:`CertificateMessage` from a peer goes
-   through the same loop as a batch of one).
+4. A validator delivers every valid certificate it splits out of a batch
+   (a bare :class:`CertificateMessage` from a peer goes through the same
+   loop as a batch of one): ``on_deliver`` gets the certificate, whose
+   payload, round and origin are what was delivered.
 
 The quorum intersection argument gives non-equivocation: two conflicting
 certificates would require two quorums of acknowledgements whose
@@ -54,9 +55,11 @@ are engineered away here:
   send count at one per peer per round regardless of how many
   certificates a validator emits; receivers split, deduplicate against
   the round's delivered-origins mask, mark the mask and hand each
-  payload to ``on_deliver`` from the batch loop's own frame, in batch
-  order (parking/promotion of out-of-order vertices is exercised by the
-  property suite).
+  verified certificate to ``on_deliver`` from the batch loop's own frame,
+  in batch order (parking/promotion of out-of-order vertices is exercised
+  by the property suite).  The certificate is the delivery record: its
+  payload, round and origin are ``r_deliver(m, r, i)``, and no other
+  object is built for it.
 """
 
 from __future__ import annotations
@@ -84,24 +87,12 @@ from repro.types import Round, ValidatorId
 VERIFIED_CERTIFICATE_ROUNDS = 8
 
 
-class Delivery:
-    """A delivered broadcast: ``r_deliver(m, r, i)`` in Definition 1.
-
-    A plain slotted class rather than a frozen dataclass: one instance is
-    materialized per delivered vertex, and the frozen-dataclass
-    ``object.__setattr__`` per field was measurable on that path.
-    """
-
-    __slots__ = ("payload", "round", "origin")
-
-    def __init__(self, payload: Any, round: Round, origin: ValidatorId) -> None:
-        self.payload = payload
-        self.round = round
-        self.origin = origin
-
-
-# Callback invoked exactly once per (origin, round) on delivery.
-DeliveryCallback = Callable[[Delivery], None]
+# Callback invoked exactly once per (origin, round) on delivery, with the
+# verified certificate: its ``payload``, ``round`` and ``origin`` are
+# ``r_deliver(m, r, i)`` in Definition 1.  In a simulated committee one
+# certificate object reaches every recipient, so a callback reads it and
+# never edits it.
+DeliveryCallback = Callable[[CertificateMessage], None]
 
 
 class OwnRound:
@@ -440,7 +431,7 @@ class CertifiedBroadcast:
                     round=round_number,
                     origin=origin,
                 )
-            self.on_deliver(Delivery(certificate.payload, round_number, origin))
+            self.on_deliver(certificate)
 
 
 def _payload_digest(payload: Any) -> Any:

@@ -19,15 +19,14 @@ from repro.dag.vertex import Vertex
 from repro.errors import NetworkError
 from repro.faults.base import FaultPlan
 from repro.network.latency import LatencyModel
-from repro.rbc.certified import Delivery
 from repro.sim.runner import SimulationRunner
 from repro.types import Region, SimTime, ValidatorId, VertexId
 from repro.workload.transactions import Transaction, TransactionPool
 
 
 def deliver(node, vertex: Vertex) -> None:
-    """Hand ``vertex`` to ``node`` as the certified delivery of its own slot."""
-    node.ingest(Delivery(vertex, vertex.round, vertex.source))
+    """Hand ``vertex`` to ``node`` as a delivery of its own slot."""
+    node.ingest(vertex)
 
 
 class UniformLatencyModel(LatencyModel):

@@ -284,6 +284,10 @@ class TestHostileFetchResponder:
             block = (*stored.block, "tx")
             digest = vertex_digest(stored.round, stored.source, stored.edges, len(block))
             return Vertex(id=stored.id, edges=stored.edges, block=block, digest=digest)
+        if name == "edge-source-outside":
+            # Parents a round above the DAG, one of them from validator 9
+            # of a committee of 4: the edge quorum has no stake for it.
+            return decoded_vertex(top + 3, 1, [VertexId(top + 2, 0), VertexId(top + 2, 1), VertexId(top + 2, 9)])
         source = {"source-outside": 7, "negative-source": -1}[name]
         # Its parents are all held: the insertion itself would index or shift by the source.
         return decoded_vertex(top - 1, source, parents)
@@ -316,6 +320,14 @@ class TestHostileFetchResponder:
             (vertex.round, vertex.source, 3)
         ]
         assert node.dag.get(vertex.id) is not vertex
+        assert vertex.id not in {parked.id for parked in node.dag.pending_vertices()}
+
+    def test_an_edge_source_outside_the_committee_is_refused(self):
+        node, (vertex,), refused = self.run_with(["edge-source-outside"])
+        assert node.vertices_refused == 1
+        assert [(event["round"], event["source"], event["sender"], event["reason"]) for event in refused] == [
+            (vertex.round, 1, 3, "DagError")
+        ]
         assert vertex.id not in {parked.id for parked in node.dag.pending_vertices()}
 
     def test_the_four_are_counted(self):

@@ -62,20 +62,20 @@ class TestHammerHeadScheduleManager:
         manager = self._manager(committee4)
         # Leader of round 2 is validator 0 (round robin, no permutation).
         voter = make_vertex(3, 1, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])
-        manager.on_vertex_ordered(voter)
+        manager.on_subdag_ordered((voter,))
         assert manager.scores.as_dict()[1] == 1.0
 
     def test_non_votes_do_not_score(self, committee4):
         manager = self._manager(committee4)
         # A round-3 vertex that does not link to the round-2 leader (0).
         non_voter = make_vertex(3, 2, edges=[vid(2, 1), vid(2, 2), vid(2, 3)])
-        manager.on_vertex_ordered(non_voter)
+        manager.on_subdag_ordered((non_voter,))
         assert manager.scores.as_dict()[2] == 0.0
 
     def test_even_round_vertices_do_not_vote(self, committee4):
         manager = self._manager(committee4)
         vertex = make_vertex(2, 1, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
-        manager.on_vertex_ordered(vertex)
+        manager.on_subdag_ordered((vertex,))
         assert all(manager.scores.as_dict()[validator] == 0.0 for validator in committee4.validators)
 
     def test_schedule_change_after_commit_threshold(self, committee4):
@@ -93,7 +93,7 @@ class TestHammerHeadScheduleManager:
     def test_scores_reset_after_schedule_change(self, committee4):
         manager = self._manager(committee4, commits=1)
         voter = make_vertex(3, 1, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])
-        manager.on_vertex_ordered(voter)
+        manager.on_subdag_ordered((voter,))
         manager.on_anchor_committed(make_anchor(2, 0, [0, 1, 2]))
         assert all(manager.scores.as_dict()[validator] == 0.0 for validator in committee4.validators)
         assert manager.commits_in_epoch == 0
@@ -101,7 +101,7 @@ class TestHammerHeadScheduleManager:
     def test_change_records_capture_scores(self, committee4):
         manager = self._manager(committee4, commits=1)
         voter = make_vertex(3, 1, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])
-        manager.on_vertex_ordered(voter)
+        manager.on_subdag_ordered((voter,))
         manager.on_anchor_committed(make_anchor(2, 0, [0, 1, 2]))
         assert len(manager.change_records) == 1
         record = manager.change_records[0]
@@ -112,9 +112,9 @@ class TestHammerHeadScheduleManager:
         manager = self._manager(committee10, commits=1)
         # Validators 7, 8, 9 never vote; everyone else votes for the
         # round-2 leader (validator 0).
-        for voter in range(7):
-            vertex = make_vertex(3, voter, edges=[vid(2, source) for source in range(7)])
-            manager.on_vertex_ordered(vertex)
+        manager.on_subdag_ordered(
+            [make_vertex(3, voter, edges=[vid(2, source) for source in range(7)]) for voter in range(7)]
+        )
         new_schedule = manager.on_anchor_committed(make_anchor(2, 0, list(range(7))))
         assert new_schedule is not None
         for crashed in (7, 8, 9):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.manager import HammerHeadScheduleManager
 from repro.core.scores import ReputationScores
 from repro.core.scoring import (
     CarouselScoring,
@@ -9,7 +10,10 @@ from repro.core.scoring import (
     ScoringView,
     ShoalScoring,
 )
+from repro.dag.vertex import make_vertex
 from repro.errors import ScheduleError
+from repro.schedule.round_robin import initial_schedule
+from tests.conftest import vid
 
 
 class TestReputationScores:
@@ -102,7 +106,8 @@ class TestScoringRules:
         rule = HammerHeadScoring()
         rule.on_anchor_committed(0, 2, context)
         rule.on_anchor_skipped(1, 4, context)
-        rule.on_vertex_in_committed_subdag(2, 3, context)
+        # Presence in a sub-DAG is not a hook it defines.
+        assert not hasattr(rule, "on_vertex_in_committed_subdag")
         assert all(context.scores.as_dict()[validator] == 0.0 for validator in committee4.validators)
 
     def test_hammerhead_custom_points(self, committee4):
@@ -120,9 +125,12 @@ class TestScoringRules:
         assert context.scores.as_dict()[1] == -1.0
 
     def test_shoal_ignores_votes(self, committee4):
-        context = self._context(committee4)
-        ShoalScoring().on_vote(2, 2, context)
-        assert context.scores.as_dict()[2] == 0.0
+        manager = HammerHeadScheduleManager(
+            committee4, initial_schedule(committee4, permute=False), scoring=ShoalScoring()
+        )
+        # Validator 2's round-3 vertex votes for the round-2 leader (0).
+        manager.on_subdag_ordered([make_vertex(3, 2, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])])
+        assert manager.scores.as_dict()[2] == 0.0
 
     def test_carousel_scores_committed_subdag_presence(self, committee4):
         context = self._context(committee4)

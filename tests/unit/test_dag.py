@@ -291,6 +291,15 @@ class TestLookupGuards:
         assert dag.add(vertex) is False
         assert vertex.id not in dag and len(dag) == 8
 
+    def test_an_edge_source_outside_the_committee_is_refused(self, committee4):
+        # Under the quorum check the stray parent has no stake to count.
+        dag = DagStore(committee4)
+        populate_dag(dag, committee4, rounds=1)
+        vertex = Vertex(id=vid(2, 0), edges=[vid(1, 0), vid(1, 1), vid(1, 2), vid(1, 4)], block=(), digest=b"any")
+        with pytest.raises(DagError, match="edge source outside the committee"):
+            dag.add(vertex)
+        assert vertex.id not in dag and not dag.pending_vertices() and len(dag) == 8
+
     def test_pruned_rounds_are_absent(self, committee4):
         dag = DagStore(committee4)
         populate_dag(dag, committee4, rounds=6)

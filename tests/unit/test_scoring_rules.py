@@ -95,8 +95,7 @@ class TestScoringView:
     def test_count_rules_do_not_track_votes(self, committee4):
         manager = make_manager(committee4, scoring=HammerHeadScoring())
         voter = make_vertex(3, 1, edges=[vid(2, 0), vid(2, 1), vid(2, 2)])
-        manager.on_vertex_ordered(make_anchor(2, 0, [0, 1, 2]))
-        manager.on_vertex_ordered(voter)
+        manager.on_subdag_ordered((make_anchor(2, 0, [0, 1, 2]), voter))
         view = manager._view
         assert view.votes_cast == {}
         assert view.votes_expected == {}
@@ -104,29 +103,16 @@ class TestScoringView:
 
 class TestCompletenessScoring:
     def _feed_round(self, manager, anchor_round, leader, voters, withholders):
-        """Order the leader vertex of ``anchor_round`` and the round+1
-        vertices of ``voters`` (linking) and ``withholders`` (not)."""
+        """Order, as one sub-DAG, the leader vertex of ``anchor_round`` and
+        the round+1 vertices of ``voters`` (linking) and ``withholders`` (not)."""
         committee = manager.committee
-        manager.on_vertex_ordered(
-            make_anchor(anchor_round, leader, list(committee.validators))
+        all_parents = [vid(anchor_round, source) for source in committee.validators]
+        others = [vid(anchor_round, source) for source in committee.validators if source != leader]
+        manager.on_subdag_ordered(
+            [make_anchor(anchor_round, leader, list(committee.validators))]
+            + [make_vertex(anchor_round + 1, voter, edges=all_parents) for voter in voters]
+            + [make_vertex(anchor_round + 1, withholder, edges=others) for withholder in withholders]
         )
-        for voter in voters:
-            manager.on_vertex_ordered(
-                make_vertex(
-                    anchor_round + 1,
-                    voter,
-                    edges=[vid(anchor_round, source) for source in committee.validators],
-                )
-            )
-        others = [v for v in committee.validators if v != leader]
-        for withholder in withholders:
-            manager.on_vertex_ordered(
-                make_vertex(
-                    anchor_round + 1,
-                    withholder,
-                    edges=[vid(anchor_round, source) for source in others],
-                )
-            )
 
     def test_expected_and_cast_counting(self, committee4):
         manager = make_manager(committee4, scoring=CompletenessScoring())
@@ -161,14 +147,13 @@ class TestCompletenessScoring:
         # Round-3 vertices of 1 and 2 are ordered *before* the round-2
         # leader vertex: not yet countable.
         others = [v for v in committee4.validators if v != 0]
-        for voter in (1, 2):
-            manager.on_vertex_ordered(
-                make_vertex(3, voter, edges=[vid(2, source) for source in others])
-            )
+        manager.on_subdag_ordered(
+            [make_vertex(3, voter, edges=[vid(2, source) for source in others]) for voter in (1, 2)]
+        )
         assert view.votes_expected == {}
         # The leader vertex of round 2 arrives late in the linearization:
         # both missed votes become countable opportunities now.
-        manager.on_vertex_ordered(make_anchor(2, 0, [0, 1, 2]))
+        manager.on_subdag_ordered((make_anchor(2, 0, [0, 1, 2]),))
         assert view.votes_expected == {1: 1, 2: 1}
         assert view.votes_cast == {}
 
@@ -176,13 +161,11 @@ class TestCompletenessScoring:
         manager = make_manager(committee4, scoring=CompletenessScoring())
         view = manager._view
         others = [v for v in committee4.validators if v != 0]
-        manager.on_vertex_ordered(
-            make_vertex(3, 1, edges=[vid(2, source) for source in others])
-        )
+        manager.on_subdag_ordered([make_vertex(3, 1, edges=[vid(2, source) for source in others])])
         # No leader vertex ever enters the prefix; pruning drops the
         # pending opportunity without counting it.
         view.prune_below(10_000)
-        manager.on_vertex_ordered(make_anchor(2, 0, [0, 1, 2]))
+        manager.on_subdag_ordered((make_anchor(2, 0, [0, 1, 2]),))
         assert view.votes_expected == {}
 
     def test_zero_opportunity_scores_zero(self, committee4):
@@ -205,9 +188,7 @@ class TestCompletenessScoring:
         self._feed_round(source, 2, leader=0, voters=(1, 2), withholders=(3,))
         others = [v for v in committee4.validators if v != 1]
         # Park a pending (not yet countable) missed vote too.
-        source.on_vertex_ordered(
-            make_vertex(5, 2, edges=[vid(4, source_id) for source_id in others])
-        )
+        source.on_subdag_ordered([make_vertex(5, 2, edges=[vid(4, source_id) for source_id in others])])
         source.on_anchor_committed(make_anchor(2, 0, [0, 1, 2]))
         blob = source.vote_accounting_snapshot()
         assert blob is not None
@@ -227,7 +208,7 @@ class TestCompletenessScoring:
         # The parked vote is adopted too: when the round-4 leader orders,
         # both managers count the retro opportunity identically.
         for manager in (source, target):
-            manager.on_vertex_ordered(make_anchor(4, 1, [0, 1, 2]))
+            manager.on_subdag_ordered((make_anchor(4, 1, [0, 1, 2]),))
         assert target._view.votes_expected == source._view.votes_expected
 
     def test_count_rules_snapshot_is_none(self, committee4):
