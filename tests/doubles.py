@@ -5,7 +5,7 @@ observer's digest, checkpoints and the collector's columns are what they
 report).  Tests that want a fast, geography-free network or a validator's
 full total order build it here, from the hooks every run exposes,
 read a transaction pool's windows as rows here, and hand a validator a
-vertex as its certificate would (``deliver``).
+vertex as a delivery of its own slot (``deliver``).
 """
 
 from __future__ import annotations
