@@ -106,7 +106,11 @@ class StakeVector:
         verdict = cache.get(signers)
         if verdict is None:
             self.signer_cache_misses += 1
-            if not all(0 <= signer < self.size for signer in signers):
+            if signers and set(map(type, signers)) <= {int}:  # no frame per signer
+                bounded = min(signers) >= 0 and max(signers) < self.size
+            else:  # refused, or raising, at the signer it always was
+                bounded = all(0 <= signer < self.size for signer in signers)
+            if not bounded:
                 # Refused before an id becomes a shift, and not cached.
                 return False
             evict_oldest_half(cache, self._SIGNER_CACHE_LIMIT)

@@ -44,11 +44,11 @@ decoded values and error text therefore do not depend on which coder
 ran — ``tests/property/test_prop_codec_differential.py`` and
 ``test_prop_codec_golden.py`` hold both against ``tests/reference_codec.py``
 — and every decoded vertex went through ``_build_vertex`` either way.  A
-link end may pass a :class:`VertexSlot`: a layout decoder whose vertex
-starts with the slot's bytes returns what those same bytes already
-decoded to on that link, and an encoder given the very vertex object it
+caller may pass a :class:`VertexMemo`: a layout decoder whose vertex is
+exactly the bytes of an encoding the memo holds returns what those bytes
+already decoded to, and an encoder given the very vertex object it
 remembers appends the bytes it already made.  The wire does not change
-(``tests/property/test_prop_codec_slots.py``).
+(``tests/property/test_prop_codec_memo.py``).
 
 This module is pure (no clock, no randomness, no sockets) and is safe
 to import from tests and from the lockstep oracle.
@@ -101,8 +101,9 @@ MAX_MASK_BYTES = 128
 # A vertex and its edges may name only the validator ids such a mask can
 # hold: ``Vertex`` shifts by every edge source.
 _MAX_SOURCES = 8 * MAX_MASK_BYTES
-# The largest encoded vertex a VertexSlot remembers.
-_SLOT_BYTES = 64 * 1024
+# A VertexMemo holds at most this many vertices and bytes of encodings,
+# and no encoding above 64 KiB.
+_MEMO_ENTRIES, _MEMO_BYTES, _MEMO_ENTRY_BYTES = 1024, 256 * 1024, 64 * 1024
 
 _HEADER = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -131,28 +132,30 @@ class Hello:
     node_id: int
 
 
-class VertexSlot:
-    """One link end's memory of one vertex and its encoded bytes.
+class VertexMemo:
+    """A socket transport's vertex encodings, oldest forgotten first.
 
-    On a link the certificate re-ships the vertex its proposal sent one
-    frame earlier.  A sender's slot holds the vertex object it encoded
-    last; a receiver's holds what its bytes decoded to last, filled only
-    once ``_build_vertex`` accepted it.  The vertex encoding is
-    prefix-free, so bytes that begin with a complete valid encoding
-    decode to that vertex under either decoder.  A slot serves one
-    direction and remembers no encoding above 64 KiB.
+    ``key -> (vertex, encoding)`` for two kinds of key that never answer
+    for each other: the exact bytes of an encoding ``_build_vertex``
+    accepted (prefix-free, so they decode to that vertex under either
+    decoder), and the ``id`` of a vertex object an encoder wrote (held, so
+    the id is not reused).  An encoder adds no bytes key: a digest forged
+    by an in-process sender would then skip its receivers' check.
     """
 
-    __slots__ = ("vertex", "encoded")
+    __slots__ = ("entries", "held_bytes")
 
     def __init__(self) -> None:
-        self.vertex: Optional[Vertex] = None
-        self.encoded = b""
+        self.entries: Dict[Any, Tuple[Vertex, bytes]] = {}
+        self.held_bytes = 0
 
-    def remember(self, vertex: Vertex, encoded: bytes) -> bytes:
-        if len(encoded) <= _SLOT_BYTES:
-            self.vertex, self.encoded = vertex, encoded
-        return encoded
+    def remember(self, key: Any, vertex: Vertex, encoded: bytes) -> None:
+        if len(encoded) <= _MEMO_ENTRY_BYTES:
+            entries = self.entries
+            entries[key] = (vertex, encoded)
+            self.held_bytes += len(encoded)
+            while len(entries) > _MEMO_ENTRIES or self.held_bytes > _MEMO_BYTES:
+                self.held_bytes -= len(entries.pop(next(iter(entries)))[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -419,7 +422,7 @@ _PROPOSE = _layout(*_message(ProposeMessage), *_VERTEX_HEAD)
 _CERTIFICATE = _layout(*_message(CertificateMessage), *_VERTEX_HEAD)
 _BATCH = _layout(*_message(CertificateBatch), _TAG_TUPLE, "I")
 _SIGNER_COUNT = _layout(_TAG_TUPLE, "I")
-_VERTEX = _layout(*_VERTEX_HEAD)  # written apart from its message: a slot remembers it alone
+_VERTEX = _layout(*_VERTEX_HEAD)  # written apart from its message: a memo remembers it alone
 _CARRIER = {cls: _layout(*_message(cls)) for cls in (ProposeMessage, CertificateMessage)}
 
 def _wire_size(*tokens) -> int:
@@ -433,6 +436,7 @@ def _wire_size(*tokens) -> int:
 _KIND_LENGTH_AT = _wire_size(*_TRANSACTION_HEAD)
 _VERTEX_HEAD_BYTES = _wire_size(*_VERTEX_HEAD)
 _VERTEX_ID_BYTES = _wire_size(*_VERTEX_ID)
+_VERTEX_TAIL_BYTES = _wire_size(*_VERTEX_TAIL)
 _TRANSACTION_BYTES = _wire_size(*_transaction(0))  # plus the kind's length
 _SIGNER_BYTES = _wire_size(*_INT64)
 _MAX_RUN = 1024
@@ -471,7 +475,7 @@ def _signers(count: int):
 # -- encoding ----------------------------------------------------------------
 
 
-def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None) -> None:
+def _encode_into(value: Any, out: List[bytes], memo: Optional[VertexMemo] = None) -> None:
     if value is None:
         out.append(_TAG_NONE)
     elif value is True:
@@ -493,7 +497,7 @@ def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None
     elif type(value) in (tuple, list):
         out.append(_TAG_TUPLE + _HEADER.pack(len(value)))
         for item in value:
-            _encode_into(item, out, slot)
+            _encode_into(item, out, memo)
     elif type(value) is frozenset or type(value) is set:
         # Canonical order: sort by encoded bytes, so equal sets encode
         # identically whatever their in-memory iteration order.
@@ -502,7 +506,7 @@ def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None
     elif type(value) is _EdgeSet:
         out.append(_TAG_FROZENSET + _HEADER.pack(len(value)))
         for item in value:
-            _encode_into(item, out, slot)
+            _encode_into(item, out, memo)
     elif type(value) is dict:
         out.append(_TAG_DICT + _HEADER.pack(len(value)))
         pairs = sorted(
@@ -511,8 +515,8 @@ def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None
         for encoded_key, encoded_value in pairs:
             out.append(encoded_key)
             out.append(encoded_value)
-    elif slot is not None and type(value) is Vertex:
-        out.append(_vertex_wire(value, slot))
+    elif memo is not None and type(value) is Vertex:
+        out.append(_vertex_wire(value, memo))
     else:
         spec = _SPEC_BY_CLASS.get(type(value))
         if spec is None:
@@ -520,13 +524,13 @@ def _encode_into(value: Any, out: List[bytes], slot: Optional[VertexSlot] = None
         out.append(_TAG_OBJECT + bytes([spec.code]))
         if spec.pack is not None:
             for item in spec.pack(value):
-                _encode_into(item, out, slot)
+                _encode_into(item, out, memo)
         else:
             for name in spec.fields:
-                _encode_into(getattr(value, name), out, slot)
+                _encode_into(getattr(value, name), out, memo)
 
 
-def encode(value: Any, slot: Optional[VertexSlot] = None) -> bytes:
+def encode(value: Any, memo: Optional[VertexMemo] = None) -> bytes:
     """Encode ``value`` to its canonical byte string (no frame header).
 
     A hot frame goes through its layout, unless a value is off it.
@@ -534,17 +538,17 @@ def encode(value: Any, slot: Optional[VertexSlot] = None) -> bytes:
     by_layout = _LAYOUT_ENCODERS.get(type(value))
     if by_layout is not None:
         try:
-            return by_layout(value, slot)
+            return by_layout(value, memo)
         except _OFF_LAYOUT:
             pass
     out: List[bytes] = []
-    _encode_into(value, out, slot)
+    _encode_into(value, out, memo)
     return b"".join(out)
 
 
-def encode_frame(value: Any, slot: Optional[VertexSlot] = None) -> bytes:
+def encode_frame(value: Any, memo: Optional[VertexMemo] = None) -> bytes:
     """Encode ``value`` and prepend the ``>I`` length header."""
-    body = encode(value, slot)
+    body = encode(value, memo)
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             f"encoded frame is {len(body)} bytes, above the {MAX_FRAME_BYTES}-byte cap"
@@ -568,41 +572,45 @@ def _vertex_by_layout(vertex: Vertex) -> bytes:
     return head + _block(len(block), len(kinds[0]) if kinds else 0).write((*rows, vertex.digest, vertex.created_at))
 
 
-def _vertex_wire(vertex: Vertex, slot: Optional[VertexSlot]) -> bytes:
-    """``vertex`` encoded; a slot holding this very object answers with its bytes."""
+def _vertex_wire(vertex: Vertex, memo: Optional[VertexMemo]) -> bytes:
+    """``vertex`` encoded; a memo holding this very object answers with its bytes."""
     if type(vertex) is not Vertex:
         raise _LayoutMismatch
-    if slot is not None and slot.vertex is vertex:
-        return slot.encoded
+    key = id(vertex)
+    hit = None if memo is None else memo.entries.get(key)
+    if hit is not None:
+        return hit[1]
     try:
         encoded = _vertex_by_layout(vertex)
     except _OFF_LAYOUT:
         encoded = encode(vertex)
-    return encoded if slot is None else slot.remember(vertex, encoded)
+    if memo is not None:
+        memo.remember(key, vertex, encoded)
+    return encoded
 
 
-def _carrier_wire(message: BroadcastMessage, slot: Optional[VertexSlot]) -> bytes:
+def _carrier_wire(message: BroadcastMessage, memo: Optional[VertexMemo]) -> bytes:
     """A propose or certificate frame: ``_message``, the vertex and a certificate's signers."""
     head = _CARRIER[type(message)].write((message.origin, message.round, message.digest))
     if type(message) is ProposeMessage:
-        return head + _vertex_wire(message.payload, slot)
+        return head + _vertex_wire(message.payload, memo)
     signers = message.signers
     if type(signers) is not tuple or len(signers) > _MAX_RUN:
         raise _LayoutMismatch
-    vertex = _vertex_wire(message.payload, slot)
+    vertex = _vertex_wire(message.payload, memo)
     return b"".join((head, vertex, _SIGNER_COUNT.write((len(signers),)), _signers(len(signers)).write(signers)))
 
 
-def _batch_wire(message: CertificateBatch, slot: Optional[VertexSlot]) -> bytes:
+def _batch_wire(message: CertificateBatch, memo: Optional[VertexMemo]) -> bytes:
     certificates = message.certificates
     if type(certificates) is not tuple or not set(map(type, certificates)) <= {CertificateMessage}:
         raise _LayoutMismatch
     head = _BATCH.write((message.origin, message.round, message.digest, len(certificates)))
-    return b"".join([head, *(_carrier_wire(certificate, slot) for certificate in certificates)])
+    return b"".join([head, *(_carrier_wire(certificate, memo) for certificate in certificates)])
 
 
-_LAYOUT_ENCODERS: Dict[type, Callable[[Any, Optional[VertexSlot]], bytes]] = {
-    AckMessage: lambda message, slot: _ACK.write((message.origin, message.round, message.digest, message.voter)),
+_LAYOUT_ENCODERS: Dict[type, Callable[[Any, Optional[VertexMemo]], bytes]] = {
+    AckMessage: lambda message, memo: _ACK.write((message.origin, message.round, message.digest, message.voter)),
     ProposeMessage: _carrier_wire, CertificateMessage: _carrier_wire, CertificateBatch: _batch_wire,
 }
 
@@ -738,19 +746,25 @@ _vertex_id_of = functools.partial(tuple.__new__, VertexId)
 _transaction_of = functools.partial(tuple.__new__, Transaction)
 
 
-def _vertex_at(data: bytes, offset: int, head: tuple, slot: Optional[VertexSlot]) -> Tuple[Vertex, int]:
-    """The vertex whose ``_VERTEX_HEAD`` the caller unpacked with its own prefix."""
+def _vertex_at(data: bytes, offset: int, head: tuple, memo: Optional[VertexMemo]) -> Tuple[Vertex, int]:
+    """The vertex whose ``_VERTEX_HEAD`` the caller unpacked with its own prefix;
+    a memo holding exactly its bytes, which span ``[start, end)``, answers it."""
     start = offset - _VERTEX_HEAD_BYTES
-    if slot is not None and slot.encoded and data.startswith(slot.encoded, start):
-        return slot.vertex, start + len(slot.encoded)
     round_number, source, edge_count = head[7], head[9], head[11]
+    block_at = offset + edge_count * _VERTEX_ID_BYTES + 5  # past the edges and the block's tag and count
+    block_count = _unpack_count(data, block_at - 4)[0]
+    kind_length = _unpack_count(data, block_at + _KIND_LENGTH_AT)[0] if block_count else 0
+    end = block_at + block_count * (_TRANSACTION_BYTES + kind_length) + _VERTEX_TAIL_BYTES
+    if memo is not None:
+        key = data[start:end]
+        hit = memo.entries.get(key)
+        if hit is not None:
+            return hit[0], end
     _require_run(edge_count, _VERTEX_ID_BYTES, data, offset)
     fields, offset = _fields_at(_edges(edge_count), data, offset)
     edges = frozenset(map(_vertex_id_of, zip(fields[1:-1:4], fields[3:-1:4])))
     if len(edges) != edge_count:
         raise _LayoutMismatch
-    block_count = fields[-1]
-    kind_length = _unpack_count(data, offset + _KIND_LENGTH_AT)[0] if block_count else 0
     _require_run(block_count, _TRANSACTION_BYTES + kind_length, data, offset)
     fields, offset = _fields_at(_block(block_count, kind_length), data, offset)
     # Twelve items a transaction (six literals, six values), four for the tail.
@@ -770,41 +784,41 @@ def _vertex_at(data: bytes, offset: int, head: tuple, slot: Optional[VertexSlot]
         vertex = _build_vertex((vertex_id, edges, block, fields[-3], fields[-1]))
     except Exception as error:  # noqa: BLE001 - the generic decoder words the refusal
         raise _LayoutMismatch from error
-    if slot is not None:
-        slot.remember(vertex, data[start:offset])
+    if memo is not None and offset == end:
+        memo.remember(key, vertex, key)
     return vertex, offset
 
 
-def _ack_at(data: bytes, offset: int, slot: Optional[VertexSlot]) -> Tuple[AckMessage, int]:
+def _ack_at(data: bytes, offset: int, memo: Optional[VertexMemo]) -> Tuple[AckMessage, int]:
     fields, offset = _fields_at(_ACK, data, offset)
     return AckMessage(*fields[1::2]), offset
 
 
-def _propose_at(data: bytes, offset: int, slot: Optional[VertexSlot]) -> Tuple[ProposeMessage, int]:
+def _propose_at(data: bytes, offset: int, memo: Optional[VertexMemo]) -> Tuple[ProposeMessage, int]:
     head, offset = _fields_at(_PROPOSE, data, offset)
-    vertex, offset = _vertex_at(data, offset, head, slot)
+    vertex, offset = _vertex_at(data, offset, head, memo)
     return ProposeMessage(head[1], head[3], head[5], vertex), offset
 
 
-def _certificate_at(data: bytes, offset: int, slot: Optional[VertexSlot]) -> Tuple[CertificateMessage, int]:
+def _certificate_at(data: bytes, offset: int, memo: Optional[VertexMemo]) -> Tuple[CertificateMessage, int]:
     head, offset = _fields_at(_CERTIFICATE, data, offset)
-    vertex, offset = _vertex_at(data, offset, head, slot)
+    vertex, offset = _vertex_at(data, offset, head, memo)
     (_, count), offset = _fields_at(_SIGNER_COUNT, data, offset)
     _require_run(count, _SIGNER_BYTES, data, offset)
     fields, offset = _fields_at(_signers(count), data, offset)
     return CertificateMessage(head[1], head[3], head[5], vertex, fields[1::2]), offset
 
 
-def _batch_at(data: bytes, offset: int, slot: Optional[VertexSlot]) -> Tuple[CertificateBatch, int]:
+def _batch_at(data: bytes, offset: int, memo: Optional[VertexMemo]) -> Tuple[CertificateBatch, int]:
     head, offset = _fields_at(_BATCH, data, offset)
     certificates = []
     for _ in range(head[7]):
-        certificate, offset = _certificate_at(data, offset, slot)
+        certificate, offset = _certificate_at(data, offset, memo)
         certificates.append(certificate)
     return CertificateBatch(head[1], head[3], head[5], tuple(certificates)), offset
 
 
-_LAYOUT_DECODERS: Dict[bytes, Callable[[bytes, int, Optional[VertexSlot]], Tuple[Any, int]]] = {
+_LAYOUT_DECODERS: Dict[bytes, Callable[[bytes, int, Optional[VertexMemo]], Tuple[Any, int]]] = {
     _object(AckMessage): _ack_at,
     _object(ProposeMessage): _propose_at,
     _object(CertificateMessage): _certificate_at,
@@ -812,11 +826,11 @@ _LAYOUT_DECODERS: Dict[bytes, Callable[[bytes, int, Optional[VertexSlot]], Tuple
 }
 
 
-def decode(body: bytes, slot: Optional[VertexSlot] = None) -> Any:
+def decode(body: bytes, memo: Optional[VertexMemo] = None) -> Any:
     """Decode one canonical value; the body must be consumed exactly.
 
     A frame of a type with a compiled layout is tried against it first,
-    with ``slot`` the memory of the link it arrived on.
+    with ``memo`` the vertices its transport already verified.
     Any byte off the layout (a ``None`` payload, a digest that is not 32
     bytes, a hostile tag, a repeated edge, a vertex ``_build_vertex``
     refuses, a trailing byte) hands the whole body to ``_decode_at``,
@@ -825,7 +839,7 @@ def decode(body: bytes, slot: Optional[VertexSlot] = None) -> Any:
     by_layout = _LAYOUT_DECODERS.get(body[:2])
     if by_layout is not None:
         try:
-            value, offset = by_layout(body, 0, slot)
+            value, offset = by_layout(body, 0, memo)
             if offset == len(body):
                 return value
         except _OFF_LAYOUT:
@@ -838,7 +852,7 @@ def decode(body: bytes, slot: Optional[VertexSlot] = None) -> Any:
     return value
 
 
-def split_frames(buffer, deliver: Callable[[Any], None], slot: Optional[VertexSlot] = None) -> int:
+def split_frames(buffer, deliver: Callable[[Any], None], memo: Optional[VertexMemo] = None) -> int:
     """Decode every complete frame at the front of ``buffer``, in order.
 
     Each value goes to ``deliver`` before the next frame is looked at, so
@@ -861,7 +875,7 @@ def split_frames(buffer, deliver: Callable[[Any], None], slot: Optional[VertexSl
             end = offset + 4 + length
             if end > available:
                 break
-            deliver(decode(view[offset + 4:end].tobytes(), slot))
+            deliver(decode(view[offset + 4:end].tobytes(), memo))
             offset = end
     finally:
         view.release()

@@ -26,11 +26,10 @@ Mechanics:
   are there.  A truncated, oversized, or garbage frame raises at the
   codec boundary and the connection is closed with a logged reason
   (``transport.events``), after everything ahead of it in the same
-  read has been dispatched — no hang, no crash.  Each link end keeps a
-  one-vertex :class:`~repro.netexec.codec.VertexSlot`, so the vertex a
-  certificate re-ships right behind its proposal is encoded once by the
-  sender and decoded once per receiving link end; the bytes on the wire
-  are the same.
+  read has been dispatched — no hang, no crash.  One bounded
+  :class:`~repro.netexec.codec.VertexMemo` serves every encode and decode,
+  so a vertex is encoded once by its sender and decoded, digest check
+  included, once by its first receiver; the wire bytes are the same.
 * **Backpressure** — a link writes each frame straight to its socket
   transport.  Only while that transport has paused writing (its buffer
   is above the high-water mark: the peer is not reading fast enough),
@@ -66,7 +65,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import functools
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.netexec.clock import MonotonicScheduler
@@ -74,7 +73,7 @@ from repro.netexec.codec import (
     CodecError,
     FrameError,
     Hello,
-    VertexSlot,
+    VertexMemo,
     decode,
     encode_frame,
     split_frames,
@@ -215,7 +214,6 @@ class _InboundConnection(asyncio.Protocol):
         self._link: Optional[PeerLink] = None
         self.frames_read = 0
         self._buffer = bytearray()
-        self._slot = VertexSlot()
         self.transport: Optional[asyncio.Transport] = None
         self.closed: asyncio.Future = asyncio.get_running_loop().create_future()
 
@@ -227,7 +225,7 @@ class _InboundConnection(asyncio.Protocol):
         buffer = self._buffer
         buffer += data
         try:
-            consumed = split_frames(buffer, self._deliver, self._slot)
+            consumed = split_frames(buffer, self._deliver, self._owner.memo)
         except CodecError as error:
             self._reject(error)
             return
@@ -282,21 +280,16 @@ class _InboundConnection(asyncio.Protocol):
 
 
 class _Endpoint:
-    __slots__ = ("node_id", "region", "handler", "routes", "crashed", "server", "address", "encode_slot", "self_slot")
+    __slots__ = ("node_id", "handler", "routes", "crashed", "server", "address")
 
-    def __init__(self, node_id: ValidatorId, region: Region, handler) -> None:
+    def __init__(self, node_id: ValidatorId, handler) -> None:
         self.node_id = node_id
-        self.region = region
         self.handler = handler
         # Message class -> handler, ahead of ``handler`` (``Network.route``).
         self.routes: Dict[type, Any] = {}
         self.crashed = False
         self.server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Any] = None
-        # The vertex this validator encoded last, and the one its own
-        # frames decoded to last (self-delivery skips the socket).
-        self.encode_slot = VertexSlot()
-        self.self_slot = VertexSlot()
 
 
 class AsyncioTransport:
@@ -326,6 +319,8 @@ class AsyncioTransport:
         self.events: List[str] = []
         self.handler_errors: List[BaseException] = []
         self.tracer = None
+        # The vertices this transport's validators encoded or verified.
+        self.memo = VertexMemo()
         self._endpoints: Dict[ValidatorId, _Endpoint] = {}
         self._node_ids: Tuple[ValidatorId, ...] = ()
         # sender -> recipient -> link
@@ -338,7 +333,7 @@ class AsyncioTransport:
     def register(self, node_id: ValidatorId, region: Region, handler) -> None:
         if node_id in self._endpoints:
             raise NetworkError(f"node {node_id} is already registered")
-        self._endpoints[node_id] = _Endpoint(node_id, region, handler)
+        self._endpoints[node_id] = _Endpoint(node_id, handler)
         self._node_ids = tuple(sorted(self._endpoints))
 
     def route(self, node_id: ValidatorId, routes: Dict[type, Any]) -> None:
@@ -443,15 +438,14 @@ class AsyncioTransport:
             recipients = [recipient for recipient in recipients if recipient != sender]
         self._send(sender, recipients, message)
 
-    def _send(self, sender: ValidatorId, recipients: Iterable[ValidatorId], message: Any) -> None:
+    def _send(self, sender: ValidatorId, recipients: Sequence[ValidatorId], message: Any) -> None:
         """Encode ``message`` once; the frame goes straight onto each recipient's link."""
         stats = self.stats
         endpoint = self._endpoints[sender]
-        frame = encode_frame(message, endpoint.encode_slot)
+        frame = encode_frame(message, self.memo)
         if endpoint.crashed:
-            for _recipient in recipients:
-                stats.messages_sent += 1
-                stats.messages_dropped += 1
+            stats.messages_sent += len(recipients)
+            stats.messages_dropped += len(recipients)
             return
         drop_filter = self.drop_filter
         links = self._links[sender]
@@ -464,7 +458,7 @@ class AsyncioTransport:
                 # Self-delivery skips the socket but not the codec: the
                 # local copy is decoded from the same frame a remote peer
                 # would receive, so encodability bugs cannot hide locally.
-                self._loop.call_soon(self._dispatch, sender, endpoint, decode(frame[4:], endpoint.self_slot))
+                self._loop.call_soon(self._dispatch, sender, endpoint, decode(frame[4:], self.memo))
             else:
                 # A shed frame is counted by the link.
                 links[recipient].send_frame(frame)

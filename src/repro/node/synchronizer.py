@@ -172,9 +172,9 @@ class Synchronizer:
         # The requester state-syncs only when our horizon is past its
         # frontier (``ValidatorNode._maybe_state_sync``), and its frontier
         # only grows while the response is in flight, so the snapshot is
-        # built for the requests that can use it.
+        # built for the requests that can use it.  ``held`` is ascending.
         horizon = self.node.dag.lowest_round
-        requester_highest = max((round_number for round_number, _ in request.held), default=0)
+        requester_highest = request.held[-1][0] if request.held else 0
         response = FetchResponse(
             responder=self.owner,
             vertices=tuple(found),

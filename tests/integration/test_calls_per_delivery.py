@@ -1,23 +1,24 @@
 """Host-independent guards on the cost of one delivered message.
 
-Three smoke-scale config sets, built here in the shape of three benchmark
+Four smoke-scale config sets, built here in the shape of four benchmark
 workloads: ``lossy-c25`` (committee 7, 2% loss and 20 ms window jitter
 over [1.5, 3.0] s, two sub-seeds), ``faults-c10`` (committee 7 for 20 s,
-the holders of initial-schedule slots 2 and 5 crashed at t = 0) and
-``faultless-c10`` (committee 4 for 8 s).  Each set runs once to warm the
+the holders of initial-schedule slots 2 and 5 crashed at t = 0),
+``faultless-c10`` (committee 4 for 8 s) and ``scale-c50`` (committee 7,
+200 tx/s for 6 s).  Each set runs once to warm the
 process-wide memos; a second run counts the ``sys.setprofile`` ``"call"``
 events (a Python frame entered, a generator resumed included) per
 message the transport delivers.  The count is a function of the code
 alone, identical on every repeat and on any host, so the bounds hold the
 per-delivery call chain where a timing could not.  Each bound lies less
 than one call above the measured count (and at most 10% above it), so
-one more call per delivered message fails it: ``faults-c10`` 12.50 calls per delivery
-(17.40 before the change below), ``faultless-c10`` 13.92 (18.57; its
-client load is a larger share of fewer deliveries) and ``lossy-c25``
-10.36, against 14.81 before a committed sub-DAG was handed to the schedule
-manager in one call and a certified vertex reached the DAG without a
-delivery object, and 18.13 before the sends, own-round acks,
-certificate-to-DAG hop and threshold reads were flattened.
+one more call per delivered message fails it: ``faults-c10`` 12.49 calls per delivery
+(17.40 before the change below), ``faultless-c10`` 13.91 (18.57; its
+client load is a larger share of fewer deliveries), ``scale-c50`` 10.25
+and ``lossy-c25`` 10.33, against 14.81 before a committed sub-DAG was
+handed to the schedule manager in one call and a certified vertex reached
+the DAG without a delivery object, and 18.13 before the sends, own-round
+acks, certificate-to-DAG hop and threshold reads were flattened.
 """
 
 import sys
@@ -58,6 +59,10 @@ def faults_smoke_configs(seed=2):
     ]
 
 
+def scale_smoke_configs(seed=2):
+    return [ExperimentConfig(committee_size=7, input_load_tps=200.0, duration=6.0, warmup=1.0, seed=seed)]
+
+
 def faultless_smoke_configs(seed=2):
     return [ExperimentConfig(committee_size=4, input_load_tps=200.0, duration=8.0, warmup=1.0, seed=seed)]
 
@@ -67,6 +72,7 @@ GUARDS = {
     "lossy-c25": (lossy_smoke_configs, CALLS_PER_DELIVERY_BOUND, 3000),
     "faults-c10": (faults_smoke_configs, 13.4, 1500),
     "faultless-c10": (faultless_smoke_configs, 14.8, 800),
+    "scale-c50": (scale_smoke_configs, 11.2, 1500),
 }
 
 

@@ -24,7 +24,7 @@ import repro.netexec.codec as codec
 import tests.reference_codec as reference_codec
 from repro.crypto.hashing import vertex_digest
 from repro.dag.vertex import Vertex
-from repro.netexec.codec import CodecError, VertexSlot, decode, encode, encode_frame
+from repro.netexec.codec import CodecError, VertexMemo, decode, encode, encode_frame
 from repro.node.messages import FetchResponse
 from repro.rbc.messages import AckMessage, CertificateBatch, CertificateMessage, ProposeMessage
 from repro.types import VertexId
@@ -98,21 +98,21 @@ def _carried(message):
     return vertex if type(vertex) is Vertex else None
 
 
-def _slots(message):
-    """No slot, a fresh one, and one primed with the message's own vertex."""
-    primed = VertexSlot()
+def _memos(message):
+    """No memo, a fresh one, and one primed with the message's own vertex."""
+    primed = VertexMemo()
     vertex = _carried(message)
     if vertex is not None:
         encode(vertex, primed)
-        assert primed.vertex is vertex
-    return None, VertexSlot(), primed
+        assert primed.entries[id(vertex)][0] is vertex
+    return None, VertexMemo(), primed
 
 
 def assert_golden_frames(message):
-    """``encode_frame`` writes the reference bytes behind their header, whatever the slot."""
+    """``encode_frame`` writes the reference bytes behind their header, whatever the memo."""
     golden = reference_codec.encode(message)
-    for slot in _slots(message):
-        assert encode_frame(message, slot) == len(golden).to_bytes(4, "big") + golden
+    for memo in _memos(message):
+        assert encode_frame(message, memo) == len(golden).to_bytes(4, "big") + golden
 
 
 @given(carriers)
@@ -190,9 +190,9 @@ def test_values_off_the_layouts_still_encode_to_the_golden_bytes(case):
     ids=["transaction-id", "ack-origin", "signer", "vertex-round"],
 )
 def test_an_integer_past_64_bits_is_refused_in_the_generic_words(message):
-    for slot in (None, VertexSlot()):
+    for memo in (None, VertexMemo()):
         with pytest.raises(CodecError, match=r"^integer 9223372036854775808 exceeds the 64-bit wire range$"):
-            encode_frame(message, slot)
+            encode_frame(message, memo)
 
 
 @given(wire_vertices())

@@ -1,24 +1,27 @@
-"""A link end's ``VertexSlot`` changes what the codec costs, never what it says.
+"""A transport's ``VertexMemo`` changes what the codec costs, never what it says.
 
-A slot remembers the vertex a link end encoded or decoded last, so the
-certificate that re-ships a proposal's vertex is encoded once by its
-sender and decoded once per receiving link end.  Held here:
+The memo maps the exact bytes of a vertex encoding to the vertex
+``_build_vertex`` accepted from them, and a vertex object an encoder
+wrote to its bytes, so a socket run encodes each vertex once and decodes
+it once, however many validators and frames receive it.  Held here:
 
-* *decoding* — every frame of a link's traffic decoded through one slot
-  gets the verdict the reference decoder gives that frame alone: the
+* *decoding* — every frame of a transport's traffic decoded through one
+  memo gets the verdict the reference decoder gives that frame alone: the
   same value, or the same error class and text.  Traffic is generated
   messages with the certificate that re-ships each vertex, sampled
   mutations, every hostile family of the differential suite, and
-  hand-written pairs aimed at the slot: a vertex with the same
+  hand-written pairs aimed at the memo: a vertex with the same
   ``(round, source, digest)`` but another block or ``created_at`` (the
-  digest covers neither), a vertex one byte off the remembered one, an
-  off-layout frame in between, a forged digest first;
-* *encoding* — ``encode_frame(m, slot) == encode_frame(m)`` for every
+  digest covers neither), a vertex one byte off a remembered one, an
+  off-layout frame in between, a forged digest first, a forged vertex
+  its own transport encoded;
+* *encoding* — ``encode_frame(m, memo) == encode_frame(m)`` for every
   message a socket run sends and for generated sequences;
-* three source mutants of ``codec.py`` (a slot keyed on
-  ``(round, source, digest)``, a slot filled before ``_build_vertex``
-  accepted the vertex, an encode hit by equality instead of identity),
-  each killed by the pair written for it.
+* four source mutants of ``codec.py`` (a memo keyed on
+  ``(round, source, digest)``, a memo filled before ``_build_vertex``
+  accepted the vertex, an encode hit by equality instead of identity, the
+  decode map seeded by the encoder), each killed by the script written
+  for it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import repro.netexec.codec as codec
 import repro.netexec.transport as transport_module
 import tests.reference_codec as reference_codec
 from repro.dag.vertex import Vertex
-from repro.netexec.codec import VertexSlot, decode, encode, encode_frame
+from repro.netexec.codec import VertexMemo, decode, encode, encode_frame
 from repro.netexec.runner import run_net_experiment
 from repro.node.messages import FetchResponse
 from repro.rbc.messages import CertificateBatch, CertificateMessage, ProposeMessage
@@ -63,11 +66,16 @@ DIGEST = b"\x07" * 32
 
 
 def carried_vertices(message):
-    """The vertices a message carries where a slot can remember them."""
+    """The vertices a message carries where a memo can remember them."""
     if isinstance(message, CertificateBatch):
         return [certificate.payload for certificate in message.certificates]
     payload = getattr(message, "payload", None)
     return [payload] if isinstance(payload, Vertex) else []
+
+
+def remembered(memo):
+    """The ids of the vertex objects ``memo`` holds."""
+    return {id(vertex) for vertex, _ in memo.entries.values()}
 
 
 def by_name(error):
@@ -75,21 +83,21 @@ def by_name(error):
     return type(error).__name__
 
 
-def link_verdicts(frames, decoder=decode, slot=None, tally=None):
-    """Each frame's verdict, decoded in order through one slot; ``tally``
-    counts the frames that carried the remembered vertex object."""
-    slot = VertexSlot() if slot is None else slot
+def link_verdicts(frames, decoder=decode, memo=None, tally=None):
+    """Each frame's verdict, decoded in order through one memo; ``tally``
+    counts the frames that carried a remembered vertex object."""
+    memo = VertexMemo() if memo is None else memo
     verdicts = []
     for frame in frames:
-        remembered, decoded = slot.vertex, []
+        held, decoded = remembered(memo), []
 
-        def through_slot(wire, decoded=decoded):
-            decoded.append(decoder(wire, slot))
+        def through_memo(wire, decoded=decoded):
+            decoded.append(decoder(wire, memo))
             return decoded[0]
 
-        verdicts.append(verdict(through_slot, frame, by_name))
-        if tally is not None and remembered is not None and decoded:
-            tally["hits"] += any(vertex is remembered for vertex in carried_vertices(decoded[0]))
+        verdicts.append(verdict(through_memo, frame, by_name))
+        if tally is not None and decoded:
+            tally["hits"] += any(id(vertex) in held for vertex in carried_vertices(decoded[0]))
     return verdicts
 
 
@@ -103,7 +111,7 @@ def assert_link_agrees(frames, tally=None):
     for index, (mine, theirs) in enumerate(zip(produced, expected)):
         assert mine == theirs, (
             f"frame {index} of {len(frames)} ({frames[index][:24].hex()}...): "
-            f"through a slot {mine!r}, alone by the reference {theirs!r}"
+            f"through a memo {mine!r}, alone by the reference {theirs!r}"
         )
 
 
@@ -115,7 +123,7 @@ def certificate(vertex):
     return encode(CertificateBatch(3, 2, DIGEST, (CertificateMessage(3, 2, DIGEST, vertex, (0, 1, 2)),)))
 
 
-# -- generated link traffic --------------------------------------------------------------------
+# -- generated transport traffic -----------------------------------------------------------------
 
 
 proposals = st.builds(ProposeMessage, origin=validator_ids, round=rounds, digest=digests, payload=full_vertices)
@@ -125,7 +133,7 @@ proposals = st.builds(ProposeMessage, origin=validator_ids, round=rounds, digest
 def link_traffic(draw):
     """Generated messages and a proposal, each vertex re-shipped by a
     certificate right behind it, then a sampled hostile edit of each of
-    those frames.  The proposal's certificate is a slot hit whatever else
+    those frames.  The proposal's certificate is a memo hit whatever else
     is drawn, so the hit path runs in every example."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     batch = draw(st.lists(st.one_of(messages, hot_messages), min_size=1, max_size=5))
@@ -154,24 +162,39 @@ def test_generated_link_traffic_agrees_frame_by_frame():
         tally["frames"] += len(frames)
 
     check()
-    # The hit path ran: certificates answered from the slot, not re-parsed.
+    # The hit path ran: certificates answered from the memo, not re-parsed.
     assert tally["frames"] >= 1000 and tally["hits"] >= 100, tally
 
 
-# -- hand-written pairs aimed at the slot ----------------------------------------------------------
+# -- hand-written pairs aimed at the memo ----------------------------------------------------------
 
 
 def test_same_round_source_and_digest_with_another_block_or_created_at():
-    """The digest covers neither, so a slot keyed on it would answer wrongly."""
+    """The digest covers neither, so a memo keyed on it would answer wrongly."""
     vertex = _vertex()
     later = dataclasses.replace(vertex, created_at=4.5)
     other_block = dataclasses.replace(vertex, block=(Transaction(8, 2, 0.25, 1),))
     assert (later.id, later.digest) == (other_block.id, other_block.digest) == (vertex.id, vertex.digest)
     frames = [propose(vertex), certificate(later), certificate(other_block), certificate(vertex)]
     assert_link_agrees(frames)
-    slot = VertexSlot()
-    values = [decode(frame, slot) for frame in frames]
+    memo = VertexMemo()
+    values = [decode(frame, memo) for frame in frames]
     assert [value.certificates[0].payload for value in values[1:3]] == [later, other_block]
+    # Three encodings, three entries; the last frame was answered by the first's.
+    assert len(memo.entries) == 3
+    assert values[3].certificates[0].payload is values[0].payload
+
+
+def test_every_receiver_after_the_first_gets_the_vertex_already_decoded():
+    """One memo serves every link: the vertex is built once, whichever
+    frame carried it first."""
+    vertex = _vertex()
+    memo = VertexMemo()
+    first = decode(certificate(vertex), memo).certificates[0].payload
+    for frame in (propose(vertex), certificate(vertex), propose(vertex)):
+        (carried,) = carried_vertices(decode(frame, memo))
+        assert carried is first
+    assert len(memo.entries) == 1
 
 
 def one_byte_off(wire):
@@ -189,10 +212,11 @@ def test_a_vertex_one_byte_off_the_remembered_one():
             assert_link_agrees([primer, frame, primer, frame])
 
 
-def test_an_off_layout_frame_in_between_leaves_the_slot_alone():
+def test_an_off_layout_frame_in_between_leaves_the_memo_alone():
     vertex = _vertex()
-    slot = VertexSlot()
-    decoded = decode(propose(vertex), slot)
+    memo = VertexMemo()
+    decoded = decode(propose(vertex), memo)
+    entries = dict(memo.entries)
     between = [
         encode(FetchResponse(responder=1, vertices=(vertex,), responder_gc_round=0, snapshot=None)),
         *_swapped_tag_frames(),
@@ -201,30 +225,41 @@ def test_an_off_layout_frame_in_between_leaves_the_slot_alone():
     assert_link_agrees(frames)
     for frame in between:
         try:
-            decode(frame, slot)
+            decode(frame, memo)
         except codec.CodecError:
             pass
-    assert decode(certificate(vertex), slot).certificates[0].payload is decoded.payload
+    assert memo.entries == entries
+    assert decode(certificate(vertex), memo).certificates[0].payload is decoded.payload
 
 
 def test_a_forged_digest_first_is_never_remembered():
     forged = _forged_digest_frames()
     frames = forged + forged + [propose(_vertex())] + forged
     assert_link_agrees(frames)
-    slot = VertexSlot()
-    link_verdicts(forged, slot=slot)
-    assert slot.vertex is None and slot.encoded == b""
+    memo = VertexMemo()
+    link_verdicts(forged, memo=memo)
+    assert memo.entries == {} and memo.held_bytes == 0
+
+
+def test_a_forged_vertex_its_own_transport_encoded_is_still_refused():
+    """A sender in the same process encodes a forged-digest vertex through
+    the memo its receivers decode through: they must still refuse it."""
+    memo = VertexMemo()
+    for message in _forged_digest_messages():
+        frame = encode_frame(message, memo)
+        assert [kind for kind, *_ in link_verdicts([frame[4:]], memo=memo)] == ["raised"]
+    assert {type(key) for key in memo.entries} == {int}
 
 
 def test_a_source_outside_the_validator_ids_is_never_remembered():
-    slot = VertexSlot()
+    memo = VertexMemo()
     frames = _out_of_range_source_frames()
-    assert all(kind == "raised" for kind, *_ in link_verdicts(frames, slot=slot))
-    assert slot.vertex is None and slot.encoded == b""
+    assert all(kind == "raised" for kind, *_ in link_verdicts(frames, memo=memo))
+    assert memo.entries == {} and memo.held_bytes == 0
 
 
 @pytest.mark.parametrize("family", sorted(HOSTILE_FAMILIES))
-def test_hostile_families_through_one_primed_slot(family):
+def test_hostile_families_through_one_primed_memo(family):
     valid = list(_frames_around(_vertex_wire(_vertex())).values())
     hostile = HOSTILE_FAMILIES[family]()
     assert_link_agrees(valid + hostile + valid + hostile[::-1] + valid)
@@ -233,14 +268,14 @@ def test_hostile_families_through_one_primed_slot(family):
 def test_an_encoding_above_64_kib_is_not_remembered():
     small = _vertex()
     big = _vertex(block=(Transaction(9, 1, 0.5, 1, kind="k" * (70 * 1024)),))
-    slot = VertexSlot()
-    assert encode_frame(ProposeMessage(3, 2, DIGEST, small), slot) == encode_frame(
+    memo = VertexMemo()
+    assert encode_frame(ProposeMessage(3, 2, DIGEST, small), memo) == encode_frame(
         ProposeMessage(3, 2, DIGEST, small)
     )
-    assert encode(big, slot) == encode(big) and slot.vertex is small
-    slot = VertexSlot()
-    remembered = decode(propose(small), slot).payload
-    assert decode(propose(big), slot).payload == big and slot.vertex is remembered
+    assert encode(big, memo) == encode(big) and remembered(memo) == {id(small)}
+    memo = VertexMemo()
+    kept = decode(propose(small), memo).payload
+    assert decode(propose(big), memo).payload == big and remembered(memo) == {id(kept)}
     assert_link_agrees([propose(small), propose(big), certificate(big), certificate(small)])
 
 
@@ -249,11 +284,11 @@ def test_an_encoding_above_64_kib_is_not_remembered():
 
 @given(st.lists(st.one_of(messages, hot_messages), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
-def test_generated_messages_encode_the_same_through_one_slot(batch):
-    slot = VertexSlot()
+def test_generated_messages_encode_the_same_through_one_memo(batch):
+    memo = VertexMemo()
     for message in batch:
         for again in (message, *[ProposeMessage(1, 2, DIGEST, v) for v in carried_vertices(message)]):
-            assert encode_frame(again, slot) == encode_frame(again)
+            assert encode_frame(again, memo) == encode_frame(again)
 
 
 def test_an_equal_vertex_that_is_another_object_is_encoded_again():
@@ -261,19 +296,19 @@ def test_an_equal_vertex_that_is_another_object_is_encoded_again():
     proposals = _killing_encode_messages()
     first, second = (proposal.payload for proposal in proposals)
     assert first == second and encode(first) != encode(second)
-    slot = VertexSlot()
+    memo = VertexMemo()
     for proposal in proposals:
-        assert encode_frame(proposal, slot) == encode_frame(proposal)
-    assert slot.vertex is second
+        assert encode_frame(proposal, memo) == encode_frame(proposal)
+    assert remembered(memo) == {id(first), id(second)}
 
 
-def test_every_frame_of_a_socket_run_encodes_the_same_with_a_slot(monkeypatch):
+def test_every_frame_of_a_socket_run_encodes_the_same_with_a_memo(monkeypatch):
     tally = collections.Counter()
 
-    def checked(message, slot=None):
-        hit = slot is not None and any(vertex is slot.vertex for vertex in carried_vertices(message))
-        framed = encode_frame(message, slot)
-        if slot is not None:
+    def checked(message, memo=None):
+        hit = memo is not None and any(id(vertex) in memo.entries for vertex in carried_vertices(message))
+        framed = encode_frame(message, memo)
+        if memo is not None:
             assert framed == encode_frame(message), message
             tally["hits" if hit else "misses"] += 1
             tally[type(message).__name__] += 1
@@ -289,18 +324,22 @@ def test_every_frame_of_a_socket_run_encodes_the_same_with_a_slot(monkeypatch):
 
 # -- the suite notices what it is there to notice -----------------------------------------------------
 
-SLOT_MUTANTS = {
-    "slot-keyed-on-round-source-digest": (
-        "data.startswith(slot.encoded, start)",
-        "slot.vertex.id == (head[7], head[9])"
-        " and data.startswith(slot.vertex.digest, start + len(slot.encoded) - 41)",
+MEMO_MUTANTS = {
+    "memo-keyed-on-round-source-digest": (
+        "key = data[start:end]",
+        "key = (head[7], head[9], data[end - 41:end - 9])",
     ),
-    "slot-filled-before-the-vertex-is-accepted": (
+    "memo-filled-before-the-vertex-is-accepted": (
         "    try:\n        # Not optional on this path either",
-        "    slot.remember(Vertex(vertex_id, edges, block, fields[-3], fields[-1]), data[start:offset])\n"
+        "    if memo is not None:\n"
+        "        memo.remember(key, Vertex(vertex_id, edges, block, fields[-3], fields[-1]), key)\n"
         "    try:\n        # Not optional on this path either",
     ),
-    "encode-hit-by-equality": ("slot.vertex is vertex", "slot.vertex == vertex"),
+    "encode-hit-by-equality": ("key = id(vertex)", "key = vertex"),
+    "decode-map-seeded-by-the-encoder": (
+        "memo.remember(key, vertex, encoded)",
+        "memo.remember(key, vertex, encoded)\n        memo.remember(encoded, vertex, encoded)",
+    ),
 }
 
 
@@ -315,24 +354,34 @@ def _killing_encode_messages():
     return [ProposeMessage(3, 2, DIGEST, vertex), ProposeMessage(3, 2, DIGEST, equal)]
 
 
+def _forged_digest_messages():
+    vertex = _vertex()
+    forged = dataclasses.replace(vertex, digest=bytes((vertex.digest[0] ^ 0x01,)) + vertex.digest[1:])
+    return [ProposeMessage(3, 2, DIGEST, forged), CertificateMessage(3, 2, DIGEST, forged, (0, 1, 2))]
+
+
 def _survives(module):
-    """``module``'s verdicts on the three killing scripts equal the reference's."""
+    """``module``'s verdicts on the four killing scripts equal the reference's."""
     scripts = (_killing_decode_frames(), _forged_digest_frames() * 2)
     decoded = all(
-        link_verdicts(frames, module.decode, module.VertexSlot()) == reference_verdicts(frames)
+        link_verdicts(frames, module.decode, module.VertexMemo()) == reference_verdicts(frames)
         for frames in scripts
     )
-    slot = module.VertexSlot()
+    memo = module.VertexMemo()
     encoded = all(
-        module.encode_frame(message, slot) == encode_frame(message)
+        module.encode_frame(message, memo) == encode_frame(message)
         for message in _killing_encode_messages()
     )
-    return decoded and encoded
+    # A forged vertex encoded through the memo its receivers decode through.
+    memo = module.VertexMemo()
+    frames = [module.encode_frame(message, memo)[4:] for message in _forged_digest_messages()]
+    refused = link_verdicts(frames, module.decode, memo) == reference_verdicts(frames)
+    return decoded and encoded and refused
 
 
-@pytest.mark.parametrize("mutant", sorted(SLOT_MUTANTS))
-def test_the_slot_scripts_kill_the_source_mutant(mutant):
-    original, replacement = SLOT_MUTANTS[mutant]
+@pytest.mark.parametrize("mutant", sorted(MEMO_MUTANTS))
+def test_the_memo_scripts_kill_the_source_mutant(mutant):
+    original, replacement = MEMO_MUTANTS[mutant]
     assert not _survives(load_mutant(codec, [(original, replacement)])), f"{mutant} survives"
     # ... and the unmutated source, loaded the same way, survives them all.
     assert _survives(load_mutant(codec, []))

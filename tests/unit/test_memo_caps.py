@@ -12,10 +12,12 @@ any run's instrumentation snapshot, not just under a profiler.
 import pytest
 
 import repro.dag.vertex as vertex_module
+import repro.netexec.codec as codec
 from repro.committee.stake import StakeVector, equal_stake
 from repro.crypto.hashing import evict_oldest_half
 from repro.dag.vertex import intern_table_sizes, interned_vertex_id, make_vertex
 from repro.rbc.certified import VERIFIED_CERTIFICATE_ROUNDS
+from repro.rbc.messages import ProposeMessage
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.sim.runner import SimulationRunner
 
@@ -85,6 +87,50 @@ class TestQuorumCacheCaps:
             for other in range(validator + 1, 16):
                 vector.signer_tuple_has_quorum((validator, other))
         assert len(vector._signer_quorum_cache) <= 32
+
+
+class TestVertexMemoCaps:
+    """A transport's memo of vertex encodings is bounded in entries and in
+    bytes, and forgets its oldest entry first, of either kind."""
+
+    @staticmethod
+    def proposals(count):
+        """Proposals of ``count`` distinct small vertices, one per round."""
+        vertices = [
+            make_vertex(round_number, 0, edges=[interned_vertex_id(round_number - 1, source) for source in range(3)])
+            for round_number in range(1, count + 1)
+        ]
+        return [ProposeMessage(0, vertex.round, vertex.digest, vertex) for vertex in vertices]
+
+    def test_entries_stay_under_their_cap(self, monkeypatch):
+        monkeypatch.setattr(codec, "_MEMO_ENTRIES", 8)
+        memo = codec.VertexMemo()
+        proposals = self.proposals(30)
+        for proposal in proposals:
+            codec.decode(codec.encode(proposal), memo)
+            codec.encode(proposal, memo)
+            assert len(memo.entries) <= 8
+        # The newest four vertices, each once as decoded and once as encoded.
+        assert [vertex.round for vertex, _ in memo.entries.values()] == [27, 27, 28, 28, 29, 29, 30, 30]
+        assert memo.held_bytes == sum(len(encoded) for _, encoded in memo.entries.values())
+
+    def test_bytes_stay_under_their_cap(self, monkeypatch):
+        proposals = self.proposals(30)
+        size = len(codec.encode(proposals[0].payload))
+        monkeypatch.setattr(codec, "_MEMO_BYTES", 5 * size)
+        memo = codec.VertexMemo()
+        for proposal in proposals:
+            codec.decode(codec.encode(proposal), memo)
+            assert memo.held_bytes <= 5 * size
+        assert memo.held_bytes == sum(len(encoded) for _, encoded in memo.entries.values())
+        assert len(memo.entries) == 5 and codec._MEMO_ENTRIES > 5
+
+    def test_the_real_caps_hold_a_long_stream(self):
+        memo = codec.VertexMemo()
+        for proposal in self.proposals(2 * codec._MEMO_ENTRIES):
+            codec.encode(proposal, memo)
+        assert len(memo.entries) <= codec._MEMO_ENTRIES
+        assert memo.held_bytes <= codec._MEMO_BYTES
 
 
 class TestVerifiedCertificateCap:

@@ -17,10 +17,11 @@ net runner drives it), and asserts the wire-level contract:
   ``OSError`` carrying errno and the peer's address,
 * crash semantics: a crashed sender's frames are refused at the
   source, inbound frames to a crashed endpoint count as dropped,
-* each link end remembers one vertex: a certificate whose proposal was
-  dropped (``drop_filter``) is decoded in full, one that follows its
-  proposal returns the proposal's vertex object, and a stream of large
-  vertices leaves one encoding per link end.
+* the transport decodes each vertex once: a certificate whose proposal
+  was dropped (``drop_filter``) on its way to one receiver returns the
+  vertex another receiver's proposal decoded to, a forged vertex its own
+  sender encoded is still refused by every receiver, and a stream of
+  large vertices leaves the memo within its byte bound.
 """
 
 from __future__ import annotations
@@ -716,11 +717,11 @@ def _vertex_of(round_number, kind_bytes=8):
     )
 
 
-class TestVertexSlots:
-    def test_a_certificate_whose_proposal_was_dropped_is_decoded_in_full(self, monkeypatch):
+class TestVertexMemo:
+    def test_a_certificate_whose_proposal_was_dropped_is_answered_by_the_memo(self, monkeypatch):
         """Validator 0's proposal is dropped on its way to 1 only, then its
-        certificate reaches everyone: 1 builds the vertex from the
-        certificate's bytes, 2 and 0 itself answer it from their slots."""
+        certificate reaches everyone: 0's own copy builds the vertex, and 2's
+        proposal and every certificate get that vertex from the memo."""
         built = []
         build_vertex = codec._build_vertex
         monkeypatch.setattr(codec, "_build_vertex", lambda fields: built.append(fields[0]) or build_vertex(fields))
@@ -748,17 +749,48 @@ class TestVertexSlots:
         assert harness.received[1] == [(0, batch)]
         for node_id in (0, 2):
             assert harness.received[node_id] == [(0, proposal), (0, batch)]
-            (_, proposed), (_, certified) = harness.received[node_id]
-            assert certified.certificates[0].payload is proposed.payload
-        # Two proposals (0's own copy and 2's) and 1's certificate: three builds.
-        assert built == [vertex.id] * 3
-        from_certificate = harness.received[1][0][1].certificates[0].payload
-        assert from_certificate == harness.received[2][0][1].payload
-        assert from_certificate is not harness.received[2][0][1].payload
+        # One build, for 0's own copy of its proposal: the vertex's bytes are
+        # the same in every frame that carries them.
+        assert built == [vertex.id]
+        decoded = harness.received[0][0][1].payload
+        assert decoded == vertex and decoded is not vertex
+        certified = [harness.received[node_id][-1][1].certificates[0].payload for node_id in (0, 1, 2)]
+        assert all(payload is decoded for payload in [harness.received[2][0][1].payload, *certified])
 
-    def test_a_stream_of_large_vertices_leaves_one_encoding_per_link_end(self):
-        """1,000 distinct ~60 KiB vertices from 0 to 1, 2 and itself: four
-        link ends remember one vertex each, not one per vertex (~60 MB)."""
+    def test_a_forged_vertex_is_refused_by_every_receiver(self):
+        """The sender's encoding never seeds the decode side: a vertex whose
+        carried digest is not its content digest fails the check at its own
+        sender and at each peer, and nothing of it is delivered."""
+        vertex = _vertex_of(4)
+        forged = Vertex(
+            id=vertex.id, edges=vertex.edges, block=vertex.block,
+            digest=bytes((vertex.digest[0] ^ 0x01,)) + vertex.digest[1:], created_at=vertex.created_at,
+        )
+        proposal = ProposeMessage(0, 4, forged.digest, forged)
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=3)
+                transport = harness.transport
+                with pytest.raises(codec.CodecError, match="digest mismatch"):
+                    transport.send(0, 0, proposal)
+                transport.broadcast(0, proposal, include_self=False)
+                await _wait_until(lambda: sum("digest mismatch" in event for event in transport.events) == 2)
+                await transport.shutdown()
+                return harness
+
+        harness = run(scenario())
+        assert harness.received == {0: [], 1: [], 2: []}
+        for receiver in (1, 2):
+            assert any(
+                f"validator {receiver}: closing connection from validator 0" in event
+                for event in harness.transport.events
+            ), harness.transport.events
+        assert {type(key) for key in harness.transport.memo.entries} == {int}
+
+    def test_a_stream_of_large_vertices_leaves_the_memo_within_its_bytes(self):
+        """1,000 distinct ~60 KiB vertices from 0 to 1, 2 and itself: the
+        memo keeps the newest few encodings, not one per vertex (~60 MB)."""
         count, kind_bytes = 1000, 60 * 1024
 
         async def scenario():
@@ -784,12 +816,15 @@ class TestVertexSlots:
                     held = tracemalloc.get_traced_memory()[0] - before
                 finally:
                     tracemalloc.stop()
-                slots = [transport._endpoints[0].encode_slot, transport._endpoints[0].self_slot]
-                slots += [connection._slot for connection in transport._inbound]
+                memo = transport.memo
                 await transport.shutdown()
-                return held, slots
+                return held, memo
 
-        held, slots = run(scenario())
-        remembered = [slot.vertex.round for slot in slots if slot.vertex is not None]
-        assert remembered == [count] * 4, remembered
+        held, memo = run(scenario())
+        assert 0 < memo.held_bytes <= codec._MEMO_BYTES
+        assert memo.held_bytes == sum(len(encoded) for _, encoded in memo.entries.values())
+        # Oldest forgotten first: what is left is the newest vertices, each
+        # once as encoded and once as decoded.
+        rounds = [vertex.round for vertex, _ in memo.entries.values()]
+        assert sorted(set(rounds)) == list(range(count - len(set(rounds)) + 1, count + 1)), rounds
         assert held < 1 << 20, f"{held} bytes still held after {count} vertices"

@@ -659,6 +659,24 @@ class TestSynchronizer:
         )
         assert level[0].snapshot is None
 
+    def test_the_requesters_highest_round_is_the_last_of_its_frontier(self):
+        """``held`` is ascending, so its last round decides the snapshot: a
+        frontier that starts far below the horizon but ends one round short
+        of it reads none, one that ends two rounds short gets one."""
+        committee, simulator, network, nodes = run_cluster(until=4.0, gc_depth=4)
+        dag = nodes[0].dag
+        assert dag.lowest_round > 3
+        snapshots = []
+        for requester, short_of_horizon in ((93, 1), (92, 2), (91, -3)):
+            target_vertex = dag.vertex_of(dag.highest_round() - 1, 0)
+            last = dag.lowest_round - short_of_horizon
+            responses = fetch_from(
+                committee, simulator, network, 0,
+                FetchRequest(requester=requester, missing=(target_vertex.id,), held=((0, 0b1), (last, 0b11))),
+            )
+            snapshots.append(responses[0].snapshot is not None)
+        assert snapshots == [False, True, False]
+
     @staticmethod
     def _lagging():
         """Validator 3, crashed from the start while the others ran with

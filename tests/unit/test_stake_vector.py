@@ -38,6 +38,34 @@ class TestStakeVector:
         with pytest.raises(CommitteeError):
             StakeVector(())
 
+    @pytest.mark.parametrize(
+        "signers",
+        [
+            (), (0, 1, 2), (0, 1, 2, 3, 4), tuple(range(7)), (4, 5, 6, 5),
+            (-1, 0, 1), (0, 1, 7), (7,), (1 << 70,), (-(1 << 70), 1, 2),
+            (True, 1, 2), (1.0, 2, 3), (float("nan"),), (1, 2, float("nan")), (float("nan"), 1, 2),
+            ("a",), (-1, "a"), (1, "a"), ("a", -1), (None,), (0, None), ((1,),), ({},), 5, None, "abc",
+        ],
+        ids=repr,
+    )
+    def test_signer_bounds_refuse_and_raise_as_one_comparison_per_signer_did(self, signers):
+        """Plain ints are bounded by their extremes; the verdict, or the
+        exception class, is what comparing each signer in turn gives."""
+
+        def one_by_one(vector):
+            {}.get(signers)
+            if not all(0 <= signer < vector.size for signer in signers):
+                return False
+            return vector.mask_has_quorum(vector.mask_of_validators(signers))
+
+        outcomes = []
+        for check in (one_by_one, lambda vector: vector.signer_tuple_has_quorum(signers)):
+            try:
+                outcomes.append(("value", check(StakeVector((1,) * 7))))
+            except Exception as error:  # noqa: BLE001 - the class is the outcome
+                outcomes.append(("raised", type(error)))
+        assert outcomes[0] == outcomes[1]
+
     def test_uniform_stake_detection(self):
         assert StakeVector((3, 3, 3)).uniform_stake == 3
         assert StakeVector((3, 2, 3)).uniform_stake == 0
