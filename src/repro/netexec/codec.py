@@ -103,7 +103,9 @@ MAX_MASK_BYTES = 128
 _MAX_SOURCES = 8 * MAX_MASK_BYTES
 # A VertexMemo holds at most this many vertices and bytes of encodings,
 # and no encoding above 64 KiB.
-_MEMO_ENTRIES, _MEMO_BYTES, _MEMO_ENTRY_BYTES = 1024, 256 * 1024, 64 * 1024
+_MEMO_ENTRIES = 1024
+_MEMO_BYTES = 256 * 1024
+_MEMO_ENTRY_BYTES = 64 * 1024
 
 _HEADER = struct.Struct(">I")
 _I64 = struct.Struct(">q")
