@@ -123,6 +123,9 @@ class DagStore:
         # Vertices waiting for missing parents, keyed by the missing parent.
         self._pending: Dict[VertexId, Vertex] = {}
         self._waiting_on: Dict[VertexId, Set[VertexId]] = {}
+        # After an ``add`` that returned ``False``: the parents its vertex,
+        # parked now or before, waits on; empty when the vertex is stored.
+        self.awaited: Set[VertexId] = self._NO_MISSING
         # Callbacks invoked whenever a vertex is actually inserted.
         self._on_insert: List[Callable[[Vertex], None]] = []
         # The GC horizon: rounds below it are pruned, and parents below
@@ -163,9 +166,10 @@ class DagStore:
         Returns ``True`` when the vertex (and possibly vertices that were
         waiting on it) became part of the DAG, ``False`` when it was
         already known or was parked in the pending buffer because parents
-        are missing.  Raises :class:`DagError` for a vertex the DAG cannot
-        hold: a source or an edge source outside the committee, or no
-        2f+1 parent quorum (and :class:`EquivocationError` for a twin).
+        are missing; :attr:`awaited` then names the parents it waits on.
+        Raises :class:`DagError` for a vertex the DAG cannot hold: a source
+        or an edge source outside the committee, or no 2f+1 parent quorum
+        (and :class:`EquivocationError` for a twin).
 
         The common case, a new vertex whose parents are all stored, is
         answered in this frame: the known-check runs only when the slot is
@@ -200,6 +204,7 @@ class DagStore:
             missing = self.missing_parents(vertex)
             if missing:
                 self._park(vertex, missing)
+                self.awaited = missing
                 return False
         # ``_insert``, inlined.
         if round_number < self.lowest_round:
@@ -245,6 +250,7 @@ class DagStore:
                 raise EquivocationError(
                     f"validator {vertex.source} equivocated at round {vertex.round}"
                 )
+            self.awaited = self._NO_MISSING
             return True
         pending = self._pending.get(vertex.id)
         if pending is not None:
@@ -252,6 +258,7 @@ class DagStore:
                 raise EquivocationError(
                     f"validator {vertex.source} equivocated at round {vertex.round}"
                 )
+            self.awaited = self.missing_parents(vertex)
             return True
         return False
 

@@ -44,11 +44,13 @@ decoded values and error text therefore do not depend on which coder
 ran — ``tests/property/test_prop_codec_differential.py`` and
 ``test_prop_codec_golden.py`` hold both against ``tests/reference_codec.py``
 — and every decoded vertex went through ``_build_vertex`` either way.  A
-caller may pass a :class:`VertexMemo`: a layout decoder whose vertex is
-exactly the bytes of an encoding the memo holds returns what those bytes
-already decoded to, and an encoder given the very vertex object it
-remembers appends the bytes it already made.  The wire does not change
-(``tests/property/test_prop_codec_memo.py``).
+caller may pass a :class:`VertexMemo`: a proposal, certificate or batch
+body the memo holds is answered with the message its first decode
+accepted, so each receiver of a broadcast gets that one object; a layout
+decoder whose vertex is exactly the bytes of an encoding the memo holds
+returns what those bytes already decoded to; and an encoder given the
+very vertex object it remembers appends the bytes it already made.  The
+wire does not change (``tests/property/test_prop_codec_memo.py``).
 
 This module is pure (no clock, no randomness, no sockets) and is safe
 to import from tests and from the lockstep oracle.
@@ -101,9 +103,11 @@ MAX_MASK_BYTES = 128
 # A vertex and its edges may name only the validator ids such a mask can
 # hold: ``Vertex`` shifts by every edge source.
 _MAX_SOURCES = 8 * MAX_MASK_BYTES
-# A VertexMemo holds at most this many vertices and bytes of encodings,
-# and no encoding above 64 KiB.
+# A VertexMemo holds at most this many vertices, this many broadcast
+# frames (more than a committee of 50 proposes in a round) and bytes of
+# both, and no encoding or frame above 64 KiB.
 _MEMO_ENTRIES = 1024
+_MEMO_FRAMES = 64
 _MEMO_BYTES = 256 * 1024
 _MEMO_ENTRY_BYTES = 64 * 1024
 
@@ -135,29 +139,41 @@ class Hello:
 
 
 class VertexMemo:
-    """A socket transport's vertex encodings, oldest forgotten first.
+    """A socket transport's vertex encodings and broadcast frames, oldest forgotten first.
 
-    ``key -> (vertex, encoding)`` for two kinds of key that never answer
-    for each other: the exact bytes of an encoding ``_build_vertex``
-    accepted (prefix-free, so they decode to that vertex under either
-    decoder), and the ``id`` of a vertex object an encoder wrote (held, so
-    the id is not reused).  An encoder adds no bytes key: a digest forged
-    by an in-process sender would then skip its receivers' check.
+    ``entries`` maps ``key -> (vertex, encoding)`` for two kinds of key that
+    never answer for each other: the exact bytes of an encoding
+    ``_build_vertex`` accepted (prefix-free, so they decode to that vertex
+    under either decoder), and the ``id`` of a vertex object an encoder
+    wrote (held, so the id is not reused).  ``frames`` maps the exact body
+    of a proposal, certificate or batch a layout decoder accepted to
+    ``(message, body)``: each receiver gets one message, as in the sim.
+    An encoder adds no bytes key to either: a digest forged by an
+    in-process sender would then skip its receivers' check.
     """
 
-    __slots__ = ("entries", "held_bytes")
+    __slots__ = ("entries", "frames", "held_bytes")
 
     def __init__(self) -> None:
         self.entries: Dict[Any, Tuple[Vertex, bytes]] = {}
+        self.frames: Dict[bytes, Tuple[Any, bytes]] = {}
         self.held_bytes = 0
 
     def remember(self, key: Any, vertex: Vertex, encoded: bytes) -> None:
-        if len(encoded) <= _MEMO_ENTRY_BYTES:
-            entries = self.entries
-            entries[key] = (vertex, encoded)
-            self.held_bytes += len(encoded)
-            while len(entries) > _MEMO_ENTRIES or self.held_bytes > _MEMO_BYTES:
-                self.held_bytes -= len(entries.pop(next(iter(entries)))[1])
+        self._hold(self.entries, _MEMO_ENTRIES, key, (vertex, encoded))
+
+    def share(self, body: bytes, message: Any) -> None:
+        self._hold(self.frames, _MEMO_FRAMES, body, (message, body))
+
+    def _hold(self, table: dict, cap: int, key: Any, entry: Tuple[Any, bytes]) -> None:
+        """Keep ``entry``, then forget the oldest of ``table`` while over ``cap``
+        and of the vertices (a held frame answers for its own) while over the bytes."""
+        if len(entry[1]) <= _MEMO_ENTRY_BYTES:
+            table[key] = entry
+            self.held_bytes += len(entry[1])
+            while len(table) > cap or self.held_bytes > _MEMO_BYTES:
+                oldest = table if len(table) > cap or not self.entries else self.entries
+                self.held_bytes -= len(oldest.pop(next(iter(oldest)))[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -832,7 +848,9 @@ def decode(body: bytes, memo: Optional[VertexMemo] = None) -> Any:
     """Decode one canonical value; the body must be consumed exactly.
 
     A frame of a type with a compiled layout is tried against it first,
-    with ``memo`` the vertices its transport already verified.
+    with ``memo`` what its transport already verified: a broadcast frame
+    it holds is the message its first decode accepted, and one the
+    layout accepts is added.
     Any byte off the layout (a ``None`` payload, a digest that is not 32
     bytes, a hostile tag, a repeated edge, a vertex ``_build_vertex``
     refuses, a trailing byte) hands the whole body to ``_decode_at``,
@@ -840,9 +858,16 @@ def decode(body: bytes, memo: Optional[VertexMemo] = None) -> Any:
     """
     by_layout = _LAYOUT_DECODERS.get(body[:2])
     if by_layout is not None:
+        shared = by_layout is not _ack_at and memo is not None
+        if shared:
+            hit = memo.frames.get(body)
+            if hit is not None:
+                return hit[0]
         try:
             value, offset = by_layout(body, 0, memo)
             if offset == len(body):
+                if shared:
+                    memo.share(body, value)
                 return value
         except _OFF_LAYOUT:
             pass

@@ -11,8 +11,8 @@ from :class:`~repro.network.transport.Network` — ``register``/``route``/``send
 sockets unmodified.
 
 Both ends of a connection are ``asyncio.Protocol`` callbacks: a frame
-costs one socket write, one read callback and one pass over its bytes,
-and nothing is awaited per frame.
+costs one socket write and one read callback, nothing is awaited per
+frame, and a broadcast frame is decoded once for all its receivers.
 
 Mechanics:
 
@@ -26,10 +26,13 @@ Mechanics:
   are there.  A truncated, oversized, or garbage frame raises at the
   codec boundary and the connection is closed with a logged reason
   (``transport.events``), after everything ahead of it in the same
-  read has been dispatched — no hang, no crash.  One bounded
-  :class:`~repro.netexec.codec.VertexMemo` serves every encode and decode,
-  so a vertex is encoded once by its sender and decoded, digest check
-  included, once by its first receiver; the wire bytes are the same.
+  read has been dispatched — no hang, no crash; nor does a validator's
+  own frame it cannot decode raise into its sender.  One bounded
+  :class:`~repro.netexec.codec.VertexMemo` serves every encode and decode:
+  a vertex is encoded once by its sender, and a proposal or certificate
+  batch decoded, digest check included, once by its first receiver; every
+  other receiver gets that message object, as in the simulator, so no
+  handler may edit a message in place.  The wire bytes are the same.
 * **Backpressure** — a link writes each frame straight to its socket
   transport.  Only while that transport has paused writing (its buffer
   is above the high-water mark: the peer is not reading fast enough),
@@ -459,8 +462,15 @@ class AsyncioTransport:
             elif recipient == sender:
                 # Self-delivery skips the socket but not the codec: the
                 # local copy is decoded from the same frame a remote peer
-                # would receive, so encodability bugs cannot hide locally.
-                self._loop.call_soon(self._dispatch, sender, endpoint, decode(frame[4:], self.memo))
+                # would receive, so encodability bugs cannot hide locally,
+                # and a frame it refuses is dropped as a peer's would be.
+                try:
+                    message = decode(frame[4:], self.memo)
+                except CodecError as error:
+                    stats.messages_dropped += 1
+                    self._note(f"validator {sender}: refusing its own frame: {error}")
+                else:
+                    self._loop.call_soon(self._dispatch, sender, endpoint, message)
             else:
                 # A shed frame is counted by the link.
                 links[recipient].send_frame(frame)

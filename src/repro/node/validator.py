@@ -515,7 +515,7 @@ class ValidatorNode:
             return
         dag = self.dag
         try:
-            if dag.add(vertex) or vertex.id in dag:
+            if dag.add(vertex):
                 return
         except DagError as error:
             if dag.get(vertex.id) is vertex:
@@ -532,9 +532,8 @@ class ValidatorNode:
                     reason=type(error).__name__,
                 )
             return
-        missing = dag.missing_parents(vertex)
-        if missing:
-            self.synchronizer.request(missing, preferred_peer=vertex.source)
+        if dag.awaited:
+            self.synchronizer.request(dag.awaited, preferred_peer=vertex.source)
 
     # -- state sync ---------------------------------------------------------------------------
 

@@ -514,8 +514,8 @@ SOURCE_MUTANTS = {
         "negative-round",
     ),
     "unchecked-trailing-byte": (
-        "if offset == len(body):\n                return value",
-        "if True:\n                return value",
+        "if offset == len(body):\n                if shared:",
+        "if True:\n                if shared:",
         "trailing-byte",
     ),
 }

@@ -1,9 +1,11 @@
 """A transport's ``VertexMemo`` changes what the codec costs, never what it says.
 
 The memo maps the exact bytes of a vertex encoding to the vertex
-``_build_vertex`` accepted from them, and a vertex object an encoder
-wrote to its bytes, so a socket run encodes each vertex once and decodes
-it once, however many validators and frames receive it.  Held here:
+``_build_vertex`` accepted from them, a vertex object an encoder wrote
+to its bytes, and the exact body of a proposal, certificate or batch
+frame to the message its first decode accepted, so a socket run encodes
+each vertex once and decodes each broadcast frame once, however many
+validators receive it.  Held here:
 
 * *decoding* — every frame of a transport's traffic decoded through one
   memo gets the verdict the reference decoder gives that frame alone: the
@@ -15,13 +17,19 @@ it once, however many validators and frames receive it.  Held here:
   digest covers neither), a vertex one byte off a remembered one, an
   off-layout frame in between, a forged digest first, a forged vertex
   its own transport encoded;
+* *broadcast* — generated frames, valid and hostile, each repeated to
+  several receivers and interleaved, decode through one memo as each
+  decodes alone without one, refusals and their text included, and every
+  repeat of a broadcast frame a layout accepted is the first receiver's
+  message;
 * *encoding* — ``encode_frame(m, memo) == encode_frame(m)`` for every
   message a socket run sends and for generated sequences;
-* four source mutants of ``codec.py`` (a memo keyed on
+* six source mutants of ``codec.py`` (a memo keyed on
   ``(round, source, digest)``, a memo filled before ``_build_vertex``
   accepted the vertex, an encode hit by equality instead of identity, the
-  decode map seeded by the encoder), each killed by the script written
-  for it.
+  decode map seeded by the encoder, the frame table seeded by the
+  encoder, a frame shared before its body was consumed), each killed by
+  the script written for it.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from repro.dag.vertex import Vertex
 from repro.netexec.codec import VertexMemo, decode, encode, encode_frame
 from repro.netexec.runner import run_net_experiment
 from repro.node.messages import FetchResponse
-from repro.rbc.messages import CertificateBatch, CertificateMessage, ProposeMessage
+from repro.rbc.messages import AckMessage, CertificateBatch, CertificateMessage, ProposeMessage
 from repro.sim.experiment import ExperimentConfig
 from repro.workload.transactions import Transaction
 from tests.property.test_prop_codec_differential import (
@@ -63,6 +71,7 @@ from tests.mutants import load_mutant
 from tests.property.test_prop_netexec_codec import digests, messages, rounds, validator_ids
 
 DIGEST = b"\x07" * 32
+SHARED = (ProposeMessage, CertificateMessage, CertificateBatch)
 
 
 def carried_vertices(message):
@@ -238,7 +247,7 @@ def test_a_forged_digest_first_is_never_remembered():
     assert_link_agrees(frames)
     memo = VertexMemo()
     link_verdicts(forged, memo=memo)
-    assert memo.entries == {} and memo.held_bytes == 0
+    assert memo.entries == memo.frames == {} and memo.held_bytes == 0
 
 
 def test_a_forged_vertex_its_own_transport_encoded_is_still_refused():
@@ -247,8 +256,8 @@ def test_a_forged_vertex_its_own_transport_encoded_is_still_refused():
     memo = VertexMemo()
     for message in _forged_digest_messages():
         frame = encode_frame(message, memo)
-        assert [kind for kind, *_ in link_verdicts([frame[4:]], memo=memo)] == ["raised"]
-    assert {type(key) for key in memo.entries} == {int}
+        assert [kind for kind, *_ in link_verdicts([frame[4:] for _ in range(3)], memo=memo)] == ["raised"] * 3
+    assert {type(key) for key in memo.entries} == {int} and memo.frames == {}
 
 
 def test_a_source_outside_the_validator_ids_is_never_remembered():
@@ -277,6 +286,74 @@ def test_an_encoding_above_64_kib_is_not_remembered():
     kept = decode(propose(small), memo).payload
     assert decode(propose(big), memo).payload == big and remembered(memo) == {id(kept)}
     assert_link_agrees([propose(small), propose(big), certificate(big), certificate(small)])
+
+
+# -- broadcast frames ------------------------------------------------------------------------------
+
+
+@st.composite
+def broadcast_traffic(draw):
+    """Generated frames and a sampled hostile edit of each, every one of
+    them as each of 2-5 receivers gets it: repeated, and interleaved."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    batch = draw(st.lists(st.one_of(messages, hot_messages), min_size=1, max_size=4))
+    batch.append(draw(proposals))
+    wires = [encode(message) for message in batch]
+    wires += [
+        rng.choice([
+            wire[:rng.randrange(len(wire))],
+            wire + b"N",
+            flipped(wire, rng.randrange(len(wire)), rng.randrange(1, 256)),
+            retagged(wire, rng.choice(tag_positions(wire)), rng.choice(b"NTFIRSYLEDO")),
+        ])
+        for wire in wires
+    ]
+    stream = wires * draw(st.integers(min_value=2, max_value=5))
+    rng.shuffle(stream)
+    return stream
+
+
+def test_generated_broadcast_frames_decode_through_one_memo_as_each_alone():
+    tally = collections.Counter()
+
+    @given(broadcast_traffic())
+    @settings(max_examples=200, deadline=None)
+    def check(frames):
+        memo, first = VertexMemo(), {}
+        for frame in frames:
+            decoded = []
+
+            def through_memo(wire, decoded=decoded):
+                decoded.append(decode(wire, memo))
+                return decoded[0]
+
+            mine, alone = verdict(through_memo, frame, by_name), verdict(decode, frame, by_name)
+            assert mine == alone, f"{frame[:24].hex()}...: through a memo {mine!r}, alone {alone!r}"
+            if frame in first:
+                assert decoded[0] is first[frame]
+                tally["repeats"] += 1
+            elif frame in memo.frames:
+                assert type(decoded[0]) in SHARED and memo.frames[frame][0] is decoded[0]
+                first[frame] = decoded[0]
+        assert memo.held_bytes == sum(len(wire) for _, wire in (*memo.entries.values(), *memo.frames.values()))
+
+    check()
+    # Repeats of the broadcast frames a layout accepted were answered
+    # from the memo; an off-layout one is decoded by each receiver.
+    assert tally["repeats"] >= 200, tally
+
+
+def test_every_receiver_of_a_broadcast_frame_gets_one_message():
+    vertex = _vertex()
+    memo = VertexMemo()
+    frames = [propose(vertex), certificate(vertex), encode(AckMessage(3, 2, DIGEST, 1))]
+    firsts = [decode(frame, memo) for frame in frames]
+    for _ in range(3):
+        again = [decode(frame, memo) for frame in frames]
+        assert [a is b for a, b in zip(again, firsts)] == [True, True, False]
+        assert again[2] == firsts[2]
+    # Acks go to one validator each: never kept.
+    assert list(memo.frames) == frames[:2]
 
 
 # -- encoding --------------------------------------------------------------------------------------
@@ -340,6 +417,14 @@ MEMO_MUTANTS = {
         "memo.remember(key, vertex, encoded)",
         "memo.remember(key, vertex, encoded)\n        memo.remember(encoded, vertex, encoded)",
     ),
+    "frame-table-seeded-by-the-encoder": (
+        "    return _HEADER.pack(len(body)) + body",
+        "    if memo is not None:\n        memo.share(body, value)\n    return _HEADER.pack(len(body)) + body",
+    ),
+    "frame-shared-before-its-body-is-consumed": (
+        "            value, offset = by_layout(body, 0, memo)\n",
+        "            value, offset = by_layout(body, 0, memo)\n            if shared:\n                memo.share(body, value)\n",
+    ),
 }
 
 
@@ -361,8 +446,8 @@ def _forged_digest_messages():
 
 
 def _survives(module):
-    """``module``'s verdicts on the four killing scripts equal the reference's."""
-    scripts = (_killing_decode_frames(), _forged_digest_frames() * 2)
+    """``module``'s verdicts on the five killing scripts equal the reference's."""
+    scripts = (_killing_decode_frames(), _forged_digest_frames() * 2, [propose(_vertex()) + b"N"] * 2)
     decoded = all(
         link_verdicts(frames, module.decode, module.VertexMemo()) == reference_verdicts(frames)
         for frames in scripts

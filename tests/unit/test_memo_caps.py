@@ -20,6 +20,7 @@ from repro.rbc.certified import VERIFIED_CERTIFICATE_ROUNDS
 from repro.rbc.messages import ProposeMessage
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.sim.runner import SimulationRunner
+from repro.workload.transactions import Transaction
 
 
 class TestEvictionPolicy:
@@ -89,15 +90,25 @@ class TestQuorumCacheCaps:
         assert len(vector._signer_quorum_cache) <= 32
 
 
+def held(memo):
+    """The bytes a memo's two tables hold, counted from their entries."""
+    return sum(len(encoded) for _, encoded in (*memo.entries.values(), *memo.frames.values()))
+
+
 class TestVertexMemoCaps:
-    """A transport's memo of vertex encodings is bounded in entries and in
-    bytes, and forgets its oldest entry first, of either kind."""
+    """A transport's memo of vertex encodings and broadcast frames is
+    bounded in entries per table and in bytes of both, and forgets its
+    oldest entry first."""
 
     @staticmethod
-    def proposals(count):
-        """Proposals of ``count`` distinct small vertices, one per round."""
+    def proposals(count, kind_bytes=0):
+        """Proposals of ``count`` distinct vertices, one per round."""
+        block = (Transaction(1, 0, 0.5, 0, kind="k" * kind_bytes),) if kind_bytes else ()
         vertices = [
-            make_vertex(round_number, 0, edges=[interned_vertex_id(round_number - 1, source) for source in range(3)])
+            make_vertex(
+                round_number, 0,
+                edges=[interned_vertex_id(round_number - 1, source) for source in range(3)], block=block,
+            )
             for round_number in range(1, count + 1)
         ]
         return [ProposeMessage(0, vertex.round, vertex.digest, vertex) for vertex in vertices]
@@ -112,7 +123,7 @@ class TestVertexMemoCaps:
             assert len(memo.entries) <= 8
         # The newest four vertices, each once as decoded and once as encoded.
         assert [vertex.round for vertex, _ in memo.entries.values()] == [27, 27, 28, 28, 29, 29, 30, 30]
-        assert memo.held_bytes == sum(len(encoded) for _, encoded in memo.entries.values())
+        assert memo.held_bytes == held(memo)
 
     def test_bytes_stay_under_their_cap(self, monkeypatch):
         proposals = self.proposals(30)
@@ -120,17 +131,51 @@ class TestVertexMemoCaps:
         monkeypatch.setattr(codec, "_MEMO_BYTES", 5 * size)
         memo = codec.VertexMemo()
         for proposal in proposals:
-            codec.decode(codec.encode(proposal), memo)
+            codec.encode(proposal, memo)
             assert memo.held_bytes <= 5 * size
-        assert memo.held_bytes == sum(len(encoded) for _, encoded in memo.entries.values())
+        assert memo.held_bytes == held(memo)
         assert len(memo.entries) == 5 and codec._MEMO_ENTRIES > 5
 
     def test_the_real_caps_hold_a_long_stream(self):
         memo = codec.VertexMemo()
         for proposal in self.proposals(2 * codec._MEMO_ENTRIES):
             codec.encode(proposal, memo)
+            codec.decode(codec.encode(proposal), memo)
         assert len(memo.entries) <= codec._MEMO_ENTRIES
-        assert memo.held_bytes <= codec._MEMO_BYTES
+        assert len(memo.frames) == codec._MEMO_FRAMES
+        assert memo.held_bytes == held(memo) <= codec._MEMO_BYTES
+
+    def test_frames_stay_under_their_cap(self):
+        memo = codec.VertexMemo()
+        proposals = self.proposals(3 * codec._MEMO_FRAMES)
+        for proposal in proposals:
+            codec.decode(codec.encode(proposal), memo)
+            assert len(memo.frames) <= codec._MEMO_FRAMES
+        # The newest frames, oldest first; their vertices are held apart.
+        assert [message.round for message, _ in memo.frames.values()] == [
+            proposal.round for proposal in proposals[-codec._MEMO_FRAMES:]
+        ]
+        assert memo.held_bytes == held(memo) <= codec._MEMO_BYTES
+
+    def test_a_stream_of_distinct_large_frames_stays_under_the_byte_cap(self):
+        """~20 KiB frames: the byte cap binds before the entry cap.  The
+        vertex encodings are forgotten first, then the oldest frames."""
+        memo = codec.VertexMemo()
+        proposals = self.proposals(200, kind_bytes=20 * 1024)
+        for proposal in proposals:
+            body = codec.encode(proposal)
+            assert 20 * 1024 < len(body) <= codec._MEMO_ENTRY_BYTES
+            codec.decode(body, memo)
+            assert memo.held_bytes == held(memo) <= codec._MEMO_BYTES
+        kept = [message.round for message, _ in memo.frames.values()]
+        assert kept == list(range(201 - len(kept), 201)) and 1 < len(kept) < codec._MEMO_FRAMES
+        assert memo.entries == {}
+
+    def test_a_frame_above_64_kib_is_not_remembered(self):
+        memo = codec.VertexMemo()
+        (proposal,) = self.proposals(1, kind_bytes=70 * 1024)
+        assert codec.decode(codec.encode(proposal), memo) == proposal
+        assert memo.frames == {} and memo.held_bytes == 0
 
 
 class TestVerifiedCertificateCap:

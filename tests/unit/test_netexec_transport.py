@@ -760,7 +760,9 @@ class TestVertexMemo:
     def test_a_forged_vertex_is_refused_by_every_receiver(self):
         """The sender's encoding never seeds the decode side: a vertex whose
         carried digest is not its content digest fails the check at its own
-        sender and at each peer, and nothing of it is delivered."""
+        sender and at each peer, and nothing of it is delivered.  The
+        sender's own copy is dropped and counted like a peer's frame, not
+        raised into the code that sent it."""
         vertex = _vertex_of(4)
         forged = Vertex(
             id=vertex.id, edges=vertex.edges, block=vertex.block,
@@ -772,25 +774,31 @@ class TestVertexMemo:
             with tempfile.TemporaryDirectory() as socket_dir:
                 harness = await _Harness.start(socket_dir, size=3)
                 transport = harness.transport
-                with pytest.raises(codec.CodecError, match="digest mismatch"):
-                    transport.send(0, 0, proposal)
+                transport.send(0, 0, proposal)
+                assert transport.stats.messages_dropped == 1
+                assert transport.events[-1].startswith("validator 0: refusing its own frame: ")
                 transport.broadcast(0, proposal, include_self=False)
-                await _wait_until(lambda: sum("digest mismatch" in event for event in transport.events) == 2)
+                await _wait_until(lambda: sum("digest mismatch" in event for event in transport.events) == 3)
                 await transport.shutdown()
                 return harness
 
         harness = run(scenario())
         assert harness.received == {0: [], 1: [], 2: []}
+        stats = harness.transport.stats
+        # The self-delivery, then one frame on each closed connection.
+        assert (stats.messages_sent, stats.messages_delivered, stats.messages_dropped) == (3, 0, 3)
         for receiver in (1, 2):
             assert any(
                 f"validator {receiver}: closing connection from validator 0" in event
                 for event in harness.transport.events
             ), harness.transport.events
         assert {type(key) for key in harness.transport.memo.entries} == {int}
+        assert harness.transport.memo.frames == {}
 
     def test_a_stream_of_large_vertices_leaves_the_memo_within_its_bytes(self):
         """1,000 distinct ~60 KiB vertices from 0 to 1, 2 and itself: the
-        memo keeps the newest few encodings, not one per vertex (~60 MB)."""
+        memo keeps the newest few frames, not one per vertex (~60 MB); over
+        the byte cap the vertex encodings were forgotten first."""
         count, kind_bytes = 1000, 60 * 1024
 
         async def scenario():
@@ -822,9 +830,11 @@ class TestVertexMemo:
 
         held, memo = run(scenario())
         assert 0 < memo.held_bytes <= codec._MEMO_BYTES
-        assert memo.held_bytes == sum(len(encoded) for _, encoded in memo.entries.values())
-        # Oldest forgotten first: what is left is the newest vertices, each
-        # once as encoded and once as decoded.
-        rounds = [vertex.round for vertex, _ in memo.entries.values()]
-        assert sorted(set(rounds)) == list(range(count - len(set(rounds)) + 1, count + 1)), rounds
+        held_entries = [*memo.entries.values(), *memo.frames.values()]
+        assert memo.held_bytes == sum(len(encoded) for _, encoded in held_entries)
+        # Oldest forgotten first: what is left is the newest proposals, and
+        # no vertex encoding, which each of them answers for.
+        rounds = [message.round for message, _ in memo.frames.values()]
+        assert len(rounds) > 1 and memo.entries == {}
+        assert rounds == list(range(count - len(rounds) + 1, count + 1)), rounds
         assert held < 1 << 20, f"{held} bytes still held after {count} vertices"
