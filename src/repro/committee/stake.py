@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.crypto.hashing import evict_oldest_half
 from repro.errors import CommitteeError
 from repro.types import Stake, quorum_threshold, validity_threshold
 
@@ -44,10 +43,11 @@ class StakeVector:
     validator subsets on every acknowledgement, certificate, and commit
     probe.  At committee sizes of 25+ those summations dominate profiles
     when they rebuild a set and index :class:`Committee` per element.  The
-    vector keeps the per-validator stakes in a flat tuple, precomputes the
-    thresholds, and memoizes quorum verdicts for
-    signer tuples (one certificate object fans out to every validator, so
-    the same tuple is verified ``n`` times per round).
+    vector keeps the per-validator stakes in a flat tuple and precomputes
+    the thresholds.  It memoizes no verdict: one certificate object fans
+    out to every validator, and ``verified_certificates`` answers all
+    recipients after the first by identity, so a signer tuple is checked
+    about once per certificate.
     """
 
     __slots__ = (
@@ -57,19 +57,8 @@ class StakeVector:
         "quorum",
         "validity",
         "uniform_stake",
-        "_signer_quorum_cache",
-        "signer_cache_hits",
-        "signer_cache_misses",
-        "_mask_quorum_cache",
-        "mask_cache_hits",
-        "mask_cache_misses",
         "verified_certificates",
     )
-
-    # Signer tuples seen per run are bounded by committee size x live
-    # rounds; the cap only matters for very long processes running many
-    # experiments back to back.
-    _SIGNER_CACHE_LIMIT = 65536
 
     def __init__(self, stakes: Sequence[Stake]) -> None:
         if not stakes:
@@ -81,51 +70,23 @@ class StakeVector:
         self.validity: Stake = validity_threshold(self.total)
         first = self.stakes[0]
         self.uniform_stake: Stake = first if all(s == first for s in self.stakes) else 0
-        self._signer_quorum_cache: Dict[Tuple[int, ...], bool] = {}
-        self._mask_quorum_cache: Dict[int, bool] = {}
         # ``id(certificate) -> certificate`` for objects the broadcast
         # layer verified under this vector (``_verify_certificate``).
         self.verified_certificates: Dict[int, object] = {}
-        # Observability-only tallies (the vector is shared per committee,
-        # so per-run numbers depend on committee reuse; keep them out of
-        # digests).
-        self.signer_cache_hits = 0
-        self.signer_cache_misses = 0
-        self.mask_cache_hits = 0
-        self.mask_cache_misses = 0
 
     def signer_tuple_has_quorum(self, signers: Tuple[int, ...]) -> bool:
-        """Memoized 2f+1 check for a certificate's signer tuple.
+        """2f+1 check for a certificate's signer tuple.
 
-        Signer tuples are sorted and duplicate-free (the broadcast layer
-        builds them from a voter set); equal tuples therefore have equal
-        stake, and the verdict can be reused across the ``n`` recipients
-        of one certificate fan-out.
+        Every signer is bounded to the committee before it becomes a
+        shift, and a tuple naming any other id is refused.  Duplicate
+        signers collapse into one bit, so a malformed or adversarial
+        tuple can never inflate the stake.
         """
-        cache = self._signer_quorum_cache
-        verdict = cache.get(signers)
-        if verdict is None:
-            self.signer_cache_misses += 1
-            if signers and set(map(type, signers)) <= {int}:  # no frame per signer
-                bounded = min(signers) >= 0 and max(signers) < self.size
-            else:  # refused, or raising, at the signer it always was
-                bounded = all(0 <= signer < self.size for signer in signers)
-            if not bounded:
-                # Refused before an id becomes a shift, and not cached.
-                return False
-            evict_oldest_half(cache, self._SIGNER_CACHE_LIMIT)
-            # Miss path: convert once and let the bitmask engine decide.
-            # Duplicate signers collapse into one bit, so a malformed or
-            # adversarial tuple can never inflate the stake — the same
-            # guarantee the old dedupping sum gave.  The tuple cache in
-            # front keeps the per-certificate fan-out cost at one dict
-            # hit; converting on every call costs O(signers) and showed
-            # up as a ~10% events/sec regression at committee 100.
-            verdict = self.mask_has_quorum(self.mask_of_validators(signers))
-            cache[signers] = verdict
-        else:
-            self.signer_cache_hits += 1
-        return verdict
+        if signers and set(map(type, signers)) <= {int}:  # no frame per signer
+            bounded = min(signers) >= 0 and max(signers) < self.size
+        else:  # refused, or raising, at the signer it always was
+            bounded = all(0 <= signer < self.size for signer in signers)
+        return bounded and self.mask_stake(self.mask_of_validators(signers)) >= self.quorum
 
     # ------------------------------------------------------------------
     # Bitmask arithmetic (the committee-100 fast path).
@@ -158,22 +119,8 @@ class StakeVector:
         return total
 
     def mask_has_quorum(self, mask: int) -> bool:
-        """Memoized 2f+1 check for a voter/signer bitmask.
-
-        The bitmask twin of :meth:`signer_tuple_has_quorum`: one
-        certificate fans out to ``n`` recipients, so the verdict for a
-        given mask is computed once and reused.
-        """
-        cache = self._mask_quorum_cache
-        verdict = cache.get(mask)
-        if verdict is None:
-            self.mask_cache_misses += 1
-            evict_oldest_half(cache, self._SIGNER_CACHE_LIMIT)
-            verdict = self.mask_stake(mask) >= self.quorum
-            cache[mask] = verdict
-        else:
-            self.mask_cache_hits += 1
-        return verdict
+        """2f+1 check for a voter/signer bitmask."""
+        return self.mask_stake(mask) >= self.quorum
 
     @staticmethod
     def mask_of_validators(validators: Iterable[int]) -> int:

@@ -49,7 +49,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.committee import Committee
 from repro.consensus.committed import CommittedSubDag, OrderedVertex
 from repro.core.manager import ScheduleManager
-from repro.crypto.hashing import evict_oldest_half
 from repro.dag.store import DagStore
 from repro.dag.vertex import Vertex
 from repro.errors import ConsensusError
@@ -59,13 +58,6 @@ from repro.types import Round, SimTime, ValidatorId, VertexId, is_anchor_round
 # Callbacks the embedding node can register.
 OrderedCallback = Callable[[OrderedVertex], None]
 CommitCallback = Callable[[CommittedSubDag], None]
-
-# Process-wide memo of the ordering-digest token per (round, source):
-# every one of the n validators folds the same token into its rolling
-# digest when it orders the same vertex, so the f-string formatting is
-# shared.  Bounded and flushed wholesale; entries are pure functions of
-# the key.
-_ORDERING_TOKENS: dict = {}
 
 # Every this many ordered vertices, the engine snapshots its rolling
 # ordering digest into ``ordering_checkpoints``.  The snapshots let two
@@ -320,15 +312,10 @@ class BullsharkConsensus:
         position = first
         digest = self._ordering_digest
         checkpoints = self.ordering_checkpoints
-        tokens = _ORDERING_TOKENS
         for vertex in ordered:
             round_number = vertex.round
             ordered_sources[round_number] = ordered_sources.get(round_number, 0) | 1 << vertex.source
-            token = tokens.get(vertex.id)
-            if token is None:
-                evict_oldest_half(tokens, 1 << 16)
-                token = tokens[vertex.id] = f"{round_number}:{vertex.source};".encode("ascii")
-            digest.update(token)
+            digest.update(b"%d:%d;" % (round_number, vertex.source))
             position += 1
             if not position & (ORDERING_CHECKPOINT_INTERVAL - 1):
                 checkpoints.append((position, digest.hexdigest()))

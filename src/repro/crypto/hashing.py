@@ -99,58 +99,6 @@ def evict_oldest_half(entries: dict, limit: int) -> None:
             del entries[stale]
 
 
-class DigestMemo:
-    """A bounded process-wide memo for recomputed protocol digests.
-
-    The broadcast layer re-derives the same domain-separated digest for
-    one ``(origin, round, payload)`` triple at every one of the ``n``
-    recipients of a certificate fan-out (and again for every certificate
-    in a batch).  The canonical encoding and the SHA-256 pass are pure
-    functions of the key, so the memo is shared across validator
-    instances — and across experiments, because the key embeds the
-    payload's content fingerprint.
-
-    Eviction wipes the oldest half by insertion order (Python dicts
-    preserve it), which keeps the common case a single dict lookup
-    instead of the sorted-scan eviction the per-node caches used before.
-    """
-
-    __slots__ = ("_entries", "limit", "hits", "misses")
-
-    def __init__(self, limit: int = 131072) -> None:
-        self._entries: dict = {}
-        self.limit = limit
-        # Process-wide hit/miss tallies surfaced by the instrumentation
-        # counters.  Because the memo is shared across experiments (and
-        # across sweep workers with unrelated lifetimes), these are
-        # observability-only: never fold them into digests or diffs.
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Any) -> Any:
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, key: Any, value: Any) -> Any:
-        entries = self._entries
-        evict_oldest_half(entries, self.limit)
-        entries[key] = value
-        return value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-# Memo for the certified-broadcast digests, keyed by
-# (origin, round, payload fingerprint); see
-# :meth:`repro.rbc.certified.CertifiedBroadcast._broadcast_digest`.
-BROADCAST_DIGEST_MEMO = DigestMemo()
-
-
 def digest_hex(*values: Any) -> str:
     """Return the hexadecimal form of :func:`digest_of`."""
     return digest_of(*values).hex()

@@ -10,10 +10,10 @@ being accepted.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.committee import Committee
-from repro.crypto.hashing import Digest, evict_oldest_half, vertex_digest
+from repro.crypto.hashing import Digest, vertex_digest
 from repro.errors import DagError
 from repro.types import Round, SimTime, ValidatorId, VertexId
 
@@ -21,38 +21,6 @@ from repro.types import Round, SimTime, ValidatorId, VertexId
 # sequence that declares itself ``sealed``.  The workload layer fills it
 # with Transaction objects; the DAG and consensus layers never look inside.
 Block = Sequence[Any]
-
-# Per-process intern tables.  Every recipient of a broadcast rebuilds the
-# same vertex, so an ``n``-validator run otherwise holds ``n`` equal
-# ``VertexId`` tuples and ``n`` equal digest byte strings per vertex;
-# interning collapses them to one canonical object each (committee-100
-# keeps ~100x fewer of both alive).  Both tables are value-keyed, so a
-# hit can never change what any consumer observes — only object
-# identity — and both are capped with the same oldest-half eviction the
-# digest memos use.
-_VERTEX_ID_INTERN: Dict[Tuple[Round, ValidatorId], VertexId] = {}
-_DIGEST_INTERN: Dict[Digest, Digest] = {}
-_INTERN_LIMIT = 1 << 17
-
-
-def interned_vertex_id(round_number: Round, source: ValidatorId) -> VertexId:
-    """The canonical ``VertexId`` for ``(round, source)`` in this process."""
-    key = (round_number, source)
-    vertex_id = _VERTEX_ID_INTERN.get(key)
-    if vertex_id is None:
-        evict_oldest_half(_VERTEX_ID_INTERN, _INTERN_LIMIT)
-        vertex_id = VertexId(round=round_number, source=source)
-        _VERTEX_ID_INTERN[key] = vertex_id
-    return vertex_id
-
-
-def intern_table_sizes() -> Dict[str, int]:
-    """Current intern-table sizes (observability only, never digested)."""
-    return {
-        "vertex_id": len(_VERTEX_ID_INTERN),
-        "digest": len(_DIGEST_INTERN),
-    }
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Vertex:
@@ -120,7 +88,7 @@ def make_vertex(
     if round_number < 0:
         raise DagError("rounds are non-negative")
     vertex = Vertex(
-        id=interned_vertex_id(round_number, source),
+        id=VertexId(round_number, source),
         edges=edges,
         block=block if getattr(block, "sealed", False) else tuple(block),
         digest=b"",
@@ -134,11 +102,9 @@ def make_vertex(
             f"vertex at round {round_number} references parent at round "
             f"{stray.round}; edges must point to the previous round"
         )
-    digest = vertex_digest(round_number, source, vertex.edges, len(block))
-    evict_oldest_half(_DIGEST_INTERN, _INTERN_LIMIT)
     # The digest is a function of the canonical edges, so it is filled
     # in once the vertex has built them.
-    object.__setattr__(vertex, "digest", _DIGEST_INTERN.setdefault(digest, digest))
+    object.__setattr__(vertex, "digest", vertex_digest(round_number, source, vertex.edges, len(block)))
     return vertex
 
 

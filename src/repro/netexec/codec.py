@@ -226,6 +226,16 @@ class _EdgeSet(tuple):
     """
 
 
+def _build_certificate(fields: tuple) -> CertificateMessage:
+    """Refuse signers the broadcast layer could not bound.  Both decoders
+    build through here, so both accept exactly the tuples of integers
+    the certificate layout reads."""
+    signers = fields[4]
+    if type(signers) is not tuple or not set(map(type, signers)) <= {int}:
+        raise CodecError("certificate signers field must decode to a tuple of integers")
+    return CertificateMessage(*fields)
+
+
 def _pack_fetch_request(request: FetchRequest) -> tuple:
     """Masks outgrow the 64-bit wire integer past committee 63, so they
     travel as minimal big-endian byte strings."""
@@ -332,7 +342,10 @@ _SPECS: Tuple[_TypeSpec, ...] = (
     _spec(9, BroadcastMessage, ("origin", "round", "digest")),
     _spec(10, ProposeMessage, ("origin", "round", "digest", "payload")),
     _spec(11, AckMessage, ("origin", "round", "digest", "voter")),
-    _spec(12, CertificateMessage, ("origin", "round", "digest", "payload", "signers")),
+    _spec(
+        12, CertificateMessage, ("origin", "round", "digest", "payload", "signers"),
+        build=_build_certificate,
+    ),
     _spec(13, CertificateBatch, ("origin", "round", "digest", "certificates")),
     # Codes 14, 15 and 16 are retired and must not be reassigned: a code
     # identifies one message type for as long as the wire format lives.
@@ -824,7 +837,7 @@ def _certificate_at(data: bytes, offset: int, memo: Optional[VertexMemo]) -> Tup
     (_, count), offset = _fields_at(_SIGNER_COUNT, data, offset)
     _require_run(count, _SIGNER_BYTES, data, offset)
     fields, offset = _fields_at(_signers(count), data, offset)
-    return CertificateMessage(head[1], head[3], head[5], vertex, fields[1::2]), offset
+    return _build_certificate((head[1], head[3], head[5], vertex, fields[1::2])), offset
 
 
 def _batch_at(data: bytes, offset: int, memo: Optional[VertexMemo]) -> Tuple[CertificateBatch, int]:

@@ -68,7 +68,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import functools
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.netexec.clock import MonotonicScheduler
@@ -283,11 +283,10 @@ class _InboundConnection(asyncio.Protocol):
 
 
 class _Endpoint:
-    __slots__ = ("node_id", "region", "handler", "routes", "crashed", "server", "address")
+    __slots__ = ("node_id", "handler", "routes", "crashed", "server", "address")
 
-    def __init__(self, node_id: ValidatorId, region: Region, handler) -> None:
+    def __init__(self, node_id: ValidatorId, handler) -> None:
         self.node_id = node_id
-        self.region = region
         self.handler = handler
         # Message class -> handler, ahead of ``handler`` (``Network.route``).
         self.routes: Dict[type, Any] = {}
@@ -337,7 +336,7 @@ class AsyncioTransport:
     def register(self, node_id: ValidatorId, region: Region, handler) -> None:
         if node_id in self._endpoints:
             raise NetworkError(f"node {node_id} is already registered")
-        self._endpoints[node_id] = _Endpoint(node_id, region, handler)
+        self._endpoints[node_id] = _Endpoint(node_id, handler)
         self._node_ids = tuple(sorted(self._endpoints))
 
     def route(self, node_id: ValidatorId, routes: Dict[type, Any]) -> None:
@@ -442,15 +441,14 @@ class AsyncioTransport:
             recipients = [recipient for recipient in recipients if recipient != sender]
         self._send(sender, recipients, message)
 
-    def _send(self, sender: ValidatorId, recipients: Iterable[ValidatorId], message: Any) -> None:
+    def _send(self, sender: ValidatorId, recipients: Sequence[ValidatorId], message: Any) -> None:
         """Encode ``message`` once; the frame goes straight onto each recipient's link."""
         stats = self.stats
         endpoint = self._endpoints[sender]
         frame = encode_frame(message, self.memo)
         if endpoint.crashed:
-            for _recipient in recipients:
-                stats.messages_sent += 1
-                stats.messages_dropped += 1
+            stats.messages_sent += len(recipients)
+            stats.messages_dropped += len(recipients)
             return
         drop_filter = self.drop_filter
         links = self._links[sender]

@@ -37,20 +37,16 @@ are engineered away here:
   voter mask, stake, certified), so an ack is one dict read, a bit test
   and a stake add from the flat stake list; a repeated ack or one after
   certification changes nothing.
-* **Certificate verification** recomputed the expected broadcast digest
-  (an SHA-256 over a canonical preimage) at every one of the ``n``
-  recipients of a certificate.  The digest is a pure function of
-  ``(origin, round, payload fingerprint)``, so it is memoized
-  process-wide (:data:`~repro.crypto.hashing.BROADCAST_DIGEST_MEMO`) and
-  computed once per broadcast; batches verify their certificates in one
-  pass over the shared memo.  The 2f+1 signer check is likewise memoized
-  per signer tuple.  In a simulated committee one certificate *object*
-  fans out to all peers, so the first recipient's success is remembered
-  for that object under the committee's stake vector and later
-  recipients are answered by identity inside the batch loop; a decoded,
-  copied or differently-committee'd certificate is another object or
-  another vector and takes both memoized checks, and a failure is never
-  remembered.
+* **Certificate verification** checks the 2f+1 signer quorum and
+  recomputes the expected broadcast digest (an SHA-256 over
+  ``(origin, round, payload fingerprint)``).  In a simulated committee
+  one certificate *object* fans out to all peers, and a socket run's
+  transport hands every receiver of a frame the one message its first
+  decode accepted, so the first recipient's success is remembered for
+  that object under the committee's stake vector and later recipients
+  are answered by identity inside the batch loop.  A copied or
+  differently-committee'd certificate is another object or another
+  vector and is checked in full, and a failure is never remembered.
 * **Batched delivery** (:class:`CertificateBatch`) keeps the transport
   send count at one per peer per round regardless of how many
   certificates a validator emits; receivers split, deduplicate against
@@ -69,7 +65,7 @@ from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.committee import Committee
-from repro.crypto.hashing import BROADCAST_DIGEST_MEMO, digest_of, evict_oldest_half
+from repro.crypto.hashing import digest_of, evict_oldest_half
 from repro.errors import BroadcastError
 from repro.network.transport import Network
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -173,26 +169,12 @@ class CertifiedBroadcast:
 
     @staticmethod
     def _broadcast_digest(origin: ValidatorId, round_number: Round, payload: Any) -> bytes:
+        # Domain-separated binding of (origin, round, payload
+        # fingerprint); hashed directly rather than through the general
+        # canonical serializer.
         fingerprint = _payload_digest(payload)
-        key = (origin, round_number, fingerprint)
-        memo = BROADCAST_DIGEST_MEMO
-        digest = memo.get(key)
-        if digest is None:
-            # Domain-separated binding of (origin, round, payload
-            # fingerprint); hashed directly rather than through the
-            # general canonical serializer.  The memo is process-wide:
-            # the same digest is re-derived by every recipient of a
-            # certificate, and the key embeds the content fingerprint,
-            # so entries are shared across validators (and experiments)
-            # safely.
-            raw = fingerprint if isinstance(fingerprint, bytes) else repr(fingerprint).encode()
-            digest = memo.put(
-                key,
-                sha256(
-                    b"certified-broadcast|%d|%d|%b" % (origin, round_number, raw)
-                ).digest(),
-            )
-        return digest
+        raw = fingerprint if isinstance(fingerprint, bytes) else repr(fingerprint).encode()
+        return sha256(b"certified-broadcast|%d|%d|%b" % (origin, round_number, raw)).digest()
 
     # -- broadcasting -----------------------------------------------------------
 
@@ -377,14 +359,8 @@ class CertifiedBroadcast:
 
         An object that already passed under this stake vector is answered
         by identity before this is called (``_handle_certificates``), and
-        a success is remembered for that here.  Both halves are memoized
-        process-wide (the signer tuple and the digest preimage are shared
-        by all recipients of one fan-out), so a batch is verified in a
-        single pass over cached verdicts.  The tuple memo's miss path
-        converts to a bitmask once and decides via
-        :meth:`~repro.committee.stake.StakeVector.mask_has_quorum`;
-        calling the converter per verification instead costs O(signers)
-        per certificate and measurably regressed committee-100 runs.
+        a success is remembered for that here, so both checks run about
+        once per certificate, not once per recipient.
         """
         vector = self._stake_vector
         if not vector.signer_tuple_has_quorum(message.signers):

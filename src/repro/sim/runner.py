@@ -354,16 +354,10 @@ class SimulationRunner:
     def _collect_counters(self) -> Dict[str, float]:
         """Always-on counter snapshot (cheap integer reads, no registry).
 
-        The ``memo.*`` entries read process-wide caches whose state
-        depends on what ran before in the same process (bench sessions,
-        sweep-worker reuse), so they are excluded from every digest and
-        run-to-run comparison; everything else is a deterministic
-        function of (config, seed).
+        Every entry is a deterministic function of (config, seed): the
+        ``memo.*`` sizes read the run's own committee, which no other run
+        shares.
         """
-        from repro.consensus.bullshark import _ORDERING_TOKENS
-        from repro.crypto.hashing import BROADCAST_DIGEST_MEMO
-        from repro.dag.vertex import intern_table_sizes
-
         nodes = self.nodes.values()
         stats = self.network.stats
         vector = self.committee.stake_vector
@@ -394,22 +388,9 @@ class SimulationRunner:
             "rbc.delivered_rounds": float(max(len(node.broadcast_protocol._delivered) for node in nodes)),
             "rbc.acked_rounds": float(max(len(node.broadcast_protocol._acked) for node in nodes)),
             "consensus.ordered_rounds": float(max(len(node.consensus.ordered_sources) for node in nodes)),
-            "memo.broadcast_digest.hits": float(BROADCAST_DIGEST_MEMO.hits),
-            "memo.broadcast_digest.misses": float(BROADCAST_DIGEST_MEMO.misses),
-            "memo.broadcast_digest.size": float(len(BROADCAST_DIGEST_MEMO)),
-            "memo.signer_quorum.hits": float(vector.signer_cache_hits),
-            "memo.signer_quorum.misses": float(vector.signer_cache_misses),
-            "memo.signer_quorum.size": float(len(vector._signer_quorum_cache)),
-            "memo.mask_quorum.hits": float(vector.mask_cache_hits),
-            "memo.mask_quorum.misses": float(vector.mask_cache_misses),
-            "memo.mask_quorum.size": float(len(vector._mask_quorum_cache)),
             "memo.edge_quorum.size": float(len(self.committee.edge_quorum_verdicts)),
             "memo.verified_certificates.size": float(len(vector.verified_certificates)),
-            "memo.ordering_tokens.size": float(len(_ORDERING_TOKENS)),
         }
-        intern_sizes = intern_table_sizes()
-        counters["memo.intern.vertex_id.size"] = float(intern_sizes["vertex_id"])
-        counters["memo.intern.digest.size"] = float(intern_sizes["digest"])
         if self.tracer is not None:
             counters["trace.events_kept"] = float(len(self.tracer.events))
             counters["trace.events_dropped"] = float(self.tracer.dropped)

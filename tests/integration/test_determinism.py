@@ -12,8 +12,9 @@ are compared line by line:
   ahead, against the fresh run.
 
 This process has run other tests first, so the last two also hold that
-no run leaks state into the next; they skip only the ``memo.*``
-counters, which report process-wide caches.  The defect plants of README
+no run leaks state into the next: no line is skipped, the ``memo.*``
+counters included, as a run keeps its memos on its own committee and
+transport.  The defect plants of README
 "Determinism" (:data:`tests.determinism_probe.PLANTS`), applied in child
 processes, are each caught by one of the three checks.  The socket
 backend's artifacts carry host time and are held to the lockstep oracle
@@ -100,17 +101,14 @@ def run_sides(sides, runs, check, extra=()):
         assert process.returncode == 0, stderr
 
 
-def written(outdir, run, suffix, skip_memo=False):
-    lines = Path(outdir, run + suffix).read_text().splitlines()
-    if skip_memo:
-        lines = [line for line in lines if not line.lstrip().startswith('"memo.')]
-    return lines
+def written(outdir, run, suffix):
+    return Path(outdir, run + suffix).read_text().splitlines()
 
 
-def assert_same(left, right, run, skip_memo=False):
+def assert_same(left, right, run):
     # Compared line by line, so a failure names the first line that differs.
     for suffix in (".json", ".jsonl"):
-        first, second = (written(side, run, suffix, skip_memo) for side in (left, right))
+        first, second = (written(side, run, suffix) for side in (left, right))
         assert first == second, f"{run}{suffix} differs"
 
 
@@ -145,14 +143,14 @@ def test_per_transaction_outputs_hold_their_pins(fresh, run):
 def test_global_random_state_does_not_reach_the_artifact(fresh, run, tmp_path):
     with perturbed(random_seed=2):
         run_scenarios(tmp_path, [run])
-    assert_same(fresh[0], tmp_path, run, skip_memo=True)
+    assert_same(fresh[0], tmp_path, run)
 
 
 @pytest.mark.parametrize("run", RUNS)
 def test_wall_clock_does_not_reach_the_artifact(fresh, run, tmp_path):
     with perturbed(random_seed=1, clock_offset=CLOCK_OFFSET):
         run_scenarios(tmp_path, [run])
-    assert_same(fresh[0], tmp_path, run, skip_memo=True)
+    assert_same(fresh[0], tmp_path, run)
 
 
 @pytest.mark.parametrize("plant", sorted(PLANTS))

@@ -113,13 +113,3 @@ class TestMaskErrorPaths:
     def test_negative_validator_raises(self):
         with pytest.raises(CommitteeError):
             StakeVector.mask_of_validators([0, -1])
-
-    def test_verdicts_are_memoized(self):
-        vector = vector_for("geometric", 8)
-        mask = StakeVector.mask_of_validators(range(6))
-        before = vector.mask_cache_misses
-        first = vector.mask_has_quorum(mask)
-        second = vector.mask_has_quorum(mask)
-        assert first == second
-        assert vector.mask_cache_misses == before + 1
-        assert vector.mask_cache_hits >= 1

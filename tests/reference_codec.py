@@ -14,8 +14,9 @@ how bytes are walked: the error type, the ``Hello`` frame, and the two
 field validators (``_build_vertex`` recomputes a decoded vertex's
 digest; the differential suite checks that production still calls it).
 The bounds on the validator ids and rounds a vertex names are written
-out again, in the same words, ahead of ``_build_vertex``: a production
-decoder that drops one disagrees with this one.
+out again, in the same words, ahead of ``_build_vertex``, and so is the
+type check on a certificate's signers: a production decoder that drops
+one disagrees with this one.
 
 It also holds the reference *encoder*: the one-value-at-a-time encoder
 the codec shipped while a vertex kept its edges in a ``frozenset``, which
@@ -90,6 +91,15 @@ def _keywords(cls: type, fields: Tuple[str, ...]) -> Callable[[tuple], Any]:
 
 _BROADCAST = ("origin", "round", "digest")
 
+
+def _certificate(values: tuple) -> CertificateMessage:
+    """Refuse signers that are not a tuple of integers."""
+    signers = values[4]
+    if type(signers) is not tuple or any(type(signer) is not int for signer in signers):
+        raise CodecError("certificate signers field must decode to a tuple of integers")
+    return _keywords(CertificateMessage, _BROADCAST + ("payload", "signers"))(values)
+
+
 # code -> (class, number of wire fields, constructor from the field tuple)
 _TYPES: Dict[int, Tuple[type, int, Callable[[tuple], Any]]] = {
     1: (Hello, 1, _keywords(Hello, ("node_id",))),
@@ -124,11 +134,7 @@ _TYPES: Dict[int, Tuple[type, int, Callable[[tuple], Any]]] = {
     9: (BroadcastMessage, 3, _keywords(BroadcastMessage, _BROADCAST)),
     10: (ProposeMessage, 4, _keywords(ProposeMessage, _BROADCAST + ("payload",))),
     11: (AckMessage, 4, _keywords(AckMessage, _BROADCAST + ("voter",))),
-    12: (
-        CertificateMessage,
-        5,
-        _keywords(CertificateMessage, _BROADCAST + ("payload", "signers")),
-    ),
+    12: (CertificateMessage, 5, _certificate),
     13: (CertificateBatch, 4, _keywords(CertificateBatch, _BROADCAST + ("certificates",))),
 }
 

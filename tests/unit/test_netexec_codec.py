@@ -186,6 +186,14 @@ class TestDefensiveDecoding:
         with pytest.raises(CodecError, match="digest mismatch"):
             decode(encode(forged))
 
+    @pytest.mark.parametrize("signers", [5, None, (0, None), (1, "a"), ({},), (True, 1, 2)], ids=repr)
+    def test_certificate_signers_that_are_not_a_tuple_of_integers_rejected(self, signers):
+        """Refused here, not raised by the broadcast layer's quorum check."""
+        vertex = _sample_vertex()
+        certificate = CertificateMessage(1, vertex.round, vertex.digest, vertex, signers)
+        with pytest.raises(CodecError, match="certificate signers field must decode to a tuple of integers"):
+            decode(encode(certificate))
+
 
 _MISSING = (VertexId(3, 0),)
 

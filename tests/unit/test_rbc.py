@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from repro.committee import Committee
+from repro.committee.stake import StakeVector
 from repro.network.simulator import Simulator
 from repro.network.transport import Network
 from repro.rbc.certified import CertifiedBroadcast
@@ -249,20 +250,29 @@ class TestCertificateVerdictByIdentity:
             origin=origin, round=round_number, digest=digest, payload=payload, signers=signers
         )
 
-    @staticmethod
-    def full_checks(committee):
-        vector = committee.stake_vector
-        return vector.signer_cache_hits + vector.signer_cache_misses
+    @pytest.fixture
+    def full_checks(self, monkeypatch):
+        """Full checks made under a committee's stake vector so far, counted
+        by wrapping the signer check every full verification starts with."""
+        checked = []
+        check = StakeVector.signer_tuple_has_quorum
 
-    def test_later_recipients_are_answered_by_identity(self):
+        def counted(vector, signers):
+            checked.append(vector)
+            return check(vector, signers)
+
+        monkeypatch.setattr(StakeVector, "signer_tuple_has_quorum", counted)
+        return lambda committee: sum(vector is committee.stake_vector for vector in checked)
+
+    def test_later_recipients_are_answered_by_identity(self, full_checks):
         committee, simulator, network, protocols, deliveries = build_cluster()
         certificate = self.genuine()
-        checked = self.full_checks(committee)
+        checked = full_checks(committee)
         protocols[0].handle_message(2, certificate)
-        assert self.full_checks(committee) == checked + 1
+        assert full_checks(committee) == checked + 1
         for index in (1, 2, 3):
             protocols[index].handle_message(2, certificate)
-        assert self.full_checks(committee) == checked + 1
+        assert full_checks(committee) == checked + 1
         for index in range(4):
             assert [delivery.payload for delivery in deliveries[index]] == ["payload"]
 
@@ -276,18 +286,18 @@ class TestCertificateVerdictByIdentity:
             (2, 4, "payload")
         ]
 
-    def test_a_copy_is_verified_in_full_and_a_forged_copy_refused(self):
+    def test_a_copy_is_verified_in_full_and_a_forged_copy_refused(self, full_checks):
         import copy
         import dataclasses
 
         committee, simulator, network, protocols, deliveries = build_cluster()
         certificate = self.genuine()
         assert protocols[0]._verify_certificate(certificate)
-        checked = self.full_checks(committee)
+        checked = full_checks(committee)
         equal_copy = copy.copy(certificate)
         assert equal_copy == certificate and equal_copy is not certificate
         assert protocols[1]._verify_certificate(equal_copy)
-        assert self.full_checks(committee) == checked + 1
+        assert full_checks(committee) == checked + 1
         forged_digest = copy.copy(certificate)
         forged_digest.digest = b"\x00" * 32
         sub_quorum = dataclasses.replace(certificate, signers=(0, 1))
@@ -297,28 +307,28 @@ class TestCertificateVerdictByIdentity:
                 protocols[index].handle_message(2, forged)
         assert all(deliveries[index] == [] for index in range(4))
 
-    def test_the_same_object_is_verified_again_under_a_second_committee(self):
+    def test_the_same_object_is_verified_again_under_a_second_committee(self, full_checks):
         committee, _simulator, _network, protocols, _deliveries = build_cluster(size=4)
         larger, _simulator, _network, larger_protocols, larger_deliveries = build_cluster(size=7)
         certificate = self.genuine()
         assert protocols[0]._verify_certificate(certificate)
-        checked = self.full_checks(larger)
+        checked = full_checks(larger)
         # Three signers are a quorum of four validators, not of seven.
         assert not larger_protocols[0]._verify_certificate(certificate)
-        assert self.full_checks(larger) == checked + 1
+        assert full_checks(larger) == checked + 1
         larger_protocols[0].handle_message(2, certificate)
         assert larger_deliveries[0] == []
         # ... and the refusal there does not disturb the verdict here.
         assert protocols[1]._verify_certificate(certificate)
 
-    def test_a_failed_object_is_checked_again_by_every_recipient(self):
+    def test_a_failed_object_is_checked_again_by_every_recipient(self, full_checks):
         committee, simulator, network, protocols, deliveries = build_cluster()
         bogus = self.genuine()
         bogus.digest = b"\x00" * 32
-        checked = self.full_checks(committee)
+        checked = full_checks(committee)
         for index in (0, 1, 2, 3, 0, 1):
             assert not protocols[index]._verify_certificate(bogus)
-        assert self.full_checks(committee) == checked + 6
+        assert full_checks(committee) == checked + 6
         assert committee.stake_vector.verified_certificates == {}
 
 
@@ -398,13 +408,12 @@ class TestIdsOutsideTheCommittee:
         assert certificates_formed(tracer) == [(1, 3)]
 
     @pytest.mark.parametrize("signers", [(0, 1, HUGE), (0, 1, 2, 4), (-1, 0, 1, 2)])
-    def test_a_signer_from_outside_fails_the_certificate_and_is_not_cached(self, signers):
+    def test_a_signer_from_outside_fails_the_certificate(self, signers):
         committee, simulator, network, protocols, deliveries = build_cluster()
         vector = committee.stake_vector
         certificate = self.forged(2, signers=signers)
         assert self.peak_bytes(lambda: protocols[1].handle_message(2, certificate)) < 1 << 20
         assert deliveries[1] == []
         assert not vector.signer_tuple_has_quorum(signers)
-        assert signers not in vector._signer_quorum_cache
         # The same ids inside the committee are a quorum.
         assert vector.signer_tuple_has_quorum((0, 1, 2))
