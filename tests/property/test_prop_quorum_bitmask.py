@@ -10,6 +10,8 @@ properties are what license the RBC and consensus layers to swap tuples
 for masks without a digest audit per call site.
 """
 
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -113,3 +115,20 @@ class TestMaskErrorPaths:
     def test_negative_validator_raises(self):
         with pytest.raises(CommitteeError):
             StakeVector.mask_of_validators([0, -1])
+
+
+def test_verdicts_leave_the_vector_unchanged():
+    """A verdict is computed, not remembered: asking leaves no state behind."""
+    vector = vector_for("geometric", 8)
+
+    def state():
+        return {slot: copy.copy(getattr(vector, slot)) for slot in StakeVector.__slots__}
+
+    before = state()
+    for mask in range(1 << 8):
+        verdict = vector.mask_stake(mask) >= vector.quorum
+        assert vector.mask_has_quorum(mask) == verdict
+        assert vector.mask_has_quorum(mask) == verdict
+        signers = StakeVector.validators_of_mask(mask)
+        assert vector.signer_tuple_has_quorum(signers) == verdict
+    assert state() == before

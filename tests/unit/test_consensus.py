@@ -1,6 +1,7 @@
 """Unit tests for the Bullshark consensus engine over hand-built DAGs."""
 
 import collections
+import hashlib
 
 import pytest
 
@@ -87,6 +88,16 @@ class TestDirectCommit:
         drive_rounds(consensus_a, committee4, rounds=5)
         drive_rounds(consensus_b, committee4, rounds=5)
         assert consensus_a.ordering_digest == consensus_b.ordering_digest
+
+    def test_ordering_digest_folds_round_and_source_of_each_ordered_vertex(self, committee4):
+        consensus = make_consensus(committee4)
+        order = OrderRecorder(consensus)
+        drive_rounds(consensus, committee4, rounds=7)
+        expected = hashlib.sha256()
+        for vertex_id in order.ids():
+            expected.update(f"{vertex_id.round}:{vertex_id.source};".encode("ascii"))
+        assert consensus.commit_count >= 3 and len(order.ids()) == consensus.ordered_count
+        assert consensus.ordering_digest == expected.hexdigest()
 
 
 class TestSkippedAnchors:

@@ -491,6 +491,22 @@ class TestCrashSemantics:
         assert harness.received[0] == []
         assert harness.received[2] == []
 
+    def test_a_crashed_senders_broadcast_counts_each_recipient_as_sent_and_dropped(self):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=3)
+                transport = harness.transport
+                transport.set_crashed(1)
+                transport.broadcast(1, _ready(1))
+                transport.broadcast(1, _ready(1, round_number=2), include_self=False)
+                counts = (transport.stats.messages_sent, transport.stats.messages_dropped)
+                await transport.shutdown()
+                return harness, counts
+
+        harness, counts = run(scenario())
+        assert counts == (3 + 2, 3 + 2)
+        assert all(inbox == [] for inbox in harness.received.values())
+
     def test_a_routed_class_is_dispatched_by_class_and_dropped_while_crashed(self):
         routed = []
 
